@@ -321,7 +321,7 @@ Result<uint32_t> MonolithicSupervisor::Activate(BNode* node) {
   ast.page_table.owner = node->uid;
   ast.page_table.ptws.assign(entry->max_length_pages, Ptw{});
   for (uint32_t p = 0; p < entry->max_length_pages; ++p) {
-    const FileMapEntry& fm = entry->file_map[p];
+    const FileMapEntry& fm = entry->map_entry(p);
     Ptw& ptw = ast.page_table.ptws[p];
     ptw.unallocated = !(fm.allocated || fm.zero);
   }
@@ -453,7 +453,7 @@ Status MonolithicSupervisor::CleanAndRelease(FrameIndex frame) {
   if (entry == nullptr) {
     return Status(Code::kInternal, "resident page without VTOC entry");
   }
-  FileMapEntry& fm = entry->file_map[fi.page];
+  FileMapEntry& fm = entry->mutable_map_entry(fi.page);
   if (ptw.modified) {
     const bool zero = memory_->FrameIsZero(frame);
     if (zero) {
@@ -526,7 +526,7 @@ Status MonolithicSupervisor::GrowPage(uint32_t ast_index, uint32_t page) {
   }
   ++quota_entry.quota_count;
   VtocEntry* entry = volumes_.pack(ast.pack)->GetVtoc(ast.vtoc);
-  FileMapEntry& fm = entry->file_map[page];
+  FileMapEntry& fm = entry->mutable_map_entry(page);
   fm.allocated = true;
   fm.zero = false;
   fm.record = *record;
@@ -568,7 +568,7 @@ Status MonolithicSupervisor::HandleFullPack(uint32_t ast_index, uint32_t page) {
   std::vector<Word> buffer(kPageWords);
   for (uint32_t p = 0; p < old_entry->file_map.size(); ++p) {
     const FileMapEntry& old_fm = old_entry->file_map[p];
-    FileMapEntry& new_fm = new_entry->file_map[p];
+    FileMapEntry& new_fm = new_entry->mutable_map_entry(p);
     new_fm.zero = old_fm.zero;
     if (old_fm.allocated) {
       MKS_ASSIGN_OR_RETURN(RecordIndex rec, new_pack->AllocateRecord());
@@ -631,7 +631,7 @@ Status MonolithicSupervisor::HandleMissingPage(uint32_t ast_index, uint32_t page
     result = GrowPage(ast_index, page);
   } else {
     VtocEntry* entry = volumes_.pack(ast.pack)->GetVtoc(ast.vtoc);
-    FileMapEntry& fm = entry->file_map[page];
+    FileMapEntry& fm = entry->mutable_map_entry(page);
     auto frame = AcquireFrame();
     if (!frame.ok()) {
       result = frame.status();

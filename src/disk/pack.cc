@@ -5,6 +5,20 @@
 
 namespace mks {
 
+const FileMapEntry& VtocEntry::map_entry(uint32_t page) const {
+  static const FileMapEntry kNeverUsed{};
+  assert(page < kMaxSegmentPages);
+  return file_map.empty() ? kNeverUsed : file_map[page];
+}
+
+FileMapEntry& VtocEntry::mutable_map_entry(uint32_t page) {
+  assert(page < kMaxSegmentPages);
+  if (file_map.empty()) {
+    file_map.resize(kMaxSegmentPages);
+  }
+  return file_map[page];
+}
+
 uint32_t VtocEntry::RecordsUsed() const {
   uint32_t used = 0;
   for (const FileMapEntry& fm : file_map) {
@@ -150,17 +164,19 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
 }
 
 Result<VtocIndex> DiskPack::AllocateVtoc(SegmentUid uid, bool is_directory) {
-  for (uint32_t i = 0; i < vtoc_.size(); ++i) {
+  for (uint32_t i = vtoc_free_hint_; i < vtoc_.size(); ++i) {
     if (!vtoc_[i].in_use) {
       vtoc_[i] = VtocEntry{};
       vtoc_[i].in_use = true;
       vtoc_[i].uid = uid;
       vtoc_[i].is_directory = is_directory;
-      vtoc_[i].file_map.resize(kMaxSegmentPages);
+      ++vtoc_used_;
+      vtoc_free_hint_ = i + 1;
       metrics_->Inc(id_vtoc_allocated_);
       return VtocIndex(i);
     }
   }
+  vtoc_free_hint_ = static_cast<uint32_t>(vtoc_.size());
   return Status(Code::kNoVtocSlot, "pack " + std::to_string(id_.value));
 }
 
@@ -174,6 +190,8 @@ void DiskPack::FreeVtoc(VtocIndex index) {
     }
   }
   entry = VtocEntry{};
+  --vtoc_used_;
+  vtoc_free_hint_ = std::min(vtoc_free_hint_, index.value);
 }
 
 VtocEntry* DiskPack::GetVtoc(VtocIndex index) {
@@ -190,14 +208,22 @@ const VtocEntry* DiskPack::GetVtoc(VtocIndex index) const {
   return &vtoc_[index.value];
 }
 
-uint32_t DiskPack::vtoc_in_use() const {
+void DiskPack::AuditIntegrity(std::vector<std::string>* findings) const {
   uint32_t used = 0;
-  for (const VtocEntry& e : vtoc_) {
-    if (e.in_use) {
+  for (uint32_t i = 0; i < vtoc_.size(); ++i) {
+    if (vtoc_[i].in_use) {
       ++used;
+    } else if (i < vtoc_free_hint_) {
+      findings->push_back("pack " + std::to_string(id_.value) + ": VTOC slot " +
+                          std::to_string(i) + " is free below the free hint " +
+                          std::to_string(vtoc_free_hint_));
     }
   }
-  return used;
+  if (used != vtoc_used_) {
+    findings->push_back("pack " + std::to_string(id_.value) + ": VTOC count " +
+                        std::to_string(vtoc_used_) + " but " + std::to_string(used) +
+                        " slots in use");
+  }
 }
 
 void VolumeControl::ReadRecordLazy(PackId id, RecordIndex record, PrimaryMemory* memory,
@@ -260,6 +286,12 @@ Result<PackId> VolumeControl::ChoosePackExcluding(PackId exclude,
     return Status(Code::kPackFull, "no relocation target");
   }
   return best->id();
+}
+
+void VolumeControl::AuditIntegrity(std::vector<std::string>* findings) const {
+  for (const DiskPack& p : packs_) {
+    p.AuditIntegrity(findings);
+  }
 }
 
 }  // namespace mks

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -47,8 +48,16 @@ struct VtocEntry {
   SegmentUid uid{};
   bool is_directory = false;
   uint32_t max_length_pages = kMaxSegmentPages;
+  // One entry per page up to kMaxSegmentPages, allocated when the segment
+  // first uses a page: most segments (leaves never written) stay empty, and
+  // an empty map reads as every page never used.
   std::vector<FileMapEntry> file_map;
   QuotaCellStore quota;
+
+  // Page `page`'s map entry (a never-used entry when the map is empty).
+  const FileMapEntry& map_entry(uint32_t page) const;
+  // Page `page`'s map entry for update, allocating the map on first use.
+  FileMapEntry& mutable_map_entry(uint32_t page);
 
   // Number of pages that consume actual disk records (the storage charge).
   uint32_t RecordsUsed() const;
@@ -101,13 +110,18 @@ class DiskPack {
     return index < data.size() ? data[index] : 0;
   }
 
+  // Takes the lowest free VTOC slot.
   Result<VtocIndex> AllocateVtoc(SegmentUid uid, bool is_directory);
   // Frees the VTOC slot and every record its file map holds.
   void FreeVtoc(VtocIndex index);
   VtocEntry* GetVtoc(VtocIndex index);
   const VtocEntry* GetVtoc(VtocIndex index) const;
   uint32_t vtoc_slots() const { return static_cast<uint32_t>(vtoc_.size()); }
-  uint32_t vtoc_in_use() const;
+  uint32_t vtoc_in_use() const { return vtoc_used_; }
+
+  // Checks the host-side VTOC indexes against a recount: the in-use count,
+  // and that no slot below the lowest-free hint is free.
+  void AuditIntegrity(std::vector<std::string>* findings) const;
 
  private:
   struct IoRequest {
@@ -124,6 +138,11 @@ class DiskPack {
   std::vector<bool> record_used_;
   std::vector<std::vector<Word>> record_data_;  // lazily sized per record
   std::vector<VtocEntry> vtoc_;
+  // Host-side indexes over vtoc_, so placement never rescans the table:
+  // the number of slots in use, and a slot index below which every slot is
+  // in use (the search for the lowest free slot starts there).
+  uint32_t vtoc_used_ = 0;
+  uint32_t vtoc_free_hint_ = 0;
   std::vector<IoRequest> io_queue_;
   CostModel* cost_;
   Metrics* metrics_;
@@ -170,6 +189,9 @@ class VolumeControl : public PageSource {
   // Relocation target for a segment being moved off `exclude`: the emptiest
   // other pack with at least `needed_records` free.
   Result<PackId> ChoosePackExcluding(PackId exclude, uint32_t needed_records) const;
+
+  // DiskPack::AuditIntegrity over every mounted pack.
+  void AuditIntegrity(std::vector<std::string>* findings) const;
 
  private:
   std::vector<DiskPack> packs_;

@@ -1,7 +1,10 @@
 #include "src/hw/machine.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <new>
 
 namespace mks {
 
@@ -150,9 +153,30 @@ void AssociativeMemory::Flush() {
   }
 }
 
+namespace {
+
+size_t FrameBytes(uint32_t frame_count) {
+  return static_cast<size_t>(frame_count) * kPageWords * sizeof(Word);
+}
+
+Word* MapZeroedWords(size_t bytes) {
+  if (bytes == 0) {
+    return nullptr;
+  }
+  void* mapped = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapped == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  return static_cast<Word*>(mapped);
+}
+
+}  // namespace
+
+void PrimaryMemory::Unmap::operator()(Word* words) const { munmap(words, bytes); }
+
 PrimaryMemory::PrimaryMemory(uint32_t frame_count, CostModel* cost, Metrics* metrics)
     : frame_count_(frame_count),
-      words_(static_cast<size_t>(frame_count) * kPageWords, 0),
+      words_(MapZeroedWords(FrameBytes(frame_count)), Unmap{FrameBytes(frame_count)}),
       pending_flag_(frame_count, 0),
       pending_(frame_count),
       cost_(cost),
@@ -174,7 +198,7 @@ void PrimaryMemory::BindPendingZero(FrameIndex frame) {
 void PrimaryMemory::Materialize(uint32_t frame) {
   pending_flag_[frame] = 0;
   const PendingFill fill = pending_[frame];
-  std::span<Word> span(words_.data() + static_cast<size_t>(frame) * kPageWords, kPageWords);
+  std::span<Word> span(words_.get() + static_cast<size_t>(frame) * kPageWords, kPageWords);
   if (fill.src != nullptr) {
     fill.src->FillPage(fill.cookie, span);
   } else {
@@ -187,14 +211,14 @@ std::span<Word> PrimaryMemory::FrameSpan(FrameIndex frame) {
   if (pending_flag_[frame.value] != 0) {
     Materialize(frame.value);
   }
-  return std::span<Word>(words_.data() + static_cast<size_t>(frame.value) * kPageWords,
+  return std::span<Word>(words_.get() + static_cast<size_t>(frame.value) * kPageWords,
                          kPageWords);
 }
 
 std::span<Word> PrimaryMemory::FrameSpanForOverwrite(FrameIndex frame) {
   assert(frame.value < frame_count_);
   pending_flag_[frame.value] = 0;  // every word is about to be written
-  return std::span<Word>(words_.data() + static_cast<size_t>(frame.value) * kPageWords,
+  return std::span<Word>(words_.get() + static_cast<size_t>(frame.value) * kPageWords,
                          kPageWords);
 }
 

@@ -19,7 +19,9 @@
 #define MKS_HW_MACHINE_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -250,10 +252,10 @@ class PrimaryMemory {
   PrimaryMemory(uint32_t frame_count, CostModel* cost, Metrics* metrics);
 
   uint32_t frame_count() const { return frame_count_; }
-  uint64_t size_words() const { return words_.size(); }
+  uint64_t size_words() const { return static_cast<uint64_t>(frame_count_) * kPageWords; }
 
   Word ReadWord(uint64_t abs_addr) {
-    assert(abs_addr < words_.size());
+    assert(abs_addr < size_words());
     cost_->Charge(CodeStyle::kOptimized, Costs::kMemoryReference);
     const uint32_t frame = static_cast<uint32_t>(abs_addr / kPageWords);
     uint8_t& pf = pending_flag_[frame];
@@ -273,7 +275,7 @@ class PrimaryMemory {
   }
 
   void WriteWord(uint64_t abs_addr, Word value) {
-    assert(abs_addr < words_.size());
+    assert(abs_addr < size_words());
     cost_->Charge(CodeStyle::kOptimized, Costs::kMemoryReference);
     const uint32_t frame = static_cast<uint32_t>(abs_addr / kPageWords);
     if (pending_flag_[frame] != 0) {
@@ -311,8 +313,17 @@ class PrimaryMemory {
 
   void Materialize(uint32_t frame);
 
+  // Releases the frame storage's anonymous mapping.
+  struct Unmap {
+    size_t bytes = 0;
+    void operator()(Word* words) const;
+  };
+
   uint32_t frame_count_;
-  std::vector<Word> words_;
+  // The frames live in an anonymous mapping, which reads as zeros: frames the
+  // simulation never touches take no host memory, and the storage returns to
+  // the host when the machine is destroyed.
+  std::unique_ptr<Word[], Unmap> words_;
   std::vector<uint8_t> pending_flag_;  // hot one-byte "has a pending fill"
   std::vector<PendingFill> pending_;
   CostModel* cost_;

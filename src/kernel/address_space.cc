@@ -139,15 +139,17 @@ Status AddressSpaceManager::Disconnect(ProcessId pid, Segno segno) {
 
 uint32_t AddressSpaceManager::DisconnectEverywhere(SegmentUid uid) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
+  // Every SDW bound to `uid` is recorded against its one AST slot, and the
+  // slot's connection count says how many there are: an inactive or
+  // unconnected segment needs no scan, and the scan stops at the last one.
+  const uint32_t ast = segs_->FindIndex(uid);
+  const AstEntry* entry = segs_->Get(ast);  // nullptr for kNoAst
+  const uint32_t bound = entry == nullptr ? 0 : entry->connections;
   uint32_t severed = 0;
-  for (auto& [pid, space] : spaces_) {
-    for (uint16_t i = 0; i < user_sdw_count_; ++i) {
-      const uint32_t ast = space.ast_of[i];
-      if (ast == kNoAst) {
-        continue;
-      }
-      AstEntry* entry = segs_->Get(ast);
-      if (entry != nullptr && entry->uid == uid) {
+  for (auto it = spaces_.begin(); it != spaces_.end() && severed < bound; ++it) {
+    SpaceRec& space = it->second;
+    for (uint16_t i = 0; i < user_sdw_count_ && severed < bound; ++i) {
+      if (space.ast_of[i] == ast) {
         segs_->NoteDisconnect(ast);
         space.ds.sdws[i] = Sdw{};
         space.ast_of[i] = kNoAst;

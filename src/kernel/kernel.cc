@@ -130,6 +130,7 @@ Status Kernel::Shutdown() {
 
 std::vector<std::string> Kernel::AuditIntegrity() {
   std::vector<std::string> findings;
+  ctx_->volumes.AuditIntegrity(&findings);
   pfm_->AuditIntegrity(&findings);
   spaces_->AuditIntegrity(&findings);
   dirs_->AuditQuotaIntegrity(&findings);

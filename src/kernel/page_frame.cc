@@ -1,5 +1,6 @@
 #include "src/kernel/page_frame.h"
 
+#include <bit>
 #include <cassert>
 
 namespace mks {
@@ -41,6 +42,7 @@ Status PageFrameManager::Init() {
     return Status(Code::kResourceExhausted, "no pageable frames left");
   }
   frames_.assign(frame_limit_ - first_frame_, FrameInfo{});
+  writer_candidates_.assign((frames_.size() + 63) / 64, 0);
   free_list_.clear();
   for (uint32_t f = frame_limit_; f > first_frame_; --f) {
     free_list_.push_back(FrameIndex(f - 1));
@@ -73,6 +75,9 @@ uint32_t PageFrameManager::ClockSelectVictim() {
       }
       ptw.used = false;  // second chance
       fi.prefetch_grace = false;
+      if (ptw.modified) {
+        MarkWriterCandidate(slot);
+      }
       continue;
     }
     if (fi.prefetch_grace) {
@@ -119,7 +124,7 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
   if (entry == nullptr) {
     return Status(Code::kInternal, "VTOC entry vanished under a resident page");
   }
-  FileMapEntry& fm = entry->file_map[fi.page];
+  FileMapEntry& fm = entry->mutable_map_entry(fi.page);
   if (fi.prefetched) {
     // Final verdict on an anticipated page that the clock never re-examined.
     ctx_->metrics.Inc(ptw.used ? id_prefetch_hits_ : id_prefetch_waste_);
@@ -199,7 +204,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
   if (entry == nullptr) {
     return Status(Code::kInternal, "missing page for a segment with no VTOC entry");
   }
-  FileMapEntry& fm = entry->file_map[page];
+  FileMapEntry& fm = entry->mutable_map_entry(page);
   if (!fm.allocated && !fm.zero) {
     return Status(Code::kInternal, "missing page fault on a never-used page");
   }
@@ -247,6 +252,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
     ptw.in_core = true;
     ptw.locked = false;
     ptw.modified = true;  // core copy now diverges from the reclaimed record
+    MarkWriterCandidate(frame.value - first_frame_);
     vpm_->Advance(seg_ec);
     if (pipeline_.readahead) {
       MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
@@ -385,7 +391,7 @@ void PageFrameManager::CompletePostedRead(FrameIndex frame) {
   if (entry != nullptr) {
     // The transfer latency was charged by the dispatch round; the copy is
     // free, like an asynchronous completion.
-    const FileMapEntry& fm = entry->file_map[fi.page];
+    const FileMapEntry& fm = entry->map_entry(fi.page);
     ctx_->volumes.pack(fi.pack)->CopyRecord(fm.record,
                                             ctx_->memory.FrameSpanForOverwrite(frame));
   }
@@ -417,7 +423,7 @@ bool PageFrameManager::PageIoDaemonStep() {
     if (entry != nullptr) {
       // The transfer latency already elapsed in simulated time; copy the
       // data without re-charging it.
-      const FileMapEntry& fm = entry->file_map[fi.page];
+      const FileMapEntry& fm = entry->map_entry(fi.page);
       auto span = ctx_->memory.FrameSpanForOverwrite(completion.frame);
       ctx_->volumes.pack(fi.pack)->CopyRecord(fm.record, span);
     }
@@ -490,10 +496,10 @@ Status PageFrameManager::AddPage(PageTable* pt, uint32_t page, PackId pack, Vtoc
   if (entry == nullptr) {
     return Status(Code::kInvalidArgument, "no VTOC entry for segment");
   }
-  if (page >= entry->file_map.size()) {
+  if (page >= kMaxSegmentPages) {
     return Status(Code::kOutOfBounds, "page beyond maximum segment length");
   }
-  FileMapEntry& fm = entry->file_map[page];
+  FileMapEntry& fm = entry->mutable_map_entry(page);
   if (fm.allocated || fm.zero) {
     return Status(Code::kFailedPrecondition, "page already exists");
   }
@@ -569,6 +575,11 @@ void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const 
     }
     if (fi.state == FrameState::kInUse) {
       const Ptw& ptw = fi.pt->ptws[fi.page];
+      if (ptw.modified && !ptw.used && !ptw.locked &&
+          (writer_candidates_[slot / 64] & (uint64_t{1} << (slot % 64))) == 0) {
+        findings->push_back("frame " + std::to_string(frame) +
+                            " is cleanable but missing from the page writer's candidates");
+      }
       if (!ptw.in_core) {
         findings->push_back("frame " + std::to_string(frame) +
                             " claims a page whose PTW is not in core");
@@ -595,50 +606,64 @@ bool PageFrameManager::PageWriterStep(size_t max_writes) {
   }
   size_t written = 0;
   bool queued = false;
-  for (size_t slot = 0; slot < frames_.size() && written < max_writes; ++slot) {
-    FrameInfo& fi = frames_[slot];
-    if (fi.state != FrameState::kInUse || fi.pt == nullptr) {
-      continue;
-    }
-    Ptw& ptw = fi.pt->ptws[fi.page];
-    if (!ptw.modified || ptw.locked || ptw.used) {
-      continue;  // clean, busy, or recently referenced
-    }
-    VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
-    if (entry == nullptr) {
-      continue;
-    }
-    FileMapEntry& fm = entry->file_map[fi.page];
-    if (!fm.allocated) {
-      continue;  // zero page without a record; leave for eviction-time logic
-    }
-    const FrameIndex frame(first_frame_ + static_cast<uint32_t>(slot));
-    // Zero detection rides the write transfer for free (staging the data
-    // reads every word anyway).  An all-zero page is NOT cleaned here: it
-    // stays modified so the eviction path makes the reclaim-vs-retain
-    // accounting decision — cleaning it would silently keep a record and a
-    // quota charge the missing-page semantics say must be given back.
-    const std::span<const Word> span = ctx_->memory.FrameSpan(frame);
-    bool all_zero = true;
-    for (const Word w : span) {
-      if (w != 0) {
-        all_zero = false;
-        break;
+  // First `max_writes` cleanable frames in ascending slot order, found
+  // through the candidate bitmap instead of a walk over every frame.
+  for (size_t w = 0; w < writer_candidates_.size() && written < max_writes; ++w) {
+    for (uint64_t bits = writer_candidates_[w]; bits != 0 && written < max_writes;
+         bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const uint64_t bit = uint64_t{1} << b;
+      const uint32_t slot = static_cast<uint32_t>(w * 64 + b);
+      FrameInfo& fi = frames_[slot];
+      if (fi.state != FrameState::kInUse || fi.pt == nullptr) {
+        writer_candidates_[w] &= ~bit;
+        continue;
       }
+      Ptw& ptw = fi.pt->ptws[fi.page];
+      if (!ptw.modified || ptw.used) {
+        writer_candidates_[w] &= ~bit;
+        continue;  // clean, or recently referenced: the clock re-marks it
+      }
+      if (ptw.locked) {
+        continue;  // busy
+      }
+      VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
+      if (entry == nullptr) {
+        continue;
+      }
+      const FileMapEntry& fm = entry->map_entry(fi.page);
+      if (!fm.allocated) {
+        continue;  // zero page without a record; leave for eviction-time logic
+      }
+      const FrameIndex frame(first_frame_ + slot);
+      // Zero detection rides the write transfer for free (staging the data
+      // reads every word anyway).  An all-zero page is NOT cleaned here: it
+      // stays modified so the eviction path makes the reclaim-vs-retain
+      // accounting decision — cleaning it would silently keep a record and a
+      // quota charge the missing-page semantics say must be given back.
+      const std::span<const Word> span = ctx_->memory.FrameSpan(frame);
+      bool all_zero = true;
+      for (const Word word : span) {
+        if (word != 0) {
+          all_zero = false;
+          break;
+        }
+      }
+      if (all_zero) {
+        continue;
+      }
+      if (pipeline_.batched_io) {
+        ctx_->volumes.pack(fi.pack)->QueueWrite(fm.record, span, 0);
+        ctx_->metrics.Inc(id_queued_writebacks_);
+        queued = true;
+      } else {
+        ctx_->volumes.pack(fi.pack)->WriteRecord(fm.record, span);
+      }
+      ptw.modified = false;
+      writer_candidates_[w] &= ~bit;
+      ctx_->metrics.Inc(id_daemon_writes_);
+      ++written;
     }
-    if (all_zero) {
-      continue;
-    }
-    if (pipeline_.batched_io) {
-      ctx_->volumes.pack(fi.pack)->QueueWrite(fm.record, ctx_->memory.FrameSpan(frame), 0);
-      ctx_->metrics.Inc(id_queued_writebacks_);
-      queued = true;
-    } else {
-      ctx_->volumes.pack(fi.pack)->WriteRecord(fm.record, ctx_->memory.FrameSpan(frame));
-    }
-    ptw.modified = false;
-    ctx_->metrics.Inc(id_daemon_writes_);
-    ++written;
   }
   if (queued) {
     for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {

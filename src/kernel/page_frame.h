@@ -189,6 +189,10 @@ class PageFrameManager {
   size_t DispatchPackQueue(PackId pack);
   void CompletePostedRead(FrameIndex frame);
   FrameInfo& info(FrameIndex frame) { return frames_[frame.value - first_frame_]; }
+  // Records that the frame at `slot` may have become cleanable.
+  void MarkWriterCandidate(uint32_t slot) {
+    writer_candidates_[slot / 64] |= uint64_t{1} << (slot % 64);
+  }
 
   KernelContext* ctx_;
   ModuleId self_;
@@ -225,6 +229,13 @@ class PageFrameManager {
   uint32_t frame_limit_ = 0;
   std::vector<FrameInfo> frames_;
   std::vector<FrameIndex> free_list_;
+  // One bit per frame slot: a superset of the frames the page writer can
+  // clean (in use, modified, unreferenced, unlocked).  A frame is marked
+  // where it can become cleanable (the clock's second chance clearing `used`
+  // on a modified page, and the zero-page refault); the writer drops the bit
+  // when it finds the frame free, clean or referenced.  The hardware sets
+  // `used` with `modified`, so no other transition makes a frame cleanable.
+  std::vector<uint64_t> writer_candidates_;
   uint32_t clock_hand_ = 0;
   bool async_ = false;
   bool retain_zero_records_ = false;

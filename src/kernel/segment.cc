@@ -86,7 +86,7 @@ Result<uint32_t> SegmentManager::Activate(SegmentUid uid, PackId pack, VtocIndex
   ast.page_table.owner = uid;
   ast.page_table.ptws.assign(ast.max_pages, Ptw{});
   for (uint32_t p = 0; p < ast.max_pages; ++p) {
-    const FileMapEntry& fm = entry->file_map[p];
+    const FileMapEntry& fm = entry->map_entry(p);
     Ptw& ptw = ast.page_table.ptws[p];
     if (fm.allocated || fm.zero) {
       ptw.unallocated = false;
@@ -231,7 +231,7 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
   std::vector<Word> buffer(kPageWords);
   for (uint32_t p = 0; p < old_entry->file_map.size(); ++p) {
     const FileMapEntry& old_fm = old_entry->file_map[p];
-    FileMapEntry& new_fm = new_entry->file_map[p];
+    FileMapEntry& new_fm = new_entry->mutable_map_entry(p);
     new_fm.zero = old_fm.zero;
     if (old_fm.allocated) {
       auto rec = new_pack->AllocateRecord();

@@ -1,6 +1,9 @@
 // Tests for disk volume control: packs, records, VTOCs, placement.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/disk/pack.h"
 
 namespace mks {
@@ -80,13 +83,37 @@ TEST(Disk, VtocLifecycleFreesRecords) {
   EXPECT_EQ(entry->uid.value, 77u);
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
-  entry->file_map[0].allocated = true;
-  entry->file_map[0].record = *rec;
+  entry->mutable_map_entry(0).allocated = true;
+  entry->mutable_map_entry(0).record = *rec;
   EXPECT_EQ(entry->RecordsUsed(), 1u);
   EXPECT_EQ(pack->free_records(), 7u);
   pack->FreeVtoc(*vtoc);
   EXPECT_EQ(pack->free_records(), 8u);
   EXPECT_EQ(pack->GetVtoc(*vtoc), nullptr);
+}
+
+TEST(Disk, FileMapIsAllocatedOnFirstUse) {
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(8, 4);
+  DiskPack* pack = fx.volumes.pack(id);
+  auto vtoc = pack->AllocateVtoc(SegmentUid(5), false);
+  ASSERT_TRUE(vtoc.ok());
+  VtocEntry* entry = pack->GetVtoc(*vtoc);
+  EXPECT_TRUE(entry->file_map.empty());
+  // Every page of an empty map reads as never used.
+  EXPECT_FALSE(entry->map_entry(0).allocated);
+  EXPECT_FALSE(entry->map_entry(kMaxSegmentPages - 1).zero);
+  EXPECT_EQ(entry->RecordsUsed(), 0u);
+  entry->mutable_map_entry(7).zero = true;
+  EXPECT_EQ(entry->file_map.size(), kMaxSegmentPages);
+  EXPECT_TRUE(entry->map_entry(7).zero);
+  EXPECT_FALSE(entry->map_entry(6).zero);
+  // A reused slot starts empty again.
+  pack->FreeVtoc(*vtoc);
+  auto again = pack->AllocateVtoc(SegmentUid(6), false);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->value, vtoc->value);
+  EXPECT_TRUE(pack->GetVtoc(*again)->file_map.empty());
 }
 
 TEST(Disk, VtocSlotsExhaust) {
@@ -96,6 +123,69 @@ TEST(Disk, VtocSlotsExhaust) {
   ASSERT_TRUE(pack->AllocateVtoc(SegmentUid(1), false).ok());
   ASSERT_TRUE(pack->AllocateVtoc(SegmentUid(2), false).ok());
   EXPECT_EQ(pack->AllocateVtoc(SegmentUid(3), false).code(), Code::kNoVtocSlot);
+}
+
+TEST(Disk, VtocReusesLowestFreeSlotAfterOutOfOrderFrees) {
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(8, 8);
+  DiskPack* pack = fx.volumes.pack(id);
+  for (uint32_t i = 0; i < 6; ++i) {
+    auto v = pack->AllocateVtoc(SegmentUid(10 + i), false);
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(v->value, i);
+  }
+  pack->FreeVtoc(VtocIndex(4));
+  pack->FreeVtoc(VtocIndex(1));
+  pack->FreeVtoc(VtocIndex(3));
+  EXPECT_EQ(pack->vtoc_in_use(), 3u);
+  for (const uint32_t expected : {1u, 3u, 4u, 6u, 7u}) {
+    auto v = pack->AllocateVtoc(SegmentUid(100 + expected), false);
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(v->value, expected);
+  }
+  EXPECT_EQ(pack->AllocateVtoc(SegmentUid(200), false).code(), Code::kNoVtocSlot);
+  pack->FreeVtoc(VtocIndex(2));
+  auto again = pack->AllocateVtoc(SegmentUid(201), false);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->value, 2u);
+  std::vector<std::string> findings;
+  fx.volumes.AuditIntegrity(&findings);
+  EXPECT_TRUE(findings.empty()) << findings.front();
+}
+
+TEST(Disk, VtocCountMatchesRecountThroughChurn) {
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(8, 64);
+  DiskPack* pack = fx.volumes.pack(id);
+  Rng rng(20260);
+  std::vector<uint32_t> live;
+  for (int step = 0; step < 3000; ++step) {
+    if (live.empty() || (live.size() < 64 && rng.NextBool(0.55))) {
+      // Reference: the lowest slot a full scan finds free.
+      uint32_t lowest = 0;
+      while (pack->GetVtoc(VtocIndex(lowest)) != nullptr) {
+        ++lowest;
+      }
+      auto v = pack->AllocateVtoc(SegmentUid(step), false);
+      ASSERT_TRUE(v.ok()) << step;
+      ASSERT_EQ(v->value, lowest) << step;
+      live.push_back(v->value);
+    } else {
+      const size_t pick = rng.NextBelow(live.size());
+      pack->FreeVtoc(VtocIndex(live[pick]));
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    uint32_t recount = 0;
+    for (uint32_t v = 0; v < pack->vtoc_slots(); ++v) {
+      recount += pack->GetVtoc(VtocIndex(v)) != nullptr ? 1 : 0;
+    }
+    ASSERT_EQ(pack->vtoc_in_use(), recount) << step;
+    ASSERT_EQ(recount, live.size()) << step;
+  }
+  std::vector<std::string> findings;
+  fx.volumes.AuditIntegrity(&findings);
+  EXPECT_TRUE(findings.empty()) << findings.front();
 }
 
 TEST(Disk, ChoosePackPrefersEmptiest) {
@@ -120,6 +210,36 @@ TEST(Disk, ChoosePackExcludingNeedsHeadroom) {
   EXPECT_EQ(ok->value, b.value);
   EXPECT_EQ(fx.volumes.ChoosePackExcluding(a, 5).code(), Code::kPackFull);
   EXPECT_EQ(fx.volumes.ChoosePackExcluding(b, 9).code(), Code::kPackFull);
+}
+
+TEST(Disk, PlacementSkipsPacksWithFullVtocs) {
+  DiskFixture fx;
+  const PackId a = fx.volumes.AddPack(16, 1);  // most records, one VTOC slot
+  const PackId b = fx.volumes.AddPack(8, 4);
+  const PackId c = fx.volumes.AddPack(4, 4);
+  auto first = fx.volumes.ChoosePack();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->value, a.value);
+  ASSERT_TRUE(fx.volumes.pack(a)->AllocateVtoc(SegmentUid(1), false).ok());
+  // Pack a still has every record free, but no VTOC slot.
+  EXPECT_EQ(fx.volumes.pack(a)->free_records(), 16u);
+  auto placed = fx.volumes.ChoosePack();
+  ASSERT_TRUE(placed.ok());
+  EXPECT_EQ(placed->value, b.value);
+  auto moved = fx.volumes.ChoosePackExcluding(b, 1);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->value, c.value);
+  moved = fx.volumes.ChoosePackExcluding(c, 1);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->value, b.value);
+  // Freeing the slot makes pack a eligible again.
+  fx.volumes.pack(a)->FreeVtoc(VtocIndex(0));
+  moved = fx.volumes.ChoosePackExcluding(b, 1);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->value, a.value);
+  placed = fx.volumes.ChoosePack();
+  ASSERT_TRUE(placed.ok());
+  EXPECT_EQ(placed->value, a.value);
 }
 
 TEST(Disk, CopyAndStoreSkipLatency) {

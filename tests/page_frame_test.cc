@@ -1,6 +1,11 @@
 // Direct unit tests of the page frame manager, below the gate layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "tests/kernel_fixture.h"
 
 namespace mks {
@@ -76,22 +81,34 @@ TEST(PageFrame, EvictingAnAbsentPageIsANoOp) {
 TEST(PageFrame, WriterDaemonCleansModifiedPages) {
   PfmFixture h;
   KernelGates& gates = h.fx.kernel.gates();
+  PageFrameManager& pfm = h.fx.kernel.page_frames();
   for (uint32_t p = 0; p < 6; ++p) {
     ASSERT_TRUE(gates.Write(*h.fx.ctx, h.segno, p * kPageWords, p + 1).ok());
   }
   AstEntry* ast = h.Ast();
-  // The daemon skips recently-used pages; age them first.
-  for (uint32_t p = 0; p < 6; ++p) {
-    ast->page_table.ptws[p].used = false;
+  // The daemon skips recently-used pages; age them through a real clock
+  // pass: fill memory from another segment until a fault must evict, which
+  // clears every `used` bit on the first sweep.
+  const Segno filler = h.fx.MustCreate(">pfm>filler");
+  const uint64_t evictions0 = h.fx.kernel.metrics().Get("pfm.evictions");
+  for (uint32_t p = 0; h.fx.kernel.metrics().Get("pfm.evictions") == evictions0; ++p) {
+    ASSERT_LT(p, kMaxSegmentPages);
+    ASSERT_TRUE(gates.Write(*h.fx.ctx, filler, p * kPageWords, 100 + p).ok()) << p;
   }
-  EXPECT_TRUE(h.fx.kernel.page_frames().PageWriterStep(16));
+  for (uint32_t p = 0; p < 6; ++p) {
+    ASSERT_TRUE(ast->page_table.ptws[p].in_core) << p;
+    ASSERT_FALSE(ast->page_table.ptws[p].used) << p;
+    ASSERT_TRUE(ast->page_table.ptws[p].modified) << p;
+  }
+  EXPECT_TRUE(pfm.PageWriterStep(kMaxSegmentPages));
   EXPECT_GT(h.fx.kernel.metrics().Get("pfm.daemon_writes"), 0u);
   for (uint32_t p = 0; p < 6; ++p) {
     EXPECT_FALSE(ast->page_table.ptws[p].modified) << p;
     EXPECT_TRUE(ast->page_table.ptws[p].in_core) << p;  // cleaned, not evicted
   }
   // Nothing left to write on the second pass.
-  EXPECT_FALSE(h.fx.kernel.page_frames().PageWriterStep(16));
+  EXPECT_FALSE(pfm.PageWriterStep(kMaxSegmentPages));
+  EXPECT_TRUE(h.fx.kernel.AuditIntegrity().empty());
 }
 
 TEST(PageFrame, ZeroScanChargedOnlyForModifiedEvictions) {
@@ -134,6 +151,135 @@ TEST(PageFrame, SequentialSweepLargerThanMemoryMakesProgress) {
   EXPECT_GT(fx.kernel.metrics().Get("pfm.evictions"), 0u);
   EXPECT_GT(fx.kernel.metrics().Get("pfm.writebacks"), 0u);
   EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+// The page writer's choice, recomputed by a full scan of every resident
+// page: the first `max_writes` frames, in ascending frame order, that are
+// modified, unreferenced, unlocked, backed by a record and not all zero.
+std::vector<uint32_t> ReferenceWriterPicks(Kernel& kernel, size_t max_writes) {
+  std::vector<uint32_t> eligible;
+  SegmentManager& segs = kernel.segments();
+  for (uint32_t slot = 0; slot < segs.ast_slots(); ++slot) {
+    const AstEntry* ast = segs.Get(slot);
+    if (ast == nullptr) {
+      continue;
+    }
+    const VtocEntry* vtoc = kernel.ctx().volumes.pack(ast->pack)->GetVtoc(ast->vtoc);
+    for (uint32_t p = 0; p < ast->page_table.ptws.size(); ++p) {
+      const Ptw& ptw = ast->page_table.ptws[p];
+      if (!ptw.in_core || !ptw.modified || ptw.used || ptw.locked || vtoc == nullptr ||
+          !vtoc->map_entry(p).allocated) {
+        continue;
+      }
+      bool all_zero = true;
+      for (const Word w : kernel.ctx().memory.FrameSpan(FrameIndex(ptw.frame))) {
+        all_zero = all_zero && w == 0;
+      }
+      if (!all_zero) {
+        eligible.push_back(ptw.frame);
+      }
+    }
+  }
+  std::sort(eligible.begin(), eligible.end());
+  if (eligible.size() > max_writes) {
+    eligible.resize(max_writes);
+  }
+  return eligible;
+}
+
+// Frames of every resident modified page.
+std::vector<uint32_t> ModifiedFrames(Kernel& kernel) {
+  std::vector<uint32_t> frames;
+  SegmentManager& segs = kernel.segments();
+  for (uint32_t slot = 0; slot < segs.ast_slots(); ++slot) {
+    const AstEntry* ast = segs.Get(slot);
+    if (ast == nullptr) {
+      continue;
+    }
+    for (const Ptw& ptw : ast->page_table.ptws) {
+      if (ptw.in_core && ptw.modified) {
+        frames.push_back(ptw.frame);
+      }
+    }
+  }
+  std::sort(frames.begin(), frames.end());
+  return frames;
+}
+
+// Seeded reads, writes (a fifth of them zeros) and evictions over four
+// segments larger than memory together, so the fault path runs the clock;
+// every page-writer step is checked against the full-scan reference.  The
+// machine has more than 64 pageable frames, so the writer's candidate set
+// spans several bitmap words.
+void RunWriterChurn(const PagingPipeline& pipeline, uint64_t seed) {
+  KernelConfig config;
+  config.memory_frames = 192;
+  config.paging_pipeline = pipeline;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  PageFrameManager& pfm = fx.kernel.page_frames();
+  std::vector<Segno> segnos;
+  for (int i = 0; i < 4; ++i) {
+    segnos.push_back(fx.MustCreate(">churn>s" + std::to_string(i)));
+  }
+  constexpr uint32_t kPages = 56;
+  Rng rng(seed);
+  uint64_t steps_with_writes = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const Segno segno = segnos[rng.NextBelow(segnos.size())];
+    const uint32_t offset = static_cast<uint32_t>(rng.NextBelow(kPages)) * kPageWords +
+                            static_cast<uint32_t>(rng.NextBelow(4));
+    const uint64_t dice = rng.NextBelow(100);
+    if (dice < 40) {
+      const Word value = rng.NextBool(0.2) ? 0 : 1 + rng.NextBelow(1000);
+      ASSERT_TRUE(gates.Write(*fx.ctx, segno, offset, value).ok()) << step;
+    } else if (dice < 80) {
+      ASSERT_TRUE(gates.Read(*fx.ctx, segno, offset).ok()) << step;
+    } else if (dice < 85) {
+      const KstEntry* entry = fx.kernel.known_segments().Lookup(fx.pid, segno);
+      ASSERT_NE(entry, nullptr);
+      AstEntry* ast = fx.kernel.segments().Find(entry->home.uid);
+      if (ast != nullptr) {
+        ASSERT_TRUE(pfm.EvictPage(&ast->page_table, offset / kPageWords, ast->pack,
+                                  ast->vtoc, ast->quota_cell, ast->page_ec)
+                        .ok())
+            << step;
+      }
+    } else {
+      const size_t max_writes = 1 + rng.NextBelow(12);
+      const std::vector<uint32_t> expected = ReferenceWriterPicks(fx.kernel, max_writes);
+      const std::vector<uint32_t> dirty_before = ModifiedFrames(fx.kernel);
+      const uint64_t writes0 = fx.kernel.metrics().Get("pfm.daemon_writes");
+      EXPECT_EQ(pfm.PageWriterStep(max_writes), !expected.empty()) << step;
+      // The picks are exactly the frames the step cleaned.
+      std::vector<uint32_t> cleaned;
+      const std::vector<uint32_t> dirty_after = ModifiedFrames(fx.kernel);
+      std::set_difference(dirty_before.begin(), dirty_before.end(), dirty_after.begin(),
+                          dirty_after.end(), std::back_inserter(cleaned));
+      ASSERT_EQ(cleaned, expected) << step;
+      ASSERT_EQ(fx.kernel.metrics().Get("pfm.daemon_writes") - writes0, expected.size());
+      steps_with_writes += expected.empty() ? 0 : 1;
+    }
+    if (step % 100 == 0) {
+      const std::vector<std::string> findings = fx.kernel.AuditIntegrity();
+      ASSERT_TRUE(findings.empty()) << step << ": " << findings.front();
+    }
+  }
+  EXPECT_GT(steps_with_writes, 50u);
+  EXPECT_GT(fx.kernel.metrics().Get("pfm.inline_evictions"), 0u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+TEST(PageFrame, WriterPicksMatchAFullScanUnderChurn) {
+  RunWriterChurn(PagingPipeline{}, 11);
+  PagingPipeline batched;
+  batched.batched_io = true;
+  RunWriterChurn(batched, 12);
+  PagingPipeline readahead;
+  readahead.batched_io = true;
+  readahead.readahead = true;
+  RunWriterChurn(readahead, 13);
 }
 
 // ---- Anticipatory paging pipeline ----

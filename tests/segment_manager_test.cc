@@ -3,6 +3,9 @@
 // constraint), LRU replacement, and relocation plumbing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "tests/kernel_fixture.h"
 
 namespace mks {
@@ -105,6 +108,78 @@ TEST(SegmentManager, RelocationRequiresDisconnection) {
   const VtocEntry* moved = fx.kernel.ctx().volumes.pack(home->pack)->GetVtoc(home->vtoc);
   ASSERT_NE(moved, nullptr);
   EXPECT_EQ(moved->RecordsUsed(), 1u);
+}
+
+bool SdwPresent(Kernel& kernel, ProcessId pid, Segno segno) {
+  const DescriptorSegment* ds = kernel.address_spaces().Space(pid);
+  return ds != nullptr && ds->sdws[segno.value - kSystemSegnoLimit].present;
+}
+
+TEST(AddressSpace, DisconnectEverywhereSeversOnlyTheUidsBindings) {
+  KernelFixture fx;
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  AddressSpaceManager& spaces = fx.kernel.address_spaces();
+  SegmentManager& segs = fx.kernel.segments();
+  // Three processes, each bound to the target and to a bystander.
+  std::vector<ProcContext*> procs = {fx.ctx};
+  for (int i = 0; i < 2; ++i) {
+    auto pid = fx.kernel.processes().CreateProcess(TestSubject("Other" + std::to_string(i)));
+    ASSERT_TRUE(pid.ok());
+    procs.push_back(fx.kernel.processes().Context(*pid));
+  }
+  PathWalker walker(&gates);
+  ASSERT_TRUE(walker.CreateSegment(*fx.ctx, ">sever>target", WorldAcl(), Label::SystemLow()).ok());
+  ASSERT_TRUE(walker.CreateSegment(*fx.ctx, ">sever>other", WorldAcl(), Label::SystemLow()).ok());
+  std::vector<Segno> target;
+  std::vector<Segno> other;
+  for (ProcContext* proc : procs) {
+    auto t = walker.Initiate(*proc, ">sever>target");
+    auto o = walker.Initiate(*proc, ">sever>other");
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(o.ok());
+    ASSERT_TRUE(gates.Write(*proc, *t, 0, 41).ok());
+    ASSERT_TRUE(gates.Write(*proc, *o, 0, 42).ok());
+    target.push_back(*t);
+    other.push_back(*o);
+  }
+  const SegmentUid uid = fx.kernel.known_segments().Lookup(fx.pid, target[0])->home.uid;
+  const uint32_t ast = segs.FindIndex(uid);
+  ASSERT_NE(ast, kNoAst);
+  ASSERT_EQ(segs.Get(ast)->connections, 3u);
+
+  // An inactive uid has nothing bound.
+  ASSERT_EQ(segs.FindIndex(SegmentUid(0xdead)), kNoAst);
+  EXPECT_EQ(spaces.DisconnectEverywhere(SegmentUid(0xdead)), 0u);
+  // An active segment no process is connected to.
+  const Segno idle = fx.MustCreate(">sever>idle");
+  ASSERT_TRUE(gates.Write(*fx.ctx, idle, 0, 1).ok());
+  const SegmentUid idle_uid = fx.kernel.known_segments().Lookup(fx.pid, idle)->home.uid;
+  ASSERT_TRUE(gates.Terminate(*fx.ctx, idle).ok());
+  const uint32_t idle_ast = segs.FindIndex(idle_uid);
+  ASSERT_NE(idle_ast, kNoAst);
+  ASSERT_EQ(segs.Get(idle_ast)->connections, 0u);
+  EXPECT_EQ(spaces.DisconnectEverywhere(idle_uid), 0u);
+
+  const uint64_t severed0 = fx.kernel.metrics().Get("asm.disconnect_everywhere");
+  EXPECT_EQ(spaces.DisconnectEverywhere(uid), 3u);
+  EXPECT_EQ(fx.kernel.metrics().Get("asm.disconnect_everywhere") - severed0, 3u);
+  EXPECT_EQ(segs.Get(ast)->connections, 0u);
+  for (size_t i = 0; i < procs.size(); ++i) {
+    EXPECT_FALSE(SdwPresent(fx.kernel, procs[i]->pid, target[i])) << i;
+    EXPECT_TRUE(SdwPresent(fx.kernel, procs[i]->pid, other[i])) << i;
+  }
+  const std::vector<std::string> findings = fx.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+  // Nothing is left to sever, and every process reconnects on its next touch.
+  EXPECT_EQ(spaces.DisconnectEverywhere(uid), 0u);
+  for (size_t i = 0; i < procs.size(); ++i) {
+    auto value = gates.Read(*procs[i], target[i], 0);
+    ASSERT_TRUE(value.ok()) << i;
+    EXPECT_EQ(*value, 41u);
+  }
+  EXPECT_EQ(segs.Get(segs.FindIndex(uid))->connections, 3u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
 }
 
 TEST(Gates, AccessModeMasksAreEnforcedByHardware) {
