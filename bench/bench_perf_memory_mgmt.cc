@@ -250,5 +250,5 @@ int main() {
       "widening only when cramped and thrashing.\n"
       "ratio at %u frames: %.2fx ; ratio at %u frames: %.2fx -> %s\n",
       sweeps[0], plenty_ratio, sweeps[4], tight_ratio, shape ? "REPRODUCED" : "MISMATCH");
-  return 0;
+  return shape ? 0 : 1;
 }

@@ -28,11 +28,12 @@
 //            run prints a top-domain breakdown table, emits an `smp_prof`
 //            JSON line, and the 4-CPU fault storm's domain trees are exported
 //            as bench_perf_smp.prof.folded (flamegraph.pl collapsed stacks)
-//   --ticket: additionally run the baseline with the ticket-ordered global
-//            lock (extra base-tkt rows; the default rows are untouched).
-//            FIFO handoff adds a mandatory line transfer per contended
-//            release, so the collapse curve shifts up, not down — fairness
-//            does not buy back the serialization.
+//   --ticket: additionally run the baseline with a ticket global lock
+//            (LockPolicy::kTicket at the default 48-cycle line transfer;
+//            extra base-tkt rows, the default rows are untouched).  Every
+//            handoff a waiter sits through re-fetches the now-serving line,
+//            so the collapse curve shifts up, not down — fairness does not
+//            buy back the serialization.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -111,7 +112,7 @@ SmpResult RunBaseline(const Workload& w, uint16_t cpus, bool trace, bool ticket 
   config.records_per_pack = 8192;
   config.cpu_count = cpus;
   config.trace.enabled = trace;
-  config.ticket_lock = ticket;
+  config.lock_policy = ticket ? LockPolicy::kTicket : LockPolicy::kTestAndSet;
   MonolithicSupervisor sup{config};
   if (!sup.Boot().ok()) {
     return out;

@@ -3,7 +3,6 @@
 #define MKS_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -73,38 +72,9 @@ class JsonLine {
   std::string body_;
 };
 
-// Wall-clock anchor for host-throughput fields; dynamic-initialized at load,
-// so the first EmitJson already has the whole run behind it.
-inline const std::chrono::steady_clock::time_point kBenchHostStart =
-    std::chrono::steady_clock::now();
-
-// Every result line also carries the host cost of producing it: `host_ns`
-// (wall time since process start) and `sim_cycles_per_host_sec` (simulated
-// cycles advanced across all clocks divided by that time).  Both are
-// host-dependent by design — they are the tracked throughput figure, not part
-// of the deterministic result — so MKS_BENCH_NO_HOST=1 suppresses them for
-// byte-stable output comparisons.
-inline void EmitJson(const JsonLine& line) {
-  static const bool with_host = std::getenv("MKS_BENCH_NO_HOST") == nullptr;
-  if (!with_host) {
-    std::printf("{%s}\n", line.body().c_str());
-    return;
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - kBenchHostStart;
-  const uint64_t ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  JsonLine with_fields = line;
-  with_fields.Field("host_ns", ns);
-  // The raw tally lets a collector distinguish a bench that legitimately
-  // never advanced virtual time (host-level microbenchmarks) from one whose
-  // throughput wiring is broken: advanced > 0 with rate 0 is always a bug.
-  with_fields.Field("sim_cycles_advanced", Clock::total_advanced());
-  with_fields.Field("sim_cycles_per_host_sec",
-                    ns == 0 ? uint64_t{0}
-                            : static_cast<uint64_t>(static_cast<double>(Clock::total_advanced()) /
-                                                    (static_cast<double>(ns) / 1e9)));
-  std::printf("{%s}\n", with_fields.body().c_str());
-}
+// Prints one result line.  Host speed is not a field here: perfbench's
+// `host_mcycles_per_s` measures it.
+inline void EmitJson(const JsonLine& line) { std::printf("{%s}\n", line.body().c_str()); }
 
 // Appends p50/p95/p99 of one Metrics histogram as `<prefix>_p50` etc.  No-op
 // when the histogram has no observations (tracing off), so a bench can call

@@ -27,14 +27,10 @@ AnsweringService::AnsweringService(Kernel* kernel, Authenticator* auth, ServiceD
       domain_(domain),
       cfg_(config),
       walker_(&kernel->gates()) {
-  size_t shard_count = 1;
-  if (cfg_.table_mode == SessionTableMode::kSharded) {
-    shard_count = cfg_.shards != 0 ? cfg_.shards : kernel->ctx().smp.count();
-  }
-  const LockPolicyConfig table_policy{
-      cfg_.table_lock_policy, cfg_.table_line_transfer_cost,
-      cfg_.table_anderson_slots != 0 ? cfg_.table_anderson_slots
-                                     : kernel->ctx().smp.count()};
+  const uint16_t cpus = kernel->ctx().smp.count();
+  const size_t shard_count = cfg_.table_mode == SessionTableMode::kSharded ? cpus : 1;
+  const LockPolicyConfig table_policy{cfg_.table_lock_policy, cfg_.table_line_transfer_cost,
+                                      cpus};
   for (size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
     if (cfg_.table_lock_policy != LockPolicy::kTestAndSet) {

@@ -49,14 +49,13 @@ enum class ServiceDomain : uint8_t {
 enum class SessionTableMode : uint8_t { kSerial, kCoarse, kSharded };
 
 struct AnsweringConfig {
+  // kSharded keeps one table shard per CPU.
   SessionTableMode table_mode = SessionTableMode::kSerial;
-  // kSharded: number of table shards; 0 = the kernel's cpu_count.
-  uint16_t shards = 0;
   // Handoff-traffic policy for the table locks, same pricing scheme as the
   // scheduler locks (contended handoffs in units of line transfers).
+  // kAnderson's spin array has one slot per CPU.
   LockPolicy table_lock_policy = LockPolicy::kTestAndSet;
   Cycles table_line_transfer_cost = 0;
-  uint16_t table_anderson_slots = 0;  // kAnderson array size; 0 = cpu_count
   // Remember home-directory skeletons across logins.
   bool skeleton_cache = false;
   // Read-mostly policy for the skeleton cache's lock; the default

@@ -54,11 +54,8 @@ MonolithicSupervisor::MonolithicSupervisor(const BaselineConfig& config)
       id_lock_spin_cycles_(metrics_.Intern("baseline.lock_spin_cycles")),
       id_lock_contended_(metrics_.Intern("baseline.lock_contended")) {
   trace_.Enable(config.cpu_count, config.trace);
-  global_lock_.ConfigureTicket(config.ticket_lock, config.ticket_handoff_cost);
   if (config.lock_policy != LockPolicy::kTestAndSet) {
-    global_lock_.Configure(
-        {config.lock_policy, config.lock_transfer_cost,
-         config.anderson_slots != 0 ? config.anderson_slots : config.cpu_count});
+    global_lock_.Configure({config.lock_policy, config.lock_transfer_cost, config.cpu_count});
   }
   ev_lock_spin_ = trace_.InternEvent("lock.spin");
   ev_fault_service_ = trace_.InternEvent("fault.page_service");

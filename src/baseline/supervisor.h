@@ -73,26 +73,16 @@ struct BaselineConfig {
   // Virtual-time tracer (default off; same byte-identical contract as the
   // kernel's KernelConfig::trace knob).
   TraceConfig trace;
-  // Ticket-ordered (FIFO) global lock.  The serialized simulation already
-  // grants the lock in a total order, so fairness does not change who runs;
-  // what the ticket discipline costs is the mandatory cache-line handoff to
-  // the next waiting ticket holder on every contended release.  Default off:
-  // byte-identical to the plain test-and-set model.
-  bool ticket_lock = false;
-  Cycles ticket_handoff_cost = 48;
   // Handoff-traffic policy for the global lock (see src/sync/spinlock.h):
   // kTestAndSet reproduces the historical free-for-all byte-for-byte;
   // kTicket charges each waiter one line transfer per handoff it observed
   // (the O(waiters) now-serving broadcast); kAnderson/kMcs charge exactly
-  // one transfer per contended handoff (per-waiter spin lines).  When set,
-  // this supersedes the legacy ticket_lock knob.
+  // one transfer per contended handoff (per-waiter spin lines).  kAnderson's
+  // spin array has one slot per CPU.
   LockPolicy lock_policy = LockPolicy::kTestAndSet;
   // Cycles per cache-line transfer for the policy charges (the baseline has
   // no interconnect model of its own, so the lock carries its own price).
   Cycles lock_transfer_cost = 48;
-  // kAnderson's spin-array size; 0 = cpu_count.  More distinct CPUs than
-  // slots aborts loudly rather than wrapping.
-  uint16_t anderson_slots = 0;
 };
 
 // Baseline module names (the six boxes of Figure 2).

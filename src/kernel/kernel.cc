@@ -32,8 +32,8 @@ Kernel::Kernel(const KernelConfig& config)
   uproc_ = std::make_unique<UserProcessManager>(ctx_.get(), core_segs_.get(), vpm_.get(),
                                                 pfm_.get(), segs_.get(), ksm_.get(),
                                                 gates_.get());
-  uproc_->ConfigureDispatch({config.sharded_runqueues, config.steal, config.connect_cost,
-                             config.lock_policy, config.anderson_slots});
+  uproc_->ConfigureDispatch(
+      {config.sharded_runqueues, config.steal, config.connect_cost, config.lock_policy});
   uproc_->set_slab_processes(config.slab_processes);
   // The read-mostly naming locks: one per manager, same policy and pricing.
   // Cross-CPU traffic (token revocation, epoch publish) is priced at

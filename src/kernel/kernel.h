@@ -65,10 +65,8 @@ struct KernelConfig {
   // pre-policy lock; kTicket charges each waiter one transfer per handoff it
   // sat through (the O(waiters) now-serving broadcast); kAnderson and kMcs
   // charge exactly one transfer per handoff (per-waiter spin lines).
+  // kAnderson's spin array has one slot per CPU.
   LockPolicy lock_policy = LockPolicy::kTestAndSet;
-  // kAnderson's spin-array size; 0 = cpu_count.  More distinct CPUs than
-  // slots aborts loudly (the real lock would wrap its index silently).
-  uint16_t anderson_slots = 0;
   // Read-mostly synchronization for the naming surface: the directory
   // hierarchy and the known segment tables each sit behind one SimSharedLock
   // whose read-side protocol this selects.  kOff (default) leaves the naming

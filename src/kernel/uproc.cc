@@ -39,9 +39,7 @@ void UserProcessManager::ConfigureDispatch(const DispatchConfig& config) {
   dcfg_ = config;
   // One policy knob covers every scheduler lock: the handoff charge is one
   // (Anderson/MCS) or one-per-waiter (ticket) line transfers at connect_cost.
-  const LockPolicyConfig lock_policy{
-      dcfg_.lock_policy, dcfg_.connect_cost,
-      dcfg_.anderson_slots != 0 ? dcfg_.anderson_slots : ctx_->smp.count()};
+  const LockPolicyConfig lock_policy{dcfg_.lock_policy, dcfg_.connect_cost, ctx_->smp.count()};
   if (dcfg_.lock_policy != LockPolicy::kTestAndSet) {
     list_lock_.Configure(lock_policy);
   }

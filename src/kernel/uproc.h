@@ -70,7 +70,6 @@ struct DispatchConfig {
   // lock and, in sharded mode, each run-queue shard's lock); contended
   // handoffs are priced in units of connect_cost line transfers.
   LockPolicy lock_policy = LockPolicy::kTestAndSet;
-  uint16_t anderson_slots = 0;  // kAnderson array size; 0 = cpu_count
 };
 
 class UserProcessManager {

@@ -18,19 +18,10 @@ using Cycles = uint64_t;
 class Clock {
  public:
   Cycles now() const { return now_; }
-  void Advance(Cycles n) {
-    now_ += n;
-    total_advanced_ += n;
-  }
+  void Advance(Cycles n) { now_ += n; }
   void Reset() { now_ = 0; }
 
-  // Process-wide tally of cycles advanced on every Clock instance, for host
-  // throughput reporting (simulated cycles per host second).  Monotonic:
-  // Reset() rewinds a clock's reading, not the work already simulated.
-  static Cycles total_advanced() { return total_advanced_; }
-
  private:
-  static inline Cycles total_advanced_ = 0;
   Cycles now_{0};
 };
 

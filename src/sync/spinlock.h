@@ -43,11 +43,6 @@
 // already a total order here — so switching policy never changes who runs
 // next, only what the handoff costs.  That keeps the sweep apples-to-apples:
 // one knob, identical schedules, different interconnect bills.
-//
-// ConfigureTicket is the PR 5 legacy ticket model (one fixed handoff charge
-// per contended grant, used by BaselineConfig::ticket_lock); it is preserved
-// byte-for-byte.  Configure(LockPolicyConfig) is the policy suite and takes
-// precedence when both are set.
 #ifndef MKS_SYNC_SPINLOCK_H_
 #define MKS_SYNC_SPINLOCK_H_
 
@@ -84,15 +79,15 @@ struct LockPolicyConfig {
   // policy cost-free — useful for schedule-equivalence checks.
   Cycles line_transfer_cost = 0;
   // kAnderson only: slots in the spin array.  Must be >= the number of
-  // distinct CPUs that will ever touch the lock; callers resolve 0 to the
-  // pool size before configuring.
+  // distinct CPUs that will ever touch the lock; the kernel, the baseline
+  // and the answering service size it to their CPU pool.
   uint16_t anderson_slots = 0;
 };
 
 class SimSpinLock {
  public:
-  // Selects the handoff-traffic policy.  Call before first use; takes
-  // precedence over ConfigureTicket.  kAnderson requires anderson_slots > 0.
+  // Selects the handoff-traffic policy.  Call before first use.  kAnderson
+  // requires anderson_slots > 0.
   void Configure(const LockPolicyConfig& config) {
     policy_ = config.policy;
     line_transfer_cost_ = config.line_transfer_cost;
@@ -101,19 +96,6 @@ class SimSpinLock {
       std::fprintf(stderr, "SimSpinLock: Anderson policy needs anderson_slots > 0\n");
       std::abort();
     }
-    if (policy_ != LockPolicy::kTestAndSet) {
-      ticket_ = false;  // the policy suite replaces the legacy ticket model
-    }
-  }
-
-  // Legacy (PR 5) ticket mode: every contended acquisition additionally pays
-  // a fixed `handoff_cost` cycles for the line transfer to the next ticket
-  // holder.  Call before first use.  Kept byte-identical for
-  // BaselineConfig::ticket_lock; the policy suite's kTicket instead charges
-  // per observed handoff (the O(waiters) broadcast).
-  void ConfigureTicket(bool enabled, Cycles handoff_cost) {
-    ticket_ = enabled;
-    handoff_cost_ = handoff_cost;
   }
 
   // Acquires at local virtual time `local_now` from CPU `cpu`; returns the
@@ -130,12 +112,7 @@ class SimSpinLock {
     if (free_at_ > local_now) {
       spin = free_at_ - local_now;
       ++contended_;
-      if (ticket_) {
-        spin += handoff_cost_;
-        handoff_cycles_ += handoff_cost_;
-        last_acquire_handoff_ = handoff_cost_;
-        ++handoffs_;
-      } else if (policy_ != LockPolicy::kTestAndSet) {
+      if (policy_ != LockPolicy::kTestAndSet) {
         // Handoffs this waiter sat through: recorded releases inside its
         // wait window (local_now, free_at_] — at least one, the grant to us.
         const uint64_t observed = GrantsSince(local_now);
@@ -232,9 +209,7 @@ class SimSpinLock {
 
   Cycles free_at_ = 0;
   bool held_ = false;
-  bool ticket_ = false;  // legacy fixed-handoff ticket mode (PR 5)
   LockPolicy policy_ = LockPolicy::kTestAndSet;
-  Cycles handoff_cost_ = 0;
   Cycles line_transfer_cost_ = 0;
   uint16_t anderson_slots_ = 0;
   uint16_t anderson_cpu_count_ = 0;

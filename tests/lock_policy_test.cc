@@ -130,26 +130,6 @@ TEST(LockPolicyUnit, UncontendedAcquiresAreFreeUnderEveryPolicy) {
   }
 }
 
-TEST(LockPolicyUnit, ConfigureSupersedesTheLegacyTicketModel) {
-  SimSpinLock lock;
-  lock.ConfigureTicket(true, 48);
-  lock.Configure(PolicyConfig(LockPolicy::kMcs));
-  EXPECT_EQ(lock.Acquire(0, 0), 0u);
-  lock.Release(1000);
-  // The legacy fixed 48-cycle charge must be gone: MCS charges one line.
-  EXPECT_EQ(lock.Acquire(0, 1), 1000u + kLine);
-}
-
-TEST(LockPolicyUnit, LegacyTicketModelIsUntouched) {
-  SimSpinLock lock;
-  lock.ConfigureTicket(true, 48);
-  EXPECT_EQ(lock.Acquire(0), 0u);
-  lock.Release(1000);
-  EXPECT_EQ(lock.Acquire(0), 1048u);  // gap + fixed handoff, the PR 5 model
-  EXPECT_EQ(lock.handoffs(), 1u);
-  EXPECT_EQ(lock.handoff_cycles(), 48u);
-}
-
 TEST(LockPolicyDeathTest, AndersonWithoutSlotsAbortsAtConfigure) {
   EXPECT_DEATH(
       {

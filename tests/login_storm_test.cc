@@ -283,12 +283,6 @@ TEST(LoginStorm, KnobsOffChargesNothingAndStaysDeterministic) {
   // Identical runs land on the identical final clock.
   const Cycles second = RunSerialSessions(AnsweringConfig{}, &spin, &skel, &slab);
   EXPECT_EQ(first, second);
-  // The phase counters are observation only: explicitly asking for one shard
-  // (the serial table's shape) must not move the clock either.
-  AnsweringConfig one_shard;
-  one_shard.shards = 1;
-  const Cycles shaped = RunSerialSessions(one_shard, &spin, &skel, &slab);
-  EXPECT_EQ(first, shaped);
 }
 
 }  // namespace

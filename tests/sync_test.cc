@@ -30,24 +30,6 @@ TEST(SimSpinLock, ContendedAcquireBurnsTheGap) {
   EXPECT_EQ(lock.handoffs(), 0u);  // plain mode: no handoff charges
 }
 
-TEST(SimSpinLock, TicketModeAddsHandoffPerContendedGrant) {
-  SimSpinLock plain;
-  SimSpinLock ticket;
-  ticket.ConfigureTicket(true, 48);
-  for (SimSpinLock* lock : {&plain, &ticket}) {
-    lock->Acquire(0);
-    lock->Release(500);
-  }
-  EXPECT_EQ(plain.Acquire(120), 380u);
-  EXPECT_EQ(ticket.Acquire(120), 428u);  // the same gap plus one handoff
-  EXPECT_EQ(ticket.handoffs(), 1u);
-  EXPECT_EQ(ticket.handoff_cycles(), 48u);
-  // Uncontended acquisitions stay free in ticket mode: the line is resident.
-  ticket.Release(900);
-  EXPECT_EQ(ticket.Acquire(1000), 0u);
-  EXPECT_EQ(ticket.handoffs(), 1u);
-}
-
 TEST(Eventcount, AdvanceWakesSatisfiedWaiters) {
   Metrics metrics;
   EventcountTable table(&metrics);
