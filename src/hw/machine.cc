@@ -3,7 +3,10 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <new>
 
 namespace mks {
@@ -235,10 +238,12 @@ bool PrimaryMemory::FrameIsZero(FrameIndex frame) {
   return std::all_of(span.begin(), span.end(), [](Word w) { return w == 0; });
 }
 
-Processor::Processor(HwFeatures features, CostModel* cost, Metrics* metrics)
+Processor::Processor(HwFeatures features, CostModel* cost, Metrics* metrics, uint16_t index)
     : features_(features),
       cost_(cost),
       metrics_(metrics),
+      index_(index),
+      bit_(uint64_t{1} << index),
       assoc_(features.associative_memory ? features.associative_entries : 0),
       id_translations_(metrics->Intern("hw.translations")),
       id_assoc_hits_(metrics->Intern("hw.assoc_hits")),
@@ -247,6 +252,19 @@ Processor::Processor(HwFeatures features, CostModel* cost, Metrics* metrics)
       id_locked_descriptor_faults_(metrics->Intern("hw.locked_descriptor_faults")),
       id_quota_exceptions_(metrics->Intern("hw.quota_exceptions")),
       id_missing_page_faults_(metrics->Intern("hw.missing_page_faults")) {}
+
+const Sdw* Processor::Descriptor(Segno segno) const {
+  // With the second descriptor-base register, low segment numbers translate
+  // through the per-processor system space.
+  DescriptorSegment* ds = user_ds_;
+  uint16_t index = segno.value;
+  if (features_.second_dsbr && segno.value < kSystemSegnoLimit) {
+    ds = system_ds_;
+  } else if (features_.second_dsbr) {
+    index = static_cast<uint16_t>(segno.value - kSystemSegnoLimit);
+  }
+  return ds == nullptr ? nullptr : ds->Get(index);
+}
 
 void Processor::ClearAssociative(Segno segno) {
   if (assoc_.InvalidateTag(segno.value) > 0) {
@@ -315,21 +333,11 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   }
   cost_->Charge(CodeStyle::kOptimized, Costs::kAddressTranslation);
 
-  // Select the address space.  With the second descriptor-base register,
-  // low segment numbers translate through the per-processor system space.
-  DescriptorSegment* ds = user_ds_;
-  uint16_t index = segno.value;
-  if (features_.second_dsbr && segno.value < kSystemSegnoLimit) {
-    ds = system_ds_;
-  } else if (features_.second_dsbr) {
-    index = static_cast<uint16_t>(segno.value - kSystemSegnoLimit);
-  }
-
   AccessResult result;
   result.fault.segno = segno;
   result.fault.page = offset / kPageWords;
 
-  Sdw* sdw = ds == nullptr ? nullptr : ds->Get(index);
+  const Sdw* sdw = Descriptor(segno);
   if (sdw == nullptr || !sdw->present) {
     result.fault.kind = FaultKind::kMissingSegment;
     return result;
@@ -398,6 +406,36 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   return result;
 }
 
+namespace {
+
+// The CPUs that can hold a translation into `pt`: those with a space
+// connecting it loaded.
+uint64_t Targets(const PageTable& pt) {
+  uint64_t targets = 0;
+  for (const DescriptorSegment* ds : pt.connected) {
+    targets |= ds->loaded_on;
+  }
+  return targets;
+}
+
+uint64_t RemoteSignals(uint64_t targets, uint16_t sender) {
+  return static_cast<uint64_t>(std::popcount(targets & ~(uint64_t{1} << sender)));
+}
+
+// The completeness check behind targeting: an associative memory outside
+// the targets still holds a translation, so a connection or a DSBR load
+// escaped the bookkeeping.  Serving it later would hand out a freed frame.
+[[noreturn]] void ShootdownMissed(const char* form, uint64_t targets, uint16_t sender) {
+  std::fprintf(stderr,
+               "ProcessorPool::InvalidateAssociative(%s) from cpu %u: targets %#llx, but an "
+               "untargeted associative memory still caches the table (PageTable::connected "
+               "or DescriptorSegment::loaded_on is out of step)\n",
+               form, static_cast<unsigned>(sender), static_cast<unsigned long long>(targets));
+  std::abort();
+}
+
+}  // namespace
+
 ProcessorPool::ProcessorPool(uint16_t cpu_count, HwFeatures features, CostModel* cost,
                              Metrics* metrics, Tracer* trace)
     : cost_(cost),
@@ -408,20 +446,24 @@ ProcessorPool::ProcessorPool(uint16_t cpu_count, HwFeatures features, CostModel*
   if (cpu_count == 0) {
     cpu_count = 1;
   }
+  if (cpu_count > kMaxCpus) {
+    std::fprintf(stderr, "ProcessorPool: %u CPUs, but loaded-on masks name at most %u\n",
+                 static_cast<unsigned>(cpu_count), static_cast<unsigned>(kMaxCpus));
+    std::abort();
+  }
   cpus_.reserve(cpu_count);
   for (uint16_t k = 0; k < cpu_count; ++k) {
-    cpus_.emplace_back(features, cost, metrics);
+    cpus_.emplace_back(features, cost, metrics, k);
   }
   if (trace_ != nullptr) {
     ev_connect_ = trace_->InternEvent("hw.connect");
   }
 }
 
-void ProcessorPool::ChargeConnect() {
-  if (connect_cost_ == 0 || cpus_.size() < 2) {
+void ProcessorPool::ChargeConnect(uint64_t remote) {
+  if (connect_cost_ == 0 || remote == 0) {
     return;
   }
-  const uint64_t remote = cpus_.size() - 1;
   const Cycles total = connect_cost_ * remote;
   cost_->Charge(CodeStyle::kOptimized, total);
   metrics_->Inc(id_connect_signals_, remote);
@@ -432,36 +474,39 @@ void ProcessorPool::ClearAssociative(Segno segno) {
   for (Processor& p : cpus_) {
     p.ClearAssociative(segno);
   }
-  ChargeConnect();
+  ChargeConnect(cpus_.size() - 1);
   if (trace_ != nullptr) {
     trace_->Instant(ev_connect_, segno.value,
                     static_cast<uint32_t>(ConnectKind::kClearSegno));
   }
 }
 
-void ProcessorPool::InvalidateAssociative(const Ptw* ptw) {
-  // The connect is broadcast regardless (the sender cannot know remote cache
-  // contents), but the host-side scan of each cache is skipped once the
-  // presence count says no copies remain.
-  if (ptw->assoc_refs != 0) {
-    for (Processor& p : cpus_) {
-      p.InvalidateAssociative(ptw);
-      if (ptw->assoc_refs == 0) {
-        break;
-      }
-    }
+void ProcessorPool::InvalidateAssociative(const Ptw* ptw, const PageTable& pt, uint16_t sender) {
+  const uint64_t targets = Targets(pt);
+  // The host-side scan stops once the presence count says no copies remain.
+  for (uint64_t left = targets; left != 0 && ptw->assoc_refs != 0; left &= left - 1) {
+    cpus_[std::countr_zero(left)].InvalidateAssociative(ptw);
   }
-  ChargeConnect();
+  if (ptw->assoc_refs != 0) {
+    ShootdownMissed("ptw", targets, sender);
+  }
+  ChargeConnect(RemoteSignals(targets, sender));
   if (trace_ != nullptr) {
     trace_->Instant(ev_connect_, 0, static_cast<uint32_t>(ConnectKind::kInvalidatePtw));
   }
 }
 
-void ProcessorPool::InvalidateAssociative(const PageTable* pt) {
-  for (Processor& p : cpus_) {
-    p.InvalidateAssociative(pt);
+void ProcessorPool::InvalidateAssociative(const PageTable& pt, uint16_t sender) {
+  const uint64_t targets = Targets(pt);
+  for (uint64_t left = targets; left != 0; left &= left - 1) {
+    cpus_[std::countr_zero(left)].InvalidateAssociative(&pt);
   }
-  ChargeConnect();
+  for (const Ptw& ptw : pt.ptws) {
+    if (ptw.assoc_refs != 0) {
+      ShootdownMissed("page table", targets, sender);
+    }
+  }
+  ChargeConnect(RemoteSignals(targets, sender));
   if (trace_ != nullptr) {
     trace_->Instant(ev_connect_, 0,
                     static_cast<uint32_t>(ConnectKind::kInvalidatePageTable));
@@ -472,7 +517,7 @@ void ProcessorPool::FlushAssociative() {
   for (Processor& p : cpus_) {
     p.FlushAssociative();
   }
-  ChargeConnect();
+  ChargeConnect(cpus_.size() - 1);
   if (trace_ != nullptr) {
     trace_->Instant(ev_connect_, 0, static_cast<uint32_t>(ConnectKind::kFlush));
   }
@@ -488,6 +533,25 @@ void ProcessorPool::DropUserDs(const DescriptorSegment* ds) {
   for (Processor& p : cpus_) {
     if (p.user_ds() == ds) {
       p.set_user_ds(nullptr);
+    }
+  }
+}
+
+void ProcessorPool::AuditAssociative(std::vector<std::string>* findings) const {
+  for (const Processor& p : cpus_) {
+    for (const AssociativeMemory::Entry& e : p.associative().slots()) {
+      if (!e.valid) {
+        continue;
+      }
+      const Segno segno(static_cast<uint16_t>(e.key >> 32));
+      const uint32_t page = static_cast<uint32_t>(e.key);
+      const Sdw* sdw = p.Descriptor(segno);
+      const PageTable* pt = sdw != nullptr && sdw->present ? sdw->page_table : nullptr;
+      if (pt == nullptr || page >= pt->ptws.size() || &pt->ptws[page] != e.ptw) {
+        findings->push_back("cpu " + std::to_string(p.index()) + ": associative entry for segno " +
+                            std::to_string(segno.value) + " page " + std::to_string(page) +
+                            " caches a PTW its loaded spaces do not reach");
+      }
     }
   }
 }

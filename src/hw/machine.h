@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -57,11 +58,14 @@ struct Ptw {
   bool used = false;
   bool modified = false;
   // Number of associative-memory entries (across every CPU) currently caching
-  // this PTW.  Maintained by AssociativeMemory; lets a broadcast invalidation
-  // skip caches once every cached pairing is gone.  Pure host-side
-  // bookkeeping — never charged, never traced.
+  // this PTW.  Maintained by AssociativeMemory; lets an invalidation skip
+  // caches once every cached pairing is gone, and proves afterwards that a
+  // targeted invalidation missed no cache.  Pure host-side bookkeeping —
+  // never charged, never traced.
   uint16_t assoc_refs = 0;
 };
+
+struct DescriptorSegment;
 
 // A segment's page table.  In the real system page tables live in the active
 // segment table region of permanently-resident core; here the container is a
@@ -72,11 +76,17 @@ struct Ptw {
 // already in hand at fault time: `last_fault_page` records the most recent
 // demand fault and `prefetch_until` the end of the last anticipatory window,
 // so a fault at either frontier is recognized as a continuing forward scan.
+//
+// `connected` lists the address spaces whose SDWs name this table, one entry
+// per SDW, kept by whoever connects and disconnects them.  Only a processor
+// that has one of those spaces loaded can cache a translation into the table,
+// so the pool's targeted invalidations signal exactly those processors.
 struct PageTable {
   SegmentUid owner{};
   std::vector<Ptw> ptws;
   uint32_t last_fault_page = UINT32_MAX;  // UINT32_MAX: no fault seen yet
   uint32_t prefetch_until = 0;            // exclusive end of the last window
+  std::vector<const DescriptorSegment*> connected;
 };
 
 // Segment descriptor word.
@@ -94,6 +104,9 @@ struct Sdw {
 // the space's base segno).
 struct DescriptorSegment {
   std::vector<Sdw> sdws;
+  // Bit k set: processor k's user DSBR holds this segment.  Kept by
+  // Processor::set_user_ds; a pool has at most 64 processors.
+  uint64_t loaded_on = 0;
 
   Sdw* Get(uint16_t index) {
     return index < sdws.size() ? &sdws[index] : nullptr;
@@ -181,6 +194,8 @@ class AssociativeMemory {
 
   bool enabled() const { return set_count_ != 0; }
   uint16_t capacity() const { return static_cast<uint16_t>(slots_.size()); }
+  // Every slot, valid or not (audits).
+  std::span<const Entry> slots() const { return slots_; }
 
   // Returns the valid entry for `key`, or nullptr.  Refreshes LRU.
   Entry* Lookup(uint64_t key);
@@ -334,13 +349,24 @@ class PrimaryMemory {
 // A simulated processor.
 class Processor {
  public:
-  Processor(HwFeatures features, CostModel* cost, Metrics* metrics);
+  // `index` is the processor's place in its pool (bit `index` of
+  // DescriptorSegment::loaded_on).
+  Processor(HwFeatures features, CostModel* cost, Metrics* metrics, uint16_t index = 0);
 
   // Loading a descriptor-base register clears the associative memory, as on
-  // the real hardware: cached translations belong to the outgoing space.
+  // the real hardware: cached translations belong to the outgoing space.  So
+  // the processor can only ever hold translations made through the user
+  // space it has loaded (or the system space), which the segments' loaded-on
+  // masks record.
   void set_user_ds(DescriptorSegment* ds) {
     if (ds != user_ds_) {
       FlushAssociative();
+      if (user_ds_ != nullptr) {
+        user_ds_->loaded_on &= ~bit_;
+      }
+      if (ds != nullptr) {
+        ds->loaded_on |= bit_;
+      }
     }
     user_ds_ = ds;
   }
@@ -348,6 +374,12 @@ class Processor {
   DescriptorSegment* user_ds() const { return user_ds_; }
   DescriptorSegment* system_ds() const { return system_ds_; }
   const HwFeatures& features() const { return features_; }
+  uint16_t index() const { return index_; }
+
+  // The SDW `segno` translates through: the system space below
+  // kSystemSegnoLimit when the second DSBR is present, else the user space.
+  // nullptr when the space is unloaded or too short.
+  const Sdw* Descriptor(Segno segno) const;
 
   // Translates and access-checks one reference.  On success returns the
   // absolute address and marks the PTW used/modified.  On failure returns a
@@ -383,6 +415,8 @@ class Processor {
   HwFeatures features_;
   CostModel* cost_;
   Metrics* metrics_;
+  uint16_t index_;
+  uint64_t bit_;  // 1 << index_
   DescriptorSegment* user_ds_ = nullptr;
   DescriptorSegment* system_ds_ = nullptr;
   bool wakeup_waiting_ = false;
@@ -408,15 +442,24 @@ class Processor {
 // (Intern is idempotent), so aggregate hardware counters are independent of
 // pool size.
 //
-// The broadcast invalidations exist because a descriptor mutation made while
-// running on one CPU (page eviction, deactivation, SDW disconnect) leaves
-// stale translations cached in *every other* CPU's associative memory; on the
-// real hardware this was the connect ("clear associative memory") signal sent
-// to all processors.
+// The pool's invalidations exist because a descriptor mutation made while
+// running on one CPU (page eviction, deactivation, SDW disconnect) can leave
+// stale translations cached in other CPUs' associative memories; on the real
+// hardware the sender reached them with the connect ("clear associative
+// memory") signal.  The sender knows which CPUs those can be: a CPU caches
+// only translations made through its loaded user space or the resident system
+// space, so a page table's translations can only sit on the CPUs that have a
+// space connecting it loaded (PageTable::connected, DescriptorSegment::
+// loaded_on).  The page-table-scoped forms signal just those CPUs; the segno
+// clear and the flush still reach every CPU.
 class ProcessorPool {
  public:
-  // `trace`, when given, records each broadcast as an `hw.connect` instant
-  // (arg = broadcast kind) — invalidation storms show up in the trace lanes.
+  // Largest pool: the loaded-on masks are 64-bit.
+  static constexpr uint16_t kMaxCpus = 64;
+
+  // `trace`, when given, records each invalidation as an `hw.connect`
+  // instant (arg = ConnectKind) — invalidation storms show up in the trace
+  // lanes.  Aborts when `cpu_count` exceeds kMaxCpus.
   ProcessorPool(uint16_t cpu_count, HwFeatures features, CostModel* cost, Metrics* metrics,
                 Tracer* trace = nullptr);
 
@@ -424,19 +467,29 @@ class ProcessorPool {
   Processor& cpu(uint16_t k) { return cpus_[k]; }
   const Processor& cpu(uint16_t k) const { return cpus_[k]; }
 
-  // Virtual cycles one connect signal costs the broadcasting CPU per
-  // *remote* processor (count - 1 of them).  0 — the default — keeps
-  // broadcasts free, the pre-interconnect-model behaviour; nonzero makes
-  // invalidation storms real work on whichever CPU mutates descriptors.
+  // Virtual cycles one connect signal costs the sending CPU per *remote*
+  // processor it signals.  0 — the default — keeps invalidations free, the
+  // pre-interconnect-model behaviour; nonzero makes invalidation storms real
+  // work on whichever CPU mutates descriptors.
   void set_connect_cost(Cycles cost) { connect_cost_ = cost; }
   Cycles connect_cost() const { return connect_cost_; }
 
   // Broadcast forms of the Processor invalidation protocol: every CPU drops
-  // the affected translations.
+  // the affected translations and every other CPU is signalled.
   void ClearAssociative(Segno segno);
-  void InvalidateAssociative(const Ptw* ptw);
-  void InvalidateAssociative(const PageTable* pt);
   void FlushAssociative();
+
+  // Targeted forms for page-table-scoped mutations made on CPU `sender`:
+  // only the CPUs that have a space in `pt.connected` loaded drop the
+  // affected translations, and only the remote ones among them are
+  // signalled.  Afterwards no associative memory anywhere may still hold an
+  // affected PTW; if one does, the targeting bookkeeping is broken and the
+  // pool aborts with a message.
+  // One PTW of `pt` (page eviction).
+  void InvalidateAssociative(const Ptw* ptw, const PageTable& pt, uint16_t sender);
+  // Every PTW of `pt` (segment deactivation: the table's storage is about to
+  // describe a different segment).
+  void InvalidateAssociative(const PageTable& pt, uint16_t sender);
 
   // Loads the system descriptor-base register of every CPU (boot).
   void SetSystemDs(DescriptorSegment* ds);
@@ -444,10 +497,16 @@ class ProcessorPool {
   // CPU's user DSBR.
   void DropUserDs(const DescriptorSegment* ds);
 
+  // Integrity audit: every valid associative-memory entry must still be
+  // reachable through its CPU's loaded spaces — the SDW at the entry's segno
+  // names the page table holding the entry's PTW — which is what makes the
+  // targeted forms exact.
+  void AuditAssociative(std::vector<std::string>* findings) const;
+
  private:
-  // Charges the broadcast's connect cost and bumps the hw.connect_* counters;
-  // no-op at cost 0 or with a single CPU (there is nobody to signal).
-  void ChargeConnect();
+  // Charges `remote` connect signals and bumps the hw.connect_* counters;
+  // no-op at cost 0 or when nobody is signalled.
+  void ChargeConnect(uint64_t remote);
 
   std::vector<Processor> cpus_;
   CostModel* cost_;
@@ -459,7 +518,7 @@ class ProcessorPool {
   MetricId id_connect_cycles_ = 0;
 };
 
-// `arg` values of the hw.connect trace instant — which broadcast form fired.
+// `arg` values of the hw.connect trace instant — which invalidation form fired.
 enum class ConnectKind : uint32_t {
   kClearSegno = 0,
   kInvalidatePtw = 1,

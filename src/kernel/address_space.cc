@@ -1,6 +1,22 @@
 #include "src/kernel/address_space.h"
 
+#include <algorithm>
+#include <cassert>
+
 namespace mks {
+
+namespace {
+
+// Drops one of `ds`'s entries from the spaces connecting `pt` (one SDW of
+// `ds` naming `pt` is going away).
+void NoteSpaceDisconnected(PageTable* pt, const DescriptorSegment* ds) {
+  auto it = std::find(pt->connected.begin(), pt->connected.end(), ds);
+  assert(it != pt->connected.end());
+  *it = pt->connected.back();
+  pt->connected.pop_back();
+}
+
+}  // namespace
 
 AddressSpaceManager::AddressSpaceManager(KernelContext* ctx, CoreSegmentManager* core_segs,
                                          SegmentManager* segs)
@@ -67,13 +83,15 @@ Status AddressSpaceManager::DestroySpace(ProcessId pid) {
   if (it == spaces_.end()) {
     return Status(Code::kNotFound, "no address space");
   }
+  SpaceRec& space = it->second;
   for (uint16_t i = 0; i < user_sdw_count_; ++i) {
-    if (it->second.ast_of[i] != kNoAst) {
-      segs_->NoteDisconnect(it->second.ast_of[i]);
+    if (space.ast_of[i] != kNoAst) {
+      NoteSpaceDisconnected(space.ds.sdws[i].page_table, &space.ds);
+      segs_->NoteDisconnect(space.ast_of[i]);
     }
   }
   // Any processor still pointing at the dying descriptor segment unbinds.
-  ctx_->cpus.DropUserDs(&it->second.ds);
+  ctx_->cpus.DropUserDs(&space.ds);
   spaces_.erase(it);
   return Status::Ok();
 }
@@ -112,6 +130,7 @@ Status AddressSpaceManager::Connect(ProcessId pid, Segno segno, uint32_t ast,
   sdw.execute = modes.execute;
   sdw.ring_bracket = ring_bracket;
   space.ast_of[index] = ast;
+  entry->page_table.connected.push_back(&space.ds);
   segs_->NoteConnect(ast);
   ctx_->metrics.Inc(id_connects_);
   return Status::Ok();
@@ -128,6 +147,7 @@ Status AddressSpaceManager::Disconnect(ProcessId pid, Segno segno) {
   if (index >= user_sdw_count_ || !space.ds.sdws[index].present) {
     return Status(Code::kInvalidSegno, "segno not connected");
   }
+  NoteSpaceDisconnected(space.ds.sdws[index].page_table, &space.ds);
   segs_->NoteDisconnect(space.ast_of[index]);
   space.ds.sdws[index] = Sdw{};
   space.ast_of[index] = kNoAst;
@@ -150,6 +170,7 @@ uint32_t AddressSpaceManager::DisconnectEverywhere(SegmentUid uid) {
     SpaceRec& space = it->second;
     for (uint16_t i = 0; i < user_sdw_count_ && severed < bound; ++i) {
       if (space.ast_of[i] == ast) {
+        NoteSpaceDisconnected(space.ds.sdws[i].page_table, &space.ds);
         segs_->NoteDisconnect(ast);
         space.ds.sdws[i] = Sdw{};
         space.ast_of[i] = kNoAst;
@@ -163,7 +184,8 @@ uint32_t AddressSpaceManager::DisconnectEverywhere(SegmentUid uid) {
 }
 
 void AddressSpaceManager::AuditIntegrity(std::vector<std::string>* findings) const {
-  std::unordered_map<uint32_t, uint32_t> sdw_counts;
+  // The spaces whose SDWs name each AST slot, one entry per SDW.
+  std::unordered_map<uint32_t, std::vector<const DescriptorSegment*>> namers;
   for (const auto& [pid, space] : spaces_) {
     for (uint16_t i = 0; i < user_sdw_count_; ++i) {
       const uint32_t ast = space.ast_of[i];
@@ -175,7 +197,7 @@ void AddressSpaceManager::AuditIntegrity(std::vector<std::string>* findings) con
         }
         continue;
       }
-      ++sdw_counts[ast];
+      namers[ast].push_back(&space.ds);
       AstEntry* entry = segs_->Get(ast);
       if (entry == nullptr) {
         findings->push_back("process " + std::to_string(pid.value) +
@@ -194,12 +216,45 @@ void AddressSpaceManager::AuditIntegrity(std::vector<std::string>* findings) con
     if (entry == nullptr) {
       continue;
     }
-    const uint32_t counted = sdw_counts.count(slot) ? sdw_counts[slot] : 0;
-    if (counted != entry->connections) {
+    std::vector<const DescriptorSegment*>& named = namers[slot];
+    if (named.size() != entry->connections) {
       findings->push_back("AST " + std::to_string(slot) + ": connections " +
                           std::to_string(entry->connections) + " but " +
-                          std::to_string(counted) + " SDWs observed");
+                          std::to_string(named.size()) + " SDWs observed");
     }
+    // Targeted invalidation signals the CPUs of exactly these spaces.
+    std::vector<const DescriptorSegment*> listed = entry->page_table.connected;
+    std::sort(named.begin(), named.end());
+    std::sort(listed.begin(), listed.end());
+    if (listed != named) {
+      findings->push_back("AST " + std::to_string(slot) + ": page table lists " +
+                          std::to_string(listed.size()) + " connected spaces, out of step with " +
+                          std::to_string(named.size()) + " SDWs naming it");
+    }
+  }
+  // Each space's loaded-on mask must name exactly the CPUs whose user DSBR
+  // holds it, and no DSBR may hold a segment of no live space.
+  std::unordered_map<const DescriptorSegment*, uint64_t> dsbr_masks;
+  for (uint16_t k = 0; k < ctx_->cpus.count(); ++k) {
+    if (const DescriptorSegment* ds = ctx_->cpus.cpu(k).user_ds()) {
+      dsbr_masks[ds] |= uint64_t{1} << k;
+    }
+  }
+  for (const auto& [pid, space] : spaces_) {
+    auto loaded = dsbr_masks.find(&space.ds);
+    const uint64_t expected = loaded == dsbr_masks.end() ? 0 : loaded->second;
+    if (loaded != dsbr_masks.end()) {
+      dsbr_masks.erase(loaded);
+    }
+    if (space.ds.loaded_on != expected) {
+      findings->push_back("process " + std::to_string(pid.value) + ": loaded-on mask " +
+                          std::to_string(space.ds.loaded_on) + " but the DSBRs give " +
+                          std::to_string(expected));
+    }
+  }
+  for (const auto& [ds, mask] : dsbr_masks) {
+    findings->push_back("CPU mask " + std::to_string(mask) +
+                        ": user DSBR holds the descriptor segment of no live space");
   }
 }
 

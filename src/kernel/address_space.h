@@ -34,7 +34,10 @@ class AddressSpaceManager {
   DescriptorSegment* Space(ProcessId pid);
 
   // Connects `segno` (>= kSystemSegnoLimit) of `pid`'s space to the active
-  // segment at AST index `ast` with the given modes.
+  // segment at AST index `ast` with the given modes.  Every connect, and
+  // every SDW that disconnect, sever or destroy drops, is mirrored in the
+  // page table's `connected` list, which page control's targeted
+  // invalidations read.
   Status Connect(ProcessId pid, Segno segno, uint32_t ast, AccessModes modes,
                  uint8_t ring_bracket);
   Status Disconnect(ProcessId pid, Segno segno);
@@ -50,8 +53,9 @@ class AddressSpaceManager {
   size_t space_count() const { return spaces_.size(); }
 
   // Integrity audit: every connected SDW must point at the page table of the
-  // AST entry it is recorded against, and per-entry connection counts must
-  // equal the number of SDWs naming them.
+  // AST entry it is recorded against; per-entry connection counts and each
+  // page table's connected-space list must match the SDWs naming it; and
+  // each space's loaded-on mask must match the CPUs' user DSBRs.
   void AuditIntegrity(std::vector<std::string>* findings) const;
 
  private:

@@ -60,7 +60,7 @@ struct KernelContext {
 
   // The processor the current computation runs on.  Code that handles the
   // in-flight reference (fault dispatch, wakeup-waiting, DSBR binding) uses
-  // this; descriptor mutations use the broadcast forms on `cpus`.
+  // this; descriptor mutations use the pool-wide forms on `cpus`.
   Processor& cpu() { return cpus.cpu(current_cpu); }
 
   // The current work window's virtual-time anchor.  Per-CPU local clocks

@@ -93,21 +93,14 @@ Status Kernel::Shutdown() {
   if (!booted_) {
     return Status(Code::kFailedPrecondition, "not booted");
   }
-  // Sever every user binding, then drain the active segment table.
-  while (uproc_->process_count() > 0) {
-    // Destroy in discovery order; DestroyProcess handles vp release and the
-    // state segment's storage.
-    bool destroyed = false;
-    for (uint32_t pid = 1; pid < 4096; ++pid) {
-      if (uproc_->Context(ProcessId(pid)) != nullptr) {
-        MKS_RETURN_IF_ERROR(uproc_->DestroyProcess(ProcessId(pid)));
-        destroyed = true;
-        break;
-      }
-    }
-    if (!destroyed) {
-      return Status(Code::kInternal, "process table would not drain");
-    }
+  // Sever every user binding, then drain the active segment table.  Destroy
+  // in ascending pid order; DestroyProcess handles vp release and the state
+  // segment's storage.
+  for (ProcessId pid : uproc_->LivePids()) {
+    MKS_RETURN_IF_ERROR(uproc_->DestroyProcess(pid));
+  }
+  if (uproc_->process_count() > 0) {
+    return Status(Code::kInternal, "process table would not drain");
   }
   // Slab-parked slots still own KSTs, state segments, and VTOC entries;
   // tear them down for real so the on-disk image leaks nothing.
@@ -133,6 +126,7 @@ std::vector<std::string> Kernel::AuditIntegrity() {
   ctx_->volumes.AuditIntegrity(&findings);
   pfm_->AuditIntegrity(&findings);
   spaces_->AuditIntegrity(&findings);
+  ctx_->cpus.AuditAssociative(&findings);
   dirs_->AuditQuotaIntegrity(&findings);
   return findings;
 }

@@ -53,10 +53,10 @@ struct KernelConfig {
   bool sharded_runqueues = false;
   bool steal = false;
   // connect_cost: virtual cycles per cross-CPU interconnect transfer.  Makes
-  // shared-line traffic real work: associative-memory broadcasts charge it
-  // per remote CPU, and the scheduler charges it whenever ready-list state,
-  // a vp state record, or a process's working set migrates between CPUs.
-  // 0 keeps all of that free (the legacy model).
+  // shared-line traffic real work: associative-memory invalidations charge
+  // it per remote CPU signalled, and the scheduler charges it whenever
+  // ready-list state, a vp state record, or a process's working set
+  // migrates between CPUs.  0 keeps all of that free (the legacy model).
   Cycles connect_cost = 0;
   // Handoff-traffic policy for the scheduler locks (global ready-list lock
   // and each sharded run-queue lock): how much interconnect traffic one

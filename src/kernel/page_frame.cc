@@ -172,8 +172,8 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
   ptw.modified = false;
   // The page's descriptor no longer resolves to a frame: any associative
   // memory entry pairing it with the old frame must go before the frame is
-  // reused.
-  ctx_->cpus.InvalidateAssociative(&ptw);
+  // reused.  Only CPUs with a space connecting the table loaded can hold one.
+  ctx_->cpus.InvalidateAssociative(&ptw, *fi.pt, ctx_->current_cpu);
   fi = FrameInfo{};
   free_list_.push_back(frame);
   return Status::Ok();

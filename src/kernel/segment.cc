@@ -124,8 +124,9 @@ Status SegmentManager::Deactivate(uint32_t slot) {
     return Status(Code::kFailedPrecondition, "segment still connected to address spaces");
   }
   // The slot's page-table storage is about to describe a different segment;
-  // no cached translation through it may survive.
-  ctx_->cpus.InvalidateAssociative(&ast.page_table);
+  // no cached translation through it may survive.  With no connections left
+  // no CPU can hold one, so this signals nobody.
+  ctx_->cpus.InvalidateAssociative(ast.page_table, ctx_->current_cpu);
   for (uint32_t p = 0; p < ast.max_pages; ++p) {
     if (ast.page_table.ptws[p].in_core) {
       MKS_RETURN_IF_ERROR(

@@ -215,6 +215,17 @@ uint32_t UserProcessManager::EffectiveMask(const Process& proc) const {
   return proc.affinity & pool;
 }
 
+std::vector<ProcessId> UserProcessManager::LivePids() const {
+  std::vector<ProcessId> pids;
+  pids.reserve(procs_.size());
+  for (const auto& [pid, proc] : procs_) {
+    pids.push_back(pid);
+  }
+  std::sort(pids.begin(), pids.end(),
+            [](ProcessId a, ProcessId b) { return a.value < b.value; });
+  return pids;
+}
+
 ProcContext* UserProcessManager::Context(ProcessId pid) {
   auto it = procs_.find(pid);
   return it == procs_.end() ? nullptr : &it->second.ctx;

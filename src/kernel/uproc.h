@@ -108,6 +108,8 @@ class UserProcessManager {
   Status SetAffinity(ProcessId pid, uint32_t cpu_mask);
   uint32_t affinity(ProcessId pid) const;
   ProcContext* Context(ProcessId pid);
+  // Every live process, in ascending pid order.
+  std::vector<ProcessId> LivePids() const;
   ProcState state(ProcessId pid) const;
   const ProcessStats& stats(ProcessId pid) const;
 

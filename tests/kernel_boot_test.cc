@@ -31,6 +31,26 @@ TEST(KernelBoot, CoreSegmentsAreFixedAfterBoot) {
   EXPECT_EQ(extra.code(), Code::kFailedPrecondition);
 }
 
+TEST(KernelBoot, ShutdownDrainsPidsPastTheFourThousandthProcess) {
+  Kernel kernel{KernelConfig{}};
+  ASSERT_TRUE(kernel.Boot().ok());
+  // Without slab pooling every process gets a fresh pid, so churn carries
+  // the live ones past any fixed pid bound.
+  for (int i = 0; i < 4099; ++i) {
+    auto pid = kernel.processes().CreateProcess(UserSubject());
+    ASSERT_TRUE(pid.ok()) << pid.status();
+    ASSERT_TRUE(kernel.processes().DestroyProcess(*pid).ok());
+  }
+  auto live = kernel.processes().CreateProcess(UserSubject());
+  ASSERT_TRUE(live.ok()) << live.status();
+  EXPECT_EQ(live->value, 4100u);
+  const auto findings = kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+  const Status shutdown = kernel.Shutdown();
+  EXPECT_TRUE(shutdown.ok()) << shutdown;
+  EXPECT_EQ(kernel.processes().process_count(), 0u);
+}
+
 TEST(KernelEndToEnd, CreateWriteReadSegment) {
   Kernel kernel{KernelConfig{}};
   ASSERT_TRUE(kernel.Boot().ok());

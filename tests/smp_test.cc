@@ -1,6 +1,7 @@
 // Tests for the simulated CPU pool: deterministic interleaving, the per-CPU
 // hardware state (associative memories, DSBRs, the wakeup-waiting switch),
-// and the broadcast invalidation protocol.
+// and the invalidation protocol (segno broadcasts, targeted page-table-scoped
+// shootdowns).
 //
 // The two load-bearing properties:
 //  * determinism — the interleaving is a function of the workload alone, so
@@ -11,10 +12,12 @@
 //    cpu_count yields the same stored values and a clean integrity audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/hw/machine.h"
 #include "tests/kernel_fixture.h"
 
@@ -235,6 +238,7 @@ struct PoolRig {
     sdw.read = true;
     sdw.write = true;
     sdw.ring_bracket = 4;
+    pt.connected.push_back(&ds);
     for (uint16_t k = 0; k < pool.count(); ++k) {
       pool.cpu(k).set_user_ds(&ds);
     }
@@ -276,10 +280,12 @@ TEST(ProcessorPool, BroadcastPtwInvalidationCoversEviction) {
   rig.MapPage(2, 9);
   ASSERT_TRUE(rig.pool.cpu(0).Access(kSeg, 2 * kPageWords, AccessMode::kRead, 4).ok);
   ASSERT_TRUE(rig.pool.cpu(1).Access(kSeg, 2 * kPageWords, AccessMode::kRead, 4).ok);
-  // Page control (running on some CPU) evicts the page.
+  // Page control (running on CPU 0) evicts the page; the space connecting
+  // the table is loaded on both CPUs, so both drop their copy.
   rig.pt.ptws[2].in_core = false;
   rig.pt.ptws[2].frame = 0;
-  rig.pool.InvalidateAssociative(&rig.pt.ptws[2]);
+  rig.pool.InvalidateAssociative(&rig.pt.ptws[2], rig.pt, /*sender=*/0);
+  EXPECT_EQ(rig.pt.ptws[2].assoc_refs, 0u);
   for (uint16_t k = 0; k < 2; ++k) {
     auto r = rig.pool.cpu(k).Access(kSeg, 2 * kPageWords, AccessMode::kRead, 4);
     ASSERT_FALSE(r.ok);
@@ -308,6 +314,366 @@ TEST(ProcessorPool, DropUserDsClearsOnlyMatchingDsbrs) {
   rig.pool.DropUserDs(&rig.ds);
   EXPECT_EQ(rig.pool.cpu(0).user_ds(), nullptr);
   EXPECT_EQ(rig.pool.cpu(1).user_ds(), &other);
+}
+
+TEST(ProcessorPool, DsbrLoadsKeepTheLoadedOnMask) {
+  PoolRig rig(3);
+  EXPECT_EQ(rig.ds.loaded_on, 0b111u);
+  DescriptorSegment other;
+  rig.pool.cpu(1).set_user_ds(&other);
+  EXPECT_EQ(rig.ds.loaded_on, 0b101u);
+  EXPECT_EQ(other.loaded_on, 0b010u);
+  rig.pool.DropUserDs(&rig.ds);
+  EXPECT_EQ(rig.ds.loaded_on, 0u);
+  rig.pool.cpu(1).set_user_ds(nullptr);
+  EXPECT_EQ(other.loaded_on, 0u);
+}
+
+TEST(ProcessorPool, ShootdownAbortsWhenAnUntargetedCacheHoldsThePtw) {
+  PoolRig rig(2);
+  rig.MapPage(1, 4);
+  ASSERT_TRUE(rig.pool.cpu(1).Access(kSeg, kPageWords, AccessMode::kRead, 4).ok);
+  // Bookkeeping gone wrong: the table forgets the space CPU 1 has loaded.
+  rig.pt.connected.clear();
+  EXPECT_DEATH(rig.pool.InvalidateAssociative(&rig.pt.ptws[1], rig.pt, /*sender=*/0),
+               "untargeted associative memory");
+  EXPECT_DEATH(rig.pool.InvalidateAssociative(rig.pt, /*sender=*/0),
+               "untargeted associative memory");
+}
+
+TEST(ProcessorPool, RejectsMoreCpusThanAMaskNames) {
+  Clock clock;
+  CostModel cost{&clock};
+  Metrics metrics;
+  EXPECT_DEATH(ProcessorPool(ProcessorPool::kMaxCpus + 1, HwFeatures{}, &cost, &metrics),
+               "loaded-on masks");
+}
+
+// ---------------------------------------------------------------------------
+// Kernel-level targeting: which CPUs a page-table-scoped mutation signals.
+// ---------------------------------------------------------------------------
+
+// A booted 4-CPU kernel with a charged interconnect and the fixture's test
+// process.
+struct TargetRig {
+  static KernelConfig Config() {
+    KernelConfig config;
+    config.cpu_count = 4;
+    config.connect_cost = 100;
+    return config;
+  }
+
+  KernelFixture f{Config()};
+
+  ProcessId NewProcess(const std::string& person) {
+    auto pid = f.kernel.processes().CreateProcess(TestSubject(person));
+    EXPECT_TRUE(pid.ok()) << pid.status();
+    return *pid;
+  }
+  ProcContext& Ctx(ProcessId pid) { return *f.kernel.processes().Context(pid); }
+  Segno Initiate(ProcessId pid, EntryId entry) {
+    auto segno = f.kernel.gates().Initiate(Ctx(pid), entry);
+    EXPECT_TRUE(segno.ok()) << segno.status();
+    return *segno;
+  }
+  // `pid` writes page `page` of `segno` while running on `cpu`.
+  void Touch(ProcessId pid, uint16_t cpu, Segno segno, uint32_t page) {
+    f.kernel.ctx().current_cpu = cpu;
+    EXPECT_TRUE(f.kernel.gates().Write(Ctx(pid), segno, page * kPageWords, page + 1).ok());
+  }
+  // The AST slot of the segment `pid` has connected at `segno`.
+  uint32_t Slot(ProcessId pid, Segno segno) {
+    const PageTable* pt =
+        f.kernel.address_spaces().Space(pid)->sdws[segno.value - kSystemSegnoLimit].page_table;
+    for (uint32_t slot = 0; slot < f.kernel.segments().ast_slots(); ++slot) {
+      AstEntry* entry = f.kernel.segments().Get(slot);
+      if (entry != nullptr && &entry->page_table == pt) {
+        return slot;
+      }
+    }
+    ADD_FAILURE() << "segno " << segno.value << " is not connected";
+    return kNoAst;
+  }
+  // Page control evicts page `page` of AST slot `slot` while running on
+  // `cpu`; returns the connect signals the eviction sent.
+  uint64_t Evict(uint32_t slot, uint32_t page, uint16_t cpu) {
+    AstEntry* entry = f.kernel.segments().Get(slot);
+    EXPECT_TRUE(entry->page_table.ptws[page].in_core);
+    f.kernel.ctx().current_cpu = cpu;
+    const uint64_t before = Signals();
+    EXPECT_TRUE(f.kernel.page_frames()
+                    .EvictPage(&entry->page_table, page, entry->pack, entry->vtoc,
+                               entry->quota_cell, entry->page_ec)
+                    .ok());
+    EXPECT_FALSE(entry->page_table.ptws[page].in_core);
+    return Signals() - before;
+  }
+  uint64_t Signals() { return f.kernel.metrics().Get("hw.connect_signals"); }
+};
+
+TEST(TargetedShootdown, EvictionSignalsOnlyTheCpuWithTheSpaceLoaded) {
+  TargetRig rig;
+  const Segno segno = rig.f.MustCreate(">t>private");
+  rig.Touch(rig.f.pid, /*cpu=*/0, segno, 0);
+  const uint32_t slot = rig.Slot(rig.f.pid, segno);
+  // Only CPU 0 has the connecting space loaded: one signal from CPU 2 ...
+  EXPECT_EQ(rig.Evict(slot, 0, /*cpu=*/2), 1u);
+  // ... and none from CPU 0 itself, whose own cache is no remote signal.
+  rig.Touch(rig.f.pid, /*cpu=*/0, segno, 0);
+  EXPECT_EQ(rig.Evict(slot, 0, /*cpu=*/0), 0u);
+  const auto findings = rig.f.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+}
+
+TEST(TargetedShootdown, SharedSegmentSignalsEveryCpuWithAConnectingSpaceLoaded) {
+  TargetRig rig;
+  PathWalker walker(&rig.f.kernel.gates());
+  auto entry = walker.CreateSegment(*rig.f.ctx, ">t>shared", WorldAcl(), Label::SystemLow());
+  ASSERT_TRUE(entry.ok());
+  const ProcessId other = rig.NewProcess("Smith");
+  const Segno mine = rig.Initiate(rig.f.pid, *entry);
+  const Segno theirs = rig.Initiate(other, *entry);
+  rig.Touch(rig.f.pid, /*cpu=*/0, mine, 1);
+  rig.Touch(other, /*cpu=*/1, theirs, 1);
+  const uint32_t slot = rig.Slot(rig.f.pid, mine);
+  ASSERT_EQ(slot, rig.Slot(other, theirs));
+  EXPECT_EQ(rig.Evict(slot, 1, /*cpu=*/3), 2u);
+  rig.Touch(other, /*cpu=*/1, theirs, 1);
+  EXPECT_EQ(rig.Evict(slot, 1, /*cpu=*/1), 1u);  // CPU 0 still has a space loaded
+  const auto findings = rig.f.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+}
+
+TEST(TargetedShootdown, SpaceLatchedOnACpuItsProcessLeftIsStillSignalled) {
+  TargetRig rig;
+  const Segno segno = rig.f.MustCreate(">t>moved");
+  rig.Touch(rig.f.pid, /*cpu=*/1, segno, 2);
+  // The process moves to CPU 0; CPU 1's DSBR (and its cached translation)
+  // stay latched until something else is loaded there.
+  rig.Touch(rig.f.pid, /*cpu=*/0, segno, 2);
+  DescriptorSegment* space = rig.f.kernel.address_spaces().Space(rig.f.pid);
+  ASSERT_EQ(rig.f.kernel.ctx().cpus.cpu(1).user_ds(), space);
+  EXPECT_EQ(space->loaded_on, 0b11u);
+  EXPECT_EQ(rig.Evict(rig.Slot(rig.f.pid, segno), 2, /*cpu=*/0), 1u);
+  const auto findings = rig.f.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+}
+
+TEST(TargetedShootdown, DeactivatingAnUnconnectedSegmentSignalsNobody) {
+  TargetRig rig;
+  const Segno segno = rig.f.MustCreate(">t>done");
+  rig.Touch(rig.f.pid, /*cpu=*/1, segno, 0);
+  rig.Touch(rig.f.pid, /*cpu=*/1, segno, 3);
+  const uint32_t slot = rig.Slot(rig.f.pid, segno);
+  ASSERT_TRUE(rig.f.kernel.gates().Terminate(*rig.f.ctx, segno).ok());
+  ASSERT_NE(rig.f.kernel.segments().Get(slot), nullptr);
+  ASSERT_EQ(rig.f.kernel.segments().Get(slot)->connections, 0u);
+  rig.f.kernel.ctx().current_cpu = 2;
+  const uint64_t before = rig.Signals();
+  // Deactivation evicts both resident pages and invalidates the table.
+  ASSERT_TRUE(rig.f.kernel.segments().Deactivate(slot).ok());
+  EXPECT_EQ(rig.Signals(), before);
+  const auto findings = rig.f.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+}
+
+TEST(TargetedShootdown, AuditCatchesBookkeepingOutOfStep) {
+  TargetRig rig;
+  const Segno segno = rig.f.MustCreate(">t>audited");
+  rig.Touch(rig.f.pid, /*cpu=*/1, segno, 0);
+  Kernel& kernel = rig.f.kernel;
+  auto has = [&](const std::string& needle) {
+    for (const std::string& finding : kernel.AuditIntegrity()) {
+      if (finding.find(needle) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  auto findings = kernel.AuditIntegrity();
+  ASSERT_TRUE(findings.empty()) << findings.front();
+  DescriptorSegment* space = kernel.address_spaces().Space(rig.f.pid);
+  // A loaded-on mask that disagrees with the DSBRs.
+  space->loaded_on ^= 0b100;
+  EXPECT_TRUE(has("loaded-on mask"));
+  space->loaded_on ^= 0b100;
+  // A page table whose connected-space list disagrees with its SDWs.
+  PageTable& pt = kernel.segments().Get(rig.Slot(rig.f.pid, segno))->page_table;
+  pt.connected.push_back(space);
+  EXPECT_TRUE(has("connected spaces"));
+  pt.connected.pop_back();
+  // A cached translation the CPU's loaded space no longer reaches.
+  Sdw& sdw = space->sdws[segno.value - kSystemSegnoLimit];
+  sdw.present = false;
+  EXPECT_TRUE(has("cpu 1: associative entry"));
+  sdw.present = true;
+  findings = kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+}
+
+// ---------------------------------------------------------------------------
+// Randomized: the targeted pool against a reference that invalidates every
+// processor directly.
+// ---------------------------------------------------------------------------
+
+// One machine of the comparison: a pool with its own spaces and page tables
+// (a PTW's presence count spans every cache holding it, so the two machines
+// must not share descriptors).
+struct ShootdownMachine {
+  static constexpr uint32_t kSpaces = 6;
+  static constexpr uint32_t kTables = 5;
+  static constexpr uint32_t kPages = 4;
+  static constexpr uint16_t kSegnos = 4;
+
+  Clock clock;
+  CostModel cost{&clock};
+  Metrics metrics;
+  std::vector<PageTable> tables;
+  std::vector<DescriptorSegment> spaces;
+  ProcessorPool pool;
+
+  explicit ShootdownMachine(uint16_t cpus)
+      : tables(kTables),
+        spaces(kSpaces),
+        pool(cpus,
+             HwFeatures{.second_dsbr = true,
+                        .associative_memory = true,
+                        .associative_entries = 8},
+             &cost, &metrics) {
+    pool.set_connect_cost(1);
+    for (PageTable& pt : tables) {
+      pt.ptws.assign(kPages, Ptw{});
+    }
+    for (DescriptorSegment& ds : spaces) {
+      ds.sdws.assign(kSegnos, Sdw{});
+    }
+  }
+};
+
+void CompareTargetedWithBroadcast(uint16_t cpus, uint64_t seed) {
+  using M = ShootdownMachine;
+  M targeted(cpus);
+  M reference(cpus);
+  Rng rng(seed);
+  uint64_t accesses = 0;
+  uint64_t evictions = 0;
+  uint64_t targeted_signals = 0;
+  uint64_t broadcast_signals = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.NextBelow(100);
+    const uint16_t cpu = static_cast<uint16_t>(rng.NextBelow(cpus));
+    if (op < 10) {  // bind a space (or none) to the CPU's user DSBR
+      const uint64_t s = rng.NextBelow(M::kSpaces + 1);
+      for (M* m : {&targeted, &reference}) {
+        m->pool.cpu(cpu).set_user_ds(s == M::kSpaces ? nullptr : &m->spaces[s]);
+      }
+    } else if (op < 60) {  // a reference
+      const Segno segno(static_cast<uint16_t>(kSystemSegnoLimit + rng.NextBelow(M::kSegnos)));
+      const uint32_t offset = static_cast<uint32_t>(rng.NextBelow(M::kPages)) * kPageWords + 5;
+      const AccessMode mode = rng.NextBool(0.3) ? AccessMode::kWrite : AccessMode::kRead;
+      const AccessResult a = targeted.pool.cpu(cpu).Access(segno, offset, mode, 4);
+      const AccessResult b = reference.pool.cpu(cpu).Access(segno, offset, mode, 4);
+      ASSERT_EQ(a.ok, b.ok) << "step " << step;
+      ASSERT_EQ(a.fault.kind, b.fault.kind) << "step " << step;
+      ASSERT_EQ(a.abs_addr, b.abs_addr) << "step " << step;
+      ASSERT_EQ(targeted.metrics.Get("hw.assoc_hits"), reference.metrics.Get("hw.assoc_hits"))
+          << "step " << step;
+      ++accesses;
+    } else if (op < 72) {  // connect a segno of a space to a page table
+      const uint64_t s = rng.NextBelow(M::kSpaces);
+      const uint16_t index = static_cast<uint16_t>(rng.NextBelow(M::kSegnos));
+      const uint64_t t = rng.NextBelow(M::kTables);
+      const bool write = rng.NextBool(0.5);
+      if (targeted.spaces[s].sdws[index].present) {
+        continue;
+      }
+      for (M* m : {&targeted, &reference}) {
+        m->spaces[s].sdws[index] = Sdw{true, &m->tables[t], M::kPages, true, write, false, 4};
+      }
+      targeted.tables[t].connected.push_back(&targeted.spaces[s]);
+    } else if (op < 80) {  // disconnect: the segno clear stays a broadcast
+      const uint64_t s = rng.NextBelow(M::kSpaces);
+      const uint16_t index = static_cast<uint16_t>(rng.NextBelow(M::kSegnos));
+      Sdw& sdw = targeted.spaces[s].sdws[index];
+      if (!sdw.present) {
+        continue;
+      }
+      auto& connected = sdw.page_table->connected;
+      connected.erase(std::find(connected.begin(), connected.end(), &targeted.spaces[s]));
+      const Segno segno(static_cast<uint16_t>(kSystemSegnoLimit + index));
+      for (M* m : {&targeted, &reference}) {
+        m->spaces[s].sdws[index] = Sdw{};
+      }
+      targeted.pool.ClearAssociative(segno);
+      for (uint16_t k = 0; k < cpus; ++k) {
+        reference.pool.cpu(k).ClearAssociative(segno);
+      }
+    } else if (op < 92) {  // evict a resident page
+      const uint64_t t = rng.NextBelow(M::kTables);
+      const uint64_t p = rng.NextBelow(M::kPages);
+      if (!targeted.tables[t].ptws[p].in_core) {
+        continue;
+      }
+      for (M* m : {&targeted, &reference}) {
+        m->tables[t].ptws[p].in_core = false;
+      }
+      const uint64_t before = targeted.metrics.Get("hw.connect_signals");
+      targeted.pool.InvalidateAssociative(&targeted.tables[t].ptws[p], targeted.tables[t], cpu);
+      const uint64_t sent = targeted.metrics.Get("hw.connect_signals") - before;
+      for (uint16_t k = 0; k < cpus; ++k) {
+        reference.pool.cpu(k).InvalidateAssociative(&reference.tables[t].ptws[p]);
+      }
+      ASSERT_LE(sent, cpus - 1u) << "step " << step;
+      targeted_signals += sent;
+      broadcast_signals += cpus - 1u;
+      ++evictions;
+    } else if (op < 95) {  // invalidate a whole table (deactivation)
+      const uint64_t t = rng.NextBelow(M::kTables);
+      const uint64_t before = targeted.metrics.Get("hw.connect_signals");
+      targeted.pool.InvalidateAssociative(targeted.tables[t], cpu);
+      ASSERT_LE(targeted.metrics.Get("hw.connect_signals") - before, cpus - 1u);
+      for (uint16_t k = 0; k < cpus; ++k) {
+        reference.pool.cpu(k).InvalidateAssociative(&reference.tables[t]);
+      }
+    } else {  // bring a page in, at a frame it may not have had before
+      const uint64_t t = rng.NextBelow(M::kTables);
+      const uint64_t p = rng.NextBelow(M::kPages);
+      const uint32_t frame = static_cast<uint32_t>(rng.NextBelow(64));
+      for (M* m : {&targeted, &reference}) {
+        Ptw& ptw = m->tables[t].ptws[p];
+        ptw.in_core = true;
+        ptw.unallocated = false;
+        ptw.frame = frame;
+      }
+    }
+  }
+  // Same cached translations everywhere, and every one of them reachable.
+  for (uint16_t k = 0; k < cpus; ++k) {
+    auto a = targeted.pool.cpu(k).associative().slots();
+    auto b = reference.pool.cpu(k).associative().slots();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].valid, b[i].valid) << "cpu " << k << " slot " << i;
+      if (a[i].valid) {
+        EXPECT_EQ(a[i].key, b[i].key) << "cpu " << k << " slot " << i;
+      }
+    }
+  }
+  std::vector<std::string> findings;
+  targeted.pool.AuditAssociative(&findings);
+  EXPECT_TRUE(findings.empty()) << findings.front();
+  EXPECT_GT(accesses, 5000u);
+  EXPECT_GT(evictions, 500u);
+  EXPECT_GT(targeted.metrics.Get("hw.assoc_hits"), 0u);
+  EXPECT_LT(targeted_signals, broadcast_signals);
+}
+
+TEST(TargetedShootdown, RandomizedAgreesWithBroadcastAtFourCpus) {
+  CompareTargetedWithBroadcast(4, 1977);
+}
+
+TEST(TargetedShootdown, RandomizedAgreesWithBroadcastAtSixteenCpus) {
+  CompareTargetedWithBroadcast(16, 7349);
 }
 
 }  // namespace
