@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
   std::printf("  slowdown: %.1f%%   (paper: \"about 3%% slower\")\n\n", slowdown);
   const bool shape_ok = slowdown > 0.0 && slowdown < 15.0;
   EmitJson(JsonLine("answering")
-               .Field("users", uint64_t{kUsers})
-               .Field("sessions", uint64_t{kSessions})
+               .Field("users", static_cast<uint64_t>(kUsers))
+               .Field("sessions", static_cast<uint64_t>(kSessions))
                .Field("sim_cycles", in_kernel + user_domain)
                .Field("cyc_per_session_kernel", per_login_kernel)
                .Field("cyc_per_session_user", per_login_user)

@@ -117,9 +117,12 @@ void DiskPack::QueueRead(RecordIndex record, uint64_t cookie) {
 
 void DiskPack::QueueWrite(RecordIndex record, std::span<const Word> in, uint64_t cookie) {
   assert(record.value < record_count_ && in.size() == kPageWords);
-  IoRequest req{true, record, cookie, {}};
+  IoRequest& req = io_queue_.emplace_back(IoRequest{true, record, cookie, {}});
+  if (!spare_buffers_.empty()) {
+    req.data.swap(spare_buffers_.back());
+    spare_buffers_.pop_back();
+  }
   req.data.assign(in.begin(), in.end());
-  io_queue_.push_back(std::move(req));
 }
 
 size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* completed_reads) {
@@ -128,16 +131,14 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
   }
   const size_t take = io_queue_.size() < max_batch ? io_queue_.size() : max_batch;
   const Cycles trace_begin = trace_ != nullptr ? trace_->Begin() : 0;
-  std::vector<IoRequest> round(std::make_move_iterator(io_queue_.begin()),
-                               std::make_move_iterator(io_queue_.begin() + take));
-  io_queue_.erase(io_queue_.begin(), io_queue_.begin() + take);
+  const auto round = io_queue_.begin();
   // One arm sweep per round: service in record order so every request after
   // the first rides the same seek.
-  std::sort(round.begin(), round.end(),
+  std::sort(round, round + take,
             [](const IoRequest& a, const IoRequest& b) { return a.record.value < b.record.value; });
   metrics_->Inc(id_batch_dispatches_);
   bool first = true;
-  for (IoRequest& req : round) {
+  for (IoRequest& req : std::span(round, take)) {
     if (first) {
       cost_->Charge(CodeStyle::kOptimized,
                     req.write ? Costs::kDiskWriteLatency : Costs::kDiskReadLatency);
@@ -148,7 +149,10 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
     }
     if (req.write) {
       metrics_->Inc(id_writes_);
-      record_data_[req.record.value] = std::move(req.data);
+      req.data.swap(record_data_[req.record.value]);
+      if (req.data.capacity() >= kPageWords && spare_buffers_.size() < max_batch) {
+        spare_buffers_.push_back(std::move(req.data));
+      }
     } else {
       metrics_->Inc(id_reads_);
       if (completed_reads != nullptr) {
@@ -156,6 +160,7 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
       }
     }
   }
+  io_queue_.erase(round, round + take);
   if (trace_ != nullptr) {
     trace_->CloseSpan(trace_begin, ev_batch_round_, id_.value,
                       static_cast<uint32_t>(take));

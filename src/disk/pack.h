@@ -93,8 +93,11 @@ class DiskPack {
   // the full latency, every further record in the sorted sweep pays only
   // kDiskBatchedTransfer.  Writes staged their data at queue time, so the
   // source frame may be reused immediately; completed read cookies are
-  // returned for the caller to CopyRecord into the destination frame (the
-  // transfer latency was charged here, so the copy itself is free).
+  // appended for the caller to CopyRecord into the destination frame (the
+  // transfer latency was charged here, so the copy itself is free).  The
+  // path is allocation-free once warm: a dispatched write swaps its staged
+  // buffer into the record, and the record's previous buffer is kept (up to
+  // `max_batch` of them) to stage later writes.
   void QueueRead(RecordIndex record, uint64_t cookie);
   void QueueWrite(RecordIndex record, std::span<const Word> in, uint64_t cookie);
   size_t queued_io() const { return io_queue_.size(); }
@@ -144,6 +147,7 @@ class DiskPack {
   uint32_t vtoc_used_ = 0;
   uint32_t vtoc_free_hint_ = 0;
   std::vector<IoRequest> io_queue_;
+  std::vector<std::vector<Word>> spare_buffers_;  // page-sized, for QueueWrite
   CostModel* cost_;
   Metrics* metrics_;
   Tracer* trace_;

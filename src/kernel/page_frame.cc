@@ -1,5 +1,6 @@
 #include "src/kernel/page_frame.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -29,6 +30,7 @@ PageFrameManager::PageFrameManager(KernelContext* ctx, CoreSegmentManager* core_
       id_prefetch_issued_(ctx->metrics.Intern("pfm.prefetch_issued")),
       id_prefetch_hits_(ctx->metrics.Intern("pfm.prefetch_hits")),
       id_prefetch_waste_(ctx->metrics.Intern("pfm.prefetch_waste")),
+      id_laundered_pages_(ctx->metrics.Intern("pfm.laundered_pages")),
       ev_fault_service_(ctx->trace.InternEvent("fault.page_service")),
       ev_fault_posted_(ctx->trace.InternEvent("fault.page_posted")),
       ev_io_complete_(ctx->trace.InternEvent("io.complete")),
@@ -109,7 +111,28 @@ Result<FrameIndex> PageFrameManager::AcquireFrame() {
   const FrameIndex victim(first_frame_ + slot);
   ctx_->metrics.Inc(id_evictions_);
   ctx_->metrics.Inc(id_inline_evictions_);
-  MKS_RETURN_IF_ERROR(CleanAndRelease(victim));
+  if (!pipeline_.batched_io) {
+    MKS_RETURN_IF_ERROR(CleanAndRelease(victim));
+  } else {
+    // Laundering: a dirty victim's write is forced, so the seek is paid
+    // anyway.  Up to io_batch_size - 1 other cleanable pages of its pack
+    // ride the same record-sorted round (30000 + 3000 per extra page,
+    // against 30000 for each one evicted dirty later) and stay resident,
+    // clean.  The round drains before the fault returns: no staged write
+    // may outlive the call, or a later read of its record would miss it.
+    const PackId pack = info(victim).pack;
+    DiskPack* dp = ctx_->volumes.pack(pack);
+    const size_t queued = dp->queued_io();
+    MKS_RETURN_IF_ERROR(CleanAndRelease(victim, /*queue_writeback=*/true));
+    if (dp->queued_io() > queued) {
+      CollectCleanable(pipeline_.io_batch_size - 1, pack, &picks_);
+      for (const FrameIndex frame : picks_) {
+        CleanInPlace(frame, /*queue=*/true);
+        ctx_->metrics.Inc(id_laundered_pages_);
+      }
+      DrainPackQueue(pack);
+    }
+  }
   FrameIndex frame = free_list_.back();
   free_list_.pop_back();
   info(frame).state = FrameState::kInUse;
@@ -366,20 +389,24 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
     // anticipatory sweep completes before the fault returns, leaving no
     // locked window behind.
     Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-    while (dp->queued_io() > 0) {
-      DispatchPackQueue(pack);
-    }
+    DrainPackQueue(pack);
   }
 }
 
 size_t PageFrameManager::DispatchPackQueue(PackId pack) {
   const size_t batch = pipeline_.batched_io ? pipeline_.io_batch_size : 1;
-  std::vector<uint64_t> completed;
-  const size_t dispatched = ctx_->volumes.pack(pack)->DispatchBatch(batch, &completed);
-  for (uint64_t cookie : completed) {
+  completed_reads_.clear();
+  const size_t dispatched = ctx_->volumes.pack(pack)->DispatchBatch(batch, &completed_reads_);
+  for (uint64_t cookie : completed_reads_) {
     CompletePostedRead(FrameIndex(static_cast<uint32_t>(cookie)));
   }
   return dispatched;
+}
+
+void PageFrameManager::DrainPackQueue(PackId pack) {
+  while (ctx_->volumes.pack(pack)->queued_io() > 0) {
+    DispatchPackQueue(pack);
+  }
 }
 
 void PageFrameManager::CompletePostedRead(FrameIndex frame) {
@@ -477,12 +504,9 @@ bool PageFrameManager::ReplenishFreePool() {
     any = true;
   }
   if (pipeline_.batched_io && any) {
-    // Flush the staged writebacks in record-sorted rounds — the amortization
-    // inline eviction can never have.
+    // Flush the staged writebacks in record-sorted rounds.
     for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
-      while (ctx_->volumes.pack(PackId(p))->queued_io() > 0) {
-        DispatchPackQueue(PackId(p));
-      }
+      DrainPackQueue(PackId(p));
     }
   }
   return any;
@@ -575,8 +599,7 @@ void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const 
     }
     if (fi.state == FrameState::kInUse) {
       const Ptw& ptw = fi.pt->ptws[fi.page];
-      if (ptw.modified && !ptw.used && !ptw.locked &&
-          (writer_candidates_[slot / 64] & (uint64_t{1} << (slot % 64))) == 0) {
+      if (ptw.modified && !ptw.used && !ptw.locked && !IsWriterCandidate(FrameIndex(frame))) {
         findings->push_back("frame " + std::to_string(frame) +
                             " is cleanable but missing from the page writer's candidates");
       }
@@ -597,6 +620,66 @@ void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const 
   }
 }
 
+void PageFrameManager::CollectCleanable(size_t max_frames, std::optional<PackId> pack,
+                                        std::vector<FrameIndex>* out) {
+  out->clear();
+  // Ascending slot order through the candidate bitmap instead of a walk over
+  // every frame.
+  for (size_t w = 0; w < writer_candidates_.size() && out->size() < max_frames; ++w) {
+    for (uint64_t bits = writer_candidates_[w]; bits != 0 && out->size() < max_frames;
+         bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const uint64_t bit = uint64_t{1} << b;
+      const uint32_t slot = static_cast<uint32_t>(w * 64 + b);
+      const FrameInfo& fi = frames_[slot];
+      if (fi.state != FrameState::kInUse || fi.pt == nullptr) {
+        writer_candidates_[w] &= ~bit;
+        continue;
+      }
+      const Ptw& ptw = fi.pt->ptws[fi.page];
+      if (!ptw.modified || ptw.used) {
+        writer_candidates_[w] &= ~bit;
+        continue;  // clean, or recently referenced: the clock re-marks it
+      }
+      if (ptw.locked || (pack.has_value() && fi.pack != *pack)) {
+        continue;  // busy, or homed on another pack
+      }
+      const VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
+      if (entry == nullptr || !entry->map_entry(fi.page).allocated) {
+        continue;  // zero page without a record; leave for eviction-time logic
+      }
+      // Zero detection rides the write transfer for free (staging the data
+      // reads every word anyway).  An all-zero page is NOT cleaned: it stays
+      // modified so the eviction path makes the reclaim-vs-retain accounting
+      // decision — cleaning it would silently keep a record and a quota
+      // charge the missing-page semantics say must be given back.
+      const FrameIndex frame(first_frame_ + slot);
+      const std::span<const Word> span = ctx_->memory.FrameSpan(frame);
+      if (std::all_of(span.begin(), span.end(), [](Word word) { return word == 0; })) {
+        continue;
+      }
+      out->push_back(frame);
+    }
+  }
+}
+
+void PageFrameManager::CleanInPlace(FrameIndex frame, bool queue) {
+  const FrameInfo& fi = info(frame);
+  Ptw& ptw = fi.pt->ptws[fi.page];
+  DiskPack* dp = ctx_->volumes.pack(fi.pack);
+  const RecordIndex record = dp->GetVtoc(fi.vtoc)->map_entry(fi.page).record;
+  const std::span<const Word> span = ctx_->memory.FrameSpan(frame);
+  if (queue) {
+    dp->QueueWrite(record, span, 0);
+    ctx_->metrics.Inc(id_queued_writebacks_);
+  } else {
+    dp->WriteRecord(record, span);
+  }
+  ptw.modified = false;
+  const uint32_t slot = frame.value - first_frame_;
+  writer_candidates_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+}
+
 bool PageFrameManager::PageWriterStep(size_t max_writes) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
@@ -604,75 +687,17 @@ bool PageFrameManager::PageWriterStep(size_t max_writes) {
   if (pipeline_.precleaning) {
     replenished = ReplenishFreePool();
   }
-  size_t written = 0;
-  bool queued = false;
-  // First `max_writes` cleanable frames in ascending slot order, found
-  // through the candidate bitmap instead of a walk over every frame.
-  for (size_t w = 0; w < writer_candidates_.size() && written < max_writes; ++w) {
-    for (uint64_t bits = writer_candidates_[w]; bits != 0 && written < max_writes;
-         bits &= bits - 1) {
-      const int b = std::countr_zero(bits);
-      const uint64_t bit = uint64_t{1} << b;
-      const uint32_t slot = static_cast<uint32_t>(w * 64 + b);
-      FrameInfo& fi = frames_[slot];
-      if (fi.state != FrameState::kInUse || fi.pt == nullptr) {
-        writer_candidates_[w] &= ~bit;
-        continue;
-      }
-      Ptw& ptw = fi.pt->ptws[fi.page];
-      if (!ptw.modified || ptw.used) {
-        writer_candidates_[w] &= ~bit;
-        continue;  // clean, or recently referenced: the clock re-marks it
-      }
-      if (ptw.locked) {
-        continue;  // busy
-      }
-      VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
-      if (entry == nullptr) {
-        continue;
-      }
-      const FileMapEntry& fm = entry->map_entry(fi.page);
-      if (!fm.allocated) {
-        continue;  // zero page without a record; leave for eviction-time logic
-      }
-      const FrameIndex frame(first_frame_ + slot);
-      // Zero detection rides the write transfer for free (staging the data
-      // reads every word anyway).  An all-zero page is NOT cleaned here: it
-      // stays modified so the eviction path makes the reclaim-vs-retain
-      // accounting decision — cleaning it would silently keep a record and a
-      // quota charge the missing-page semantics say must be given back.
-      const std::span<const Word> span = ctx_->memory.FrameSpan(frame);
-      bool all_zero = true;
-      for (const Word word : span) {
-        if (word != 0) {
-          all_zero = false;
-          break;
-        }
-      }
-      if (all_zero) {
-        continue;
-      }
-      if (pipeline_.batched_io) {
-        ctx_->volumes.pack(fi.pack)->QueueWrite(fm.record, span, 0);
-        ctx_->metrics.Inc(id_queued_writebacks_);
-        queued = true;
-      } else {
-        ctx_->volumes.pack(fi.pack)->WriteRecord(fm.record, span);
-      }
-      ptw.modified = false;
-      writer_candidates_[w] &= ~bit;
-      ctx_->metrics.Inc(id_daemon_writes_);
-      ++written;
-    }
+  CollectCleanable(max_writes, std::nullopt, &picks_);
+  for (const FrameIndex frame : picks_) {
+    CleanInPlace(frame, pipeline_.batched_io);
+    ctx_->metrics.Inc(id_daemon_writes_);
   }
-  if (queued) {
+  if (pipeline_.batched_io && !picks_.empty()) {
     for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
-      while (ctx_->volumes.pack(PackId(p))->queued_io() > 0) {
-        DispatchPackQueue(PackId(p));
-      }
+      DrainPackQueue(PackId(p));
     }
   }
-  return replenished || written > 0;
+  return replenished || !picks_.empty();
 }
 
 }  // namespace mks

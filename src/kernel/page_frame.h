@@ -54,7 +54,10 @@ struct WaitSpec {
 //  * batched_io — daemon writebacks and prefetch reads go through the
 //    per-pack request queues and dispatch in record-sorted rounds of up to
 //    io_batch_size, amortizing the seek: the first record of a round pays
-//    the full latency, coalesced neighbors only kDiskBatchedTransfer.
+//    the full latency, coalesced neighbors only kDiskBatchedTransfer.  An
+//    inline eviction whose victim is dirty launders up to io_batch_size - 1
+//    other cleanable pages of the victim's pack in the same round, paid by
+//    the faulting CPU before the fault returns.
 //  * readahead — a forward-sequential fault pattern per segment posts reads
 //    for the next readahead_depth pages through the async path; prefetched
 //    frames come only from the free pool above the low watermark, so
@@ -133,6 +136,20 @@ class PageFrameManager {
   // (idle time); returns true if work was done.
   bool PageWriterStep(size_t max_writes);
 
+  // The candidate walk the page writer and fault-path laundering share, so
+  // the cleanable test exists once.  Fills *out with the first `max_frames`
+  // cleanable frames in ascending frame order — in use, modified,
+  // unreferenced, unlocked, backed by a record and not all zero — restricted
+  // to frames homed on `pack` when one is given.
+  void CollectCleanable(size_t max_frames, std::optional<PackId> pack,
+                        std::vector<FrameIndex>* out);
+  // Whether `frame` carries the candidate walk's bit (a superset of the
+  // cleanable frames; see writer_candidates_).
+  bool IsWriterCandidate(FrameIndex frame) const {
+    const uint32_t slot = frame.value - first_frame_;
+    return (writer_candidates_[slot / 64] >> (slot % 64) & 1) != 0;
+  }
+
   // Integrity audit: checks frame-table / page-table cross-consistency and
   // frame accounting; appends one line per finding.  An empty result is what
   // the paper's code auditors are trying to establish.
@@ -169,7 +186,8 @@ class PageFrameManager {
     ProcessId initiator{};
   };
 
-  // Obtains a frame, evicting via the clock algorithm if necessary.
+  // Obtains a frame, evicting via the clock algorithm if necessary.  With
+  // batched_io a dirty victim's forced write carries the laundering round.
   Result<FrameIndex> AcquireFrame();
   // One full second-chance pass: returns the victim slot, or UINT32_MAX when
   // nothing is evictable.  Shared by the fault path and the pre-cleaner so
@@ -179,6 +197,9 @@ class PageFrameManager {
   // `queue_writeback` the write is staged on the pack's request queue (data
   // copied now, latency charged at dispatch) instead of paid inline.
   Status CleanAndRelease(FrameIndex frame, bool queue_writeback = false);
+  // Writes a frame picked by CollectCleanable back to its record, staged on
+  // the pack's request queue when `queue`; the page stays resident, clean.
+  void CleanInPlace(FrameIndex frame, bool queue);
   // Pre-cleaning: refills the free list to the high watermark.
   bool ReplenishFreePool();
   // Sequential-readahead policy, run after each serviced demand fault.
@@ -187,6 +208,8 @@ class PageFrameManager {
   // Dispatches one round of `pack`'s request queue and completes any posted
   // reads; returns the number of requests dispatched.
   size_t DispatchPackQueue(PackId pack);
+  // Dispatches rounds until `pack`'s request queue is empty.
+  void DrainPackQueue(PackId pack);
   void CompletePostedRead(FrameIndex frame);
   FrameInfo& info(FrameIndex frame) { return frames_[frame.value - first_frame_]; }
   // Records that the frame at `slot` may have become cleanable.
@@ -219,6 +242,7 @@ class PageFrameManager {
   MetricId id_prefetch_issued_;
   MetricId id_prefetch_hits_;
   MetricId id_prefetch_waste_;
+  MetricId id_laundered_pages_;
 
   TraceEventId ev_fault_service_;
   TraceEventId ev_fault_posted_;
@@ -232,8 +256,8 @@ class PageFrameManager {
   // One bit per frame slot: a superset of the frames the page writer can
   // clean (in use, modified, unreferenced, unlocked).  A frame is marked
   // where it can become cleanable (the clock's second chance clearing `used`
-  // on a modified page, and the zero-page refault); the writer drops the bit
-  // when it finds the frame free, clean or referenced.  The hardware sets
+  // on a modified page, and the zero-page refault); the candidate walk drops
+  // the bit when it finds the frame free, clean or referenced.  The hardware sets
   // `used` with `modified`, so no other transition makes a frame cleanable.
   std::vector<uint64_t> writer_candidates_;
   uint32_t clock_hand_ = 0;
@@ -242,6 +266,11 @@ class PageFrameManager {
   PagingPipeline pipeline_;
   uint64_t pending_reads_ = 0;
   std::deque<Completion> completions_;
+  // Scratch reused across calls so the write paths stay allocation-free:
+  // the frames a candidate walk picked, and a dispatch round's completed
+  // read cookies.
+  std::vector<FrameIndex> picks_;
+  std::vector<uint64_t> completed_reads_;
 };
 
 }  // namespace mks

@@ -179,17 +179,13 @@ Status UserProcessManager::SetProgram(ProcessId pid, std::vector<UserOp> program
   return Status::Ok();
 }
 
-Status UserProcessManager::SetAffinity(ProcessId pid, uint32_t cpu_mask) {
+Status UserProcessManager::SetAffinity(ProcessId pid, uint64_t cpu_mask) {
   auto it = procs_.find(pid);
   if (it == procs_.end()) {
     return Status(Code::kNotFound, "no such process");
   }
-  if (cpu_mask != 0) {
-    const uint16_t n = ctx_->smp.count();
-    const uint32_t pool = n >= 32 ? ~0u : ((1u << n) - 1);
-    if ((cpu_mask & pool) == 0) {
-      return Status(Code::kInvalidArgument, "affinity mask excludes every CPU");
-    }
+  if (cpu_mask != 0 && (cpu_mask & ctx_->smp.PoolMask()) == 0) {
+    return Status(Code::kInvalidArgument, "affinity mask excludes every CPU");
   }
   it->second.affinity = cpu_mask;
   if (it->second.queued && rq_ != nullptr) {
@@ -201,18 +197,13 @@ Status UserProcessManager::SetAffinity(ProcessId pid, uint32_t cpu_mask) {
   return Status::Ok();
 }
 
-uint32_t UserProcessManager::affinity(ProcessId pid) const {
+uint64_t UserProcessManager::affinity(ProcessId pid) const {
   auto it = procs_.find(pid);
   return it == procs_.end() ? 0 : it->second.affinity;
 }
 
-uint32_t UserProcessManager::EffectiveMask(const Process& proc) const {
-  if (proc.affinity == 0) {
-    return 0;
-  }
-  const uint16_t n = ctx_->smp.count();
-  const uint32_t pool = n >= 32 ? ~0u : ((1u << n) - 1);
-  return proc.affinity & pool;
+uint64_t UserProcessManager::EffectiveMask(const Process& proc) const {
+  return proc.affinity & ctx_->smp.PoolMask();
 }
 
 std::vector<ProcessId> UserProcessManager::LivePids() const {
@@ -462,7 +453,7 @@ bool UserProcessManager::DispatchGlobal() {
     // is furthest behind, and everything it charges — the vp acquisition,
     // the switch, the state swap-in, the ops, their fault services — accrues
     // to that CPU.
-    const uint32_t mask = EffectiveMask(proc);
+    const uint64_t mask = EffectiveMask(proc);
     const uint16_t cpu = mask == 0 ? ctx_->smp.NextCpu() : ctx_->smp.NextCpuIn(mask);
     ctx_->current_cpu = cpu;
     ctx_->trace.SetCpu(cpu);

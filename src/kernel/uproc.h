@@ -105,8 +105,8 @@ class UserProcessManager {
   // Restricts `pid` to the CPUs whose bits are set (bit k = CPU k); 0 — the
   // default — allows any CPU.  The mask must intersect the pool.  Takes
   // effect at the process's next (re-)enqueue and dispatch.
-  Status SetAffinity(ProcessId pid, uint32_t cpu_mask);
-  uint32_t affinity(ProcessId pid) const;
+  Status SetAffinity(ProcessId pid, uint64_t cpu_mask);
+  uint64_t affinity(ProcessId pid) const;
   ProcContext* Context(ProcessId pid);
   // Every live process, in ascending pid order.
   std::vector<ProcessId> LivePids() const;
@@ -144,7 +144,7 @@ class UserProcessManager {
     bool bound = false;
     Segno state_segno{};
     ProcessStats stats;
-    uint32_t affinity = 0;      // allowed-CPU mask; 0 = any
+    uint64_t affinity = 0;      // allowed-CPU mask; 0 = any
     uint16_t last_cpu = kNoCpu; // CPU of the most recent dispatch
     bool queued = false;        // present in the sharded run queues
   };
@@ -177,7 +177,7 @@ class UserProcessManager {
   // paying spin and a transfer when another CPU touched it last.
   void TouchReadyList(uint16_t cpu, Cycles lnow);
   // proc.affinity clipped to the pool (0 = any CPU).
-  uint32_t EffectiveMask(const Process& proc) const;
+  uint64_t EffectiveMask(const Process& proc) const;
   // Cross-CPU scheduling charges only exist with a configured connect cost
   // and more than one CPU to cross between.
   bool sched_costs_on() const {

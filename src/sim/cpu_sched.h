@@ -74,13 +74,13 @@ class CpuInterleave {
   // Least-behind CPU among those whose bit is set in `mask` (affinity
   // dispatch).  The mask must intersect the pool; bit k = CPU k.  Iterates
   // only the set bits, ascending, so ties resolve to the lowest index.
-  uint16_t NextCpuIn(uint32_t mask) const {
-    uint32_t candidates = mask & PoolMask();
+  uint16_t NextCpuIn(uint64_t mask) const {
+    uint64_t candidates = mask & PoolMask();
     if (candidates == 0) {
       std::fprintf(stderr,
-                   "CpuInterleave::NextCpuIn: affinity mask %#x selects no CPU "
+                   "CpuInterleave::NextCpuIn: affinity mask %#llx selects no CPU "
                    "in a pool of %u\n",
-                   mask, static_cast<unsigned>(count()));
+                   static_cast<unsigned long long>(mask), static_cast<unsigned>(count()));
       std::abort();
     }
     uint16_t best = static_cast<uint16_t>(std::countr_zero(candidates));
@@ -136,6 +136,11 @@ class CpuInterleave {
 
   Cycles local_now(uint16_t cpu) const { return cpus_[cpu].local + base_; }
 
+  // One bit per CPU in the pool (bit k = CPU k); pools hold up to 64 CPUs.
+  uint64_t PoolMask() const {
+    return count() >= 64 ? ~uint64_t{0} : (uint64_t{1} << count()) - 1;
+  }
+
   // Simulated-parallel completion time: the furthest-ahead local clock.
   Cycles Makespan() const { return max_local_ + base_; }
 
@@ -147,10 +152,6 @@ class CpuInterleave {
     MetricId id_busy_cycles = 0;
     MetricId id_quanta = 0;
   };
-
-  uint32_t PoolMask() const {
-    return count() >= 32 ? ~0u : (1u << count()) - 1u;
-  }
 
   // Winner of two leaves: the smaller local clock, the left (lower) index on
   // ties.  `a` is always the left child, so `<=` encodes the tie-break.
@@ -275,7 +276,7 @@ class RunQueueSet {
     bool ok = false;
     bool stolen = false;
     uint32_t id = 0;
-    uint32_t mask = 0;
+    uint64_t mask = 0;
     uint16_t victim = kNoCpu;
   };
 
@@ -303,14 +304,14 @@ class RunQueueSet {
   }
 
   // True when CPU `cpu` may run an item with `mask` (0 = any CPU).
-  bool Allowed(uint32_t mask, uint16_t cpu) const {
-    return mask == 0 || ((mask >> cpu) & 1u) != 0;
+  bool Allowed(uint64_t mask, uint16_t cpu) const {
+    return mask == 0 || ((mask >> cpu) & 1) != 0;
   }
 
   // Places `id` on the shortest allowed queue (ties: `hint_cpu` if allowed
   // and tied, else lowest index).  `from_cpu` is the enqueuing CPU — a push
   // onto a queue last touched by another CPU pays one connect transfer.
-  void Enqueue(uint32_t id, uint32_t mask, uint16_t from_cpu, uint16_t hint_cpu, Cycles lnow) {
+  void Enqueue(uint32_t id, uint64_t mask, uint16_t from_cpu, uint16_t hint_cpu, Cycles lnow) {
     uint16_t home = kNoCpu;
     for (uint16_t k = 0; k < count(); ++k) {
       if (!Allowed(mask, k)) {
@@ -399,7 +400,7 @@ class RunQueueSet {
   // Returns an item to the front of `cpu`'s own queue (dispatch could not
   // complete — vp pool exhausted).  Pure bookkeeping: the undo path charges
   // nothing, mirroring how the legacy scheduler's exhaustion break is free.
-  void PushFront(uint32_t id, uint32_t mask, uint16_t cpu) {
+  void PushFront(uint32_t id, uint64_t mask, uint16_t cpu) {
     shards_[cpu].items.push_front(Item{id, mask});
   }
 
@@ -419,7 +420,7 @@ class RunQueueSet {
  private:
   struct Item {
     uint32_t id = 0;
-    uint32_t mask = 0;
+    uint64_t mask = 0;
   };
   struct Shard {
     std::deque<Item> items;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -153,15 +154,17 @@ TEST(PageFrame, SequentialSweepLargerThanMemoryMakesProgress) {
   EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
 }
 
-// The page writer's choice, recomputed by a full scan of every resident
+// The candidate walk's choice, recomputed by a full scan of every resident
 // page: the first `max_writes` frames, in ascending frame order, that are
-// modified, unreferenced, unlocked, backed by a record and not all zero.
-std::vector<uint32_t> ReferenceWriterPicks(Kernel& kernel, size_t max_writes) {
+// modified, unreferenced, unlocked, backed by a record and not all zero —
+// and homed on `pack`, when one is given.
+std::vector<uint32_t> ReferenceWriterPicks(Kernel& kernel, size_t max_writes,
+                                           std::optional<PackId> pack = std::nullopt) {
   std::vector<uint32_t> eligible;
   SegmentManager& segs = kernel.segments();
   for (uint32_t slot = 0; slot < segs.ast_slots(); ++slot) {
     const AstEntry* ast = segs.Get(slot);
-    if (ast == nullptr) {
+    if (ast == nullptr || (pack.has_value() && ast->pack != *pack)) {
       continue;
     }
     const VtocEntry* vtoc = kernel.ctx().volumes.pack(ast->pack)->GetVtoc(ast->vtoc);
@@ -248,6 +251,20 @@ void RunWriterChurn(const PagingPipeline& pipeline, uint64_t seed) {
       }
     } else {
       const size_t max_writes = 1 + rng.NextBelow(12);
+      // The shared walk, unfiltered and per pack (the laundering filter),
+      // against the full scan.
+      std::vector<FrameIndex> picks;
+      for (int p = -1; p < fx.kernel.config().pack_count; ++p) {
+        const std::optional<PackId> pack =
+            p < 0 ? std::nullopt : std::optional<PackId>(PackId(static_cast<uint16_t>(p)));
+        pfm.CollectCleanable(max_writes, pack, &picks);
+        std::vector<uint32_t> walked;
+        for (const FrameIndex frame : picks) {
+          walked.push_back(frame.value);
+        }
+        ASSERT_EQ(walked, ReferenceWriterPicks(fx.kernel, max_writes, pack))
+            << step << " pack " << p;
+      }
       const std::vector<uint32_t> expected = ReferenceWriterPicks(fx.kernel, max_writes);
       const std::vector<uint32_t> dirty_before = ModifiedFrames(fx.kernel);
       const uint64_t writes0 = fx.kernel.metrics().Get("pfm.daemon_writes");
@@ -280,6 +297,227 @@ TEST(PageFrame, WriterPicksMatchAFullScanUnderChurn) {
   readahead.batched_io = true;
   readahead.readahead = true;
   RunWriterChurn(readahead, 13);
+}
+
+// ---- Laundering on the fault path ----
+
+// Cleanable pages beside the victim on its pack: fewer than io_batch_size - 1,
+// so the decoys, not the batch size, decide what the round takes.
+constexpr uint32_t kLaundered = 5;
+
+// What one dirty inline eviction did, seen from outside the manager.
+struct EvictionOutcome {
+  Cycles fault_cycles = 0;  // the gate write whose fault evicts the victim
+  uint64_t disk_writes = 0;
+  uint64_t batch_rounds = 0;
+  uint64_t batched_records = 0;
+  uint64_t writebacks = 0;
+  uint64_t laundered = 0;
+  uint64_t daemon_writes = 0;
+};
+
+// Stages one inline eviction whose every participant is known, then runs it
+// under `pipeline`.  Segment A's first written page V is the clock's victim;
+// beside it on A's pack sit kLaundered cleanable pages and three decoys (a
+// referenced page, a locked page, an all-zero modified page), and segment B
+// holds one cleanable page on the other pack.  Every other resident page is
+// clean or all zero, and referenced, so neither the clock nor the candidate
+// walk can take it.  With `clean_victim` the page writer first cleans V and
+// every other cleanable page.
+// The set-up runs with the pipeline off, so only the measured fault differs
+// between pipelines.
+EvictionOutcome RunDirtyInlineEviction(const PagingPipeline& pipeline, bool clean_victim) {
+  EvictionOutcome out;
+  KernelFixture fx{PfmFixture::SmallConfig()};
+  EXPECT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  PageFrameManager& pfm = fx.kernel.page_frames();
+  SegmentManager& segs = fx.kernel.segments();
+  Metrics& m = fx.kernel.metrics();
+  auto ast_of = [&](Segno segno) {
+    return segs.Find(fx.kernel.known_segments().Lookup(fx.pid, segno)->home.uid);
+  };
+  auto write = [&](Segno segno, uint32_t page, Word value) {
+    EXPECT_TRUE(gates.Write(*fx.ctx, segno, page * kPageWords, value).ok()) << page;
+  };
+
+  // A, a filler C and, on the other pack, B: each written once so it is
+  // active before memory fills.
+  const Segno a = fx.MustCreate(">l>a");
+  const Segno c = fx.MustCreate(">l>c");
+  write(a, 0, 1);
+  write(c, 0, 1);
+  Segno b{};
+  for (int i = 0; i < 4; ++i) {
+    b = fx.MustCreate(">l>b" + std::to_string(i));
+    write(b, 0, 1);
+    if (ast_of(b)->pack != ast_of(a)->pack) {
+      break;
+    }
+  }
+  AstEntry* ast_a = ast_of(a);
+  AstEntry* ast_b = ast_of(b);
+  EXPECT_NE(ast_a->pack, ast_b->pack);
+
+  // The test pages, in clock order: V, the cleanable pages, the decoys on
+  // A's pack, and B's page 1 on the other pack.
+  const uint32_t v = 1;
+  const uint32_t referenced = v + kLaundered + 1;
+  const uint32_t locked = referenced + 1;
+  const uint32_t zero = locked + 1;
+  const uint32_t end = zero + 1;
+  auto is_test_page = [&](const AstEntry* ast, uint32_t p) {
+    return (ast == ast_a && p >= v && p < end) || (ast == ast_b && p == 1);
+  };
+  // Sets `used` on every other resident page, as a reference would.
+  auto reference_others = [&]() {
+    for (uint32_t slot = 0; slot < segs.ast_slots(); ++slot) {
+      AstEntry* ast = segs.Get(slot);
+      for (uint32_t p = 0; ast != nullptr && p < ast->page_table.ptws.size(); ++p) {
+        if (ast->page_table.ptws[p].in_core && !is_test_page(ast, p)) {
+          ast->page_table.ptws[p].used = true;
+        }
+      }
+    }
+  };
+
+  // Fill memory, run the clock once round every page (a zero-filled page
+  // takes the freed frame), and clean everything: the resident set is now
+  // clean or all zero, and unreferenced.
+  uint32_t next_c = 1;
+  while (pfm.free_frames() > 0) {
+    write(c, next_c, 100 + next_c);
+    ++next_c;
+  }
+  reference_others();
+  write(c, next_c++, 0);
+  pfm.PageWriterStep(kMaxSegmentPages);
+
+  // The test pages take the next frames in clock order.
+  for (uint32_t p = v; p < end; ++p) {
+    write(a, p, p == zero ? 0 : 1000 + p);
+  }
+  write(b, 1, 2001);
+  // A second lap: every test page loses its reference and becomes a writer
+  // candidate; the lap's victim is a clean filler page.
+  reference_others();
+  write(c, next_c++, 0);
+  EXPECT_TRUE(gates.Read(*fx.ctx, a, referenced * kPageWords).ok());
+  reference_others();
+  ast_a->page_table.ptws[locked].locked = true;  // a fault is in service on it
+  if (clean_victim) {
+    pfm.PageWriterStep(kMaxSegmentPages);
+  }
+  for (uint32_t p = v; p < end; ++p) {
+    const Ptw& ptw = ast_a->page_table.ptws[p];
+    EXPECT_TRUE(ptw.in_core) << p;
+    EXPECT_EQ(ptw.modified, !clean_victim || p >= referenced) << p;
+    EXPECT_EQ(ptw.used, p == referenced) << p;
+  }
+  // Nothing outside the test pages is cleanable, on either pack.
+  std::vector<uint32_t> test_frames = {ast_b->page_table.ptws[1].frame};
+  for (uint32_t p = v; p < end; ++p) {
+    test_frames.push_back(ast_a->page_table.ptws[p].frame);
+  }
+  std::vector<FrameIndex> picks;
+  pfm.CollectCleanable(kMaxSegmentPages, std::nullopt, &picks);
+  for (const FrameIndex frame : picks) {
+    EXPECT_NE(std::find(test_frames.begin(), test_frames.end(), frame.value), test_frames.end())
+        << "frame " << frame.value;
+  }
+  const uint32_t b_frame = ast_b->page_table.ptws[1].frame;
+
+  // The measured fault: growth of A needs a frame, and the pool is dry.
+  pfm.set_pipeline(pipeline);
+  const uint64_t writes0 = m.Get("disk.writes");
+  const uint64_t rounds0 = m.Get("disk.batch_dispatches");
+  const uint64_t batched0 = m.Get("disk.batched_records");
+  const uint64_t writebacks0 = m.Get("pfm.writebacks");
+  const uint64_t laundered0 = m.Get("pfm.laundered_pages");
+  const uint64_t daemon0 = m.Get("pfm.daemon_writes");
+  const Cycles before = fx.kernel.clock().now();
+  write(a, end, 3000);
+  out.fault_cycles = fx.kernel.clock().now() - before;
+  out.disk_writes = m.Get("disk.writes") - writes0;
+  out.batch_rounds = m.Get("disk.batch_dispatches") - rounds0;
+  out.batched_records = m.Get("disk.batched_records") - batched0;
+  out.writebacks = m.Get("pfm.writebacks") - writebacks0;
+  out.laundered = m.Get("pfm.laundered_pages") - laundered0;
+  out.daemon_writes = m.Get("pfm.daemon_writes") - daemon0;
+
+  EXPECT_FALSE(ast_a->page_table.ptws[v].in_core) << "V was not the victim";
+  const bool laundering = pipeline.batched_io && !clean_victim;
+  for (uint32_t p = v + 1; p < referenced; ++p) {
+    // The cleanable pages: laundered (resident, clean, off the bitmap), or
+    // untouched when the eviction wrote only its victim.
+    const Ptw& ptw = ast_a->page_table.ptws[p];
+    EXPECT_TRUE(ptw.in_core) << p;
+    EXPECT_EQ(ptw.modified, !laundering && !clean_victim) << p;
+    EXPECT_EQ(pfm.IsWriterCandidate(FrameIndex(ptw.frame)), !laundering && !clean_victim)
+        << p;
+  }
+  // The decoys are untouched.
+  EXPECT_TRUE(ast_a->page_table.ptws[referenced].modified);
+  EXPECT_TRUE(ast_a->page_table.ptws[referenced].used);
+  EXPECT_TRUE(ast_a->page_table.ptws[locked].modified);
+  EXPECT_TRUE(ast_a->page_table.ptws[locked].locked);
+  EXPECT_TRUE(ast_a->page_table.ptws[zero].modified);
+  EXPECT_TRUE(ast_a->page_table.ptws[zero].in_core);
+  EXPECT_EQ(ast_b->page_table.ptws[1].modified, !clean_victim);
+  EXPECT_EQ(pfm.IsWriterCandidate(FrameIndex(b_frame)), !clean_victim);
+  ast_a->page_table.ptws[locked].locked = false;
+
+  // Every page reads back its data after a refault.
+  for (uint32_t p = v; p <= end; ++p) {
+    EXPECT_TRUE(pfm.EvictPage(&ast_a->page_table, p, ast_a->pack, ast_a->vtoc,
+                              ast_a->quota_cell, ast_a->page_ec)
+                    .ok());
+  }
+  EXPECT_TRUE(pfm.EvictPage(&ast_b->page_table, 1, ast_b->pack, ast_b->vtoc,
+                            ast_b->quota_cell, ast_b->page_ec)
+                  .ok());
+  for (uint32_t p = v; p <= end; ++p) {
+    auto value = gates.Read(*fx.ctx, a, p * kPageWords);
+    EXPECT_TRUE(value.ok()) << p;
+    EXPECT_EQ(value.ok() ? *value : 0, p == zero ? 0 : p == end ? 3000 : 1000 + p) << p;
+  }
+  auto value = gates.Read(*fx.ctx, b, kPageWords);
+  EXPECT_TRUE(value.ok());
+  EXPECT_EQ(value.ok() ? *value : 0, 2001u);
+  const std::vector<std::string> findings = fx.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+  return out;
+}
+
+TEST(PageFrame, DirtyInlineEvictionLaundersItsPackInOneRound) {
+  PagingPipeline batched;
+  batched.batched_io = true;
+  ASSERT_GT(batched.io_batch_size, kLaundered + 1);
+  const EvictionOutcome clean = RunDirtyInlineEviction(PagingPipeline{}, /*clean_victim=*/true);
+  const EvictionOutcome off = RunDirtyInlineEviction(PagingPipeline{}, false);
+  const EvictionOutcome on = RunDirtyInlineEviction(batched, false);
+  // Pipeline off: the victim's single synchronous write (and its zero scan),
+  // cycle for cycle, and nothing else written.
+  EXPECT_EQ(off.fault_cycles - clean.fault_cycles,
+            Costs::kPageScanPerWord * kPageWords + Costs::kDiskWriteLatency);
+  EXPECT_EQ(off.disk_writes, 1u);
+  EXPECT_EQ(off.batch_rounds, 0u);
+  EXPECT_EQ(off.writebacks, 1u);
+  EXPECT_EQ(off.laundered, 0u);
+  // batched_io: the victim and its k pack-mates go in one record-sorted
+  // round, 30000 + 3000k where the victim alone paid 30000.
+  EXPECT_EQ(on.fault_cycles - off.fault_cycles, kLaundered * Costs::kDiskBatchedTransfer);
+  EXPECT_EQ(on.disk_writes, 1u + kLaundered);
+  EXPECT_EQ(on.batch_rounds, 1u);
+  EXPECT_EQ(on.batched_records, kLaundered);
+  EXPECT_EQ(on.writebacks, 1u);
+  EXPECT_EQ(on.laundered, kLaundered);
+  EXPECT_EQ(on.daemon_writes, 0u);
+  // A clean victim forces no write, so nothing is laundered.
+  const EvictionOutcome clean_on = RunDirtyInlineEviction(batched, /*clean_victim=*/true);
+  EXPECT_EQ(clean_on.fault_cycles, clean.fault_cycles);
+  EXPECT_EQ(clean_on.disk_writes, 0u);
+  EXPECT_EQ(clean_on.laundered, 0u);
 }
 
 // ---- Anticipatory paging pipeline ----

@@ -1,8 +1,10 @@
 // Tests for the sharded per-CPU run queues (PR 5): determinism with work
 // stealing on, fixed steal-victim ordering, affinity masks under dispatch
-// pressure, and knobs-off equivalence with the legacy global ready list.
+// pressure (on pools of up to 64 CPUs), and knobs-off equivalence with the
+// legacy global ready list.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -204,6 +206,30 @@ TEST(RunQueueSetUnit, StealSkipsAffinityIncompatibleItems) {
   EXPECT_EQ(own.id, 11u);
 }
 
+TEST(RunQueueSetUnit, MasksNameEverySixtyFourCpuPoolMember) {
+  RqRig rig(40, /*steal=*/true);
+  // One item only CPU 0 may run, one only CPU 35 may run.  A 32-bit shift
+  // of the mask by CPU index would let CPU 32 (32 mod 32 = 0) run the first
+  // and truncate the second's mask to "any CPU".
+  rig.rq.Enqueue(10, /*mask=*/uint64_t{1}, /*from_cpu=*/0, RunQueueSet::kNoCpu, 0);
+  rig.rq.Enqueue(35, /*mask=*/uint64_t{1} << 35, /*from_cpu=*/0, RunQueueSet::kNoCpu, 0);
+  ASSERT_EQ(rig.rq.depth(0), 1u);
+  ASSERT_EQ(rig.rq.depth(35), 1u);
+  EXPECT_FALSE(rig.rq.Allowed(uint64_t{1}, 32));
+  EXPECT_TRUE(rig.rq.Allowed(uint64_t{1} << 35, 35));
+  // CPU 32's steal scan visits queue 35 before queue 0 and may take neither.
+  EXPECT_FALSE(rig.rq.Dequeue(32, 0).ok);
+  EXPECT_EQ(rig.rq.TotalQueued(), 2u);
+  const auto on35 = rig.rq.Dequeue(35, 0);
+  ASSERT_TRUE(on35.ok);
+  EXPECT_FALSE(on35.stolen);
+  EXPECT_EQ(on35.id, 35u);
+  EXPECT_EQ(on35.mask, uint64_t{1} << 35);
+  const auto on0 = rig.rq.Dequeue(0, 0);
+  ASSERT_TRUE(on0.ok);
+  EXPECT_EQ(on0.id, 10u);
+}
+
 TEST(RunQueueSetUnit, StealDisabledLeavesOtherQueuesAlone) {
   RqRig rig(2, /*steal=*/false);
   rig.rq.Enqueue(7, 0, /*from_cpu=*/1, /*hint_cpu=*/1, 0);
@@ -287,6 +313,61 @@ TEST(RunQueueAffinity, MasksAreRespectedUnderDispatchPressure) {
   for (uint16_t cpu = 0; cpu < 4; ++cpu) {
     EXPECT_GT(kernel.metrics().Get("smp.cpu" + std::to_string(cpu) + ".busy_cycles"), 0u);
   }
+}
+
+TEST(RunQueueAffinity, PinsAboveCpu31HoldOnAFortyCpuPool) {
+  constexpr uint16_t kCpus = 40;
+  KernelConfig config = RqConfig(kCpus, /*sharded=*/true, /*steal=*/true, /*connect_cost=*/200);
+  config.trace.enabled = true;
+  Kernel kernel{config};
+  ASSERT_TRUE(kernel.Boot().ok());
+  kernel.processes().set_quantum(2);
+  PathWalker walker(&kernel.gates());
+  // Process 0 is pinned to CPU 0, process 1 to CPU 35; the rest run
+  // anywhere, so idle CPUs keep scanning the pinned queues for steals.
+  const uint64_t pins[] = {uint64_t{1}, uint64_t{1} << 35, 0, 0, 0, 0};
+  std::map<uint32_t, uint64_t> pin_of;
+  for (uint32_t i = 0; i < std::size(pins); ++i) {
+    auto pid = kernel.processes().CreateProcess(TestSubject("F" + std::to_string(i)));
+    ASSERT_TRUE(pid.ok());
+    ProcContext* ctx = kernel.processes().Context(*pid);
+    auto entry = walker.CreateSegment(*ctx, ">work>f" + std::to_string(i), WorldAcl(),
+                                      Label::SystemLow());
+    ASSERT_TRUE(entry.ok());
+    auto segno = kernel.gates().Initiate(*ctx, *entry);
+    ASSERT_TRUE(segno.ok());
+    std::vector<UserOp> program;
+    for (uint32_t n = 0; n < 24; ++n) {
+      program.push_back(UserOp::Compute(30));
+      program.push_back(UserOp::Write(*segno, (n % 4) * kPageWords, n));
+    }
+    ASSERT_TRUE(kernel.processes().SetProgram(*pid, std::move(program)).ok());
+    ASSERT_TRUE(kernel.processes().SetAffinity(*pid, pins[i]).ok());
+    EXPECT_EQ(kernel.processes().affinity(*pid), pins[i]);
+    pin_of[pid->value] = pins[i];
+  }
+  ASSERT_TRUE(kernel.processes().RunUntilQuiescent(1000000).ok());
+  ASSERT_TRUE(kernel.processes().AllDone());
+  // Quantum spans per pinned process, by the CPU that ran them.
+  const Tracer& trace = kernel.ctx().trace;
+  std::map<uint64_t, std::map<uint16_t, uint64_t>> quanta_by_pin;
+  for (uint16_t cpu = 0; cpu < kCpus; ++cpu) {
+    for (const TraceRecord& rec : trace.Snapshot(cpu)) {
+      auto pin = pin_of.find(rec.proc);
+      if (trace.EventName(rec.event) == "uproc.quantum" && pin != pin_of.end() &&
+          pin->second != 0) {
+        ++quanta_by_pin[pin->second][rec.cpu];
+      }
+    }
+  }
+  const std::map<uint16_t, uint64_t>& cpu0 = quanta_by_pin[uint64_t{1}];
+  const std::map<uint16_t, uint64_t>& cpu35 = quanta_by_pin[uint64_t{1} << 35];
+  ASSERT_FALSE(cpu0.empty());
+  ASSERT_FALSE(cpu35.empty());
+  EXPECT_EQ(cpu0.begin()->first, 0u);
+  EXPECT_EQ(cpu0.size(), 1u) << "CPU-0 pin ran on cpu " << cpu0.rbegin()->first;
+  EXPECT_EQ(cpu35.begin()->first, 35u);
+  EXPECT_EQ(cpu35.size(), 1u) << "CPU-35 pin ran on cpu " << cpu35.begin()->first;
 }
 
 }  // namespace

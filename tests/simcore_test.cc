@@ -43,10 +43,10 @@ struct ReferenceInterleave {
     }
     return best;
   }
-  uint16_t NextCpuIn(uint32_t mask) const {
+  uint16_t NextCpuIn(uint64_t mask) const {
     uint16_t best = UINT16_MAX;
     for (uint16_t k = 0; k < locals.size(); ++k) {
-      if (((mask >> k) & 1u) == 0) {
+      if (((mask >> k) & 1) == 0) {
         continue;
       }
       if (best == UINT16_MAX || locals[k] < locals[best]) {
@@ -79,21 +79,21 @@ struct ReferenceInterleave {
 };
 
 void ExpectAgreement(const CpuInterleave& tree, const ReferenceInterleave& ref,
-                     uint32_t some_mask) {
+                     uint64_t some_mask) {
   ASSERT_EQ(tree.count(), ref.locals.size());
   EXPECT_EQ(tree.NextCpu(), ref.NextCpu());
   EXPECT_EQ(tree.Makespan(), ref.Makespan());
   for (uint16_t k = 0; k < tree.count(); ++k) {
     EXPECT_EQ(tree.local_now(k), ref.locals[k]) << "cpu " << k;
   }
-  const uint32_t pool = tree.count() >= 32 ? ~0u : (1u << tree.count()) - 1u;
+  const uint64_t pool = tree.count() >= 64 ? ~uint64_t{0} : (uint64_t{1} << tree.count()) - 1;
   if ((some_mask & pool) != 0) {
     EXPECT_EQ(tree.NextCpuIn(some_mask), ref.NextCpuIn(some_mask & pool));
   }
 }
 
 TEST(CpuInterleaveTree, MatchesReferenceScanUnderMixedOps) {
-  for (uint16_t cpus : {1, 2, 3, 4, 7, 8, 16}) {
+  for (uint16_t cpus : {1, 2, 3, 4, 7, 8, 16, 40, 64}) {
     Metrics metrics;
     CpuInterleave tree(cpus, &metrics);
     ReferenceInterleave ref(cpus);
@@ -113,7 +113,8 @@ TEST(CpuInterleaveTree, MatchesReferenceScanUnderMixedOps) {
         tree.AlignAll();
         ref.AlignAll();
       }
-      ExpectAgreement(tree, ref, rng());
+      // 64-bit masks, so CPUs 32-63 of the larger pools are named too.
+      ExpectAgreement(tree, ref, (uint64_t{rng()} << 32) | rng());
     }
   }
 }
