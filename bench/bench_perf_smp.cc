@@ -17,7 +17,7 @@
 // of total work grows with the pool, and makespan barely moves — the
 // lock-contention collapse the paper predicts.
 //
-// Usage: bench_perf_smp [--smoke] [--trace] [--ticket] [--profile]
+// Usage: bench_perf_smp [--smoke] [--trace] [--profile]
 //   --smoke: one tiny iteration, for CI under sanitizers
 //   --trace: enable the virtual-time tracer in both supervisors; each traced
 //            run emits an `smp_hist` JSON line with p50/p95/p99 of every
@@ -28,12 +28,6 @@
 //            run prints a top-domain breakdown table, emits an `smp_prof`
 //            JSON line, and the 4-CPU fault storm's domain trees are exported
 //            as bench_perf_smp.prof.folded (flamegraph.pl collapsed stacks)
-//   --ticket: additionally run the baseline with a ticket global lock
-//            (LockPolicy::kTicket at the default 48-cycle line transfer;
-//            extra base-tkt rows, the default rows are untouched).  Every
-//            handoff a waiter sits through re-fetches the now-serving line,
-//            so the collapse curve shifts up, not down — fairness does not
-//            buy back the serialization.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -61,9 +55,6 @@ struct SmpResult {
   uint64_t lock_acquisitions = 0;
   uint64_t lock_contended = 0;
   uint64_t lock_spin = 0;
-  uint64_t lock_handoffs = 0;
-  uint64_t lock_handoff_cycles = 0;
-  uint64_t lock_max_spin = 0;
   uint64_t locked_waits = 0;
   uint64_t trace_dropped = 0;  // ring records lost; reported when tracing
   bool ok = false;
@@ -105,14 +96,13 @@ std::vector<Op> BuildProgram(const Workload& w, MakeCompute compute, MakeRead re
   return program;
 }
 
-SmpResult RunBaseline(const Workload& w, uint16_t cpus, bool trace, bool ticket = false) {
+SmpResult RunBaseline(const Workload& w, uint16_t cpus, bool trace) {
   SmpResult out;
   BaselineConfig config;
   config.memory_frames = w.mix_ops == 0 ? 64 : 256;
   config.records_per_pack = 8192;
   config.cpu_count = cpus;
   config.trace.enabled = trace;
-  config.lock_policy = ticket ? LockPolicy::kTicket : LockPolicy::kTestAndSet;
   MonolithicSupervisor sup{config};
   if (!sup.Boot().ok()) {
     return out;
@@ -145,12 +135,9 @@ SmpResult RunBaseline(const Workload& w, uint16_t cpus, bool trace, bool ticket 
   out.lock_acquisitions = sup.global_lock_acquisitions();
   out.lock_contended = sup.global_lock_contended();
   out.lock_spin = sup.global_lock_spin_cycles();
-  out.lock_handoffs = sup.global_lock_handoffs();
-  out.lock_handoff_cycles = sup.global_lock_handoff_cycles();
-  out.lock_max_spin = sup.global_lock_max_spin();
   if (trace) {
     out.trace_dropped = TraceDroppedTotal(sup.trace());
-    EmitHistLine(sup.metrics(), w, ticket ? "base-tkt" : "baseline", cpus);
+    EmitHistLine(sup.metrics(), w, "baseline", cpus);
   }
   out.ok = true;
   return out;
@@ -241,15 +228,12 @@ int main(int argc, char** argv) {
   using namespace mks;
   bool smoke = false;
   bool trace = false;
-  bool ticket = false;
   bool profile = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace = true;
-    } else if (std::strcmp(argv[i], "--ticket") == 0) {
-      ticket = true;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       profile = true;
     }
@@ -268,7 +252,7 @@ int main(int argc, char** argv) {
   for (const Workload& w : workloads) {
     std::printf("%s:\n%6s %12s %12s %10s %14s %12s\n", w.name, "cpus", "makespan", "total",
                 "speedup", "lock spin", "spin share");
-    Cycles kernel_m1 = 0, baseline_m1 = 0, ticket_m1 = 0;
+    Cycles kernel_m1 = 0, baseline_m1 = 0;
     double baseline_prev_share = -1.0;
     for (uint16_t cpus : cpu_counts) {
       const SmpResult b = RunBaseline(w, cpus, trace);
@@ -321,40 +305,6 @@ int main(int argc, char** argv) {
         kline.Field("trace_dropped", k.trace_dropped);
       }
       EmitJson(kline);
-      if (ticket) {
-        const SmpResult t = RunBaseline(w, cpus, trace, /*ticket=*/true);
-        if (!t.ok) {
-          std::fprintf(stderr, "ticket run failed (%s, %u cpus)\n", w.name, cpus);
-          return 1;
-        }
-        if (cpus == 1) {
-          ticket_m1 = t.makespan;
-        }
-        const double t_speedup = static_cast<double>(ticket_m1) / t.makespan;
-        const double t_share = t.total == 0 ? 0 : static_cast<double>(t.lock_spin) / t.total;
-        std::printf("  base-tkt %3u %12llu %12llu %9.2fx %14llu %11.1f%%\n", cpus,
-                    (unsigned long long)t.makespan, (unsigned long long)t.total, t_speedup,
-                    (unsigned long long)t.lock_spin, t_share * 100);
-        JsonLine tline("smp");
-        tline.Field("workload", w.name)
-            .Field("supervisor", "baseline")
-            .Field("lock", "ticket")
-            .Field("cpus", uint64_t{cpus})
-            .Field("makespan", t.makespan)
-            .Field("total_cycles", t.total)
-            .Field("speedup_vs_1cpu", t_speedup)
-            .Field("lock_acquisitions", t.lock_acquisitions)
-            .Field("lock_contended", t.lock_contended)
-            .Field("lock_spin_cycles", t.lock_spin)
-            .Field("spin_share", t_share)
-            .Field("lock_handoffs", t.lock_handoffs)
-            .Field("lock_handoff_cycles", t.lock_handoff_cycles)
-            .Field("lock_max_spin", t.lock_max_spin);
-        if (trace) {
-          tline.Field("trace_dropped", t.trace_dropped);
-        }
-        EmitJson(tline);
-      }
       if (cpus == 4 && k.makespan >= kernel_m1) {
         kernel_scales = false;  // the acceptance shape: 4 CPUs beat 1
       }

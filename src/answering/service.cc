@@ -1,6 +1,5 @@
 #include "src/answering/service.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "src/common/hash.h"
@@ -29,18 +28,18 @@ AnsweringService::AnsweringService(Kernel* kernel, Authenticator* auth, ServiceD
       walker_(&kernel->gates()) {
   const uint16_t cpus = kernel->ctx().smp.count();
   const size_t shard_count = cfg_.table_mode == SessionTableMode::kSharded ? cpus : 1;
-  const LockPolicyConfig table_policy{cfg_.table_lock_policy, cfg_.table_line_transfer_cost,
-                                      cpus};
   for (size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
-    if (cfg_.table_lock_policy != LockPolicy::kTestAndSet) {
-      shard->lock.Configure(table_policy);
-    }
+    shard->lock.Configure({cfg_.table_lock_policy, cfg_.table_line_transfer_cost});
     shards_.push_back(std::move(shard));
   }
   skel_rmi_.Init(&kernel->ctx(), "answering.skel", ProfDomain::kSessionSetup,
                  ProfDomain::kSessionSetup);
-  skel_lock_.Configure(cfg_.cache_lock);
+  // Any CPU of the pool may run a login, so the cache lock's per-CPU read
+  // state spans the pool whatever the config says.
+  SharedLockConfig cache_lock = cfg_.cache_lock;
+  cache_lock.cpu_count = cpus;
+  skel_lock_.Configure(cache_lock);
 }
 
 void AnsweringService::ChargeDialogStep(int gate_calls) const {
@@ -73,22 +72,13 @@ void AnsweringService::ChargeTableWork() const {
 
 AnsweringService::LockWindow AnsweringService::LockTable(SimSpinLock& lock) {
   // Same accounting as every scheduler-lock site: acquire at the executing
-  // CPU's local virtual time; split the wait into the gap to the holder's
-  // release (lock-spin) and the grant's coherence traffic (lock-handoff).
+  // CPU's local virtual time and charge the wait through ChargeLockWait.
   LockWindow window;
   KernelContext& kctx = kernel_->ctx();
   window.lnow = kctx.LocalNow();
-  window.spin = lock.Acquire(window.lnow, kctx.current_cpu);
+  window.spin = lock.Acquire(window.lnow);
   if (window.spin > 0) {
-    const Cycles handoff = std::min(lock.last_acquire_handoff(), window.spin);
-    if (window.spin > handoff) {
-      Prof::Scope wait(&kctx.prof, ProfDomain::kLockSpin);
-      kctx.cost.Charge(CodeStyle::kOptimized, window.spin - handoff);
-    }
-    if (handoff > 0) {
-      Prof::Scope grant(&kctx.prof, ProfDomain::kLockHandoff);
-      kctx.cost.Charge(CodeStyle::kOptimized, handoff);
-    }
+    ChargeLockWait(&kctx.prof, &kctx.cost, window.spin, lock.last_acquire_handoff());
     kctx.metrics.Inc(id_table_spin_cycles_, window.spin);
   }
   window.locked = true;

@@ -52,14 +52,15 @@ struct AnsweringConfig {
   // kSharded keeps one table shard per CPU.
   SessionTableMode table_mode = SessionTableMode::kSerial;
   // Handoff-traffic policy for the table locks, same pricing scheme as the
-  // scheduler locks (contended handoffs in units of line transfers).
-  // kAnderson's spin array has one slot per CPU.
+  // scheduler locks: kTestAndSet charges only the gap; kMcs adds one
+  // table_line_transfer_cost line per contended grant.
   LockPolicy table_lock_policy = LockPolicy::kTestAndSet;
   Cycles table_line_transfer_cost = 0;
   // Remember home-directory skeletons across logins.
   bool skeleton_cache = false;
   // Read-mostly policy for the skeleton cache's lock; the default
-  // (ReadPolicy::kOff) leaves its sections inert.
+  // (ReadPolicy::kOff) leaves its sections inert.  Its cpu_count is ignored:
+  // the service sizes the lock to the kernel's CPU pool.
   SharedLockConfig cache_lock;
 };
 

@@ -54,9 +54,6 @@ MonolithicSupervisor::MonolithicSupervisor(const BaselineConfig& config)
       id_lock_spin_cycles_(metrics_.Intern("baseline.lock_spin_cycles")),
       id_lock_contended_(metrics_.Intern("baseline.lock_contended")) {
   trace_.Enable(config.cpu_count, config.trace);
-  if (config.lock_policy != LockPolicy::kTestAndSet) {
-    global_lock_.Configure({config.lock_policy, config.lock_transfer_cost, config.cpu_count});
-  }
   ev_lock_spin_ = trace_.InternEvent("lock.spin");
   ev_fault_service_ = trace_.InternEvent("fault.page_service");
   hist_lock_spin_ = metrics_.InternHistogram("lock.spin_cycles");
@@ -375,7 +372,7 @@ void MonolithicSupervisor::AcquireGlobalLock() {
   // yet, the CPU busy-waits the difference away — real cycles, charged.
   // Structurally zero with one CPU (local time is globally monotone).
   const Cycles spin_begin = trace_.Begin();
-  const Cycles spin = global_lock_.Acquire(LocalNow(), current_cpu_);
+  const Cycles spin = global_lock_.Acquire(LocalNow());
   if (spin > 0) {
     cost_.Charge(CodeStyle::kOptimized, spin);
     metrics_.Inc(id_lock_spin_cycles_, spin);

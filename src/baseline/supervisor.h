@@ -73,16 +73,6 @@ struct BaselineConfig {
   // Virtual-time tracer (default off; same byte-identical contract as the
   // kernel's KernelConfig::trace knob).
   TraceConfig trace;
-  // Handoff-traffic policy for the global lock (see src/sync/spinlock.h):
-  // kTestAndSet reproduces the historical free-for-all byte-for-byte;
-  // kTicket charges each waiter one line transfer per handoff it observed
-  // (the O(waiters) now-serving broadcast); kAnderson/kMcs charge exactly
-  // one transfer per contended handoff (per-waiter spin lines).  kAnderson's
-  // spin array has one slot per CPU.
-  LockPolicy lock_policy = LockPolicy::kTestAndSet;
-  // Cycles per cache-line transfer for the policy charges (the baseline has
-  // no interconnect model of its own, so the lock carries its own price).
-  Cycles lock_transfer_cost = 48;
 };
 
 // Baseline module names (the six boxes of Figure 2).
@@ -152,10 +142,6 @@ class MonolithicSupervisor {
   uint64_t global_lock_acquisitions() const { return lock_acquisitions_; }
   uint64_t global_lock_contended() const { return global_lock_.contended(); }
   Cycles global_lock_spin_cycles() const { return global_lock_.total_spin(); }
-  uint64_t global_lock_handoffs() const { return global_lock_.handoffs(); }
-  Cycles global_lock_handoff_cycles() const { return global_lock_.handoff_cycles(); }
-  Cycles global_lock_max_spin() const { return global_lock_.max_spin(); }
-  uint64_t global_lock_max_queue_depth() const { return global_lock_.max_queue_depth(); }
 
   // Simulated-parallel completion time across the pool (equals clock() time
   // elapsed since construction when cpu_count is 1).
@@ -255,7 +241,7 @@ class MonolithicSupervisor {
   // so a slot reused for a different segment must be invalidated.
   AssociativeMemory assoc_;
   CpuInterleave interleave_;
-  SimSpinLock global_lock_;
+  SimSpinLock global_lock_;  // test-and-set: the historical free-for-all
   uint16_t current_cpu_ = 0;
   Cycles cpu_epoch_ = 0;  // global-clock value when current_cpu_ last resumed
   double effective_conflict_rate_ = 0;

@@ -61,11 +61,9 @@ struct KernelConfig {
   // Handoff-traffic policy for the scheduler locks (global ready-list lock
   // and each sharded run-queue lock): how much interconnect traffic one
   // contended lock handoff generates, priced in connect_cost line transfers.
-  // kTestAndSet (default) charges nothing — byte-identical to the
-  // pre-policy lock; kTicket charges each waiter one transfer per handoff it
-  // sat through (the O(waiters) now-serving broadcast); kAnderson and kMcs
-  // charge exactly one transfer per handoff (per-waiter spin lines).
-  // kAnderson's spin array has one slot per CPU.
+  // kTestAndSet (default) charges only the gap to the holder's release;
+  // kMcs adds exactly one transfer per contended grant (per-waiter queue
+  // nodes).
   LockPolicy lock_policy = LockPolicy::kTestAndSet;
   // Read-mostly synchronization for the naming surface: the directory
   // hierarchy and the known segment tables each sit behind one SimSharedLock

@@ -22,7 +22,6 @@
 #ifndef MKS_KERNEL_SHARED_SECTION_H_
 #define MKS_KERNEL_SHARED_SECTION_H_
 
-#include <algorithm>
 #include <string>
 
 #include "src/kernel/context.h"
@@ -101,8 +100,8 @@ class SharedSection {
       spin_ = lock->AcquireRead(lnow_, cpu_);
       ctx->metrics.Inc(ins.id_read_sections);
       if (spin_ > 0) {
-        Prof::Scope wait(&ctx->prof, ProfDomain::kLockSpin);
-        ctx->cost.Charge(CodeStyle::kOptimized, spin_);
+        // A reader moves no line: its whole wait is the gap.
+        ChargeLockWait(&ctx->prof, &ctx->cost, spin_, 0);
         ctx->metrics.Inc(ins.id_read_spin_cycles, spin_);
       }
       ctx->trace.Instant(ins.ev_read_grant, cpu_, static_cast<uint32_t>(spin_));
@@ -111,20 +110,9 @@ class SharedSection {
       spin_ = grant.total;
       ctx->metrics.Inc(ins.id_write_sections);
       if (grant.total > 0) {
-        // Attribution splits the grant: the gap to the last reader/writer is
-        // lock-spin, the revocation/publish/grace traffic is lock-handoff.
-        // The two optimized charges sum to grant.total exactly.
-        const Cycles traffic =
-            std::min(grant.total, grant.revocation_cycles +
-                                      grant.publish_cycles + grant.grace_cycles);
-        if (grant.total > traffic) {
-          Prof::Scope wait(&ctx->prof, ProfDomain::kLockSpin);
-          ctx->cost.Charge(CodeStyle::kOptimized, grant.total - traffic);
-        }
-        if (traffic > 0) {
-          Prof::Scope drain(&ctx->prof, ProfDomain::kLockHandoff);
-          ctx->cost.Charge(CodeStyle::kOptimized, traffic);
-        }
+        // The revocation/publish/grace traffic is the writer's handoff.
+        ChargeLockWait(&ctx->prof, &ctx->cost, grant.total,
+                       grant.revocation_cycles + grant.publish_cycles + grant.grace_cycles);
         ctx->metrics.Inc(ins.id_write_spin_cycles, grant.total);
       }
       if (grant.revoked_cpus > 0) {

@@ -37,12 +37,10 @@ UserProcessManager::UserProcessManager(KernelContext* ctx, CoreSegmentManager* c
 
 void UserProcessManager::ConfigureDispatch(const DispatchConfig& config) {
   dcfg_ = config;
-  // One policy knob covers every scheduler lock: the handoff charge is one
-  // (Anderson/MCS) or one-per-waiter (ticket) line transfers at connect_cost.
-  const LockPolicyConfig lock_policy{dcfg_.lock_policy, dcfg_.connect_cost, ctx_->smp.count()};
-  if (dcfg_.lock_policy != LockPolicy::kTestAndSet) {
-    list_lock_.Configure(lock_policy);
-  }
+  // One policy knob covers every scheduler lock; MCS prices its one line per
+  // contended grant at connect_cost.
+  const LockPolicyConfig lock_policy{dcfg_.lock_policy, dcfg_.connect_cost};
+  list_lock_.Configure(lock_policy);
   if (dcfg_.sharded_runqueues) {
     rq_ = std::make_unique<RunQueueSet>(ctx_->smp.count(), dcfg_.steal, dcfg_.connect_cost,
                                         &ctx_->cost, &ctx_->metrics, &ctx_->trace,
@@ -310,26 +308,15 @@ void UserProcessManager::TouchReadyList(uint16_t cpu, Cycles lnow) {
   // the dispatch decision and queue manipulation (kDispatchHold), which is
   // what serializes dispatch-rate-bound workloads.
   constexpr Cycles kDispatchHold = 440;  // ~ (kVpSwitch + kProcessSwitch) structured
-  const Cycles spin = list_lock_.Acquire(lnow, cpu);
+  const Cycles spin = list_lock_.Acquire(lnow);
   Cycles held = spin;
   if (spin > 0) {
-    // Attribution splits the wait into the gap to the holder's release
-    // (lock-spin) and the grant's coherence traffic (lock-handoff); the two
-    // optimized charges advance the clock exactly as the single one did.
-    const Cycles handoff = std::min(list_lock_.last_acquire_handoff(), spin);
-    if (spin > handoff) {
-      Prof::Scope wait(&ctx_->prof, ProfDomain::kLockSpin);
-      ctx_->cost.Charge(CodeStyle::kOptimized, spin - handoff);
-    }
-    if (handoff > 0) {
-      Prof::Scope grant(&ctx_->prof, ProfDomain::kLockHandoff);
-      ctx_->cost.Charge(CodeStyle::kOptimized, handoff);
-    }
+    ChargeLockWait(&ctx_->prof, &ctx_->cost, spin, list_lock_.last_acquire_handoff());
     ctx_->metrics.Inc(id_list_lock_spin_cycles_, spin);
   }
   if (dcfg_.connect_cost > 0 && list_owner_ != cpu && list_owner_ != kNoCpu) {
-    Prof::Scope bounce(&ctx_->prof, ProfDomain::kLockHandoff);
-    ctx_->cost.Charge(CodeStyle::kOptimized, dcfg_.connect_cost);
+    // The line bounce is all traffic: lock-handoff.
+    ChargeLockWait(&ctx_->prof, &ctx_->cost, dcfg_.connect_cost, dcfg_.connect_cost);
     held += dcfg_.connect_cost;
     ctx_->metrics.Inc(id_list_transfers_);
     ctx_->metrics.Inc(id_list_transfer_cycles_, dcfg_.connect_cost);

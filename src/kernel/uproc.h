@@ -67,8 +67,9 @@ struct DispatchConfig {
   bool steal = false;
   Cycles connect_cost = 0;
   // Handoff-traffic policy for every scheduler lock (the global ready-list
-  // lock and, in sharded mode, each run-queue shard's lock); contended
-  // handoffs are priced in units of connect_cost line transfers.
+  // lock and, in sharded mode, each run-queue shard's lock): kTestAndSet
+  // charges only the gap; kMcs adds one connect_cost line transfer per
+  // contended grant.
   LockPolicy lock_policy = LockPolicy::kTestAndSet;
 };
 
@@ -120,7 +121,7 @@ class UserProcessManager {
   const RunQueueSet* run_queues() const { return rq_.get(); }
 
   // The modelled global ready-list lock (contended only in legacy dispatch
-  // mode with interconnect costs on), for lock-policy sweeps.
+  // mode with interconnect costs on), for tests of the lock policies.
   const SimSpinLock& list_lock() const { return list_lock_; }
 
   // Runs the two-level scheduler until every process is done/aborted or

@@ -26,7 +26,6 @@
 #ifndef MKS_SIM_CPU_SCHED_H_
 #define MKS_SIM_CPU_SCHED_H_
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -250,28 +249,6 @@ class RunQueueSet {
     }
   }
 
-  // Shard-lock counters summed across the set, for policy-sweep reporting.
-  struct LockTotals {
-    uint64_t acquisitions = 0;
-    uint64_t contended = 0;
-    Cycles spin_cycles = 0;
-    uint64_t handoffs = 0;
-    Cycles handoff_cycles = 0;
-    uint64_t max_queue_depth = 0;
-  };
-  LockTotals AggregateLockTotals() const {
-    LockTotals t;
-    for (const Shard& s : shards_) {
-      t.acquisitions += s.lock.acquisitions();
-      t.contended += s.lock.contended();
-      t.spin_cycles += s.lock.total_spin();
-      t.handoffs += s.lock.handoffs();
-      t.handoff_cycles += s.lock.handoff_cycles();
-      t.max_queue_depth = std::max(t.max_queue_depth, s.lock.max_queue_depth());
-    }
-    return t;
-  }
-
   struct Popped {
     bool ok = false;
     bool stolen = false;
@@ -438,29 +415,17 @@ class RunQueueSet {
   // must Release at `lnow + held`.
   Cycles TouchShard(Shard& s, uint16_t from_cpu, Cycles lnow) {
     const Cycles spin_begin = trace_->Begin();
-    const Cycles spin = s.lock.Acquire(lnow, from_cpu);
+    const Cycles spin = s.lock.Acquire(lnow);
     Cycles held = spin;
     if (spin > 0) {
-      // For attribution the wait splits into the gap to the holder's release
-      // (lock-spin) and the grant's coherence traffic (lock-handoff); the two
-      // optimized charges advance the clock exactly as the single one did.
-      const Cycles handoff = std::min(s.lock.last_acquire_handoff(), spin);
-      if (spin > handoff) {
-        Prof::Scope wait(prof_, ProfDomain::kLockSpin);
-        cost_->Charge(CodeStyle::kOptimized, spin - handoff);
-      }
-      if (handoff > 0) {
-        Prof::Scope grant(prof_, ProfDomain::kLockHandoff);
-        cost_->Charge(CodeStyle::kOptimized, handoff);
-      }
+      ChargeLockWait(prof_, cost_, spin, s.lock.last_acquire_handoff());
       metrics_->Inc(id_lock_spins_);
       metrics_->Inc(id_lock_spin_cycles_, spin);
       metrics_->Inc(s.id_lock_spin_cycles, spin);
       trace_->CloseSpan(spin_begin, ev_lock_spin_, from_cpu);
     }
     if (connect_cost_ > 0 && s.line_owner != from_cpu && s.line_owner != kNoCpu) {
-      Prof::Scope bounce(prof_, ProfDomain::kLockHandoff);
-      cost_->Charge(CodeStyle::kOptimized, connect_cost_);
+      ChargeLockWait(prof_, cost_, connect_cost_, connect_cost_);  // the bounce is all traffic
       held += connect_cost_;
       metrics_->Inc(id_transfers_);
       metrics_->Inc(id_transfer_cycles_, connect_cost_);

@@ -44,6 +44,7 @@
 #ifndef MKS_SIM_PROF_H_
 #define MKS_SIM_PROF_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -345,6 +346,24 @@ class Prof {
   uint64_t stalled_rounds_ = 0;
   uint64_t last_round_stamp_ = ~uint64_t{0};
 };
+
+// Charges one lock wait of `total` cycles as optimized code.  The gap to the
+// holder's release goes to lock-spin and the grant's coherence traffic
+// (`traffic`, clamped to `total`) to lock-handoff, gap first, so the two
+// charges advance the clock by exactly `total`.  Every kernel lock site
+// charges its waits and line transfers here; this is the one place that rule
+// lives.
+inline void ChargeLockWait(Prof* prof, CostModel* cost, Cycles total, Cycles traffic) {
+  traffic = std::min(traffic, total);
+  if (total > traffic) {
+    Prof::Scope wait(prof, ProfDomain::kLockSpin);
+    cost->Charge(CodeStyle::kOptimized, total - traffic);
+  }
+  if (traffic > 0) {
+    Prof::Scope grant(prof, ProfDomain::kLockHandoff);
+    cost->Charge(CodeStyle::kOptimized, traffic);
+  }
+}
 
 }  // namespace mks
 

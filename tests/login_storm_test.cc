@@ -152,6 +152,54 @@ TEST(LoginStorm, DoubleRunBitIdenticalAt16Cpus) {
 }
 
 // ---------------------------------------------------------------------------
+// Skeleton cache: the cache lock's per-CPU read state spans the pool.
+// ---------------------------------------------------------------------------
+
+TEST(LoginStorm, SkeletonCacheLockSpansTheCpuPool) {
+  // The config leaves cache_lock.cpu_count at its default of 1, yet logins
+  // run on every CPU of a 4-CPU pool.  A cache hit on CPU 3 holds a read
+  // token there, and the next cache fill on CPU 0 must revoke it.
+  KernelConfig config;
+  config.cpu_count = 4;
+  Kernel kernel(config);
+  ASSERT_TRUE(kernel.Boot().ok());
+  KernelContext& kctx = kernel.ctx();
+  AnsweringConfig acfg;
+  acfg.skeleton_cache = true;
+  acfg.cache_lock.policy = ReadPolicy::kPassiveRw;
+  Authenticator auth(&kernel);
+  ASSERT_TRUE(auth.Init().ok());
+  AnsweringService service(&kernel, &auth, ServiceDomain::kUserDomain, acfg);
+  for (int u = 0; u < 2; ++u) {
+    ASSERT_TRUE(
+        auth.Enroll(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(2, 0)).ok());
+  }
+  auto login_on = [&](uint16_t cpu, int u) {
+    kctx.current_cpu = cpu;
+    kctx.AnchorWindow();
+    const Cycles t0 = kernel.clock().now();
+    auto pid = service.Login(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(0, 0));
+    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
+    return pid;
+  };
+
+  auto first = login_on(0, 0);  // a miss: fills the cache from CPU 0
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(service.Logout(*first).ok());
+  auto again = login_on(3, 0);  // a hit: one read section, on CPU 3
+  ASSERT_TRUE(again.ok()) << again.status();
+  auto other = login_on(0, 1);  // a miss: its fill revokes CPU 3's token
+  ASSERT_TRUE(other.ok()) << other.status();
+
+  EXPECT_EQ(kernel.metrics().Get("answering.skel_hits"), 1u);
+  EXPECT_EQ(service.skeleton_lock().revoked_cpus(), 1u);
+  ASSERT_TRUE(service.Logout(*again).ok());
+  ASSERT_TRUE(service.Logout(*other).ok());
+  EXPECT_TRUE(kernel.AuditIntegrity().empty());
+  EXPECT_TRUE(kernel.Shutdown().ok());
+}
+
+// ---------------------------------------------------------------------------
 // Slab-reuse correctness: a recycled slot carries nothing across sessions.
 // ---------------------------------------------------------------------------
 
