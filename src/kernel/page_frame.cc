@@ -31,6 +31,7 @@ PageFrameManager::PageFrameManager(KernelContext* ctx, CoreSegmentManager* core_
       id_prefetch_hits_(ctx->metrics.Intern("pfm.prefetch_hits")),
       id_prefetch_waste_(ctx->metrics.Intern("pfm.prefetch_waste")),
       id_laundered_pages_(ctx->metrics.Intern("pfm.laundered_pages")),
+      id_idle_rounds_(ctx->metrics.Intern("pfm.idle_rounds")),
       ev_fault_service_(ctx->trace.InternEvent("fault.page_service")),
       ev_fault_posted_(ctx->trace.InternEvent("fault.page_posted")),
       ev_io_complete_(ctx->trace.InternEvent("io.complete")),
@@ -125,12 +126,7 @@ Result<FrameIndex> PageFrameManager::AcquireFrame() {
     const size_t queued = dp->queued_io();
     MKS_RETURN_IF_ERROR(CleanAndRelease(victim, /*queue_writeback=*/true));
     if (dp->queued_io() > queued) {
-      CollectCleanable(pipeline_.io_batch_size - 1, pack, &picks_);
-      for (const FrameIndex frame : picks_) {
-        CleanInPlace(frame, /*queue=*/true);
-        ctx_->metrics.Inc(id_laundered_pages_);
-      }
-      DrainPackQueue(pack);
+      ctx_->metrics.Inc(id_laundered_pages_, LaunderPack(pack, pipeline_.io_batch_size - 1));
     }
   }
   FrameIndex frame = free_list_.back();
@@ -678,6 +674,35 @@ void PageFrameManager::CleanInPlace(FrameIndex frame, bool queue) {
   ptw.modified = false;
   const uint32_t slot = frame.value - first_frame_;
   writer_candidates_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+}
+
+size_t PageFrameManager::LaunderPack(PackId pack, size_t max_pages) {
+  CollectCleanable(max_pages, pack, &picks_);
+  for (const FrameIndex frame : picks_) {
+    CleanInPlace(frame, /*queue=*/true);
+  }
+  DrainPackQueue(pack);
+  return picks_.size();
+}
+
+std::optional<PackId> PageFrameManager::NextIdleRoundPack() {
+  const uint16_t packs = ctx_->volumes.pack_count();
+  for (uint16_t step = 0; step < packs; ++step) {
+    const PackId pack(static_cast<uint16_t>((idle_round_pack_ + step) % packs));
+    CollectCleanable(1, pack, &picks_);
+    if (!picks_.empty()) {
+      return pack;
+    }
+  }
+  return std::nullopt;
+}
+
+void PageFrameManager::IdleRound(PackId pack) {
+  CallTracker::Scope scope(&ctx_->tracker, self_);
+  Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
+  idle_round_pack_ = static_cast<uint16_t>((pack.value + 1) % ctx_->volumes.pack_count());
+  ctx_->metrics.Inc(id_daemon_writes_, LaunderPack(pack, pipeline_.io_batch_size));
+  ctx_->metrics.Inc(id_idle_rounds_);
 }
 
 bool PageFrameManager::PageWriterStep(size_t max_writes) {

@@ -54,10 +54,13 @@ struct WaitSpec {
 //  * batched_io — daemon writebacks and prefetch reads go through the
 //    per-pack request queues and dispatch in record-sorted rounds of up to
 //    io_batch_size, amortizing the seek: the first record of a round pays
-//    the full latency, coalesced neighbors only kDiskBatchedTransfer.  An
-//    inline eviction whose victim is dirty launders up to io_batch_size - 1
-//    other cleanable pages of the victim's pack in the same round, paid by
-//    the faulting CPU before the fault returns.
+//    the full latency, coalesced neighbors only kDiskBatchedTransfer.  After
+//    dispatch, each CPU that is idle before the pool's furthest clock writes
+//    rounds of one pack's cleanable pages (idle rounds).  Where no CPU has
+//    such slack (one CPU, or a balanced pool), an inline eviction whose
+//    victim is dirty launders up to io_batch_size - 1 other cleanable pages
+//    of the victim's pack in the same round, paid by the faulting CPU before
+//    the fault returns.
 //  * readahead — a forward-sequential fault pattern per segment posts reads
 //    for the next readahead_depth pages through the async path; prefetched
 //    frames come only from the free pool above the low watermark, so
@@ -132,15 +135,25 @@ class PageFrameManager {
   // The page-writer daemon body: cleans up to `max_writes` modified resident
   // pages so that replacement finds clean victims.  With precleaning on it
   // first replenishes the free pool to the high watermark by running the
-  // clock and releasing victims ahead of demand.  Runs at low priority
-  // (idle time); returns true if work was done.
+  // clock and releasing victims ahead of demand.  Bound as idle-time work:
+  // each scheduler pass runs it once, after dispatch, on the first CPU to go
+  // idle.  Returns true if work was done.
   bool PageWriterStep(size_t max_writes);
 
-  // The candidate walk the page writer and fault-path laundering share, so
-  // the cleanable test exists once.  Fills *out with the first `max_frames`
-  // cleanable frames in ascending frame order — in use, modified,
-  // unreferenced, unlocked, backed by a record and not all zero — restricted
-  // to frames homed on `pack` when one is given.
+  // Idle rounds (batched_io): the pack the next round should write — the
+  // first, in rotation after the last round's pack, holding a cleanable
+  // page — or nullopt when no page is cleanable.  Charges nothing, so the
+  // scheduler asks before it opens a window.
+  std::optional<PackId> NextIdleRoundPack();
+  // One idle round: launders up to io_batch_size cleanable pages of `pack`
+  // in one record-sorted round, counted in pfm.daemon_writes.
+  void IdleRound(PackId pack);
+
+  // The candidate walk the page writer and laundering (fault path and idle
+  // rounds) share, so the cleanable test exists once.  Fills *out with the
+  // first `max_frames` cleanable frames in ascending frame order — in use,
+  // modified, unreferenced, unlocked, backed by a record and not all zero —
+  // restricted to frames homed on `pack` when one is given.
   void CollectCleanable(size_t max_frames, std::optional<PackId> pack,
                         std::vector<FrameIndex>* out);
   // Whether `frame` carries the candidate walk's bit (a superset of the
@@ -200,6 +213,11 @@ class PageFrameManager {
   // Writes a frame picked by CollectCleanable back to its record, staged on
   // the pack's request queue when `queue`; the page stays resident, clean.
   void CleanInPlace(FrameIndex frame, bool queue);
+  // Laundering, shared by the fault path and idle rounds: stages up to
+  // `max_pages` cleanable pages of `pack` on its request queue and drains
+  // the queue (with whatever it already held) in record-sorted rounds.
+  // Returns the number of pages laundered.
+  size_t LaunderPack(PackId pack, size_t max_pages);
   // Pre-cleaning: refills the free list to the high watermark.
   bool ReplenishFreePool();
   // Sequential-readahead policy, run after each serviced demand fault.
@@ -243,6 +261,7 @@ class PageFrameManager {
   MetricId id_prefetch_hits_;
   MetricId id_prefetch_waste_;
   MetricId id_laundered_pages_;
+  MetricId id_idle_rounds_;
 
   TraceEventId ev_fault_service_;
   TraceEventId ev_fault_posted_;
@@ -261,6 +280,7 @@ class PageFrameManager {
   // `used` with `modified`, so no other transition makes a frame cleanable.
   std::vector<uint64_t> writer_candidates_;
   uint32_t clock_hand_ = 0;
+  uint16_t idle_round_pack_ = 0;  // where NextIdleRoundPack starts looking
   bool async_ = false;
   bool retain_zero_records_ = false;
   PagingPipeline pipeline_;

@@ -442,9 +442,7 @@ bool UserProcessManager::DispatchGlobal() {
     // to that CPU.
     const uint64_t mask = EffectiveMask(proc);
     const uint16_t cpu = mask == 0 ? ctx_->smp.NextCpu() : ctx_->smp.NextCpuIn(mask);
-    ctx_->current_cpu = cpu;
-    ctx_->trace.SetCpu(cpu);
-    ctx_->AnchorWindow();
+    EnterCpu(cpu);
     Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
     const Cycles dispatch_start = ctx_->clock.now();
     if (sched_costs_on()) {
@@ -470,63 +468,115 @@ bool UserProcessManager::DispatchSharded() {
   bool did_work = false;
   const uint16_t n = ctx_->smp.count();
   while (rq_->AnyQueued()) {
-    // CPUs in least-behind order (ties: lowest index), recomputed after
-    // every quantum so the interleave matches the legacy dispatch discipline.
-    std::vector<uint16_t> order(n);
-    for (uint16_t k = 0; k < n; ++k) {
-      order[k] = k;
+    // CPUs try in least-behind order (ties: lowest index), recomputed after
+    // every quantum so the interleave matches the legacy dispatch
+    // discipline.  The first is the tournament tree's root; the rest are
+    // sorted only when it obtains no work, by the clocks as they stood
+    // before its attempt — its fruitless-steal accrual moved only its own.
+    const uint16_t first = ctx_->smp.NextCpu();
+    DispatchOutcome outcome = DispatchFromQueue(first);
+    if (outcome == DispatchOutcome::kNoWork) {
+      fallback_cpus_.clear();
+      for (uint16_t k = 0; k < n; ++k) {
+        if (k != first) {
+          fallback_cpus_.push_back(k);
+        }
+      }
+      std::sort(fallback_cpus_.begin(), fallback_cpus_.end(), [&](uint16_t a, uint16_t b) {
+        const Cycles la = ctx_->smp.local_now(a);
+        const Cycles lb = ctx_->smp.local_now(b);
+        return la != lb ? la < lb : a < b;
+      });
+      for (const uint16_t cpu : fallback_cpus_) {
+        outcome = DispatchFromQueue(cpu);
+        if (outcome != DispatchOutcome::kNoWork) {
+          break;
+        }
+      }
     }
-    std::sort(order.begin(), order.end(), [&](uint16_t a, uint16_t b) {
-      const Cycles la = ctx_->smp.local_now(a);
-      const Cycles lb = ctx_->smp.local_now(b);
-      return la != lb ? la < lb : a < b;
-    });
-    bool ran = false;
-    for (uint16_t cpu : order) {
-      ctx_->current_cpu = cpu;
-      ctx_->trace.SetCpu(cpu);
-      ctx_->AnchorWindow();
-      Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
-      const Cycles dispatch_start = ctx_->clock.now();
-      const RunQueueSet::Popped pop = rq_->Dequeue(cpu, ctx_->smp.local_now(cpu));
-      if (!pop.ok) {
-        AccrueOutside(cpu, dispatch_start);  // fruitless steal scans charge
-        continue;
-      }
-      auto it = procs_.find(ProcessId(pop.id));
-      if (it == procs_.end()) {
-        AccrueOutside(cpu, dispatch_start);
-        continue;  // destroyed while queued (Remove is the normal path)
-      }
-      Process& proc = it->second;
-      proc.queued = false;
-      if (proc.state != ProcState::kReady) {
-        AccrueOutside(cpu, dispatch_start);
-        continue;
-      }
-      if (RunQuantumOn(proc, cpu, dispatch_start, /*affine_vp=*/true) ==
-          DispatchOutcome::kNoVp) {
-        // Pool exhausted: put the item back where the thief found work and
-        // end the pass; the next pass retries with vps released.
-        proc.queued = true;
-        rq_->PushFront(pop.id, pop.mask, cpu);
-        AccrueOutside(cpu, dispatch_start);
-        return did_work;
-      }
-      did_work = true;
-      ran = true;
-      ++sched_progress_;
-      if (proc.state == ProcState::kReady) {
-        // Quantum expired: requeue with this CPU as the locality hint.
-        const Cycles t0 = ctx_->clock.now();
-        EnqueueReady(proc, cpu, ctx_->smp.local_now(cpu));
-        AccrueOutside(cpu, t0);
-      }
-      break;  // recompute the least-behind order
+    if (outcome != DispatchOutcome::kRan) {
+      // Pool exhausted (the next pass retries with vps released), or queued
+      // work exists that no CPU may run this pass.
+      break;
     }
-    if (!ran) {
-      break;  // queued work exists but no CPU may run it this pass
+    did_work = true;
+  }
+  return did_work;
+}
+
+UserProcessManager::DispatchOutcome UserProcessManager::DispatchFromQueue(uint16_t cpu) {
+  EnterCpu(cpu);
+  Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
+  const Cycles dispatch_start = ctx_->clock.now();
+  const RunQueueSet::Popped pop = rq_->Dequeue(cpu, ctx_->smp.local_now(cpu));
+  auto it = pop.ok ? procs_.find(ProcessId(pop.id)) : procs_.end();
+  if (it != procs_.end()) {
+    it->second.queued = false;
+  }
+  // Nothing to pop (fruitless steal scans charge), destroyed while queued
+  // (Remove is the normal path), or no longer ready.
+  if (it == procs_.end() || it->second.state != ProcState::kReady) {
+    AccrueOutside(cpu, dispatch_start);
+    return DispatchOutcome::kNoWork;
+  }
+  Process& proc = it->second;
+  if (RunQuantumOn(proc, cpu, dispatch_start, /*affine_vp=*/true) == DispatchOutcome::kNoVp) {
+    // Pool exhausted: put the item back where the thief found work.
+    proc.queued = true;
+    rq_->PushFront(pop.id, pop.mask, cpu);
+    AccrueOutside(cpu, dispatch_start);
+    return DispatchOutcome::kNoVp;
+  }
+  ++sched_progress_;
+  if (proc.state == ProcState::kReady) {
+    // Quantum expired: requeue with this CPU as the locality hint.
+    const Cycles t0 = ctx_->clock.now();
+    EnqueueReady(proc, cpu, ctx_->smp.local_now(cpu));
+    AccrueOutside(cpu, t0);
+  }
+  return DispatchOutcome::kRan;
+}
+
+void UserProcessManager::EnterCpu(uint16_t cpu) {
+  ctx_->current_cpu = cpu;
+  ctx_->trace.SetCpu(cpu);
+  ctx_->AnchorWindow();
+}
+
+bool UserProcessManager::RunIdleTimeWork() {
+  bool did_work = false;
+  if (vpm_->HasKernelTasks(KernelTaskClass::kIdleTime)) {
+    const uint16_t cpu = ctx_->smp.NextCpu();
+    EnterCpu(cpu);
+    Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
+    const Cycles start = ctx_->clock.now();
+    did_work = vpm_->RunKernelTasks(KernelTaskClass::kIdleTime);
+    AccrueOutside(cpu, start);
+  }
+  if (!pfm_->pipeline().batched_io) {
+    return did_work;
+  }
+  // Idle rounds: the least-behind CPU writes one record-sorted round of one
+  // pack's cleanable pages while it trails the furthest clock — time it
+  // would otherwise spend waiting at the next barrier.  A round may overrun
+  // that clock; none starts at it.  Where no CPU trails (one CPU, or a
+  // balanced pool), the fault path launders instead.  The candidate test
+  // comes first and charges nothing, so a pass with nothing to clean opens
+  // no window.
+  for (;;) {
+    const uint16_t cpu = ctx_->smp.NextCpu();
+    if (ctx_->smp.local_now(cpu) >= ctx_->smp.Makespan()) {
+      break;
     }
+    const std::optional<PackId> pack = pfm_->NextIdleRoundPack();
+    if (!pack.has_value()) {
+      break;
+    }
+    EnterCpu(cpu);
+    Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
+    const Cycles start = ctx_->clock.now();
+    pfm_->IdleRound(*pack);
+    AccrueOutside(cpu, start);
   }
   return did_work;
 }
@@ -535,15 +585,13 @@ bool UserProcessManager::SchedulerPass() {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   bool did_work = false;
 
-  // Level-1 activity first: device completions, daemons.  System tasks run
-  // on the bootload CPU, as on the real machine.
-  ctx_->current_cpu = 0;
-  ctx_->trace.SetCpu(0);
-  ctx_->AnchorWindow();
+  // Level-1 activity first: device completions, wakeups and the level-1
+  // daemons.  These run on the bootload CPU, as on the real machine.
+  EnterCpu(0);
   Prof::Window level1_window(&ctx_->prof, 0, ProfDomain::kDispatch);
   const Cycles level1_start = ctx_->clock.now();
   sched_progress_ += ctx_->events.RunDue(ctx_->clock.now());
-  if (vpm_->RunKernelTasks()) {
+  if (vpm_->RunKernelTasks(KernelTaskClass::kLevel1)) {
     did_work = true;
   }
 
@@ -588,6 +636,9 @@ bool UserProcessManager::SchedulerPass() {
   if (rq_ != nullptr ? DispatchSharded() : DispatchGlobal()) {
     did_work = true;
   }
+  if (RunIdleTimeWork()) {
+    did_work = true;
+  }
   return did_work;
 }
 
@@ -616,9 +667,7 @@ Status UserProcessManager::RunUntilQuiescent(uint64_t max_passes) {
           ctx_->smp.AdvanceAll(idle);
         }
         // Completion handlers are level-1 work on the bootload CPU.
-        ctx_->current_cpu = 0;
-        ctx_->trace.SetCpu(0);
-        ctx_->AnchorWindow();
+        EnterCpu(0);
         Prof::Window window(&ctx_->prof, 0, ProfDomain::kDispatch);
         const Cycles completion_start = ctx_->clock.now();
         sched_progress_ += ctx_->events.RunDue(ctx_->clock.now());

@@ -150,7 +150,8 @@ class UserProcessManager {
     bool queued = false;        // present in the sharded run queues
   };
 
-  enum class DispatchOutcome : uint8_t { kRan, kNoVp };
+  // kNoWork: the CPU obtained nothing to run (sharded dispatch only).
+  enum class DispatchOutcome : uint8_t { kRan, kNoVp, kNoWork };
 
   // A parked process slot awaiting reuse: the pid keeps its KST and its
   // state segment's storage; everything else was reset at park time.
@@ -159,12 +160,24 @@ class UserProcessManager {
     Segno state_segno{};
   };
 
-  // One scheduler pass: kernel tasks, message drain, dispatch, execution.
+  // One scheduler pass: level-1 kernel tasks, message drain, dispatch and
+  // execution, then idle-time work.
   bool SchedulerPass();
+  // Points the kernel at `cpu` for a new accrual window: the current CPU,
+  // the tracer's lane, and the window's local-time anchor.
+  void EnterCpu(uint16_t cpu);
   // The two dispatch bodies SchedulerPass selects between: the legacy scan
   // of the global ready list, and the sharded per-CPU queues.
   bool DispatchGlobal();
   bool DispatchSharded();
+  // One sharded dispatch attempt on `cpu`: pop (or steal) an item and run
+  // its quantum, all in one window on `cpu`.
+  DispatchOutcome DispatchFromQueue(uint16_t cpu);
+  // Idle-time work, after dispatch: the idle-time kernel tasks once on the
+  // least-behind CPU, then — with batched_io — idle rounds while that CPU
+  // trails the furthest clock and a page is cleanable.  True if a kernel
+  // task reported work; idle rounds are background work and never count.
+  bool RunIdleTimeWork();
   // One quantum on `cpu`, windowed from `dispatch_start`: vp acquisition
   // (CPU-affine when `affine_vp`), process switch, state swap-in, the op
   // loop, and the quantum's accrual.  kNoVp = vp pool exhausted, nothing
@@ -228,6 +241,8 @@ class UserProcessManager {
   std::unordered_map<ProcessId, Process> procs_;
   DispatchConfig dcfg_;
   std::unique_ptr<RunQueueSet> rq_;
+  // Sharded dispatch's fallback CPU order, reused across quanta.
+  std::vector<uint16_t> fallback_cpus_;
   SimSpinLock list_lock_;        // the modelled global ready-list lock
   uint16_t list_owner_ = kNoCpu; // CPU that last touched the list's line
   bool slab_ = false;

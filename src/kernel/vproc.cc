@@ -50,12 +50,15 @@ void VirtualProcessorManager::StoreState(VpId vp) {
   (void)core_segs_->WriteWord(state_seg_, base + 1, v.kernel_bound ? 1 : 0);
 }
 
-Result<VpId> VirtualProcessorManager::BindKernelTask(std::string name, KernelTask task) {
+Result<VpId> VirtualProcessorManager::BindKernelTask(std::string name, KernelTask task,
+                                                     KernelTaskClass task_class) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   for (uint16_t i = 0; i < vps_.size(); ++i) {
     Vp& v = vps_[i];
     if (!v.kernel_bound && v.state == VpState::kIdle) {
       v.kernel_bound = true;
+      v.task_class = task_class;
+      ++bound_tasks_[static_cast<size_t>(task_class)];
       v.name = std::move(name);
       v.task = std::move(task);
       v.state = VpState::kReady;
@@ -76,11 +79,7 @@ std::vector<VpId> VirtualProcessorManager::UserPool() const {
   return pool;
 }
 
-Result<VpId> VirtualProcessorManager::TakeUserVp(uint16_t i) {
-  Vp& v = vps_[i];
-  acquire_cursor_ = static_cast<uint16_t>((i + 1) % vps_.size());
-  v.state = VpState::kRunning;
-  StoreState(VpId(i));
+void VirtualProcessorManager::ChargeDispatch(Vp& v) {
   // Vp switch and state-record migration are dispatch overhead, whatever the
   // caller is doing; keep them off the quantum/fault domains.
   Prof::Scope sw(&ctx_->prof, ProfDomain::kDispatch);
@@ -94,6 +93,14 @@ Result<VpId> VirtualProcessorManager::TakeUserVp(uint16_t i) {
     ctx_->metrics.Inc(id_vp_migration_cycles_, connect_cost_);
   }
   v.last_cpu = ctx_->current_cpu;
+}
+
+Result<VpId> VirtualProcessorManager::TakeUserVp(uint16_t i) {
+  Vp& v = vps_[i];
+  acquire_cursor_ = static_cast<uint16_t>((i + 1) % vps_.size());
+  v.state = VpState::kRunning;
+  StoreState(VpId(i));
+  ChargeDispatch(v);
   ctx_->metrics.Inc(id_dispatches_);
   ctx_->trace.Instant(ev_vp_dispatch_, i, 0);
   return VpId(i);
@@ -164,25 +171,28 @@ void VirtualProcessorManager::Advance(EventcountId ec) {
   ctx_->trace.Instant(ev_ec_advance_, ec.value, woken);
 }
 
-bool VirtualProcessorManager::RunKernelTasks() {
+bool VirtualProcessorManager::RunKernelVp(uint16_t i) {
+  Vp& v = vps_[i];
+  v.state = VpState::kRunning;
+  ChargeDispatch(v);
+  const Cycles task_begin = ctx_->trace.Begin();
+  const bool did_work = v.task();
+  ctx_->trace.CloseSpan(task_begin, ev_kernel_task_, i, did_work ? 1 : 0);
+  if (v.state == VpState::kRunning) {
+    v.state = VpState::kReady;
+  }
+  StoreState(VpId(i));
+  return did_work;
+}
+
+bool VirtualProcessorManager::RunKernelTasks(std::optional<KernelTaskClass> only) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   bool any_work = false;
   for (uint16_t i = 0; i < vps_.size(); ++i) {
-    Vp& v = vps_[i];
-    if (v.kernel_bound && v.state == VpState::kReady) {
-      v.state = VpState::kRunning;
-      {
-        Prof::Scope sw(&ctx_->prof, ProfDomain::kDispatch);
-        ctx_->cost.Charge(CodeStyle::kStructured, Costs::kVpSwitch);
-      }
-      const Cycles task_begin = ctx_->trace.Begin();
-      const bool did_work = v.task();
-      ctx_->trace.CloseSpan(task_begin, ev_kernel_task_, i, did_work ? 1 : 0);
-      any_work = any_work || did_work;
-      if (v.state == VpState::kRunning) {
-        v.state = VpState::kReady;
-      }
-      StoreState(VpId(i));
+    const Vp& v = vps_[i];
+    if (v.kernel_bound && v.state == VpState::kReady &&
+        (!only.has_value() || v.task_class == *only)) {
+      any_work = RunKernelVp(i) || any_work;
     }
   }
   return any_work;
@@ -191,23 +201,10 @@ bool VirtualProcessorManager::RunKernelTasks() {
 bool VirtualProcessorManager::RunKernelTask(std::string_view name) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   for (uint16_t i = 0; i < vps_.size(); ++i) {
-    Vp& v = vps_[i];
-    if (!v.kernel_bound || v.name != name || v.state != VpState::kReady) {
-      continue;
+    const Vp& v = vps_[i];
+    if (v.kernel_bound && v.name == name && v.state == VpState::kReady) {
+      return RunKernelVp(i);
     }
-    v.state = VpState::kRunning;
-    {
-      Prof::Scope sw(&ctx_->prof, ProfDomain::kDispatch);
-      ctx_->cost.Charge(CodeStyle::kStructured, Costs::kVpSwitch);
-    }
-    const Cycles task_begin = ctx_->trace.Begin();
-    const bool did_work = v.task();
-    ctx_->trace.CloseSpan(task_begin, ev_kernel_task_, i, did_work ? 1 : 0);
-    if (v.state == VpState::kRunning) {
-      v.state = VpState::kReady;
-    }
-    StoreState(VpId(i));
-    return did_work;
   }
   return false;
 }

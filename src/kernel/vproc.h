@@ -16,6 +16,7 @@
 #ifndef MKS_KERNEL_VPROC_H_
 #define MKS_KERNEL_VPROC_H_
 
+#include <array>
 #include <functional>
 #include <optional>
 #include <string>
@@ -33,9 +34,20 @@ enum class VpState : uint8_t {
   kWaiting = 3,  // suspended on an eventcount
 };
 
-// A kernel task bound to a virtual processor.  Invoked on every scheduler
-// pass; returns true if it performed work (used to detect quiescence).
+// A kernel task bound to a virtual processor.  Invoked once per scheduler
+// pass, at the point its class names; returns true if it performed work
+// (used to detect quiescence).
 using KernelTask = std::function<bool()>;
+
+// When a scheduler pass runs a bound kernel task.
+enum class KernelTaskClass : uint8_t {
+  // In the level-1 window on the bootload CPU, before dispatch: device
+  // completions and wakeups must land before processes are chosen.
+  kLevel1,
+  // After dispatch, on the first CPU to go idle (the least-behind one):
+  // background work that fills the slack before the furthest clock.
+  kIdleTime,
+};
 
 class VirtualProcessorManager {
  public:
@@ -50,7 +62,12 @@ class VirtualProcessorManager {
 
   // Permanently binds `task` to a vp.  kResourceExhausted when every vp is
   // bound — the fixed pool is a real limit, not a soft one.
-  Result<VpId> BindKernelTask(std::string name, KernelTask task);
+  Result<VpId> BindKernelTask(std::string name, KernelTask task,
+                              KernelTaskClass task_class = KernelTaskClass::kLevel1);
+  // Whether any bound kernel task has class `task_class`.
+  bool HasKernelTasks(KernelTaskClass task_class) const {
+    return bound_tasks_[static_cast<size_t>(task_class)] > 0;
+  }
 
   // Unbound vps available for multiplexing user processes (level 2).
   std::vector<VpId> UserPool() const;
@@ -73,8 +90,9 @@ class VirtualProcessorManager {
   // Advances the eventcount and readies every woken vp.
   void Advance(EventcountId ec);
 
-  // Runs each ready kernel-task vp once; true if any task reported work.
-  bool RunKernelTasks();
+  // Runs each ready kernel-task vp once on the current CPU — only those of
+  // class `only` when one is given; true if any task reported work.
+  bool RunKernelTasks(std::optional<KernelTaskClass> only = std::nullopt);
 
   // Runs one bound kernel task by name (benches and tests pump a single
   // daemon without a full scheduler pass); true if it reported work, false
@@ -94,19 +112,25 @@ class VirtualProcessorManager {
   Cycles MaxBusy() const;
 
  private:
-  void StoreState(VpId vp);  // writes the state record through the core segment
-  // Shared tail of both acquisition paths: marks vp `i` running, charges the
-  // switch (and the migration transfer when its state last ran elsewhere).
-  Result<VpId> TakeUserVp(uint16_t i);
-
   struct Vp {
     VpState state = VpState::kIdle;
     bool kernel_bound = false;
+    KernelTaskClass task_class = KernelTaskClass::kLevel1;
     std::string name;
     KernelTask task;
     Cycles busy = 0;
     uint16_t last_cpu = 0;  // CPU that last loaded this vp's state record
   };
+
+  void StoreState(VpId vp);  // writes the state record through the core segment
+  // The dispatch charge every vp pays, user or kernel: the switch, plus one
+  // interconnect transfer when its state record last ran on another CPU.
+  void ChargeDispatch(Vp& v);
+  // Shared tail of both acquisition paths: marks vp `i` running and charges
+  // its dispatch.
+  Result<VpId> TakeUserVp(uint16_t i);
+  // Dispatches bound vp `i` on the current CPU and runs its task once.
+  bool RunKernelVp(uint16_t i);
 
   KernelContext* ctx_;
   ModuleId self_;
@@ -122,6 +146,7 @@ class VirtualProcessorManager {
   CoreSegId state_seg_{};
   std::vector<Vp> vps_;
   uint16_t acquire_cursor_ = 0;  // rotate dispatch across the pool
+  std::array<uint16_t, 2> bound_tasks_{};  // bound kernel tasks, per KernelTaskClass
 };
 
 }  // namespace mks

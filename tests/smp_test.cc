@@ -134,6 +134,23 @@ TEST(SmpEquivalence, CpuCountNeverChangesWhatTheKernelComputes) {
   EXPECT_EQ(uni.clock, smp.clock);
 }
 
+TEST(SmpEquivalence, FullPipelineComputesTheSameValuesAtEveryCpuCount) {
+  // The daemons are bound here, so the page writer and the idle rounds run.
+  // Idle rounds exist only where a CPU trails the furthest clock, so unlike
+  // the default configuration the serialized total may differ across CPU
+  // counts; what the kernel computes may not.
+  std::vector<MixedRun> runs;
+  for (const uint16_t cpus : {1, 4, 16}) {
+    KernelConfig config = SmpConfig(cpus);
+    config.paging_pipeline = PagingPipeline::Full();
+    runs.push_back(RunMixed(config));
+    ASSERT_TRUE(runs.back().ok) << cpus << " CPUs";
+    EXPECT_TRUE(runs.back().audit.empty()) << cpus << " CPUs: " << runs.back().audit.front();
+  }
+  EXPECT_EQ(runs[0].values, runs[1].values);
+  EXPECT_EQ(runs[0].values, runs[2].values);
+}
+
 TEST(SmpAudit, AuditAndShutdownWithPipelineKnobsAtFourCpus) {
   KernelConfig config = SmpConfig(4);
   config.paging_pipeline = PagingPipeline::Full();
@@ -209,6 +226,178 @@ TEST(SmpDispatch, QuantaSpreadAcrossThePool) {
     EXPECT_LE(kernel.metrics().Get("smp.cpu" + std::to_string(k) + ".busy_cycles"),
               kernel.clock().now());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Idle-time cleaning: the page writer and the idle rounds run after dispatch
+// on the least-behind CPU, never in the level-1 window.
+// ---------------------------------------------------------------------------
+
+// Self cycles of one collapsed-stack line ("cpu3;dispatch;paging-io"), or 0.
+Cycles FoldedCycles(const std::string& folded, const std::string& stack) {
+  const std::string key = "\n" + stack + " ";
+  const size_t at = ("\n" + folded).find(key);
+  return at == std::string::npos ? 0 : std::stoull(folded.substr(at + key.size() - 1));
+}
+
+struct IdleCpuRun {
+  std::map<std::string, uint64_t, std::less<>> counters;
+  std::string folded;            // the profiler's collapsed stacks
+  std::vector<Cycles> level1;    // durations of CPU 0's level-1 windows
+  std::vector<Word> values;      // every written page's last value
+  std::vector<std::string> audit;
+  std::vector<std::string> post_shutdown_audit;
+  bool ok = false;
+};
+
+constexpr uint32_t kIdlePages = 40;
+constexpr uint32_t kIdleLaps = 3;
+
+// Three processes each write a private segment larger than their share of
+// memory, lap after lap (eviction pressure, and dirty pages the clock has
+// passed); a fourth runs one compute op.  With `cpus` = 4 each process is
+// pinned to its own CPU, so CPU 3 idles while the others still run.
+IdleCpuRun RunWithAnIdleCpu(uint16_t cpus) {
+  IdleCpuRun out;
+  KernelConfig config = SmpConfig(cpus);
+  config.memory_frames = 96;  // 3 x 40 written pages against 96 frames
+  config.paging_pipeline = PagingPipeline::Full();
+  config.profile.enabled = true;
+  config.trace.enabled = true;
+  Kernel kernel{config};
+  if (!kernel.Boot().ok()) {
+    return out;
+  }
+  PathWalker walker(&kernel.gates());
+  std::vector<ProcessId> pids;
+  std::vector<Segno> segnos;
+  for (uint16_t i = 0; i < 4; ++i) {
+    auto pid = kernel.processes().CreateProcess(TestSubject("I" + std::to_string(i)));
+    if (!pid.ok()) {
+      return out;
+    }
+    ProcContext* ctx = kernel.processes().Context(*pid);
+    auto entry = walker.CreateSegment(*ctx, ">work>i" + std::to_string(i), WorldAcl(),
+                                      Label::SystemLow());
+    if (!entry.ok()) {
+      return out;
+    }
+    auto segno = kernel.gates().Initiate(*ctx, *entry);
+    if (!segno.ok()) {
+      return out;
+    }
+    std::vector<UserOp> program;
+    if (i == 3) {
+      program.push_back(UserOp::Compute(25));
+    } else {
+      for (uint32_t n = 0; n < kIdlePages * kIdleLaps; ++n) {
+        program.push_back(UserOp::Write(*segno, (n % kIdlePages) * kPageWords, n * 10 + i));
+      }
+    }
+    if (!kernel.processes().SetProgram(*pid, std::move(program)).ok() ||
+        (cpus > 1 && !kernel.processes().SetAffinity(*pid, uint64_t{1} << i).ok())) {
+      return out;
+    }
+    pids.push_back(*pid);
+    segnos.push_back(*segno);
+  }
+  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
+    return out;
+  }
+  for (uint16_t i = 0; i < 3; ++i) {
+    for (uint32_t p = 0; p < kIdlePages; ++p) {
+      auto word =
+          kernel.gates().Read(*kernel.processes().Context(pids[i]), segnos[i], p * kPageWords);
+      if (!word.ok()) {
+        return out;
+      }
+      out.values.push_back(*word);
+    }
+  }
+  out.counters = kernel.metrics().counters();
+  out.folded = kernel.ctx().prof.CollapsedStacks();
+  const Tracer& trace = kernel.ctx().trace;
+  for (const TraceRecord& r : trace.Snapshot(0)) {
+    if (trace.EventName(r.event) == "uproc.level1") {
+      out.level1.push_back(r.dur);
+    }
+  }
+  out.audit = kernel.AuditIntegrity();
+  if (!kernel.Shutdown().ok()) {
+    return out;
+  }
+  out.post_shutdown_audit = kernel.AuditIntegrity();
+  out.ok = true;
+  return out;
+}
+
+TEST(SmpIdleRounds, TheCpuThatFinishesFirstCleansOutsideTheLevel1Window) {
+  const IdleCpuRun one = RunWithAnIdleCpu(1);
+  const IdleCpuRun four = RunWithAnIdleCpu(4);
+  ASSERT_TRUE(one.ok);
+  ASSERT_TRUE(four.ok);
+  EXPECT_GT(four.counters.at("pfm.idle_rounds"), 0u);
+  // Idle rounds write on top of what the page writer cleans.
+  EXPECT_GT(four.counters.at("pfm.daemon_writes"), one.counters.at("pfm.daemon_writes"));
+  // The idle CPU did disk work outside any quantum — paging I/O directly
+  // under its dispatch root — and it is in that CPU's busy cycles.
+  const Cycles idle_io = FoldedCycles(four.folded, "cpu3;dispatch;paging-io");
+  EXPECT_GE(idle_io, Costs::kDiskWriteLatency);
+  EXPECT_GE(four.counters.at("smp.cpu3.busy_cycles"), idle_io);
+  // No level-1 window on CPU 0 wrote a page: each is shorter than one write.
+  EXPECT_FALSE(four.level1.empty());
+  for (const Cycles dur : four.level1) {
+    EXPECT_LT(dur, Costs::kDiskWriteLatency);
+  }
+  // Every page reads back its last write; the books balance before and
+  // after shutdown.
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (uint32_t p = 0; p < kIdlePages; ++p) {
+      EXPECT_EQ(four.values[i * kIdlePages + p], ((kIdleLaps - 1) * kIdlePages + p) * 10 + i)
+          << i << ":" << p;
+    }
+  }
+  EXPECT_TRUE(four.audit.empty()) << four.audit.front();
+  EXPECT_TRUE(four.post_shutdown_audit.empty()) << four.post_shutdown_audit.front();
+}
+
+TEST(SmpIdleRounds, NoneAtOneCpuWhereTheFaultPathStillLaunders) {
+  // One CPU is always at the furthest clock, so no idle round may start;
+  // dirty inline evictions launder on the fault path instead.
+  const IdleCpuRun one = RunWithAnIdleCpu(1);
+  const IdleCpuRun four = RunWithAnIdleCpu(4);
+  ASSERT_TRUE(one.ok);
+  ASSERT_TRUE(four.ok);
+  EXPECT_EQ(one.counters.at("pfm.idle_rounds"), 0u);
+  EXPECT_GT(one.counters.at("pfm.laundered_pages"), 0u);
+  EXPECT_EQ(one.values, four.values);
+  EXPECT_TRUE(one.audit.empty()) << one.audit.front();
+  EXPECT_TRUE(one.post_shutdown_audit.empty()) << one.post_shutdown_audit.front();
+}
+
+TEST(SmpIdleRounds, KernelVpPaysOneTransferWhenItChangesCpu) {
+  KernelConfig config = SmpConfig(2);
+  config.connect_cost = 400;
+  config.paging_pipeline = PagingPipeline::Full();  // binds the page writer
+  Kernel kernel{config};
+  ASSERT_TRUE(kernel.Boot().ok());
+  KernelContext& kctx = kernel.ctx();
+  Metrics& m = kernel.metrics();
+  // The writer has nothing to do; its run costs only its dispatch.
+  auto run_writer_on = [&](uint16_t cpu) {
+    kctx.current_cpu = cpu;
+    const Cycles before = kctx.clock.now();
+    EXPECT_FALSE(kernel.vprocs().RunKernelTask("page_writer"));
+    return kctx.clock.now() - before;
+  };
+  const uint64_t migrations0 = m.Get("vproc.vp_migrations");
+  const Cycles same = run_writer_on(0);  // its state record starts on CPU 0
+  EXPECT_EQ(m.Get("vproc.vp_migrations"), migrations0);
+  const Cycles moved = run_writer_on(1);
+  EXPECT_EQ(m.Get("vproc.vp_migrations"), migrations0 + 1);
+  EXPECT_EQ(moved, same + config.connect_cost);
+  EXPECT_EQ(run_writer_on(1), same);
+  EXPECT_EQ(m.Get("vproc.vp_migrations"), migrations0 + 1);
 }
 
 // ---------------------------------------------------------------------------
