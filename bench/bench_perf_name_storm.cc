@@ -9,12 +9,9 @@
 // pool genuinely overlaps in virtual time and the naming lock is the only
 // thing standing between the readers and linear speedup.
 //
-// Three read-side policies over the identical schedule (grant order never
+// Two read-side policies over the identical schedule (grant order never
 // changes — the serialized simulation orders every section):
 //
-//   exclusive  — one lock word for readers and writers alike: every lookup
-//                serializes like a write, so adding CPUs adds only spin and
-//                throughput collapses to the serial section rate.
 //   passive_rw — per-CPU read tokens [Liu et al., ATC 2014]: a contended
 //                read costs NO line transfers; the rare writer revokes the
 //                outstanding tokens at connect_cost per remote reader CPU.
@@ -23,18 +20,17 @@
 //                writer publishes one broadcast and waits out the grace
 //                period (drain + epoch_grace_cost).
 //
-// Headline: at 16 CPUs both read-mostly policies must beat exclusive on
-// walk throughput — the collapse curve P15 showed for the dispatch lock,
-// reproduced for the naming surface and then fixed by taking readers out of
-// the line-transfer economy.  A bit-identical double-run self-check guards
-// determinism.
+// Headline: at 16 CPUs each read-mostly policy must scale at least half
+// linearly (>= 8x) over its own 1-CPU makespan — readers taken out of the
+// line-transfer economy let the naming surface grow with the pool.  A
+// bit-identical double-run self-check guards determinism.
 //
 // Usage: bench_perf_name_storm [--smoke] [--profile]
 //   --smoke: cpus {1,4}, ~10x fewer ops; skips the 16-CPU verdict but keeps
 //            the double-run self-check; always exits 0.
 //   --profile: enable the cycle-accounting profiler; each run prints a
 //            top-domain breakdown table and emits a `name_storm_prof` JSON
-//            line, and the exclusive policy at the largest pool exports
+//            line, and the passive_rw policy at the largest pool exports
 //            bench_perf_name_storm.prof.folded (flamegraph collapsed stacks).
 #include <cstdio>
 #include <cstring>
@@ -48,8 +44,8 @@
 namespace mks {
 namespace {
 
-constexpr ReadPolicy kPolicies[] = {ReadPolicy::kExclusive, ReadPolicy::kPassiveRw,
-                                    ReadPolicy::kEpoch};
+constexpr ReadPolicy kPolicies[] = {ReadPolicy::kPassiveRw, ReadPolicy::kEpoch};
+constexpr int kPolicyCount = static_cast<int>(std::size(kPolicies));
 constexpr uint32_t kLibSegments = 32;
 constexpr uint32_t kWritePeriod = 1000;  // the 1000:1 read:write mix
 
@@ -157,7 +153,7 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
   // Barrier into the measured region: every local clock aligned AND advanced
   // to the global clock, so release points recorded during (unanchored,
   // single-stream) boot and setup can never read as contention against the
-  // measured windows.  At 1 CPU this makes exclusive spin structurally zero.
+  // measured windows.  At 1 CPU this makes read spin structurally zero.
   kctx.smp.AlignAll();
   if (kernel.clock().now() > kctx.smp.Makespan()) {
     kctx.smp.AdvanceAll(kernel.clock().now() - kctx.smp.Makespan());
@@ -235,15 +231,15 @@ int main(int argc, char** argv) {
   std::printf("=== P16: name storm — read-mostly policies on the naming surface ===\n\n");
   std::printf("%u ops, 1 write per %u (SetAcl), read = 2-component walk + KST lookup\n\n",
               ops, kWritePeriod);
-  double speedup_at_max[3] = {0, 0, 0};
+  double speedup_at_max[kPolicyCount] = {};
   std::printf("%11s %5s %12s %12s %9s %12s %11s %11s %11s\n", "policy", "cpus", "makespan",
               "total", "speedup", "walks/Mcyc", "read spin", "revoke cyc", "grace cyc");
-  for (int pi = 0; pi < 3; ++pi) {
+  for (int pi = 0; pi < kPolicyCount; ++pi) {
     const ReadPolicy policy = kPolicies[pi];
     Cycles m1 = 0;
     for (uint16_t cpus : cpu_counts) {
       const bool want_folded =
-          profile && policy == ReadPolicy::kExclusive && cpus == max_cpus;
+          profile && policy == ReadPolicy::kPassiveRw && cpus == max_cpus;
       const StormResult r =
           RunStorm(policy, cpus, ops, profile,
                    want_folded ? "bench_perf_name_storm.prof.folded" : nullptr);
@@ -310,13 +306,14 @@ int main(int argc, char** argv) {
     std::printf("smoke run complete\n");
     return 0;
   }
-  const bool separated = speedup_at_max[1] > speedup_at_max[0] &&
-                         speedup_at_max[2] > speedup_at_max[0];
-  std::printf("\nat %u CPUs: passive_rw %.4fx / epoch %.4fx vs exclusive %.4fx: %s\n", max_cpus,
-              speedup_at_max[1], speedup_at_max[2], speedup_at_max[0],
-              separated ? "read-mostly policies win" : "NO");
+  // Half of linear: 8x at 16 CPUs.
+  const double min_speedup = max_cpus / 2.0;
+  const bool scales = speedup_at_max[0] >= min_speedup && speedup_at_max[1] >= min_speedup;
+  std::printf("\nat %u CPUs: passive_rw %.4fx / epoch %.4fx over 1 CPU (need >= %.0fx each): %s\n",
+              max_cpus, speedup_at_max[0], speedup_at_max[1], min_speedup,
+              scales ? "both scale" : "NO");
   std::printf("taking lookups out of the line-transfer economy makes the naming surface\n"
-              "scale with the pool while exclusive serializes it -> %s\n",
-              separated ? "REPRODUCED" : "MISMATCH");
-  return separated ? 0 : 1;
+              "scale with the pool -> %s\n",
+              scales ? "REPRODUCED" : "MISMATCH");
+  return scales ? 0 : 1;
 }

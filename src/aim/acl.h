@@ -55,7 +55,6 @@ struct AclEntry {
 class Acl {
  public:
   void Add(AclEntry entry) { entries_.push_back(std::move(entry)); }
-  void Clear() { entries_.clear(); }
   size_t size() const { return entries_.size(); }
   const std::vector<AclEntry>& entries() const { return entries_; }
 

@@ -159,28 +159,6 @@ Result<ProcessId> AnsweringService::Login(const Principal& who, const std::strin
                                           Label label) {
   KernelContext& kctx = kernel_->ctx();
   Prof::Scope setup(&kctx.prof, ProfDomain::kSessionSetup);
-  const Cycles t_start = kctx.clock.now();
-  // kCoarse is the minimal concurrency-safe table: ONE lock held across the
-  // whole login transaction, every session serializing behind it.
-  LockWindow coarse{};
-  Cycles coarse_t0 = 0;
-  if (cfg_.table_mode == SessionTableMode::kCoarse) {
-    coarse = LockTable(shards_[0]->lock);
-    coarse_t0 = kctx.clock.now();
-  }
-  Result<ProcessId> result = LoginInner(who, password, label);
-  if (coarse.locked) {
-    UnlockTable(shards_[0]->lock, coarse, kctx.clock.now() - coarse_t0);
-  }
-  if (result.ok()) {
-    kctx.trace.CloseSpan(t_start, ev_login_, (*result).value, kctx.current_cpu, hist_login_);
-  }
-  return result;
-}
-
-Result<ProcessId> AnsweringService::LoginInner(const Principal& who, const std::string& password,
-                                               Label label) {
-  KernelContext& kctx = kernel_->ctx();
   const Cycles t0 = kctx.clock.now();
   // The bulk of the answering service — dialog parsing, the user registry,
   // device tables, the message-of-the-day, the log — is IDENTICAL code in
@@ -227,14 +205,12 @@ Result<ProcessId> AnsweringService::LoginInner(const Principal& who, const std::
     shard.sessions.emplace(pid, session);
     UnlockTable(shard.lock, window, kctx.clock.now() - held0);
   } else {
-    if (cfg_.table_mode == SessionTableMode::kCoarse) {
-      ChargeTableWork();
-    }
     shard.sessions.emplace(pid, session);
   }
   ++active_;
   kctx.metrics.Inc(id_phase_accounting_, kctx.clock.now() - t_home);
   kctx.metrics.Inc(id_logins_);
+  kctx.trace.CloseSpan(t0, ev_login_, pid.value, kctx.current_cpu, hist_login_);
   return pid;
 }
 
@@ -242,24 +218,6 @@ Status AnsweringService::Logout(ProcessId pid) {
   KernelContext& kctx = kernel_->ctx();
   Prof::Scope setup(&kctx.prof, ProfDomain::kSessionSetup);
   const Cycles t_start = kctx.clock.now();
-  LockWindow coarse{};
-  Cycles coarse_t0 = 0;
-  if (cfg_.table_mode == SessionTableMode::kCoarse) {
-    coarse = LockTable(shards_[0]->lock);
-    coarse_t0 = kctx.clock.now();
-  }
-  Status result = LogoutInner(pid);
-  if (coarse.locked) {
-    UnlockTable(shards_[0]->lock, coarse, kctx.clock.now() - coarse_t0);
-  }
-  if (result.ok()) {
-    kctx.trace.CloseSpan(t_start, ev_logout_, pid.value, kctx.current_cpu, hist_logout_);
-  }
-  return result;
-}
-
-Status AnsweringService::LogoutInner(ProcessId pid) {
-  KernelContext& kctx = kernel_->ctx();
   Shard& shard = ShardForPid(pid);
   // Look up the session (modelled under the shard lock in sharded mode; the
   // iterator itself stays valid — virtual CPUs interleave, they do not
@@ -277,10 +235,8 @@ Status AnsweringService::LogoutInner(ProcessId pid) {
     }
     return Status(Code::kNotFound, "no session");
   }
-  if (cfg_.table_mode != SessionTableMode::kSerial) {
-    ChargeTableWork();
-  }
   if (lookup.locked) {
+    ChargeTableWork();
     UnlockTable(shard.lock, lookup, kctx.clock.now() - lookup_t0);
   }
   constexpr Cycles kCommonLogoutWork = 2000;
@@ -324,6 +280,7 @@ Status AnsweringService::LogoutInner(ProcessId pid) {
   }
   --active_;
   kctx.metrics.Inc(id_logouts_);
+  kctx.trace.CloseSpan(t_start, ev_logout_, pid.value, kctx.current_cpu, hist_logout_);
   return Status::Ok();
 }
 
@@ -342,9 +299,9 @@ Result<SessionBill> AnsweringService::BillFor(ProcessId pid) const {
 }
 
 std::string AnsweringService::AccountingReport() const {
-  // Merge the per-shard totals; with one shard (the serial and coarse
-  // configurations) this is an identity copy, so the report is byte-for-byte
-  // the seed table's.
+  // Merge the per-shard totals; with one shard (the serial configuration)
+  // this is an identity copy, so the report is byte-for-byte the seed
+  // table's.
   std::map<std::string, SessionBill> merged;
   for (const auto& shard : shards_) {
     for (const auto& [who, bill] : shard->totals) {

@@ -13,10 +13,7 @@
 // to the serial service when off:
 //
 //   * session-table modes — kSerial is the seed table (no lock, single
-//     logical thread of control); kCoarse is the minimal concurrency-safe
-//     form, ONE SimSpinLock held across the whole login/logout transaction
-//     (every session serializes behind it, the baseline every sharded
-//     design is measured against); kSharded hashes sessions and accounting
+//     logical thread of control); kSharded hashes sessions and accounting
 //     totals across lock-per-shard tables, holding each lock only for the
 //     table operation itself.
 //   * skeleton cache — per-project home-directory skeletons (>udd>Project
@@ -46,7 +43,7 @@ enum class ServiceDomain : uint8_t {
 
 // How the session and accounting tables are guarded against concurrent
 // logins (see the file comment).
-enum class SessionTableMode : uint8_t { kSerial, kCoarse, kSharded };
+enum class SessionTableMode : uint8_t { kSerial, kSharded };
 
 struct AnsweringConfig {
   // kSharded keeps one table shard per CPU.
@@ -89,7 +86,6 @@ class AnsweringService {
   ServiceDomain domain() const { return domain_; }
 
   // Instrument readback for benches and tests.
-  size_t shard_count() const { return shards_.size(); }
   const SimSpinLock& shard_lock(size_t i) const { return shards_[i]->lock; }
   const SimSharedLock& skeleton_lock() const { return skel_lock_; }
 
@@ -102,7 +98,7 @@ class AnsweringService {
   };
 
   // One table shard: its lock, the sessions hashed to it (by pid), and the
-  // accounting totals hashed to it (by principal).  kSerial/kCoarse run with
+  // accounting totals hashed to it (by principal).  kSerial runs with
   // exactly one shard, which keeps AccountingReport's merge an identity.
   struct Shard {
     SimSpinLock lock;
@@ -125,12 +121,8 @@ class AnsweringService {
   Shard& ShardForPid(ProcessId pid);
   Shard& ShardForWho(const std::string& who);
 
-  // The transaction bodies; Login/Logout wrap them in the coarse-mode lock
-  // tenure and the login-latency trace span.
-  Result<ProcessId> LoginInner(const Principal& who, const std::string& password, Label label);
-  Status LogoutInner(ProcessId pid);
-  // The modelled cost of one session-table operation (only charged in the
-  // concurrency-safe modes; kSerial stays byte-identical to the seed).
+  // The modelled cost of one session-table operation (only charged in
+  // kSharded; kSerial stays byte-identical to the seed).
   void ChargeTableWork() const;
 
   // Charges the bookkeeping work of one dialog step in the configured domain.

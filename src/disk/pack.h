@@ -71,9 +71,6 @@ class DiskPack {
   PackId id() const { return id_; }
   uint32_t record_count() const { return record_count_; }
   uint32_t free_records() const { return free_records_; }
-  double FreeFraction() const {
-    return static_cast<double>(free_records_) / static_cast<double>(record_count_);
-  }
 
   Result<RecordIndex> AllocateRecord();
   void FreeRecord(RecordIndex record);

@@ -71,12 +71,11 @@ Status Kernel::Boot() {
   pfm_->set_retain_zero_records(config_.close_zero_page_channel);
   pfm_->set_pipeline(config_.paging_pipeline);
   // Stage 6: permanently bind the kernel daemons to virtual processors.  The
-  // daemons run for asynchronous paging and for any pipeline knob: batched
-  // queues need the page-I/O daemon to dispatch rounds, in every pass's
-  // level-1 window; the pre-cleaner needs the page writer, which runs as
-  // idle-time work on the first CPU to go idle once dispatch is done.
-  const PagingPipeline& pp = config_.paging_pipeline;
-  if (config_.async_paging || pp.precleaning || pp.batched_io || pp.readahead) {
+  // daemons run for asynchronous paging and for the paging pipeline: its
+  // request queues need the page-I/O daemon to dispatch rounds, in every
+  // pass's level-1 window; its pre-cleaner needs the page writer, which runs
+  // as idle-time work on the first CPU to go idle once dispatch is done.
+  if (config_.async_paging || config_.paging_pipeline.enabled) {
     MKS_RETURN_IF_ERROR(
         vpm_->BindKernelTask("page_io_daemon", [this]() { return pfm_->PageIoDaemonStep(); })
             .status());

@@ -33,8 +33,8 @@ struct KernelConfig {
   double structured_factor = CostModel::kDefaultStructuredFactor;
   bool async_paging = false;
   bool close_zero_page_channel = false;
-  // Anticipatory paging pipeline (all knobs default off — demand paging with
-  // inline evictions, exactly the pre-pipeline behaviour).
+  // Anticipatory paging pipeline (default off — demand paging with inline
+  // evictions, exactly the pre-pipeline behaviour).
   PagingPipeline paging_pipeline;
   // Virtual-time tracer (default off — with it off every instrumented path
   // is byte-identical to an untraced build; same pattern as the pipeline).
@@ -68,13 +68,11 @@ struct KernelConfig {
   // Read-mostly synchronization for the naming surface: the directory
   // hierarchy and the known segment tables each sit behind one SimSharedLock
   // whose read-side protocol this selects.  kOff (default) leaves the naming
-  // paths un-modeled — byte-identical to every prior PR.  kExclusive guards
-  // every naming operation, read or write, with one exclusive lock
-  // (SimSpinLock's waiting-time arithmetic): the "every lookup serializes
-  // like a write" baseline.  kPassiveRw gives each CPU a passive read token
-  // (contended reads free of line transfers; writers revoke at connect_cost
-  // per remote reader CPU).  kEpoch gives readers a zero-cost epoch pin
-  // (writers publish one broadcast and wait out the grace period).
+  // paths un-modeled — byte-identical to every prior PR.  kPassiveRw gives
+  // each CPU a passive read token (contended reads free of line transfers;
+  // writers revoke at connect_cost per remote reader CPU).  kEpoch gives
+  // readers a zero-cost epoch pin (writers publish one broadcast and wait
+  // out the grace period).
   ReadPolicy read_policy = ReadPolicy::kOff;
   // kEpoch only: cycles a writer spends on quiescence detection after its
   // publish, on top of draining the read sections in flight.

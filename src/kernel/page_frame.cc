@@ -112,11 +112,11 @@ Result<FrameIndex> PageFrameManager::AcquireFrame() {
   const FrameIndex victim(first_frame_ + slot);
   ctx_->metrics.Inc(id_evictions_);
   ctx_->metrics.Inc(id_inline_evictions_);
-  if (!pipeline_.batched_io) {
+  if (!pipeline_.enabled) {
     MKS_RETURN_IF_ERROR(CleanAndRelease(victim));
   } else {
     // Laundering: a dirty victim's write is forced, so the seek is paid
-    // anyway.  Up to io_batch_size - 1 other cleanable pages of its pack
+    // anyway.  Up to kIoBatchSize - 1 other cleanable pages of its pack
     // ride the same record-sorted round (30000 + 3000 per extra page,
     // against 30000 for each one evicted dirty later) and stay resident,
     // clean.  The round drains before the fault returns: no staged write
@@ -126,7 +126,7 @@ Result<FrameIndex> PageFrameManager::AcquireFrame() {
     const size_t queued = dp->queued_io();
     MKS_RETURN_IF_ERROR(CleanAndRelease(victim, /*queue_writeback=*/true));
     if (dp->queued_io() > queued) {
-      ctx_->metrics.Inc(id_laundered_pages_, LaunderPack(pack, pipeline_.io_batch_size - 1));
+      ctx_->metrics.Inc(id_laundered_pages_, LaunderPack(pack, kIoBatchSize - 1));
     }
   }
   FrameIndex frame = free_list_.back();
@@ -273,7 +273,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
     ptw.modified = true;  // core copy now diverges from the reclaimed record
     MarkWriterCandidate(frame.value - first_frame_);
     vpm_->Advance(seg_ec);
-    if (pipeline_.readahead) {
+    if (pipeline_.enabled) {
       MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
     }
     ctx_->trace.CloseSpan(fault_begin, ev_fault_service_, initiator.value, page,
@@ -290,7 +290,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
     ptw.in_core = true;
     ptw.locked = false;
     vpm_->Advance(seg_ec);
-    if (pipeline_.readahead) {
+    if (pipeline_.enabled) {
       MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
     }
     ctx_->trace.CloseSpan(fault_begin, ev_fault_service_, initiator.value, page,
@@ -312,7 +312,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
                         });
   ctx_->metrics.Inc(id_async_reads_);
   (void)record;
-  if (pipeline_.readahead) {
+  if (pipeline_.enabled) {
     MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
   }
   if (wait != nullptr) {
@@ -343,7 +343,7 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
   // Start right after the faulting page: pages of a still-live window are
   // in core (or locked in flight) and stop the loop below, so a stale
   // `prefetch_until` from an earlier pass needs no special casing.
-  const uint32_t stop = page + 1 + pipeline_.readahead_depth;
+  const uint32_t stop = page + 1 + kReadaheadDepth;
   uint32_t posted = 0;
   for (uint32_t q = page + 1; q < stop; ++q) {
     if (q >= pt->ptws.size() || q >= entry->file_map.size()) {
@@ -351,7 +351,7 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
     }
     // Anticipation draws only on the pool above the low watermark, so it can
     // never push a demand fault into the inline-eviction fallback.
-    if (free_list_.size() <= pipeline_.low_watermark) {
+    if (free_list_.size() <= kLowWatermark) {
       break;
     }
     const FileMapEntry& fm = entry->file_map[q];
@@ -390,9 +390,9 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
 }
 
 size_t PageFrameManager::DispatchPackQueue(PackId pack) {
-  const size_t batch = pipeline_.batched_io ? pipeline_.io_batch_size : 1;
   completed_reads_.clear();
-  const size_t dispatched = ctx_->volumes.pack(pack)->DispatchBatch(batch, &completed_reads_);
+  const size_t dispatched =
+      ctx_->volumes.pack(pack)->DispatchBatch(kIoBatchSize, &completed_reads_);
   for (uint64_t cookie : completed_reads_) {
     CompletePostedRead(FrameIndex(static_cast<uint32_t>(cookie)));
   }
@@ -482,11 +482,11 @@ bool PageFrameManager::PageIoDaemonStep() {
 }
 
 bool PageFrameManager::ReplenishFreePool() {
-  if (free_list_.size() >= pipeline_.low_watermark) {
+  if (free_list_.size() >= kLowWatermark) {
     return false;
   }
   bool any = false;
-  while (free_list_.size() < pipeline_.high_watermark) {
+  while (free_list_.size() < kHighWatermark) {
     const uint32_t slot = ClockSelectVictim();
     if (slot == UINT32_MAX) {
       break;  // nothing evictable; the fault path will report exhaustion
@@ -494,12 +494,12 @@ bool PageFrameManager::ReplenishFreePool() {
     const FrameIndex victim(first_frame_ + slot);
     ctx_->metrics.Inc(id_evictions_);
     ctx_->metrics.Inc(id_precleaned_frames_);
-    if (!CleanAndRelease(victim, pipeline_.batched_io).ok()) {
+    if (!CleanAndRelease(victim, /*queue_writeback=*/true).ok()) {
       break;
     }
     any = true;
   }
-  if (pipeline_.batched_io && any) {
+  if (any) {
     // Flush the staged writebacks in record-sorted rounds.
     for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
       DrainPackQueue(PackId(p));
@@ -701,23 +701,20 @@ void PageFrameManager::IdleRound(PackId pack) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
   idle_round_pack_ = static_cast<uint16_t>((pack.value + 1) % ctx_->volumes.pack_count());
-  ctx_->metrics.Inc(id_daemon_writes_, LaunderPack(pack, pipeline_.io_batch_size));
+  ctx_->metrics.Inc(id_daemon_writes_, LaunderPack(pack, kIoBatchSize));
   ctx_->metrics.Inc(id_idle_rounds_);
 }
 
 bool PageFrameManager::PageWriterStep(size_t max_writes) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-  bool replenished = false;
-  if (pipeline_.precleaning) {
-    replenished = ReplenishFreePool();
-  }
+  const bool replenished = pipeline_.enabled && ReplenishFreePool();
   CollectCleanable(max_writes, std::nullopt, &picks_);
   for (const FrameIndex frame : picks_) {
-    CleanInPlace(frame, pipeline_.batched_io);
+    CleanInPlace(frame, pipeline_.enabled);
     ctx_->metrics.Inc(id_daemon_writes_);
   }
-  if (pipeline_.batched_io && !picks_.empty()) {
+  if (pipeline_.enabled && !picks_.empty()) {
     for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
       DrainPackQueue(PackId(p));
     }

@@ -43,48 +43,49 @@ struct WaitSpec {
   uint64_t target = 0;
 };
 
-// Knobs for the anticipatory paging pipeline.  Every knob defaults off, and
-// with all three off the fault path is byte-for-byte the pre-pipeline code.
-// They are independent so the ablation benches can isolate each effect:
+// The anticipatory paging pipeline: one switch, default off, and off the
+// fault path is byte-for-byte the pre-pipeline code.  On, three parts act
+// together (P10 measured them as one mechanism: readahead alone posts no
+// reads and batching alone changes nothing), sized by PageFrameManager's
+// constants:
 //
-//  * precleaning — the page-writer daemon keeps the free pool between the
-//    watermarks by running the clock and cleaning victims ahead of demand;
-//    a fault pays an inline eviction only when the pool is truly dry
-//    (counted in pfm.inline_evictions).
-//  * batched_io — daemon writebacks and prefetch reads go through the
+//  * pre-cleaning — the page-writer daemon keeps the free pool between
+//    kLowWatermark and kHighWatermark by running the clock and cleaning
+//    victims ahead of demand; a fault pays an inline eviction only when the
+//    pool is truly dry (counted in pfm.inline_evictions).
+//  * batched I/O — daemon writebacks and prefetch reads go through the
 //    per-pack request queues and dispatch in record-sorted rounds of up to
-//    io_batch_size, amortizing the seek: the first record of a round pays
-//    the full latency, coalesced neighbors only kDiskBatchedTransfer.  After
+//    kIoBatchSize, amortizing the seek: the first record of a round pays the
+//    full latency, coalesced neighbors only kDiskBatchedTransfer.  After
 //    dispatch, each CPU that is idle before the pool's furthest clock writes
 //    rounds of one pack's cleanable pages (idle rounds).  Where no CPU has
 //    such slack (one CPU, or a balanced pool), an inline eviction whose
-//    victim is dirty launders up to io_batch_size - 1 other cleanable pages
+//    victim is dirty launders up to kIoBatchSize - 1 other cleanable pages
 //    of the victim's pack in the same round, paid by the faulting CPU before
 //    the fault returns.
 //  * readahead — a forward-sequential fault pattern per segment posts reads
-//    for the next readahead_depth pages through the async path; prefetched
-//    frames come only from the free pool above the low watermark, so
-//    anticipation can never force the inline eviction it exists to avoid.
+//    for the next kReadaheadDepth pages through the request queues;
+//    prefetched frames come only from the free pool above the low watermark,
+//    so anticipation can never force the inline eviction it exists to avoid.
 struct PagingPipeline {
-  bool precleaning = false;
-  uint32_t low_watermark = 8;
-  uint32_t high_watermark = 24;
-  bool batched_io = false;
-  uint32_t io_batch_size = 8;
-  bool readahead = false;
-  uint32_t readahead_depth = 8;
+  bool enabled = false;
 
-  static PagingPipeline Full() {
-    PagingPipeline p;
-    p.precleaning = true;
-    p.batched_io = true;
-    p.readahead = true;
-    return p;
-  }
+  static PagingPipeline Full() { return PagingPipeline{.enabled = true}; }
 };
 
 class PageFrameManager {
  public:
+  // The pipeline's sizes (see PagingPipeline).  The pre-cleaner refills the
+  // free pool to kHighWatermark once it falls below kLowWatermark, and
+  // readahead draws only on the pool above kLowWatermark.
+  static constexpr uint32_t kLowWatermark = 8;
+  static constexpr uint32_t kHighWatermark = 24;
+  static constexpr uint32_t kIoBatchSize = 8;
+  static constexpr uint32_t kReadaheadDepth = 8;
+  // Fault-path laundering takes kIoBatchSize - 1 companions of the victim.
+  static_assert(kIoBatchSize >= 2);
+  static_assert(kLowWatermark < kHighWatermark);
+
   PageFrameManager(KernelContext* ctx, CoreSegmentManager* core_segs, QuotaCellManager* quota,
                    VirtualProcessorManager* vpm);
 
@@ -133,19 +134,19 @@ class PageFrameManager {
   bool PageIoDaemonStep();
 
   // The page-writer daemon body: cleans up to `max_writes` modified resident
-  // pages so that replacement finds clean victims.  With precleaning on it
+  // pages so that replacement finds clean victims.  With the pipeline on it
   // first replenishes the free pool to the high watermark by running the
   // clock and releasing victims ahead of demand.  Bound as idle-time work:
   // each scheduler pass runs it once, after dispatch, on the first CPU to go
   // idle.  Returns true if work was done.
   bool PageWriterStep(size_t max_writes);
 
-  // Idle rounds (batched_io): the pack the next round should write — the
+  // Idle rounds (pipeline on): the pack the next round should write — the
   // first, in rotation after the last round's pack, holding a cleanable
   // page — or nullopt when no page is cleanable.  Charges nothing, so the
   // scheduler asks before it opens a window.
   std::optional<PackId> NextIdleRoundPack();
-  // One idle round: launders up to io_batch_size cleanable pages of `pack`
+  // One idle round: launders up to kIoBatchSize cleanable pages of `pack`
   // in one record-sorted round, counted in pfm.daemon_writes.
   void IdleRound(PackId pack);
 
@@ -200,7 +201,8 @@ class PageFrameManager {
   };
 
   // Obtains a frame, evicting via the clock algorithm if necessary.  With
-  // batched_io a dirty victim's forced write carries the laundering round.
+  // the pipeline on a dirty victim's forced write carries the laundering
+  // round.
   Result<FrameIndex> AcquireFrame();
   // One full second-chance pass: returns the victim slot, or UINT32_MAX when
   // nothing is evictable.  Shared by the fault path and the pre-cleaner so

@@ -553,7 +553,7 @@ bool UserProcessManager::RunIdleTimeWork() {
     did_work = vpm_->RunKernelTasks(KernelTaskClass::kIdleTime);
     AccrueOutside(cpu, start);
   }
-  if (!pfm_->pipeline().batched_io) {
+  if (!pfm_->pipeline().enabled) {
     return did_work;
   }
   // Idle rounds: the least-behind CPU writes one record-sorted round of one

@@ -117,9 +117,6 @@ class UserProcessManager {
   // Ops each dispatched process may run before being preempted.
   void set_quantum(uint32_t quantum) { quantum_ = quantum; }
 
-  // The sharded run queues, or nullptr in legacy (global-list) mode.
-  const RunQueueSet* run_queues() const { return rq_.get(); }
-
   // The modelled global ready-list lock (contended only in legacy dispatch
   // mode with interconnect costs on), for tests of the lock policies.
   const SimSpinLock& list_lock() const { return list_lock_; }
@@ -174,9 +171,10 @@ class UserProcessManager {
   // its quantum, all in one window on `cpu`.
   DispatchOutcome DispatchFromQueue(uint16_t cpu);
   // Idle-time work, after dispatch: the idle-time kernel tasks once on the
-  // least-behind CPU, then — with batched_io — idle rounds while that CPU
-  // trails the furthest clock and a page is cleanable.  True if a kernel
-  // task reported work; idle rounds are background work and never count.
+  // least-behind CPU, then — with the paging pipeline on — idle rounds while
+  // that CPU trails the furthest clock and a page is cleanable.  True if a
+  // kernel task reported work; idle rounds are background work and never
+  // count.
   bool RunIdleTimeWork();
   // One quantum on `cpu`, windowed from `dispatch_start`: vp acquisition
   // (CPU-affine when `affine_vp`), process switch, state swap-in, the op

@@ -221,8 +221,6 @@ void VirtualProcessorManager::AccrueBusy(VpId vp, Cycles cycles) {
   vps_[vp.value].busy += cycles;
 }
 
-Cycles VirtualProcessorManager::busy(VpId vp) const { return vps_[vp.value].busy; }
-
 Cycles VirtualProcessorManager::MaxBusy() const {
   Cycles max_busy = 0;
   for (const Vp& vp : vps_) {

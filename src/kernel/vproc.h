@@ -108,7 +108,6 @@ class VirtualProcessorManager {
   // makespan a multiprocessor configuration would see (the simulator itself
   // charges a single global clock).
   void AccrueBusy(VpId vp, Cycles cycles);
-  Cycles busy(VpId vp) const;
   Cycles MaxBusy() const;
 
  private:

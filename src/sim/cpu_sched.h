@@ -258,7 +258,6 @@ class RunQueueSet {
   };
 
   uint16_t count() const { return static_cast<uint16_t>(shards_.size()); }
-  bool steal_enabled() const { return steal_; }
   size_t depth(uint16_t cpu) const { return shards_[cpu].items.size(); }
   uint16_t line_owner(uint16_t cpu) const { return shards_[cpu].line_owner; }
   const SimSpinLock& shard_lock(uint16_t cpu) const { return shards_[cpu].lock; }

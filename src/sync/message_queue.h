@@ -51,7 +51,6 @@ class RealMemoryQueue {
   std::optional<UpwardMessage> Pop();
 
   uint64_t dropped() const { return dropped_; }
-  void CountDrop() { ++dropped_; }
 
  private:
   uint64_t& head() { return storage_[0]; }

@@ -13,11 +13,6 @@
 //   kOff — the lock is un-modeled: every Acquire returns 0 and no counter
 //     moves.  Default; byte-identical to the pre-lock naming paths, the same
 //     default-off discipline every knob in this repo follows.
-//   kExclusive — one lock word, readers and writers alike: an acquirer whose
-//     local clock trails the last release point burns the gap, exactly
-//     SimSpinLock's waiting-time arithmetic (kTestAndSet: gap only, no
-//     handoff traffic).  This is the "every lookup serializes like a write"
-//     baseline the read-mostly policies are measured against.
 //   kPassiveRw — a passive reader-writer lock in the prwlock style
 //     [Liu et al., USENIX ATC 2014]: each CPU holds a private read token, so
 //     a contended read acquisition costs NO line transfers (it waits only
@@ -53,14 +48,12 @@
 
 namespace mks {
 
-enum class ReadPolicy : uint8_t { kOff, kExclusive, kPassiveRw, kEpoch };
+enum class ReadPolicy : uint8_t { kOff, kPassiveRw, kEpoch };
 
 inline const char* ReadPolicyName(ReadPolicy policy) {
   switch (policy) {
     case ReadPolicy::kOff:
       return "off";
-    case ReadPolicy::kExclusive:
-      return "exclusive";
     case ReadPolicy::kPassiveRw:
       return "passive_rw";
     case ReadPolicy::kEpoch:
@@ -118,12 +111,6 @@ class SimSharedLock {
     switch (policy_) {
       case ReadPolicy::kOff:
         break;
-      case ReadPolicy::kExclusive:
-        // One lock word for everyone: a read waits exactly like a write.
-        if (excl_free_at_ > local_now) {
-          spin = excl_free_at_ - local_now;
-        }
-        break;
       case ReadPolicy::kPassiveRw:
         // The token is CPU-private: no line moves.  Only an in-flight
         // writer's critical section holds the reader up.
@@ -150,11 +137,6 @@ class SimSharedLock {
     switch (policy_) {
       case ReadPolicy::kOff:
         return;
-      case ReadPolicy::kExclusive:
-        if (local_end > excl_free_at_) {
-          excl_free_at_ = local_end;
-        }
-        return;
       case ReadPolicy::kPassiveRw:
       case ReadPolicy::kEpoch:
         // What writers must drain: the latest read section this CPU ended.
@@ -175,11 +157,6 @@ class SimSharedLock {
     Cycles start = local_now;
     switch (policy_) {
       case ReadPolicy::kOff:
-        break;
-      case ReadPolicy::kExclusive:
-        if (excl_free_at_ > start) {
-          start = excl_free_at_;
-        }
         break;
       case ReadPolicy::kPassiveRw: {
         // Serialize behind the previous writer, drain every token holder's
@@ -245,11 +222,6 @@ class SimSharedLock {
     switch (policy_) {
       case ReadPolicy::kOff:
         return;
-      case ReadPolicy::kExclusive:
-        if (local_end > excl_free_at_) {
-          excl_free_at_ = local_end;
-        }
-        return;
       case ReadPolicy::kPassiveRw:
       case ReadPolicy::kEpoch:
         if (local_end > write_free_at_) {
@@ -286,7 +258,6 @@ class SimSharedLock {
   uint16_t cpu_count_ = 1;
   uint32_t section_depth_ = 0;
 
-  Cycles excl_free_at_ = 0;         // kExclusive: the one lock word
   Cycles write_free_at_ = 0;        // kPassiveRw/kEpoch: writer serialization
   uint64_t tokens_ = 0;             // kPassiveRw: CPUs holding a read token
   std::vector<Cycles> read_until_;  // per-CPU last read-section end

@@ -106,92 +106,12 @@ TEST(LockPolicyUnit, UncontendedAcquiresAreFreeUnderEveryPolicy) {
 
 // ---------------------------------------------------------------------------
 // Kernel level: knobs-off equivalence and MCS determinism on the global
-// ready list (the runqueue_test.cc mixed workload, with the list lock under
-// contention at quantum 3 and connect cost 200).
+// ready list (the shared mixed workload, RunMixed in tests/kernel_fixture.h,
+// with the list lock under contention at quantum 3 and connect cost 200).
 // ---------------------------------------------------------------------------
 
-struct RunResult {
-  std::map<std::string, uint64_t, std::less<>> counters;
-  std::vector<std::string> audit;
-  Cycles clock = 0;
-  std::vector<Word> values;
-  uint64_t lock_contended = 0;
-  uint64_t lock_handoffs = 0;
-  Cycles lock_handoff_cycles = 0;
-  // Profiler readback (zero unless config.profile.enabled).
-  std::array<Cycles, kProfDomainCount> domains{};
-  bool ledger_balanced = false;
-  bool all_done = false;
-  bool ok = false;
-};
-
-RunResult RunMixed(const KernelConfig& config) {
-  RunResult out;
-  Kernel kernel{config};
-  if (!kernel.Boot().ok()) {
-    return out;
-  }
-  kernel.processes().set_quantum(3);
-  PathWalker walker(&kernel.gates());
-  std::vector<ProcessId> pids;
-  std::vector<Segno> segnos;
-  for (uint32_t i = 0; i < 6; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), WorldAcl(),
-                                      Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < 48; ++n) {
-      if (n % 3 == 0) {
-        program.push_back(UserOp::Compute(25));
-      } else {
-        program.push_back(UserOp::Write(*segno, (n % 10) * kPageWords + n, n * 7 + i));
-      }
-    }
-    if (!kernel.processes().SetProgram(*pid, std::move(program)).ok()) {
-      return out;
-    }
-    pids.push_back(*pid);
-    segnos.push_back(*segno);
-  }
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
-    return out;
-  }
-  const Prof& prof = kernel.ctx().prof;
-  out.domains = prof.DomainTotals();
-  out.ledger_balanced = true;
-  for (uint16_t cpu = 0; cpu < prof.cpu_count(); ++cpu) {
-    out.ledger_balanced = out.ledger_balanced && prof.attributed(cpu) == prof.accrued(cpu);
-  }
-  for (uint32_t i = 0; i < 6; ++i) {
-    auto word = kernel.gates().Read(*kernel.processes().Context(pids[i]), segnos[i],
-                                    7 * kPageWords + 47);
-    if (!word.ok()) {
-      return out;
-    }
-    out.values.push_back(*word);
-  }
-  out.all_done = kernel.processes().AllDone();
-  out.audit = kernel.AuditIntegrity();
-  out.counters = kernel.metrics().counters();
-  out.clock = kernel.clock().now();
-  const SimSpinLock& lock = kernel.processes().list_lock();
-  out.lock_contended = lock.contended();
-  out.lock_handoffs = lock.handoffs();
-  out.lock_handoff_cycles = lock.handoff_cycles();
-  out.ok = true;
-  return out;
-}
+constexpr uint32_t kOps = 48;
+constexpr uint32_t kQuantum = 3;
 
 KernelConfig PolicyKernelConfig(uint16_t cpus, LockPolicy policy) {
   KernelConfig config;
@@ -212,8 +132,9 @@ TEST(LockPolicyEquivalence, KnobsOffIsByteIdenticalToExplicitTestAndSet) {
   defaults.memory_frames = 48;
   defaults.vp_count = 6;
   defaults.connect_cost = 200;
-  const RunResult off = RunMixed(defaults);
-  const RunResult tas = RunMixed(PolicyKernelConfig(4, LockPolicy::kTestAndSet));
+  const MixedRun off = RunMixed(defaults, kOps, kQuantum);
+  const MixedRun tas =
+      RunMixed(PolicyKernelConfig(4, LockPolicy::kTestAndSet), kOps, kQuantum);
   ASSERT_TRUE(off.ok);
   ASSERT_TRUE(tas.ok);
   EXPECT_EQ(off.counters, tas.counters);
@@ -230,8 +151,9 @@ TEST(LockPolicyEquivalence, PoliciesNeverChangeWhatProgramsCompute) {
   // compute identical stored values and finish cleanly, MCS charges one
   // connect_cost line per contended grant, and charging that traffic can
   // only lengthen the run.
-  const RunResult tas = RunMixed(PolicyKernelConfig(4, LockPolicy::kTestAndSet));
-  const RunResult mcs = RunMixed(PolicyKernelConfig(4, LockPolicy::kMcs));
+  const MixedRun tas =
+      RunMixed(PolicyKernelConfig(4, LockPolicy::kTestAndSet), kOps, kQuantum);
+  const MixedRun mcs = RunMixed(PolicyKernelConfig(4, LockPolicy::kMcs), kOps, kQuantum);
   ASSERT_TRUE(tas.ok);
   ASSERT_TRUE(mcs.ok);
   ASSERT_GT(mcs.lock_contended, 0u) << "workload must contend the list lock";
@@ -247,8 +169,8 @@ TEST(LockPolicyDeterminism, DoubleRunsAreBitIdenticalAtFourAndSixteenCpus) {
   for (uint16_t cpus : {uint16_t{4}, uint16_t{16}}) {
     SCOPED_TRACE("mcs @ " + std::to_string(cpus));
     const KernelConfig config = PolicyKernelConfig(cpus, LockPolicy::kMcs);
-    const RunResult a = RunMixed(config);
-    const RunResult b = RunMixed(config);
+    const MixedRun a = RunMixed(config, kOps, kQuantum);
+    const MixedRun b = RunMixed(config, kOps, kQuantum);
     ASSERT_TRUE(a.ok);
     ASSERT_TRUE(b.ok);
     EXPECT_EQ(a.counters, b.counters);
@@ -265,8 +187,8 @@ TEST(LockPolicyDeterminism, ShardedRunQueuesAcceptThePolicyDeterministically) {
   KernelConfig config = PolicyKernelConfig(4, LockPolicy::kMcs);
   config.sharded_runqueues = true;
   config.steal = true;
-  const RunResult a = RunMixed(config);
-  const RunResult b = RunMixed(config);
+  const MixedRun a = RunMixed(config, kOps, kQuantum);
+  const MixedRun b = RunMixed(config, kOps, kQuantum);
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(a.counters, b.counters);
@@ -274,7 +196,7 @@ TEST(LockPolicyDeterminism, ShardedRunQueuesAcceptThePolicyDeterministically) {
   EXPECT_EQ(a.values, b.values);
   KernelConfig tas = config;
   tas.lock_policy = LockPolicy::kTestAndSet;
-  const RunResult t = RunMixed(tas);
+  const MixedRun t = RunMixed(tas, kOps, kQuantum);
   ASSERT_TRUE(t.ok);
   EXPECT_EQ(a.values, t.values);
 }
@@ -290,7 +212,7 @@ TEST(LockPolicyProf, LockWaitsLandInTheirDomainsAtFourAndSixteenCpus) {
     SCOPED_TRACE("mcs @ " + std::to_string(cpus));
     KernelConfig config = PolicyKernelConfig(cpus, LockPolicy::kMcs);
     config.profile.enabled = true;
-    const RunResult r = RunMixed(config);
+    const MixedRun r = RunMixed(config, kOps, kQuantum);
     ASSERT_TRUE(r.ok);
     const uint64_t spin = r.counters.at("sched.list_lock_spin_cycles");
     const uint64_t transfers = r.counters.at("sched.list_transfer_cycles");

@@ -1,6 +1,6 @@
 // Tests for the read-mostly synchronization layer (PR 8): the per-policy
 // spin/traffic arithmetic at the SimSharedLock unit level, knobs-off
-// inertness, nested-section reentrancy, the exclusive@1cpu == off clock
+// inertness, nested-section reentrancy, the passive-rw@1cpu == off clock
 // identity, and RelocateUid interleaved with concurrent lookups under each
 // ReadPolicy — bit-identical on double runs at 4 and 16 CPUs.
 #include <gtest/gtest.h>
@@ -40,31 +40,6 @@ TEST(SharedLockUnit, OffIsFullyInert) {
   EXPECT_EQ(lock.write_grants(), 0u);
   EXPECT_EQ(lock.read_spin_cycles(), 0u);
   EXPECT_EQ(lock.write_spin_cycles(), 0u);
-}
-
-TEST(SharedLockUnit, ExclusiveReadsWaitExactlyLikeWrites) {
-  SimSharedLock lock;
-  lock.Configure(Config(ReadPolicy::kExclusive));
-  EXPECT_TRUE(lock.modeled());
-  EXPECT_EQ(lock.AcquireRead(0, 0), 0u);
-  lock.ReleaseRead(1000, 0);
-  // A reader behind another reader's section burns the whole gap: the one
-  // lock word does not distinguish the modes.
-  EXPECT_EQ(lock.AcquireRead(0, 1), 1000u);
-  lock.ReleaseRead(1200, 1);
-  const auto grant = lock.AcquireWrite(500, 2);
-  EXPECT_EQ(grant.total, 700u);  // the gap to 1200, no traffic terms
-  EXPECT_EQ(grant.revocation_cycles, 0u);
-  EXPECT_EQ(grant.publish_cycles, 0u);
-  EXPECT_EQ(grant.grace_cycles, 0u);
-  lock.ReleaseWrite(1400);
-  EXPECT_EQ(lock.AcquireRead(1500, 3), 0u);  // arrived after the release
-  EXPECT_EQ(lock.read_grants(), 3u);
-  EXPECT_EQ(lock.contended_reads(), 1u);
-  EXPECT_EQ(lock.read_spin_cycles(), 1000u);
-  EXPECT_EQ(lock.write_grants(), 1u);
-  EXPECT_EQ(lock.contended_writes(), 1u);
-  EXPECT_EQ(lock.write_spin_cycles(), 700u);
 }
 
 TEST(SharedLockUnit, PassiveRwReadsAreFreeAndWritersRevokeRemoteTokens) {
@@ -129,8 +104,7 @@ TEST(SharedLockUnit, EpochReadsPinFreeAndWritersPayPublishPlusGrace) {
 TEST(SharedLockUnit, GrantOrderNeverDependsOnThePolicy) {
   // The same three-section script under every modeled policy: sections start
   // in call order and each policy only changes what the waiting costs.
-  for (ReadPolicy policy :
-       {ReadPolicy::kExclusive, ReadPolicy::kPassiveRw, ReadPolicy::kEpoch}) {
+  for (ReadPolicy policy : {ReadPolicy::kPassiveRw, ReadPolicy::kEpoch}) {
     SCOPED_TRACE(ReadPolicyName(policy));
     SimSharedLock lock;
     lock.Configure(Config(policy));
@@ -172,7 +146,7 @@ TEST(ReadMostlyKernel, NestedWriteSectionsAreInertNotDoubleCharged) {
   // DeleteEntry of a quota directory calls RemoveQuota inside its own write
   // section; the nested section must not take a second grant.
   KernelConfig config;
-  config.read_policy = ReadPolicy::kExclusive;
+  config.read_policy = ReadPolicy::kPassiveRw;
   KernelFixture fx{config};
   ASSERT_TRUE(fx.boot_status.ok());
   PathWalker walker(&fx.kernel.gates());
@@ -323,8 +297,7 @@ constexpr uint32_t kStormOps = 512;  // 8 relocations inside the storm
 TEST(ReadMostlyRelocation, LookupsAlwaysSeeTheLatestHomeUnderEveryPolicy) {
   // 512 ops: the last relocation (op 447, i/64 == 6) moved the segment to
   // the alternate pack; every process's KST binding must say so.
-  for (ReadPolicy policy : {ReadPolicy::kOff, ReadPolicy::kExclusive, ReadPolicy::kPassiveRw,
-                            ReadPolicy::kEpoch}) {
+  for (ReadPolicy policy : {ReadPolicy::kOff, ReadPolicy::kPassiveRw, ReadPolicy::kEpoch}) {
     SCOPED_TRACE(ReadPolicyName(policy));
     const StormOut r = RunRelocationStorm(policy, 4, kStormOps);
     ASSERT_TRUE(r.ok);
@@ -340,53 +313,47 @@ TEST(ReadMostlyRelocation, PoliciesPriceTheScheduleWithoutChangingIt) {
   // policy-independent; only the clock and the lock counters differ — and in
   // the direction each policy promises.
   const StormOut off = RunRelocationStorm(ReadPolicy::kOff, 4, kStormOps);
-  const StormOut excl = RunRelocationStorm(ReadPolicy::kExclusive, 4, kStormOps);
   const StormOut prw = RunRelocationStorm(ReadPolicy::kPassiveRw, 4, kStormOps);
   const StormOut epoch = RunRelocationStorm(ReadPolicy::kEpoch, 4, kStormOps);
   ASSERT_TRUE(off.ok);
-  ASSERT_TRUE(excl.ok);
   ASSERT_TRUE(prw.ok);
   ASSERT_TRUE(epoch.ok);
-  EXPECT_EQ(off.observed_packs, excl.observed_packs);
   EXPECT_EQ(off.observed_packs, prw.observed_packs);
   EXPECT_EQ(off.observed_packs, epoch.observed_packs);
   // Off records nothing at all.
   EXPECT_EQ(off.read_grants, 0u);
   EXPECT_EQ(off.write_grants, 0u);
-  // The modeled policies all saw the same sections.
-  EXPECT_EQ(excl.read_grants, prw.read_grants);
-  EXPECT_EQ(excl.read_grants, epoch.read_grants);
-  EXPECT_EQ(excl.write_grants, prw.write_grants);
-  // Exclusive makes readers contend; passive_rw readers never pay lines
-  // (their only waits are writer sections); epoch readers never wait at all.
-  EXPECT_GT(excl.contended_reads, prw.contended_reads);
+  // The modeled policies both saw the same sections.
+  EXPECT_EQ(prw.read_grants, epoch.read_grants);
+  EXPECT_EQ(prw.write_grants, epoch.write_grants);
+  // Passive_rw readers never pay lines (their only waits are writer
+  // sections); epoch readers never wait at all.
   EXPECT_EQ(epoch.contended_reads, 0u);
   EXPECT_EQ(epoch.read_spin_cycles, 0u);
   // The writers' traffic terms appear exactly where the model puts them.
-  EXPECT_EQ(excl.revocation_cycles, 0u);
   EXPECT_GT(prw.revoked_cpus, 0u);
   EXPECT_EQ(prw.revocation_cycles, prw.revoked_cpus * 200u);
   EXPECT_GT(epoch.publish_cycles, 0u);
   EXPECT_GT(epoch.grace_waits, 0u);
 }
 
-TEST(ReadMostlyRelocation, ExclusiveAtOneCpuIsClockIdenticalToOff) {
-  // At 1 CPU the anchored windows make spin structurally zero and exclusive
-  // charges nothing: the virtual clock (and what the process observed) must
-  // match the un-modeled run exactly.
+TEST(ReadMostlyRelocation, PassiveRwAtOneCpuIsClockIdenticalToOff) {
+  // At 1 CPU the anchored windows make spin structurally zero, and a writer
+  // has no remote token to revoke, so passive_rw charges nothing: the
+  // virtual clock (and what the process observed) must match the un-modeled
+  // run exactly.
   const StormOut off = RunRelocationStorm(ReadPolicy::kOff, 1, kStormOps);
-  const StormOut excl = RunRelocationStorm(ReadPolicy::kExclusive, 1, kStormOps);
+  const StormOut prw = RunRelocationStorm(ReadPolicy::kPassiveRw, 1, kStormOps);
   ASSERT_TRUE(off.ok);
-  ASSERT_TRUE(excl.ok);
-  EXPECT_EQ(off.clock, excl.clock);
-  EXPECT_EQ(off.observed_packs, excl.observed_packs);
-  EXPECT_EQ(excl.read_spin_cycles, 0u);
-  EXPECT_EQ(excl.write_spin_cycles, 0u);
+  ASSERT_TRUE(prw.ok);
+  EXPECT_EQ(off.clock, prw.clock);
+  EXPECT_EQ(off.observed_packs, prw.observed_packs);
+  EXPECT_EQ(prw.read_spin_cycles, 0u);
+  EXPECT_EQ(prw.write_spin_cycles, 0u);
 }
 
 TEST(ReadMostlyRelocation, DoubleRunsAreBitIdenticalAtFourAndSixteenCpus) {
-  for (ReadPolicy policy :
-       {ReadPolicy::kExclusive, ReadPolicy::kPassiveRw, ReadPolicy::kEpoch}) {
+  for (ReadPolicy policy : {ReadPolicy::kPassiveRw, ReadPolicy::kEpoch}) {
     for (uint16_t cpus : {uint16_t{4}, uint16_t{16}}) {
       SCOPED_TRACE(std::string(ReadPolicyName(policy)) + " @ " + std::to_string(cpus));
       const StormOut a = RunRelocationStorm(policy, cpus, kStormOps);

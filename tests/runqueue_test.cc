@@ -15,77 +15,11 @@
 namespace mks {
 namespace {
 
-struct RunResult {
-  std::map<std::string, uint64_t, std::less<>> counters;
-  std::vector<std::string> audit;
-  Cycles clock = 0;
-  std::vector<Word> values;  // last-written word per process
-  bool all_done = false;
-  bool ok = false;
-};
-
-// Boots a kernel under `config`, runs a mixed compute/paged-write workload
-// across `processes` processes (working sets overflow the frame pool, so
-// parking and re-readying exercise the wake -> enqueue path), and snapshots
-// everything observable.
-RunResult RunMixed(const KernelConfig& config, uint32_t processes = 6) {
-  RunResult out;
-  Kernel kernel{config};
-  if (!kernel.Boot().ok()) {
-    return out;
-  }
-  kernel.processes().set_quantum(3);  // several dispatches per program
-  PathWalker walker(&kernel.gates());
-  std::vector<ProcessId> pids;
-  std::vector<Segno> segnos;
-  for (uint32_t i = 0; i < processes; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), WorldAcl(),
-                                      Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < 48; ++n) {
-      if (n % 3 == 0) {
-        program.push_back(UserOp::Compute(25));
-      } else {
-        program.push_back(UserOp::Write(*segno, (n % 10) * kPageWords + n, n * 7 + i));
-      }
-    }
-    if (!kernel.processes().SetProgram(*pid, std::move(program)).ok()) {
-      return out;
-    }
-    pids.push_back(*pid);
-    segnos.push_back(*segno);
-  }
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
-    return out;
-  }
-  for (uint32_t i = 0; i < processes; ++i) {
-    // Op n=47 is the last write: offset (47%10)*kPageWords + 47.
-    auto word = kernel.gates().Read(*kernel.processes().Context(pids[i]), segnos[i],
-                                    7 * kPageWords + 47);
-    if (!word.ok()) {
-      return out;
-    }
-    out.values.push_back(*word);
-  }
-  out.all_done = kernel.processes().AllDone();
-  out.audit = kernel.AuditIntegrity();
-  out.counters = kernel.metrics().counters();
-  out.clock = kernel.clock().now();
-  out.ok = true;
-  return out;
-}
+// The shared mixed workload (RunMixed, tests/kernel_fixture.h) at quantum 3,
+// so each program takes several dispatches.  Its working sets overflow the
+// frame pool, so parking and re-readying exercise the wake -> enqueue path.
+constexpr uint32_t kOps = 48;
+constexpr uint32_t kQuantum = 3;
 
 KernelConfig RqConfig(uint16_t cpus, bool sharded, bool steal, Cycles connect_cost) {
   KernelConfig config;
@@ -101,8 +35,8 @@ KernelConfig RqConfig(uint16_t cpus, bool sharded, bool steal, Cycles connect_co
 TEST(RunQueueDeterminism, TwoShardedStealRunsAreBitIdentical) {
   const KernelConfig config = RqConfig(4, /*sharded=*/true, /*steal=*/true,
                                        /*connect_cost=*/200);
-  const RunResult a = RunMixed(config);
-  const RunResult b = RunMixed(config);
+  const MixedRun a = RunMixed(config, kOps, kQuantum);
+  const MixedRun b = RunMixed(config, kOps, kQuantum);
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   // Work stealing and the connect-cost charges are part of the deterministic
@@ -118,8 +52,8 @@ TEST(RunQueueDeterminism, TwoShardedStealRunsAreBitIdentical) {
 TEST(RunQueueEquivalence, KnobsOffIsByteIdenticalAndStealAloneIsInert) {
   // steal=true without sharded_runqueues configures no queues at all: the
   // knob combination must be byte-identical to the defaults.
-  const RunResult off = RunMixed(RqConfig(4, false, false, 0));
-  const RunResult steal_only = RunMixed(RqConfig(4, false, true, 0));
+  const MixedRun off = RunMixed(RqConfig(4, false, false, 0), kOps, kQuantum);
+  const MixedRun steal_only = RunMixed(RqConfig(4, false, true, 0), kOps, kQuantum);
   ASSERT_TRUE(off.ok);
   ASSERT_TRUE(steal_only.ok);
   EXPECT_EQ(off.counters, steal_only.counters);
@@ -131,8 +65,8 @@ TEST(RunQueueEquivalence, ShardedComputesTheSameResultsAsTheGlobalList) {
   // Sharding changes who runs where and what the dispatch path charges —
   // never what the programs compute.  Same stored values, everything
   // finishes, books balance.
-  const RunResult global = RunMixed(RqConfig(4, false, false, 0));
-  const RunResult sharded = RunMixed(RqConfig(4, true, true, 200));
+  const MixedRun global = RunMixed(RqConfig(4, false, false, 0), kOps, kQuantum);
+  const MixedRun sharded = RunMixed(RqConfig(4, true, true, 200), kOps, kQuantum);
   ASSERT_TRUE(global.ok);
   ASSERT_TRUE(sharded.ok);
   EXPECT_EQ(global.values, sharded.values);

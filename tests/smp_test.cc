@@ -28,73 +28,9 @@ namespace {
 // Kernel-level: determinism and equivalence under the pool.
 // ---------------------------------------------------------------------------
 
-struct MixedRun {
-  std::map<std::string, uint64_t, std::less<>> counters;
-  std::vector<std::string> audit;
-  Cycles clock = 0;
-  std::vector<Word> values;  // one read-back word per process
-  bool ok = false;
-};
-
-// Boots a kernel, runs the mixed workload (compute + paged writes across
-// several processes, working set larger than memory so eviction and — when
-// enabled — the paging pipeline engage), and snapshots everything observable.
-MixedRun RunMixed(const KernelConfig& config, uint32_t processes = 6) {
-  MixedRun out;
-  Kernel kernel{config};
-  if (!kernel.Boot().ok()) {
-    return out;
-  }
-  PathWalker walker(&kernel.gates());
-  std::vector<ProcessId> pids;
-  std::vector<Segno> segnos;
-  for (uint32_t i = 0; i < processes; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), WorldAcl(),
-                                      Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < 60; ++n) {
-      if (n % 3 == 0) {
-        program.push_back(UserOp::Compute(25));
-      } else {
-        program.push_back(UserOp::Write(*segno, (n % 10) * kPageWords + n, n * 7 + i));
-      }
-    }
-    if (!kernel.processes().SetProgram(*pid, std::move(program)).ok()) {
-      return out;
-    }
-    pids.push_back(*pid);
-    segnos.push_back(*segno);
-  }
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
-    return out;
-  }
-  for (uint32_t i = 0; i < processes; ++i) {
-    // Op n=59 is the last write each process makes: offset (59%10)*kPageWords+59.
-    auto word = kernel.gates().Read(*kernel.processes().Context(pids[i]), segnos[i],
-                                    9 * kPageWords + 59);
-    if (!word.ok()) {
-      return out;
-    }
-    out.values.push_back(*word);
-  }
-  out.audit = kernel.AuditIntegrity();
-  out.counters = kernel.metrics().counters();
-  out.clock = kernel.clock().now();
-  out.ok = true;
-  return out;
-}
+// The shared mixed workload (RunMixed, tests/kernel_fixture.h) at the
+// default quantum.
+constexpr uint32_t kMixedOps = 60;
 
 KernelConfig SmpConfig(uint16_t cpus) {
   KernelConfig config;
@@ -107,8 +43,8 @@ KernelConfig SmpConfig(uint16_t cpus) {
 TEST(SmpDeterminism, TwoRunsAtFourCpusAreBitIdentical) {
   KernelConfig config = SmpConfig(4);
   config.paging_pipeline = PagingPipeline::Full();
-  const MixedRun a = RunMixed(config);
-  const MixedRun b = RunMixed(config);
+  const MixedRun a = RunMixed(config, kMixedOps);
+  const MixedRun b = RunMixed(config, kMixedOps);
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   // The full metrics dump — every counter, including the per-CPU
@@ -122,8 +58,8 @@ TEST(SmpDeterminism, TwoRunsAtFourCpusAreBitIdentical) {
 }
 
 TEST(SmpEquivalence, CpuCountNeverChangesWhatTheKernelComputes) {
-  const MixedRun uni = RunMixed(SmpConfig(1));
-  const MixedRun smp = RunMixed(SmpConfig(4));
+  const MixedRun uni = RunMixed(SmpConfig(1), kMixedOps);
+  const MixedRun smp = RunMixed(SmpConfig(4), kMixedOps);
   ASSERT_TRUE(uni.ok);
   ASSERT_TRUE(smp.ok);
   // Same stored values, clean audits on both.  (The serialized totals also
@@ -143,7 +79,7 @@ TEST(SmpEquivalence, FullPipelineComputesTheSameValuesAtEveryCpuCount) {
   for (const uint16_t cpus : {1, 4, 16}) {
     KernelConfig config = SmpConfig(cpus);
     config.paging_pipeline = PagingPipeline::Full();
-    runs.push_back(RunMixed(config));
+    runs.push_back(RunMixed(config, kMixedOps));
     ASSERT_TRUE(runs.back().ok) << cpus << " CPUs";
     EXPECT_TRUE(runs.back().audit.empty()) << cpus << " CPUs: " << runs.back().audit.front();
   }
