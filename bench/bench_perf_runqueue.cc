@@ -1,8 +1,8 @@
 // P13 — sharded per-CPU run queues vs the global ready list, under a charged
 // interconnect.  PR 5's dispatch refactor shards the level-2 ready list into
-// per-CPU queues (own SimSpinLock each) with deterministic work stealing and
-// optional affinity masks; KernelConfig::connect_cost prices every touch of
-// scheduler state from a CPU other than its cache line's last owner.
+// per-CPU queues (own SimSpinLock each) with deterministic work stealing;
+// KernelConfig::connect_cost prices every touch of scheduler state from a
+// CPU other than its cache line's last owner.
 //
 // The sweep crosses dispatch mode (global list / sharded / sharded+steal)
 // with connect cost {0, 200, 800} and CPU pool {1, 2, 4} over two workloads:
@@ -10,12 +10,10 @@
 //   fault_storm  — P11's kernel fault storm, byte-for-byte the same work
 //                  (4 processes x 24 pages > 64 frames, 4 sweep rounds), so
 //                  the mode-vs-mode deltas ride on a known baseline;
-//   mixed_pinned — a dispatch-rate-bound mix at quantum 2: four paged
-//                  readers pinned to CPUs {0,1} and four compute processes
-//                  pinned to CPUs {2,3} (pins apply where the mask
-//                  intersects the pool), so the global list bounces between
-//                  the two halves every quantum while sharded queues keep
-//                  each half's traffic local.
+//   mixed        — a dispatch-rate-bound mix at quantum 2: four paged
+//                  readers and four compute processes, so the global list
+//                  bounces between CPUs every quantum while a sharded CPU
+//                  mostly works its own queue.
 //
 // At connect cost 0 every mode degenerates to the legacy scheduler's charge
 // stream; the interesting rows are cost > 0, where the global list pays a
@@ -197,9 +195,7 @@ RqResult RunStorm(const Mode& mode, uint16_t cpus, Cycles connect_cost, uint32_t
 
 // The dispatch-rate-bound mix: quantum 2, so every pair of ops pays a full
 // dispatch round trip through the scheduler's shared state.  Four paged
-// readers carry affinity mask 0x3 (CPUs 0-1) and four compute processes mask
-// 0xc (CPUs 2-3); a pin is applied only where it intersects the pool, so the
-// 1- and 2-CPU rows degrade gracefully to unpinned halves.
+// readers and four compute processes; any process may run on any CPU.
 RqResult RunMixed(const Mode& mode, uint16_t cpus, Cycles connect_cost, uint32_t ops,
                   bool trace, bool profile) {
   RqResult out;
@@ -213,7 +209,6 @@ RqResult RunMixed(const Mode& mode, uint16_t cpus, Cycles connect_cost, uint32_t
   Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
   PathWalker walker(&kernel.gates());
   const Acl acl = BenchWorldAcl();
-  const uint32_t pool = cpus >= 32 ? ~0u : ((1u << cpus) - 1);
   for (uint32_t i = 0; i < kProcs; ++i) {
     auto pid = kernel.processes().CreateProcess(user);
     if (!pid.ok()) {
@@ -242,10 +237,6 @@ RqResult RunMixed(const Mode& mode, uint16_t cpus, Cycles connect_cost, uint32_t
       }
     }
     (void)kernel.processes().SetProgram(*pid, std::move(program));
-    const uint32_t pin = reader ? 0x3u : 0xcu;
-    if ((pin & pool) != 0) {
-      (void)kernel.processes().SetAffinity(*pid, pin);
-    }
   }
   const Cycles before = kernel.clock().now();
   kernel.ctx().smp.AlignAll();
@@ -256,7 +247,7 @@ RqResult RunMixed(const Mode& mode, uint16_t cpus, Cycles connect_cost, uint32_t
   out.total = kernel.clock().now() - before;
   out.makespan = kernel.ctx().smp.Makespan() - m0;
   CaptureCounters(kernel.metrics(), &out);
-  ReportRun(kernel, &out, "mixed_pinned", mode, cpus, connect_cost, trace, profile,
+  ReportRun(kernel, &out, "mixed", mode, cpus, connect_cost, trace, profile,
             /*folded_path=*/nullptr);
   out.ok = true;
   return out;
@@ -292,7 +283,7 @@ int main(int argc, char** argv) {
   // verdict inputs: the 4-CPU max-cost rows of each workload.
   Cycles storm_global_4 = 0, storm_steal_4 = 0;
   double mixed_global_speedup = 0, mixed_steal_speedup = 0;
-  for (const char* workload : {"fault_storm", "mixed_pinned"}) {
+  for (const char* workload : {"fault_storm", "mixed"}) {
     const bool storm = std::strcmp(workload, "fault_storm") == 0;
     std::printf("%s:\n%15s %5s %6s %12s %12s %9s %8s %10s %10s\n", workload, "mode", "cpus",
                 "cost", "makespan", "total", "speedup", "steals", "transfers", "migrations");
@@ -372,7 +363,7 @@ int main(int argc, char** argv) {
   std::printf("4-CPU fault storm, cost %llu: sharded+steal makespan %llu < global %llu: %s\n",
               (unsigned long long)max_cost, (unsigned long long)storm_steal_4,
               (unsigned long long)storm_global_4, storm_wins ? "yes" : "NO");
-  std::printf("4-CPU mixed_pinned, cost %llu: sharded+steal speedup %.2fx > global %.2fx: %s\n",
+  std::printf("4-CPU mixed, cost %llu: sharded+steal speedup %.2fx > global %.2fx: %s\n",
               (unsigned long long)max_cost, mixed_steal_speedup, mixed_global_speedup,
               mixed_wins ? "yes" : "NO");
   std::printf("\nsharded dispatch keeps scheduler traffic off the interconnect the global\n"

@@ -112,5 +112,5 @@ int main() {
               (unsigned long long)kernel.metrics().Get("vproc.dispatches"),
               (unsigned long long)kernel.metrics().Get("linker.snaps"),
               (unsigned long long)kernel.metrics().Get("pfm.faults_serviced"));
-  return 0;
+  return ran.ok() ? 0 : 1;
 }

@@ -242,14 +242,6 @@ Result<uint64_t> MonolithicSupervisor::QuotaUsed(const std::string& dir_path) {
 // Segment control: the AST, constrained by the shape of the hierarchy.
 // ---------------------------------------------------------------------------
 
-Result<uint32_t> MonolithicSupervisor::AstOf(SegmentUid uid) {
-  auto it = ast_by_uid_.find(uid);
-  if (it == ast_by_uid_.end()) {
-    return Status(Code::kNotFound, "not active");
-  }
-  return it->second;
-}
-
 Result<uint32_t> MonolithicSupervisor::EnsureActive(BNode* node) {
   auto it = ast_by_uid_.find(node->uid);
   if (it != ast_by_uid_.end()) {

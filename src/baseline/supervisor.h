@@ -201,7 +201,6 @@ class MonolithicSupervisor {
   Result<uint32_t> Activate(BNode* node);
   Status Deactivate(uint32_t ast);
   Result<uint32_t> EnsureActive(BNode* node);
-  Result<uint32_t> AstOf(SegmentUid uid);
 
   // -- page control --
   void AcquireGlobalLock();

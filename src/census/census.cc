@@ -33,14 +33,6 @@ int KernelCensus::Pl1Equivalent(const CensusComponent& component) {
                                                    : component.source_lines;
 }
 
-int KernelCensus::StartTotal() const {
-  int total = 0;
-  for (const CensusComponent& c : components_) {
-    total += c.source_lines;
-  }
-  return total;
-}
-
 SizeTable KernelCensus::ComputeTable() const {
   SizeTable table;
   std::map<std::string, int> by_project;

@@ -76,7 +76,6 @@ class KernelCensus {
   // "slightly more than a factor of two" expansion).
   static int Pl1Equivalent(const CensusComponent& component);
 
-  int StartTotal() const;
   SizeTable ComputeTable() const;
   EntryPointStats EntryPoints() const;
 

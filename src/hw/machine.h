@@ -372,7 +372,6 @@ class Processor {
   }
   void set_system_ds(DescriptorSegment* ds) { system_ds_ = ds; }
   DescriptorSegment* user_ds() const { return user_ds_; }
-  DescriptorSegment* system_ds() const { return system_ds_; }
   const HwFeatures& features() const { return features_; }
   uint16_t index() const { return index_; }
 

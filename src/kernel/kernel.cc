@@ -132,13 +132,6 @@ std::vector<std::string> Kernel::AuditIntegrity() {
   return findings;
 }
 
-ProcContext Kernel::MakeContext(ProcessId pid, const Subject& subject) const {
-  ProcContext ctx;
-  ctx.pid = pid;
-  ctx.subject = subject;
-  return ctx;
-}
-
 DependencyGraph Kernel::DeclaredLattice() {
   using namespace module_names;
   DependencyGraph g;

@@ -122,9 +122,6 @@ class Kernel {
   // to its pack, so the on-disk image is self-consistent.
   Status Shutdown();
 
-  // Makes a gate-call context for a user-domain subject.
-  ProcContext MakeContext(ProcessId pid, const Subject& subject) const;
-
   const KernelConfig& config() const { return config_; }
   KernelContext& ctx() { return *ctx_; }
   Metrics& metrics() { return ctx_->metrics; }

@@ -171,37 +171,10 @@ Status UserProcessManager::SetProgram(ProcessId pid, std::vector<UserOp> program
   it->second.state = ProcState::kReady;
   if (rq_ != nullptr && !it->second.queued) {
     it->second.queued = true;
-    rq_->Enqueue(pid.value, EffectiveMask(it->second), ctx_->current_cpu, RunQueueSet::kNoCpu,
+    rq_->Enqueue(pid.value, ctx_->current_cpu, RunQueueSet::kNoCpu,
                  ctx_->smp.local_now(ctx_->current_cpu));
   }
   return Status::Ok();
-}
-
-Status UserProcessManager::SetAffinity(ProcessId pid, uint64_t cpu_mask) {
-  auto it = procs_.find(pid);
-  if (it == procs_.end()) {
-    return Status(Code::kNotFound, "no such process");
-  }
-  if (cpu_mask != 0 && (cpu_mask & ctx_->smp.PoolMask()) == 0) {
-    return Status(Code::kInvalidArgument, "affinity mask excludes every CPU");
-  }
-  it->second.affinity = cpu_mask;
-  if (it->second.queued && rq_ != nullptr) {
-    // Re-home the queued entry so the new mask governs immediately.
-    rq_->Remove(pid.value);
-    rq_->Enqueue(pid.value, EffectiveMask(it->second), ctx_->current_cpu, RunQueueSet::kNoCpu,
-                 ctx_->smp.local_now(ctx_->current_cpu));
-  }
-  return Status::Ok();
-}
-
-uint64_t UserProcessManager::affinity(ProcessId pid) const {
-  auto it = procs_.find(pid);
-  return it == procs_.end() ? 0 : it->second.affinity;
-}
-
-uint64_t UserProcessManager::EffectiveMask(const Process& proc) const {
-  return proc.affinity & ctx_->smp.PoolMask();
 }
 
 std::vector<ProcessId> UserProcessManager::LivePids() const {
@@ -331,7 +304,7 @@ void UserProcessManager::EnqueueReady(Process& proc, uint16_t from_cpu, Cycles l
       return;
     }
     proc.queued = true;
-    rq_->Enqueue(proc.pid.value, EffectiveMask(proc), from_cpu,
+    rq_->Enqueue(proc.pid.value, from_cpu,
                  proc.last_cpu == kNoCpu ? RunQueueSet::kNoCpu : proc.last_cpu, lnow);
   } else if (sched_costs_on()) {
     // Global-list mode with interconnect costs: readying a process is a
@@ -440,8 +413,7 @@ bool UserProcessManager::DispatchGlobal() {
     // is furthest behind, and everything it charges — the vp acquisition,
     // the switch, the state swap-in, the ops, their fault services — accrues
     // to that CPU.
-    const uint64_t mask = EffectiveMask(proc);
-    const uint16_t cpu = mask == 0 ? ctx_->smp.NextCpu() : ctx_->smp.NextCpuIn(mask);
+    const uint16_t cpu = ctx_->smp.NextCpu();
     EnterCpu(cpu);
     Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
     const Cycles dispatch_start = ctx_->clock.now();
@@ -460,48 +432,40 @@ bool UserProcessManager::DispatchGlobal() {
 }
 
 bool UserProcessManager::DispatchSharded() {
-  // Sharded dispatch: the least-behind CPU pops its own queue (stealing in
-  // fixed victim order when empty and stealing is on) and runs one quantum;
-  // repeat until no CPU can obtain work.  Queue charges land inside the
+  // Sharded dispatch: the least-behind CPU (ties: lowest index), recomputed
+  // after every quantum so the interleave matches the legacy dispatch
+  // discipline, pops its own queue and runs one quantum; repeat while work
+  // is queued.  With stealing on it always obtains work — its own
+  // queue's front, or the first non-empty victim's.  With stealing off a CPU
+  // runs only its own queue, so an empty one hands the quantum to the
+  // least-behind CPU whose queue holds work.  Queue charges land inside the
   // quantum window, so lock spin, line transfers, and steals all accrue to
   // the dispatching CPU.
   bool did_work = false;
-  const uint16_t n = ctx_->smp.count();
   while (rq_->AnyQueued()) {
-    // CPUs try in least-behind order (ties: lowest index), recomputed after
-    // every quantum so the interleave matches the legacy dispatch
-    // discipline.  The first is the tournament tree's root; the rest are
-    // sorted only when it obtains no work, by the clocks as they stood
-    // before its attempt — its fruitless-steal accrual moved only its own.
-    const uint16_t first = ctx_->smp.NextCpu();
-    DispatchOutcome outcome = DispatchFromQueue(first);
-    if (outcome == DispatchOutcome::kNoWork) {
-      fallback_cpus_.clear();
-      for (uint16_t k = 0; k < n; ++k) {
-        if (k != first) {
-          fallback_cpus_.push_back(k);
-        }
-      }
-      std::sort(fallback_cpus_.begin(), fallback_cpus_.end(), [&](uint16_t a, uint16_t b) {
-        const Cycles la = ctx_->smp.local_now(a);
-        const Cycles lb = ctx_->smp.local_now(b);
-        return la != lb ? la < lb : a < b;
-      });
-      for (const uint16_t cpu : fallback_cpus_) {
-        outcome = DispatchFromQueue(cpu);
-        if (outcome != DispatchOutcome::kNoWork) {
-          break;
-        }
-      }
+    uint16_t cpu = ctx_->smp.NextCpu();
+    if (!dcfg_.steal && rq_->depth(cpu) == 0) {
+      cpu = LeastBehindWithWork();
     }
-    if (outcome != DispatchOutcome::kRan) {
-      // Pool exhausted (the next pass retries with vps released), or queued
-      // work exists that no CPU may run this pass.
+    if (DispatchFromQueue(cpu) != DispatchOutcome::kRan) {
+      // Pool exhausted (the next pass retries with vps released), or the
+      // popped item was stale.
       break;
     }
     did_work = true;
   }
   return did_work;
+}
+
+uint16_t UserProcessManager::LeastBehindWithWork() const {
+  uint16_t best = kNoCpu;
+  for (uint16_t k = 0; k < rq_->count(); ++k) {
+    if (rq_->depth(k) != 0 &&
+        (best == kNoCpu || ctx_->smp.local_now(k) < ctx_->smp.local_now(best))) {
+      best = k;
+    }
+  }
+  return best;
 }
 
 UserProcessManager::DispatchOutcome UserProcessManager::DispatchFromQueue(uint16_t cpu) {
@@ -513,17 +477,18 @@ UserProcessManager::DispatchOutcome UserProcessManager::DispatchFromQueue(uint16
   if (it != procs_.end()) {
     it->second.queued = false;
   }
-  // Nothing to pop (fruitless steal scans charge), destroyed while queued
-  // (Remove is the normal path), or no longer ready.
+  // Nothing to pop, destroyed while queued (Remove is the normal path), or
+  // no longer ready.
   if (it == procs_.end() || it->second.state != ProcState::kReady) {
     AccrueOutside(cpu, dispatch_start);
     return DispatchOutcome::kNoWork;
   }
   Process& proc = it->second;
   if (RunQuantumOn(proc, cpu, dispatch_start, /*affine_vp=*/true) == DispatchOutcome::kNoVp) {
-    // Pool exhausted: put the item back where the thief found work.
+    // Pool exhausted: put the item back at the front of this CPU's own
+    // queue — after a steal, too, not the victim's.
     proc.queued = true;
-    rq_->PushFront(pop.id, pop.mask, cpu);
+    rq_->PushFront(pop.id, cpu);
     AccrueOutside(cpu, dispatch_start);
     return DispatchOutcome::kNoVp;
   }

@@ -103,11 +103,6 @@ class UserProcessManager {
   Status DrainSlabs();
 
   Status SetProgram(ProcessId pid, std::vector<UserOp> program);
-  // Restricts `pid` to the CPUs whose bits are set (bit k = CPU k); 0 — the
-  // default — allows any CPU.  The mask must intersect the pool.  Takes
-  // effect at the process's next (re-)enqueue and dispatch.
-  Status SetAffinity(ProcessId pid, uint64_t cpu_mask);
-  uint64_t affinity(ProcessId pid) const;
   ProcContext* Context(ProcessId pid);
   // Every live process, in ascending pid order.
   std::vector<ProcessId> LivePids() const;
@@ -142,7 +137,6 @@ class UserProcessManager {
     bool bound = false;
     Segno state_segno{};
     ProcessStats stats;
-    uint64_t affinity = 0;      // allowed-CPU mask; 0 = any
     uint16_t last_cpu = kNoCpu; // CPU of the most recent dispatch
     bool queued = false;        // present in the sharded run queues
   };
@@ -170,6 +164,9 @@ class UserProcessManager {
   // One sharded dispatch attempt on `cpu`: pop (or steal) an item and run
   // its quantum, all in one window on `cpu`.
   DispatchOutcome DispatchFromQueue(uint16_t cpu);
+  // The least-behind CPU whose own queue holds work (ties: lowest index);
+  // kNoCpu when every queue is empty.
+  uint16_t LeastBehindWithWork() const;
   // Idle-time work, after dispatch: the idle-time kernel tasks once on the
   // least-behind CPU, then — with the paging pipeline on — idle rounds while
   // that CPU trails the furthest clock and a page is cleanable.  True if a
@@ -188,8 +185,6 @@ class UserProcessManager {
   // The global ready list as a shared cache line: lock it from `cpu`,
   // paying spin and a transfer when another CPU touched it last.
   void TouchReadyList(uint16_t cpu, Cycles lnow);
-  // proc.affinity clipped to the pool (0 = any CPU).
-  uint64_t EffectiveMask(const Process& proc) const;
   // Cross-CPU scheduling charges only exist with a configured connect cost
   // and more than one CPU to cross between.
   bool sched_costs_on() const {
@@ -239,8 +234,6 @@ class UserProcessManager {
   std::unordered_map<ProcessId, Process> procs_;
   DispatchConfig dcfg_;
   std::unique_ptr<RunQueueSet> rq_;
-  // Sharded dispatch's fallback CPU order, reused across quanta.
-  std::vector<uint16_t> fallback_cpus_;
   SimSpinLock list_lock_;        // the modelled global ready-list lock
   uint16_t list_owner_ = kNoCpu; // CPU that last touched the list's line
   bool slab_ = false;

@@ -28,8 +28,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <string>
 #include <vector>
@@ -69,30 +67,6 @@ class CpuInterleave {
   // The CPU whose local clock is furthest behind runs the next quantum
   // (ties: lowest index).  O(1): the tournament root.
   uint16_t NextCpu() const { return tree_[1]; }
-
-  // Least-behind CPU among those whose bit is set in `mask` (affinity
-  // dispatch).  The mask must intersect the pool; bit k = CPU k.  Iterates
-  // only the set bits, ascending, so ties resolve to the lowest index.
-  uint16_t NextCpuIn(uint64_t mask) const {
-    uint64_t candidates = mask & PoolMask();
-    if (candidates == 0) {
-      std::fprintf(stderr,
-                   "CpuInterleave::NextCpuIn: affinity mask %#llx selects no CPU "
-                   "in a pool of %u\n",
-                   static_cast<unsigned long long>(mask), static_cast<unsigned>(count()));
-      std::abort();
-    }
-    uint16_t best = static_cast<uint16_t>(std::countr_zero(candidates));
-    candidates &= candidates - 1;
-    while (candidates != 0) {
-      const uint16_t k = static_cast<uint16_t>(std::countr_zero(candidates));
-      candidates &= candidates - 1;
-      if (cpus_[k].local < cpus_[best].local) {
-        best = k;
-      }
-    }
-    return best;
-  }
 
   // Charges one quantum's worth of busy cycles to `cpu`'s local clock.
   void Accrue(uint16_t cpu, Cycles delta) {
@@ -134,11 +108,6 @@ class CpuInterleave {
   }
 
   Cycles local_now(uint16_t cpu) const { return cpus_[cpu].local + base_; }
-
-  // One bit per CPU in the pool (bit k = CPU k); pools hold up to 64 CPUs.
-  uint64_t PoolMask() const {
-    return count() >= 64 ? ~uint64_t{0} : (uint64_t{1} << count()) - 1;
-  }
 
   // Simulated-parallel completion time: the furthest-ahead local clock.
   Cycles Makespan() const { return max_local_ + base_; }
@@ -200,17 +169,15 @@ class CpuInterleave {
 // and that is structurally zero when queue touches never overlap in virtual
 // time), so the sharded layout can be ablated against the charged model.
 //
+// Any queued item may run on any CPU.  Enqueue places an item on the
+// shortest queue, and the hint CPU wins a tie (locality: a quantum-expired
+// process re-queues where it just ran); with no hint, the lowest index wins.
+//
 // Stealing is deterministic: when a CPU's own queue is empty it scans
 // victims in fixed ascending order (cpu+1, cpu+2, ... mod count) and takes
-// the first affinity-compatible item from the front of the first non-empty
-// queue.  A steal pays the victim queue's lock plus one connect transfer,
-// and is recorded as a `runq.steal` trace span (proc = stolen id,
-// arg = victim CPU).
-//
-// Items carry an affinity mask (bit k = may run on CPU k; 0 = any).  Enqueue
-// places an item on the shortest allowed queue, preferring the hint CPU on
-// ties (locality: a quantum-expired process re-queues where it just ran), so
-// an item's home queue always admits it — only steals need a mask check.
+// the front item of the first non-empty queue.  A steal pays the victim
+// queue's lock plus one connect transfer, and is recorded as a `runq.steal`
+// trace span (proc = stolen id, arg = victim CPU).
 class RunQueueSet {
  public:
   static constexpr uint16_t kNoCpu = UINT16_MAX;
@@ -253,7 +220,6 @@ class RunQueueSet {
     bool ok = false;
     bool stolen = false;
     uint32_t id = 0;
-    uint64_t mask = 0;
     uint16_t victim = kNoCpu;
   };
 
@@ -271,57 +237,36 @@ class RunQueueSet {
     return false;
   }
 
-  size_t TotalQueued() const {
-    size_t n = 0;
-    for (const Shard& s : shards_) {
-      n += s.items.size();
-    }
-    return n;
-  }
-
-  // True when CPU `cpu` may run an item with `mask` (0 = any CPU).
-  bool Allowed(uint64_t mask, uint16_t cpu) const {
-    return mask == 0 || ((mask >> cpu) & 1) != 0;
-  }
-
-  // Places `id` on the shortest allowed queue (ties: `hint_cpu` if allowed
-  // and tied, else lowest index).  `from_cpu` is the enqueuing CPU — a push
-  // onto a queue last touched by another CPU pays one connect transfer.
-  void Enqueue(uint32_t id, uint64_t mask, uint16_t from_cpu, uint16_t hint_cpu, Cycles lnow) {
-    uint16_t home = kNoCpu;
-    for (uint16_t k = 0; k < count(); ++k) {
-      if (!Allowed(mask, k)) {
-        continue;
-      }
-      if (home == kNoCpu || shards_[k].items.size() < shards_[home].items.size()) {
+  // Places `id` on the shortest queue (ties: `hint_cpu` if tied, else lowest
+  // index).  `from_cpu` is the enqueuing CPU — a push onto a queue last
+  // touched by another CPU pays one connect transfer.
+  void Enqueue(uint32_t id, uint16_t from_cpu, uint16_t hint_cpu, Cycles lnow) {
+    uint16_t home = 0;
+    for (uint16_t k = 1; k < count(); ++k) {
+      if (shards_[k].items.size() < shards_[home].items.size()) {
         home = k;
       }
     }
-    if (home == kNoCpu) {
-      home = 0;  // unsatisfiable mask; callers validate, this is a backstop
-    }
-    if (hint_cpu < count() && Allowed(mask, hint_cpu) &&
-        shards_[hint_cpu].items.size() == shards_[home].items.size()) {
+    if (hint_cpu < count() && shards_[hint_cpu].items.size() == shards_[home].items.size()) {
       home = hint_cpu;
     }
     Shard& s = shards_[home];
     const Cycles held = TouchShard(s, from_cpu, lnow);
-    s.items.push_back(Item{id, mask});
+    s.items.push_back(id);
     metrics_->Inc(s.id_pushes);
     metrics_->Observe(s.hist_depth, s.items.size());
     s.lock.Release(lnow + held);
   }
 
   // Takes the front of `cpu`'s own queue; when empty and stealing is on,
-  // scans victims in fixed ascending order for the first item `cpu` may run.
+  // takes the front of the first non-empty victim in fixed ascending order.
   Popped Dequeue(uint16_t cpu, Cycles lnow) {
     Popped out;
     Shard& own = shards_[cpu];
     if (!own.items.empty()) {
       const Cycles held = TouchShard(own, cpu, lnow);
       out.ok = true;
-      out.id = own.items.front().id;
-      out.mask = own.items.front().mask;
+      out.id = own.items.front();
       out.victim = cpu;
       own.items.pop_front();
       metrics_->Inc(own.id_pops);
@@ -340,35 +285,23 @@ class RunQueueSet {
       }
       const Cycles steal_begin = trace_->Begin();
       Cycles held = TouchShard(victim, cpu, lnow);
-      bool found = false;
-      for (auto it = victim.items.begin(); it != victim.items.end(); ++it) {
-        if (!Allowed(it->mask, cpu)) {
-          continue;
-        }
-        out.ok = true;
-        out.stolen = true;
-        out.id = it->id;
-        out.mask = it->mask;
-        out.victim = v;
-        victim.items.erase(it);
-        found = true;
-        break;
+      out.ok = true;
+      out.stolen = true;
+      out.id = victim.items.front();
+      out.victim = v;
+      victim.items.pop_front();
+      // The stolen item's state migrates to the thief: one more transfer on
+      // top of the queue-line bounce TouchShard already charged.
+      if (connect_cost_ > 0) {
+        cost_->Charge(CodeStyle::kOptimized, connect_cost_);
+        held += connect_cost_;
       }
-      if (found) {
-        // The stolen item's state migrates to the thief: one more transfer
-        // on top of the queue-line bounce TouchShard already charged.
-        if (connect_cost_ > 0) {
-          cost_->Charge(CodeStyle::kOptimized, connect_cost_);
-          held += connect_cost_;
-        }
-        metrics_->Inc(id_steals_);
-        metrics_->Inc(id_steal_cycles_, held);
-        metrics_->Inc(victim.id_pops);
-        victim.lock.Release(lnow + held);
-        trace_->CloseSpan(steal_begin, ev_steal_, out.id, v);
-        return out;
-      }
-      victim.lock.Release(lnow + held);  // nothing affinity-compatible here
+      metrics_->Inc(id_steals_);
+      metrics_->Inc(id_steal_cycles_, held);
+      metrics_->Inc(victim.id_pops);
+      victim.lock.Release(lnow + held);
+      trace_->CloseSpan(steal_begin, ev_steal_, out.id, v);
+      return out;
     }
     return out;
   }
@@ -376,15 +309,13 @@ class RunQueueSet {
   // Returns an item to the front of `cpu`'s own queue (dispatch could not
   // complete — vp pool exhausted).  Pure bookkeeping: the undo path charges
   // nothing, mirroring how the legacy scheduler's exhaustion break is free.
-  void PushFront(uint32_t id, uint64_t mask, uint16_t cpu) {
-    shards_[cpu].items.push_front(Item{id, mask});
-  }
+  void PushFront(uint32_t id, uint16_t cpu) { shards_[cpu].items.push_front(id); }
 
   // Drops a queued item (process destruction).  Teardown path: uncharged.
   bool Remove(uint32_t id) {
     for (Shard& s : shards_) {
       for (auto it = s.items.begin(); it != s.items.end(); ++it) {
-        if (it->id == id) {
+        if (*it == id) {
           s.items.erase(it);
           return true;
         }
@@ -394,12 +325,8 @@ class RunQueueSet {
   }
 
  private:
-  struct Item {
-    uint32_t id = 0;
-    uint64_t mask = 0;
-  };
   struct Shard {
-    std::deque<Item> items;
+    std::deque<uint32_t> items;
     SimSpinLock lock;
     uint16_t line_owner = kNoCpu;
     MetricId id_pushes = 0;

@@ -209,10 +209,7 @@ class SimSharedLock {
     }
     grant.total = (start - local_now) + grant.revocation_cycles +
                   grant.publish_cycles + grant.grace_cycles;
-    if (grant.total > 0) {
-      ++contended_writes_;
-      write_spin_cycles_ += grant.total;
-    }
+    write_spin_cycles_ += grant.total;
     return grant;
   }
 
@@ -241,7 +238,6 @@ class SimSharedLock {
   uint64_t contended_reads() const { return contended_reads_; }
   Cycles read_spin_cycles() const { return read_spin_cycles_; }
   uint64_t write_grants() const { return write_grants_; }
-  uint64_t contended_writes() const { return contended_writes_; }
   Cycles write_spin_cycles() const { return write_spin_cycles_; }
   uint64_t revoked_cpus() const { return revoked_cpus_; }
   Cycles revocation_cycles() const { return revocation_cycles_; }
@@ -266,7 +262,6 @@ class SimSharedLock {
   uint64_t contended_reads_ = 0;
   Cycles read_spin_cycles_ = 0;
   uint64_t write_grants_ = 0;
-  uint64_t contended_writes_ = 0;
   Cycles write_spin_cycles_ = 0;
   uint64_t revoked_cpus_ = 0;
   Cycles revocation_cycles_ = 0;

@@ -1,13 +1,8 @@
 // Tests for the sharded per-CPU run queues (PR 5): determinism with work
-// stealing on, fixed steal-victim ordering, affinity masks under dispatch
-// pressure (on pools of up to 64 CPUs), and knobs-off equivalence with the
-// legacy global ready list.
+// stealing on, dispatch order with it off, shortest-queue placement, fixed
+// steal-victim ordering, and knobs-off equivalence with the legacy global
+// ready list.
 #include <gtest/gtest.h>
-
-#include <iterator>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "src/sim/cpu_sched.h"
 #include "tests/kernel_fixture.h"
@@ -76,8 +71,45 @@ TEST(RunQueueEquivalence, ShardedComputesTheSameResultsAsTheGlobalList) {
   EXPECT_TRUE(sharded.audit.empty()) << sharded.audit.front();
 }
 
+TEST(RunQueueDispatch, WithoutStealingTheLeastBehindCpuWithWorkRunsNext) {
+  // Three CPUs, two processes: each lands on its own queue (0 and 1), so
+  // CPU 2's stays empty and, once CPU 2 is least behind, every quantum goes
+  // to whichever of CPUs 0 and 1 trails.  A computes long, then writes a
+  // shared word; B computes briefly, then writes it.  B's write comes first
+  // in virtual time, so it must run first, and A's must land last.
+  Kernel kernel{RqConfig(3, /*sharded=*/true, /*steal=*/false, /*connect_cost=*/0)};
+  ASSERT_TRUE(kernel.Boot().ok());
+  kernel.processes().set_quantum(1);
+  PathWalker walker(&kernel.gates());
+  auto a = kernel.processes().CreateProcess(TestSubject("A"));
+  auto b = kernel.processes().CreateProcess(TestSubject("B"));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ProcContext* ctx_a = kernel.processes().Context(*a);
+  ProcContext* ctx_b = kernel.processes().Context(*b);
+  auto entry = walker.CreateSegment(*ctx_a, ">work>shared", WorldAcl(), Label::SystemLow());
+  ASSERT_TRUE(entry.ok());
+  auto seg_a = kernel.gates().Initiate(*ctx_a, *entry);
+  auto seg_b = kernel.gates().Initiate(*ctx_b, *entry);
+  ASSERT_TRUE(seg_a.ok());
+  ASSERT_TRUE(seg_b.ok());
+  ASSERT_TRUE(kernel.processes()
+                  .SetProgram(*a, {UserOp::Compute(5000), UserOp::Write(*seg_a, 0, 1)})
+                  .ok());
+  ASSERT_TRUE(kernel.processes()
+                  .SetProgram(*b, {UserOp::Compute(10), UserOp::Write(*seg_b, 0, 2)})
+                  .ok());
+  kernel.ctx().smp.AlignAll();
+  ASSERT_TRUE(kernel.processes().RunUntilQuiescent(1000).ok());
+  EXPECT_GT(kernel.metrics().Get("smp.cpu0.busy_cycles"), 0u);
+  EXPECT_GT(kernel.metrics().Get("smp.cpu1.busy_cycles"), 0u);
+  auto word = kernel.gates().Read(*ctx_a, *seg_a, 0);
+  ASSERT_TRUE(word.ok());
+  EXPECT_EQ(*word, 1u);
+}
+
 // ---------------------------------------------------------------------------
-// RunQueueSet unit level: steal ordering and mask filtering.
+// RunQueueSet unit level: placement and steal ordering.
 // ---------------------------------------------------------------------------
 
 struct RqRig {
@@ -91,13 +123,38 @@ struct RqRig {
       : rq(cpus, steal, connect_cost, &cost, &metrics, &trace) {}
 };
 
+TEST(RunQueueSetUnit, EnqueuePicksTheShortestQueueAndTheHintOnlyOnATie) {
+  RqRig rig(4, /*steal=*/false);
+  // No hint: every queue is empty, so the lowest index wins.
+  rig.rq.Enqueue(10, /*from_cpu=*/2, RunQueueSet::kNoCpu, 0);
+  EXPECT_EQ(rig.rq.depth(0), 1u);
+  // A shorter queue beats the hint: queue 0 holds one item, queues 1-3 none.
+  rig.rq.Enqueue(11, /*from_cpu=*/0, /*hint_cpu=*/0, 0);
+  EXPECT_EQ(rig.rq.depth(0), 1u);
+  EXPECT_EQ(rig.rq.depth(1), 1u);
+  // The hint wins a tie: queues 2 and 3 are both empty.
+  rig.rq.Enqueue(13, /*from_cpu=*/0, /*hint_cpu=*/3, 0);
+  EXPECT_EQ(rig.rq.depth(2), 0u);
+  EXPECT_EQ(rig.rq.depth(3), 1u);
+  // No hint again: the one shortest queue, 2, takes it.
+  rig.rq.Enqueue(12, /*from_cpu=*/0, RunQueueSet::kNoCpu, 0);
+  EXPECT_EQ(rig.rq.depth(2), 1u);
+  // Each CPU's own queue holds exactly the item placed there.
+  for (uint16_t cpu = 0; cpu < 4; ++cpu) {
+    const auto own = rig.rq.Dequeue(cpu, 0);
+    ASSERT_TRUE(own.ok);
+    EXPECT_EQ(own.id, 10u + cpu);
+  }
+  EXPECT_FALSE(rig.rq.AnyQueued());
+}
+
 TEST(RunQueueSetUnit, StealScansVictimsInFixedAscendingOrder) {
   RqRig rig(4, /*steal=*/true);
-  // Hint-pin one any-CPU item to each of queues 2, 1, 3 (enqueue order
-  // deliberately scrambled; placement, not arrival, must decide).
-  rig.rq.Enqueue(22, 0, /*from_cpu=*/2, /*hint_cpu=*/2, 0);
-  rig.rq.Enqueue(11, 0, /*from_cpu=*/1, /*hint_cpu=*/1, 0);
-  rig.rq.Enqueue(33, 0, /*from_cpu=*/3, /*hint_cpu=*/3, 0);
+  // Hint one item onto each of queues 2, 1, 3 (enqueue order deliberately
+  // scrambled; placement, not arrival, must decide).
+  rig.rq.Enqueue(22, /*from_cpu=*/2, /*hint_cpu=*/2, 0);
+  rig.rq.Enqueue(11, /*from_cpu=*/1, /*hint_cpu=*/1, 0);
+  rig.rq.Enqueue(33, /*from_cpu=*/3, /*hint_cpu=*/3, 0);
   ASSERT_EQ(rig.rq.depth(1), 1u);
   ASSERT_EQ(rig.rq.depth(2), 1u);
   ASSERT_EQ(rig.rq.depth(3), 1u);
@@ -120,188 +177,12 @@ TEST(RunQueueSetUnit, StealScansVictimsInFixedAscendingOrder) {
   EXPECT_EQ(rig.metrics.Get("runq.steals"), 3u);
 }
 
-TEST(RunQueueSetUnit, StealSkipsAffinityIncompatibleItems) {
-  RqRig rig(4, /*steal=*/true);
-  // Queue 1 holds an item only CPU 1 may run; queue 2 holds an any-CPU item.
-  rig.rq.Enqueue(11, /*mask=*/1u << 1, /*from_cpu=*/1, RunQueueSet::kNoCpu, 0);
-  rig.rq.Enqueue(22, /*mask=*/0, /*from_cpu=*/2, /*hint_cpu=*/2, 0);
-  ASSERT_EQ(rig.rq.depth(1), 1u);
-  // The thief checks victim 1 first, finds nothing it may run, and moves on.
-  const auto popped = rig.rq.Dequeue(0, 0);
-  ASSERT_TRUE(popped.ok);
-  EXPECT_TRUE(popped.stolen);
-  EXPECT_EQ(popped.id, 22u);
-  EXPECT_EQ(popped.victim, 2u);
-  EXPECT_EQ(rig.rq.depth(1), 1u);  // the pinned item was not disturbed
-  // CPU 1 takes its own pinned item off the front, unstolen.
-  const auto own = rig.rq.Dequeue(1, 0);
-  ASSERT_TRUE(own.ok);
-  EXPECT_FALSE(own.stolen);
-  EXPECT_EQ(own.id, 11u);
-}
-
-TEST(RunQueueSetUnit, MasksNameEverySixtyFourCpuPoolMember) {
-  RqRig rig(40, /*steal=*/true);
-  // One item only CPU 0 may run, one only CPU 35 may run.  A 32-bit shift
-  // of the mask by CPU index would let CPU 32 (32 mod 32 = 0) run the first
-  // and truncate the second's mask to "any CPU".
-  rig.rq.Enqueue(10, /*mask=*/uint64_t{1}, /*from_cpu=*/0, RunQueueSet::kNoCpu, 0);
-  rig.rq.Enqueue(35, /*mask=*/uint64_t{1} << 35, /*from_cpu=*/0, RunQueueSet::kNoCpu, 0);
-  ASSERT_EQ(rig.rq.depth(0), 1u);
-  ASSERT_EQ(rig.rq.depth(35), 1u);
-  EXPECT_FALSE(rig.rq.Allowed(uint64_t{1}, 32));
-  EXPECT_TRUE(rig.rq.Allowed(uint64_t{1} << 35, 35));
-  // CPU 32's steal scan visits queue 35 before queue 0 and may take neither.
-  EXPECT_FALSE(rig.rq.Dequeue(32, 0).ok);
-  EXPECT_EQ(rig.rq.TotalQueued(), 2u);
-  const auto on35 = rig.rq.Dequeue(35, 0);
-  ASSERT_TRUE(on35.ok);
-  EXPECT_FALSE(on35.stolen);
-  EXPECT_EQ(on35.id, 35u);
-  EXPECT_EQ(on35.mask, uint64_t{1} << 35);
-  const auto on0 = rig.rq.Dequeue(0, 0);
-  ASSERT_TRUE(on0.ok);
-  EXPECT_EQ(on0.id, 10u);
-}
-
 TEST(RunQueueSetUnit, StealDisabledLeavesOtherQueuesAlone) {
   RqRig rig(2, /*steal=*/false);
-  rig.rq.Enqueue(7, 0, /*from_cpu=*/1, /*hint_cpu=*/1, 0);
+  rig.rq.Enqueue(7, /*from_cpu=*/1, /*hint_cpu=*/1, 0);
   EXPECT_FALSE(rig.rq.Dequeue(0, 0).ok);
   EXPECT_TRUE(rig.rq.AnyQueued());
   EXPECT_TRUE(rig.rq.Dequeue(1, 0).ok);
-}
-
-// ---------------------------------------------------------------------------
-// Affinity under pressure.
-// ---------------------------------------------------------------------------
-
-TEST(RunQueueAffinity, InvalidMaskIsRejected) {
-  KernelFixture fx(RqConfig(2, true, true, 0));
-  ASSERT_TRUE(fx.boot_status.ok());
-  // Bit 2 names a CPU outside the 2-CPU pool: the mask excludes every CPU.
-  EXPECT_EQ(fx.kernel.processes().SetAffinity(fx.pid, 1u << 2).code(),
-            Code::kInvalidArgument);
-  EXPECT_EQ(fx.kernel.processes().SetAffinity(fx.pid, 0x3).code(), Code::kOk);
-  EXPECT_EQ(fx.kernel.processes().affinity(fx.pid), 0x3u);
-  EXPECT_EQ(fx.kernel.processes().SetAffinity(ProcessId(999), 1).code(), Code::kNotFound);
-}
-
-TEST(RunQueueAffinity, MasksAreRespectedUnderDispatchPressure) {
-  KernelConfig config = RqConfig(4, /*sharded=*/true, /*steal=*/true, /*connect_cost=*/200);
-  config.trace.enabled = true;
-  Kernel kernel{config};
-  ASSERT_TRUE(kernel.Boot().ok());
-  kernel.processes().set_quantum(2);  // maximal dispatch pressure
-  PathWalker walker(&kernel.gates());
-  std::map<uint32_t, uint32_t> pin_of;  // pid -> affinity mask
-  std::vector<ProcessId> pids;
-  for (uint32_t i = 0; i < 8; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("A" + std::to_string(i)));
-    ASSERT_TRUE(pid.ok());
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">work>a" + std::to_string(i), WorldAcl(),
-                                      Label::SystemLow());
-    ASSERT_TRUE(entry.ok());
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    ASSERT_TRUE(segno.ok());
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < 32; ++n) {
-      program.push_back(UserOp::Compute(30));
-      program.push_back(UserOp::Write(*segno, (n % 4) * kPageWords, n));
-    }
-    ASSERT_TRUE(kernel.processes().SetProgram(*pid, std::move(program)).ok());
-    // Interleave pins: even processes on CPUs {0,1}, odd on CPUs {2,3}.
-    // With 8 runnable processes on 4 CPUs every dispatch is contended, so any
-    // mask violation (a steal crossing the pin, a mis-homed enqueue) shows.
-    const uint32_t pin = (i % 2 == 0) ? 0x3u : 0xcu;
-    ASSERT_TRUE(kernel.processes().SetAffinity(*pid, pin).ok());
-    pin_of[pid->value] = pin;
-    pids.push_back(*pid);
-  }
-  ASSERT_TRUE(kernel.processes().RunUntilQuiescent(1000000).ok());
-  for (ProcessId pid : pids) {
-    EXPECT_EQ(kernel.processes().state(pid), ProcState::kDone);
-  }
-  // Every surviving quantum span must have run on a CPU its process's mask
-  // allows.
-  const Tracer& trace = kernel.ctx().trace;
-  uint64_t quanta_seen = 0;
-  for (uint16_t cpu = 0; cpu < 4; ++cpu) {
-    for (const TraceRecord& rec : trace.Snapshot(cpu)) {
-      if (trace.EventName(rec.event) != "uproc.quantum") {
-        continue;
-      }
-      auto pin = pin_of.find(rec.proc);
-      if (pin == pin_of.end()) {
-        continue;
-      }
-      ++quanta_seen;
-      EXPECT_NE(pin->second & (1u << rec.cpu), 0u)
-          << "process " << rec.proc << " (mask " << pin->second << ") ran a quantum on cpu "
-          << rec.cpu;
-    }
-  }
-  EXPECT_GT(quanta_seen, 0u);
-  // Both halves of the pool did real work.
-  for (uint16_t cpu = 0; cpu < 4; ++cpu) {
-    EXPECT_GT(kernel.metrics().Get("smp.cpu" + std::to_string(cpu) + ".busy_cycles"), 0u);
-  }
-}
-
-TEST(RunQueueAffinity, PinsAboveCpu31HoldOnAFortyCpuPool) {
-  constexpr uint16_t kCpus = 40;
-  KernelConfig config = RqConfig(kCpus, /*sharded=*/true, /*steal=*/true, /*connect_cost=*/200);
-  config.trace.enabled = true;
-  Kernel kernel{config};
-  ASSERT_TRUE(kernel.Boot().ok());
-  kernel.processes().set_quantum(2);
-  PathWalker walker(&kernel.gates());
-  // Process 0 is pinned to CPU 0, process 1 to CPU 35; the rest run
-  // anywhere, so idle CPUs keep scanning the pinned queues for steals.
-  const uint64_t pins[] = {uint64_t{1}, uint64_t{1} << 35, 0, 0, 0, 0};
-  std::map<uint32_t, uint64_t> pin_of;
-  for (uint32_t i = 0; i < std::size(pins); ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("F" + std::to_string(i)));
-    ASSERT_TRUE(pid.ok());
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">work>f" + std::to_string(i), WorldAcl(),
-                                      Label::SystemLow());
-    ASSERT_TRUE(entry.ok());
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    ASSERT_TRUE(segno.ok());
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < 24; ++n) {
-      program.push_back(UserOp::Compute(30));
-      program.push_back(UserOp::Write(*segno, (n % 4) * kPageWords, n));
-    }
-    ASSERT_TRUE(kernel.processes().SetProgram(*pid, std::move(program)).ok());
-    ASSERT_TRUE(kernel.processes().SetAffinity(*pid, pins[i]).ok());
-    EXPECT_EQ(kernel.processes().affinity(*pid), pins[i]);
-    pin_of[pid->value] = pins[i];
-  }
-  ASSERT_TRUE(kernel.processes().RunUntilQuiescent(1000000).ok());
-  ASSERT_TRUE(kernel.processes().AllDone());
-  // Quantum spans per pinned process, by the CPU that ran them.
-  const Tracer& trace = kernel.ctx().trace;
-  std::map<uint64_t, std::map<uint16_t, uint64_t>> quanta_by_pin;
-  for (uint16_t cpu = 0; cpu < kCpus; ++cpu) {
-    for (const TraceRecord& rec : trace.Snapshot(cpu)) {
-      auto pin = pin_of.find(rec.proc);
-      if (trace.EventName(rec.event) == "uproc.quantum" && pin != pin_of.end() &&
-          pin->second != 0) {
-        ++quanta_by_pin[pin->second][rec.cpu];
-      }
-    }
-  }
-  const std::map<uint16_t, uint64_t>& cpu0 = quanta_by_pin[uint64_t{1}];
-  const std::map<uint16_t, uint64_t>& cpu35 = quanta_by_pin[uint64_t{1} << 35];
-  ASSERT_FALSE(cpu0.empty());
-  ASSERT_FALSE(cpu35.empty());
-  EXPECT_EQ(cpu0.begin()->first, 0u);
-  EXPECT_EQ(cpu0.size(), 1u) << "CPU-0 pin ran on cpu " << cpu0.rbegin()->first;
-  EXPECT_EQ(cpu35.begin()->first, 35u);
-  EXPECT_EQ(cpu35.size(), 1u) << "CPU-35 pin ran on cpu " << cpu35.begin()->first;
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // tournament-tree dispatcher, the pooled event queue, and the lazy page fill
 // are host-side reorganizations only.  Three layers of evidence:
 //  * unit — the O(1) min-structure agrees with a reference linear scan under
-//    arbitrary Accrue/AdvanceAll/AlignAll/masked-query sequences (the
-//    reference IS the old dispatcher, so this is old-vs-new selection);
+//    arbitrary Accrue/AdvanceAll/AlignAll sequences (the reference IS the
+//    old dispatcher, so this is old-vs-new selection);
 //  * unit — the pooled event queue keeps FIFO tie-break order, survives
 //    closures past the inline buffer, and recycles slots;
 //  * end-to-end — double runs of the P11/P12/P13 workload shapes at 1, 4,
@@ -43,18 +43,6 @@ struct ReferenceInterleave {
     }
     return best;
   }
-  uint16_t NextCpuIn(uint64_t mask) const {
-    uint16_t best = UINT16_MAX;
-    for (uint16_t k = 0; k < locals.size(); ++k) {
-      if (((mask >> k) & 1) == 0) {
-        continue;
-      }
-      if (best == UINT16_MAX || locals[k] < locals[best]) {
-        best = k;
-      }
-    }
-    return best;
-  }
   void Accrue(uint16_t cpu, Cycles delta) { locals[cpu] += delta; }
   void AdvanceAll(Cycles delta) {
     for (Cycles& c : locals) {
@@ -78,17 +66,12 @@ struct ReferenceInterleave {
   std::vector<Cycles> locals;
 };
 
-void ExpectAgreement(const CpuInterleave& tree, const ReferenceInterleave& ref,
-                     uint64_t some_mask) {
+void ExpectAgreement(const CpuInterleave& tree, const ReferenceInterleave& ref) {
   ASSERT_EQ(tree.count(), ref.locals.size());
   EXPECT_EQ(tree.NextCpu(), ref.NextCpu());
   EXPECT_EQ(tree.Makespan(), ref.Makespan());
   for (uint16_t k = 0; k < tree.count(); ++k) {
     EXPECT_EQ(tree.local_now(k), ref.locals[k]) << "cpu " << k;
-  }
-  const uint64_t pool = tree.count() >= 64 ? ~uint64_t{0} : (uint64_t{1} << tree.count()) - 1;
-  if ((some_mask & pool) != 0) {
-    EXPECT_EQ(tree.NextCpuIn(some_mask), ref.NextCpuIn(some_mask & pool));
   }
 }
 
@@ -113,8 +96,7 @@ TEST(CpuInterleaveTree, MatchesReferenceScanUnderMixedOps) {
         tree.AlignAll();
         ref.AlignAll();
       }
-      // 64-bit masks, so CPUs 32-63 of the larger pools are named too.
-      ExpectAgreement(tree, ref, (uint64_t{rng()} << 32) | rng());
+      ExpectAgreement(tree, ref);
     }
   }
 }
@@ -129,7 +111,6 @@ TEST(CpuInterleaveTree, TiesResolveToLowestIndex) {
   tree.Accrue(2, 10);
   tree.Accrue(3, 10);
   EXPECT_EQ(tree.NextCpu(), 0u);  // tied again at 10
-  EXPECT_EQ(tree.NextCpuIn(0b1100), 2u);  // tie inside the mask: lowest set bit
 }
 
 TEST(CpuInterleaveTree, AlignAllSynchronizesToMakespan) {
@@ -146,27 +127,6 @@ TEST(CpuInterleaveTree, AlignAllSynchronizesToMakespan) {
   tree.AdvanceAll(7);
   EXPECT_EQ(tree.Makespan(), 107u);
   EXPECT_EQ(tree.local_now(2), 107u);
-}
-
-TEST(CpuInterleaveTree, MaskedQuerySelectsLeastBehindWithinMask) {
-  Metrics metrics;
-  CpuInterleave tree(4, &metrics);
-  tree.Accrue(0, 5);
-  tree.Accrue(1, 50);
-  tree.Accrue(2, 20);
-  tree.Accrue(3, 30);
-  EXPECT_EQ(tree.NextCpu(), 0u);
-  EXPECT_EQ(tree.NextCpuIn(0b1110), 2u);  // 0 excluded: 2 is least behind
-  EXPECT_EQ(tree.NextCpuIn(0b1010), 3u);
-  // Mask bits beyond the pool are ignored as long as one real CPU is set.
-  EXPECT_EQ(tree.NextCpuIn(0xFFF0u | 0b0100), 2u);
-}
-
-TEST(CpuInterleaveDeathTest, NonIntersectingMaskAborts) {
-  Metrics metrics;
-  CpuInterleave tree(2, &metrics);
-  EXPECT_DEATH(tree.NextCpuIn(0), "selects no CPU");
-  EXPECT_DEATH(tree.NextCpuIn(0b100), "selects no CPU");
 }
 
 // ---------------------------------------------------------------------------

@@ -191,12 +191,14 @@ constexpr uint32_t kIdleLaps = 3;
 
 // Three processes each write a private segment larger than their share of
 // memory, lap after lap (eviction pressure, and dirty pages the clock has
-// passed); a fourth runs one compute op.  With `cpus` = 4 each process is
-// pinned to its own CPU, so CPU 3 idles while the others still run.
+// passed); a fourth runs one compute op.  Sharded run queues without
+// stealing keep each process on its home queue — with `cpus` = 4, one per
+// CPU — so CPU 3 idles while the others still run.
 IdleCpuRun RunWithAnIdleCpu(uint16_t cpus) {
   IdleCpuRun out;
   KernelConfig config = SmpConfig(cpus);
   config.memory_frames = 96;  // 3 x 40 written pages against 96 frames
+  config.sharded_runqueues = true;
   config.paging_pipeline = PagingPipeline::Full();
   config.profile.enabled = true;
   config.trace.enabled = true;
@@ -230,8 +232,7 @@ IdleCpuRun RunWithAnIdleCpu(uint16_t cpus) {
         program.push_back(UserOp::Write(*segno, (n % kIdlePages) * kPageWords, n * 10 + i));
       }
     }
-    if (!kernel.processes().SetProgram(*pid, std::move(program)).ok() ||
-        (cpus > 1 && !kernel.processes().SetAffinity(*pid, uint64_t{1} << i).ok())) {
+    if (!kernel.processes().SetProgram(*pid, std::move(program)).ok()) {
       return out;
     }
     pids.push_back(*pid);
