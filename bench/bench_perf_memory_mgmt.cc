@@ -11,6 +11,7 @@
 // reports simulated cycles per reference, plus the idle-time reclamation of
 // the asynchronous (daemon) configuration.
 #include <cstdio>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "src/baseline/supervisor.h"
@@ -152,12 +153,12 @@ RunResult RunKernel(uint32_t frames, const std::vector<Ref>& trace, uint32_t seg
         break;
       }
       // Idle until the transfer completes, then let the daemons run.
-      if (!kernel.ctx().events.empty()) {
-        const Cycles due = kernel.ctx().events.next_due();
-        if (due > kernel.clock().now()) {
-          kernel.clock().Advance(due - kernel.clock().now());
+      PageFrameManager& pfm = kernel.page_frames();
+      if (const std::optional<Cycles> due = pfm.NextReadDue()) {
+        if (*due > kernel.clock().now()) {
+          kernel.clock().Advance(*due - kernel.clock().now());
         }
-        kernel.ctx().events.RunDue(kernel.clock().now());
+        pfm.LandReads(kernel.clock().now());
       }
       kernel.vprocs().RunKernelTasks();
     }

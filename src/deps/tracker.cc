@@ -27,9 +27,4 @@ std::vector<std::string> CallTracker::UndeclaredEdges(const DependencyGraph& dec
   return undeclared;
 }
 
-void CallTracker::Reset() {
-  observed_ = DependencyGraph();
-  stack_.clear();
-}
-
 }  // namespace mks

@@ -80,8 +80,6 @@ class CallTracker {
   // conforms to its declared dependency structure.
   std::vector<std::string> UndeclaredEdges(const DependencyGraph& declared) const;
 
-  void Reset();
-
  private:
   void Enter(ModuleId callee);
   void Exit();

@@ -1,10 +1,10 @@
 // Shared substrate bundle for the kernel's object managers.
 //
 // Every manager receives a KernelContext*: the simulated clock/cost model,
-// metrics, the deferred-completion event queue, the runtime dependency
-// tracker, the eventcount table, the reference monitor, primary memory, the
-// disk volumes, and the service processor.  The context owns no policy; it is
-// the "machine room" the managers are built over.
+// metrics, the runtime dependency tracker, the eventcount table, the
+// reference monitor, primary memory, the disk volumes, and the service
+// processor.  The context owns no policy; it is the "machine room" the
+// managers are built over.
 #ifndef MKS_KERNEL_CONTEXT_H_
 #define MKS_KERNEL_CONTEXT_H_
 
@@ -16,7 +16,6 @@
 #include "src/hw/machine.h"
 #include "src/sim/clock.h"
 #include "src/sim/cpu_sched.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
 #include "src/sim/prof.h"
 #include "src/sim/trace.h"
@@ -47,7 +46,6 @@ struct KernelContext {
   Metrics metrics;
   Tracer trace;  // virtual-time event rings; inert until Enable()d
   Prof prof;     // per-CPU cycle attribution + stall watchdog; inert until Enable()d
-  EventQueue events;
   CallTracker tracker;
   EventcountTable eventcounts;
   ReferenceMonitor monitor;

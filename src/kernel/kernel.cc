@@ -70,11 +70,15 @@ Status Kernel::Boot() {
   pfm_->set_async(config_.async_paging);
   pfm_->set_retain_zero_records(config_.close_zero_page_channel);
   pfm_->set_pipeline(config_.paging_pipeline);
-  // Stage 6: permanently bind the kernel daemons to virtual processors.  The
-  // daemons run for asynchronous paging and for the paging pipeline: its
-  // request queues need the page-I/O daemon to dispatch rounds, in every
-  // pass's level-1 window; its pre-cleaner needs the page writer, which runs
-  // as idle-time work on the first CPU to go idle once dispatch is done.
+  // Stage 6: permanently bind the kernel daemons to virtual processors, for
+  // asynchronous paging or the paging pipeline.  The page-I/O daemon runs in
+  // every pass's level-1 window: it completes posted reads and, under
+  // asynchronous paging, dispatches the readahead left on the pack request
+  // queues.  Under synchronous paging it never finds work, because every
+  // producer drains its own queue (readahead, fault-path laundering,
+  // pre-cleaning, the writer, idle rounds), yet each pass still dispatches
+  // its vp.  The pre-cleaner needs the page writer, which runs as idle-time
+  // work on the first CPU to go idle once dispatch is done.
   if (config_.async_paging || config_.paging_pipeline.enabled) {
     MKS_RETURN_IF_ERROR(
         vpm_->BindKernelTask("page_io_daemon", [this]() { return pfm_->PageIoDaemonStep(); })

@@ -302,16 +302,11 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
   // tell the caller what to await.
   ptw.locked = true;
   fi.state = FrameState::kIoInProgress;
-  fi.posted_at = fault_begin;
   ctx_->trace.Instant(ev_fault_posted_, initiator.value, page);
-  ++pending_reads_;
-  const RecordIndex record = fm.record;
-  ctx_->events.Schedule(ctx_->clock.now() + Costs::kDiskReadLatency,
-                        [this, frame, initiator]() {
-                          completions_.push_back(Completion{frame, initiator});
-                        });
+  const Cycles due = ctx_->clock.now() + Costs::kDiskReadLatency;
+  assert(posted_reads_.empty() || posted_reads_.back().due <= due);
+  posted_reads_.push_back(PostedRead{due, frame, initiator, fault_begin});
   ctx_->metrics.Inc(id_async_reads_);
-  (void)record;
   if (pipeline_.enabled) {
     MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
   }
@@ -405,15 +400,13 @@ void PageFrameManager::DrainPackQueue(PackId pack) {
   }
 }
 
-void PageFrameManager::CompletePostedRead(FrameIndex frame) {
+bool PageFrameManager::InstallRead(FrameIndex frame) {
   FrameInfo& fi = info(frame);
   if (fi.state != FrameState::kIoInProgress || fi.pt == nullptr) {
-    return;  // the segment was deactivated while the read was queued
+    return false;
   }
   VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
   if (entry != nullptr) {
-    // The transfer latency was charged by the dispatch round; the copy is
-    // free, like an asynchronous completion.
     const FileMapEntry& fm = entry->map_entry(fi.page);
     ctx_->volumes.pack(fi.pack)->CopyRecord(fm.record,
                                             ctx_->memory.FrameSpanForOverwrite(frame));
@@ -422,53 +415,55 @@ void PageFrameManager::CompletePostedRead(FrameIndex frame) {
   ptw.frame = frame.value;
   ptw.in_core = true;
   ptw.locked = false;
-  ptw.used = false;  // unreferenced until the scan actually arrives
+  ptw.used = false;  // unreferenced until a process actually touches it
   ptw.modified = false;
   fi.state = FrameState::kInUse;
-  vpm_->Advance(fi.seg_ec);
   ctx_->metrics.Inc(id_io_completions_);
+  return true;
+}
+
+void PageFrameManager::CompletePostedRead(FrameIndex frame) {
+  if (!InstallRead(frame)) {
+    return;  // the segment was deactivated while the read was queued
+  }
+  const FrameInfo& fi = info(frame);
+  vpm_->Advance(fi.seg_ec);
   ctx_->trace.Instant(ev_io_complete_, 0, fi.page);
+}
+
+size_t PageFrameManager::LandReads(Cycles now) {
+  const size_t before = landed_;
+  while (landed_ < posted_reads_.size() && posted_reads_[landed_].due <= now) {
+    ++landed_;
+  }
+  return landed_ - before;
 }
 
 bool PageFrameManager::PageIoDaemonStep() {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
   bool did_work = false;
-  while (!completions_.empty()) {
-    const Completion completion = completions_.front();
-    completions_.pop_front();
-    --pending_reads_;
-    FrameInfo& fi = info(completion.frame);
-    if (fi.state != FrameState::kIoInProgress || fi.pt == nullptr) {
+  // Only landed reads: one that falls due while this step runs waits for
+  // the next pass's landing.
+  while (landed_ > 0) {
+    const PostedRead read = posted_reads_.front();
+    posted_reads_.pop_front();
+    --landed_;
+    if (!InstallRead(read.frame)) {
       continue;  // the segment was deactivated while the read was in flight
     }
-    VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
-    if (entry != nullptr) {
-      // The transfer latency already elapsed in simulated time; copy the
-      // data without re-charging it.
-      const FileMapEntry& fm = entry->map_entry(fi.page);
-      auto span = ctx_->memory.FrameSpanForOverwrite(completion.frame);
-      ctx_->volumes.pack(fi.pack)->CopyRecord(fm.record, span);
-    }
-    Ptw& ptw = fi.pt->ptws[fi.page];
-    ptw.frame = completion.frame.value;
-    ptw.in_core = true;
-    ptw.locked = false;  // unlock the descriptor
-    fi.state = FrameState::kInUse;
+    const FrameInfo& fi = info(read.frame);
     ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall);
     // Notify every waiter: level-1 vps via the eventcount, the parked user
     // process via the real-memory queue.
     vpm_->Advance(fi.seg_ec);
-    if (upward_queue_ != nullptr && completion.initiator.value != 0) {
-      (void)upward_queue_->Push(
-          UpwardMessage{completion.initiator, /*code=*/1, /*payload=*/fi.page});
+    if (upward_queue_ != nullptr && read.initiator.value != 0) {
+      (void)upward_queue_->Push(UpwardMessage{read.initiator, /*code=*/1, /*payload=*/fi.page});
     }
-    ctx_->metrics.Inc(id_io_completions_);
     // Close the fault.page_service span opened when the read was posted: the
     // histogram gets the full fault -> park -> I/O -> wakeup latency.
-    ctx_->trace.CloseSpan(fi.posted_at, ev_fault_service_, completion.initiator.value,
-                          fi.page, hist_fault_service_);
-    fi.posted_at = 0;
+    ctx_->trace.CloseSpan(read.fault_begin, ev_fault_service_, read.initiator.value, fi.page,
+                          hist_fault_service_);
     did_work = true;
   }
   // Dispatch the per-pack request queues: prefetch reads and batched daemon

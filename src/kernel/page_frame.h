@@ -17,10 +17,11 @@
 // Two execution modes:
 //  * synchronous — disk latency is charged and the fault completes inline
 //    (used by tests, examples, and most benches);
-//  * asynchronous — reads are posted to the simulated device and completed
-//    by the page-I/O daemon (a kernel task on its own virtual processor);
-//    the faulting user process parks and is re-awakened through the
-//    real-memory message queue, exercising the full two-level protocol.
+//  * asynchronous — reads are posted to the simulated device (a FIFO this
+//    manager owns) and completed by the page-I/O daemon (a kernel task on
+//    its own virtual processor); the faulting user process parks and is
+//    re-awakened through the real-memory message queue, exercising the full
+//    two-level protocol.
 #ifndef MKS_KERNEL_PAGE_FRAME_H_
 #define MKS_KERNEL_PAGE_FRAME_H_
 
@@ -97,7 +98,6 @@ class PageFrameManager {
   // creates no upward dependency.
   void SetUpwardQueue(RealMemoryQueue* queue) { upward_queue_ = queue; }
   void set_async(bool async) { async_ = async; }
-  bool async() const { return async_; }
   // When true, a page found all-zero at eviction keeps its disk record and
   // its quota charge: this closes the zero-page covert channel the paper
   // identifies (a read can no longer cause an accounting write) at the price
@@ -128,8 +128,20 @@ class PageFrameManager {
   Status EvictPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc, QuotaCellId cell,
                    EventcountId seg_ec);
 
+  // The simulated device (async mode): marks every posted read due by `now`
+  // as landed and returns how many landed.  Charges nothing; the scheduler
+  // calls it at the start of each level-1 window.
+  size_t LandReads(Cycles now);
+  // The due time of the oldest posted read not yet landed, if any.
+  std::optional<Cycles> NextReadDue() const {
+    if (landed_ == posted_reads_.size()) {
+      return std::nullopt;
+    }
+    return posted_reads_[landed_].due;
+  }
+
   // The page-I/O daemon body (bound to a kernel virtual processor in async
-  // mode): completes posted reads, unlocks descriptors, advances segment
+  // mode): completes landed reads, unlocks descriptors, advances segment
   // eventcounts, and pushes upward messages.  Returns true if work was done.
   bool PageIoDaemonStep();
 
@@ -171,7 +183,8 @@ class PageFrameManager {
 
   uint32_t free_frames() const { return static_cast<uint32_t>(free_list_.size()); }
   uint32_t total_frames() const { return frame_limit_ - first_frame_; }
-  uint64_t pending_io() const { return pending_reads_; }
+  // Posted reads not yet completed, landed or not.
+  uint64_t pending_io() const { return posted_reads_.size(); }
 
  private:
   enum class FrameState : uint8_t { kFree, kInUse, kIoInProgress };
@@ -189,15 +202,16 @@ class PageFrameManager {
     // which would make it the clock's first choice; this grants it one full
     // sweep of protection before it becomes evictable as waste.
     bool prefetch_grace = false;
-    // Virtual time the demand fault posted this frame's read (async mode);
-    // the daemon closes the fault.page_service span from this stamp, so the
-    // histogram sees the full fault -> park -> I/O -> wakeup latency.
-    Cycles posted_at = 0;
   };
 
-  struct Completion {
+  // An asynchronous demand read in flight.  `fault_begin` is the posting
+  // fault's trace stamp: the daemon closes the fault.page_service span from
+  // it, so the histogram sees the full fault -> park -> I/O -> wakeup latency.
+  struct PostedRead {
+    Cycles due = 0;
     FrameIndex frame{};
     ProcessId initiator{};
+    Cycles fault_begin = 0;
   };
 
   // Obtains a frame, evicting via the clock algorithm if necessary.  With
@@ -231,6 +245,12 @@ class PageFrameManager {
   // Dispatches rounds until `pack`'s request queue is empty.
   void DrainPackQueue(PackId pack);
   void CompletePostedRead(FrameIndex frame);
+  // Installs a finished read of `frame`, for the daemon and for dispatch
+  // rounds alike: copies the record in (its latency is already paid),
+  // maps and unlocks the PTW with used/modified clear, marks the frame in
+  // use and counts the completion.  Returns false, touching nothing, when
+  // the segment was deactivated while the read was in flight.
+  bool InstallRead(FrameIndex frame);
   FrameInfo& info(FrameIndex frame) { return frames_[frame.value - first_frame_]; }
   // Records that the frame at `slot` may have become cleanable.
   void MarkWriterCandidate(uint32_t slot) {
@@ -286,8 +306,11 @@ class PageFrameManager {
   bool async_ = false;
   bool retain_zero_records_ = false;
   PagingPipeline pipeline_;
-  uint64_t pending_reads_ = 0;
-  std::deque<Completion> completions_;
+  // Posted reads, oldest first.  Every read takes kDiskReadLatency and the
+  // clock never runs backward, so post order is due order; the first
+  // `landed_` entries are due and await the daemon.
+  std::deque<PostedRead> posted_reads_;
+  size_t landed_ = 0;
   // Scratch reused across calls so the write paths stay allocation-free:
   // the frames a candidate walk picked, and a dispatch round's completed
   // read cookies.

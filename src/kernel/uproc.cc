@@ -550,12 +550,13 @@ bool UserProcessManager::SchedulerPass() {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   bool did_work = false;
 
-  // Level-1 activity first: device completions, wakeups and the level-1
-  // daemons.  These run on the bootload CPU, as on the real machine.
+  // Level-1 activity first: landing posted disk reads, the level-1 daemons
+  // (the page-I/O daemon completes what landed) and wakeups.  These run on
+  // the bootload CPU, as on the real machine.
   EnterCpu(0);
   Prof::Window level1_window(&ctx_->prof, 0, ProfDomain::kDispatch);
   const Cycles level1_start = ctx_->clock.now();
-  sched_progress_ += ctx_->events.RunDue(ctx_->clock.now());
+  sched_progress_ += pfm_->LandReads(ctx_->clock.now());
   if (vpm_->RunKernelTasks(KernelTaskClass::kLevel1)) {
     did_work = true;
   }
@@ -621,24 +622,18 @@ Status UserProcessManager::RunUntilQuiescent(uint64_t max_passes) {
       DumpStallAndAbort(pass);
     }
     if (!did_work) {
-      if (!ctx_->events.empty()) {
+      if (const std::optional<Cycles> due = pfm_->NextReadDue()) {
         // Every process is blocked on the device: the machine idles forward.
-        const Cycles due = ctx_->events.next_due();
-        if (due > ctx_->clock.now()) {
-          const Cycles idle = due - ctx_->clock.now();
+        if (*due > ctx_->clock.now()) {
+          const Cycles idle = *due - ctx_->clock.now();
           ctx_->metrics.Inc(id_idle_cycles_, idle);
           ctx_->clock.Advance(idle);
           // The whole pool idles forward together waiting on the device.
           ctx_->smp.AdvanceAll(idle);
         }
-        // Completion handlers are level-1 work on the bootload CPU.
-        EnterCpu(0);
-        Prof::Window window(&ctx_->prof, 0, ProfDomain::kDispatch);
-        const Cycles completion_start = ctx_->clock.now();
-        sched_progress_ += ctx_->events.RunDue(ctx_->clock.now());
-        if (const Cycles d = ctx_->clock.now() - completion_start; d > 0) {
-          ctx_->smp.Accrue(0, d);
-        }
+        // Landing charges nothing; the next pass's level-1 window completes
+        // the reads on the bootload CPU.
+        sched_progress_ += pfm_->LandReads(ctx_->clock.now());
         continue;
       }
       if (AllDone()) {

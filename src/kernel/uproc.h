@@ -121,7 +121,6 @@ class UserProcessManager {
   Status RunUntilQuiescent(uint64_t max_passes);
   bool AllDone() const;
 
-  RealMemoryQueue* queue() { return queue_.get(); }
   size_t process_count() const { return procs_.size(); }
 
  private:

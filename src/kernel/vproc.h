@@ -6,8 +6,8 @@
 // never uses the virtual memory and can serve as the interpreter for every
 // module above it, including the virtual-memory modules themselves.  Some
 // virtual processors are permanently bound to kernel tasks (the page-I/O
-// daemon, the user-process scheduler); the rest form the pool multiplexed
-// among user processes by level 2.
+// daemon and the page writer); the rest form the pool multiplexed among user
+// processes by level 2.
 //
 // Fixing the number of processors buys the simplifications Brinch Hansen
 // argued for [Brinch Hansen, 1975]; the price — reserving the fastest memory

@@ -19,7 +19,6 @@ class Clock {
  public:
   Cycles now() const { return now_; }
   void Advance(Cycles n) { now_ += n; }
-  void Reset() { now_ = 0; }
 
  private:
   Cycles now_{0};
@@ -39,7 +38,6 @@ class CostModel {
   static constexpr double kDefaultStructuredFactor = 2.1;
 
   void set_structured_factor(double f) { structured_factor_ = f; }
-  double structured_factor() const { return structured_factor_; }
 
   // Charge `base` optimized-equivalent cycles of code written in `style`.
   void Charge(CodeStyle style, Cycles base) {
@@ -48,8 +46,6 @@ class CostModel {
     }
     clock_->Advance(base);
   }
-
-  Clock* clock() const { return clock_; }
 
  private:
   Clock* clock_;

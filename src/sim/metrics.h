@@ -83,16 +83,6 @@ class Metrics {
     return it == ids_.end() ? 0 : values_[it->second];
   }
 
-  // Zeroes every counter and histogram.  Interned handles stay valid (names
-  // are retained), so managers keep their handles across a Reset.
-  void Reset() {
-    std::fill(values_.begin(), values_.end(), 0);
-    for (auto& h : hists_) {
-      h.buckets.fill(0);
-      h.count = 0;
-    }
-  }
-
   // Snapshot of every counter by name, for reporting.
   std::map<std::string, uint64_t, std::less<>> counters() const {
     std::map<std::string, uint64_t, std::less<>> out;

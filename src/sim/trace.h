@@ -78,7 +78,6 @@ class Tracer {
   }
 
   bool enabled() const { return enabled_; }
-  const Clock* clock() const { return clock_; }
 
   // Registers an event name; construction-time only (allocates on first use).
   TraceEventId InternEvent(std::string_view name) {
@@ -100,7 +99,6 @@ class Tracer {
     cpu_ = cpu;
     RefreshLane();
   }
-  uint16_t cpu() const { return cpu_; }
 
   // Point event at the current virtual time on the current CPU.
   void Instant(TraceEventId event, uint32_t proc = 0, uint32_t arg = 0) {

@@ -98,7 +98,6 @@ class SimSharedLock {
   }
 
   bool modeled() const { return policy_ != ReadPolicy::kOff; }
-  ReadPolicy policy() const { return policy_; }
 
   // Begins a read section at local virtual time `local_now` on `cpu`;
   // returns the spin cycles the reader burns before its section may start.

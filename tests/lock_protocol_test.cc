@@ -23,25 +23,35 @@ TEST(LockProtocol, SecondToucherWaitsOnTheEventcount) {
   ASSERT_TRUE(fx.boot_status.ok());
   KernelGates& gates = fx.kernel.gates();
 
-  // Shared segment with one resident-then-evicted page.
+  PageFrameManager& pfm = fx.kernel.page_frames();
+
+  // Shared segment with resident-then-evicted pages.
   auto entry = gates.CreateSegment(*fx.ctx, gates.RootId(), "shared", WorldAcl(),
                                    Label::SystemLow());
   ASSERT_TRUE(entry.ok());
   auto segno = gates.Initiate(*fx.ctx, *entry);
   ASSERT_TRUE(gates.Write(*fx.ctx, *segno, 0, 7).ok());
+  ASSERT_TRUE(gates.Write(*fx.ctx, *segno, kPageWords, 8).ok());
+  ASSERT_TRUE(gates.Write(*fx.ctx, *segno, 2 * kPageWords, 9).ok());
   const SegmentUid uid(entry->value);
   const uint32_t ast_index = fx.kernel.segments().FindIndex(uid);
   AstEntry* ast = fx.kernel.segments().Get(ast_index);
-  ASSERT_TRUE(fx.kernel.page_frames()
-                  .EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
-                             ast->page_ec)
-                  .ok());
+  for (uint32_t page = 0; page < 3; ++page) {
+    ASSERT_TRUE(
+        pfm.EvictPage(&ast->page_table, page, ast->pack, ast->vtoc, ast->quota_cell, ast->page_ec)
+            .ok());
+  }
+  EXPECT_FALSE(pfm.NextReadDue().has_value());
 
   // First toucher: posts the read, blocks.
   Status first = gates.Read(*fx.ctx, *segno, 0).status();
   EXPECT_EQ(first.code(), Code::kBlocked);
   EXPECT_TRUE(ast->page_table.ptws[0].locked);
-  EXPECT_EQ(fx.kernel.page_frames().pending_io(), 1u);
+  EXPECT_EQ(pfm.pending_io(), 1u);
+  ASSERT_TRUE(pfm.NextReadDue().has_value());
+  const Cycles due = *pfm.NextReadDue();
+  EXPECT_GT(due, fx.kernel.clock().now());
+  EXPECT_LE(due, fx.kernel.clock().now() + Costs::kDiskReadLatency);
 
   // Second toucher (another process): hits the LOCKED descriptor, not a
   // missing page, and is told to await the same eventcount.
@@ -55,10 +65,19 @@ TEST(LockProtocol, SecondToucherWaitsOnTheEventcount) {
   EXPECT_TRUE(second->pending_wait.valid);
   EXPECT_EQ(second->pending_wait.ec.value, ast->page_ec.value);
 
-  // The transfer completes; the daemon unlocks and notifies.
-  fx.kernel.clock().Advance(Costs::kDiskReadLatency + 1);
-  fx.kernel.ctx().events.RunDue(fx.kernel.clock().now());
-  EXPECT_TRUE(fx.kernel.page_frames().PageIoDaemonStep());
+  // The transfer lands exactly at its due time; until the daemon completes
+  // it, it still counts as pending I/O.
+  EXPECT_EQ(pfm.LandReads(due - 1), 0u);
+  EXPECT_EQ(pfm.LandReads(due), 1u);
+  EXPECT_FALSE(pfm.NextReadDue().has_value());
+  EXPECT_EQ(pfm.pending_io(), 1u);
+  EXPECT_TRUE(ast->page_table.ptws[0].locked);
+
+  // The daemon unlocks and notifies.
+  ASSERT_GE(due, fx.kernel.clock().now());
+  fx.kernel.clock().Advance(due - fx.kernel.clock().now());
+  EXPECT_TRUE(pfm.PageIoDaemonStep());
+  EXPECT_EQ(pfm.pending_io(), 0u);
   EXPECT_FALSE(ast->page_table.ptws[0].locked);
   EXPECT_GE(fx.kernel.ctx().eventcounts.Read(ast->page_ec), second->pending_wait.target);
 
@@ -71,6 +90,35 @@ TEST(LockProtocol, SecondToucherWaitsOnTheEventcount) {
   EXPECT_EQ(*theirs, 7u);
   // Exactly one disk read serviced both touchers.
   EXPECT_EQ(fx.kernel.metrics().Get("pfm.async_reads"), 1u);
+
+  // Two reads posted at different times land one at a time, in post order.
+  EXPECT_EQ(gates.Read(*fx.ctx, *segno, kPageWords).status().code(), Code::kBlocked);
+  EXPECT_EQ(gates.Read(*second, *their_segno, 2 * kPageWords).status().code(), Code::kBlocked);
+  EXPECT_EQ(pfm.pending_io(), 2u);
+  ASSERT_TRUE(pfm.NextReadDue().has_value());
+  const Cycles first_due = *pfm.NextReadDue();
+  ASSERT_GE(first_due, fx.kernel.clock().now());
+  fx.kernel.clock().Advance(first_due - fx.kernel.clock().now());
+  EXPECT_EQ(pfm.LandReads(fx.kernel.clock().now()), 1u);
+  ASSERT_TRUE(pfm.NextReadDue().has_value());
+  const Cycles second_due = *pfm.NextReadDue();
+  EXPECT_GT(second_due, first_due);
+  EXPECT_TRUE(pfm.PageIoDaemonStep());
+  EXPECT_FALSE(ast->page_table.ptws[1].locked);
+  EXPECT_TRUE(ast->page_table.ptws[2].locked);
+  ASSERT_GE(second_due, fx.kernel.clock().now());
+  fx.kernel.clock().Advance(second_due - fx.kernel.clock().now());
+  EXPECT_EQ(pfm.LandReads(fx.kernel.clock().now()), 1u);
+  EXPECT_TRUE(pfm.PageIoDaemonStep());
+  EXPECT_FALSE(ast->page_table.ptws[2].locked);
+  EXPECT_EQ(pfm.pending_io(), 0u);
+  EXPECT_FALSE(pfm.NextReadDue().has_value());
+  auto page1 = gates.Read(*fx.ctx, *segno, kPageWords);
+  auto page2 = gates.Read(*second, *their_segno, 2 * kPageWords);
+  ASSERT_TRUE(page1.ok());
+  ASSERT_TRUE(page2.ok());
+  EXPECT_EQ(*page1, 8u);
+  EXPECT_EQ(*page2, 9u);
 }
 
 TEST(LockProtocol, ManyProcessesSharingOneHotSegmentAllFinish) {

@@ -1,8 +1,7 @@
-// Tests for the simulation substrate: clock, cost model, event queue.
+// Tests for the simulation substrate: clock and cost model.
 #include <gtest/gtest.h>
 
 #include "src/sim/clock.h"
-#include "src/sim/event_queue.h"
 
 namespace mks {
 namespace {
@@ -13,8 +12,6 @@ TEST(Clock, AdvancesMonotonically) {
   clock.Advance(5);
   clock.Advance(7);
   EXPECT_EQ(clock.now(), 12u);
-  clock.Reset();
-  EXPECT_EQ(clock.now(), 0u);
 }
 
 TEST(CostModel, StructuredFactorApplies) {
@@ -32,51 +29,6 @@ TEST(CostModel, DefaultFactorMatchesThePaperObservation) {
   // somewhat more than a factor of two"
   EXPECT_GT(CostModel::kDefaultStructuredFactor, 2.0);
   EXPECT_LT(CostModel::kDefaultStructuredFactor, 2.5);
-}
-
-TEST(EventQueue, RunsDueEventsInOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.Schedule(30, [&] { order.push_back(3); });
-  queue.Schedule(10, [&] { order.push_back(1); });
-  queue.Schedule(20, [&] { order.push_back(2); });
-  EXPECT_EQ(queue.RunDue(15), 1u);
-  EXPECT_EQ(queue.RunDue(100), 2u);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(order[2], 3);
-}
-
-TEST(EventQueue, FifoTieBreakAtSameTime) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    queue.Schedule(10, [&order, i] { order.push_back(i); });
-  }
-  queue.RunDue(10);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(order[i], i);
-  }
-}
-
-TEST(EventQueue, EventsMayScheduleFurtherEvents) {
-  EventQueue queue;
-  int fired = 0;
-  queue.Schedule(10, [&] {
-    ++fired;
-    queue.Schedule(20, [&] { ++fired; });
-  });
-  EXPECT_EQ(queue.RunDue(25), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueue, NextDueReportsEarliest) {
-  EventQueue queue;
-  queue.Schedule(50, [] {});
-  queue.Schedule(40, [] {});
-  EXPECT_EQ(queue.next_due(), 40u);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 // Tests for the flattened simulator core (the host-throughput refactor).
 //
 // The refactor's contract is byte-identical virtual-time output: the
-// tournament-tree dispatcher, the pooled event queue, and the lazy page fill
-// are host-side reorganizations only.  Three layers of evidence:
+// tournament-tree dispatcher and the lazy page fill are host-side
+// reorganizations only.  Two layers of evidence:
 //  * unit — the O(1) min-structure agrees with a reference linear scan under
 //    arbitrary Accrue/AdvanceAll/AlignAll sequences (the reference IS the
 //    old dispatcher, so this is old-vs-new selection);
-//  * unit — the pooled event queue keeps FIFO tie-break order, survives
-//    closures past the inline buffer, and recycles slots;
 //  * end-to-end — double runs of the P11/P12/P13 workload shapes at 1, 4,
 //    and 16 CPUs produce byte-identical counter snapshots and trace exports.
 #include <gtest/gtest.h>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "src/sim/cpu_sched.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
 #include "src/sim/trace.h"
 #include "tests/kernel_fixture.h"
@@ -127,59 +124,6 @@ TEST(CpuInterleaveTree, AlignAllSynchronizesToMakespan) {
   tree.AdvanceAll(7);
   EXPECT_EQ(tree.Makespan(), 107u);
   EXPECT_EQ(tree.local_now(2), 107u);
-}
-
-// ---------------------------------------------------------------------------
-// EventQueue: pooled closures.
-// ---------------------------------------------------------------------------
-
-TEST(EventQueuePool, LargeCapturesFallBackToHeapAndStillRun) {
-  EventQueue queue;
-  struct Big {
-    char payload[128];
-    int* sink;
-  };
-  int fired = 0;
-  Big big{};
-  big.payload[0] = 42;
-  big.sink = &fired;
-  static_assert(sizeof(Big) > 48, "test needs an over-inline-buffer capture");
-  queue.Schedule(10, [big] { *big.sink += big.payload[0]; });
-  EXPECT_EQ(queue.RunDue(10), 1u);
-  EXPECT_EQ(fired, 42);
-}
-
-TEST(EventQueuePool, SlotsRecycleAcrossManyRounds) {
-  EventQueue queue;
-  uint64_t sum = 0;
-  // Far more events than one slab (64 slots), scheduled and drained in
-  // waves, so slots must be recycled for the pool not to grow unboundedly.
-  for (int wave = 0; wave < 50; ++wave) {
-    for (int i = 0; i < 100; ++i) {
-      queue.Schedule(static_cast<Cycles>(wave * 100 + i), [&sum, i] { sum += i; });
-    }
-    EXPECT_EQ(queue.RunDue((wave + 1) * 100), 100u);
-  }
-  EXPECT_EQ(sum, 50u * 4950u);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueuePool, FifoOrderSurvivesInterleavedScheduleAndRun) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.Schedule(10, [&] {
-    order.push_back(0);
-    // Scheduled mid-run at the same due time: must run after everything
-    // already queued for t=10 (later sequence number).
-    queue.Schedule(10, [&] { order.push_back(3); });
-  });
-  queue.Schedule(10, [&] { order.push_back(1); });
-  queue.Schedule(10, [&] { order.push_back(2); });
-  EXPECT_EQ(queue.RunDue(10), 4u);
-  ASSERT_EQ(order.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(order[i], i);
-  }
 }
 
 // ---------------------------------------------------------------------------

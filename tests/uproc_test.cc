@@ -129,6 +129,77 @@ TEST(UprocAsync, IdleTimeIsAccountedWhenAllProcessesWait) {
   EXPECT_EQ(fx.kernel.processes().state(fx.pid), ProcState::kDone);
 }
 
+// Async paging with the paging pipeline: demand reads go to the device and
+// readahead to the pack request queues, and all of it has completed by the
+// time the scheduler reports quiescence.
+TEST(UprocAsync, QuiescenceLeavesNoPageIoInFlight) {
+  for (const uint16_t cpus : {1, 4}) {
+    SCOPED_TRACE(cpus);
+    KernelConfig config;
+    config.async_paging = true;
+    config.paging_pipeline = PagingPipeline::Full();
+    config.cpu_count = cpus;
+    config.memory_frames = 128;
+    KernelFixture fx{config};
+    ASSERT_TRUE(fx.boot_status.ok());
+
+    std::vector<ProcessId> pids{fx.pid};
+    for (int i = 1; i < 6; ++i) {
+      auto pid = fx.kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
+      ASSERT_TRUE(pid.ok());
+      pids.push_back(*pid);
+    }
+    // Each process writes 48 pages of its own segment, more than memory
+    // holds for six, then reads the first 30 back in order.
+    std::vector<SegmentUid> uids;
+    for (size_t i = 0; i < pids.size(); ++i) {
+      ProcContext* ctx = fx.kernel.processes().Context(pids[i]);
+      PathWalker walker(&fx.kernel.gates());
+      auto entry = walker.CreateSegment(*ctx, ">w>s" + std::to_string(i), WorldAcl(),
+                                        Label::SystemLow());
+      ASSERT_TRUE(entry.ok());
+      auto segno = fx.kernel.gates().Initiate(*ctx, *entry);
+      ASSERT_TRUE(segno.ok());
+      uids.push_back(SegmentUid(entry->value));
+      std::vector<UserOp> program;
+      for (uint32_t p = 0; p < 48; ++p) {
+        program.push_back(UserOp::Write(*segno, p * kPageWords, p + 1));
+      }
+      for (uint32_t p = 0; p < 30; ++p) {
+        program.push_back(UserOp::Read(*segno, p * kPageWords));
+      }
+      ASSERT_TRUE(fx.kernel.processes().SetProgram(pids[i], std::move(program)).ok());
+    }
+    ASSERT_TRUE(fx.kernel.processes().RunUntilQuiescent(1000000).ok());
+    for (ProcessId pid : pids) {
+      EXPECT_EQ(fx.kernel.processes().state(pid), ProcState::kDone)
+          << fx.kernel.processes().stats(pid).last_error;
+    }
+    EXPECT_GT(fx.kernel.metrics().Get("pfm.async_reads"), 0u);
+    EXPECT_GT(fx.kernel.metrics().Get("pfm.prefetch_issued"), 0u);
+
+    PageFrameManager& pfm = fx.kernel.page_frames();
+    EXPECT_EQ(pfm.pending_io(), 0u);
+    EXPECT_FALSE(pfm.NextReadDue().has_value());
+    VolumeControl& volumes = fx.kernel.ctx().volumes;
+    for (uint16_t p = 0; p < volumes.pack_count(); ++p) {
+      EXPECT_EQ(volumes.pack(PackId(p))->queued_io(), 0u) << "pack " << p;
+    }
+    for (const SegmentUid uid : uids) {
+      const uint32_t ast = fx.kernel.segments().FindIndex(uid);
+      if (ast == kNoAst) {
+        continue;  // deactivated: nothing of it can be in flight
+      }
+      const std::vector<Ptw>& ptws = fx.kernel.segments().Get(ast)->page_table.ptws;
+      for (size_t page = 0; page < ptws.size(); ++page) {
+        EXPECT_FALSE(ptws[page].locked) << "segment " << uid.value << " page " << page;
+      }
+    }
+    EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+    EXPECT_TRUE(fx.kernel.Shutdown().ok());
+  }
+}
+
 TEST(Uproc, AbortedProcessReportsItsError) {
   KernelFixture fx;
   ASSERT_TRUE(fx.boot_status.ok());
