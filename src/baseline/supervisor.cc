@@ -458,10 +458,12 @@ Status MonolithicSupervisor::CleanAndRelease(FrameIndex frame) {
     } else {
       assert(fm.allocated);
       fm.zero = false;
-      volumes_.pack(ast.pack)->WriteRecord(fm.record, memory_->FrameSpan(frame));
+      volumes_.pack(ast.pack)->WriteRecord(
+          fm.record, memory_->Snapshot(frame, volumes_.Home(ast.pack, fm.record)));
       metrics_.Inc(id_writebacks_);
     }
   }
+  memory_->ZeroFrame(frame);  // drops the frame's reference to the image
   ptw.in_core = false;
   ptw.used = false;
   ptw.modified = false;
@@ -551,15 +553,13 @@ Status MonolithicSupervisor::HandleFullPack(uint32_t ast_index, uint32_t page) {
   VtocEntry* new_entry = new_pack->GetVtoc(new_vtoc);
   new_entry->max_length_pages = old_entry->max_length_pages;
   new_entry->quota = old_entry->quota;
-  std::vector<Word> buffer(kPageWords);
   for (uint32_t p = 0; p < old_entry->file_map.size(); ++p) {
     const FileMapEntry& old_fm = old_entry->file_map[p];
     FileMapEntry& new_fm = new_entry->mutable_map_entry(p);
     new_fm.zero = old_fm.zero;
     if (old_fm.allocated) {
       MKS_ASSIGN_OR_RETURN(RecordIndex rec, new_pack->AllocateRecord());
-      old_pack->CopyRecord(old_fm.record, buffer);
-      new_pack->StoreRecord(rec, buffer);
+      new_pack->StoreRecord(rec, old_pack->Share(old_fm.record));
       cost_.Charge(CodeStyle::kOptimized, Costs::kDiskReadLatency + Costs::kDiskWriteLatency);
       new_fm.allocated = true;
       new_fm.record = rec;
@@ -639,7 +639,7 @@ Status MonolithicSupervisor::HandleMissingPage(uint32_t ast_index, uint32_t page
         }
         metrics_.Inc(id_zero_page_reallocations_);
       } else {
-        volumes_.ReadRecordLazy(ast.pack, fm.record, memory_.get(), *frame);
+        volumes_.ReadRecord(ast.pack, fm.record, memory_.get(), *frame);
       }
       ptw.frame = frame->value;
       ptw.in_core = true;

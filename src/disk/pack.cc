@@ -2,8 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace mks {
+
+namespace {
+
+// A lent record's data went to a frame's first write and comes back only
+// with that page's writeback, so a read of it before then means the
+// writeback was lost.
+[[noreturn]] void LostWriteback(PackId pack, RecordIndex record) {
+  std::fprintf(stderr,
+               "DiskPack %u: record %u read while lent to a frame's first write: the page's "
+               "writeback was lost\n",
+               static_cast<unsigned>(pack.value), static_cast<unsigned>(record.value));
+  std::abort();
+}
+
+}  // namespace
 
 const FileMapEntry& VtocEntry::map_entry(uint32_t page) const {
   static const FileMapEntry kNeverUsed{};
@@ -36,6 +53,7 @@ DiskPack::DiskPack(PackId id, uint32_t record_count, uint32_t vtoc_slots, CostMo
       free_records_(record_count),
       record_used_(record_count, false),
       record_data_(record_count),
+      record_lent_(record_count, false),
       vtoc_(vtoc_slots),
       cost_(cost),
       metrics_(metrics),
@@ -72,8 +90,7 @@ Result<RecordIndex> DiskPack::AllocateRecord() {
 void DiskPack::FreeRecord(RecordIndex record) {
   assert(record.value < record_count_ && record_used_[record.value]);
   record_used_[record.value] = false;
-  record_data_[record.value].clear();
-  record_data_[record.value].shrink_to_fit();
+  ClearRecord(record);
   ++free_records_;
   metrics_->Inc(id_records_freed_);
 }
@@ -90,39 +107,60 @@ void DiskPack::ChargeRead(RecordIndex record) {
   metrics_->Inc(id_reads_);
 }
 
-void DiskPack::WriteRecord(RecordIndex record, std::span<const Word> in) {
-  assert(record.value < record_count_ && in.size() == kPageWords);
+void DiskPack::WriteRecord(RecordIndex record, PageRef image) {
   cost_->Charge(CodeStyle::kOptimized, Costs::kDiskWriteLatency);
   metrics_->Inc(id_writes_);
-  record_data_[record.value].assign(in.begin(), in.end());
+  StoreRecord(record, std::move(image));
+}
+
+PageRef DiskPack::Share(RecordIndex record) const {
+  assert(record.value < record_count_);
+  if (record_lent_[record.value]) {
+    LostWriteback(id_, record);
+  }
+  return record_data_[record.value];
 }
 
 void DiskPack::CopyRecord(RecordIndex record, std::span<Word> out) const {
-  assert(record.value < record_count_ && out.size() == kPageWords);
-  const std::vector<Word>& data = record_data_[record.value];
-  const size_t have = std::min(data.size(), static_cast<size_t>(kPageWords));
-  std::copy_n(data.begin(), have, out.begin());
-  std::fill(out.begin() + have, out.end(), 0);
+  assert(out.size() == kPageWords);
+  const PageRef image = Share(record);
+  if (image != nullptr) {
+    std::copy(image->begin(), image->end(), out.begin());
+  } else {
+    std::fill(out.begin(), out.end(), 0);
+  }
 }
 
-void DiskPack::StoreRecord(RecordIndex record, std::span<const Word> in) {
-  assert(record.value < record_count_ && in.size() == kPageWords);
-  record_data_[record.value].assign(in.begin(), in.end());
+void DiskPack::StoreRecord(RecordIndex record, PageRef image) {
+  assert(record.value < record_count_);
+  record_data_[record.value] = std::move(image);
+  record_lent_[record.value] = false;
+}
+
+bool DiskPack::Detach(RecordIndex record, const PageImage* image) {
+  assert(record.value < record_count_);
+  if (record_data_[record.value].get() != image) {
+    return false;
+  }
+  record_data_[record.value].reset();
+  record_lent_[record.value] = true;
+  return true;
+}
+
+void DiskPack::ClearRecord(RecordIndex record) {
+  assert(record.value < record_count_);
+  record_data_[record.value].reset();
+  record_lent_[record.value] = false;
 }
 
 void DiskPack::QueueRead(RecordIndex record, uint64_t cookie) {
   assert(record.value < record_count_);
-  io_queue_.push_back(IoRequest{false, record, cookie, {}});
+  io_queue_.push_back(IoRequest{false, record, cookie, nullptr});
 }
 
-void DiskPack::QueueWrite(RecordIndex record, std::span<const Word> in, uint64_t cookie) {
-  assert(record.value < record_count_ && in.size() == kPageWords);
-  IoRequest& req = io_queue_.emplace_back(IoRequest{true, record, cookie, {}});
-  if (!spare_buffers_.empty()) {
-    req.data.swap(spare_buffers_.back());
-    spare_buffers_.pop_back();
-  }
-  req.data.assign(in.begin(), in.end());
+void DiskPack::QueueWrite(RecordIndex record, PageRef image, uint64_t cookie) {
+  assert(record.value < record_count_);
+  io_queue_.push_back(IoRequest{true, record, cookie, std::move(image)});
 }
 
 size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* completed_reads) {
@@ -149,10 +187,7 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
     }
     if (req.write) {
       metrics_->Inc(id_writes_);
-      req.data.swap(record_data_[req.record.value]);
-      if (req.data.capacity() >= kPageWords && spare_buffers_.size() < max_batch) {
-        spare_buffers_.push_back(std::move(req.data));
-      }
+      StoreRecord(req.record, std::move(req.image));
     } else {
       metrics_->Inc(id_reads_);
       if (completed_reads != nullptr) {
@@ -231,16 +266,15 @@ void DiskPack::AuditIntegrity(std::vector<std::string>* findings) const {
   }
 }
 
-void VolumeControl::ReadRecordLazy(PackId id, RecordIndex record, PrimaryMemory* memory,
-                                   FrameIndex frame) {
+void VolumeControl::ReadRecord(PackId id, RecordIndex record, PrimaryMemory* memory,
+                               FrameIndex frame) {
   pack(id)->ChargeRead(record);
-  memory->BindPending(frame, this, (static_cast<uint64_t>(id.value) << 32) | record.value);
+  BindRecord(id, record, memory, frame);
 }
 
-void VolumeControl::FillPage(uint64_t cookie, std::span<Word> out) const {
-  const PackId id(static_cast<uint16_t>(cookie >> 32));
-  const RecordIndex record(static_cast<uint32_t>(cookie));
-  pack(id)->CopyRecord(record, out);
+void VolumeControl::BindRecord(PackId id, RecordIndex record, PrimaryMemory* memory,
+                               FrameIndex frame) {
+  memory->Bind(frame, pack(id)->Share(record), Home(id, record));
 }
 
 PackId VolumeControl::AddPack(uint32_t record_count, uint32_t vtoc_slots) {

@@ -75,11 +75,14 @@ class DiskPack {
   Result<RecordIndex> AllocateRecord();
   void FreeRecord(RecordIndex record);
 
-  // Record I/O; charges transfer latency to the clock.
+  // Record I/O; charges transfer latency to the clock.  A record holds its
+  // data as a page image shared by reference: WriteRecord stores `image`
+  // itself (the writer's frame may keep viewing it), and an empty image
+  // reads as zeros.  ReadRecord copies the data out.
   void ReadRecord(RecordIndex record, std::span<Word> out);
-  void WriteRecord(RecordIndex record, std::span<const Word> in);
+  void WriteRecord(RecordIndex record, PageRef image);
   // The accounting half of ReadRecord alone (latency charge + read metric),
-  // for lazy fills whose data copy is deferred to first touch.
+  // for read-ins that bind a frame to the record's image instead of copying.
   void ChargeRead(RecordIndex record);
 
   // ---- Batched request queue (the anticipatory paging pipeline) ----
@@ -88,27 +91,31 @@ class DiskPack {
   // them in rounds.  A round pops up to `max_batch` requests, sorts them by
   // record index, and charges the arm-sweep cost model: the first record pays
   // the full latency, every further record in the sorted sweep pays only
-  // kDiskBatchedTransfer.  Writes staged their data at queue time, so the
-  // source frame may be reused immediately; completed read cookies are
-  // appended for the caller to CopyRecord into the destination frame (the
-  // transfer latency was charged here, so the copy itself is free).  The
-  // path is allocation-free once warm: a dispatched write swaps its staged
-  // buffer into the record, and the record's previous buffer is kept (up to
-  // `max_batch` of them) to stage later writes.
+  // kDiskBatchedTransfer.  A queued write holds its image from queue time,
+  // so the source frame may be reused (or written, which then copies)
+  // immediately; dispatch hands the image to the record.  Completed read
+  // cookies are appended for the caller to bind the destination frame to the
+  // record's image (the transfer latency was charged here).
   void QueueRead(RecordIndex record, uint64_t cookie);
-  void QueueWrite(RecordIndex record, std::span<const Word> in, uint64_t cookie);
+  void QueueWrite(RecordIndex record, PageRef image, uint64_t cookie);
   size_t queued_io() const { return io_queue_.size(); }
   // Returns the number of requests dispatched (0 when the queue is empty).
   size_t DispatchBatch(size_t max_batch, std::vector<uint64_t>* completed_reads);
-  // Data copy without a latency charge, for transfers whose simulated time
-  // was accounted elsewhere (asynchronous completions, pack-to-pack moves).
+
+  // Data movement without a latency charge, for transfers whose simulated
+  // time was accounted elsewhere (read completions, pack-to-pack moves).
+  // Share and CopyRecord abort on a lent record: its data went to a frame's
+  // first write, so reading it means that page's writeback was lost.
+  PageRef Share(RecordIndex record) const;
   void CopyRecord(RecordIndex record, std::span<Word> out) const;
-  void StoreRecord(RecordIndex record, std::span<const Word> in);
-  // One word of a record without a copy or a charge (lazy-fill read-through).
-  Word PeekWord(RecordIndex record, size_t index) const {
-    const std::vector<Word>& data = record_data_[record.value];
-    return index < data.size() ? data[index] : 0;
-  }
+  void StoreRecord(RecordIndex record, PageRef image);
+  // PageSource::Detach for one record: if the record holds exactly `image`,
+  // it drops its reference and is lent until its next write.
+  bool Detach(RecordIndex record, const PageImage* image);
+  // Drops the record's data: it reads zeros and is no longer lent.  For a
+  // page found all zero at eviction that keeps its record.
+  void ClearRecord(RecordIndex record);
+  bool lent(RecordIndex record) const { return record_lent_[record.value]; }
 
   // Takes the lowest free VTOC slot.
   Result<VtocIndex> AllocateVtoc(SegmentUid uid, bool is_directory);
@@ -128,7 +135,7 @@ class DiskPack {
     bool write = false;
     RecordIndex record{};
     uint64_t cookie = 0;
-    std::vector<Word> data;  // staged at queue time for writes
+    PageRef image;  // a write's data, held from queue time
   };
 
   PackId id_;
@@ -136,7 +143,8 @@ class DiskPack {
   uint32_t free_records_;
   uint32_t alloc_cursor_ = 0;
   std::vector<bool> record_used_;
-  std::vector<std::vector<Word>> record_data_;  // lazily sized per record
+  std::vector<PageRef> record_data_;  // empty: the record reads zeros
+  std::vector<bool> record_lent_;
   std::vector<VtocEntry> vtoc_;
   // Host-side indexes over vtoc_, so placement never rescans the table:
   // the number of slots in use, and a slot index below which every slot is
@@ -144,7 +152,6 @@ class DiskPack {
   uint32_t vtoc_used_ = 0;
   uint32_t vtoc_free_hint_ = 0;
   std::vector<IoRequest> io_queue_;
-  std::vector<std::vector<Word>> spare_buffers_;  // page-sized, for QueueWrite
   CostModel* cost_;
   Metrics* metrics_;
   Tracer* trace_;
@@ -161,9 +168,9 @@ class DiskPack {
 
 // The set of mounted packs plus placement policy.
 //
-// VolumeControl (not DiskPack) is the PageSource for lazy page fills: packs_
+// VolumeControl (not DiskPack) is the PageSource frames detach from: packs_
 // may reallocate as packs are mounted, so a stable owner decodes the
-// (pack, record) cookie at materialization time.
+// (pack, record) cookie at detach time.
 class VolumeControl : public PageSource {
  public:
   VolumeControl(CostModel* cost, Metrics* metrics, Tracer* trace = nullptr)
@@ -174,14 +181,18 @@ class VolumeControl : public PageSource {
   const DiskPack* pack(PackId id) const;
   size_t pack_count() const { return packs_.size(); }
 
-  // ReadRecord with the data copy deferred: charges the transfer now (the
-  // simulated cost is position-dependent) and binds the frame to fill from
-  // this record on first touch.
-  void ReadRecordLazy(PackId id, RecordIndex record, PrimaryMemory* memory, FrameIndex frame);
-  void FillPage(uint64_t cookie, std::span<Word> out) const override;
-  Word ReadWordAt(uint64_t cookie, size_t index) const override {
-    return packs_[static_cast<uint16_t>(cookie >> 32)].PeekWord(
-        RecordIndex(static_cast<uint32_t>(cookie)), index);
+  // The record as a frame's PageHome.
+  PageHome Home(PackId id, RecordIndex record) {
+    return PageHome{this, (static_cast<uint64_t>(id.value) << 32) | record.value};
+  }
+  // The read-in of a page: charges the transfer and points the frame at the
+  // record's image, without a copy.  BindRecord binds without the charge,
+  // for a read whose transfer was paid at dispatch.
+  void ReadRecord(PackId id, RecordIndex record, PrimaryMemory* memory, FrameIndex frame);
+  void BindRecord(PackId id, RecordIndex record, PrimaryMemory* memory, FrameIndex frame);
+  bool Detach(uint64_t cookie, const PageImage* image) override {
+    return packs_[static_cast<uint16_t>(cookie >> 32)].Detach(
+        RecordIndex(static_cast<uint32_t>(cookie)), image);
   }
 
   // Placement for a new segment: the pack with the most free records that

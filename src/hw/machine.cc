@@ -173,6 +173,9 @@ Word* MapZeroedWords(size_t bytes) {
   return static_cast<Word*>(mapped);
 }
 
+// What zero frames view.
+const PageImage kZeroImage{};
+
 }  // namespace
 
 void PrimaryMemory::Unmap::operator()(Word* words) const { munmap(words, bytes); }
@@ -180,62 +183,82 @@ void PrimaryMemory::Unmap::operator()(Word* words) const { munmap(words, bytes);
 PrimaryMemory::PrimaryMemory(uint32_t frame_count, CostModel* cost, Metrics* metrics)
     : frame_count_(frame_count),
       words_(MapZeroedWords(FrameBytes(frame_count)), Unmap{FrameBytes(frame_count)}),
-      pending_flag_(frame_count, 0),
-      pending_(frame_count),
+      views_(frame_count),
+      bindings_(frame_count),
       cost_(cost),
       metrics_(metrics),
-      id_zero_scans_(metrics->Intern("hw.zero_scans")) {}
-
-void PrimaryMemory::BindPending(FrameIndex frame, const PageSource* src, uint64_t cookie) {
-  assert(frame.value < frame_count_);
-  pending_flag_[frame.value] = 1;
-  pending_[frame.value] = PendingFill{src, cookie};
-}
-
-void PrimaryMemory::BindPendingZero(FrameIndex frame) {
-  assert(frame.value < frame_count_);
-  pending_flag_[frame.value] = 1;
-  pending_[frame.value] = PendingFill{};
-}
-
-void PrimaryMemory::Materialize(uint32_t frame) {
-  pending_flag_[frame] = 0;
-  const PendingFill fill = pending_[frame];
-  std::span<Word> span(words_.get() + static_cast<size_t>(frame) * kPageWords, kPageWords);
-  if (fill.src != nullptr) {
-    fill.src->FillPage(fill.cookie, span);
-  } else {
-    std::fill(span.begin(), span.end(), 0);
+      id_zero_scans_(metrics->Intern("hw.zero_scans")) {
+  for (uint32_t f = 0; f < frame_count; ++f) {
+    views_[f] = View{HomeWords(f), HomeWords(f)};
   }
 }
 
-std::span<Word> PrimaryMemory::FrameSpan(FrameIndex frame) {
+void PrimaryMemory::Bind(FrameIndex frame, PageRef image, PageHome home) {
   assert(frame.value < frame_count_);
-  if (pending_flag_[frame.value] != 0) {
-    Materialize(frame.value);
+  const Word* read = image != nullptr ? image->data() : kZeroImage.data();
+  bindings_[frame.value] = Binding{std::move(image), home};
+  views_[frame.value] = View{read, nullptr};
+}
+
+void PrimaryMemory::ZeroFrame(FrameIndex frame) { Bind(frame, nullptr, PageHome{}); }
+
+std::span<Word> PrimaryMemory::HomeSpan(FrameIndex first, uint32_t count) {
+  assert(first.value + count <= frame_count_);
+  for (uint32_t f = first.value; f < first.value + count; ++f) {
+    assert(views_[f].write == HomeWords(f));
   }
-  return std::span<Word>(words_.get() + static_cast<size_t>(frame.value) * kPageWords,
-                         kPageWords);
+  return std::span<Word>(HomeWords(first.value), static_cast<size_t>(count) * kPageWords);
 }
 
-std::span<Word> PrimaryMemory::FrameSpanForOverwrite(FrameIndex frame) {
+Word* PrimaryMemory::PrepareWrite(uint32_t frame) {
+  Binding& b = bindings_[frame];
+  if (b.image == nullptr) {
+    b.image = std::make_shared<PageImage>();  // a zero frame's first write
+  } else if (b.image.use_count() > 1) {
+    // Only the frame's own record may lend its reference; any other holder
+    // (a queued write, a second record) keeps the words it was given.
+    const bool detached = b.image.use_count() == 2 && b.home.src != nullptr &&
+                          b.home.src->Detach(b.home.cookie, b.image.get());
+    if (!detached) {
+      b.image = std::make_shared<PageImage>(*b.image);
+      ++page_copies_;
+    }
+  }
+  assert(b.image.use_count() == 1);
+  Word* words = b.image->data();
+  views_[frame] = View{words, words};
+  return words;
+}
+
+PageRef PrimaryMemory::Snapshot(FrameIndex frame, PageHome home) {
   assert(frame.value < frame_count_);
-  pending_flag_[frame.value] = 0;  // every word is about to be written
-  return std::span<Word>(words_.get() + static_cast<size_t>(frame.value) * kPageWords,
-                         kPageWords);
+  Binding& b = bindings_[frame.value];
+  b.home = home;
+  View& view = views_[frame.value];
+  if (view.read == HomeWords(frame.value)) {
+    ++page_copies_;
+    auto copy = std::make_shared<PageImage>();
+    std::copy_n(view.read, kPageWords, copy->begin());
+    return copy;
+  }
+  view.write = nullptr;  // the next write detaches `home` or copies
+  return b.image;
 }
 
-void PrimaryMemory::ZeroFrame(FrameIndex frame) { BindPendingZero(frame); }
+std::span<const Word> PrimaryMemory::FrameView(FrameIndex frame) const {
+  assert(frame.value < frame_count_);
+  return std::span<const Word>(views_[frame.value].read, kPageWords);
+}
 
 bool PrimaryMemory::FrameIsZero(FrameIndex frame) {
   assert(frame.value < frame_count_);
   cost_->Charge(CodeStyle::kOptimized, Costs::kPageScanPerWord * kPageWords);
   metrics_->Inc(id_zero_scans_);
-  if (pending_flag_[frame.value] != 0 && pending_[frame.value].src == nullptr) {
-    return true;  // pending zero fill: the scan's answer without the scan
+  const std::span<const Word> words = FrameView(frame);
+  if (words.data() == kZeroImage.data()) {
+    return true;  // a zero frame: the scan's answer without the scan
   }
-  auto span = FrameSpan(frame);
-  return std::all_of(span.begin(), span.end(), [](Word w) { return w == 0; });
+  return std::all_of(words.begin(), words.end(), [](Word w) { return w == 0; });
 }
 
 Processor::Processor(HwFeatures features, CostModel* cost, Metrics* metrics, uint16_t index)

@@ -18,6 +18,7 @@
 #ifndef MKS_HW_MACHINE_H_
 #define MKS_HW_MACHINE_H_
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -241,27 +242,45 @@ class AssociativeMemory {
   uint64_t stamp_ = 0;
 };
 
-// Backing store a pending page frame fills from on first touch (the disk
-// volume layer implements it).  FillPage copies the page image behind
-// `cookie` into `out`; ReadWordAt fetches one word of it without the copy —
-// both host-side data movement only, never a cycle charge: the simulated
-// transfer was charged when the frame was bound.
+// One page's words in host memory.  A disk record, a queued write and a page
+// frame hold the same image by reference, so moving a page between core and
+// disk moves a pointer, not 8 KB: a read-in binds the frame to the record's
+// image, a writeback hands the frame's image to the record, and the only copy
+// left is copy-on-write (PrimaryMemory::page_copies).  This is host-side data
+// movement only: every simulated transfer is charged where it always was.
+using PageImage = std::array<Word, kPageWords>;
+using PageRef = std::shared_ptr<PageImage>;
+
+// The store a frame's image came from, or was last written back to (the disk
+// volume layer implements it; `cookie` names the record).  On a bound frame's
+// first write, when the only other holder of its image may be that record,
+// memory asks the record to give the image up.  Detach returns true when the
+// record held exactly `image` and has dropped its reference, after which the
+// record counts as lent until the page is written back; false when it holds
+// anything else, and the frame copies instead.
 class PageSource {
  public:
   virtual ~PageSource() = default;
-  virtual void FillPage(uint64_t cookie, std::span<Word> out) const = 0;
-  virtual Word ReadWordAt(uint64_t cookie, size_t index) const = 0;
+  virtual bool Detach(uint64_t cookie, const PageImage* image) = 0;
+};
+
+// Where a frame's page lives on disk, as its PageSource names it.
+struct PageHome {
+  PageSource* src = nullptr;
+  uint64_t cookie = 0;
 };
 
 // Primary (core) memory: an array of page frames.
 //
-// A frame may carry a *pending fill*: its contents are defined (a page
-// source's record image, or zeros) but not yet copied in.  The copy happens
-// on first touch — a word access, a span request, a zero scan.  This is a
-// pure host-side optimization: a fault that never leads to a touch (the
-// common case in a storm, where pages bounce in and out of core) never pays
-// the 8KB copy, while every simulated charge is made exactly where it always
-// was (the bind site charges the transfer; word accesses charge references).
+// A frame views one of three things:
+//  * its home storage, a slot of one contiguous anonymous mapping.  Every
+//    frame starts there, and core segments stay there for good (HomeSpan),
+//    which lets a core segment be one span over its frames.
+//  * a page image it shares (Bind, the read-in of a page).  The frame writes
+//    in place only while it is the image's sole holder; its first write
+//    otherwise detaches its record (see PageSource) or copies the image.
+//  * zeros (ZeroFrame), until its first write gives it a zeroed image of its
+//    own.
 class PrimaryMemory {
  public:
   PrimaryMemory(uint32_t frame_count, CostModel* cost, Metrics* metrics);
@@ -272,61 +291,71 @@ class PrimaryMemory {
   Word ReadWord(uint64_t abs_addr) {
     assert(abs_addr < size_words());
     cost_->Charge(CodeStyle::kOptimized, Costs::kMemoryReference);
-    const uint32_t frame = static_cast<uint32_t>(abs_addr / kPageWords);
-    uint8_t& pf = pending_flag_[frame];
-    if (pf != 0) {
-      // Read through the source for the first few touches: a page that is
-      // faulted in, read once, and evicted never pays the full-page copy.
-      // Past the cap the frame is clearly live; copy once and read directly.
-      if (pf < kReadThroughCap) {
-        ++pf;
-        const PendingFill& fill = pending_[frame];
-        return fill.src != nullptr ? fill.src->ReadWordAt(fill.cookie, abs_addr % kPageWords)
-                                   : 0;
-      }
-      Materialize(frame);
-    }
-    return words_[abs_addr];
+    return views_[abs_addr / kPageWords].read[abs_addr % kPageWords];
   }
 
   void WriteWord(uint64_t abs_addr, Word value) {
     assert(abs_addr < size_words());
     cost_->Charge(CodeStyle::kOptimized, Costs::kMemoryReference);
     const uint32_t frame = static_cast<uint32_t>(abs_addr / kPageWords);
-    if (pending_flag_[frame] != 0) {
-      Materialize(frame);
+    Word* words = views_[frame].write;
+    if (words == nullptr) {
+      words = PrepareWrite(frame);
     }
-    words_[abs_addr] = value;
+    words[abs_addr % kPageWords] = value;
   }
 
-  // Defers `frame`'s fill to first touch: from `src` (BindPending) or zeros
-  // (BindPendingZero).  Replaces any previous binding.
-  void BindPending(FrameIndex frame, const PageSource* src, uint64_t cookie);
-  void BindPendingZero(FrameIndex frame);
-
-  // Span of the frame's words, fill applied.
-  std::span<Word> FrameSpan(FrameIndex frame);
-  // Span for callers that overwrite every word (a device copy-in): any
-  // pending fill is cancelled instead of applied.
-  std::span<Word> FrameSpanForOverwrite(FrameIndex frame);
+  // Points `frame` at `image` without a copy: the read-in of a page whose
+  // record, named by `home`, holds the image too.  An empty image reads as
+  // zeros.  Drops whatever the frame viewed before.
+  void Bind(FrameIndex frame, PageRef image, PageHome home);
+  // Points `frame` at zeros until its first write, dropping any image it held
+  // (which is also how a released frame gives its reference up).
   void ZeroFrame(FrameIndex frame);
+  // The home storage of `count` frames from `first`, as one span.  The
+  // frames must never have been bound or zeroed: they still view that
+  // storage, so the span and word accesses see the same words, and it reads
+  // as zeros until written.
+  std::span<Word> HomeSpan(FrameIndex first, uint32_t count);
+
+  // The frame's image for a writeback to `home`, by reference.  The frame
+  // keeps viewing it, and its next write detaches `home` or copies.  A zero
+  // frame gives an empty image (the record then reads zeros); home storage
+  // cannot be lent, so it is copied.
+  PageRef Snapshot(FrameIndex frame, PageHome home);
+
+  // The frame's words, read-only: looking changes nothing about the sharing.
+  std::span<const Word> FrameView(FrameIndex frame) const;
   // Scans the frame for the zero-page optimization; charges one cycle per
   // word scanned, which is the cost the paper notes the removal algorithm
   // must pay ("searching the contents of pages about to be removed").
   bool FrameIsZero(FrameIndex frame);
 
- private:
-  // pending_flag_ doubles as a touch counter: 0 = no pending fill, else the
-  // frame is pending and the value counts word reads served through the
-  // source; reaching the cap (or any write / span request) materializes.
-  static constexpr uint8_t kReadThroughCap = 9;
+  // Page copies made so far: copy-on-write of a shared image, and snapshots
+  // of home storage.  A plain host-side count, outside Metrics, so no
+  // metrics dump or digest sees it.
+  uint64_t page_copies() const { return page_copies_; }
 
-  struct PendingFill {
-    const PageSource* src = nullptr;  // nullptr: fill with zeros
-    uint64_t cookie = 0;
+ private:
+  // Per frame: the words reads see, and the words writes may change in place
+  // (nullptr while the frame is not its image's sole holder, or views zeros).
+  struct View {
+    const Word* read = nullptr;
+    Word* write = nullptr;
+  };
+  // Per frame: the image it shares (empty for home storage and zeros), and
+  // the record its first write may detach.
+  struct Binding {
+    PageRef image;
+    PageHome home;
   };
 
-  void Materialize(uint32_t frame);
+  Word* HomeWords(uint32_t frame) const {
+    return words_.get() + static_cast<size_t>(frame) * kPageWords;
+  }
+  // The write slow path: gives a zero frame an image of its own, or makes the
+  // frame its image's sole holder by detaching its record or copying.
+  Word* PrepareWrite(uint32_t frame);
 
   // Releases the frame storage's anonymous mapping.
   struct Unmap {
@@ -335,12 +364,13 @@ class PrimaryMemory {
   };
 
   uint32_t frame_count_;
-  // The frames live in an anonymous mapping, which reads as zeros: frames the
-  // simulation never touches take no host memory, and the storage returns to
-  // the host when the machine is destroyed.
+  // Home storage lives in an anonymous mapping, which reads as zeros: frames
+  // that never use it take no host memory, and the storage returns to the
+  // host when the machine is destroyed.
   std::unique_ptr<Word[], Unmap> words_;
-  std::vector<uint8_t> pending_flag_;  // hot one-byte "has a pending fill"
-  std::vector<PendingFill> pending_;
+  std::vector<View> views_;
+  std::vector<Binding> bindings_;
+  uint64_t page_copies_ = 0;
   CostModel* cost_;
   Metrics* metrics_;
   MetricId id_zero_scans_;

@@ -42,7 +42,7 @@ Status AddressSpaceManager::Init(uint16_t user_sdw_count) {
     // the frame numbers from the span.
     auto span = core_segs_->RawSpan(seg);
     const uint32_t first_frame =
-        static_cast<uint32_t>((span.data() - ctx_->memory.FrameSpan(FrameIndex(0)).data()) /
+        static_cast<uint32_t>((span.data() - ctx_->memory.FrameView(FrameIndex(0)).data()) /
                               kPageWords);
     for (uint32_t p = 0; p < pages; ++p) {
       Ptw& ptw = pt->ptws[p];

@@ -18,10 +18,10 @@ Result<CoreSegId> CoreSegmentManager::Allocate(std::string name, uint32_t pages)
     return Status(Code::kResourceExhausted, "core segment budget exhausted: " + name);
   }
   CoreSegId id(static_cast<uint16_t>(segments_.size()));
-  segments_.push_back(CoreSeg{std::move(name), next_frame_, pages});
-  for (uint32_t i = 0; i < pages; ++i) {
-    ctx_->memory.ZeroFrame(FrameIndex(next_frame_ + i));
-  }
+  // Wired: the frames stay resident in their home storage for good, so the
+  // segment's words are one span that word reads and writes also see.
+  const std::span<Word> words = ctx_->memory.HomeSpan(FrameIndex(next_frame_), pages);
+  segments_.push_back(CoreSeg{std::move(name), next_frame_, pages, words});
   next_frame_ += pages;
   ctx_->metrics.Inc(id_allocated_pages_, pages);
   return id;
@@ -52,12 +52,7 @@ Status CoreSegmentManager::WriteWord(CoreSegId seg, uint32_t offset, Word value)
   return Status::Ok();
 }
 
-std::span<Word> CoreSegmentManager::RawSpan(CoreSegId seg) {
-  const CoreSeg& cs = segments_[seg.value];
-  std::span<Word> first = ctx_->memory.FrameSpan(FrameIndex(cs.first_frame));
-  // Core segment frames are contiguous by construction.
-  return std::span<Word>(first.data(), static_cast<size_t>(cs.pages) * kPageWords);
-}
+std::span<Word> CoreSegmentManager::RawSpan(CoreSegId seg) { return segments_[seg.value].words; }
 
 uint32_t CoreSegmentManager::SizeWords(CoreSegId seg) const {
   return segments_[seg.value].pages * kPageWords;

@@ -56,6 +56,7 @@ class CoreSegmentManager {
     std::string name;
     uint32_t first_frame;
     uint32_t pages;
+    std::span<Word> words;  // the frames' home storage, contiguous
   };
 
   KernelContext* ctx_;

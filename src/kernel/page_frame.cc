@@ -168,24 +168,31 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
       ctx_->metrics.Inc(id_zero_reclaims_);
     } else if (zero && retain_zero_records_) {
       // Channel-closed mode: keep the record and the charge; remember the
-      // zero content so re-touch avoids the disk read.
+      // zero content so re-touch avoids the disk read.  The record's data
+      // (lent to this frame if it had been read in) is never read again.
+      if (fm.allocated) {
+        ctx_->volumes.pack(fi.pack)->ClearRecord(fm.record);
+      }
       fm.zero = true;
       ctx_->metrics.Inc(id_zero_retained_);
     } else {
       assert(fm.allocated);
       fm.zero = false;
+      DiskPack* dp = ctx_->volumes.pack(fi.pack);
+      PageRef image = ctx_->memory.Snapshot(frame, ctx_->volumes.Home(fi.pack, fm.record));
       if (queue_writeback) {
-        // Staged on the pack's request queue: the data is copied now, so the
-        // frame is immediately reusable; the (batched) latency is charged
-        // when the daemon dispatches the round.
-        ctx_->volumes.pack(fi.pack)->QueueWrite(fm.record, ctx_->memory.FrameSpan(frame), 0);
+        // Staged on the pack's request queue: the write holds the image from
+        // now on, so the frame is immediately reusable; the (batched) latency
+        // is charged when the daemon dispatches the round.
+        dp->QueueWrite(fm.record, std::move(image), 0);
         ctx_->metrics.Inc(id_queued_writebacks_);
       } else {
-        ctx_->volumes.pack(fi.pack)->WriteRecord(fm.record, ctx_->memory.FrameSpan(frame));
+        dp->WriteRecord(fm.record, std::move(image));
       }
       ctx_->metrics.Inc(id_writebacks_);
     }
   }
+  ctx_->memory.ZeroFrame(frame);  // drops the frame's reference to the image
   ptw.in_core = false;
   ptw.used = false;
   ptw.modified = false;
@@ -284,7 +291,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
   if (!async_) {
     {
       Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-      ctx_->volumes.ReadRecordLazy(pack, fm.record, &ctx_->memory, frame);
+      ctx_->volumes.ReadRecord(pack, fm.record, &ctx_->memory, frame);
     }
     ptw.frame = frame.value;
     ptw.in_core = true;
@@ -407,9 +414,7 @@ bool PageFrameManager::InstallRead(FrameIndex frame) {
   }
   VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
   if (entry != nullptr) {
-    const FileMapEntry& fm = entry->map_entry(fi.page);
-    ctx_->volumes.pack(fi.pack)->CopyRecord(fm.record,
-                                            ctx_->memory.FrameSpanForOverwrite(frame));
+    ctx_->volumes.BindRecord(fi.pack, entry->map_entry(fi.page).record, &ctx_->memory, frame);
   }
   Ptw& ptw = fi.pt->ptws[fi.page];
   ptw.frame = frame.value;
@@ -609,6 +614,31 @@ void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const 
                         " + used " + std::to_string(in_use) + " + io " + std::to_string(in_io) +
                         " != total " + std::to_string(total));
   }
+  // Lost writebacks: a record lent to a frame's first write gets its data
+  // back only from that page's writeback, so a lent record must be the home
+  // of a resident page that is still modified.
+  std::vector<std::pair<uint16_t, uint32_t>> dirty_homes;
+  for (const FrameInfo& fi : frames_) {
+    if (fi.state != FrameState::kInUse || fi.pt == nullptr || !fi.pt->ptws[fi.page].modified) {
+      continue;
+    }
+    const VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
+    if (entry != nullptr && entry->map_entry(fi.page).allocated) {
+      dirty_homes.emplace_back(fi.pack.value, entry->map_entry(fi.page).record.value);
+    }
+  }
+  std::sort(dirty_homes.begin(), dirty_homes.end());
+  for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
+    const DiskPack* dp = ctx_->volumes.pack(PackId(p));
+    for (uint32_t r = 0; r < dp->record_count(); ++r) {
+      if (dp->lent(RecordIndex(r)) &&
+          !std::binary_search(dirty_homes.begin(), dirty_homes.end(), std::make_pair(p, r))) {
+        findings->push_back("pack " + std::to_string(p) + " record " + std::to_string(r) +
+                            " is lent, but no resident modified page lives there: its "
+                            "writeback was lost");
+      }
+    }
+  }
 }
 
 void PageFrameManager::CollectCleanable(size_t max_frames, std::optional<PackId> pack,
@@ -639,13 +669,13 @@ void PageFrameManager::CollectCleanable(size_t max_frames, std::optional<PackId>
       if (entry == nullptr || !entry->map_entry(fi.page).allocated) {
         continue;  // zero page without a record; leave for eviction-time logic
       }
-      // Zero detection rides the write transfer for free (staging the data
+      // Zero detection rides the write transfer for free (the transfer
       // reads every word anyway).  An all-zero page is NOT cleaned: it stays
       // modified so the eviction path makes the reclaim-vs-retain accounting
       // decision — cleaning it would silently keep a record and a quota
       // charge the missing-page semantics say must be given back.
       const FrameIndex frame(first_frame_ + slot);
-      const std::span<const Word> span = ctx_->memory.FrameSpan(frame);
+      const std::span<const Word> span = ctx_->memory.FrameView(frame);
       if (std::all_of(span.begin(), span.end(), [](Word word) { return word == 0; })) {
         continue;
       }
@@ -659,12 +689,14 @@ void PageFrameManager::CleanInPlace(FrameIndex frame, bool queue) {
   Ptw& ptw = fi.pt->ptws[fi.page];
   DiskPack* dp = ctx_->volumes.pack(fi.pack);
   const RecordIndex record = dp->GetVtoc(fi.vtoc)->map_entry(fi.page).record;
-  const std::span<const Word> span = ctx_->memory.FrameSpan(frame);
+  // The page stays resident and keeps viewing the image it hands over, so
+  // its next write detaches the record again instead of copying.
+  PageRef image = ctx_->memory.Snapshot(frame, ctx_->volumes.Home(fi.pack, record));
   if (queue) {
-    dp->QueueWrite(record, span, 0);
+    dp->QueueWrite(record, std::move(image), 0);
     ctx_->metrics.Inc(id_queued_writebacks_);
   } else {
-    dp->WriteRecord(record, span);
+    dp->WriteRecord(record, std::move(image));
   }
   ptw.modified = false;
   const uint32_t slot = frame.value - first_frame_;

@@ -176,8 +176,10 @@ class PageFrameManager {
     return (writer_candidates_[slot / 64] >> (slot % 64) & 1) != 0;
   }
 
-  // Integrity audit: checks frame-table / page-table cross-consistency and
-  // frame accounting; appends one line per finding.  An empty result is what
+  // Integrity audit: checks frame-table / page-table cross-consistency,
+  // frame accounting, and that every lent disk record is the home of a
+  // resident modified page (else its writeback was lost); appends one line
+  // per finding.  An empty result is what
   // the paper's code auditors are trying to establish.
   void AuditIntegrity(std::vector<std::string>* findings) const;
 
@@ -223,8 +225,8 @@ class PageFrameManager {
   // replacement order is one policy regardless of who runs it.
   uint32_t ClockSelectVictim();
   // Writes back (if needed) and releases `frame`; runs zero detection.  With
-  // `queue_writeback` the write is staged on the pack's request queue (data
-  // copied now, latency charged at dispatch) instead of paid inline.
+  // `queue_writeback` the write is staged on the pack's request queue (image
+  // held now, latency charged at dispatch) instead of paid inline.
   Status CleanAndRelease(FrameIndex frame, bool queue_writeback = false);
   // Writes a frame picked by CollectCleanable back to its record, staged on
   // the pack's request queue when `queue`; the page stays resident, clean.
@@ -246,9 +248,9 @@ class PageFrameManager {
   void DrainPackQueue(PackId pack);
   void CompletePostedRead(FrameIndex frame);
   // Installs a finished read of `frame`, for the daemon and for dispatch
-  // rounds alike: copies the record in (its latency is already paid),
-  // maps and unlocks the PTW with used/modified clear, marks the frame in
-  // use and counts the completion.  Returns false, touching nothing, when
+  // rounds alike: binds the frame to the record's image (its latency is
+  // already paid), maps and unlocks the PTW with used/modified clear, marks
+  // the frame in use and counts the completion.  Returns false, touching nothing, when
   // the segment was deactivated while the read was in flight.
   bool InstallRead(FrameIndex frame);
   FrameInfo& info(FrameIndex frame) { return frames_[frame.value - first_frame_]; }

@@ -229,7 +229,6 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
   new_entry->max_length_pages = old_entry->max_length_pages;
   new_entry->quota = old_entry->quota;
 
-  std::vector<Word> buffer(kPageWords);
   for (uint32_t p = 0; p < old_entry->file_map.size(); ++p) {
     const FileMapEntry& old_fm = old_entry->file_map[p];
     FileMapEntry& new_fm = new_entry->mutable_map_entry(p);
@@ -239,8 +238,7 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
       if (!rec.ok()) {
         return rec.status();  // target filled up mid-move; caller retries
       }
-      old_pack->CopyRecord(old_fm.record, buffer);
-      new_pack->StoreRecord(*rec, buffer);
+      new_pack->StoreRecord(*rec, old_pack->Share(old_fm.record));
       // One read + one write of real transfer time per record moved.
       ctx_->cost.Charge(CodeStyle::kOptimized,
                         Costs::kDiskReadLatency + Costs::kDiskWriteLatency);

@@ -61,6 +61,23 @@ TEST(CoreSegment, RawSpanAliasesPrimaryMemory) {
   EXPECT_EQ(*value, 1234u);
 }
 
+TEST(CoreSegment, RawSpanAliasesEveryFrameOfTheSegment) {
+  BottomFixture fx;
+  auto seg = fx.core_segs.Allocate("span2", 2);
+  ASSERT_TRUE(seg.ok());
+  auto span = fx.core_segs.RawSpan(*seg);
+  ASSERT_EQ(span.size(), 2u * kPageWords);
+  span[1034] = 1234;  // page 2
+  for (int i = 0; i < 12; ++i) {
+    auto value = fx.core_segs.ReadWord(*seg, 1034);
+    ASSERT_TRUE(value.ok());
+    ASSERT_EQ(*value, 1234u) << i;
+  }
+  ASSERT_TRUE(fx.core_segs.WriteWord(*seg, 1040, 5).ok());
+  EXPECT_EQ(span[1034], 1234u);
+  EXPECT_EQ(span[1040], 5u);
+}
+
 struct VprocFixture : BottomFixture {
   VirtualProcessorManager vpm{&ctx, &core_segs};
   VprocFixture() { EXPECT_TRUE(vpm.Init(4).ok()); }

@@ -14,6 +14,7 @@ struct DiskFixture {
   CostModel cost{&clock};
   Metrics metrics;
   VolumeControl volumes{&cost, &metrics};
+  PrimaryMemory memory{4, &cost, &metrics};
 };
 
 TEST(Disk, AllocateAndFreeRecords) {
@@ -49,9 +50,9 @@ TEST(Disk, RecordIoRoundTripAndLatency) {
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
   std::vector<Word> out(kPageWords, 0);
-  std::vector<Word> in(kPageWords, 0);
-  in[0] = 11;
-  in[kPageWords - 1] = 99;
+  auto in = std::make_shared<PageImage>();
+  (*in)[0] = 11;
+  (*in)[kPageWords - 1] = 99;
   const Cycles before = fx.clock.now();
   pack->WriteRecord(*rec, in);
   pack->ReadRecord(*rec, out);
@@ -248,13 +249,75 @@ TEST(Disk, CopyAndStoreSkipLatency) {
   DiskPack* pack = fx.volumes.pack(id);
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
-  std::vector<Word> in(kPageWords, 5);
+  auto in = std::make_shared<PageImage>();
+  in->fill(5);
   const Cycles before = fx.clock.now();
   pack->StoreRecord(*rec, in);
   std::vector<Word> out(kPageWords, 0);
   pack->CopyRecord(*rec, out);
   EXPECT_EQ(fx.clock.now(), before);  // no latency charged
   EXPECT_EQ(out[100], 5u);
+}
+
+TEST(Disk, DetachLendsTheRecordUntilItsNextWrite) {
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(4, 4);
+  DiskPack* pack = fx.volumes.pack(id);
+  auto rec = pack->AllocateRecord();
+  ASSERT_TRUE(rec.ok());
+  auto image = std::make_shared<PageImage>();
+  pack->StoreRecord(*rec, image);
+  EXPECT_EQ(pack->Share(*rec), image);  // by reference
+  EXPECT_FALSE(pack->Detach(*rec, nullptr));  // not the image it holds
+  EXPECT_TRUE(pack->Detach(*rec, image.get()));
+  EXPECT_TRUE(pack->lent(*rec));
+  EXPECT_EQ(image.use_count(), 1);
+  pack->WriteRecord(*rec, image);
+  EXPECT_FALSE(pack->lent(*rec));
+  ASSERT_TRUE(pack->Detach(*rec, image.get()));
+  pack->ClearRecord(*rec);
+  EXPECT_FALSE(pack->lent(*rec));
+  EXPECT_EQ(pack->Share(*rec), nullptr);  // reads zeros
+}
+
+TEST(Disk, WriteToAFrameAQueuedWriteHoldsCopies) {
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(4, 4);
+  DiskPack* pack = fx.volumes.pack(id);
+  auto rec = pack->AllocateRecord();
+  ASSERT_TRUE(rec.ok());
+  auto image = std::make_shared<PageImage>();
+  (*image)[0] = 1;
+  pack->StoreRecord(*rec, std::move(image));
+  const FrameIndex frame(2);
+  const uint64_t word0 = uint64_t{2} * kPageWords;
+  fx.volumes.ReadRecord(id, *rec, &fx.memory, frame);
+  EXPECT_EQ(fx.memory.ReadWord(word0), 1u);
+  fx.memory.WriteWord(word0, 2);  // the record lends its image to the frame
+  EXPECT_TRUE(pack->lent(*rec));
+  pack->QueueWrite(*rec, fx.memory.Snapshot(frame, fx.volumes.Home(id, *rec)), 0);
+  EXPECT_EQ(fx.memory.page_copies(), 0u);
+  fx.memory.WriteWord(word0, 3);  // the queued write still holds the image
+  EXPECT_EQ(fx.memory.page_copies(), 1u);
+  EXPECT_TRUE(pack->lent(*rec));  // until the write is dispatched
+  ASSERT_EQ(pack->DispatchBatch(8, nullptr), 1u);
+  EXPECT_FALSE(pack->lent(*rec));
+  std::vector<Word> out(kPageWords, 0);
+  pack->CopyRecord(*rec, out);
+  EXPECT_EQ(out[0], 2u);  // the data as of queue time
+  EXPECT_EQ(fx.memory.ReadWord(word0), 3u);
+}
+
+TEST(DiskDeathTest, ReadOfALentRecordAborts) {
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(4, 4);
+  DiskPack* pack = fx.volumes.pack(id);
+  auto rec = pack->AllocateRecord();
+  ASSERT_TRUE(rec.ok());
+  auto image = std::make_shared<PageImage>();
+  pack->StoreRecord(*rec, image);
+  ASSERT_TRUE(pack->Detach(*rec, image.get()));
+  EXPECT_DEATH((void)pack->Share(*rec), "writeback was lost");
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST(Hw, ZeroScanChargesPerWordAndDetects) {
   const Cycles before = hw.clock.now();
   EXPECT_TRUE(hw.memory.FrameIsZero(FrameIndex(1)));
   EXPECT_GE(hw.clock.now() - before, static_cast<Cycles>(kPageWords));
-  hw.memory.FrameSpan(FrameIndex(1))[17] = 9;
+  hw.memory.WriteWord(kPageWords + 17, 9);
   EXPECT_FALSE(hw.memory.FrameIsZero(FrameIndex(1)));
 }
 
@@ -157,6 +157,61 @@ TEST(Hw, MemoryReadWriteRoundTrip) {
   EXPECT_EQ(hw.memory.ReadWord(1234), 0xabcdefu);
   hw.memory.ZeroFrame(FrameIndex(1234 / kPageWords));
   EXPECT_EQ(hw.memory.ReadWord(1234), 0u);
+}
+
+// A one-record page store: it holds `image` until a frame's first write
+// detaches it.
+struct OneRecord : PageSource {
+  static constexpr uint64_t kCookie = 7;
+  PageRef image;
+  bool Detach(uint64_t cookie, const PageImage* held) override {
+    if (cookie != kCookie || image.get() != held) {
+      return false;
+    }
+    image.reset();
+    return true;
+  }
+};
+
+TEST(Hw, BoundFrameViewsItsImageAndDetachesOnFirstWrite) {
+  HwFixture hw;
+  OneRecord record;
+  record.image = std::make_shared<PageImage>();
+  (*record.image)[3] = 42;
+  const PageImage* image = record.image.get();
+  hw.memory.Bind(FrameIndex(1), record.image, PageHome{&record, OneRecord::kCookie});
+  EXPECT_EQ(hw.memory.ReadWord(kPageWords + 3), 42u);
+  EXPECT_EQ(hw.memory.FrameView(FrameIndex(1)).data(), image->data());
+  hw.memory.WriteWord(kPageWords + 4, 7);
+  EXPECT_EQ(record.image, nullptr);  // detached, not copied
+  EXPECT_EQ(hw.memory.FrameView(FrameIndex(1)).data(), image->data());
+  hw.memory.WriteWord(kPageWords + 5, 8);
+  EXPECT_EQ(hw.memory.page_copies(), 0u);
+  // A writeback shares the image; the next write detaches it again.
+  record.image = hw.memory.Snapshot(FrameIndex(1), PageHome{&record, OneRecord::kCookie});
+  EXPECT_EQ(record.image.get(), image);
+  hw.memory.WriteWord(kPageWords + 6, 9);
+  EXPECT_EQ(record.image, nullptr);
+  EXPECT_EQ(hw.memory.page_copies(), 0u);
+}
+
+TEST(Hw, WriteToAnImageSomeoneElseHoldsCopies) {
+  HwFixture hw;
+  OneRecord record;
+  hw.memory.ZeroFrame(FrameIndex(2));
+  hw.memory.WriteWord(2 * kPageWords, 1);  // a zero frame's own image: no copy
+  EXPECT_EQ(hw.memory.page_copies(), 0u);
+  const PageRef held = hw.memory.Snapshot(FrameIndex(2), PageHome{&record, OneRecord::kCookie});
+  hw.memory.WriteWord(2 * kPageWords, 2);  // `held` is not the frame's record
+  EXPECT_EQ(hw.memory.page_copies(), 1u);
+  EXPECT_EQ((*held)[0], 1u);
+  EXPECT_EQ(hw.memory.ReadWord(2 * kPageWords), 2u);
+  // Home storage cannot be lent: its snapshot is a copy.
+  hw.memory.WriteWord(3 * kPageWords, 5);
+  const PageRef home = hw.memory.Snapshot(FrameIndex(3), PageHome{});
+  EXPECT_EQ(hw.memory.page_copies(), 2u);
+  hw.memory.WriteWord(3 * kPageWords, 6);
+  EXPECT_EQ((*home)[0], 5u);
 }
 
 }  // namespace

@@ -32,6 +32,29 @@ struct PfmFixture {
     return index == kNoAst ? nullptr : fx.kernel.segments().Get(index);
   }
 
+  Status Evict(uint32_t page) {
+    AstEntry* ast = Ast();
+    return fx.kernel.page_frames().EvictPage(&ast->page_table, page, ast->pack, ast->vtoc,
+                                             ast->quota_cell, ast->page_ec);
+  }
+  DiskPack* Pack() { return fx.kernel.ctx().volumes.pack(Ast()->pack); }
+  RecordIndex Record(uint32_t page) {
+    return Pack()->GetVtoc(Ast()->vtoc)->map_entry(page).record;
+  }
+  FrameIndex Frame(uint32_t page) { return FrameIndex(Ast()->page_table.ptws[page].frame); }
+  PrimaryMemory& Memory() { return fx.kernel.ctx().memory; }
+  // Writes `value` at word `offset` of page 0, writes the page back and
+  // faults it in again read-only, so its frame is bound to the record's
+  // image.
+  void ReadBackBound(uint32_t offset, Word value) {
+    KernelGates& gates = fx.kernel.gates();
+    ASSERT_TRUE(gates.Write(*fx.ctx, segno, offset, value).ok());
+    ASSERT_TRUE(Evict(0).ok());
+    auto read = gates.Read(*fx.ctx, segno, offset);
+    ASSERT_TRUE(read.ok());
+    ASSERT_EQ(*read, value);
+  }
+
   KernelFixture fx;
   Segno segno{};
   const KstEntry* entry = nullptr;
@@ -154,6 +177,125 @@ TEST(PageFrame, SequentialSweepLargerThanMemoryMakesProgress) {
   EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
 }
 
+// ---- Page images shared by reference ----
+
+TEST(PageSharing, ReadInViewsTheRecordsImage) {
+  PfmFixture h;
+  const uint64_t copies = h.Memory().page_copies();
+  h.ReadBackBound(5, 99);
+  EXPECT_EQ(h.Memory().FrameView(h.Frame(0)).data(), h.Pack()->Share(h.Record(0))->data());
+  EXPECT_FALSE(h.Pack()->lent(h.Record(0)));
+  EXPECT_EQ(h.Memory().page_copies(), copies);
+}
+
+TEST(PageSharing, FirstWriteDetachesTheRecordAndASecondWriteDoesNotCopy) {
+  PfmFixture h;
+  KernelGates& gates = h.fx.kernel.gates();
+  h.ReadBackBound(5, 99);
+  const uint64_t copies = h.Memory().page_copies();
+  const Word* image = h.Memory().FrameView(h.Frame(0)).data();
+  ASSERT_TRUE(gates.Write(*h.fx.ctx, h.segno, 6, 1).ok());
+  EXPECT_TRUE(h.Pack()->lent(h.Record(0)));
+  EXPECT_EQ(h.Memory().FrameView(h.Frame(0)).data(), image);  // written in place
+  ASSERT_TRUE(gates.Write(*h.fx.ctx, h.segno, 7, 2).ok());
+  EXPECT_EQ(h.Memory().FrameView(h.Frame(0)).data(), image);
+  EXPECT_EQ(h.Memory().page_copies(), copies);
+  // Lent to a resident modified page: not a finding.
+  EXPECT_TRUE(h.fx.kernel.AuditIntegrity().empty());
+  // The writeback hands the same image back to the record.
+  ASSERT_TRUE(h.Evict(0).ok());
+  EXPECT_FALSE(h.Pack()->lent(h.Record(0)));
+  EXPECT_EQ(h.Pack()->Share(h.Record(0))->data(), image);
+  EXPECT_EQ(*gates.Read(*h.fx.ctx, h.segno, 6), 1u);
+  EXPECT_EQ(h.Memory().page_copies(), copies);
+}
+
+TEST(PageSharing, RetainedZeroPageReadsBackZeroAndRelocates) {
+  PfmFixture h;
+  h.fx.kernel.page_frames().set_retain_zero_records(true);
+  KernelGates& gates = h.fx.kernel.gates();
+  h.ReadBackBound(3, 5);
+  // Zero the page through the bound frame: the record is lent to it.
+  ASSERT_TRUE(gates.Write(*h.fx.ctx, h.segno, 3, 0).ok());
+  const RecordIndex record = h.Record(0);
+  ASSERT_TRUE(h.Pack()->lent(record));
+  ASSERT_TRUE(h.Evict(0).ok());
+  EXPECT_EQ(h.fx.kernel.metrics().Get("pfm.zero_retained"), 1u);
+  EXPECT_FALSE(h.Pack()->lent(record));  // kept, with its data dropped
+  EXPECT_EQ(*gates.Read(*h.fx.ctx, h.segno, 3), 0u);
+  ASSERT_TRUE(h.Evict(0).ok());
+  EXPECT_TRUE(h.fx.kernel.AuditIntegrity().empty());
+  // Relocation reads every record of the segment.
+  const uint32_t ast = h.fx.kernel.segments().FindIndex(h.entry->home.uid);
+  h.fx.kernel.address_spaces().DisconnectEverywhere(h.entry->home.uid);
+  auto home = h.fx.kernel.segments().Relocate(ast);
+  ASSERT_TRUE(home.ok()) << home.status();
+  const VtocEntry* moved = h.fx.kernel.ctx().volumes.pack(home->pack)->GetVtoc(home->vtoc);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(moved->RecordsUsed(), 1u);
+  EXPECT_TRUE(moved->map_entry(0).zero);
+}
+
+// Cleans a dirty page behind page control's back: its frame is released
+// without the writeback that would have returned the record's data.
+void LoseWriteback(PfmFixture& h) {
+  h.ReadBackBound(5, 99);
+  ASSERT_TRUE(h.fx.kernel.gates().Write(*h.fx.ctx, h.segno, 5, 100).ok());
+  ASSERT_TRUE(h.Pack()->lent(h.Record(0)));
+  h.Ast()->page_table.ptws[0].modified = false;
+  ASSERT_TRUE(h.Evict(0).ok());
+}
+
+TEST(PageSharing, AuditReportsALostWriteback) {
+  PfmFixture h;
+  LoseWriteback(h);
+  const std::vector<std::string> findings = h.fx.kernel.AuditIntegrity();
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].find("writeback was lost"), std::string::npos) << findings[0];
+}
+
+TEST(PageSharingDeathTest, ReadOfALostWritebackAborts) {
+  EXPECT_DEATH(
+      {
+        PfmFixture h;
+        LoseWriteback(h);
+        (void)h.fx.kernel.gates().Read(*h.fx.ctx, h.segno, 5);
+      },
+      "writeback was lost");
+}
+
+TEST(PageSharing, PipelinedSweepMakesNoCopiesOnceWrittenBack) {
+  KernelConfig config;
+  config.memory_frames = 48;
+  config.paging_pipeline = PagingPipeline::Full();
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  const Segno segno = fx.MustCreate(">pfm>cyclic");
+  KernelGates& gates = fx.kernel.gates();
+  constexpr uint32_t kPages = 64;  // larger than memory
+  const auto sweep = [&](Word round) {
+    for (uint32_t p = 0; p < kPages; ++p) {
+      const uint32_t offset = p * kPageWords + p;
+      if (round > 0) {
+        auto value = gates.Read(*fx.ctx, segno, offset);
+        ASSERT_TRUE(value.ok()) << p;
+        ASSERT_EQ(*value, round * 1000 + p - 1000) << p;
+      }
+      ASSERT_TRUE(gates.Write(*fx.ctx, segno, offset, round * 1000 + p).ok()) << p;
+    }
+  };
+  sweep(0);  // creates every page; the cyclic order writes each one back
+  sweep(1);
+  const uint64_t copies = fx.kernel.ctx().memory.page_copies();
+  const uint64_t writes = fx.kernel.metrics().Get("disk.writes");
+  for (Word round = 2; round < 5; ++round) {
+    sweep(round);
+  }
+  EXPECT_GT(fx.kernel.metrics().Get("disk.writes"), writes + 2 * kPages);
+  EXPECT_EQ(fx.kernel.ctx().memory.page_copies(), copies);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
 // The candidate walk's choice, recomputed by a full scan of every resident
 // page: the first `max_writes` frames, in ascending frame order, that are
 // modified, unreferenced, unlocked, backed by a record and not all zero —
@@ -175,7 +317,7 @@ std::vector<uint32_t> ReferenceWriterPicks(Kernel& kernel, size_t max_writes,
         continue;
       }
       bool all_zero = true;
-      for (const Word w : kernel.ctx().memory.FrameSpan(FrameIndex(ptw.frame))) {
+      for (const Word w : kernel.ctx().memory.FrameView(FrameIndex(ptw.frame))) {
         all_zero = all_zero && w == 0;
       }
       if (!all_zero) {
