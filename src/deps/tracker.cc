@@ -1,15 +1,20 @@
 #include "src/deps/tracker.h"
 
+#include <cassert>
+
 namespace mks {
 
 void CallTracker::Enter(ModuleId callee) {
-  if (!stack_.empty() && !(stack_.back() == callee)) {
+  if (stack_.size() > base_ && !(stack_.back() == callee)) {
     observed_.AddEdge(stack_.back(), callee, DepKind::kComponent);
   }
   stack_.push_back(callee);
 }
 
-void CallTracker::Exit() { stack_.pop_back(); }
+void CallTracker::Exit() {
+  assert(stack_.size() > base_);  // never pops a suspended caller's frame
+  stack_.pop_back();
+}
 
 std::vector<std::string> CallTracker::UndeclaredEdges(const DependencyGraph& declared) const {
   std::vector<std::string> undeclared;

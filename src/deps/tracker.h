@@ -11,6 +11,8 @@
 #ifndef MKS_DEPS_TRACKER_H_
 #define MKS_DEPS_TRACKER_H_
 
+#include <cassert>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,17 +53,21 @@ class CallTracker {
   // level module without leaving behind any procedure activation records".
   // While a SignalScope is alive the caller stack is suspended, so calls made
   // inside it are observed as fresh top-level entries, not as edges from the
-  // signalling module.
+  // signalling module.  Suspension is a depth mark: the caller's frames stay
+  // in the one stack below the mark, so entering a fault allocates nothing.
   class SignalScope {
    public:
     explicit SignalScope(CallTracker* tracker) : tracker_(tracker) {
       if (tracker_ != nullptr) {
-        saved_.swap(tracker_->stack_);
+        saved_base_ = tracker_->base_;
+        tracker_->base_ = tracker_->stack_.size();
       }
     }
     ~SignalScope() {
       if (tracker_ != nullptr) {
-        tracker_->stack_.swap(saved_);
+        // Every call scope opened under the mark has closed.
+        assert(tracker_->stack_.size() == tracker_->base_);
+        tracker_->base_ = saved_base_;
       }
     }
     SignalScope(const SignalScope&) = delete;
@@ -69,7 +75,7 @@ class CallTracker {
 
    private:
     CallTracker* tracker_;
-    std::vector<ModuleId> saved_;
+    size_t saved_base_ = 0;
   };
 
   const DependencyGraph& observed() const { return observed_; }
@@ -86,6 +92,8 @@ class CallTracker {
 
   DependencyGraph observed_;
   std::vector<ModuleId> stack_;
+  // Frames below this depth belong to suspended callers (SignalScope).
+  size_t base_ = 0;
 };
 
 }  // namespace mks

@@ -642,8 +642,9 @@ Status UserProcessManager::RunUntilQuiescent(uint64_t max_passes) {
       return Status(Code::kFailedPrecondition, "scheduler quiesced with runnable work pending");
     }
   }
-  return AllDone() ? Status::Ok()
-                   : Status(Code::kResourceExhausted, "scheduler pass budget exhausted");
+  // No message: callers step the scheduler a pass at a time and end most
+  // steps here, so this return must not allocate.
+  return AllDone() ? Status::Ok() : Status(Code::kResourceExhausted);
 }
 
 void UserProcessManager::DumpStallAndAbort(uint64_t pass) {

@@ -117,7 +117,8 @@ class UserProcessManager {
   const SimSpinLock& list_lock() const { return list_lock_; }
 
   // Runs the two-level scheduler until every process is done/aborted or
-  // `max_passes` scheduler passes elapse.  Returns kOk on quiescence.
+  // `max_passes` scheduler passes elapse.  Returns kOk on quiescence and a
+  // bare kResourceExhausted when the pass budget runs out.
   Status RunUntilQuiescent(uint64_t max_passes);
   bool AllDone() const;
 

@@ -154,6 +154,73 @@ TEST(CallTracker, SignalScopeSuspendsTheCallerStack) {
   EXPECT_TRUE(tracker.observed().HasEdge(low, high));
 }
 
+TEST(CallTracker, CallAfterTheSignalScopeClosesRecordsTheCallersEdge) {
+  CallTracker tracker;
+  const ModuleId low = tracker.Register("page_frame");
+  const ModuleId high = tracker.Register("directory");
+  {
+    CallTracker::Scope in_low(&tracker, low);
+    {
+      CallTracker::SignalScope signal(&tracker);
+      CallTracker::Scope in_high(&tracker, high);
+    }
+    EXPECT_EQ(tracker.observed().edge_count(), 0u);
+    // Still inside the caller's scope: its frame is the active one again.
+    CallTracker::Scope call(&tracker, high);
+  }
+  EXPECT_TRUE(tracker.observed().HasEdge(low, high));
+  EXPECT_EQ(tracker.observed().edge_count(), 1u);
+}
+
+TEST(CallTracker, NestedSignalScopesEachRestoreTheirOwnMark) {
+  CallTracker tracker;
+  const ModuleId a = tracker.Register("a");
+  const ModuleId b = tracker.Register("b");
+  const ModuleId c = tracker.Register("c");
+  const ModuleId d = tracker.Register("d");
+  const DependencyGraph& observed = tracker.observed();
+  CallTracker::Scope in_a(&tracker, a);
+  {
+    CallTracker::SignalScope outer(&tracker);
+    {
+      CallTracker::Scope in_b(&tracker, b);
+      EXPECT_FALSE(observed.HasEdge(a, b));
+      {
+        CallTracker::SignalScope inner(&tracker);
+        CallTracker::Scope in_c(&tracker, c);
+      }
+      EXPECT_FALSE(observed.HasEdge(b, c));
+      // The inner scope restored the outer one's mark, which is below b.
+      CallTracker::Scope b_calls_c(&tracker, c);
+      EXPECT_TRUE(observed.HasEdge(b, c));
+    }
+    // Back at the outer mark: a is still suspended.
+    CallTracker::Scope in_d(&tracker, d);
+    EXPECT_FALSE(observed.HasEdge(a, d));
+  }
+  // The outer scope restored the bottom mark: a is the caller again.
+  CallTracker::Scope a_calls_d(&tracker, d);
+  EXPECT_TRUE(observed.HasEdge(a, d));
+  EXPECT_EQ(observed.edge_count(), 2u);
+}
+
+TEST(CallTracker, ReenteringTheCallersModuleInsideASignalScopeRecordsNoEdge) {
+  CallTracker tracker;
+  const ModuleId segment = tracker.Register("segment");
+  const ModuleId page_frame = tracker.Register("page_frame");
+  {
+    CallTracker::Scope in_segment(&tracker, segment);
+    CallTracker::Scope in_page_frame(&tracker, page_frame);
+    // Page control signals upward; the handler re-enters the segment
+    // manager, whose frame is still on the suspended stack.
+    CallTracker::SignalScope signal(&tracker);
+    CallTracker::Scope reentered(&tracker, segment);
+  }
+  EXPECT_TRUE(tracker.observed().HasEdge(segment, page_frame));
+  EXPECT_FALSE(tracker.observed().HasEdge(page_frame, segment));
+  EXPECT_TRUE(tracker.observed().IsLoopFree());
+}
+
 TEST(CallTracker, UndeclaredEdgesReported) {
   CallTracker tracker;
   const ModuleId a = tracker.Register("a");
