@@ -16,8 +16,10 @@ void BM_Advance_NoWaiters(benchmark::State& state) {
   Metrics metrics;
   EventcountTable table(&metrics);
   const EventcountId ec = table.Create("x");
+  std::vector<EcWaiter> woken;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Advance(ec));
+    table.Advance(ec, &woken);
+    benchmark::DoNotOptimize(woken.data());
   }
 }
 BENCHMARK(BM_Advance_NoWaiters);
@@ -36,9 +38,10 @@ void BM_AwaitSatisfied(benchmark::State& state) {
   Metrics metrics;
   EventcountTable table(&metrics);
   const EventcountId ec = table.Create("x");
-  table.Advance(ec);
+  std::vector<EcWaiter> woken;
+  table.Advance(ec, &woken);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.AwaitOrEnqueue(ec, 1, VpId(0)));
+    benchmark::DoNotOptimize(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(0))));
   }
 }
 BENCHMARK(BM_AwaitSatisfied);
@@ -50,14 +53,16 @@ void BM_AdvanceBroadcast(benchmark::State& state) {
   EventcountTable table(&metrics);
   const EventcountId ec = table.Create("x");
   const int waiters = static_cast<int>(state.range(0));
+  std::vector<EcWaiter> woken;
   uint64_t target = 1;
   for (auto _ : state) {
     state.PauseTiming();
     for (int w = 0; w < waiters; ++w) {
-      table.AwaitOrEnqueue(ec, target, VpId(static_cast<uint16_t>(w)));
+      table.AwaitOrEnqueue(ec, target, EcWaiter::Vp(VpId(static_cast<uint16_t>(w))));
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(table.Advance(ec));
+    table.Advance(ec, &woken);
+    benchmark::DoNotOptimize(woken.data());
     ++target;
   }
   state.counters["waiters"] = waiters;
@@ -99,14 +104,15 @@ int main(int argc, char** argv) {
     Metrics metrics;
     EventcountTable table(&metrics);
     const EventcountId ec = table.Create("x");
-    const double advance_ns = HostNsPerOp(kIters, [&] { table.Advance(ec); });
+    std::vector<EcWaiter> woken;
+    const double advance_ns = HostNsPerOp(kIters, [&] { table.Advance(ec, &woken); });
     const double read_ns = HostNsPerOp(kIters, [&] { (void)table.Read(ec); });
     uint64_t target = table.Read(ec) + 1;
     const double broadcast16_ns = HostNsPerOp(2000, [&] {
       for (int w = 0; w < 16; ++w) {
-        table.AwaitOrEnqueue(ec, target, VpId(static_cast<uint16_t>(w)));
+        table.AwaitOrEnqueue(ec, target, EcWaiter::Vp(VpId(static_cast<uint16_t>(w))));
       }
-      table.Advance(ec);
+      table.Advance(ec, &woken);
       ++target;
     });
     Sequencer seq;

@@ -71,20 +71,26 @@ Status Kernel::Boot() {
   pfm_->set_retain_zero_records(config_.close_zero_page_channel);
   pfm_->set_pipeline(config_.paging_pipeline);
   // Stage 6: permanently bind the kernel daemons to virtual processors, for
-  // asynchronous paging or the paging pipeline.  The page-I/O daemon runs in
-  // every pass's level-1 window: it completes posted reads and, under
-  // asynchronous paging, dispatches the readahead left on the pack request
-  // queues.  Under synchronous paging it never finds work, because every
-  // producer drains its own queue (readahead, fault-path laundering,
-  // pre-cleaning, the writer, idle rounds), yet each pass still dispatches
-  // its vp.  The pre-cleaner needs the page writer, which runs as idle-time
-  // work on the first CPU to go idle once dispatch is done.
+  // asynchronous paging or the paging pipeline.  Each daemon's vp waits on a
+  // work eventcount that page control advances where the work arises, and
+  // a scheduler pass dispatches it only after an advance.  The page-I/O
+  // daemon runs in the level-1 window on the bootload CPU: its count
+  // advances when posted reads land, and when asynchronous readahead or an
+  // unfinished round is left on a pack request queue.  Under synchronous
+  // paging every producer drains its own queue (readahead, fault-path
+  // laundering, pre-cleaning, the writer, idle rounds), so the daemon never
+  // runs.  The page writer, which the pre-cleaner needs, runs as idle-time
+  // work on the first CPU to go idle once dispatch is done; its count
+  // advances when a frame becomes a cleaning candidate, when a fault takes
+  // the free pool below the low watermark, and when the writer has cleaned
+  // a full batch.
   if (config_.async_paging || config_.paging_pipeline.enabled) {
-    MKS_RETURN_IF_ERROR(
-        vpm_->BindKernelTask("page_io_daemon", [this]() { return pfm_->PageIoDaemonStep(); })
-            .status());
-    MKS_RETURN_IF_ERROR(vpm_->BindKernelTask("page_writer",
-                                             [this]() { return pfm_->PageWriterStep(4); },
+    pfm_->CreateDaemonWork();
+    MKS_RETURN_IF_ERROR(vpm_->BindKernelTask("page_io_daemon", pfm_->io_work(),
+                                             [this] { pfm_->PageIoDaemonStep(); })
+                            .status());
+    MKS_RETURN_IF_ERROR(vpm_->BindKernelTask("page_writer", pfm_->writer_work(),
+                                             [this] { pfm_->PageWriterStep(4); },
                                              KernelTaskClass::kIdleTime)
                             .status());
   }

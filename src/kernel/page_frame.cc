@@ -100,6 +100,9 @@ Result<FrameIndex> PageFrameManager::AcquireFrame() {
     FrameIndex frame = free_list_.back();
     free_list_.pop_back();
     info(frame).state = FrameState::kInUse;
+    if (pipeline_.enabled && free_list_.size() == kLowWatermark - 1) {
+      PostWork(writer_work_);  // this take crossed the low watermark
+    }
     return frame;
   }
   const uint32_t slot = ClockSelectVictim();
@@ -382,23 +385,26 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
     pt->prefetch_until = q + 1;
     ++posted;
   }
-  if (posted > 0 && !async_) {
-    // Synchronous mode has no daemon running between faults: the
-    // anticipatory sweep completes before the fault returns, leaving no
-    // locked window behind.
-    Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-    DrainPackQueue(pack);
+  if (posted == 0) {
+    return;
   }
+  if (async_) {
+    PostWork(io_work_);  // the daemon dispatches the queued reads
+    return;
+  }
+  // Synchronous mode has no daemon running between faults: the anticipatory
+  // sweep completes before the fault returns, leaving no locked window
+  // behind.
+  Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
+  DrainPackQueue(pack);
 }
 
-size_t PageFrameManager::DispatchPackQueue(PackId pack) {
+void PageFrameManager::DispatchPackQueue(PackId pack) {
   completed_reads_.clear();
-  const size_t dispatched =
-      ctx_->volumes.pack(pack)->DispatchBatch(kIoBatchSize, &completed_reads_);
+  ctx_->volumes.pack(pack)->DispatchBatch(kIoBatchSize, &completed_reads_);
   for (uint64_t cookie : completed_reads_) {
     CompletePostedRead(FrameIndex(static_cast<uint32_t>(cookie)));
   }
-  return dispatched;
 }
 
 void PageFrameManager::DrainPackQueue(PackId pack) {
@@ -436,18 +442,28 @@ void PageFrameManager::CompletePostedRead(FrameIndex frame) {
   ctx_->trace.Instant(ev_io_complete_, 0, fi.page);
 }
 
+void PageFrameManager::CreateDaemonWork() {
+  io_work_ = ctx_->eventcounts.Create("page_io_work");
+  writer_work_ = ctx_->eventcounts.Create("page_writer_work");
+  daemons_ = true;
+}
+
 size_t PageFrameManager::LandReads(Cycles now) {
   const size_t before = landed_;
   while (landed_ < posted_reads_.size() && posted_reads_[landed_].due <= now) {
     ++landed_;
   }
+  if (landed_ == before) {
+    return 0;
+  }
+  CallTracker::Scope scope(&ctx_->tracker, self_);
+  PostWork(io_work_);
   return landed_ - before;
 }
 
-bool PageFrameManager::PageIoDaemonStep() {
+void PageFrameManager::PageIoDaemonStep() {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-  bool did_work = false;
   // Only landed reads: one that falls due while this step runs waits for
   // the next pass's landing.
   while (landed_ > 0) {
@@ -459,31 +475,29 @@ bool PageFrameManager::PageIoDaemonStep() {
     }
     const FrameInfo& fi = info(read.frame);
     ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall);
-    // Notify every waiter: level-1 vps via the eventcount, the parked user
-    // process via the real-memory queue.
+    // Notify every waiter: vps readied, parked processes' wakeups posted.
     vpm_->Advance(fi.seg_ec);
-    if (upward_queue_ != nullptr && read.initiator.value != 0) {
-      (void)upward_queue_->Push(UpwardMessage{read.initiator, /*code=*/1, /*payload=*/fi.page});
-    }
     // Close the fault.page_service span opened when the read was posted: the
     // histogram gets the full fault -> park -> I/O -> wakeup latency.
     ctx_->trace.CloseSpan(read.fault_begin, ev_fault_service_, read.initiator.value, fi.page,
                           hist_fault_service_);
-    did_work = true;
   }
   // Dispatch the per-pack request queues: prefetch reads and batched daemon
   // writebacks complete here, one record-sorted round per pack per step.
+  // What a round leaves queued is work for the next step.
+  bool unfinished = false;
   for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
-    if (DispatchPackQueue(PackId(p)) > 0) {
-      did_work = true;
-    }
+    DispatchPackQueue(PackId(p));
+    unfinished = unfinished || ctx_->volumes.pack(PackId(p))->queued_io() > 0;
   }
-  return did_work;
+  if (unfinished) {
+    PostWork(io_work_);
+  }
 }
 
-bool PageFrameManager::ReplenishFreePool() {
+void PageFrameManager::ReplenishFreePool() {
   if (free_list_.size() >= kLowWatermark) {
-    return false;
+    return;
   }
   bool any = false;
   while (free_list_.size() < kHighWatermark) {
@@ -505,7 +519,6 @@ bool PageFrameManager::ReplenishFreePool() {
       DrainPackQueue(PackId(p));
     }
   }
-  return any;
 }
 
 Status PageFrameManager::AddPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
@@ -732,10 +745,12 @@ void PageFrameManager::IdleRound(PackId pack) {
   ctx_->metrics.Inc(id_idle_rounds_);
 }
 
-bool PageFrameManager::PageWriterStep(size_t max_writes) {
+void PageFrameManager::PageWriterStep(size_t max_writes) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-  const bool replenished = pipeline_.enabled && ReplenishFreePool();
+  if (pipeline_.enabled) {
+    ReplenishFreePool();
+  }
   CollectCleanable(max_writes, std::nullopt, &picks_);
   for (const FrameIndex frame : picks_) {
     CleanInPlace(frame, pipeline_.enabled);
@@ -746,7 +761,9 @@ bool PageFrameManager::PageWriterStep(size_t max_writes) {
       DrainPackQueue(PackId(p));
     }
   }
-  return replenished || !picks_.empty();
+  if (max_writes > 0 && picks_.size() == max_writes) {
+    PostWork(writer_work_);  // a full batch: more may be cleanable
+  }
 }
 
 }  // namespace mks

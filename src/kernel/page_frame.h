@@ -19,9 +19,13 @@
 //    (used by tests, examples, and most benches);
 //  * asynchronous — reads are posted to the simulated device (a FIFO this
 //    manager owns) and completed by the page-I/O daemon (a kernel task on
-//    its own virtual processor); the faulting user process parks and is
-//    re-awakened through the real-memory message queue, exercising the full
+//    its own virtual processor); the faulting user process parks on the
+//    segment's page-arrival eventcount, and the completion's advance posts
+//    its wakeup through the real-memory message queue, exercising the full
 //    two-level protocol.
+//
+// The two daemons wait on work eventcounts this manager advances wherever
+// their work is produced (see CreateDaemonWork), so neither is polled.
 #ifndef MKS_KERNEL_PAGE_FRAME_H_
 #define MKS_KERNEL_PAGE_FRAME_H_
 
@@ -32,7 +36,6 @@
 
 #include "src/kernel/quota_cell.h"
 #include "src/kernel/vproc.h"
-#include "src/sync/message_queue.h"
 
 namespace mks {
 
@@ -93,10 +96,6 @@ class PageFrameManager {
   // Takes ownership of every frame above the core segments.
   Status Init();
 
-  // Wires the upward-signalling path for asynchronous mode.  The queue lives
-  // in a core segment; the manager only ever writes resident words, so this
-  // creates no upward dependency.
-  void SetUpwardQueue(RealMemoryQueue* queue) { upward_queue_ = queue; }
   void set_async(bool async) { async_ = async; }
   // When true, a page found all-zero at eviction keeps its disk record and
   // its quota charge: this closes the zero-page covert channel the paper
@@ -128,9 +127,23 @@ class PageFrameManager {
   Status EvictPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc, QuotaCellId cell,
                    EventcountId seg_ec);
 
+  // Creates the work eventcounts of the two daemons, which the kernel binds
+  // to virtual processors.  From then on this manager advances them where
+  // the work arises:
+  //  * io_work — posted reads land (LandReads), or reads are left on a pack
+  //    request queue: asynchronous readahead, or a round the daemon's step
+  //    could not finish;
+  //  * writer_work — a frame becomes a cleaning candidate, a fault takes the
+  //    free pool below kLowWatermark (pipeline on), or the writer cleaned a
+  //    full batch and may have left more.
+  void CreateDaemonWork();
+  EventcountId io_work() const { return io_work_; }
+  EventcountId writer_work() const { return writer_work_; }
+
   // The simulated device (async mode): marks every posted read due by `now`
-  // as landed and returns how many landed.  Charges nothing; the scheduler
-  // calls it at the start of each level-1 window.
+  // as landed, advancing io_work when any did, and returns how many landed.
+  // Charges nothing; the scheduler calls it at the start of each level-1
+  // window, so the daemon it readies runs inside that window.
   size_t LandReads(Cycles now);
   // The due time of the oldest posted read not yet landed, if any.
   std::optional<Cycles> NextReadDue() const {
@@ -140,18 +153,19 @@ class PageFrameManager {
     return posted_reads_[landed_].due;
   }
 
-  // The page-I/O daemon body (bound to a kernel virtual processor in async
-  // mode): completes landed reads, unlocks descriptors, advances segment
-  // eventcounts, and pushes upward messages.  Returns true if work was done.
-  bool PageIoDaemonStep();
+  // The page-I/O daemon body (bound to a kernel virtual processor): completes
+  // landed reads, unlocks descriptors and advances segment eventcounts (whose
+  // parked processes the advance wakes), then dispatches one round of each
+  // pack's request queue.
+  void PageIoDaemonStep();
 
   // The page-writer daemon body: cleans up to `max_writes` modified resident
   // pages so that replacement finds clean victims.  With the pipeline on it
   // first replenishes the free pool to the high watermark by running the
-  // clock and releasing victims ahead of demand.  Bound as idle-time work:
-  // each scheduler pass runs it once, after dispatch, on the first CPU to go
-  // idle.  Returns true if work was done.
-  bool PageWriterStep(size_t max_writes);
+  // clock and releasing victims ahead of demand.  Bound as idle-time work: a
+  // scheduler pass runs it after dispatch, on the first CPU to go idle, when
+  // writer_work has advanced since its last run.
+  void PageWriterStep(size_t max_writes);
 
   // Idle rounds (pipeline on): the pack the next round should write — the
   // first, in rotation after the last round's pack, holding a cleanable
@@ -237,13 +251,13 @@ class PageFrameManager {
   // Returns the number of pages laundered.
   size_t LaunderPack(PackId pack, size_t max_pages);
   // Pre-cleaning: refills the free list to the high watermark.
-  bool ReplenishFreePool();
+  void ReplenishFreePool();
   // Sequential-readahead policy, run after each serviced demand fault.
   void MaybeReadahead(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
                       QuotaCellId cell, EventcountId seg_ec);
   // Dispatches one round of `pack`'s request queue and completes any posted
-  // reads; returns the number of requests dispatched.
-  size_t DispatchPackQueue(PackId pack);
+  // reads.
+  void DispatchPackQueue(PackId pack);
   // Dispatches rounds until `pack`'s request queue is empty.
   void DrainPackQueue(PackId pack);
   void CompletePostedRead(FrameIndex frame);
@@ -254,9 +268,21 @@ class PageFrameManager {
   // the segment was deactivated while the read was in flight.
   bool InstallRead(FrameIndex frame);
   FrameInfo& info(FrameIndex frame) { return frames_[frame.value - first_frame_]; }
-  // Records that the frame at `slot` may have become cleanable.
+  // Records that the frame at `slot` may have become cleanable, and posts the
+  // writer work when the mark is new.
   void MarkWriterCandidate(uint32_t slot) {
-    writer_candidates_[slot / 64] |= uint64_t{1} << (slot % 64);
+    uint64_t& word = writer_candidates_[slot / 64];
+    const uint64_t bit = uint64_t{1} << (slot % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+      PostWork(writer_work_);
+    }
+  }
+  // Advances a daemon's work eventcount; nothing when no daemon is bound.
+  void PostWork(EventcountId work) {
+    if (daemons_) {
+      vpm_->Advance(work);
+    }
   }
 
   KernelContext* ctx_;
@@ -264,7 +290,6 @@ class PageFrameManager {
   CoreSegmentManager* core_segs_;
   QuotaCellManager* quota_;
   VirtualProcessorManager* vpm_;
-  RealMemoryQueue* upward_queue_ = nullptr;
 
   // Hot-path counters, interned once at construction.
   MetricId id_evictions_;
@@ -306,6 +331,9 @@ class PageFrameManager {
   uint32_t clock_hand_ = 0;
   uint16_t idle_round_pack_ = 0;  // where NextIdleRoundPack starts looking
   bool async_ = false;
+  bool daemons_ = false;  // CreateDaemonWork ran: the work counts exist
+  EventcountId io_work_{};
+  EventcountId writer_work_{};
   bool retain_zero_records_ = false;
   PagingPipeline pipeline_;
   // Posted reads, oldest first.  Every read takes kDiskReadLatency and the

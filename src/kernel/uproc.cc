@@ -1,6 +1,7 @@
 #include "src/kernel/uproc.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -55,7 +56,7 @@ Status UserProcessManager::Init() {
     return seg.status();
   }
   queue_ = std::make_unique<RealMemoryQueue>(core_segs_->RawSpan(*seg));
-  pfm_->SetUpwardQueue(queue_.get());
+  vpm_->SetUpwardQueue(queue_.get());
   return Status::Ok();
 }
 
@@ -114,6 +115,7 @@ Status UserProcessManager::DestroyProcess(ProcessId pid) {
   if (it->second.bound) {
     vpm_->ReleaseUserVp(it->second.vp);
   }
+  WithdrawWait(it->second);
   if (it->second.queued && rq_ != nullptr) {
     rq_->Remove(pid.value);
   }
@@ -166,6 +168,7 @@ Status UserProcessManager::SetProgram(ProcessId pid, std::vector<UserOp> program
   if (it == procs_.end()) {
     return Status(Code::kNotFound, "no such process");
   }
+  WithdrawWait(it->second);
   it->second.program = std::move(program);
   it->second.pc = 0;
   it->second.state = ProcState::kReady;
@@ -248,6 +251,13 @@ Status UserProcessManager::ExecOneOp(Process& proc) {
 }
 
 void UserProcessManager::Park(Process& proc) {
+  // Register as the awaited count's waiter: the advance that reaches the
+  // target posts this process's wakeup on the real-memory queue.
+  const WaitSpec& wait = proc.ctx.pending_wait;
+  const bool satisfied =
+      ctx_->eventcounts.AwaitOrEnqueue(wait.ec, wait.target, EcWaiter::Process(proc.pid));
+  assert(wait.valid && !satisfied);
+  (void)satisfied;
   proc.state = ProcState::kBlocked;
   ++proc.stats.blocks;
   ctx_->trace.Instant(ev_park_, proc.pid.value, 0);
@@ -255,6 +265,12 @@ void UserProcessManager::Park(Process& proc) {
     SwapStateOut(proc);
     vpm_->ReleaseUserVp(proc.vp);
     proc.bound = false;
+  }
+}
+
+void UserProcessManager::WithdrawWait(Process& proc) {
+  if (proc.state == ProcState::kBlocked) {
+    ctx_->eventcounts.CancelWait(proc.ctx.pending_wait.ec, EcWaiter::Process(proc.pid));
   }
 }
 
@@ -509,17 +525,17 @@ void UserProcessManager::EnterCpu(uint16_t cpu) {
 }
 
 bool UserProcessManager::RunIdleTimeWork() {
-  bool did_work = false;
-  if (vpm_->HasKernelTasks(KernelTaskClass::kIdleTime)) {
+  const bool ran = vpm_->HasReadyTask(KernelTaskClass::kIdleTime);
+  if (ran) {
     const uint16_t cpu = ctx_->smp.NextCpu();
     EnterCpu(cpu);
     Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
     const Cycles start = ctx_->clock.now();
-    did_work = vpm_->RunKernelTasks(KernelTaskClass::kIdleTime);
+    vpm_->RunKernelTasks(KernelTaskClass::kIdleTime);
     AccrueOutside(cpu, start);
   }
   if (!pfm_->pipeline().enabled) {
-    return did_work;
+    return ran;
   }
   // Idle rounds: the least-behind CPU writes one record-sorted round of one
   // pack's cleanable pages while it trails the furthest clock — time it
@@ -543,16 +559,17 @@ bool UserProcessManager::RunIdleTimeWork() {
     pfm_->IdleRound(*pack);
     AccrueOutside(cpu, start);
   }
-  return did_work;
+  return ran;
 }
 
 bool UserProcessManager::SchedulerPass() {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   bool did_work = false;
 
-  // Level-1 activity first: landing posted disk reads, the level-1 daemons
-  // (the page-I/O daemon completes what landed) and wakeups.  These run on
-  // the bootload CPU, as on the real machine.
+  // Level-1 activity first, on the bootload CPU as on the real machine:
+  // landing posted disk reads (which readies the page-I/O daemon), the
+  // level-1 tasks whose work eventcounts advanced, and the wakeups that
+  // advances posted.
   EnterCpu(0);
   Prof::Window level1_window(&ctx_->prof, 0, ProfDomain::kDispatch);
   const Cycles level1_start = ctx_->clock.now();
@@ -567,29 +584,32 @@ bool UserProcessManager::SchedulerPass() {
     return ctx_->smp.local_now(0) + (ctx_->clock.now() - level1_start);
   };
 
-  // Drain the real-memory queue: wake parked processes.
+  // Drain the real-memory queue: wake each process whose awaited count
+  // reached its target.  Once the queue is empty, wakeups it had no room
+  // for take the room, so its bound delays a wakeup but never loses one.
+  // A wakeup posted before its process was destroyed, its pid reused, or
+  // its program replaced finds the process not parked on a satisfied wait,
+  // and wakes nothing.
   if (queue_ != nullptr) {
-    while (auto msg = queue_->Pop()) {
-      auto it = procs_.find(msg->dest);
-      if (it != procs_.end() && it->second.state == ProcState::kBlocked) {
-        it->second.state = ProcState::kReady;
-        ctx_->trace.Instant(ev_wake_, it->second.pid.value, 1);
-        EnqueueReady(it->second, 0, level1_lnow());
+    do {
+      while (auto msg = queue_->Pop()) {
+        auto it = procs_.find(msg->dest);
+        if (it == procs_.end()) {
+          continue;
+        }
+        Process& proc = it->second;
+        const WaitSpec& wait = proc.ctx.pending_wait;
+        if (proc.state != ProcState::kBlocked ||
+            ctx_->eventcounts.Read(wait.ec) < wait.target) {
+          continue;
+        }
+        proc.state = ProcState::kReady;
+        ctx_->trace.Instant(ev_wake_, proc.pid.value);
+        EnqueueReady(proc, 0, level1_lnow());
         did_work = true;
         ++sched_progress_;
       }
-    }
-  }
-  // Also honor eventcounts that advanced synchronously (no message posted).
-  for (auto& [pid, proc] : procs_) {
-    if (proc.state == ProcState::kBlocked && proc.ctx.pending_wait.valid &&
-        ctx_->eventcounts.Read(proc.ctx.pending_wait.ec) >= proc.ctx.pending_wait.target) {
-      proc.state = ProcState::kReady;
-      ctx_->trace.Instant(ev_wake_, proc.pid.value, 0);
-      EnqueueReady(proc, 0, level1_lnow());
-      did_work = true;
-      ++sched_progress_;
-    }
+    } while (vpm_->PostDeferredWakeups());
   }
 
   if (const Cycles level1 = ctx_->clock.now() - level1_start; level1 > 0) {
@@ -616,8 +636,9 @@ Status UserProcessManager::RunUntilQuiescent(uint64_t max_passes) {
     const bool did_work = SchedulerPass();
     // Stall watchdog: a scheduler that keeps claiming work while no quantum
     // runs, no completion lands, and no process wakes is livelocked (e.g. a
-    // kernel task reporting work it never does).  Dump the flight recorder
-    // instead of silently burning the pass budget.
+    // kernel task that re-posts its own work on every run, so every pass
+    // dispatches it).  Dump the flight recorder instead of silently burning
+    // the pass budget.
     if (ctx_->prof.NoteDispatchRound(sched_progress_)) {
       DumpStallAndAbort(pass);
     }
@@ -631,9 +652,8 @@ Status UserProcessManager::RunUntilQuiescent(uint64_t max_passes) {
           // The whole pool idles forward together waiting on the device.
           ctx_->smp.AdvanceAll(idle);
         }
-        // Landing charges nothing; the next pass's level-1 window completes
-        // the reads on the bootload CPU.
-        sched_progress_ += pfm_->LandReads(ctx_->clock.now());
+        // The next pass's level-1 window lands the reads, so the daemon the
+        // landing readies runs, and charges, inside that window.
         continue;
       }
       if (AllDone()) {

@@ -4,9 +4,13 @@
 // virtual processors.  Process state records live in ordinary segments — in
 // virtual memory, which is exactly why level 1 cannot signal them directly:
 // the state of the receiving process is not guaranteed to be in real memory.
-// Reed's cure is wired through here: the page-I/O daemon (level 1) pushes a
-// message into the real-memory queue, and this scheduler drains the queue,
-// re-readies the parked process, and re-dispatches it.
+// Reed's cure is wired through here: a parked process is registered as a
+// waiter on the eventcount it awaits; the advance that reaches its target,
+// wherever the producer ran, has the virtual processor manager (level 1)
+// post the process's wakeup on the real-memory queue, and this scheduler
+// drains the queue, re-readies the process, and re-dispatches it.  That is
+// the one wake path: async page arrivals, locked-descriptor parkers and
+// user Awaits all take it.
 //
 // Simulated user programs are op-lists (read/write/compute).  An op that
 // faults re-enters through the gate layer's dispatcher; a kBlocked result
@@ -85,7 +89,7 @@ class UserProcessManager {
   void ConfigureDispatch(const DispatchConfig& config);
 
   // Builds the real-memory message queue in a core segment and hands it to
-  // the page frame manager's level-1 side.
+  // the virtual processor manager, which posts wakeups on it.
   Status Init();
 
   Result<ProcessId> CreateProcess(const Subject& subject);
@@ -151,8 +155,9 @@ class UserProcessManager {
     Segno state_segno{};
   };
 
-  // One scheduler pass: level-1 kernel tasks, message drain, dispatch and
-  // execution, then idle-time work.
+  // One scheduler pass: the level-1 window (read landing, the ready level-1
+  // tasks, the wakeup drain), dispatch and execution, then idle-time work.
+  // True if it ran a quantum or a kernel task, or woke a process.
   bool SchedulerPass();
   // Points the kernel at `cpu` for a new accrual window: the current CPU,
   // the tracer's lane, and the window's local-time anchor.
@@ -167,11 +172,10 @@ class UserProcessManager {
   // The least-behind CPU whose own queue holds work (ties: lowest index);
   // kNoCpu when every queue is empty.
   uint16_t LeastBehindWithWork() const;
-  // Idle-time work, after dispatch: the idle-time kernel tasks once on the
-  // least-behind CPU, then — with the paging pipeline on — idle rounds while
-  // that CPU trails the furthest clock and a page is cleanable.  True if a
-  // kernel task reported work; idle rounds are background work and never
-  // count.
+  // Idle-time work, after dispatch: the ready idle-time kernel tasks once on
+  // the least-behind CPU, then — with the paging pipeline on — idle rounds
+  // while that CPU trails the furthest clock and a page is cleanable.  True
+  // if a kernel task ran; idle rounds are background work and never count.
   bool RunIdleTimeWork();
   // One quantum on `cpu`, windowed from `dispatch_start`: vp acquisition
   // (CPU-affine when `affine_vp`), process switch, state swap-in, the op
@@ -196,7 +200,12 @@ class UserProcessManager {
   // ring tails, scheduler-lock owners, run-queue depths, and process states,
   // to stderr; then abort().
   [[noreturn]] void DumpStallAndAbort(uint64_t pass);
+  // Parks `proc` on its pending wait, which must lie ahead, registering it
+  // as the count's waiter.
   void Park(Process& proc);
+  // Withdraws a parked process's registration (destroy, new program), so no
+  // later advance posts a wakeup for it.
+  void WithdrawWait(Process& proc);
   void Finish(Process& proc, ProcState state, Status why);
   Status ExecOneOp(Process& proc);
   // Saves/restores the process state record through the paging machinery —
@@ -242,9 +251,10 @@ class UserProcessManager {
   uint32_t quantum_ = 16;
   uint64_t state_uid_counter_ = 0;
   // Monotonic scheduler-progress stamp for the stall watchdog: quanta run,
-  // device completions, and wakeups.  Kernel tasks claiming work do NOT
+  // device completions, and wakeups.  Dispatching a kernel task does NOT
   // advance it — a task's progress must show up as one of those effects, so
-  // a task that reports work while doing none reads as a stall.
+  // a task that keeps re-posting its own work while doing none reads as a
+  // stall.
   uint64_t sched_progress_ = 0;
 };
 

@@ -9,6 +9,9 @@ namespace {
 // frame, descriptor-base values, a small kernel stack) per vp.  The size is
 // what makes "every vp state permanently in the fastest memory" a real cost.
 constexpr uint32_t kStateRecordWords = 256;
+// The upward message class of a wakeup: an awaited eventcount (the payload)
+// reached its target.
+constexpr uint64_t kEventcountReached = 1;
 }  // namespace
 
 VirtualProcessorManager::VirtualProcessorManager(KernelContext* ctx,
@@ -50,7 +53,8 @@ void VirtualProcessorManager::StoreState(VpId vp) {
   (void)core_segs_->WriteWord(state_seg_, base + 1, v.kernel_bound ? 1 : 0);
 }
 
-Result<VpId> VirtualProcessorManager::BindKernelTask(std::string name, KernelTask task,
+Result<VpId> VirtualProcessorManager::BindKernelTask(std::string name, EventcountId work,
+                                                     KernelTask task,
                                                      KernelTaskClass task_class) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   for (uint16_t i = 0; i < vps_.size(); ++i) {
@@ -58,15 +62,24 @@ Result<VpId> VirtualProcessorManager::BindKernelTask(std::string name, KernelTas
     if (!v.kernel_bound && v.state == VpState::kIdle) {
       v.kernel_bound = true;
       v.task_class = task_class;
-      ++bound_tasks_[static_cast<size_t>(task_class)];
+      v.work = work;
       v.name = std::move(name);
       v.task = std::move(task);
-      v.state = VpState::kReady;
-      StoreState(VpId(i));
+      // Nothing is posted yet: the vp waits for the count's next advance.
+      (void)Await(VpId(i), work, ctx_->eventcounts.Read(work) + 1);
       return VpId(i);
     }
   }
   return Status(Code::kResourceExhausted, "virtual processor pool exhausted");
+}
+
+bool VirtualProcessorManager::HasReadyTask(KernelTaskClass task_class) const {
+  for (const Vp& v : vps_) {
+    if (v.kernel_bound && v.state == VpState::kReady && v.task_class == task_class) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::vector<VpId> VirtualProcessorManager::UserPool() const {
@@ -151,7 +164,7 @@ void VirtualProcessorManager::ReleaseUserVp(VpId vp) {
 
 bool VirtualProcessorManager::Await(VpId vp, EventcountId ec, uint64_t target) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
-  if (ctx_->eventcounts.AwaitOrEnqueue(ec, target, vp)) {
+  if (ctx_->eventcounts.AwaitOrEnqueue(ec, target, EcWaiter::Vp(vp))) {
     return true;
   }
   vps_[vp.value].state = VpState::kWaiting;
@@ -161,41 +174,71 @@ bool VirtualProcessorManager::Await(VpId vp, EventcountId ec, uint64_t target) {
 
 void VirtualProcessorManager::Advance(EventcountId ec) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
-  uint32_t woken = 0;
-  for (VpId vp : ctx_->eventcounts.Advance(ec)) {
-    Vp& v = vps_[vp.value];
+  ctx_->eventcounts.Advance(ec, &woken_);
+  for (const EcWaiter& w : woken_) {
+    if (w.kind == EcWaiter::Kind::kProcess) {
+      PostWakeup(UpwardMessage{ProcessId(w.id), kEventcountReached, ec.value});
+      continue;
+    }
+    Vp& v = vps_[w.id];
     v.state = v.kernel_bound ? VpState::kReady : VpState::kIdle;
-    StoreState(vp);
-    ++woken;
+    StoreState(VpId(static_cast<uint16_t>(w.id)));
   }
-  ctx_->trace.Instant(ev_ec_advance_, ec.value, woken);
+  ctx_->trace.Instant(ev_ec_advance_, ec.value, static_cast<uint32_t>(woken_.size()));
 }
 
-bool VirtualProcessorManager::RunKernelVp(uint16_t i) {
+void VirtualProcessorManager::PostWakeup(const UpwardMessage& wakeup) {
+  assert(upward_queue_ != nullptr);
+  // Behind an earlier deferred wakeup, or into a full queue: defer, so the
+  // queue's bound can delay a wakeup but never lose one.
+  if (!deferred_wakeups_.empty() || !upward_queue_->Push(wakeup).ok()) {
+    deferred_wakeups_.push_back(wakeup);
+  }
+}
+
+bool VirtualProcessorManager::PostDeferredWakeups() {
+  size_t posted = 0;
+  while (posted < deferred_wakeups_.size() &&
+         upward_queue_->Push(deferred_wakeups_[posted]).ok()) {
+    ++posted;
+  }
+  deferred_wakeups_.erase(deferred_wakeups_.begin(),
+                          deferred_wakeups_.begin() + static_cast<ptrdiff_t>(posted));
+  return posted > 0;
+}
+
+void VirtualProcessorManager::RunKernelVp(uint16_t i) {
   Vp& v = vps_[i];
   v.state = VpState::kRunning;
   ChargeDispatch(v);
+  // Work posted while the task runs readies it again: the re-await starts
+  // from the count read before the run.
+  const uint64_t seen = ctx_->eventcounts.Read(v.work);
   const Cycles task_begin = ctx_->trace.Begin();
-  const bool did_work = v.task();
-  ctx_->trace.CloseSpan(task_begin, ev_kernel_task_, i, did_work ? 1 : 0);
-  if (v.state == VpState::kRunning) {
-    v.state = VpState::kReady;
+  {
+    // The task enters its module afresh, as a fault does: the vp manager
+    // acts on nothing the task returns, so no call edge runs from it.
+    CallTracker::SignalScope task_entry(&ctx_->tracker);
+    v.task();
   }
+  ctx_->trace.CloseSpan(task_begin, ev_kernel_task_, i);
+  v.state = VpState::kReady;
+  (void)Await(VpId(i), v.work, seen + 1);
   StoreState(VpId(i));
-  return did_work;
 }
 
 bool VirtualProcessorManager::RunKernelTasks(std::optional<KernelTaskClass> only) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
-  bool any_work = false;
+  bool ran = false;
   for (uint16_t i = 0; i < vps_.size(); ++i) {
     const Vp& v = vps_[i];
     if (v.kernel_bound && v.state == VpState::kReady &&
         (!only.has_value() || v.task_class == *only)) {
-      any_work = RunKernelVp(i) || any_work;
+      RunKernelVp(i);
+      ran = true;
     }
   }
-  return any_work;
+  return ran;
 }
 
 bool VirtualProcessorManager::RunKernelTask(std::string_view name) {
@@ -203,7 +246,8 @@ bool VirtualProcessorManager::RunKernelTask(std::string_view name) {
   for (uint16_t i = 0; i < vps_.size(); ++i) {
     const Vp& v = vps_[i];
     if (v.kernel_bound && v.name == name && v.state == VpState::kReady) {
-      return RunKernelVp(i);
+      RunKernelVp(i);
+      return true;
     }
   }
   return false;

@@ -9,6 +9,13 @@
 // daemon and the page writer); the rest form the pool multiplexed among user
 // processes by level 2.
 //
+// Every wait goes through eventcounts.  A kernel task's vp awaits the task's
+// work eventcount, which the task's producers advance; a level-2 process
+// parked on an eventcount is registered as one of its waiters, and the
+// advance that reaches its target posts the process's wakeup on Reed's
+// real-memory queue.  So an advance wakes exactly its waiters, wherever the
+// producer ran, and nothing polls.
+//
 // Fixing the number of processors buys the simplifications Brinch Hansen
 // argued for [Brinch Hansen, 1975]; the price — reserving the fastest memory
 // for every processor state — is kept small precisely because the pool is a
@@ -16,7 +23,6 @@
 #ifndef MKS_KERNEL_VPROC_H_
 #define MKS_KERNEL_VPROC_H_
 
-#include <array>
 #include <functional>
 #include <optional>
 #include <string>
@@ -24,22 +30,25 @@
 #include <vector>
 
 #include "src/kernel/core_segment.h"
+#include "src/sync/message_queue.h"
 
 namespace mks {
 
 enum class VpState : uint8_t {
   kIdle = 0,     // in the user pool, unbound
-  kReady = 1,    // bound kernel task with work pending, or woken from a wait
+  kReady = 1,    // bound kernel task whose work eventcount advanced
   kRunning = 2,  // dispatched
   kWaiting = 3,  // suspended on an eventcount
 };
 
-// A kernel task bound to a virtual processor.  Invoked once per scheduler
-// pass, at the point its class names; returns true if it performed work
-// (used to detect quiescence).
-using KernelTask = std::function<bool()>;
+// A kernel task bound to a virtual processor.  Its vp waits on the task's
+// work eventcount; a scheduler pass runs the task once, at the point its
+// class names, only when that count has advanced since the task last ran.
+// The task returns nothing: what it leaves to do, it posts by advancing a
+// count.
+using KernelTask = std::function<void()>;
 
-// When a scheduler pass runs a bound kernel task.
+// When a scheduler pass runs a ready kernel task.
 enum class KernelTaskClass : uint8_t {
   // In the level-1 window on the bootload CPU, before dispatch: device
   // completions and wakeups must land before processes are chosen.
@@ -60,14 +69,14 @@ class VirtualProcessorManager {
 
   uint16_t vp_count() const { return static_cast<uint16_t>(vps_.size()); }
 
-  // Permanently binds `task` to a vp.  kResourceExhausted when every vp is
-  // bound — the fixed pool is a real limit, not a soft one.
-  Result<VpId> BindKernelTask(std::string name, KernelTask task,
+  // Permanently binds `task` to a vp that awaits the next advance of `work`.
+  // kResourceExhausted when every vp is bound — the fixed pool is a real
+  // limit, not a soft one.
+  Result<VpId> BindKernelTask(std::string name, EventcountId work, KernelTask task,
                               KernelTaskClass task_class = KernelTaskClass::kLevel1);
-  // Whether any bound kernel task has class `task_class`.
-  bool HasKernelTasks(KernelTaskClass task_class) const {
-    return bound_tasks_[static_cast<size_t>(task_class)] > 0;
-  }
+  // Whether a kernel task of class `task_class` is ready.  Charges nothing,
+  // so the scheduler asks before it opens a window.
+  bool HasReadyTask(KernelTaskClass task_class) const;
 
   // Unbound vps available for multiplexing user processes (level 2).
   std::vector<VpId> UserPool() const;
@@ -84,19 +93,29 @@ class VirtualProcessorManager {
   // the kernel; charges only materialize with a multi-CPU pool.
   void set_connect_cost(Cycles cost) { connect_cost_ = cost; }
 
+  // Wires the upward path: the real-memory queue (a core segment, so posting
+  // writes only resident words) that carries a parked process's wakeup to
+  // the level-2 scheduler.
+  void SetUpwardQueue(RealMemoryQueue* queue) { upward_queue_ = queue; }
+
   // Eventcount interface.  Await returns true when the target is already
   // satisfied; otherwise the vp is marked waiting and false is returned.
   bool Await(VpId vp, EventcountId ec, uint64_t target);
-  // Advances the eventcount and readies every woken vp.
+  // Advances the eventcount: readies every woken vp and posts every woken
+  // process's wakeup on the real-memory queue.  A wakeup that does not fit
+  // is deferred, in order, until a drain makes room.
   void Advance(EventcountId ec);
+  // Posts deferred wakeups into the room a drain made, oldest first; true if
+  // it posted any.  The level-2 scheduler calls it once the queue is empty.
+  bool PostDeferredWakeups();
 
   // Runs each ready kernel-task vp once on the current CPU — only those of
-  // class `only` when one is given; true if any task reported work.
+  // class `only` when one is given; true if it ran any.
   bool RunKernelTasks(std::optional<KernelTaskClass> only = std::nullopt);
 
   // Runs one bound kernel task by name (benches and tests pump a single
-  // daemon without a full scheduler pass); true if it reported work, false
-  // when idle or no such task is bound.
+  // daemon without a full scheduler pass); true if it ran, false when the
+  // task is waiting or no such task is bound.
   bool RunKernelTask(std::string_view name);
 
   VpState state(VpId vp) const;
@@ -115,6 +134,7 @@ class VirtualProcessorManager {
     VpState state = VpState::kIdle;
     bool kernel_bound = false;
     KernelTaskClass task_class = KernelTaskClass::kLevel1;
+    EventcountId work{};  // a bound task's work eventcount
     std::string name;
     KernelTask task;
     Cycles busy = 0;
@@ -128,8 +148,11 @@ class VirtualProcessorManager {
   // Shared tail of both acquisition paths: marks vp `i` running and charges
   // its dispatch.
   Result<VpId> TakeUserVp(uint16_t i);
-  // Dispatches bound vp `i` on the current CPU and runs its task once.
-  bool RunKernelVp(uint16_t i);
+  // Dispatches bound vp `i` on the current CPU, runs its task once, and
+  // re-awaits its work eventcount.
+  void RunKernelVp(uint16_t i);
+  // Posts a process's wakeup, or defers it when the queue is full.
+  void PostWakeup(const UpwardMessage& wakeup);
 
   KernelContext* ctx_;
   ModuleId self_;
@@ -145,7 +168,10 @@ class VirtualProcessorManager {
   CoreSegId state_seg_{};
   std::vector<Vp> vps_;
   uint16_t acquire_cursor_ = 0;  // rotate dispatch across the pool
-  std::array<uint16_t, 2> bound_tasks_{};  // bound kernel tasks, per KernelTaskClass
+  RealMemoryQueue* upward_queue_ = nullptr;
+  // Wakeups the full queue could not take, oldest first.
+  std::vector<UpwardMessage> deferred_wakeups_;
+  std::vector<EcWaiter> woken_;  // Advance's scratch, reused
 };
 
 }  // namespace mks

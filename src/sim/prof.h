@@ -36,10 +36,10 @@
 // completions + wakeups) once per dispatch round, and when the stamp freezes
 // for `stall_rounds` consecutive rounds the caller is told to dump its
 // flight recorder and abort.  The stamp — not the raw clock — is the frozen
-// quantity in every reachable hang: per-round bookkeeping (vp state stores)
-// always advances the clock a few cycles, so a component that claims work
-// while doing none livelocks with the clock creeping and only the progress
-// stamp pinned.  The watchdog turns that silent burn of the pass budget into
+// quantity in every reachable hang: a kernel task that re-posts its own work
+// on every run while doing none is dispatched on every pass, and each
+// dispatch charges a vp switch, so it livelocks with the clock creeping and
+// only the progress stamp pinned.  The watchdog turns that silent burn of the pass budget into
 // an actionable dump at the first `stall_rounds` barren rounds.
 #ifndef MKS_SIM_PROF_H_
 #define MKS_SIM_PROF_H_

@@ -1,6 +1,5 @@
 #include "src/sync/eventcount.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace mks {
@@ -16,26 +15,25 @@ uint64_t EventcountTable::Read(EventcountId ec) const {
   return cells_[ec.value].value;
 }
 
-std::vector<VpId> EventcountTable::Advance(EventcountId ec) {
+void EventcountTable::Advance(EventcountId ec, std::vector<EcWaiter>* woken) {
   assert(ec.value < cells_.size());
   Cell& cell = cells_[ec.value];
   ++cell.value;
   metrics_->Inc(id_advances_);
-  std::vector<VpId> woken;
-  auto it = cell.waiters.begin();
-  while (it != cell.waiters.end()) {
-    if (it->target <= cell.value) {
-      woken.push_back(it->vp);
-      it = cell.waiters.erase(it);
-    } else {
-      ++it;
+  woken->clear();
+  // One pass: satisfied waiters move to the caller's scratch in
+  // registration order, the rest stay.
+  std::erase_if(cell.waiters, [&](const Waiter& w) {
+    if (w.target > cell.value) {
+      return false;
     }
-  }
-  metrics_->Inc(id_wakeups_, woken.size());
-  return woken;
+    woken->push_back(w.who);
+    return true;
+  });
+  metrics_->Inc(id_wakeups_, woken->size());
 }
 
-bool EventcountTable::AwaitOrEnqueue(EventcountId ec, uint64_t target, VpId waiter) {
+bool EventcountTable::AwaitOrEnqueue(EventcountId ec, uint64_t target, EcWaiter waiter) {
   assert(ec.value < cells_.size());
   Cell& cell = cells_[ec.value];
   if (cell.value >= target) {
@@ -46,12 +44,9 @@ bool EventcountTable::AwaitOrEnqueue(EventcountId ec, uint64_t target, VpId wait
   return false;
 }
 
-void EventcountTable::CancelWait(EventcountId ec, VpId waiter) {
+void EventcountTable::CancelWait(EventcountId ec, EcWaiter waiter) {
   assert(ec.value < cells_.size());
-  Cell& cell = cells_[ec.value];
-  cell.waiters.erase(std::remove_if(cell.waiters.begin(), cell.waiters.end(),
-                                    [&](const Waiter& w) { return w.vp == waiter; }),
-                     cell.waiters.end());
+  std::erase_if(cells_[ec.value].waiters, [&](const Waiter& w) { return w.who == waiter; });
 }
 
 size_t EventcountTable::WaiterCount(EventcountId ec) const {

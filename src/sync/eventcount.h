@@ -20,6 +20,19 @@
 
 namespace mks {
 
+// A party suspended on an eventcount: a level-1 virtual processor, or a
+// level-2 process whose wakeup the virtual processor manager posts upward
+// through the real-memory queue.
+struct EcWaiter {
+  enum class Kind : uint8_t { kVp, kProcess };
+  Kind kind = Kind::kVp;
+  uint32_t id = 0;
+
+  static EcWaiter Vp(VpId vp) { return EcWaiter{Kind::kVp, vp.value}; }
+  static EcWaiter Process(ProcessId pid) { return EcWaiter{Kind::kProcess, pid.value}; }
+  friend bool operator==(EcWaiter a, EcWaiter b) = default;
+};
+
 class EventcountTable {
  public:
   explicit EventcountTable(Metrics* metrics)
@@ -32,17 +45,18 @@ class EventcountTable {
 
   uint64_t Read(EventcountId ec) const;
 
-  // Increments the count and removes (returning) every virtual processor
-  // whose awaited target is now satisfied.
-  std::vector<VpId> Advance(EventcountId ec);
+  // Increments the count and removes every waiter whose awaited target is
+  // now satisfied, writing them into `*woken` (cleared first; the caller
+  // owns the scratch, so an advance allocates nothing once it has grown).
+  void Advance(EventcountId ec, std::vector<EcWaiter>* woken);
 
   // If the count already satisfies `target`, returns true (caller proceeds).
   // Otherwise registers the caller and returns false (caller suspends).
-  bool AwaitOrEnqueue(EventcountId ec, uint64_t target, VpId waiter);
+  bool AwaitOrEnqueue(EventcountId ec, uint64_t target, EcWaiter waiter);
 
-  // Removes a registered waiter (used when a wakeup-waiting switch catches a
-  // notification racing the wait primitive).
-  void CancelWait(EventcountId ec, VpId waiter);
+  // Removes a registered waiter, as when a parked process is destroyed or
+  // given a new program, so no later advance wakes it.
+  void CancelWait(EventcountId ec, EcWaiter waiter);
 
   size_t WaiterCount(EventcountId ec) const;
   const std::string& Name(EventcountId ec) const;
@@ -50,7 +64,7 @@ class EventcountTable {
 
  private:
   struct Waiter {
-    VpId vp;
+    EcWaiter who;
     uint64_t target;
   };
   struct Cell {

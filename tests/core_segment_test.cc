@@ -87,11 +87,8 @@ TEST(Vproc, FixedPoolAndKernelBinding) {
   VprocFixture fx;
   EXPECT_EQ(fx.vpm.vp_count(), 4u);
   EXPECT_EQ(fx.vpm.UserPool().size(), 4u);
-  int runs = 0;
-  auto vp = fx.vpm.BindKernelTask("daemon", [&]() {
-    ++runs;
-    return runs < 3;
-  });
+  const EventcountId work = fx.ctx.eventcounts.Create("daemon_work");
+  auto vp = fx.vpm.BindKernelTask("daemon", work, [] {});
   ASSERT_TRUE(vp.ok());
   EXPECT_TRUE(fx.vpm.IsKernelVp(*vp));
   EXPECT_EQ(fx.vpm.task_name(*vp), "daemon");
@@ -100,11 +97,11 @@ TEST(Vproc, FixedPoolAndKernelBinding) {
 
 TEST(Vproc, PoolExhaustsAtFixedSize) {
   VprocFixture fx;
+  const EventcountId work = fx.ctx.eventcounts.Create("work");
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(fx.vpm.BindKernelTask("t" + std::to_string(i), [] { return false; }).ok());
+    ASSERT_TRUE(fx.vpm.BindKernelTask("t" + std::to_string(i), work, [] {}).ok());
   }
-  EXPECT_EQ(fx.vpm.BindKernelTask("extra", [] { return false; }).code(),
-            Code::kResourceExhausted);
+  EXPECT_EQ(fx.vpm.BindKernelTask("extra", work, [] {}).code(), Code::kResourceExhausted);
 }
 
 TEST(Vproc, AcquireAndReleaseUserVps) {
@@ -126,7 +123,7 @@ TEST(Vproc, AcquireAndReleaseUserVps) {
 TEST(Vproc, AwaitAndAdvance) {
   VprocFixture fx;
   const EventcountId ec = fx.ctx.eventcounts.Create("disk_done");
-  auto vp = fx.vpm.BindKernelTask("waiter", [] { return false; });
+  auto vp = fx.vpm.BindKernelTask("waiter", fx.ctx.eventcounts.Create("work"), [] {});
   ASSERT_TRUE(vp.ok());
   EXPECT_FALSE(fx.vpm.Await(*vp, ec, 1));
   EXPECT_EQ(fx.vpm.state(*vp), VpState::kWaiting);
@@ -137,16 +134,43 @@ TEST(Vproc, AwaitAndAdvance) {
 }
 
 TEST(Vproc, RunKernelTasksReportsWork) {
+  // A bound task waits on its work eventcount and runs only after an
+  // advance; RunKernelTasks reports whether it ran one.
   VprocFixture fx;
+  const EventcountId work = fx.ctx.eventcounts.Create("work");
   int runs = 0;
-  ASSERT_TRUE(fx.vpm.BindKernelTask("worker", [&]() {
-                    ++runs;
-                    return true;
-                  })
-                  .ok());
+  bool repost = false;
+  auto vp = fx.vpm.BindKernelTask("worker", work, [&] {
+    ++runs;
+    if (repost) {
+      fx.vpm.Advance(work);
+    }
+  });
+  ASSERT_TRUE(vp.ok());
+  EXPECT_EQ(fx.vpm.state(*vp), VpState::kWaiting);
+  EXPECT_FALSE(fx.vpm.RunKernelTasks());  // nothing posted yet
+  EXPECT_EQ(runs, 0);
+  fx.vpm.Advance(work);
+  EXPECT_EQ(fx.vpm.state(*vp), VpState::kReady);
   EXPECT_TRUE(fx.vpm.RunKernelTasks());
+  EXPECT_EQ(fx.vpm.state(*vp), VpState::kWaiting);
+  EXPECT_FALSE(fx.vpm.RunKernelTasks());
+  EXPECT_EQ(runs, 1);
+  // Two advances before a run are one run's worth of work.
+  fx.vpm.Advance(work);
+  fx.vpm.Advance(work);
   EXPECT_TRUE(fx.vpm.RunKernelTasks());
+  EXPECT_FALSE(fx.vpm.RunKernelTasks());
   EXPECT_EQ(runs, 2);
+  // Work posted during the run readies the task again.
+  repost = true;
+  fx.vpm.Advance(work);
+  EXPECT_TRUE(fx.vpm.RunKernelTasks());
+  EXPECT_EQ(fx.vpm.state(*vp), VpState::kReady);
+  repost = false;
+  EXPECT_TRUE(fx.vpm.RunKernelTasks());
+  EXPECT_FALSE(fx.vpm.RunKernelTasks());
+  EXPECT_EQ(runs, 4);
 }
 
 TEST(Vproc, StateRecordsLiveInTheCoreSegment) {

@@ -167,5 +167,64 @@ TEST(KernelEndToEnd, RuntimeCallsStayInsideDeclaredLattice) {
   }();
 }
 
+// A kernel task enters page control afresh, as a fault does, so the paging
+// daemons add no call edge from the virtual processor manager.  The
+// benchmark's configuration — the paging pipeline, sharded run queues with
+// stealing, interconnect costs — runs a paging program to quiescence with
+// both daemons working, at 1 and 4 CPUs, synchronous and asynchronous, and
+// the observed call structure stays loop-free and inside the lattice.
+TEST(KernelEndToEnd, KernelTasksStayInsideDeclaredLattice) {
+  for (const bool async : {false, true}) {
+    for (const uint16_t cpus : {1, 4}) {
+      SCOPED_TRACE(std::string(async ? "async" : "sync") + " cpus " + std::to_string(cpus));
+      KernelConfig config;
+      config.memory_frames = 96;
+      config.cpu_count = cpus;
+      config.async_paging = async;
+      config.paging_pipeline = PagingPipeline::Full();
+      config.sharded_runqueues = true;
+      config.steal = true;
+      config.connect_cost = 400;
+      Kernel kernel{config};
+      ASSERT_TRUE(kernel.Boot().ok());
+      KernelGates& gates = kernel.gates();
+      for (int i = 0; i < 4; ++i) {
+        auto pid = kernel.processes().CreateProcess(UserSubject("P" + std::to_string(i)));
+        ASSERT_TRUE(pid.ok());
+        ProcContext* ctx = kernel.processes().Context(*pid);
+        auto seg = gates.CreateSegment(*ctx, gates.RootId(), "s" + std::to_string(i), OpenAcl(),
+                                       Label::SystemLow());
+        ASSERT_TRUE(seg.ok());
+        auto segno = gates.Initiate(*ctx, *seg);
+        ASSERT_TRUE(segno.ok());
+        // 4 x 24 written pages against the pool: every process writes its
+        // sweep, then reads it back in order, faulting throughout.
+        std::vector<UserOp> program;
+        for (uint32_t p = 0; p < 24; ++p) {
+          program.push_back(UserOp::Write(*segno, p * kPageWords, p + 1));
+        }
+        for (uint32_t p = 0; p < 24; ++p) {
+          program.push_back(UserOp::Read(*segno, p * kPageWords));
+        }
+        ASSERT_TRUE(kernel.processes().SetProgram(*pid, std::move(program)).ok());
+      }
+      ASSERT_TRUE(kernel.processes().RunUntilQuiescent(1000000).ok());
+      for (ProcessId pid : kernel.processes().LivePids()) {
+        EXPECT_EQ(kernel.processes().state(pid), ProcState::kDone) << pid.value;
+      }
+      // Both daemons ran: the writer cleaned, and under async paging the
+      // page-I/O daemon completed posted reads.
+      EXPECT_GT(kernel.metrics().Get("pfm.precleaned_frames"), 0u);
+      if (async) {
+        EXPECT_GT(kernel.metrics().Get("pfm.io_completions"), 0u);
+      }
+      EXPECT_TRUE(kernel.tracker().observed().IsLoopFree());
+      const auto undeclared = kernel.tracker().UndeclaredEdges(Kernel::DeclaredLattice());
+      EXPECT_TRUE(undeclared.empty()) << undeclared.front();
+      EXPECT_TRUE(kernel.AuditIntegrity().empty());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mks

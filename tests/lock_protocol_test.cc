@@ -65,18 +65,24 @@ TEST(LockProtocol, SecondToucherWaitsOnTheEventcount) {
   EXPECT_TRUE(second->pending_wait.valid);
   EXPECT_EQ(second->pending_wait.ec.value, ast->page_ec.value);
 
-  // The transfer lands exactly at its due time; until the daemon completes
-  // it, it still counts as pending I/O.
+  // The transfer lands exactly at its due time, and the landing posts the
+  // daemon's work; until the daemon completes it, it still counts as
+  // pending I/O.
+  const EventcountTable& ecs = fx.kernel.ctx().eventcounts;
+  const uint64_t io_work0 = ecs.Read(pfm.io_work());
   EXPECT_EQ(pfm.LandReads(due - 1), 0u);
+  EXPECT_EQ(ecs.Read(pfm.io_work()), io_work0);
   EXPECT_EQ(pfm.LandReads(due), 1u);
+  EXPECT_EQ(ecs.Read(pfm.io_work()), io_work0 + 1);
   EXPECT_FALSE(pfm.NextReadDue().has_value());
   EXPECT_EQ(pfm.pending_io(), 1u);
   EXPECT_TRUE(ast->page_table.ptws[0].locked);
 
-  // The daemon unlocks and notifies.
+  // The daemon unlocks and notifies, and leaves itself no work.
   ASSERT_GE(due, fx.kernel.clock().now());
   fx.kernel.clock().Advance(due - fx.kernel.clock().now());
-  EXPECT_TRUE(pfm.PageIoDaemonStep());
+  pfm.PageIoDaemonStep();
+  EXPECT_EQ(ecs.Read(pfm.io_work()), io_work0 + 1);
   EXPECT_EQ(pfm.pending_io(), 0u);
   EXPECT_FALSE(ast->page_table.ptws[0].locked);
   EXPECT_GE(fx.kernel.ctx().eventcounts.Read(ast->page_ec), second->pending_wait.target);
@@ -103,13 +109,13 @@ TEST(LockProtocol, SecondToucherWaitsOnTheEventcount) {
   ASSERT_TRUE(pfm.NextReadDue().has_value());
   const Cycles second_due = *pfm.NextReadDue();
   EXPECT_GT(second_due, first_due);
-  EXPECT_TRUE(pfm.PageIoDaemonStep());
+  pfm.PageIoDaemonStep();
   EXPECT_FALSE(ast->page_table.ptws[1].locked);
   EXPECT_TRUE(ast->page_table.ptws[2].locked);
   ASSERT_GE(second_due, fx.kernel.clock().now());
   fx.kernel.clock().Advance(second_due - fx.kernel.clock().now());
   EXPECT_EQ(pfm.LandReads(fx.kernel.clock().now()), 1u);
-  EXPECT_TRUE(pfm.PageIoDaemonStep());
+  pfm.PageIoDaemonStep();
   EXPECT_FALSE(ast->page_table.ptws[2].locked);
   EXPECT_EQ(pfm.pending_io(), 0u);
   EXPECT_FALSE(pfm.NextReadDue().has_value());

@@ -154,7 +154,8 @@ void RunFaultStorm(Kernel& kernel) {
 
 // P12 shape: every process sweeps the SAME segment with async paging on, so
 // CPUs collide on in-flight pages and park on locked descriptors.
-void RunSharedStorm(Kernel& kernel) {
+// SetUpSharedStorm builds it; RunSharedStorm builds and runs it.
+void SetUpSharedStorm(Kernel& kernel) {
   PathWalker walker(&kernel.gates());
   std::vector<ProcessId> pids;
   std::vector<ProcContext*> ctxs;
@@ -182,6 +183,10 @@ void RunSharedStorm(Kernel& kernel) {
     }
     ASSERT_TRUE(kernel.processes().SetProgram(pids[i], std::move(program)).ok());
   }
+}
+
+void RunSharedStorm(Kernel& kernel) {
+  SetUpSharedStorm(kernel);
   ASSERT_TRUE(kernel.processes().RunUntilQuiescent(2000000).ok());
 }
 
@@ -205,6 +210,28 @@ TEST(ProfInvariant, SharedSegmentStormBalancesAtEveryPoolSize) {
     RunSharedStorm(kernel);
     ExpectLedgerBalanced(kernel);
   }
+}
+
+// With one CPU, every cycle the scheduler charges lands in that CPU's
+// windows, so its local clock advances exactly as far as the global clock —
+// P12's 1-CPU makespan equals its total.  A charge made outside any window,
+// such as readying the page-I/O daemon by landing reads during the
+// idle-forward, would open a gap.
+TEST(ProfInvariant, OneCpuSharedStormChargesOnlyInsideWindows) {
+  KernelConfig config = ProfConfigFor(1);
+  config.async_paging = true;
+  Kernel kernel{config};
+  ASSERT_TRUE(kernel.Boot().ok());
+  SetUpSharedStorm(kernel);
+  CpuInterleave& smp = kernel.ctx().smp;
+  smp.AlignAll();
+  const Cycles before = kernel.clock().now();
+  const Cycles m0 = smp.Makespan();
+  ASSERT_TRUE(kernel.processes().RunUntilQuiescent(2000000).ok());
+  EXPECT_GT(kernel.metrics().Get("uproc.idle_cycles"), 0u);  // it idled forward
+  EXPECT_GT(kernel.metrics().Get("pfm.io_completions"), 0u);
+  EXPECT_EQ(smp.Makespan() - m0, kernel.clock().now() - before);
+  ExpectLedgerBalanced(kernel);
 }
 
 // P16 shape: the bench drives gate calls directly, one anchored window per
@@ -316,15 +343,24 @@ TEST(ProfWatchdogDeathTest, FrozenClockDumpsAndAborts) {
   ASSERT_TRUE(pid.ok());
   ProcContext* ctx = kernel.processes().Context(*pid);
   // The bug under test: a lock acquired once and never released, polled by a
-  // kernel task that reports "work done" on every pass while the parked
-  // process keeps the system from quiescing.  No quantum runs, no completion
-  // lands, no process wakes — the progress stamp pins while the per-pass vp
-  // bookkeeping keeps the raw clock creeping, which is why the watchdog keys
-  // on the stamp and not the clock.
+  // kernel task that re-posts its own work on every run while the lock is
+  // held, so every pass dispatches it, while the parked process keeps the
+  // system from quiescing.  No quantum runs, no completion lands, no process
+  // wakes — the progress stamp pins while each dispatch's vp switch keeps
+  // the raw clock creeping, which is why the watchdog keys on the stamp and
+  // not the clock.
   SimSpinLock stall_lock;
   stall_lock.Acquire(0);
-  ASSERT_TRUE(
-      kernel.vprocs().BindKernelTask("staller", [&] { return stall_lock.held(); }).ok());
+  const EventcountId work = kernel.ctx().eventcounts.Create("staller_work");
+  ASSERT_TRUE(kernel.vprocs()
+                  .BindKernelTask("staller", work,
+                                  [&] {
+                                    if (stall_lock.held()) {
+                                      kernel.vprocs().Advance(work);
+                                    }
+                                  })
+                  .ok());
+  kernel.vprocs().Advance(work);  // the first post
   auto ec = kernel.gates().CreateEventcount(*ctx, Label::SystemLow());
   ASSERT_TRUE(ec.ok());
   ASSERT_TRUE(kernel.processes()

@@ -180,6 +180,8 @@ struct IdleCpuRun {
   std::map<std::string, uint64_t, std::less<>> counters;
   std::string folded;            // the profiler's collapsed stacks
   std::vector<Cycles> level1;    // durations of CPU 0's level-1 windows
+  uint64_t io_work = 0;          // advances of the page-I/O daemon's work count
+  std::map<std::string, uint64_t> task_spans;  // vp.kernel_task spans by task name
   std::vector<Word> values;      // every written page's last value
   std::vector<std::string> audit;
   std::vector<std::string> post_shutdown_audit;
@@ -252,11 +254,19 @@ IdleCpuRun RunWithAnIdleCpu(uint16_t cpus) {
     }
   }
   out.counters = kernel.metrics().counters();
+  out.io_work = kernel.ctx().eventcounts.Read(kernel.page_frames().io_work());
   out.folded = kernel.ctx().prof.CollapsedStacks();
   const Tracer& trace = kernel.ctx().trace;
   for (const TraceRecord& r : trace.Snapshot(0)) {
     if (trace.EventName(r.event) == "uproc.level1") {
       out.level1.push_back(r.dur);
+    }
+  }
+  for (uint16_t cpu = 0; cpu < trace.cpu_count(); ++cpu) {
+    for (const TraceRecord& r : trace.Snapshot(cpu)) {
+      if (trace.EventName(r.event) == "vp.kernel_task") {
+        ++out.task_spans[kernel.vprocs().task_name(VpId(static_cast<uint16_t>(r.proc)))];
+      }
     }
   }
   out.audit = kernel.AuditIntegrity();
@@ -281,11 +291,14 @@ TEST(SmpIdleRounds, TheCpuThatFinishesFirstCleansOutsideTheLevel1Window) {
   const Cycles idle_io = FoldedCycles(four.folded, "cpu3;dispatch;paging-io");
   EXPECT_GE(idle_io, Costs::kDiskWriteLatency);
   EXPECT_GE(four.counters.at("smp.cpu3.busy_cycles"), idle_io);
-  // No level-1 window on CPU 0 wrote a page: each is shorter than one write.
-  EXPECT_FALSE(four.level1.empty());
-  for (const Cycles dur : four.level1) {
-    EXPECT_LT(dur, Costs::kDiskWriteLatency);
-  }
+  // CPU 0's level-1 window has nothing to do, let alone a page to write:
+  // synchronous paging posts no read, so the page-I/O daemon's work count
+  // never advances and the daemon is never dispatched, and no process
+  // parks, so no wakeup is drained.  No window records a span.
+  EXPECT_EQ(four.io_work, 0u);
+  EXPECT_TRUE(four.level1.empty());
+  EXPECT_EQ(four.task_spans.count("page_io_daemon"), 0u);
+  EXPECT_EQ(four.task_spans.count("page_writer"), 1u);  // the writer did run
   // Every page reads back its last write; the books balance before and
   // after shutdown.
   for (uint32_t i = 0; i < 3; ++i) {
@@ -320,11 +333,17 @@ TEST(SmpIdleRounds, KernelVpPaysOneTransferWhenItChangesCpu) {
   ASSERT_TRUE(kernel.Boot().ok());
   KernelContext& kctx = kernel.ctx();
   Metrics& m = kernel.metrics();
-  // The writer has nothing to do; its run costs only its dispatch.
+  // Unposted, the writer is not dispatched at all.
+  const Cycles idle0 = kctx.clock.now();
+  EXPECT_FALSE(kernel.vprocs().RunKernelTask("page_writer"));
+  EXPECT_EQ(kctx.clock.now(), idle0);
+  // Posted work the writer finds nothing to clean for: its run costs only
+  // its dispatch.
   auto run_writer_on = [&](uint16_t cpu) {
     kctx.current_cpu = cpu;
+    kernel.vprocs().Advance(kernel.page_frames().writer_work());
     const Cycles before = kctx.clock.now();
-    EXPECT_FALSE(kernel.vprocs().RunKernelTask("page_writer"));
+    EXPECT_TRUE(kernel.vprocs().RunKernelTask("page_writer"));
     return kctx.clock.now() - before;
   };
   const uint64_t migrations0 = m.Get("vproc.vp_migrations");

@@ -36,26 +36,29 @@ TEST(Eventcount, AdvanceWakesSatisfiedWaiters) {
   const EventcountId ec = table.Create("page_arrival");
   EXPECT_EQ(table.Read(ec), 0u);
 
-  EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, VpId(1)));
-  EXPECT_FALSE(table.AwaitOrEnqueue(ec, 2, VpId(2)));
+  EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(1))));
+  EXPECT_FALSE(table.AwaitOrEnqueue(ec, 2, EcWaiter::Process(ProcessId(2))));
   EXPECT_EQ(table.WaiterCount(ec), 2u);
 
-  auto woken = table.Advance(ec);
+  std::vector<EcWaiter> woken;
+  table.Advance(ec, &woken);
   ASSERT_EQ(woken.size(), 1u);
-  EXPECT_EQ(woken[0].value, 1u);
+  EXPECT_EQ(woken[0], EcWaiter::Vp(VpId(1)));
   EXPECT_EQ(table.WaiterCount(ec), 1u);
 
-  woken = table.Advance(ec);
+  table.Advance(ec, &woken);
   ASSERT_EQ(woken.size(), 1u);
-  EXPECT_EQ(woken[0].value, 2u);
+  EXPECT_EQ(woken[0], EcWaiter::Process(ProcessId(2)));
+  EXPECT_EQ(table.WaiterCount(ec), 0u);
 }
 
 TEST(Eventcount, AwaitAlreadySatisfiedDoesNotEnqueue) {
   Metrics metrics;
   EventcountTable table(&metrics);
   const EventcountId ec = table.Create("x");
-  table.Advance(ec);
-  EXPECT_TRUE(table.AwaitOrEnqueue(ec, 1, VpId(1)));
+  std::vector<EcWaiter> woken;
+  table.Advance(ec, &woken);
+  EXPECT_TRUE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(1))));
   EXPECT_EQ(table.WaiterCount(ec), 0u);
 }
 
@@ -64,19 +67,30 @@ TEST(Eventcount, BroadcastWakesAllWaitersAtSameTarget) {
   EventcountTable table(&metrics);
   const EventcountId ec = table.Create("x");
   for (uint16_t vp = 0; vp < 5; ++vp) {
-    EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, VpId(vp)));
+    EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(vp))));
   }
   // "Notifies all processes that have been waiting for this event."
-  EXPECT_EQ(table.Advance(ec).size(), 5u);
+  std::vector<EcWaiter> woken;
+  table.Advance(ec, &woken);
+  ASSERT_EQ(woken.size(), 5u);
+  for (uint16_t vp = 0; vp < 5; ++vp) {
+    EXPECT_EQ(woken[vp], EcWaiter::Vp(VpId(vp)));  // in registration order
+  }
 }
 
 TEST(Eventcount, CancelWaitRemovesWaiter) {
   Metrics metrics;
   EventcountTable table(&metrics);
   const EventcountId ec = table.Create("x");
-  EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, VpId(3)));
-  table.CancelWait(ec, VpId(3));
-  EXPECT_EQ(table.Advance(ec).size(), 0u);
+  EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(3))));
+  EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Process(ProcessId(3))));
+  // Same id, other kind: only the named waiter goes.
+  table.CancelWait(ec, EcWaiter::Vp(VpId(3)));
+  EXPECT_EQ(table.WaiterCount(ec), 1u);
+  std::vector<EcWaiter> woken;
+  table.Advance(ec, &woken);
+  ASSERT_EQ(woken.size(), 1u);
+  EXPECT_EQ(woken[0], EcWaiter::Process(ProcessId(3)));
 }
 
 TEST(Eventcount, ValuesAreMonotonic) {
@@ -84,8 +98,9 @@ TEST(Eventcount, ValuesAreMonotonic) {
   EventcountTable table(&metrics);
   const EventcountId ec = table.Create("x");
   uint64_t last = table.Read(ec);
+  std::vector<EcWaiter> woken;
   for (int i = 0; i < 100; ++i) {
-    table.Advance(ec);
+    table.Advance(ec, &woken);
     EXPECT_EQ(table.Read(ec), last + 1);
     last = table.Read(ec);
   }

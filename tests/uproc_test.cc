@@ -200,6 +200,80 @@ TEST(UprocAsync, QuiescenceLeavesNoPageIoInFlight) {
   }
 }
 
+// The real-memory queue holds one page of messages, fewer than the
+// processes one advance can satisfy.  A wakeup that does not fit waits for
+// the drain that makes room, so every parked process wakes.
+TEST(UprocWake, AFullQueueLosesNoWakeup) {
+  KernelConfig config;
+  config.memory_frames = 1024;
+  config.ast_slots = 512;  // every parked process keeps its state segment active
+  config.vtoc_slots_per_pack = 1024;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  UserProcessManager& procs = fx.kernel.processes();
+  auto ec = fx.kernel.gates().CreateEventcount(*fx.ctx, Label::SystemLow());
+  ASSERT_TRUE(ec.ok());
+  constexpr int kParked = 400;
+  std::vector<ProcessId> pids;
+  for (int i = 0; i < kParked; ++i) {
+    auto pid = procs.CreateProcess(TestSubject("W" + std::to_string(i)));
+    ASSERT_TRUE(pid.ok()) << i;
+    ASSERT_TRUE(procs.SetProgram(*pid, {UserOp::Await(*ec, 1), UserOp::Compute(10)}).ok());
+    pids.push_back(*pid);
+  }
+  // Everyone parks; nothing can advance the count from inside.
+  EXPECT_EQ(procs.RunUntilQuiescent(100000).code(), Code::kFailedPrecondition);
+  for (ProcessId pid : pids) {
+    ASSERT_EQ(procs.state(pid), ProcState::kBlocked) << pid.value << " " << procs.stats(pid).last_error;
+  }
+  ASSERT_TRUE(fx.kernel.gates().AdvanceEventcount(*fx.ctx, *ec).ok());
+  EXPECT_TRUE(procs.RunUntilQuiescent(100000).ok());
+  for (ProcessId pid : pids) {
+    EXPECT_EQ(procs.state(pid), ProcState::kDone) << pid.value;
+  }
+  EXPECT_EQ(fx.kernel.ctx().eventcounts.WaiterCount(*ec), 0u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+  EXPECT_TRUE(fx.kernel.Shutdown().ok());
+}
+
+// A process destroyed while parked withdraws its registration: the count
+// forgets it, and a later advance posts nothing for the dead pid — not even
+// when slab pooling hands the pid to a successor.
+TEST(UprocWake, DestroyingAParkedProcessWithdrawsItsRegistration) {
+  for (const bool slab : {false, true}) {
+    SCOPED_TRACE(slab ? "slab" : "no slab");
+    KernelConfig config;
+    config.slab_processes = slab;
+    KernelFixture fx{config};
+    ASSERT_TRUE(fx.boot_status.ok());
+    UserProcessManager& procs = fx.kernel.processes();
+    const EventcountTable& ecs = fx.kernel.ctx().eventcounts;
+    auto ec = fx.kernel.gates().CreateEventcount(*fx.ctx, Label::SystemLow());
+    ASSERT_TRUE(ec.ok());
+    auto parked = procs.CreateProcess(TestSubject("Parked"));
+    ASSERT_TRUE(parked.ok());
+    ASSERT_TRUE(procs.SetProgram(*parked, {UserOp::Await(*ec, 1)}).ok());
+    EXPECT_EQ(procs.RunUntilQuiescent(1000).code(), Code::kFailedPrecondition);
+    ASSERT_EQ(procs.state(*parked), ProcState::kBlocked);
+    EXPECT_EQ(ecs.WaiterCount(*ec), 1u);
+
+    ASSERT_TRUE(procs.DestroyProcess(*parked).ok());
+    EXPECT_EQ(ecs.WaiterCount(*ec), 0u);
+    auto successor = procs.CreateProcess(TestSubject("Successor"));
+    ASSERT_TRUE(successor.ok());
+    EXPECT_EQ(*successor == *parked, slab);
+    ASSERT_TRUE(procs.SetProgram(*successor, {UserOp::Compute(10)}).ok());
+    const uint64_t wakeups = fx.kernel.metrics().Get("sync.wakeups");
+    ASSERT_TRUE(fx.kernel.gates().AdvanceEventcount(*fx.ctx, *ec).ok());
+    EXPECT_EQ(fx.kernel.metrics().Get("sync.wakeups"), wakeups);
+    ASSERT_TRUE(procs.RunUntilQuiescent(1000).ok());
+    EXPECT_EQ(procs.state(*successor), ProcState::kDone);
+    EXPECT_EQ(procs.stats(*successor).blocks, 0u);
+    EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+    EXPECT_TRUE(fx.kernel.Shutdown().ok());
+  }
+}
+
 TEST(Uproc, AbortedProcessReportsItsError) {
   KernelFixture fx;
   ASSERT_TRUE(fx.boot_status.ok());
