@@ -1,5 +1,6 @@
 #include "src/hw/machine.h"
 
+#include <sanitizer/asan_interface.h>
 #include <sys/mman.h>
 
 #include <algorithm>
@@ -173,10 +174,123 @@ Word* MapZeroedWords(size_t bytes) {
   return static_cast<Word*>(mapped);
 }
 
+// The arena page images live in.  A page-bound workload binds a new image on
+// nearly every reference, and with each 8 KB image a heap block of its own
+// those touches miss the TLB; packed into 2 MB chunks on huge pages, a
+// thousand images share one TLB entry.  A chunk is cut into fixed slots, each
+// holding one allocate_shared block (reference count, then image) and a gap
+// after it; released slots go on a LIFO free list.  Chunks are never
+// unmapped: a chunk could go back only once all of its slots were free, and
+// each kernel a process boots takes its images back up to about the last
+// one's peak.  Host execution is single-threaded, so nothing is locked.
+//
+// Under AddressSanitizer a chunk starts poisoned, a slot's block is
+// unpoisoned while it holds an image, and the gap stays poisoned, so a view
+// that outlives its image, or runs off its end, is reported.
+class PageArena {
+ public:
+  static constexpr size_t kChunkBytes = size_t{2} << 20;
+  static constexpr size_t kSlotBytes = sizeof(PageImage) + 64;  // whole cache lines
+  static constexpr size_t kSlotsPerChunk = kChunkBytes / kSlotBytes;
+  // Poisoned bytes a slot keeps after its block, at the least.
+  static constexpr size_t kGapBytes = 32;
+
+  // A slot with its first `bytes` bytes usable.
+  void* Take(size_t bytes) {
+    std::byte* slot;
+    if (free_ != nullptr) {
+      slot = reinterpret_cast<std::byte*>(free_);
+      ASAN_UNPOISON_MEMORY_REGION(slot, bytes);
+      free_ = free_->next;
+    } else {
+      if (next_ == end_) {
+        MapChunk();
+      }
+      slot = next_;
+      next_ += kSlotBytes;
+      ASAN_UNPOISON_MEMORY_REGION(slot, bytes);
+    }
+    ++live_;
+    return slot;
+  }
+
+  // Returns a slot whose block, `bytes` long, has been destroyed.
+  void Give(void* slot, size_t bytes) {
+    free_ = new (slot) FreeSlot{free_};
+    ASAN_POISON_MEMORY_REGION(slot, bytes);
+    --live_;
+  }
+
+  PageArenaCounts counts() const { return PageArenaCounts{.live = live_, .chunks = chunks_}; }
+
+ private:
+  struct FreeSlot {
+    FreeSlot* next;
+  };
+
+  // Maps one chunk, 2 MB-aligned so it can sit on one huge page: over-map by
+  // a chunk and give back what lies outside the aligned one.  Where
+  // transparent huge pages are off the advice does nothing, or fails and is
+  // ignored, and the chunk is ordinary pages.
+  void MapChunk() {
+    const size_t span = 2 * kChunkBytes;
+    auto* raw = reinterpret_cast<std::byte*>(MapZeroedWords(span));
+    const size_t lead = (kChunkBytes - reinterpret_cast<uintptr_t>(raw) % kChunkBytes) % kChunkBytes;
+    std::byte* chunk = raw + lead;
+    if (lead != 0) {
+      munmap(raw, lead);
+    }
+    munmap(chunk + kChunkBytes, span - lead - kChunkBytes);
+    (void)madvise(chunk, kChunkBytes, MADV_HUGEPAGE);
+    ASAN_POISON_MEMORY_REGION(chunk, kChunkBytes);
+    next_ = chunk;
+    end_ = chunk + kSlotsPerChunk * kSlotBytes;
+    ++chunks_;
+  }
+
+  FreeSlot* free_ = nullptr;
+  std::byte* next_ = nullptr;  // the newest chunk's first never-used slot
+  std::byte* end_ = nullptr;
+  uint64_t live_ = 0;
+  uint64_t chunks_ = 0;
+};
+
+// Constant-initialized and never destroyed, so images released during static
+// destruction still find it.
+constinit PageArena page_arena;
+
+// The stateless allocator allocate_shared takes page images' slots with.
+template <typename T>
+struct PageArenaAllocator {
+  using value_type = T;
+
+  PageArenaAllocator() = default;
+  template <typename U>
+  PageArenaAllocator(const PageArenaAllocator<U>& /*other*/) {}
+
+  T* allocate(size_t n) {
+    static_assert(sizeof(T) + PageArena::kGapBytes <= PageArena::kSlotBytes &&
+                  alignof(T) <= 64);
+    assert(n == 1);
+    (void)n;
+    return static_cast<T*>(page_arena.Take(sizeof(T)));
+  }
+  void deallocate(T* block, size_t /*n*/) { page_arena.Give(block, sizeof(T)); }
+
+  template <typename U>
+  bool operator==(const PageArenaAllocator<U>& /*other*/) const {
+    return true;
+  }
+};
+
 // What zero frames view.
 const PageImage kZeroImage{};
 
 }  // namespace
+
+PageRef NewPageImage() { return std::allocate_shared<PageImage>(PageArenaAllocator<PageImage>{}); }
+
+PageArenaCounts PageArenaNow() { return page_arena.counts(); }
 
 void PrimaryMemory::Unmap::operator()(Word* words) const { munmap(words, bytes); }
 
@@ -213,14 +327,16 @@ std::span<Word> PrimaryMemory::HomeSpan(FrameIndex first, uint32_t count) {
 Word* PrimaryMemory::PrepareWrite(uint32_t frame) {
   Binding& b = bindings_[frame];
   if (b.image == nullptr) {
-    b.image = std::make_shared<PageImage>();  // a zero frame's first write
+    b.image = NewPageImage();  // a zero frame's first write
   } else if (b.image.use_count() > 1) {
     // Only the frame's own record may lend its reference; any other holder
     // (a queued write, a second record) keeps the words it was given.
     const bool detached = b.image.use_count() == 2 && b.home.src != nullptr &&
                           b.home.src->Detach(b.home.cookie, b.image.get());
     if (!detached) {
-      b.image = std::make_shared<PageImage>(*b.image);
+      PageRef copy = NewPageImage();
+      *copy = *b.image;
+      b.image = std::move(copy);
       ++page_copies_;
     }
   }
@@ -237,7 +353,7 @@ PageRef PrimaryMemory::Snapshot(FrameIndex frame, PageHome home) {
   View& view = views_[frame.value];
   if (view.read == HomeWords(frame.value)) {
     ++page_copies_;
-    auto copy = std::make_shared<PageImage>();
+    PageRef copy = NewPageImage();
     std::copy_n(view.read, kPageWords, copy->begin());
     return copy;
   }

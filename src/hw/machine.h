@@ -251,6 +251,21 @@ class AssociativeMemory {
 using PageImage = std::array<Word, kPageWords>;
 using PageRef = std::shared_ptr<PageImage>;
 
+// A new zeroed page image.  Every image comes from one process-wide arena:
+// 2 MB chunks advised onto transparent huge pages, each cut into slots that
+// hold one image and its reference count, so images share TLB entries
+// instead of costing one each (DESIGN.md, "Page data moves by reference").
+// Released slots are reused; chunks stay mapped until the process exits.
+PageRef NewPageImage();
+
+// Host-side counts of that arena, outside Metrics like page_copies(): the
+// images alive now, and the chunks mapped so far.
+struct PageArenaCounts {
+  uint64_t live = 0;
+  uint64_t chunks = 0;
+};
+PageArenaCounts PageArenaNow();
+
 // The store a frame's image came from, or was last written back to (the disk
 // volume layer implements it; `cookie` names the record).  On a bound frame's
 // first write, when the only other holder of its image may be that record,

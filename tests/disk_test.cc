@@ -50,7 +50,7 @@ TEST(Disk, RecordIoRoundTripAndLatency) {
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
   std::vector<Word> out(kPageWords, 0);
-  auto in = std::make_shared<PageImage>();
+  auto in = NewPageImage();
   (*in)[0] = 11;
   (*in)[kPageWords - 1] = 99;
   const Cycles before = fx.clock.now();
@@ -249,7 +249,7 @@ TEST(Disk, CopyAndStoreSkipLatency) {
   DiskPack* pack = fx.volumes.pack(id);
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
-  auto in = std::make_shared<PageImage>();
+  auto in = NewPageImage();
   in->fill(5);
   const Cycles before = fx.clock.now();
   pack->StoreRecord(*rec, in);
@@ -265,7 +265,7 @@ TEST(Disk, DetachLendsTheRecordUntilItsNextWrite) {
   DiskPack* pack = fx.volumes.pack(id);
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
-  auto image = std::make_shared<PageImage>();
+  auto image = NewPageImage();
   pack->StoreRecord(*rec, image);
   EXPECT_EQ(pack->Share(*rec), image);  // by reference
   EXPECT_FALSE(pack->Detach(*rec, nullptr));  // not the image it holds
@@ -286,7 +286,7 @@ TEST(Disk, WriteToAFrameAQueuedWriteHoldsCopies) {
   DiskPack* pack = fx.volumes.pack(id);
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
-  auto image = std::make_shared<PageImage>();
+  auto image = NewPageImage();
   (*image)[0] = 1;
   pack->StoreRecord(*rec, std::move(image));
   const FrameIndex frame(2);
@@ -314,7 +314,7 @@ TEST(DiskDeathTest, ReadOfALentRecordAborts) {
   DiskPack* pack = fx.volumes.pack(id);
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
-  auto image = std::make_shared<PageImage>();
+  auto image = NewPageImage();
   pack->StoreRecord(*rec, image);
   ASSERT_TRUE(pack->Detach(*rec, image.get()));
   EXPECT_DEATH((void)pack->Share(*rec), "writeback was lost");

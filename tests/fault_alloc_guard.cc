@@ -5,7 +5,9 @@
 // reuses have grown to their working size, a fault allocates nothing.  Each
 // test sweeps 64 pages of one segment through 48 frames, so every sweep
 // faults, and after two warm-up sweeps counts the global operator new calls
-// made by a third.
+// made by a third.  Page images come from their own arena, so a page's first
+// write allocates nothing either: one test's sweeps each write 64 pages never
+// written before.
 //
 // The counting operator new replaces the global one for the whole program,
 // which is why this is a binary of its own rather than part of mks_tests.
@@ -68,16 +70,6 @@ KernelConfig SweepConfig(bool pipeline) {
 
 // Sweep `round` writes word `round` of every page and reads it back.
 Word SweepValue(uint32_t round, uint32_t page) { return round * 1000 + page + 1; }
-uint32_t SweepOffset(uint32_t round, uint32_t page) { return page * kPageWords + round; }
-
-std::vector<UserOp> SweepProgram(Segno segno, uint32_t round) {
-  std::vector<UserOp> program;
-  for (uint32_t page = 0; page < kPages; ++page) {
-    program.push_back(UserOp::Write(segno, SweepOffset(round, page), SweepValue(round, page)));
-    program.push_back(UserOp::Read(segno, SweepOffset(round, page)));
-  }
-  return program;
-}
 
 class FaultAllocations : public ::testing::Test {
  protected:
@@ -87,24 +79,52 @@ class FaultAllocations : public ::testing::Test {
     }
   }
 
+  // The word sweep `round` writes in its `page`th page.  Sweeps share their
+  // pages, unless fresh_pages_ gives each sweep 64 pages of its own.
+  uint32_t SweepOffset(uint32_t round, uint32_t page) const {
+    return fresh_pages_ ? (round * kPages + page) * kPageWords : page * kPageWords + round;
+  }
+
+  std::vector<UserOp> SweepProgram(Segno segno, uint32_t round) const {
+    std::vector<UserOp> program;
+    for (uint32_t page = 0; page < kPages; ++page) {
+      program.push_back(UserOp::Write(segno, SweepOffset(round, page), SweepValue(round, page)));
+      program.push_back(UserOp::Read(segno, SweepOffset(round, page)));
+    }
+    return program;
+  }
+
   // Runs kWarmUpSweeps + 1 sweeps, each prepared by `prepare(round)` (which
   // may allocate) and run by `run(round)`, and returns the allocations made
-  // by the last run.  Also checks that the last run faulted and that every
-  // page reads back the last sweep's value.
+  // by the last run.  Also checks that the last run faulted (or, with
+  // fresh_pages_, added a page per write) and wrote dirty pages back, and
+  // that every page reads back the last sweep's value.
   template <typename Prepare, typename Run>
   uint64_t AllocationsAfterWarmUp(KernelFixture& fx, Segno segno, Prepare prepare, Run run) {
+    const Metrics& metrics = fx.kernel.metrics();
     uint64_t made = 0;
     uint64_t faults = 0;
+    uint64_t added = 0;
+    uint64_t writebacks = 0;
     const uint32_t last = kWarmUpSweeps;
     for (uint32_t round = 0; round <= last; ++round) {
       prepare(round);
-      const uint64_t faults_before = fx.kernel.metrics().Get("pfm.faults_serviced");
+      const uint64_t faults_before = metrics.Get("pfm.faults_serviced");
+      const uint64_t added_before = metrics.Get("pfm.pages_added");
+      const uint64_t writebacks_before = metrics.Get("pfm.writebacks");
       const uint64_t before = g_allocations;
       run(round);
       made = g_allocations - before;
-      faults = fx.kernel.metrics().Get("pfm.faults_serviced") - faults_before;
+      faults = metrics.Get("pfm.faults_serviced") - faults_before;
+      added = metrics.Get("pfm.pages_added") - added_before;
+      writebacks = metrics.Get("pfm.writebacks") - writebacks_before;
     }
-    EXPECT_GT(faults, 0u) << "the measured sweep never faulted";
+    if (fresh_pages_) {
+      EXPECT_EQ(added, kPages) << "the measured sweep did not add a page per write";
+    } else {
+      EXPECT_GT(faults, 0u) << "the measured sweep never faulted";
+    }
+    EXPECT_GT(writebacks, 0u) << "the measured sweep evicted no dirty page";
     for (uint32_t page = 0; page < kPages; ++page) {
       auto word = fx.kernel.gates().Read(*fx.ctx, segno, SweepOffset(last, page));
       EXPECT_TRUE(word.ok()) << word.status();
@@ -159,6 +179,8 @@ class FaultAllocations : public ::testing::Test {
     }
     return made;
   }
+
+  bool fresh_pages_ = false;
 };
 
 TEST_F(FaultAllocations, GateSweepSynchronous) { EXPECT_EQ(GateSweep(false), 0u); }
@@ -173,6 +195,12 @@ TEST_F(FaultAllocations, ProgramRunToQuiescence) {
 TEST_F(FaultAllocations, ProgramSteppedOnePassAtATime) {
   EXPECT_EQ(ProgramSweep(false, 1), 0u);
   EXPECT_EQ(ProgramSweep(true, 1), 0u);
+}
+
+TEST_F(FaultAllocations, FirstWritesOfNeverWrittenPages) {
+  fresh_pages_ = true;
+  EXPECT_EQ(GateSweep(false), 0u);
+  EXPECT_EQ(GateSweep(true), 0u);
 }
 
 }  // namespace

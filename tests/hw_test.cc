@@ -1,8 +1,13 @@
-// Tests for the simulated hardware: translation, faults, and the new-design
-// processor features.
+// Tests for the simulated hardware: translation, faults, the new-design
+// processor features, and the arena page images live in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "src/hw/machine.h"
+#include "tests/kernel_fixture.h"
 
 namespace mks {
 namespace {
@@ -176,7 +181,7 @@ struct OneRecord : PageSource {
 TEST(Hw, BoundFrameViewsItsImageAndDetachesOnFirstWrite) {
   HwFixture hw;
   OneRecord record;
-  record.image = std::make_shared<PageImage>();
+  record.image = NewPageImage();
   (*record.image)[3] = 42;
   const PageImage* image = record.image.get();
   hw.memory.Bind(FrameIndex(1), record.image, PageHome{&record, OneRecord::kCookie});
@@ -213,6 +218,81 @@ TEST(Hw, WriteToAnImageSomeoneElseHoldsCopies) {
   hw.memory.WriteWord(3 * kPageWords, 6);
   EXPECT_EQ((*home)[0], 5u);
 }
+
+// The page-image arena is process-wide and every test in this binary shares
+// it, so these tests read its counts as differences.
+
+TEST(PageArena, AReleasedSlotIsHandedOutAgainAsZeros) {
+  PageRef image = NewPageImage();
+  image->fill(0x5a5a);
+  const PageImage* slot = image.get();
+  const uint64_t live = PageArenaNow().live;
+  image.reset();
+  EXPECT_EQ(PageArenaNow().live, live - 1);
+  const PageRef again = NewPageImage();
+  EXPECT_EQ(again.get(), slot);  // the last slot released is the first reused
+  EXPECT_TRUE(std::all_of(again->begin(), again->end(), [](Word w) { return w == 0; }));
+  EXPECT_EQ(PageArenaNow().live, live);
+}
+
+TEST(PageArena, ChunksAre2MbAligned) {
+  constexpr uintptr_t kChunk = uintptr_t{2} << 20;
+  const auto address = [](const PageRef& image) { return reinterpret_cast<uintptr_t>(image.get()); };
+  // Take images until the arena has mapped two chunks.  The image that made
+  // it map one sits in the chunk's first slot, just after its reference
+  // count, and every image after it up to the next chunk's first lies in the
+  // same 2 MB-aligned window.  No chunk holds more than kChunk /
+  // sizeof(PageImage) images, which bounds the takes.
+  std::vector<PageRef> held;
+  std::vector<size_t> firsts;
+  uint64_t chunks = PageArenaNow().chunks;
+  const uint64_t most = (chunks + 2) * (kChunk / sizeof(PageImage));
+  while (firsts.size() < 2 && held.size() < most) {
+    held.push_back(NewPageImage());
+    if (PageArenaNow().chunks != chunks) {
+      chunks = PageArenaNow().chunks;
+      firsts.push_back(held.size() - 1);
+    }
+  }
+  ASSERT_EQ(firsts.size(), 2u);
+  for (const size_t first : firsts) {
+    EXPECT_LT(address(held[first]) % kChunk, 64u);
+  }
+  for (size_t i = firsts[0]; i < firsts[1]; ++i) {
+    EXPECT_EQ(address(held[i]) / kChunk, address(held[firsts[0]]) / kChunk) << "image " << i;
+  }
+  // The slots fill the chunk: images are over 99% of it.
+  EXPECT_GT((firsts[1] - firsts[0]) * sizeof(PageImage), kChunk * 99 / 100);
+}
+
+TEST(PageArena, ADestroyedKernelGivesBackEverySlotItTook) {
+  const uint64_t live = PageArenaNow().live;
+  {
+    KernelConfig config;
+    config.memory_frames = 48;
+    KernelFixture fx{config};
+    ASSERT_TRUE(fx.boot_status.ok()) << fx.boot_status;
+    const Segno segno = fx.MustCreate(">work>arena");
+    for (uint32_t page = 0; page < 64; ++page) {
+      ASSERT_TRUE(fx.kernel.gates().Write(*fx.ctx, segno, page * kPageWords, page + 1).ok());
+    }
+    // Frames hold the resident pages' images and records the evicted ones'.
+    EXPECT_GE(PageArenaNow().live - live, 64u);
+  }
+  EXPECT_EQ(PageArenaNow().live, live);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// A released image's slot is poisoned, so a frame view or record that
+// outlives its image is reported instead of reading whatever image takes the
+// slot next.
+TEST(PageArenaDeathTest, ReadingAReleasedImageIsReported) {
+  PageRef image = NewPageImage();
+  const volatile Word* words = image->data();
+  image.reset();
+  EXPECT_DEATH((void)words[3], "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace mks
