@@ -94,17 +94,7 @@ struct StormResult {
   uint64_t login_p99 = 0;
   bool ok = false;
 
-  bool BitIdentical(const StormResult& other) const {
-    return makespan == other.makespan && total == other.total && sessions == other.sessions &&
-           logins == other.logins && logouts == other.logouts &&
-           phase_auth == other.phase_auth && phase_process == other.phase_process &&
-           phase_homedir == other.phase_homedir &&
-           phase_accounting == other.phase_accounting &&
-           table_spin_cycles == other.table_spin_cycles && slab_reuses == other.slab_reuses &&
-           kst_resets == other.kst_resets && skel_hits == other.skel_hits &&
-           skel_misses == other.skel_misses && login_p50 == other.login_p50 &&
-           login_p95 == other.login_p95 && login_p99 == other.login_p99;
-  }
+  bool operator==(const StormResult&) const = default;
 };
 
 // Drives the storm: login all users, `churn` staggered logout/re-login
@@ -177,17 +167,8 @@ StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool p
   // One session operation = one anchored accrual window on the
   // furthest-behind CPU, rooted in the session-setup profiler domain.
   auto drive = [&](auto&& op) -> bool {
-    const uint16_t cpu = kctx.smp.NextCpu();
-    kctx.current_cpu = cpu;
-    kctx.trace.SetCpu(cpu);
-    kctx.AnchorWindow();
-    Prof::Window window(&kctx.prof, cpu, ProfDomain::kSessionSetup);
-    const Cycles t0 = kernel.clock().now();
-    if (!op()) {
-      return false;
-    }
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
-    return true;
+    KernelContext::Window window(&kctx, kctx.smp.NextCpu(), ProfDomain::kSessionSetup);
+    return op();
   };
   auto login = [&](int u) {
     auto pid = service.Login(Principal{PersonOf(u), ProjectOf(u)}, "pw" + std::to_string(u),
@@ -236,13 +217,9 @@ StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool p
                   metrics.Get("answering.skel_hits"),
                   metrics.Get("answering.skel_misses")};
 
-  // Barrier into the measured region (see bench_perf_name_storm): local
-  // clocks aligned and advanced to the global clock, so boot, enrollment,
-  // and warm-up never read as contention against the measured windows.
-  kctx.smp.AlignAll();
-  if (kernel.clock().now() > kctx.smp.Makespan()) {
-    kctx.smp.AdvanceAll(kernel.clock().now() - kctx.smp.Makespan());
-  }
+  // Barrier into the measured region: boot, enrollment, and warm-up never
+  // read as contention against the measured windows.
+  kctx.AlignToGlobal();
   const Cycles m0 = kctx.smp.Makespan();
   const Cycles before = kernel.clock().now();
 
@@ -412,7 +389,7 @@ int main(int argc, char** argv) {
   {
     const StormResult a = RunStorm(StormMode::kFull, max_cpus, users, churn);
     const StormResult b = RunStorm(StormMode::kFull, max_cpus, users, churn);
-    if (!a.ok || !b.ok || !a.BitIdentical(b)) {
+    if (!a.ok || !b.ok || a != b) {
       std::fprintf(stderr, "DETERMINISM FAILURE: double-run results differ\n");
       return 1;
     }

@@ -82,17 +82,7 @@ struct StormResult {
     grace_cycles += lock.grace_cycles();
   }
 
-  bool BitIdentical(const StormResult& other) const {
-    return total == other.total && makespan == other.makespan && walks == other.walks &&
-           writes == other.writes && read_grants == other.read_grants &&
-           contended_reads == other.contended_reads &&
-           read_spin_cycles == other.read_spin_cycles && write_grants == other.write_grants &&
-           write_spin_cycles == other.write_spin_cycles && revoked_cpus == other.revoked_cpus &&
-           revocation_cycles == other.revocation_cycles &&
-           publish_cycles == other.publish_cycles && grace_waits == other.grace_waits &&
-           grace_cycles == other.grace_cycles && gate_reads == other.gate_reads &&
-           gate_writes == other.gate_writes;
-  }
+  bool operator==(const StormResult&) const = default;
 };
 
 // Drives `ops` naming operations round-robin across the pool: each op runs
@@ -154,22 +144,15 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
   // to the global clock, so release points recorded during (unanchored,
   // single-stream) boot and setup can never read as contention against the
   // measured windows.  At 1 CPU this makes read spin structurally zero.
-  kctx.smp.AlignAll();
-  if (kernel.clock().now() > kctx.smp.Makespan()) {
-    kctx.smp.AdvanceAll(kernel.clock().now() - kctx.smp.Makespan());
-  }
+  kctx.AlignToGlobal();
   const Cycles m0 = kctx.smp.Makespan();
   const Cycles before = kernel.clock().now();
   for (uint32_t i = 0; i < ops; ++i) {
     const uint16_t cpu = kctx.smp.NextCpu();
-    kctx.current_cpu = cpu;
-    kctx.trace.SetCpu(cpu);
-    kctx.AnchorWindow();
-    // Each op is one accrual window; the window closes (and attributes) after
-    // the Accrue below, at the end of the iteration.  Everything inside goes
-    // through the gate layer, so the root is the gate domain.
-    Prof::Window window(&kctx.prof, cpu, ProfDomain::kGate);
-    const Cycles t0 = kernel.clock().now();
+    // Each op is one accrual window, closed at the end of the iteration.
+    // Everything inside goes through the gate layer, so the root is the gate
+    // domain.
+    KernelContext::Window window(&kctx, cpu, ProfDomain::kGate);
     if (i % kWritePeriod == kWritePeriod - 1) {
       const std::string name = "s" + std::to_string(i % kLibSegments);
       if (!kernel.gates().SetAcl(*procs[cpu], *lib, name, acl).ok()) {
@@ -186,7 +169,6 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
       }
       ++out.walks;
     }
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
   }
   out.total = kernel.clock().now() - before;
   out.makespan = kctx.smp.Makespan() - m0;
@@ -294,7 +276,7 @@ int main(int argc, char** argv) {
     const StormResult b = RunStorm(ReadPolicy::kPassiveRw, max_cpus, ops);
     const StormResult c = RunStorm(ReadPolicy::kEpoch, max_cpus, ops);
     const StormResult d = RunStorm(ReadPolicy::kEpoch, max_cpus, ops);
-    if (!a.ok || !b.ok || !c.ok || !d.ok || !a.BitIdentical(b) || !c.BitIdentical(d)) {
+    if (!a.ok || !b.ok || !c.ok || !d.ok || a != b || c != d) {
       std::fprintf(stderr, "DETERMINISM FAILURE: double-run results differ\n");
       return 1;
     }

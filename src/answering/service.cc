@@ -70,26 +70,15 @@ void AnsweringService::ChargeTableWork() const {
   }
 }
 
-AnsweringService::LockWindow AnsweringService::LockTable(SimSpinLock& lock) {
-  // Same accounting as every scheduler-lock site: acquire at the executing
-  // CPU's local virtual time and charge the wait through ChargeLockWait.
-  LockWindow window;
+std::optional<LockTenure> AnsweringService::LockShard(Shard& shard) {
+  if (cfg_.table_mode != SessionTableMode::kSharded) {
+    return std::nullopt;
+  }
   KernelContext& kctx = kernel_->ctx();
-  window.lnow = kctx.LocalNow();
-  window.spin = lock.Acquire(window.lnow);
-  if (window.spin > 0) {
-    ChargeLockWait(&kctx.prof, &kctx.cost, window.spin, lock.last_acquire_handoff());
-    kctx.metrics.Inc(id_table_spin_cycles_, window.spin);
-  }
-  window.locked = true;
-  return window;
-}
-
-void AnsweringService::UnlockTable(SimSpinLock& lock, const LockWindow& window, Cycles held) {
-  if (!window.locked) {
-    return;
-  }
-  lock.Release(window.lnow + window.spin + held);
+  std::optional<LockTenure> tenure(std::in_place, &shard.lock, kctx.LocalNow(), &kctx.prof,
+                                   &kctx.cost);
+  kctx.metrics.Inc(id_table_spin_cycles_, tenure->spin());
+  return tenure;
 }
 
 AnsweringService::Shard& AnsweringService::ShardForPid(ProcessId pid) {
@@ -198,13 +187,11 @@ Result<ProcessId> AnsweringService::Login(const Principal& who, const std::strin
   session.login_time = kctx.clock.now();
   session.home = *home;
   Shard& shard = ShardForPid(pid);
-  if (cfg_.table_mode == SessionTableMode::kSharded) {
-    LockWindow window = LockTable(shard.lock);
-    const Cycles held0 = kctx.clock.now();
-    ChargeTableWork();
-    shard.sessions.emplace(pid, session);
-    UnlockTable(shard.lock, window, kctx.clock.now() - held0);
-  } else {
+  {
+    std::optional<LockTenure> tenure = LockShard(shard);
+    if (tenure) {
+      ChargeTableWork();
+    }
     shard.sessions.emplace(pid, session);
   }
   ++active_;
@@ -222,22 +209,14 @@ Status AnsweringService::Logout(ProcessId pid) {
   // Look up the session (modelled under the shard lock in sharded mode; the
   // iterator itself stays valid — virtual CPUs interleave, they do not
   // preempt host execution).
-  LockWindow lookup{};
-  Cycles lookup_t0 = 0;
-  if (cfg_.table_mode == SessionTableMode::kSharded) {
-    lookup = LockTable(shard.lock);
-    lookup_t0 = kctx.clock.now();
-  }
+  std::optional<LockTenure> lookup = LockShard(shard);
   auto it = shard.sessions.find(pid);
   if (it == shard.sessions.end()) {
-    if (lookup.locked) {
-      UnlockTable(shard.lock, lookup, kctx.clock.now() - lookup_t0);
-    }
     return Status(Code::kNotFound, "no session");
   }
-  if (lookup.locked) {
+  if (lookup) {
     ChargeTableWork();
-    UnlockTable(shard.lock, lookup, kctx.clock.now() - lookup_t0);
+    lookup.reset();
   }
   constexpr Cycles kCommonLogoutWork = 2000;
   kctx.cost.Charge(CodeStyle::kOptimized, kCommonLogoutWork);
@@ -247,19 +226,11 @@ Status AnsweringService::Logout(ProcessId pid) {
   const ProcessStats& stats = kernel_->processes().stats(pid);
   Shard& bill_shard = ShardForWho(who);
   {
-    LockWindow window{};
-    Cycles held0 = 0;
-    if (cfg_.table_mode == SessionTableMode::kSharded) {
-      window = LockTable(bill_shard.lock);
-      held0 = kctx.clock.now();
-    }
+    std::optional<LockTenure> tenure = LockShard(bill_shard);
     SessionBill& bill = bill_shard.totals[who];
     bill.cpu_cycles += stats.cpu_cycles;
     bill.ops += stats.ops_executed;
     bill.connect_time += kctx.clock.now() - it->second.login_time;
-    if (window.locked) {
-      UnlockTable(bill_shard.lock, window, kctx.clock.now() - held0);
-    }
   }
   const Cycles t_destroy = kctx.clock.now();
   kctx.metrics.Inc(id_phase_accounting_, t_destroy - t_bill);
@@ -267,16 +238,12 @@ Status AnsweringService::Logout(ProcessId pid) {
   kctx.metrics.Inc(id_phase_process_, kctx.clock.now() - t_destroy);
   // Remove the session (its own tenure in sharded mode: lookup and removal
   // bracket the un-serializable middle of the transaction).
-  LockWindow erase_w{};
-  Cycles erase_t0 = 0;
-  if (cfg_.table_mode == SessionTableMode::kSharded) {
-    erase_w = LockTable(shard.lock);
-    erase_t0 = kctx.clock.now();
-    ChargeTableWork();
-  }
-  shard.sessions.erase(it);
-  if (erase_w.locked) {
-    UnlockTable(shard.lock, erase_w, kctx.clock.now() - erase_t0);
+  {
+    std::optional<LockTenure> tenure = LockShard(shard);
+    if (tenure) {
+      ChargeTableWork();
+    }
+    shard.sessions.erase(it);
   }
   --active_;
   kctx.metrics.Inc(id_logouts_);

@@ -26,6 +26,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -106,17 +107,10 @@ class AnsweringService {
     std::map<std::string, SessionBill> totals;
   };
 
-  // One virtual-time lock tenure over a shard's lock: acquired at the
-  // executing CPU's local time (spin charged and attributed, TouchReadyList
-  // style), released at acquire + spin + the work charged while held.
-  // kSerial mode never locks and never charges.
-  struct LockWindow {
-    Cycles lnow = 0;
-    Cycles spin = 0;
-    bool locked = false;
-  };
-  LockWindow LockTable(SimSpinLock& lock);
-  void UnlockTable(SimSpinLock& lock, const LockWindow& window, Cycles held);
+  // A tenure on `shard`'s lock, taken at the executing CPU's LocalNow(),
+  // with its spin counted; the shard is released when the tenure ends.
+  // kSerial mode never locks and never charges: empty.
+  std::optional<LockTenure> LockShard(Shard& shard);
 
   Shard& ShardForPid(ProcessId pid);
   Shard& ShardForWho(const std::string& who);

@@ -363,23 +363,18 @@ void MonolithicSupervisor::AcquireGlobalLock() {
   // If the lock was last freed at a virtual time this CPU has not reached
   // yet, the CPU busy-waits the difference away — real cycles, charged.
   // Structurally zero with one CPU (local time is globally monotone).
+  // The baseline has no profiler: the wait is one plain optimized charge.
   const Cycles spin_begin = trace_.Begin();
-  const Cycles spin = global_lock_.Acquire(LocalNow());
-  if (spin > 0) {
-    cost_.Charge(CodeStyle::kOptimized, spin);
+  global_tenure_.emplace(&global_lock_, LocalNow(), /*prof=*/nullptr, &cost_);
+  if (const Cycles spin = global_tenure_->spin(); spin > 0) {
     metrics_.Inc(id_lock_spin_cycles_, spin);
     metrics_.Inc(id_lock_contended_);
     trace_.CloseSpan(spin_begin, ev_lock_spin_, current_cpu_, 0, hist_lock_spin_);
   }
   cost_.Charge(CodeStyle::kOptimized, kGlobalLockCost);
-  global_lock_held_ = true;
-  ++lock_acquisitions_;
 }
 
-void MonolithicSupervisor::ReleaseGlobalLock() {
-  global_lock_.Release(LocalNow());
-  global_lock_held_ = false;
-}
+void MonolithicSupervisor::ReleaseGlobalLock() { global_tenure_.reset(); }
 
 void MonolithicSupervisor::SwitchCpu(uint16_t cpu) {
   const Cycles elapsed = clock_.now() - cpu_epoch_;

@@ -42,6 +42,7 @@
 #include "src/sim/clock.h"
 #include "src/sim/cpu_sched.h"
 #include "src/sim/metrics.h"
+#include "src/sim/prof.h"
 #include "src/sim/trace.h"
 #include "src/sync/spinlock.h"
 
@@ -139,7 +140,7 @@ class MonolithicSupervisor {
   Tracer& trace() { return trace_; }
   CallTracker& tracker() { return tracker_; }
   CostModel& cost() { return cost_; }
-  uint64_t global_lock_acquisitions() const { return lock_acquisitions_; }
+  uint64_t global_lock_acquisitions() const { return global_lock_.acquisitions(); }
   uint64_t global_lock_contended() const { return global_lock_.contended(); }
   Cycles global_lock_spin_cycles() const { return global_lock_.total_spin(); }
 
@@ -293,8 +294,7 @@ class MonolithicSupervisor {
   HistId hist_lock_spin_ = kNoHist;
   HistId hist_fault_service_ = kNoHist;
 
-  bool global_lock_held_ = false;
-  uint64_t lock_acquisitions_ = 0;
+  std::optional<LockTenure> global_tenure_;  // engaged while the lock is held
   uint64_t uid_counter_ = 1;
   std::unordered_map<ProcessId, BProcess> procs_;
   uint32_t next_pid_ = 1;

@@ -8,6 +8,7 @@
 #ifndef MKS_KERNEL_CONTEXT_H_
 #define MKS_KERNEL_CONTEXT_H_
 
+#include <cassert>
 #include <cstdint>
 
 #include "src/aim/monitor.h"
@@ -61,22 +62,69 @@ struct KernelContext {
   // this; descriptor mutations use the pool-wide forms on `cpus`.
   Processor& cpu() { return cpus.cpu(current_cpu); }
 
-  // The current work window's virtual-time anchor.  Per-CPU local clocks
-  // (smp) only advance when a window's charges are accrued at its end, so
-  // mid-window code cannot read its own local "now" from smp alone.  The
-  // dispatcher calls AnchorWindow() when it selects a CPU; LocalNow() is
-  // then the CPU's local clock at window start plus the global-clock
-  // progress charged since — the local time the in-flight computation has
-  // actually reached.  With the default anchor (0, 0), LocalNow() equals the
-  // global clock: correct for directly driven work, where one computation
-  // runs at a time and the clock is globally monotone.
+  // One accrual window: work charged to one CPU's local clock.  Opening it
+  // sets current_cpu and the tracer's lane, anchors LocalNow() and opens the
+  // profiler's window; closing it accrues the global clock's progress to
+  // `cpu`.  Every dispatch, level-1 pass, idle-time round and directly driven
+  // test or bench op is one (perfbench's RunWindow is a copy).  Windows never
+  // nest: a nested one would accrue its work twice.  Closing leaves
+  // current_cpu and the anchor set; work outside windows reads them (ROADMAP
+  // item 3).
+  class Window {
+   public:
+    Window(KernelContext* ctx, uint16_t cpu, ProfDomain root)
+        : ctx_(ctx), cpu_(cpu), start_(ctx->EnterWindow(cpu)), prof_(&ctx->prof, cpu, root) {}
+    ~Window() {
+      if (const Cycles delta = ctx_->clock.now() - start_; delta > 0) {
+        ctx_->smp.Accrue(cpu_, delta);
+      }
+      ctx_->window_open_ = false;
+    }
+    Window(const Window&) = delete;
+    Window& operator=(const Window&) = delete;
+    Cycles start() const { return start_; }  // where the window's trace spans begin
+
+   private:
+    KernelContext* ctx_;
+    uint16_t cpu_;
+    Cycles start_;
+    Prof::Window prof_;
+  };
+
+  // The in-flight computation's local time: the window CPU's clock at window
+  // start plus the global progress since, because local clocks advance only
+  // when a window closes.  Before the first window it is the global clock,
+  // which is right for directly driven work on one CPU.
+  Cycles LocalNow() const { return window_anchor_local + (clock.now() - window_anchor_global); }
+
+  // The barrier into a measured region: every CPU aligned to the makespan,
+  // then idled forward to the global clock, so work done outside windows
+  // (boot, set-up) never reads as contention inside them.
+  void AlignToGlobal() {
+    smp.AlignAll();
+    if (clock.now() > smp.Makespan()) {
+      smp.AdvanceAll(clock.now() - smp.Makespan());
+    }
+  }
+
+  // LocalNow()'s anchor; Window sets it on open, as perfbench's RunWindow does.
   Cycles window_anchor_local = 0;
   Cycles window_anchor_global = 0;
   void AnchorWindow() {
     window_anchor_local = smp.local_now(current_cpu);
     window_anchor_global = clock.now();
   }
-  Cycles LocalNow() const { return window_anchor_local + (clock.now() - window_anchor_global); }
+
+ private:
+  Cycles EnterWindow(uint16_t cpu) {
+    assert(!window_open_ && "accrual windows never nest");
+    window_open_ = true;
+    current_cpu = cpu;
+    trace.SetCpu(cpu);
+    AnchorWindow();
+    return window_anchor_global;
+  }
+  bool window_open_ = false;
 };
 
 // Canonical module names used in both the declared lattice and the runtime

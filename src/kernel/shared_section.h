@@ -2,18 +2,12 @@
 // virtual-time substrate.
 //
 // A manager wraps each classified public entry point in a SharedSection: the
-// constructor acquires at the executing CPU's local virtual time (charging
-// any spin, revocation traffic, and grace waits to the cost model and
-// attributing them to metrics and trace events), and the destructor releases
-// at acquire-time plus everything the section charged to the global clock —
-// so the critical section's virtual length is exactly the work done inside
-// it, the same accounting SimSpinLock call sites use.
-//
-// Local virtual time mid-computation comes from KernelContext::LocalNow():
-// the dispatcher anchors each work window (local clock and global clock at
-// window start), and LocalNow adds the global-clock progress since.  With the
-// default anchor (0, 0) local time IS global time — correct for directly
-// driven single-CPU use, where the clock is globally monotone.
+// constructor acquires at the executing CPU's LocalNow() (the open window's
+// local time, KernelContext::Window) and charges any spin, revocation
+// traffic and grace wait through ChargeLockWait; the destructor releases at
+// acquire-time plus everything the section charged to the global clock, the
+// rule LockTenure applies to spin locks.  The lock counts its own grants and
+// waits; the section adds the work done inside and trace events.
 //
 // Sections nest (DeleteEntry -> RemoveQuota, HandleQuotaException ->
 // RelocateUid): only the outermost section acquires; inner ones are inert.
@@ -29,9 +23,11 @@
 
 namespace mks {
 
-// The per-manager instrument bundle: metric and trace handles for read-side
-// vs write-side attribution, interned once at manager construction (interning
-// is unconditional and inert — the same discipline every manager follows).
+// The per-manager instrument bundle, interned once at manager construction
+// (interning is unconditional and inert — the same discipline every manager
+// follows).  Grants, spin, revocations, publishes and grace waits are the
+// lock's own counters (SimSharedLock's accessors); the bundle adds the work
+// done inside sections and the trace events.
 struct ReadMostlyInstruments {
   // `read_domain`/`write_domain` classify the manager's sections for the
   // cycle profiler.  The KST rides the directory domains: it is the
@@ -43,17 +39,8 @@ struct ReadMostlyInstruments {
     read_domain = read;
     write_domain = write;
     const std::string p(prefix);
-    id_read_sections = ctx->metrics.Intern(p + ".read_sections");
     id_read_section_cycles = ctx->metrics.Intern(p + ".read_section_cycles");
-    id_read_spin_cycles = ctx->metrics.Intern(p + ".read_spin_cycles");
-    id_write_sections = ctx->metrics.Intern(p + ".write_sections");
     id_write_section_cycles = ctx->metrics.Intern(p + ".write_section_cycles");
-    id_write_spin_cycles = ctx->metrics.Intern(p + ".write_spin_cycles");
-    id_revoked_cpus = ctx->metrics.Intern(p + ".reader_cpus_revoked");
-    id_revocation_cycles = ctx->metrics.Intern(p + ".revocation_cycles");
-    id_publish_cycles = ctx->metrics.Intern(p + ".publish_cycles");
-    id_grace_waits = ctx->metrics.Intern(p + ".grace_waits");
-    id_grace_cycles = ctx->metrics.Intern(p + ".grace_cycles");
     ev_read_grant = ctx->trace.InternEvent(p + ".read_grant");
     ev_revoke = ctx->trace.InternEvent(p + ".revoke");
     ev_grace = ctx->trace.InternEvent(p + ".grace_wait");
@@ -61,17 +48,8 @@ struct ReadMostlyInstruments {
 
   ProfDomain read_domain = ProfDomain::kDirectoryRead;
   ProfDomain write_domain = ProfDomain::kDirectoryWrite;
-  MetricId id_read_sections = 0;
   MetricId id_read_section_cycles = 0;
-  MetricId id_read_spin_cycles = 0;
-  MetricId id_write_sections = 0;
   MetricId id_write_section_cycles = 0;
-  MetricId id_write_spin_cycles = 0;
-  MetricId id_revoked_cpus = 0;
-  MetricId id_revocation_cycles = 0;
-  MetricId id_publish_cycles = 0;
-  MetricId id_grace_waits = 0;
-  MetricId id_grace_cycles = 0;
   TraceEventId ev_read_grant = 0;
   TraceEventId ev_revoke = 0;
   TraceEventId ev_grace = 0;
@@ -98,34 +76,19 @@ class SharedSection {
     lnow_ = ctx->LocalNow();
     if (kind == Kind::kRead) {
       spin_ = lock->AcquireRead(lnow_, cpu_);
-      ctx->metrics.Inc(ins.id_read_sections);
-      if (spin_ > 0) {
-        // A reader moves no line: its whole wait is the gap.
-        ChargeLockWait(&ctx->prof, &ctx->cost, spin_, 0);
-        ctx->metrics.Inc(ins.id_read_spin_cycles, spin_);
-      }
+      // A reader moves no line: its whole wait is the gap.
+      ChargeLockWait(&ctx->prof, &ctx->cost, spin_, 0);
       ctx->trace.Instant(ins.ev_read_grant, cpu_, static_cast<uint32_t>(spin_));
     } else {
       const SimSharedLock::WriteGrant grant = lock->AcquireWrite(lnow_, cpu_);
       spin_ = grant.total;
-      ctx->metrics.Inc(ins.id_write_sections);
-      if (grant.total > 0) {
-        // The revocation/publish/grace traffic is the writer's handoff.
-        ChargeLockWait(&ctx->prof, &ctx->cost, grant.total,
-                       grant.revocation_cycles + grant.publish_cycles + grant.grace_cycles);
-        ctx->metrics.Inc(ins.id_write_spin_cycles, grant.total);
-      }
+      // The revocation/publish/grace traffic is the writer's handoff.
+      ChargeLockWait(&ctx->prof, &ctx->cost, grant.total,
+                     grant.revocation_cycles + grant.publish_cycles + grant.grace_cycles);
       if (grant.revoked_cpus > 0) {
-        ctx->metrics.Inc(ins.id_revoked_cpus, grant.revoked_cpus);
-        ctx->metrics.Inc(ins.id_revocation_cycles, grant.revocation_cycles);
         ctx->trace.Instant(ins.ev_revoke, cpu_, grant.revoked_cpus);
       }
-      if (grant.publish_cycles > 0) {
-        ctx->metrics.Inc(ins.id_publish_cycles, grant.publish_cycles);
-      }
       if (grant.grace_cycles > 0) {
-        ctx->metrics.Inc(ins.id_grace_waits);
-        ctx->metrics.Inc(ins.id_grace_cycles, grant.grace_cycles);
         ctx->trace.Instant(ins.ev_grace, cpu_, static_cast<uint32_t>(grant.grace_cycles));
       }
     }

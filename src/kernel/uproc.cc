@@ -174,6 +174,10 @@ Status UserProcessManager::SetProgram(ProcessId pid, std::vector<UserOp> program
   it->second.state = ProcState::kReady;
   if (rq_ != nullptr && !it->second.queued) {
     it->second.queued = true;
+    // Set-up runs outside windows, so this reads the CPU's accrued clock,
+    // not LocalNow(): the work driven since its last window was accrued to
+    // no CPU, and counting it here would read as run-queue spin (ROADMAP
+    // item 3).
     rq_->Enqueue(pid.value, ctx_->current_cpu, RunQueueSet::kNoCpu,
                  ctx_->smp.local_now(ctx_->current_cpu));
   }
@@ -283,13 +287,7 @@ void UserProcessManager::Finish(Process& proc, ProcState state, Status why) {
   }
 }
 
-void UserProcessManager::AccrueOutside(uint16_t cpu, Cycles since) {
-  if (const Cycles d = ctx_->clock.now() - since; d > 0) {
-    ctx_->smp.Accrue(cpu, d);
-  }
-}
-
-void UserProcessManager::TouchReadyList(uint16_t cpu, Cycles lnow) {
+void UserProcessManager::TouchReadyList() {
   // The global ready list modelled as one shared cache line under one lock —
   // the traffic-controller picture.  Spin is real charged work (as in the
   // baseline's global lock), and a touch from a CPU other than the last
@@ -297,35 +295,28 @@ void UserProcessManager::TouchReadyList(uint16_t cpu, Cycles lnow) {
   // the dispatch decision and queue manipulation (kDispatchHold), which is
   // what serializes dispatch-rate-bound workloads.
   constexpr Cycles kDispatchHold = 440;  // ~ (kVpSwitch + kProcessSwitch) structured
-  const Cycles spin = list_lock_.Acquire(lnow);
-  Cycles held = spin;
-  if (spin > 0) {
-    ChargeLockWait(&ctx_->prof, &ctx_->cost, spin, list_lock_.last_acquire_handoff());
-    ctx_->metrics.Inc(id_list_lock_spin_cycles_, spin);
-  }
-  if (dcfg_.connect_cost > 0 && list_owner_ != cpu && list_owner_ != kNoCpu) {
-    // The line bounce is all traffic: lock-handoff.
-    ChargeLockWait(&ctx_->prof, &ctx_->cost, dcfg_.connect_cost, dcfg_.connect_cost);
-    held += dcfg_.connect_cost;
+  LockTenure tenure(&list_lock_, ctx_->LocalNow(), &ctx_->prof, &ctx_->cost);
+  ctx_->metrics.Inc(id_list_lock_spin_cycles_, tenure.spin());
+  if (tenure.TouchLine(&list_owner_, ctx_->current_cpu, dcfg_.connect_cost)) {
     ctx_->metrics.Inc(id_list_transfers_);
     ctx_->metrics.Inc(id_list_transfer_cycles_, dcfg_.connect_cost);
   }
-  list_owner_ = cpu;
-  list_lock_.Release(lnow + held + kDispatchHold);
+  tenure.Release(kDispatchHold);
 }
 
-void UserProcessManager::EnqueueReady(Process& proc, uint16_t from_cpu, Cycles lnow) {
+void UserProcessManager::EnqueueReady(Process& proc) {
   if (rq_ != nullptr) {
     if (proc.queued) {
       return;
     }
     proc.queued = true;
-    rq_->Enqueue(proc.pid.value, from_cpu,
-                 proc.last_cpu == kNoCpu ? RunQueueSet::kNoCpu : proc.last_cpu, lnow);
+    rq_->Enqueue(proc.pid.value, ctx_->current_cpu,
+                 proc.last_cpu == kNoCpu ? RunQueueSet::kNoCpu : proc.last_cpu,
+                 ctx_->LocalNow());
   } else if (sched_costs_on()) {
     // Global-list mode with interconnect costs: readying a process is a
-    // write to the shared ready list from `from_cpu`.
-    TouchReadyList(from_cpu, lnow);
+    // write to the shared ready list.
+    TouchReadyList();
   }
 }
 
@@ -333,13 +324,6 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
                                                                      uint16_t cpu,
                                                                      Cycles dispatch_start,
                                                                      bool affine_vp) {
-  auto accrue_quantum = [&] {
-    if (const Cycles d = ctx_->clock.now() - dispatch_start; d > 0) {
-      ctx_->smp.Accrue(cpu, d);
-      ctx_->trace.CloseSpan(dispatch_start, ev_quantum_, proc.pid.value, cpu,
-                            hist_quantum_);
-    }
-  };
   auto vp = affine_vp ? vpm_->AcquireIdleUserVp(cpu) : vpm_->AcquireIdleUserVp();
   if (!vp.ok()) {
     return DispatchOutcome::kNoVp;  // pool exhausted this pass
@@ -366,15 +350,18 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
   Status in = SwapStateIn(proc);
   if (in.code() == Code::kBlocked) {
     Park(proc);
-    accrue_quantum();
-    return DispatchOutcome::kRan;
-  }
-  if (!in.ok()) {
+  } else if (!in.ok()) {
     Finish(proc, ProcState::kAborted, in);
-    accrue_quantum();
-    return DispatchOutcome::kRan;
+  } else {
+    RunOps(proc);
   }
+  if (ctx_->clock.now() > dispatch_start) {
+    ctx_->trace.CloseSpan(dispatch_start, ev_quantum_, proc.pid.value, cpu, hist_quantum_);
+  }
+  return DispatchOutcome::kRan;
+}
 
+void UserProcessManager::RunOps(Process& proc) {
   const VpId vp_used = proc.vp;
   const Cycles start = ctx_->clock.now();
   for (uint32_t n = 0; n < quantum_ && proc.pc < proc.program.size(); ++n) {
@@ -397,8 +384,7 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
   vpm_->AccrueBusy(vp_used, ctx_->clock.now() - start);
 
   if (proc.state != ProcState::kRunning) {
-    accrue_quantum();
-    return DispatchOutcome::kRan;  // aborted above
+    return;  // aborted above
   }
   if (proc.pc >= proc.program.size()) {
     Finish(proc, ProcState::kDone, Status::Ok());
@@ -412,8 +398,6 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
     vpm_->ReleaseUserVp(proc.vp);
     proc.bound = false;
   }
-  accrue_quantum();
-  return DispatchOutcome::kRan;
 }
 
 bool UserProcessManager::DispatchGlobal() {
@@ -430,16 +414,13 @@ bool UserProcessManager::DispatchGlobal() {
     // the switch, the state swap-in, the ops, their fault services — accrues
     // to that CPU.
     const uint16_t cpu = ctx_->smp.NextCpu();
-    EnterCpu(cpu);
-    Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
-    const Cycles dispatch_start = ctx_->clock.now();
+    KernelContext::Window window(ctx_, cpu, ProfDomain::kDispatch);
     if (sched_costs_on()) {
-      TouchReadyList(cpu, ctx_->smp.local_now(cpu));
+      TouchReadyList();
     }
-    if (RunQuantumOn(proc, cpu, dispatch_start, /*affine_vp=*/false) ==
+    if (RunQuantumOn(proc, cpu, window.start(), /*affine_vp=*/false) ==
         DispatchOutcome::kNoVp) {
-      AccrueOutside(cpu, dispatch_start);  // the list touch, if any
-      break;  // pool exhausted this pass
+      break;  // pool exhausted this pass; the window accrues the list touch
     }
     did_work = true;
     ++sched_progress_;
@@ -485,10 +466,8 @@ uint16_t UserProcessManager::LeastBehindWithWork() const {
 }
 
 UserProcessManager::DispatchOutcome UserProcessManager::DispatchFromQueue(uint16_t cpu) {
-  EnterCpu(cpu);
-  Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
-  const Cycles dispatch_start = ctx_->clock.now();
-  const RunQueueSet::Popped pop = rq_->Dequeue(cpu, ctx_->smp.local_now(cpu));
+  KernelContext::Window window(ctx_, cpu, ProfDomain::kDispatch);
+  const RunQueueSet::Popped pop = rq_->Dequeue(cpu, ctx_->LocalNow());
   auto it = pop.ok ? procs_.find(ProcessId(pop.id)) : procs_.end();
   if (it != procs_.end()) {
     it->second.queued = false;
@@ -496,43 +475,29 @@ UserProcessManager::DispatchOutcome UserProcessManager::DispatchFromQueue(uint16
   // Nothing to pop, destroyed while queued (Remove is the normal path), or
   // no longer ready.
   if (it == procs_.end() || it->second.state != ProcState::kReady) {
-    AccrueOutside(cpu, dispatch_start);
     return DispatchOutcome::kNoWork;
   }
   Process& proc = it->second;
-  if (RunQuantumOn(proc, cpu, dispatch_start, /*affine_vp=*/true) == DispatchOutcome::kNoVp) {
+  if (RunQuantumOn(proc, cpu, window.start(), /*affine_vp=*/true) == DispatchOutcome::kNoVp) {
     // Pool exhausted: put the item back at the front of this CPU's own
     // queue — after a steal, too, not the victim's.
     proc.queued = true;
     rq_->PushFront(pop.id, cpu);
-    AccrueOutside(cpu, dispatch_start);
     return DispatchOutcome::kNoVp;
   }
   ++sched_progress_;
   if (proc.state == ProcState::kReady) {
     // Quantum expired: requeue with this CPU as the locality hint.
-    const Cycles t0 = ctx_->clock.now();
-    EnqueueReady(proc, cpu, ctx_->smp.local_now(cpu));
-    AccrueOutside(cpu, t0);
+    EnqueueReady(proc);
   }
   return DispatchOutcome::kRan;
-}
-
-void UserProcessManager::EnterCpu(uint16_t cpu) {
-  ctx_->current_cpu = cpu;
-  ctx_->trace.SetCpu(cpu);
-  ctx_->AnchorWindow();
 }
 
 bool UserProcessManager::RunIdleTimeWork() {
   const bool ran = vpm_->HasReadyTask(KernelTaskClass::kIdleTime);
   if (ran) {
-    const uint16_t cpu = ctx_->smp.NextCpu();
-    EnterCpu(cpu);
-    Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
-    const Cycles start = ctx_->clock.now();
+    KernelContext::Window window(ctx_, ctx_->smp.NextCpu(), ProfDomain::kDispatch);
     vpm_->RunKernelTasks(KernelTaskClass::kIdleTime);
-    AccrueOutside(cpu, start);
   }
   if (!pfm_->pipeline().enabled) {
     return ran;
@@ -553,11 +518,8 @@ bool UserProcessManager::RunIdleTimeWork() {
     if (!pack.has_value()) {
       break;
     }
-    EnterCpu(cpu);
-    Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
-    const Cycles start = ctx_->clock.now();
+    KernelContext::Window window(ctx_, cpu, ProfDomain::kDispatch);
     pfm_->IdleRound(*pack);
-    AccrueOutside(cpu, start);
   }
   return ran;
 }
@@ -569,54 +531,47 @@ bool UserProcessManager::SchedulerPass() {
   // Level-1 activity first, on the bootload CPU as on the real machine:
   // landing posted disk reads (which readies the page-I/O daemon), the
   // level-1 tasks whose work eventcounts advanced, and the wakeups that
-  // advances posted.
-  EnterCpu(0);
-  Prof::Window level1_window(&ctx_->prof, 0, ProfDomain::kDispatch);
-  const Cycles level1_start = ctx_->clock.now();
-  sched_progress_ += pfm_->LandReads(ctx_->clock.now());
-  if (vpm_->RunKernelTasks(KernelTaskClass::kLevel1)) {
-    did_work = true;
-  }
+  // advances posted.  Wake-path queue touches charge at the bootload CPU's
+  // LocalNow().
+  {
+    KernelContext::Window level1(ctx_, 0, ProfDomain::kDispatch);
+    sched_progress_ += pfm_->LandReads(ctx_->clock.now());
+    if (vpm_->RunKernelTasks(KernelTaskClass::kLevel1)) {
+      did_work = true;
+    }
 
-  // The bootload CPU's local time during level-1 work (its accrued clock
-  // plus this window's progress) — what wake-path queue touches charge at.
-  auto level1_lnow = [&] {
-    return ctx_->smp.local_now(0) + (ctx_->clock.now() - level1_start);
-  };
-
-  // Drain the real-memory queue: wake each process whose awaited count
-  // reached its target.  Once the queue is empty, wakeups it had no room
-  // for take the room, so its bound delays a wakeup but never loses one.
-  // A wakeup posted before its process was destroyed, its pid reused, or
-  // its program replaced finds the process not parked on a satisfied wait,
-  // and wakes nothing.
-  if (queue_ != nullptr) {
-    do {
-      while (auto msg = queue_->Pop()) {
-        auto it = procs_.find(msg->dest);
-        if (it == procs_.end()) {
-          continue;
+    // Drain the real-memory queue: wake each process whose awaited count
+    // reached its target.  Once the queue is empty, wakeups it had no room
+    // for take the room, so its bound delays a wakeup but never loses one.
+    // A wakeup posted before its process was destroyed, its pid reused, or
+    // its program replaced finds the process not parked on a satisfied
+    // wait, and wakes nothing.
+    if (queue_ != nullptr) {
+      do {
+        while (auto msg = queue_->Pop()) {
+          auto it = procs_.find(msg->dest);
+          if (it == procs_.end()) {
+            continue;
+          }
+          Process& proc = it->second;
+          const WaitSpec& wait = proc.ctx.pending_wait;
+          if (proc.state != ProcState::kBlocked ||
+              ctx_->eventcounts.Read(wait.ec) < wait.target) {
+            continue;
+          }
+          proc.state = ProcState::kReady;
+          ctx_->trace.Instant(ev_wake_, proc.pid.value);
+          EnqueueReady(proc);
+          did_work = true;
+          ++sched_progress_;
         }
-        Process& proc = it->second;
-        const WaitSpec& wait = proc.ctx.pending_wait;
-        if (proc.state != ProcState::kBlocked ||
-            ctx_->eventcounts.Read(wait.ec) < wait.target) {
-          continue;
-        }
-        proc.state = ProcState::kReady;
-        ctx_->trace.Instant(ev_wake_, proc.pid.value);
-        EnqueueReady(proc, 0, level1_lnow());
-        did_work = true;
-        ++sched_progress_;
-      }
-    } while (vpm_->PostDeferredWakeups());
-  }
+      } while (vpm_->PostDeferredWakeups());
+    }
 
-  if (const Cycles level1 = ctx_->clock.now() - level1_start; level1 > 0) {
-    ctx_->smp.Accrue(0, level1);
-    ctx_->trace.CloseSpan(level1_start, ev_level1_, 0, 0);
+    if (ctx_->clock.now() > level1.start()) {
+      ctx_->trace.CloseSpan(level1.start(), ev_level1_, 0, 0);
+    }
   }
-  level1_window.Close();
 
   // Dispatch ready processes onto idle virtual processors and run quanta.
   if (rq_ != nullptr ? DispatchSharded() : DispatchGlobal()) {
@@ -682,13 +637,13 @@ void UserProcessManager::DumpStallAndAbort(uint64_t pass) {
   std::fprintf(stderr, "---- scheduler locks ----\n");
   std::fprintf(stderr, "ready-list lock: %s, line owner cpu %d\n",
                list_lock_.held() ? "HELD" : "free",
-               list_owner_ == kNoCpu ? -1 : static_cast<int>(list_owner_));
+               list_owner_ == LockTenure::kNoOwner ? -1 : static_cast<int>(list_owner_));
   if (rq_ != nullptr) {
     for (uint16_t k = 0; k < rq_->count(); ++k) {
       const uint16_t owner = rq_->line_owner(k);
       std::fprintf(stderr, "run queue %u: depth %zu, lock %s, line owner cpu %d\n",
                    k, rq_->depth(k), rq_->shard_lock(k).held() ? "HELD" : "free",
-                   owner == UINT16_MAX ? -1 : static_cast<int>(owner));
+                   owner == LockTenure::kNoOwner ? -1 : static_cast<int>(owner));
     }
   }
 

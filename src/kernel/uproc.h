@@ -159,9 +159,6 @@ class UserProcessManager {
   // tasks, the wakeup drain), dispatch and execution, then idle-time work.
   // True if it ran a quantum or a kernel task, or woke a process.
   bool SchedulerPass();
-  // Points the kernel at `cpu` for a new accrual window: the current CPU,
-  // the tracer's lane, and the window's local-time anchor.
-  void EnterCpu(uint16_t cpu);
   // The two dispatch bodies SchedulerPass selects between: the legacy scan
   // of the global ready list, and the sharded per-CPU queues.
   bool DispatchGlobal();
@@ -177,25 +174,26 @@ class UserProcessManager {
   // while that CPU trails the furthest clock and a page is cleanable.  True
   // if a kernel task ran; idle rounds are background work and never count.
   bool RunIdleTimeWork();
-  // One quantum on `cpu`, windowed from `dispatch_start`: vp acquisition
-  // (CPU-affine when `affine_vp`), process switch, state swap-in, the op
-  // loop, and the quantum's accrual.  kNoVp = vp pool exhausted, nothing
-  // charged or accrued yet.
+  // One quantum on `cpu`, in the caller's window, which opened at
+  // `dispatch_start` (the quantum's trace span starts there): vp acquisition
+  // (CPU-affine when `affine_vp`), process switch, state swap-in and the op
+  // loop.  kNoVp = vp pool exhausted, nothing charged.
   DispatchOutcome RunQuantumOn(Process& proc, uint16_t cpu, Cycles dispatch_start,
                                bool affine_vp);
-  // Readies `proc` for dispatch: sharded mode enqueues it; legacy mode with
-  // interconnect costs on touches the (modelled) global ready-list line.
-  void EnqueueReady(Process& proc, uint16_t from_cpu, Cycles lnow);
-  // The global ready list as a shared cache line: lock it from `cpu`,
-  // paying spin and a transfer when another CPU touched it last.
-  void TouchReadyList(uint16_t cpu, Cycles lnow);
+  // The op loop, then done, parked, or back to ready as the quantum expires.
+  void RunOps(Process& proc);
+  // Readies `proc` for dispatch from the open window's CPU, at its
+  // LocalNow(): sharded mode enqueues it; legacy mode with interconnect
+  // costs on touches the (modelled) global ready-list line.
+  void EnqueueReady(Process& proc);
+  // The global ready list as a shared cache line: lock it from the window's
+  // CPU, paying spin and a transfer when another CPU touched it last.
+  void TouchReadyList();
   // Cross-CPU scheduling charges only exist with a configured connect cost
   // and more than one CPU to cross between.
   bool sched_costs_on() const {
     return dcfg_.connect_cost > 0 && ctx_->smp.count() > 1;
   }
-  // Accrues charges made outside a quantum window (queue ops) to `cpu`.
-  void AccrueOutside(uint16_t cpu, Cycles since);
   // The stall watchdog's flight-recorder dump: profiler domain trees, tracer
   // ring tails, scheduler-lock owners, run-queue depths, and process states,
   // to stderr; then abort().
@@ -244,7 +242,7 @@ class UserProcessManager {
   DispatchConfig dcfg_;
   std::unique_ptr<RunQueueSet> rq_;
   SimSpinLock list_lock_;        // the modelled global ready-list lock
-  uint16_t list_owner_ = kNoCpu; // CPU that last touched the list's line
+  uint16_t list_owner_ = LockTenure::kNoOwner;  // CPU that last touched the list's line
   bool slab_ = false;
   std::vector<FreeSlot> free_slots_;
   uint32_t next_pid_ = 1;

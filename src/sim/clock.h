@@ -47,6 +47,9 @@ class CostModel {
     clock_->Advance(base);
   }
 
+  // The clock the charges advance.
+  Cycles now() const { return clock_->now(); }
+
  private:
   Clock* clock_;
   double structured_factor_{kDefaultStructuredFactor};

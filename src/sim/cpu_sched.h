@@ -251,11 +251,10 @@ class RunQueueSet {
       home = hint_cpu;
     }
     Shard& s = shards_[home];
-    const Cycles held = TouchShard(s, from_cpu, lnow);
+    LockTenure tenure = Lock(s, from_cpu, lnow);
     s.items.push_back(id);
     metrics_->Inc(s.id_pushes);
     metrics_->Observe(s.hist_depth, s.items.size());
-    s.lock.Release(lnow + held);
   }
 
   // Takes the front of `cpu`'s own queue; when empty and stealing is on,
@@ -264,13 +263,12 @@ class RunQueueSet {
     Popped out;
     Shard& own = shards_[cpu];
     if (!own.items.empty()) {
-      const Cycles held = TouchShard(own, cpu, lnow);
+      LockTenure tenure = Lock(own, cpu, lnow);
       out.ok = true;
       out.id = own.items.front();
       out.victim = cpu;
       own.items.pop_front();
       metrics_->Inc(own.id_pops);
-      own.lock.Release(lnow + held);
       return out;
     }
     if (!steal_) {
@@ -284,22 +282,21 @@ class RunQueueSet {
         continue;
       }
       const Cycles steal_begin = trace_->Begin();
-      Cycles held = TouchShard(victim, cpu, lnow);
+      LockTenure tenure = Lock(victim, cpu, lnow);
       out.ok = true;
       out.stolen = true;
       out.id = victim.items.front();
       out.victim = v;
       victim.items.pop_front();
       // The stolen item's state migrates to the thief: one more transfer on
-      // top of the queue-line bounce TouchShard already charged.
+      // top of the queue-line bounce the lock already charged.
       if (connect_cost_ > 0) {
         cost_->Charge(CodeStyle::kOptimized, connect_cost_);
-        held += connect_cost_;
       }
       metrics_->Inc(id_steals_);
-      metrics_->Inc(id_steal_cycles_, held);
+      metrics_->Inc(id_steal_cycles_, tenure.held());
       metrics_->Inc(victim.id_pops);
-      victim.lock.Release(lnow + held);
+      tenure.Release();
       trace_->CloseSpan(steal_begin, ev_steal_, out.id, v);
       return out;
     }
@@ -328,36 +325,30 @@ class RunQueueSet {
   struct Shard {
     std::deque<uint32_t> items;
     SimSpinLock lock;
-    uint16_t line_owner = kNoCpu;
+    uint16_t line_owner = LockTenure::kNoOwner;
     MetricId id_pushes = 0;
     MetricId id_pops = 0;
     MetricId id_lock_spin_cycles = 0;
     HistId hist_depth = 0;
   };
 
-  // Acquires a shard's lock from `from_cpu` at local time `lnow`, charging
-  // spin and (when the queue's line lives on another CPU) one connect
-  // transfer.  Returns the cycles charged so far under the lock; the caller
-  // must Release at `lnow + held`.
-  Cycles TouchShard(Shard& s, uint16_t from_cpu, Cycles lnow) {
+  // Opens a tenure on a shard's lock from `from_cpu` at local time `lnow`,
+  // with the queue's line touched from `from_cpu`, and counts its spin and
+  // line transfer.  The shard is released when the tenure ends.
+  LockTenure Lock(Shard& s, uint16_t from_cpu, Cycles lnow) {
     const Cycles spin_begin = trace_->Begin();
-    const Cycles spin = s.lock.Acquire(lnow);
-    Cycles held = spin;
-    if (spin > 0) {
-      ChargeLockWait(prof_, cost_, spin, s.lock.last_acquire_handoff());
+    LockTenure tenure(&s.lock, lnow, prof_, cost_);
+    if (tenure.spin() > 0) {
       metrics_->Inc(id_lock_spins_);
-      metrics_->Inc(id_lock_spin_cycles_, spin);
-      metrics_->Inc(s.id_lock_spin_cycles, spin);
+      metrics_->Inc(id_lock_spin_cycles_, tenure.spin());
+      metrics_->Inc(s.id_lock_spin_cycles, tenure.spin());
       trace_->CloseSpan(spin_begin, ev_lock_spin_, from_cpu);
     }
-    if (connect_cost_ > 0 && s.line_owner != from_cpu && s.line_owner != kNoCpu) {
-      ChargeLockWait(prof_, cost_, connect_cost_, connect_cost_);  // the bounce is all traffic
-      held += connect_cost_;
+    if (tenure.TouchLine(&s.line_owner, from_cpu, connect_cost_)) {
       metrics_->Inc(id_transfers_);
       metrics_->Inc(id_transfer_cycles_, connect_cost_);
     }
-    s.line_owner = from_cpu;
-    return held;
+    return tenure;
   }
 
   bool steal_;

@@ -17,8 +17,8 @@
 // AdvanceAll (pool-wide idle to the next event), and AlignAll (per-CPU
 // catch-up gaps to the makespan).  The profiler hooks all three:
 //
-//  * A `Prof::Window` brackets each accrual window (opened where the kernel
-//    calls KernelContext::AnchorWindow, closed after the matching Accrue).
+//  * A `Prof::Window` brackets each accrual window: KernelContext::Window
+//    opens one with every window and closes it after the window's Accrue.
 //    While a window is open, scope pushes/pops attribute every global-clock
 //    delta to the innermost domain; with no window open, scopes are inert,
 //    so construction-time work — charged to the clock but never accrued to
@@ -49,9 +49,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/clock.h"
+#include "src/sync/spinlock.h"
 
 namespace mks {
 
@@ -116,8 +118,8 @@ class Prof {
 
   // ---- accrual windows -----------------------------------------------
 
-  // Brackets one accrual window on `cpu`: open where the dispatcher anchors
-  // the window (KernelContext::AnchorWindow), destroy after the matching
+  // Brackets one accrual window on `cpu`.  KernelContext::Window holds one,
+  // opened with the window and destroyed after the window's
   // CpuInterleave::Accrue.  Everything charged to the global clock in
   // between is attributed — to `root` by default, to the innermost Scope
   // when instrumented code pushed one.
@@ -130,14 +132,11 @@ class Prof {
       }
       prof_->OpenWindow(cpu, root);
     }
-    // Idempotent early close, for windows that end mid-scope.
-    void Close() {
+    ~Window() {
       if (prof_ != nullptr) {
         prof_->CloseWindow();
-        prof_ = nullptr;
       }
     }
-    ~Window() { Close(); }
     Window(const Window&) = delete;
     Window& operator=(const Window&) = delete;
 
@@ -352,7 +351,7 @@ class Prof {
 // (`traffic`, clamped to `total`) to lock-handoff, gap first, so the two
 // charges advance the clock by exactly `total`.  Every kernel lock site
 // charges its waits and line transfers here; this is the one place that rule
-// lives.
+// lives.  With a null `prof` it is one plain optimized charge.
 inline void ChargeLockWait(Prof* prof, CostModel* cost, Cycles total, Cycles traffic) {
   traffic = std::min(traffic, total);
   if (total > traffic) {
@@ -364,6 +363,56 @@ inline void ChargeLockWait(Prof* prof, CostModel* cost, Cycles total, Cycles tra
     cost->Charge(CodeStyle::kOptimized, traffic);
   }
 }
+
+// One tenure of a modelled spin lock, from acquire to release.  It acquires
+// at local time `lnow` and charges the wait through ChargeLockWait; it
+// releases at `lnow` plus the global clock's progress since (the wait, any
+// line transfer, the work under the lock) plus an optional uncharged hold.
+// Every spin-lock site holds its lock through one, keeping its own counters.
+class LockTenure {
+ public:
+  static constexpr uint16_t kNoOwner = UINT16_MAX;
+
+  LockTenure(SimSpinLock* lock, Cycles lnow, Prof* prof, CostModel* cost)
+      : lock_(lock), prof_(prof), cost_(cost), lnow_(lnow), start_(cost->now()),
+        spin_(lock->Acquire(lnow)) {
+    ChargeLockWait(prof, cost, spin_, lock->last_acquire_handoff());
+  }
+  LockTenure(LockTenure&& other) noexcept
+      : lock_(std::exchange(other.lock_, nullptr)), prof_(other.prof_), cost_(other.cost_),
+        lnow_(other.lnow_), start_(other.start_), spin_(other.spin_) {}
+  ~LockTenure() { Release(); }
+
+  Cycles spin() const { return spin_; }  // the charged wait: gap plus handoff
+  Cycles held() const { return cost_->now() - start_; }  // charged since the acquire
+
+  // A site's cache line, last touched by `*owner` (kNoOwner: never): a touch
+  // from another known CPU moves it, one `transfer` of handoff traffic.
+  // Returns whether it moved; `cpu` owns the line after.
+  bool TouchLine(uint16_t* owner, uint16_t cpu, Cycles transfer) {
+    const bool moved = transfer > 0 && *owner != cpu && *owner != kNoOwner;
+    if (moved) {
+      ChargeLockWait(prof_, cost_, transfer, transfer);
+    }
+    *owner = cpu;
+    return moved;
+  }
+
+  void Release(Cycles hold = 0) {
+    if (lock_ != nullptr) {
+      lock_->Release(lnow_ + held() + hold);
+      lock_ = nullptr;
+    }
+  }
+
+ private:
+  SimSpinLock* lock_;  // null once released
+  Prof* prof_;
+  CostModel* cost_;
+  Cycles lnow_;
+  Cycles start_;
+  Cycles spin_;
+};
 
 }  // namespace mks
 

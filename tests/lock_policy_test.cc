@@ -105,6 +105,68 @@ TEST(LockPolicyUnit, UncontendedAcquiresAreFreeUnderEveryPolicy) {
 }
 
 // ---------------------------------------------------------------------------
+// LockTenure: one hold of a modelled lock, from acquire to release, the way
+// every kernel, answering and baseline lock site holds its lock.
+// ---------------------------------------------------------------------------
+
+// A bare clock with the profiler on.
+struct TenureRig {
+  TenureRig() {
+    ProfConfig config;
+    config.enabled = true;
+    prof.Enable(1, config);
+  }
+  LockTenure Take(Cycles lnow) { return LockTenure(&lock, lnow, &prof, &cost); }
+  Cycles Domain(ProfDomain d) const { return prof.DomainTotals()[static_cast<size_t>(d)]; }
+  Clock clock;
+  CostModel cost{&clock};
+  Prof prof{&clock};
+  SimSpinLock lock;
+};
+
+TEST(LockTenureUnit, ReleasesAtAcquirePlusGlobalProgressPlusHold) {
+  for (LockPolicy policy : {LockPolicy::kTestAndSet, LockPolicy::kMcs}) {
+    TenureRig rig;
+    rig.lock.Configure(PolicyConfig(policy));
+    const Cycles handoff = policy == LockPolicy::kMcs ? kLine : 0;  // MCS's, on top
+    Prof::Window window(&rig.prof, 0, ProfDomain::kDispatch);
+    {
+      LockTenure a = rig.Take(1000);
+      rig.cost.Charge(CodeStyle::kOptimized, 250);  // work under the lock
+      a.Release(40);                                // and an uncharged hold: free at 1290
+    }
+    {
+      // B waits from 1100 to 1290 and works 60.  Its destructor releases, and
+      // the wait counts as held time, so the lock frees at 1350 + handoff.
+      LockTenure b = rig.Take(1100);
+      EXPECT_EQ(b.spin(), 190u + handoff);
+      rig.cost.Charge(CodeStyle::kOptimized, 60);
+    }
+    EXPECT_EQ(rig.Take(1000).spin(), 350u + 2 * handoff);
+    EXPECT_EQ(rig.clock.now(), 250u + 190u + 60u + 350u + 3 * handoff);  // waits charged
+    EXPECT_EQ(rig.Domain(ProfDomain::kLockSpin), 190u + 350u + handoff);
+    EXPECT_EQ(rig.Domain(ProfDomain::kLockHandoff), 2 * handoff);
+  }
+}
+
+TEST(LockTenureUnit, ALineMovesOnlyFromAnotherKnownOwner) {
+  TenureRig rig;
+  Prof::Window window(&rig.prof, 0, ProfDomain::kDispatch);
+  uint16_t owner = LockTenure::kNoOwner;
+  // Each touch acquires where the last one released, so none waits.
+  auto touch = [&](uint16_t cpu, Cycles transfer) {
+    return rig.Take(rig.clock.now()).TouchLine(&owner, cpu, transfer);
+  };
+  EXPECT_FALSE(touch(0, kLine));  // no known owner yet
+  EXPECT_FALSE(touch(0, kLine));  // the owner itself
+  EXPECT_TRUE(touch(1, kLine));   // another known CPU: one transfer
+  EXPECT_FALSE(touch(2, 0));      // an unpriced line never moves,
+  EXPECT_EQ(owner, 2);            // but changes owner
+  EXPECT_EQ(rig.clock.now(), kLine);
+  EXPECT_EQ(rig.Domain(ProfDomain::kLockHandoff), kLine);
+}
+
+// ---------------------------------------------------------------------------
 // Kernel level: knobs-off equivalence and MCS determinism on the global
 // ready list (the shared mixed workload, RunMixed in tests/kernel_fixture.h,
 // with the list lock under contention at quantum 3 and connect cost 200).

@@ -32,14 +32,9 @@ struct StormTrace {
   uint64_t slab_reuses = 0;
   uint64_t skel_hits = 0;
   uint64_t login_p99 = 0;
-};
 
-bool operator==(const StormTrace& a, const StormTrace& b) {
-  return a.ok == b.ok && a.final_now == b.final_now && a.makespan == b.makespan &&
-         a.logins == b.logins && a.logouts == b.logouts && a.spin == b.spin &&
-         a.slab_reuses == b.slab_reuses && a.skel_hits == b.skel_hits &&
-         a.login_p99 == b.login_p99;
-}
+  bool operator==(const StormTrace&) const = default;
+};
 
 // A miniature of bench_perf_login_storm: every session op runs in its own
 // anchored window on the furthest-behind CPU, all concurrency knobs on.
@@ -76,16 +71,8 @@ StormTrace RunStorm(uint16_t cpus, int users) {
 
   std::vector<ProcessId> pid_of(static_cast<size_t>(users));
   auto drive = [&](auto&& op) -> bool {
-    const uint16_t cpu = kctx.smp.NextCpu();
-    kctx.current_cpu = cpu;
-    kctx.trace.SetCpu(cpu);
-    kctx.AnchorWindow();
-    const Cycles t0 = kernel.clock().now();
-    if (!op()) {
-      return false;
-    }
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
-    return true;
+    KernelContext::Window window(&kctx, kctx.smp.NextCpu(), ProfDomain::kSessionSetup);
+    return op();
   };
   auto login = [&](int u) {
     auto pid = service.Login(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(0, 0));
@@ -175,12 +162,8 @@ TEST(LoginStorm, SkeletonCacheLockSpansTheCpuPool) {
         auth.Enroll(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(2, 0)).ok());
   }
   auto login_on = [&](uint16_t cpu, int u) {
-    kctx.current_cpu = cpu;
-    kctx.AnchorWindow();
-    const Cycles t0 = kernel.clock().now();
-    auto pid = service.Login(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(0, 0));
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
-    return pid;
+    KernelContext::Window window(&kctx, cpu, ProfDomain::kSessionSetup);
+    return service.Login(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(0, 0));
   };
 
   auto first = login_on(0, 0);  // a miss: fills the cache from CPU 0

@@ -255,13 +255,8 @@ TEST(ProfInvariant, DirectDrivenWindowsBalanceAtEveryPoolSize) {
     }
     kctx.smp.AlignAll();
     for (uint32_t i = 0; i < 64; ++i) {
-      const uint16_t cpu = kctx.smp.NextCpu();
-      kctx.current_cpu = cpu;
-      kctx.AnchorWindow();
-      Prof::Window window(&kctx.prof, cpu, ProfDomain::kGate);
-      const Cycles t0 = kernel.clock().now();
+      KernelContext::Window window(&kctx, kctx.smp.NextCpu(), ProfDomain::kGate);
       ASSERT_TRUE(walker.Walk(*ctx, ">lib>s" + std::to_string(i % 4)).ok());
-      kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
     }
     ExpectLedgerBalanced(kernel);
     // A naming walk is gate + directory-read time, by construction.
@@ -270,6 +265,51 @@ TEST(ProfInvariant, DirectDrivenWindowsBalanceAtEveryPoolSize) {
     EXPECT_GT(totals[static_cast<size_t>(ProfDomain::kDirectoryRead)], 0u);
   }
 }
+
+// The one accrual window: its global delta accrues to its CPU alone, at
+// close, and the ledger balances.  Closing leaves current_cpu and the anchor
+// set, because work driven outside windows still reads them.
+TEST(ProfWindow, AccruesExactlyItsGlobalDeltaToItsCpu) {
+  Kernel kernel{ProfConfigFor(4)};
+  ASSERT_TRUE(kernel.Boot().ok());
+  KernelContext& kctx = kernel.ctx();
+  {
+    // Sets CPU 1's local clock apart from the global clock, which boot moved.
+    KernelContext::Window warm(&kctx, 1, ProfDomain::kGate);
+    kctx.cost.Charge(CodeStyle::kOptimized, 500);
+  }
+  const Cycles local0 = kctx.smp.local_now(1);
+  const uint64_t windows0 = kctx.metrics.Get("smp.cpu1.quanta");
+  Cycles start = 0;
+  {
+    KernelContext::Window window(&kctx, 1, ProfDomain::kGate);
+    start = window.start();
+    kctx.cost.Charge(CodeStyle::kOptimized, 321);
+    EXPECT_EQ(kctx.LocalNow(), local0 + 321);
+    EXPECT_EQ(kctx.smp.local_now(1), local0);  // nothing accrues mid-window
+  }
+  EXPECT_EQ(kctx.clock.now(), start + 321);
+  EXPECT_EQ(kctx.smp.local_now(1), local0 + 321);
+  EXPECT_EQ(kctx.smp.local_now(2), 0u);
+  EXPECT_EQ(kctx.current_cpu, 1);
+  EXPECT_EQ(kctx.window_anchor_local, local0);
+  EXPECT_EQ(kctx.window_anchor_global, start);
+  { KernelContext::Window empty(&kctx, 1, ProfDomain::kGate); }  // accrues nothing
+  EXPECT_EQ(kctx.metrics.Get("smp.cpu1.quanta"), windows0 + 1);
+  ExpectLedgerBalanced(kernel);
+  EXPECT_EQ(kctx.prof.DomainTotals()[static_cast<size_t>(ProfDomain::kGate)], 500u + 321u);
+}
+
+#ifndef NDEBUG
+// A window opened inside another would accrue the inner window's work twice.
+TEST(ProfWindowDeathTest, NestedWindowAsserts) {
+  Kernel kernel{ProfConfigFor(2)};
+  ASSERT_TRUE(kernel.Boot().ok());
+  KernelContext::Window outer(&kernel.ctx(), 0, ProfDomain::kDispatch);
+  EXPECT_DEATH({ KernelContext::Window inner(&kernel.ctx(), 1, ProfDomain::kDispatch); },
+               "never nest");
+}
+#endif
 
 TEST(ProfInvariant, FaultStormPopulatesTheExpectedDomains) {
   Kernel kernel{ProfConfigFor(4)};
@@ -350,7 +390,7 @@ TEST(ProfWatchdogDeathTest, FrozenClockDumpsAndAborts) {
   // the raw clock creeping, which is why the watchdog keys on the stamp and
   // not the clock.
   SimSpinLock stall_lock;
-  stall_lock.Acquire(0);
+  LockTenure held(&stall_lock, 0, nullptr, &kernel.ctx().cost);
   const EventcountId work = kernel.ctx().eventcounts.Create("staller_work");
   ASSERT_TRUE(kernel.vprocs()
                   .BindKernelTask("staller", work,

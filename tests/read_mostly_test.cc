@@ -138,8 +138,8 @@ TEST(ReadMostlyKernel, DefaultConfigKeepsTheLocksUnmodeled) {
   EXPECT_EQ(dir_lock.write_grants(), 0u);
   EXPECT_EQ(kst_lock.read_grants(), 0u);
   EXPECT_EQ(kst_lock.write_grants(), 0u);
-  EXPECT_EQ(fx.kernel.metrics().counters().at("dir.read_sections"), 0u);
-  EXPECT_EQ(fx.kernel.metrics().counters().at("ksm.write_sections"), 0u);
+  EXPECT_EQ(fx.kernel.metrics().counters().at("dir.read_section_cycles"), 0u);
+  EXPECT_EQ(fx.kernel.metrics().counters().at("ksm.write_section_cycles"), 0u);
 }
 
 TEST(ReadMostlyKernel, NestedWriteSectionsAreInertNotDoubleCharged) {
@@ -179,16 +179,7 @@ struct StormOut {
   std::vector<uint64_t> observed_packs;  // home.pack seen by each process at the end
   bool ok = false;
 
-  bool BitIdentical(const StormOut& other) const {
-    return clock == other.clock && counters == other.counters &&
-           read_grants == other.read_grants && contended_reads == other.contended_reads &&
-           read_spin_cycles == other.read_spin_cycles && write_grants == other.write_grants &&
-           write_spin_cycles == other.write_spin_cycles &&
-           revoked_cpus == other.revoked_cpus &&
-           revocation_cycles == other.revocation_cycles &&
-           publish_cycles == other.publish_cycles && grace_waits == other.grace_waits &&
-           grace_cycles == other.grace_cycles && observed_packs == other.observed_packs;
-  }
+  bool operator==(const StormOut&) const = default;
 };
 
 StormOut RunRelocationStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops) {
@@ -235,20 +226,13 @@ StormOut RunRelocationStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops) {
   const PackId home_pack = probe->home.pack;
   const VtocIndex home_vtoc = probe->home.vtoc;
 
-  // Barrier into the measured region (see bench_perf_name_storm.cc): local
-  // clocks aligned and advanced to the global clock, so boot/setup release
-  // points cannot read as contention against the measured windows.
-  kctx.smp.AlignAll();
-  if (kernel.clock().now() > kctx.smp.Makespan()) {
-    kctx.smp.AdvanceAll(kernel.clock().now() - kctx.smp.Makespan());
-  }
+  // Barrier into the measured region: boot/setup release points cannot
+  // read as contention against the measured windows.
+  kctx.AlignToGlobal();
   const EntryId root = kernel.gates().RootId();
   for (uint32_t i = 0; i < ops; ++i) {
     const uint16_t cpu = kctx.smp.NextCpu();
-    kctx.current_cpu = cpu;
-    kctx.trace.SetCpu(cpu);
-    kctx.AnchorWindow();
-    const Cycles t0 = kernel.clock().now();
+    KernelContext::Window window(&kctx, cpu, ProfDomain::kGate);
     if (i % 64 == 63) {
       // Bounce the shared segment between its real home and an alternate:
       // every KST binding in the system must follow.
@@ -264,7 +248,6 @@ StormOut RunRelocationStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops) {
         return out;
       }
     }
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
   }
   for (uint16_t c = 0; c < cpus; ++c) {
     const auto* e = kernel.known_segments().Lookup(pids[c], segnos[c]);
@@ -360,7 +343,7 @@ TEST(ReadMostlyRelocation, DoubleRunsAreBitIdenticalAtFourAndSixteenCpus) {
       const StormOut b = RunRelocationStorm(policy, cpus, kStormOps);
       ASSERT_TRUE(a.ok);
       ASSERT_TRUE(b.ok);
-      EXPECT_TRUE(a.BitIdentical(b));
+      EXPECT_TRUE(a == b);
     }
   }
 }
