@@ -50,9 +50,7 @@ MonolithicSupervisor::MonolithicSupervisor(const BaselineConfig& config)
       id_links_snapped_(metrics_.Intern("baseline.links_snapped")),
       id_assoc_hits_(metrics_.Intern("baseline.assoc_hits")),
       id_assoc_misses_(metrics_.Intern("baseline.assoc_misses")),
-      id_assoc_flushes_(metrics_.Intern("baseline.assoc_flushes")),
-      id_lock_spin_cycles_(metrics_.Intern("baseline.lock_spin_cycles")),
-      id_lock_contended_(metrics_.Intern("baseline.lock_contended")) {
+      id_assoc_flushes_(metrics_.Intern("baseline.assoc_flushes")) {
   trace_.Enable(config.cpu_count, config.trace);
   ev_lock_spin_ = trace_.InternEvent("lock.spin");
   ev_fault_service_ = trace_.InternEvent("fault.page_service");
@@ -366,9 +364,7 @@ void MonolithicSupervisor::AcquireGlobalLock() {
   // The baseline has no profiler: the wait is one plain optimized charge.
   const Cycles spin_begin = trace_.Begin();
   global_tenure_.emplace(&global_lock_, LocalNow(), /*prof=*/nullptr, &cost_);
-  if (const Cycles spin = global_tenure_->spin(); spin > 0) {
-    metrics_.Inc(id_lock_spin_cycles_, spin);
-    metrics_.Inc(id_lock_contended_);
+  if (global_tenure_->spin() > 0) {
     trace_.CloseSpan(spin_begin, ev_lock_spin_, current_cpu_, 0, hist_lock_spin_);
   }
   cost_.Charge(CodeStyle::kOptimized, kGlobalLockCost);

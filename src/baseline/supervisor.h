@@ -287,8 +287,6 @@ class MonolithicSupervisor {
   MetricId id_assoc_hits_;
   MetricId id_assoc_misses_;
   MetricId id_assoc_flushes_;
-  MetricId id_lock_spin_cycles_;
-  MetricId id_lock_contended_;
   TraceEventId ev_lock_spin_ = 0;
   TraceEventId ev_fault_service_ = 0;
   HistId hist_lock_spin_ = kNoHist;

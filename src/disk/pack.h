@@ -116,6 +116,12 @@ class DiskPack {
   // page found all zero at eviction that keeps its record.
   void ClearRecord(RecordIndex record);
   bool lent(RecordIndex record) const { return record_lent_[record.value]; }
+  // A host hint for a read-in about to bind the record's image: starts the
+  // loads of the image's first cache line, which holds its shared count, and
+  // of the line holding `word`.  It charges nothing, counts nothing and
+  // leaves the count as it was; an empty or lent record holds no image, so
+  // there it does nothing.
+  void PrefetchRecord(RecordIndex record, uint32_t word) const;
 
   // Takes the lowest free VTOC slot.
   Result<VtocIndex> AllocateVtoc(SegmentUid uid, bool is_directory);

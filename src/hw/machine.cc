@@ -433,6 +433,7 @@ void Processor::FlushAssociative() {
 AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, uint8_t ring) {
   metrics_->Inc(id_translations_);
   const uint32_t ref_page = offset / kPageWords;
+  const uint32_t word = offset % kPageWords;
 
   // Fast path: the associative memory.  A hit is served only when the cached
   // SDW bits admit the access and the (live) PTW is plainly resident — any
@@ -458,9 +459,10 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
         }
         AccessResult result;
         result.ok = true;
-        result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + offset % kPageWords;
+        result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + word;
         result.fault.segno = segno;
         result.fault.page = ref_page;
+        result.fault.word = word;
         result.fault.ptw = ptw;
         return result;
       }
@@ -474,7 +476,8 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
 
   AccessResult result;
   result.fault.segno = segno;
-  result.fault.page = offset / kPageWords;
+  result.fault.page = ref_page;
+  result.fault.word = word;
 
   const Sdw* sdw = Descriptor(segno);
   if (sdw == nullptr || !sdw->present) {
@@ -492,14 +495,13 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
     result.fault.kind = FaultKind::kAccessViolation;
     return result;
   }
-  const uint32_t page = offset / kPageWords;
-  if (page >= sdw->bound_pages || sdw->page_table == nullptr ||
-      page >= sdw->page_table->ptws.size()) {
+  if (ref_page >= sdw->bound_pages || sdw->page_table == nullptr ||
+      ref_page >= sdw->page_table->ptws.size()) {
     result.fault.kind = FaultKind::kOutOfBounds;
     return result;
   }
 
-  Ptw* ptw = &sdw->page_table->ptws[page];
+  Ptw* ptw = &sdw->page_table->ptws[ref_page];
   result.fault.ptw = ptw;
 
   if (ptw->locked) {
@@ -536,7 +538,7 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
     ptw->modified = true;
   }
   result.ok = true;
-  result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + offset % kPageWords;
+  result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + word;
   result.fault.kind = FaultKind::kNone;
   if (features_.associative_memory) {
     assoc_.Insert(AssociativeMemory::MakeKey(segno.value, ref_page), ptw, sdw->read, sdw->write,

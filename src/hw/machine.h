@@ -156,6 +156,7 @@ struct Fault {
   FaultKind kind = FaultKind::kNone;
   Segno segno{};
   uint32_t page = 0;
+  uint32_t word = 0;   // the referenced word within `page`, as the 6180's fault data names it
   Ptw* ptw = nullptr;  // absolute descriptor address (identity) for retranslation checks
 };
 

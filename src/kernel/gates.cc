@@ -233,7 +233,7 @@ Status KernelGates::Reference(ProcContext& ctx, Segno segno, uint32_t offset, Ac
       }
       case FaultKind::kMissingPage: {
         WaitSpec wait;
-        Status serviced = ksm_->HandleMissingPage(ctx.pid, segno, access.fault.page, &wait);
+        Status serviced = ksm_->HandleMissingPage(ctx.pid, access.fault, &wait);
         if (serviced.code() == Code::kBlocked) {
           ctx.pending_wait = wait;
           return serviced;

@@ -188,11 +188,11 @@ Status KnownSegmentManager::HandleSegmentFault(ProcessId pid, Segno segno) {
   return Status::Ok();
 }
 
-Status KnownSegmentManager::HandleMissingPage(ProcessId pid, Segno segno, uint32_t page,
+Status KnownSegmentManager::HandleMissingPage(ProcessId pid, const Fault& fault,
                                               WaitSpec* wait) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
-  KstEntry* entry = Find(pid, segno);
+  KstEntry* entry = Find(pid, fault.segno);
   if (entry == nullptr || !entry->valid) {
     return Status(Code::kInvalidSegno, "page fault on unknown segment");
   }
@@ -200,9 +200,9 @@ Status KnownSegmentManager::HandleMissingPage(ProcessId pid, Segno segno, uint32
   if (ast == kNoAst) {
     // The segment was deactivated between the SDW check and now; the caller
     // will re-fault as a missing segment.
-    return HandleSegmentFault(pid, segno);
+    return HandleSegmentFault(pid, fault.segno);
   }
-  return segs_->ServiceMissingPage(ast, page, pid, wait);
+  return segs_->ServiceMissingPage(ast, fault.page, fault.word, pid, wait);
 }
 
 void KnownSegmentManager::RelocateUid(SegmentUid uid, PackId pack, VtocIndex vtoc) {

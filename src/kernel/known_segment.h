@@ -99,8 +99,9 @@ class KnownSegmentManager {
   // Missing segment: activate if necessary and connect the SDW.
   Status HandleSegmentFault(ProcessId pid, Segno segno);
 
-  // Missing page: resolve to the active segment and delegate downward.
-  Status HandleMissingPage(ProcessId pid, Segno segno, uint32_t page, WaitSpec* wait);
+  // Missing page: resolve to the active segment and delegate downward, with
+  // the referenced word (`fault.word`) the fault data names.
+  Status HandleMissingPage(ProcessId pid, const Fault& fault, WaitSpec* wait);
 
   // Quota exception (a reference to a never-before-used page).  Translates
   // the segment number, finds the governing quota cell by its static name,

@@ -208,8 +208,8 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
   return Status::Ok();
 }
 
-Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId pack,
-                                            VtocIndex vtoc, QuotaCellId cell,
+Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32_t word,
+                                            PackId pack, VtocIndex vtoc, QuotaCellId cell,
                                             EventcountId seg_ec, ProcessId initiator,
                                             WaitSpec* wait) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
@@ -236,6 +236,13 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
   FileMapEntry& fm = entry->mutable_map_entry(page);
   if (!fm.allocated && !fm.zero) {
     return Status(Code::kInternal, "missing page fault on a never-used page");
+  }
+  if (!fm.zero && !async_) {
+    // This call binds the record's image, and the retried reference then
+    // reads `word` from it; neither line has been touched since the page
+    // left core.  Start both loads now, so the victim search below overlaps
+    // them.
+    ctx_->volumes.pack(pack)->PrefetchRecord(fm.record, word);
   }
 
   MKS_ASSIGN_OR_RETURN(FrameIndex frame, AcquireFrame());

@@ -106,14 +106,17 @@ class PageFrameManager {
   const PagingPipeline& pipeline() const { return pipeline_; }
 
   // Services a missing-page exception for `page` of the segment whose home is
-  // (pack, vtoc).  `seg_ec` is the segment's page-arrival eventcount;
+  // (pack, vtoc).  `word` is the referenced word within the page; a
+  // synchronous read-in starts the host loads of that word's line and of the
+  // image's count before it picks a victim (a host hint: no charge, metric
+  // or trace event).  `seg_ec` is the segment's page-arrival eventcount;
   // `initiator` identifies the user process (for the upward message), and is
   // ProcessId{0} for kernel-internal references.
   // Sync mode: completes inline.  Async mode: returns kBlocked and fills
   // *wait; the caller parks until seg_ec reaches wait->target, then retries.
-  Status ServiceMissingPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
-                            QuotaCellId cell, EventcountId seg_ec, ProcessId initiator,
-                            WaitSpec* wait);
+  Status ServiceMissingPage(PageTable* pt, uint32_t page, uint32_t word, PackId pack,
+                            VtocIndex vtoc, QuotaCellId cell, EventcountId seg_ec,
+                            ProcessId initiator, WaitSpec* wait);
 
   // Adds a never-before-used page to a segment.  Quota has already been
   // charged by the segment manager; this allocates the disk record eagerly —

@@ -186,16 +186,16 @@ Status SegmentManager::GrowSegment(uint32_t slot, uint32_t page) {
   return Status::Ok();
 }
 
-Status SegmentManager::ServiceMissingPage(uint32_t slot, uint32_t page, ProcessId initiator,
-                                          WaitSpec* wait) {
+Status SegmentManager::ServiceMissingPage(uint32_t slot, uint32_t page, uint32_t word,
+                                          ProcessId initiator, WaitSpec* wait) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   AstEntry* ast = Get(slot);
   if (ast == nullptr) {
     return Status(Code::kInvalidArgument, "bad AST index");
   }
   ast->lru_stamp = ++lru_counter_;
-  return pfm_->ServiceMissingPage(&ast->page_table, page, ast->pack, ast->vtoc, ast->quota_cell,
-                                  ast->page_ec, initiator, wait);
+  return pfm_->ServiceMissingPage(&ast->page_table, page, word, ast->pack, ast->vtoc,
+                                  ast->quota_cell, ast->page_ec, initiator, wait);
 }
 
 Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {

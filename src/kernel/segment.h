@@ -73,8 +73,9 @@ class SegmentManager {
   Status GrowSegment(uint32_t ast, uint32_t page);
 
   // Ordinary missing page: delegates to the page frame manager with every
-  // name it needs.
-  Status ServiceMissingPage(uint32_t ast, uint32_t page, ProcessId initiator, WaitSpec* wait);
+  // name it needs.  `word` is the referenced word within the page.
+  Status ServiceMissingPage(uint32_t ast, uint32_t page, uint32_t word, ProcessId initiator,
+                            WaitSpec* wait);
 
   struct NewHome {
     PackId pack{};

@@ -280,6 +280,38 @@ TEST(Disk, DetachLendsTheRecordUntilItsNextWrite) {
   EXPECT_EQ(pack->Share(*rec), nullptr);  // reads zeros
 }
 
+TEST(Disk, PrefetchRecordIsAHostHintOnly) {
+  // The peek page control makes before it picks a victim: on a record whose
+  // image a frame shares, on an empty record and on a lent one, it neither
+  // aborts nor moves the image's count, the read count or the clock.
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(4, 4);
+  DiskPack* pack = fx.volumes.pack(id);
+  auto shared = pack->AllocateRecord();
+  auto empty = pack->AllocateRecord();
+  auto lent = pack->AllocateRecord();
+  ASSERT_TRUE(shared.ok() && empty.ok() && lent.ok());
+  auto image = NewPageImage();
+  pack->StoreRecord(*shared, image);
+  fx.volumes.BindRecord(id, *shared, &fx.memory, FrameIndex(1));
+  auto lent_image = NewPageImage();
+  pack->StoreRecord(*lent, lent_image);
+  ASSERT_TRUE(pack->Detach(*lent, lent_image.get()));
+  ASSERT_EQ(image.use_count(), 3);
+  const Cycles before = fx.clock.now();
+  for (const uint32_t word : {0u, kPageWords / 2, kPageWords - 1}) {
+    pack->PrefetchRecord(*shared, word);
+    pack->PrefetchRecord(*empty, word);
+    pack->PrefetchRecord(*lent, word);
+  }
+  EXPECT_EQ(image.use_count(), 3);
+  EXPECT_EQ(lent_image.use_count(), 1);
+  EXPECT_TRUE(pack->lent(*lent));
+  EXPECT_EQ(pack->Share(*empty), nullptr);
+  EXPECT_EQ(fx.metrics.Get("disk.reads"), 0u);
+  EXPECT_EQ(fx.clock.now(), before);
+}
+
 TEST(Disk, WriteToAFrameAQueuedWriteHoldsCopies) {
   DiskFixture fx;
   const PackId id = fx.volumes.AddPack(4, 4);

@@ -102,6 +102,25 @@ TEST(Hw, DescriptorLockBitLocksAndLatchesAddress) {
   EXPECT_EQ(second.fault.kind, FaultKind::kLockedDescriptor);
 }
 
+TEST(Hw, MissingPageFaultNamesTheWord) {
+  // Like the 6180's fault data, the fault names the referenced word within
+  // the page, whether the walk follows an associative-memory miss or there is
+  // no associative memory at all.
+  HwFeatures plain_walk = HwFeatures::KernelDesign();
+  plain_walk.associative_memory = false;
+  for (const HwFeatures& features : {HwFeatures::KernelDesign(), plain_walk}) {
+    for (const uint32_t word : {0u, kPageWords / 2, kPageWords - 1}) {
+      HwFixture hw{features};
+      hw.pt.ptws[2].unallocated = false;  // allocated but not in core
+      auto r = hw.processor.Access(kSeg0, 2 * kPageWords + word, AccessMode::kRead, 4);
+      ASSERT_EQ(r.fault.kind, FaultKind::kMissingPage);
+      EXPECT_EQ(r.fault.page, 2u);
+      EXPECT_EQ(r.fault.word, word);
+      EXPECT_EQ(hw.metrics.Get("hw.assoc_misses"), features.associative_memory ? 1u : 0u);
+    }
+  }
+}
+
 TEST(Hw, BaselineHardwareNeverLocks) {
   HwFixture hw{HwFeatures::Baseline()};
   hw.pt.ptws[0].unallocated = false;
