@@ -3,8 +3,8 @@
 // table.  With async paging on, a posted demand read leaves the page's PTW
 // locked until the I/O daemon completes it; a second CPU touching that page
 // while the transfer is in flight takes a kLockedDescriptor fault and parks
-// on the lock-address register — the paper's descriptor lock bit doing its
-// job without any global page-table lock.
+// on the segment's page-arrival eventcount — the paper's descriptor lock bit
+// doing its job without any global page-table lock.
 //
 // The working set (one segment, `kSharedPages` pages) exceeds memory_frames,
 // so the storm faults continuously, and staggered start offsets make the

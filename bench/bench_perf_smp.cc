@@ -1,8 +1,8 @@
 // P11 — the multiprocessor ablation.  The 6180 was a multiprocessor, and the
-// paper's hardware additions (descriptor lock bit, lock-address register,
-// wakeup-waiting switch) only earn their keep when processors race on
-// descriptors and locks.  This bench sweeps the simulated CPU pool over the
-// fault-storm and scheduler-mix workloads for both supervisors.
+// paper's hardware additions (the descriptor lock bit above all) only earn
+// their keep when processors race on descriptors and locks.  This bench
+// sweeps the simulated CPU pool over the fault-storm and scheduler-mix
+// workloads for both supervisors.
 //
 // Two numbers per configuration:
 //   total_cycles — serialized work (the global clock delta; what one
@@ -10,9 +10,9 @@
 //   makespan     — simulated-parallel completion time (the furthest-ahead
 //                  per-CPU local clock).
 //
-// The kernel has no global page-table lock — colliding references park via
-// the lock-address register — so its quanta distribute across the pool and
-// makespan falls toward total/N.  The baseline serializes every fault behind
+// The kernel has no global page-table lock — colliding references park on
+// the locked segment's page-arrival eventcount — so its quanta distribute
+// across the pool and makespan falls toward total/N.  The baseline serializes every fault behind
 // the global lock: waiting CPUs burn the gap as charged spin, the spin share
 // of total work grows with the pool, and makespan barely moves — the
 // lock-contention collapse the paper predicts.

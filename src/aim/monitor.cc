@@ -42,17 +42,14 @@ void AuditLog::Append(AuditRecord record) {
 
 Status ReferenceMonitor::CheckFlow(const Subject& subject, const Label& object_label,
                                    FlowDirection dir) {
-  metrics_->Inc(id_flow_checks_);
   if (dir == FlowDirection::kObserve) {
     // Simple security: no read up.
     if (!subject.label.Dominates(object_label)) {
-      metrics_->Inc(id_flow_denials_);
       return Status(Code::kNoAccess, "simple-security violation");
     }
   } else {
     // *-property: no write down.
     if (!object_label.Dominates(subject.label)) {
-      metrics_->Inc(id_flow_denials_);
       return Status(Code::kNoAccess, "*-property violation");
     }
   }

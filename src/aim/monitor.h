@@ -16,7 +16,6 @@
 #include "src/aim/label.h"
 #include "src/common/status.h"
 #include "src/sim/clock.h"
-#include "src/sim/metrics.h"
 
 namespace mks {
 
@@ -57,11 +56,7 @@ enum class FlowDirection : uint8_t {
 
 class ReferenceMonitor {
  public:
-  ReferenceMonitor(Clock* clock, Metrics* metrics)
-      : clock_(clock),
-        metrics_(metrics),
-        id_flow_checks_(metrics->Intern("aim.flow_checks")),
-        id_flow_denials_(metrics->Intern("aim.flow_denials")) {}
+  explicit ReferenceMonitor(Clock* clock) : clock_(clock) {}
 
   // Mandatory (AIM) check only.
   Status CheckFlow(const Subject& subject, const Label& object_label, FlowDirection dir);
@@ -80,9 +75,6 @@ class ReferenceMonitor {
 
  private:
   Clock* clock_;
-  Metrics* metrics_;
-  MetricId id_flow_checks_;
-  MetricId id_flow_denials_;
   AuditLog audit_;
 };
 

@@ -72,7 +72,6 @@ Status Authenticator::Enroll(const Principal& who, const std::string& password,
   next_offset_ += 5;
   MKS_RETURN_IF_ERROR(PersistDigest(record));
   records_.emplace(key, record);
-  kernel_->metrics().Inc(id_enrollments_);
   return Status::Ok();
 }
 
@@ -97,22 +96,18 @@ Result<Subject> Authenticator::Authenticate(const Principal& who, const std::str
   auto it = records_.find(who.ToString());
   if (it == records_.end()) {
     ++failed_attempts_;
-    kernel_->metrics().Inc(id_failures_);
     // Indistinguishable from a wrong password: do the hash work anyway.
     (void)Image(password, 0);
     return Status(Code::kAuthenticationFailed, "bad user or password");
   }
   if (Image(password, it->second.salt) != it->second.digest) {
     ++failed_attempts_;
-    kernel_->metrics().Inc(id_failures_);
     return Status(Code::kAuthenticationFailed, "bad user or password");
   }
   // The mandatory clearance bound: a session label must be within clearance.
   if (!it->second.clearance.Dominates(requested)) {
-    kernel_->metrics().Inc(id_clearance_denials_);
     return Status(Code::kNoAccess, "requested label exceeds clearance");
   }
-  kernel_->metrics().Inc(id_successes_);
   return Subject{who, requested, /*ring=*/4};
 }
 

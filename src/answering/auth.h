@@ -19,12 +19,7 @@ namespace mks {
 
 class Authenticator {
  public:
-  explicit Authenticator(Kernel* kernel)
-      : kernel_(kernel),
-        id_enrollments_(kernel->metrics().Intern("auth.enrollments")),
-        id_failures_(kernel->metrics().Intern("auth.failures")),
-        id_clearance_denials_(kernel->metrics().Intern("auth.clearance_denials")),
-        id_successes_(kernel->metrics().Intern("auth.successes")) {}
+  explicit Authenticator(Kernel* kernel) : kernel_(kernel) {}
 
   // One-time setup: the protected segment holding password images.
   Status Init();
@@ -52,10 +47,6 @@ class Authenticator {
   Status PersistDigest(const Record& record);
 
   Kernel* kernel_;
-  MetricId id_enrollments_;
-  MetricId id_failures_;
-  MetricId id_clearance_denials_;
-  MetricId id_successes_;
   ProcContext store_ctx_;  // ring-0 context owning the image store
   Segno store_segno_{};
   bool initialized_ = false;

@@ -22,7 +22,6 @@ AnsweringService::AnsweringService(Kernel* kernel, Authenticator* auth, ServiceD
       ev_login_(kernel->ctx().trace.InternEvent("answering.login")),
       ev_logout_(kernel->ctx().trace.InternEvent("answering.logout")),
       hist_login_(kernel->metrics().InternHistogram("answering.login_cycles")),
-      hist_logout_(kernel->metrics().InternHistogram("answering.logout_cycles")),
       domain_(domain),
       cfg_(config),
       walker_(&kernel->gates()) {
@@ -247,7 +246,7 @@ Status AnsweringService::Logout(ProcessId pid) {
   }
   --active_;
   kctx.metrics.Inc(id_logouts_);
-  kctx.trace.CloseSpan(t_start, ev_logout_, pid.value, kctx.current_cpu, hist_logout_);
+  kctx.trace.CloseSpan(t_start, ev_logout_, pid.value, kctx.current_cpu);
   return Status::Ok();
 }
 

@@ -145,7 +145,6 @@ class AnsweringService {
   TraceEventId ev_login_;
   TraceEventId ev_logout_;
   HistId hist_login_;
-  HistId hist_logout_;
   ServiceDomain domain_;
   AnsweringConfig cfg_;
   PathWalker walker_;

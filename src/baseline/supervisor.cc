@@ -20,37 +20,24 @@ constexpr int kMaxFaultDepth = 8;
 MonolithicSupervisor::MonolithicSupervisor(const BaselineConfig& config)
     : config_(config),
       rng_(config.seed),
-      assoc_(config.associative_entries),
       interleave_(config.cpu_count, &metrics_),
       // Each extra processor is another writer that can alter the translation
       // tables between a fault and capture of the global lock.
       effective_conflict_rate_(std::min(
           1.0, config.retranslate_conflict_rate *
                    (config.cpu_count > 1 ? config.cpu_count - 1 : 1))),
-      id_path_components_(metrics_.Intern("baseline.path_components")),
-      id_segments_created_(metrics_.Intern("baseline.segments_created")),
       id_deactivation_blocked_by_hierarchy_(
           metrics_.Intern("baseline.deactivation_blocked_by_hierarchy")),
-      id_activations_(metrics_.Intern("baseline.activations")),
-      id_deactivations_(metrics_.Intern("baseline.deactivations")),
-      id_evictions_(metrics_.Intern("baseline.evictions")),
       id_zero_reclaims_(metrics_.Intern("baseline.zero_reclaims")),
       id_writebacks_(metrics_.Intern("baseline.writebacks")),
       id_quota_walk_hops_(metrics_.Intern("baseline.quota_walk_hops")),
-      id_growth_faults_(metrics_.Intern("baseline.growth_faults")),
-      id_quota_overflows_(metrics_.Intern("baseline.quota_overflows")),
       id_full_pack_moves_(metrics_.Intern("baseline.full_pack_moves")),
       id_page_faults_(metrics_.Intern("baseline.page_faults")),
       id_retranslations_(metrics_.Intern("baseline.retranslations")),
       id_retranslation_conflicts_(metrics_.Intern("baseline.retranslation_conflicts")),
       id_zero_page_reallocations_(metrics_.Intern("baseline.zero_page_reallocations")),
-      id_state_load_failures_(metrics_.Intern("baseline.state_load_failures")),
       id_state_loads_(metrics_.Intern("baseline.state_loads")),
-      id_aborted_processes_(metrics_.Intern("baseline.aborted_processes")),
-      id_links_snapped_(metrics_.Intern("baseline.links_snapped")),
-      id_assoc_hits_(metrics_.Intern("baseline.assoc_hits")),
-      id_assoc_misses_(metrics_.Intern("baseline.assoc_misses")),
-      id_assoc_flushes_(metrics_.Intern("baseline.assoc_flushes")) {
+      id_links_snapped_(metrics_.Intern("baseline.links_snapped")) {
   trace_.Enable(config.cpu_count, config.trace);
   ev_lock_spin_ = trace_.InternEvent("lock.spin");
   ev_fault_service_ = trace_.InternEvent("fault.page_service");
@@ -105,7 +92,6 @@ Result<MonolithicSupervisor::BNode*> MonolithicSupervisor::ResolveNode(const std
       continue;
     }
     cost_.Charge(CodeStyle::kOptimized, Costs::kProcedureCall * 3);  // per-component search
-    metrics_.Inc(id_path_components_);
     auto it = node->children.find(component);
     if (it == node->children.end()) {
       return Status(Code::kNoEntry, component);
@@ -161,7 +147,6 @@ Result<SegmentUid> MonolithicSupervisor::CreatePath(const std::string& path) {
   const SegmentUid uid = node->uid;
   nodes_by_uid_[uid] = node.get();
   dir->children.emplace(leaf, std::move(node));
-  metrics_.Inc(id_segments_created_);
   return uid;
 }
 
@@ -302,7 +287,6 @@ Result<uint32_t> MonolithicSupervisor::Activate(BNode* node) {
   ast.quota_directory = node->quota_directory;
   ast.quota_limit = node->quota_limit;
   ast.lru_stamp = ++lru_counter_;
-  ast.page_table.owner = node->uid;
   ast.page_table.ptws.assign(entry->max_length_pages, Ptw{});
   for (uint32_t p = 0; p < entry->max_length_pages; ++p) {
     const FileMapEntry& fm = entry->map_entry(p);
@@ -316,7 +300,6 @@ Result<uint32_t> MonolithicSupervisor::Activate(BNode* node) {
     ++ast_[parent_ast].active_inferiors;
   }
   ast_by_uid_[node->uid] = slot;
-  metrics_.Inc(id_activations_);
   return slot;
 }
 
@@ -342,13 +325,7 @@ Status MonolithicSupervisor::Deactivate(uint32_t slot) {
     --ast_[ast.parent_ast].active_inferiors;
   }
   ast_by_uid_.erase(ast.uid);
-  // The slot's page-table storage dies with the entry; drop every cached
-  // translation through it before a reused slot can alias the old key.
-  if (assoc_.InvalidateTag(slot) > 0) {
-    metrics_.Inc(id_assoc_flushes_);
-  }
   ast = BAstEntry{};
-  metrics_.Inc(id_deactivations_);
   return Status::Ok();
 }
 
@@ -412,7 +389,6 @@ Result<FrameIndex> MonolithicSupervisor::AcquireFrame() {
       ptw.used = false;
       continue;
     }
-    metrics_.Inc(id_evictions_);
     MKS_RETURN_IF_ERROR(CleanAndRelease(FrameIndex(slot)));
     FrameIndex f = free_list_.back();
     free_list_.pop_back();
@@ -458,9 +434,6 @@ Status MonolithicSupervisor::CleanAndRelease(FrameIndex frame) {
   ptw.in_core = false;
   ptw.used = false;
   ptw.modified = false;
-  if (assoc_.InvalidatePtw(&ptw) > 0) {
-    metrics_.Inc(id_assoc_flushes_);
-  }
   fi = FrameInfo{};
   free_list_.push_back(frame);
   return Status::Ok();
@@ -487,11 +460,9 @@ Result<uint32_t> MonolithicSupervisor::FindQuotaAst(uint32_t ast) {
 
 Status MonolithicSupervisor::GrowPage(uint32_t ast_index, uint32_t page) {
   CallTracker::Scope scope(&tracker_, m_page_);
-  metrics_.Inc(id_growth_faults_);
   MKS_ASSIGN_OR_RETURN(uint32_t quota_ast, FindQuotaAst(ast_index));
   BAstEntry& quota_entry = ast_[quota_ast];
   if (quota_entry.quota_count + 1 > quota_entry.quota_limit) {
-    metrics_.Inc(id_quota_overflows_);
     return Status(Code::kQuotaOverflow, "quota");
   }
   BAstEntry& ast = ast_[ast_index];
@@ -660,32 +631,7 @@ Status MonolithicSupervisor::ReferenceInternal(SegmentUid uid, uint32_t offset, 
   if (page >= ast_[ast_index].page_table.ptws.size()) {
     return Status(Code::kOutOfBounds, "beyond maximum length");
   }
-  const uint64_t assoc_key = AssociativeMemory::MakeKey(ast_index, page);
   for (int attempt = 0; attempt < kMaxFaultDepth; ++attempt) {
-    // The retrofit associative memory: a hit is served only when the live PTW
-    // is plainly resident, so faults still come from exactly the code below.
-    if (assoc_.enabled()) {
-      if (AssociativeMemory::Entry* cached = assoc_.Lookup(assoc_key)) {
-        Ptw* aptw = cached->ptw;
-        if (aptw->in_core && !aptw->unallocated && !aptw->locked) {
-          cost_.Charge(CodeStyle::kOptimized, Costs::kAssocSearch);
-          metrics_.Inc(id_assoc_hits_);
-          const uint64_t abs =
-              static_cast<uint64_t>(aptw->frame) * kPageWords + offset % kPageWords;
-          aptw->used = true;
-          if (mode == AccessMode::kRead) {
-            *out = memory_->ReadWord(abs);
-          } else {
-            memory_->WriteWord(abs, in);
-            aptw->modified = true;
-          }
-          return Status::Ok();
-        }
-        assoc_.InvalidateEntry(cached);
-      }
-      metrics_.Inc(id_assoc_misses_);
-      cost_.Charge(CodeStyle::kOptimized, 2 * Costs::kDescriptorFetch);
-    }
     cost_.Charge(CodeStyle::kOptimized, Costs::kAddressTranslation);
     // Re-look-up each attempt: the retranslation conflict path may have
     // changed nothing, or eviction may race us.
@@ -698,9 +644,6 @@ Status MonolithicSupervisor::ReferenceInternal(SegmentUid uid, uint32_t offset, 
       } else {
         memory_->WriteWord(abs, in);
         ptw.modified = true;
-      }
-      if (assoc_.enabled()) {
-        assoc_.Insert(assoc_key, &ptw, true, true, true, 7);
       }
       return Status::Ok();
     }
@@ -755,9 +698,7 @@ Status MonolithicSupervisor::TouchStateSegment(BProcess& proc, int depth) {
   Word dummy = 0;
   Status st =
       ReferenceInternal(proc.state_segment, 0, AccessMode::kWrite, &dummy, proc.pc, depth);
-  if (!st.ok()) {
-    metrics_.Inc(id_state_load_failures_);
-  } else {
+  if (st.ok()) {
     metrics_.Inc(id_state_loads_);
   }
   return st;
@@ -799,7 +740,6 @@ Status MonolithicSupervisor::RunUntilQuiescent(uint64_t max_passes) {
         }
         if (!st.ok()) {
           proc.done = true;
-          metrics_.Inc(id_aborted_processes_);
           break;
         }
         ++proc.pc;

@@ -58,11 +58,6 @@ struct BaselineConfig {
   // missing-page fault and capture of the global lock, forcing the
   // interpretive retranslation to detect a conflict and retry.
   double retranslate_conflict_rate = 0.02;
-  // Entries in the descriptor associative memory.  The historical 1973
-  // configuration had none on this path (0); nonzero models retrofitting the
-  // 6180's associative memory under the monolithic supervisor for comparison
-  // with the kernel design.
-  uint16_t associative_entries = 0;
   // Simulated processors.  With more than one, process quanta interleave
   // deterministically across the pool and every missing-page fault contends
   // for the one global lock — each extra processor also raises the chance
@@ -237,9 +232,6 @@ class MonolithicSupervisor {
   CallTracker tracker_;
   Tracer trace_{&clock_, &metrics_};
   Rng rng_;
-  // Keyed by (AST slot, page): the supervisor translates through AST slots,
-  // so a slot reused for a different segment must be invalidated.
-  AssociativeMemory assoc_;
   CpuInterleave interleave_;
   SimSpinLock global_lock_;  // test-and-set: the historical free-for-all
   uint16_t current_cpu_ = 0;
@@ -264,29 +256,17 @@ class MonolithicSupervisor {
   std::vector<FrameIndex> free_list_;
   uint32_t clock_hand_ = 0;
 
-  MetricId id_path_components_;
-  MetricId id_segments_created_;
   MetricId id_deactivation_blocked_by_hierarchy_;
-  MetricId id_activations_;
-  MetricId id_deactivations_;
-  MetricId id_evictions_;
   MetricId id_zero_reclaims_;
   MetricId id_writebacks_;
   MetricId id_quota_walk_hops_;
-  MetricId id_growth_faults_;
-  MetricId id_quota_overflows_;
   MetricId id_full_pack_moves_;
   MetricId id_page_faults_;
   MetricId id_retranslations_;
   MetricId id_retranslation_conflicts_;
   MetricId id_zero_page_reallocations_;
-  MetricId id_state_load_failures_;
   MetricId id_state_loads_;
-  MetricId id_aborted_processes_;
   MetricId id_links_snapped_;
-  MetricId id_assoc_hits_;
-  MetricId id_assoc_misses_;
-  MetricId id_assoc_flushes_;
   TraceEventId ev_lock_spin_ = 0;
   TraceEventId ev_fault_service_ = 0;
   HistId hist_lock_spin_ = kNoHist;

@@ -60,11 +60,8 @@ DiskPack::DiskPack(PackId id, uint32_t record_count, uint32_t vtoc_slots, CostMo
       trace_(trace),
       ev_batch_round_(trace != nullptr ? trace->InternEvent("disk.batch_round") : 0),
       id_pack_full_(metrics->Intern("disk.pack_full")),
-      id_records_allocated_(metrics->Intern("disk.records_allocated")),
-      id_records_freed_(metrics->Intern("disk.records_freed")),
       id_reads_(metrics->Intern("disk.reads")),
       id_writes_(metrics->Intern("disk.writes")),
-      id_vtoc_allocated_(metrics->Intern("disk.vtoc_allocated")),
       id_batch_dispatches_(metrics->Intern("disk.batch_dispatches")),
       id_batched_records_(metrics->Intern("disk.batched_records")) {}
 
@@ -79,7 +76,6 @@ Result<RecordIndex> DiskPack::AllocateRecord() {
       record_used_[candidate] = true;
       alloc_cursor_ = candidate + 1;
       --free_records_;
-      metrics_->Inc(id_records_allocated_);
       return RecordIndex(candidate);
     }
   }
@@ -92,7 +88,6 @@ void DiskPack::FreeRecord(RecordIndex record) {
   record_used_[record.value] = false;
   ClearRecord(record);
   ++free_records_;
-  metrics_->Inc(id_records_freed_);
 }
 
 void DiskPack::ReadRecord(RecordIndex record, std::span<Word> out) {
@@ -224,7 +219,6 @@ Result<VtocIndex> DiskPack::AllocateVtoc(SegmentUid uid, bool is_directory) {
       vtoc_[i].is_directory = is_directory;
       ++vtoc_used_;
       vtoc_free_hint_ = i + 1;
-      metrics_->Inc(id_vtoc_allocated_);
       return VtocIndex(i);
     }
   }

@@ -163,11 +163,8 @@ class DiskPack {
   Tracer* trace_;
   TraceEventId ev_batch_round_ = 0;
   MetricId id_pack_full_;
-  MetricId id_records_allocated_;
-  MetricId id_records_freed_;
   MetricId id_reads_;
   MetricId id_writes_;
-  MetricId id_vtoc_allocated_;
   MetricId id_batch_dispatches_;
   MetricId id_batched_records_;
 };

@@ -19,7 +19,6 @@ Result<Segno> DynamicLinker::Snap(ProcContext& ctx, const std::string& symbol) {
   // Linkage fault: run the search rules.  Every probe is now a gate call
   // from the user ring — the cost the extraction added.
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kFaultEntry);
-  ctx_->metrics.Inc(id_link_faults_);
 
   // Rule 1: already-initiated reference names.
   auto by_name = names_->Resolve(ctx.pid, symbol);

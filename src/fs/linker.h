@@ -30,7 +30,6 @@ class DynamicLinker {
         gates_(gates),
         walker_(walker),
         names_(names),
-        id_link_faults_(ctx->metrics.Intern("linker.link_faults")),
         id_snaps_(ctx->metrics.Intern("linker.snaps")) {}
 
   // Adds a directory to the tail of a process's search rules.
@@ -52,7 +51,6 @@ class DynamicLinker {
   KernelGates* gates_;
   PathWalker* walker_;
   ReferenceNameManager* names_;
-  MetricId id_link_faults_;
   MetricId id_snaps_;
   std::map<ProcessId, std::map<std::string, Segno>> linkage_;
   std::map<ProcessId, std::vector<std::string>> search_rules_;

@@ -5,7 +5,6 @@ namespace mks {
 Status ReferenceNameManager::Bind(ProcessId pid, const std::string& name, Segno segno) {
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
   tables_[pid][name] = segno;
-  ctx_->metrics.Inc(id_binds_);
   return Status::Ok();
 }
 
@@ -13,7 +12,6 @@ Result<Segno> ReferenceNameManager::Resolve(ProcessId pid, const std::string& na
   // The whole point of the extraction: a lookup is a user-ring procedure
   // call into a per-process table, not a trip through a kernel gate.
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
-  ctx_->metrics.Inc(id_lookups_);
   auto table = tables_.find(pid);
   if (table == tables_.end()) {
     return Status(Code::kNotFound, name);

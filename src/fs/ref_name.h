@@ -20,10 +20,7 @@ namespace mks {
 
 class ReferenceNameManager {
  public:
-  explicit ReferenceNameManager(KernelContext* ctx)
-      : ctx_(ctx),
-        id_binds_(ctx->metrics.Intern("refname.binds")),
-        id_lookups_(ctx->metrics.Intern("refname.lookups")) {}
+  explicit ReferenceNameManager(KernelContext* ctx) : ctx_(ctx) {}
 
   Status Bind(ProcessId pid, const std::string& name, Segno segno);
   Result<Segno> Resolve(ProcessId pid, const std::string& name);
@@ -33,8 +30,6 @@ class ReferenceNameManager {
  private:
   // User-ring data: no gate crossing, just the (structured-code) search.
   KernelContext* ctx_;
-  MetricId id_binds_;
-  MetricId id_lookups_;
   std::map<ProcessId, std::map<std::string, Segno>> tables_;
 };
 

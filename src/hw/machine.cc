@@ -389,7 +389,6 @@ Processor::Processor(HwFeatures features, CostModel* cost, Metrics* metrics, uin
       id_assoc_misses_(metrics->Intern("hw.assoc_misses")),
       id_assoc_flushes_(metrics->Intern("hw.assoc_flushes")),
       id_locked_descriptor_faults_(metrics->Intern("hw.locked_descriptor_faults")),
-      id_quota_exceptions_(metrics->Intern("hw.quota_exceptions")),
       id_missing_page_faults_(metrics->Intern("hw.missing_page_faults")) {}
 
 const Sdw* Processor::Descriptor(Segno segno) const {
@@ -463,7 +462,6 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
         result.fault.segno = segno;
         result.fault.page = ref_page;
         result.fault.word = word;
-        result.fault.ptw = ptw;
         return result;
       }
       // The cached pairing no longer resolves cleanly; drop it and re-walk.
@@ -502,7 +500,6 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   }
 
   Ptw* ptw = &sdw->page_table->ptws[ref_page];
-  result.fault.ptw = ptw;
 
   if (ptw->locked) {
     // Only generated by the new hardware; without the lock bit PTWs are
@@ -514,7 +511,6 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   if (ptw->unallocated) {
     if (features_.quota_exception_bit) {
       result.fault.kind = FaultKind::kQuotaException;
-      metrics_->Inc(id_quota_exceptions_);
     } else {
       // Baseline hardware cannot distinguish growth from an ordinary missing
       // page; software must re-diagnose it.
@@ -526,7 +522,6 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   if (!ptw->in_core) {
     if (features_.descriptor_lock_bit) {
       ptw->locked = true;
-      lock_address_register_ = ptw;
     }
     result.fault.kind = FaultKind::kMissingPage;
     metrics_->Inc(id_missing_page_faults_);

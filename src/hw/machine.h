@@ -11,10 +11,13 @@
 // virtual-memory machinery.
 //
 // HwFeatures gates the paper's proposed processor additions (descriptor lock
-// bit, quota-exception bit, wakeup-waiting switch, lock-address register) so
-// the same substrate serves the baseline supervisor (features off) and the
-// new kernel (features on), making the paper's "minor hardware adjustments
-// make a significant difference" conclusion an ablation knob.
+// bit, quota-exception bit, second descriptor-base register) so the same
+// substrate serves the baseline supervisor (features off) and the new kernel
+// (features on), making the paper's "minor hardware adjustments make a
+// significant difference" conclusion an ablation knob.  The paper's other two
+// additions carry no state here: the wakeup-waiting switch is subsumed by
+// eventcount waits, which register a waiter in one step, and the lock-address
+// register by the fault itself, which names its descriptor by (segno, page).
 #ifndef MKS_HW_MACHINE_H_
 #define MKS_HW_MACHINE_H_
 
@@ -83,7 +86,6 @@ struct DescriptorSegment;
 // that has one of those spaces loaded can cache a translation into the table,
 // so the pool's targeted invalidations signal exactly those processors.
 struct PageTable {
-  SegmentUid owner{};
   std::vector<Ptw> ptws;
   uint32_t last_fault_page = UINT32_MAX;  // UINT32_MAX: no fault seen yet
   uint32_t prefetch_until = 0;            // exclusive end of the last window
@@ -117,7 +119,6 @@ struct DescriptorSegment {
 struct HwFeatures {
   bool descriptor_lock_bit = false;
   bool quota_exception_bit = false;
-  bool wakeup_waiting_switch = false;
   bool second_dsbr = false;
   // Associative memory: a small set-associative cache of recently resolved
   // (segno, page) translations, like the 6180's SDW/PTW associative memory.
@@ -133,7 +134,6 @@ struct HwFeatures {
   static HwFeatures KernelDesign() {
     return HwFeatures{.descriptor_lock_bit = true,
                       .quota_exception_bit = true,
-                      .wakeup_waiting_switch = true,
                       .second_dsbr = true,
                       .associative_memory = true};
   }
@@ -156,8 +156,7 @@ struct Fault {
   FaultKind kind = FaultKind::kNone;
   Segno segno{};
   uint32_t page = 0;
-  uint32_t word = 0;   // the referenced word within `page`, as the 6180's fault data names it
-  Ptw* ptw = nullptr;  // absolute descriptor address (identity) for retranslation checks
+  uint32_t word = 0;  // the referenced word within `page`, as the 6180's fault data names it
 };
 
 struct AccessResult {
@@ -168,13 +167,12 @@ struct AccessResult {
 
 // The descriptor associative memory: a small set-associative cache of
 // resolved translations, keyed by an opaque 64-bit tag the owner composes
-// (the Processor uses (segno, page); the baseline supervisor uses
-// (AST slot, page)).  An entry caches the PTW address plus the access bits
-// of the SDW it was resolved through.  The cache is a pure accelerator: it
-// only ever serves translations that the full descriptor walk would resolve
-// identically, and the owner must invalidate on every descriptor mutation
-// (page eviction, deactivation, SDW disconnect/re-bound, DSBR reload) so a
-// stale pairing is never consulted.
+// (the Processor uses (segno, page)).  An entry caches the PTW address plus
+// the access bits of the SDW it was resolved through.  The cache is a pure
+// accelerator: it only ever serves translations that the full descriptor
+// walk would resolve identically, and the owner must invalidate on every
+// descriptor mutation (page eviction, deactivation, SDW disconnect/re-bound,
+// DSBR reload) so a stale pairing is never consulted.
 class AssociativeMemory {
  public:
   static constexpr uint16_t kWays = 4;
@@ -216,8 +214,8 @@ class AssociativeMemory {
       ReleasePtw(entry->ptw);
     }
   }
-  // Drops every entry whose key's high 32 bits equal `tag` (a segno for the
-  // Processor, an AST slot for the baseline).  Returns entries dropped.
+  // Drops every entry whose key's high 32 bits equal `tag` (the Processor's
+  // segno).  Returns entries dropped.
   uint32_t InvalidateTag(uint32_t tag);
   // Drops every entry caching `ptw` (page eviction).
   uint32_t InvalidatePtw(const Ptw* ptw);
@@ -429,8 +427,7 @@ class Processor {
   // Translates and access-checks one reference.  On success returns the
   // absolute address and marks the PTW used/modified.  On failure returns a
   // typed fault; with the descriptor lock bit enabled, a missing page also
-  // locks the offending descriptor and latches its address in the
-  // lock-address register.
+  // locks the offending descriptor.
   AccessResult Access(Segno segno, uint32_t offset, AccessMode mode, uint8_t ring);
 
   // Associative-memory invalidation protocol, called by the kernel at every
@@ -448,14 +445,6 @@ class Processor {
 
   const AssociativeMemory& associative() const { return assoc_; }
 
-  // Wakeup-waiting switch (new hardware): armed before a vp decides to wait;
-  // a notification between the locked-descriptor fault and the wait primitive
-  // flips it so the notification is not lost.
-  void ArmWakeupWaiting() { wakeup_waiting_ = false; }
-  void SetWakeupWaiting() { wakeup_waiting_ = true; }
-  bool wakeup_waiting() const { return wakeup_waiting_; }
-  const Ptw* lock_address_register() const { return lock_address_register_; }
-
  private:
   HwFeatures features_;
   CostModel* cost_;
@@ -464,22 +453,19 @@ class Processor {
   uint64_t bit_;  // 1 << index_
   DescriptorSegment* user_ds_ = nullptr;
   DescriptorSegment* system_ds_ = nullptr;
-  bool wakeup_waiting_ = false;
-  const Ptw* lock_address_register_ = nullptr;
   AssociativeMemory assoc_;
   MetricId id_translations_;
   MetricId id_assoc_hits_;
   MetricId id_assoc_misses_;
   MetricId id_assoc_flushes_;
   MetricId id_locked_descriptor_faults_;
-  MetricId id_quota_exceptions_;
   MetricId id_missing_page_faults_;
 };
 
 // The machine's processor pool.  The 6180 was a multiprocessor; modelling the
 // pool at the hardware layer makes the per-processor state of the new design
-// (associative memory, the two descriptor-base registers, the wakeup-waiting
-// switch, the lock-address register) *actually* per-processor.  Host
+// (associative memory, the two descriptor-base registers) *actually*
+// per-processor.  Host
 // execution stays single-threaded — the simulation loop interleaves the CPUs
 // deterministically — so the pool is a vector, not threads.
 //

@@ -24,8 +24,6 @@ AddressSpaceManager::AddressSpaceManager(KernelContext* ctx, CoreSegmentManager*
       self_(ctx->tracker.Register(module_names::kAddressSpace)),
       core_segs_(core_segs),
       segs_(segs),
-      id_spaces_created_(ctx->metrics.Intern("asm.spaces_created")),
-      id_connects_(ctx->metrics.Intern("asm.connects")),
       id_disconnect_everywhere_(ctx->metrics.Intern("asm.disconnect_everywhere")) {}
 
 Status AddressSpaceManager::Init(uint16_t user_sdw_count) {
@@ -73,7 +71,6 @@ Status AddressSpaceManager::CreateSpace(ProcessId pid) {
   space.ds.sdws.assign(user_sdw_count_, Sdw{});
   space.ast_of.assign(user_sdw_count_, kNoAst);
   spaces_.emplace(pid, std::move(space));
-  ctx_->metrics.Inc(id_spaces_created_);
   return Status::Ok();
 }
 
@@ -132,7 +129,6 @@ Status AddressSpaceManager::Connect(ProcessId pid, Segno segno, uint32_t ast,
   space.ast_of[index] = ast;
   entry->page_table.connected.push_back(&space.ds);
   segs_->NoteConnect(ast);
-  ctx_->metrics.Inc(id_connects_);
   return Status::Ok();
 }
 

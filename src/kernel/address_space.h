@@ -70,8 +70,6 @@ class AddressSpaceManager {
   CoreSegmentManager* core_segs_;
   SegmentManager* segs_;
   uint16_t user_sdw_count_ = 0;
-  MetricId id_spaces_created_;
-  MetricId id_connects_;
   MetricId id_disconnect_everywhere_;
   DescriptorSegment system_ds_;
   std::vector<std::unique_ptr<PageTable>> system_page_tables_;

@@ -31,7 +31,7 @@ struct KernelContext {
         trace(&clock, &metrics),
         prof(&clock),
         eventcounts(&metrics),
-        monitor(&clock, &metrics),
+        monitor(&clock),
         memory(memory_frames, &cost, &metrics),
         volumes(&cost, &metrics, &trace),
         cpus(cpu_count, features, &cost, &metrics, &trace),
@@ -58,7 +58,7 @@ struct KernelContext {
   uint64_t secret;       // per-boot secret keying Bratt mythical identifiers
 
   // The processor the current computation runs on.  Code that handles the
-  // in-flight reference (fault dispatch, wakeup-waiting, DSBR binding) uses
+  // in-flight reference (fault dispatch, DSBR binding) uses
   // this; descriptor mutations use the pool-wide forms on `cpus`.
   Processor& cpu() { return cpus.cpu(current_cpu); }
 

@@ -4,8 +4,7 @@ namespace mks {
 
 CoreSegmentManager::CoreSegmentManager(KernelContext* ctx)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kCoreSegment)),
-      id_allocated_pages_(ctx->metrics.Intern("core_seg.allocated_pages")) {}
+      self_(ctx->tracker.Register(module_names::kCoreSegment)) {}
 
 Result<CoreSegId> CoreSegmentManager::Allocate(std::string name, uint32_t pages) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
@@ -23,7 +22,6 @@ Result<CoreSegId> CoreSegmentManager::Allocate(std::string name, uint32_t pages)
   const std::span<Word> words = ctx_->memory.HomeSpan(FrameIndex(next_frame_), pages);
   segments_.push_back(CoreSeg{std::move(name), next_frame_, pages, words});
   next_frame_ += pages;
-  ctx_->metrics.Inc(id_allocated_pages_, pages);
   return id;
 }
 

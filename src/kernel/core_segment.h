@@ -61,7 +61,6 @@ class CoreSegmentManager {
 
   KernelContext* ctx_;
   ModuleId self_;
-  MetricId id_allocated_pages_;
   std::vector<CoreSeg> segments_;
   uint32_t next_frame_ = 0;
   bool sealed_ = false;

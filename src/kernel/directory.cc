@@ -12,11 +12,6 @@ DirectoryManager::DirectoryManager(KernelContext* ctx, QuotaCellManager* quota,
       segs_(segs),
       spaces_(spaces),
       id_searches_(ctx->metrics.Intern("dir.searches")),
-      id_mythical_results_(ctx->metrics.Intern("dir.mythical_results")),
-      id_entries_created_(ctx->metrics.Intern("dir.entries_created")),
-      id_entries_deleted_(ctx->metrics.Intern("dir.entries_deleted")),
-      id_renames_(ctx->metrics.Intern("dir.renames")),
-      id_quota_designations_(ctx->metrics.Intern("dir.quota_designations")),
       id_moves_completed_(ctx->metrics.Intern("dir.moves_completed")) {
   rmi_.Init(ctx, "dir", ProfDomain::kDirectoryRead, ProfDomain::kDirectoryWrite);
 }
@@ -96,7 +91,6 @@ Result<EntryId> DirectoryManager::Search(const Subject& subject, EntryId dir_id,
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr) {
     // Nonexistent or mythical directory: always "find" the name.
-    ctx_->metrics.Inc(id_mythical_results_);
     return MythicalId(dir_id, name);
   }
   const bool observable = CanObserveDir(subject, *dir);
@@ -115,7 +109,6 @@ Result<EntryId> DirectoryManager::Search(const Subject& subject, EntryId dir_id,
   if (it != dir->entries.end()) {
     return EntryId(it->second.uid.value);
   }
-  ctx_->metrics.Inc(id_mythical_results_);
   return MythicalId(dir_id, name);
 }
 
@@ -183,7 +176,6 @@ Status DirectoryManager::CreateEntryCommon(const Subject& subject, EntryId dir_i
   }
   *out = &it->second;
   *parent_out = dir;
-  ctx_->metrics.Inc(id_entries_created_);
   return Status::Ok();
 }
 
@@ -272,7 +264,6 @@ Status DirectoryManager::DeleteEntry(const Subject& subject, EntryId dir_id,
   }
   parent_of_.erase(entry.uid);
   dir->entries.erase(it);
-  ctx_->metrics.Inc(id_entries_deleted_);
   return Status::Ok();
 }
 
@@ -305,7 +296,6 @@ Status DirectoryManager::RenameEntry(const Subject& subject, EntryId dir_id,
     }
   }
   dir->entries.emplace(std::move(new_name), std::move(entry));
-  ctx_->metrics.Inc(id_renames_);
   return Status::Ok();
 }
 
@@ -382,7 +372,6 @@ Status DirectoryManager::SetQuota(const Subject& subject, EntryId dir_id, uint64
   if (ast != kNoAst) {
     segs_->Get(ast)->quota_cell = cell;
   }
-  ctx_->metrics.Inc(id_quota_designations_);
   return Status::Ok();
 }
 

@@ -174,11 +174,6 @@ class DirectoryManager {
   mutable SimSharedLock rml_;
   ReadMostlyInstruments rmi_;
   MetricId id_searches_;
-  MetricId id_mythical_results_;
-  MetricId id_entries_created_;
-  MetricId id_entries_deleted_;
-  MetricId id_renames_;
-  MetricId id_quota_designations_;
   MetricId id_moves_completed_;
   SegmentUid root_{};
   uint64_t uid_counter_ = 1;

@@ -14,15 +14,9 @@ KernelGates::KernelGates(KernelContext* ctx, VirtualProcessorManager* vpm,
       spaces_(spaces),
       ksm_(ksm),
       dirs_(dirs),
-      id_user_advances_(ctx->metrics.Intern("gates.user_advances")),
-      id_user_awaits_(ctx->metrics.Intern("gates.user_awaits")),
       id_upward_signals_(ctx->metrics.Intern("gates.upward_signals")),
       id_locked_descriptor_waits_(ctx->metrics.Intern("gates.locked_descriptor_waits")),
-      id_read_gate_ops_(ctx->metrics.Intern("gates.read_ops")),
-      id_write_gate_ops_(ctx->metrics.Intern("gates.write_ops")),
       ev_gate_call_(ctx->trace.InternEvent("gate.call")),
-      ev_gate_read_(ctx->trace.InternEvent("gate.read")),
-      ev_gate_write_(ctx->trace.InternEvent("gate.write")),
       ev_reference_(ctx->trace.InternEvent("gate.reference")),
       ev_locked_park_(ctx->trace.InternEvent("fault.locked_park")),
       hist_reference_(ctx->metrics.InternHistogram("gate.reference_cycles")) {}
@@ -155,7 +149,6 @@ Status KernelGates::AdvanceEventcount(ProcContext& ctx, EventcountId ec) {
   MKS_RETURN_IF_ERROR(ctx_->monitor.CheckFlow(ctx.subject, user_eventcounts_[ec.value].label,
                                               FlowDirection::kModify));
   vpm_->Advance(ec);
-  ctx_->metrics.Inc(id_user_advances_);
   return Status::Ok();
 }
 
@@ -188,7 +181,6 @@ Status KernelGates::AwaitEventcount(ProcContext& ctx, EventcountId ec, uint64_t 
   ctx.pending_wait.valid = true;
   ctx.pending_wait.ec = ec;
   ctx.pending_wait.target = target;
-  ctx_->metrics.Inc(id_user_awaits_);
   return Status(Code::kBlocked, "awaiting eventcount");
 }
 
@@ -257,9 +249,8 @@ Status KernelGates::Reference(ProcContext& ctx, Segno segno, uint32_t offset, Ac
         break;
       }
       case FaultKind::kLockedDescriptor: {
-        // Another processor's fault service holds the descriptor.  Arm the
-        // wakeup-waiting switch and await the segment's page-arrival event.
-        ctx_->cpu().ArmWakeupWaiting();
+        // Another processor's fault service holds the descriptor: await the
+        // segment's page-arrival event.
         const KstEntry* entry = ksm_->Lookup(ctx.pid, segno);
         if (entry == nullptr) {
           return Status(Code::kInvalidSegno, "locked descriptor on unknown segment");

@@ -54,9 +54,9 @@ enum class GateOp : uint32_t {
   kAwaitEventcount,
 };
 
-// Read/write classification of the gate surface, shared by the kernel's
-// read-mostly tagging and the user-ring walker's attribution: a read-class
-// gate observes naming or eventcount state; everything else mutates it.
+// Read/write classification of the gate surface, which the user-ring walker's
+// attribution uses: a read-class gate observes naming or eventcount state;
+// everything else mutates it.
 // (Await is an observe — the mandatory-policy direction the gates enforce —
 // and touches no naming structure.)
 constexpr bool GateOpIsRead(GateOp op) {
@@ -116,26 +116,14 @@ class KernelGates {
   // wedged (diagnostic bound, not a real-machine artifact).
   static constexpr int kMaxFaultIterations = 64;
 
-  // Read/write tagging of gate crossings (on when a read-mostly policy is
-  // selected): each gate call additionally lands on a gate.read/gate.write
-  // counter and trace event, so the tracer can attribute read-side vs
-  // write-side cycles.  Off (default) keeps TraceGate byte-identical.
-  void EnableReadWriteTagging(bool on) { classify_gate_ops_ = on; }
-
  private:
   Status Reference(ProcContext& ctx, Segno segno, uint32_t offset, AccessMode mode, Word* out,
                    Word in);
 
-  // Records a ring crossing as a gate.call instant (proc = pid, arg = op),
-  // plus its read/write classification when tagging is enabled.
+  // Records a ring crossing as a gate.call instant (proc = pid, arg = op);
+  // the op's GateOpIsRead class follows from the arg.
   void TraceGate(const ProcContext& ctx, GateOp op) {
     ctx_->trace.Instant(ev_gate_call_, ctx.pid.value, static_cast<uint32_t>(op));
-    if (classify_gate_ops_) {
-      const bool read = GateOpIsRead(op);
-      ctx_->metrics.Inc(read ? id_read_gate_ops_ : id_write_gate_ops_);
-      ctx_->trace.Instant(read ? ev_gate_read_ : ev_gate_write_, ctx.pid.value,
-                          static_cast<uint32_t>(op));
-    }
   }
 
   struct UserEventcount {
@@ -152,19 +140,12 @@ class KernelGates {
   AddressSpaceManager* spaces_;
   KnownSegmentManager* ksm_;
   DirectoryManager* dirs_;
-  MetricId id_user_advances_;
-  MetricId id_user_awaits_;
   MetricId id_upward_signals_;
   MetricId id_locked_descriptor_waits_;
-  MetricId id_read_gate_ops_;
-  MetricId id_write_gate_ops_;
   TraceEventId ev_gate_call_;
-  TraceEventId ev_gate_read_;
-  TraceEventId ev_gate_write_;
   TraceEventId ev_reference_;
   TraceEventId ev_locked_park_;
   HistId hist_reference_;
-  bool classify_gate_ops_ = false;
 };
 
 }  // namespace mks

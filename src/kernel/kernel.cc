@@ -6,8 +6,7 @@ Kernel::Kernel(const KernelConfig& config)
     : config_(config),
       ctx_(std::make_unique<KernelContext>(config.memory_frames, config.features,
                                            config.structured_factor, config.secret,
-                                           config.cpu_count, config.connect_cost)),
-      id_shutdowns_(ctx_->metrics.Intern("kernel.shutdowns")) {
+                                           config.cpu_count, config.connect_cost)) {
   // Before any manager interns events or records: size the per-CPU rings and
   // latch the knob.  With trace.enabled false the tracer stays inert and no
   // instrumented path diverges from an untraced build.
@@ -42,7 +41,6 @@ Kernel::Kernel(const KernelConfig& config)
                                      config.epoch_grace_cost, config.cpu_count};
   dirs_->ConfigureReadMostly(read_mostly);
   ksm_->ConfigureReadMostly(read_mostly);
-  gates_->EnableReadWriteTagging(config.read_policy != ReadPolicy::kOff);
 }
 
 Kernel::~Kernel() = default;
@@ -128,7 +126,6 @@ Status Kernel::Shutdown() {
     }
   }
   booted_ = false;
-  ctx_->metrics.Inc(id_shutdowns_);
   return Status::Ok();
 }
 
@@ -139,6 +136,11 @@ std::vector<std::string> Kernel::AuditIntegrity() {
   spaces_->AuditIntegrity(&findings);
   ctx_->cpus.AuditAssociative(&findings);
   dirs_->AuditQuotaIntegrity(&findings);
+  // Lattice conformance (F4): every observed call edge the lattice does not
+  // declare.  The lattice is loop-free, so with none the observed graph is too.
+  for (const std::string& edge : ctx_->tracker.UndeclaredEdges(DeclaredLattice())) {
+    findings.push_back("undeclared call " + edge);
+  }
   return findings;
 }
 

@@ -113,7 +113,8 @@ class Kernel {
   // The integrity auditor: a machine-checkable slice of the paper's
   // "two or more small, expert teams of programmers can be assigned to be
   // auditors" prong.  Sweeps the kernel's cross-module data structures for
-  // inconsistencies; an empty report is the expected (audited) state at
+  // inconsistencies, and reports every observed call edge outside
+  // DeclaredLattice(); an empty report is the expected (audited) state at
   // quiescence.
   std::vector<std::string> AuditIntegrity();
 
@@ -142,7 +143,6 @@ class Kernel {
  private:
   KernelConfig config_;
   std::unique_ptr<KernelContext> ctx_;
-  MetricId id_shutdowns_ = 0;
   std::unique_ptr<CoreSegmentManager> core_segs_;
   std::unique_ptr<VirtualProcessorManager> vpm_;
   std::unique_ptr<QuotaCellManager> quota_;

@@ -8,8 +8,6 @@ KnownSegmentManager::KnownSegmentManager(KernelContext* ctx, SegmentManager* seg
       self_(ctx->tracker.Register(module_names::kKnownSegment)),
       segs_(segs),
       spaces_(spaces),
-      id_initiates_(ctx->metrics.Intern("ksm.initiates")),
-      id_terminates_(ctx->metrics.Intern("ksm.terminates")),
       id_segment_faults_(ctx->metrics.Intern("ksm.segment_faults")),
       id_quota_exceptions_(ctx->metrics.Intern("ksm.quota_exceptions")),
       id_full_pack_moves_(ctx->metrics.Intern("ksm.full_pack_moves")),
@@ -85,7 +83,6 @@ Status KnownSegmentManager::ResetKst(ProcessId pid, Segno keep) {
       MKS_RETURN_IF_ERROR(spaces_->Disconnect(pid, segno));
     }
     kst.entries[i] = KstEntry{};
-    ctx_->metrics.Inc(id_terminates_);
   }
   return Status::Ok();
 }
@@ -109,7 +106,6 @@ Result<Segno> KnownSegmentManager::Initiate(ProcessId pid, const SegmentHome& ho
   for (uint16_t i = 0; i < kst.entries.size(); ++i) {
     if (!kst.entries[i].valid) {
       kst.entries[i] = KstEntry{true, home, modes, ring_bracket};
-      ctx_->metrics.Inc(id_initiates_);
       return Segno(static_cast<uint16_t>(kSystemSegnoLimit + i));
     }
   }
@@ -129,7 +125,6 @@ Status KnownSegmentManager::Terminate(ProcessId pid, Segno segno) {
     MKS_RETURN_IF_ERROR(spaces_->Disconnect(pid, segno));
   }
   *entry = KstEntry{};
-  ctx_->metrics.Inc(id_terminates_);
   return Status::Ok();
 }
 

@@ -126,8 +126,6 @@ class KnownSegmentManager {
   // (Lookup, SegnoOf) is const.
   mutable SimSharedLock rml_;
   ReadMostlyInstruments rmi_;
-  MetricId id_initiates_;
-  MetricId id_terminates_;
   MetricId id_segment_faults_;
   MetricId id_quota_exceptions_;
   MetricId id_full_pack_moves_;

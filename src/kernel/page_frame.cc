@@ -14,7 +14,6 @@ PageFrameManager::PageFrameManager(KernelContext* ctx, CoreSegmentManager* core_
       quota_(quota),
       vpm_(vpm),
       id_evictions_(ctx->metrics.Intern("pfm.evictions")),
-      id_no_evictable_frame_(ctx->metrics.Intern("pfm.no_evictable_frame")),
       id_zero_reclaims_(ctx->metrics.Intern("pfm.zero_reclaims")),
       id_zero_retained_(ctx->metrics.Intern("pfm.zero_retained")),
       id_writebacks_(ctx->metrics.Intern("pfm.writebacks")),
@@ -26,7 +25,6 @@ PageFrameManager::PageFrameManager(KernelContext* ctx, CoreSegmentManager* core_
       id_daemon_writes_(ctx->metrics.Intern("pfm.daemon_writes")),
       id_inline_evictions_(ctx->metrics.Intern("pfm.inline_evictions")),
       id_precleaned_frames_(ctx->metrics.Intern("pfm.precleaned_frames")),
-      id_queued_writebacks_(ctx->metrics.Intern("pfm.queued_writebacks")),
       id_prefetch_issued_(ctx->metrics.Intern("pfm.prefetch_issued")),
       id_prefetch_hits_(ctx->metrics.Intern("pfm.prefetch_hits")),
       id_prefetch_waste_(ctx->metrics.Intern("pfm.prefetch_waste")),
@@ -107,7 +105,6 @@ Result<FrameIndex> PageFrameManager::AcquireFrame() {
   }
   const uint32_t slot = ClockSelectVictim();
   if (slot == UINT32_MAX) {
-    ctx_->metrics.Inc(id_no_evictable_frame_);
     return Status(Code::kResourceExhausted, "no evictable page frame");
   }
   // The pool is dry: the fault path pays the eviction inline — the fallback
@@ -188,7 +185,6 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
         // now on, so the frame is immediately reusable; the (batched) latency
         // is charged when the daemon dispatches the round.
         dp->QueueWrite(fm.record, std::move(image), 0);
-        ctx_->metrics.Inc(id_queued_writebacks_);
       } else {
         dp->WriteRecord(fm.record, std::move(image));
       }
@@ -714,7 +710,6 @@ void PageFrameManager::CleanInPlace(FrameIndex frame, bool queue) {
   PageRef image = ctx_->memory.Snapshot(frame, ctx_->volumes.Home(fi.pack, record));
   if (queue) {
     dp->QueueWrite(record, std::move(image), 0);
-    ctx_->metrics.Inc(id_queued_writebacks_);
   } else {
     dp->WriteRecord(record, std::move(image));
   }

@@ -296,7 +296,6 @@ class PageFrameManager {
 
   // Hot-path counters, interned once at construction.
   MetricId id_evictions_;
-  MetricId id_no_evictable_frame_;
   MetricId id_zero_reclaims_;
   MetricId id_zero_retained_;
   MetricId id_writebacks_;
@@ -308,7 +307,6 @@ class PageFrameManager {
   MetricId id_daemon_writes_;
   MetricId id_inline_evictions_;
   MetricId id_precleaned_frames_;
-  MetricId id_queued_writebacks_;
   MetricId id_prefetch_issued_;
   MetricId id_prefetch_hits_;
   MetricId id_prefetch_waste_;

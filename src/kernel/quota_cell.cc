@@ -9,11 +9,7 @@ constexpr uint32_t kSlotWords = 4;  // limit, count, pack, vtoc
 QuotaCellManager::QuotaCellManager(KernelContext* ctx, CoreSegmentManager* core_segs)
     : ctx_(ctx),
       self_(ctx->tracker.Register(module_names::kQuotaCell)),
-      core_segs_(core_segs),
-      id_cells_loaded_(ctx->metrics.Intern("quota.cells_loaded")),
-      id_checks_(ctx->metrics.Intern("quota.checks")),
-      id_overflows_(ctx->metrics.Intern("quota.overflows")),
-      id_refunds_(ctx->metrics.Intern("quota.refunds")) {}
+      core_segs_(core_segs) {}
 
 Status QuotaCellManager::Init(uint32_t slots) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
@@ -69,7 +65,6 @@ Result<QuotaCellId> QuotaCellManager::LoadCell(PackId pack, VtocIndex vtoc) {
       slots_[i].in_use = true;
       slots_[i].info = QuotaCellInfo{entry->quota.limit, entry->quota.count, pack, vtoc};
       StoreThrough(QuotaCellId(i));
-      ctx_->metrics.Inc(id_cells_loaded_);
       return QuotaCellId(i);
     }
   }
@@ -116,9 +111,7 @@ Status QuotaCellManager::Charge(QuotaCellId cell, uint64_t pages) {
     return Status(Code::kInvalidArgument, "bad quota cell id");
   }
   Slot& slot = slots_[cell.value];
-  ctx_->metrics.Inc(id_checks_);
   if (slot.info.count + pages > slot.info.limit) {
-    ctx_->metrics.Inc(id_overflows_);
     return Status(Code::kQuotaOverflow, "quota cell limit reached");
   }
   slot.info.count += pages;
@@ -134,7 +127,6 @@ Status QuotaCellManager::Refund(QuotaCellId cell, uint64_t pages) {
   Slot& slot = slots_[cell.value];
   slot.info.count = slot.info.count >= pages ? slot.info.count - pages : 0;
   StoreThrough(cell);
-  ctx_->metrics.Inc(id_refunds_);
   return Status::Ok();
 }
 

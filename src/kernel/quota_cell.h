@@ -71,10 +71,6 @@ class QuotaCellManager {
   KernelContext* ctx_;
   ModuleId self_;
   CoreSegmentManager* core_segs_;
-  MetricId id_cells_loaded_;
-  MetricId id_checks_;
-  MetricId id_overflows_;
-  MetricId id_refunds_;
   CoreSegId table_seg_{};
   std::vector<Slot> slots_;
 };

@@ -13,9 +13,6 @@ SegmentManager::SegmentManager(KernelContext* ctx, CoreSegmentManager* core_segs
       pfm_(pfm),
       id_ast_replacements_(ctx->metrics.Intern("seg.ast_replacements")),
       id_activations_(ctx->metrics.Intern("seg.activations")),
-      id_deactivations_(ctx->metrics.Intern("seg.deactivations")),
-      id_growths_(ctx->metrics.Intern("seg.growths")),
-      id_relocations_(ctx->metrics.Intern("seg.relocations")),
       ev_activate_(ctx->trace.InternEvent("seg.activate")),
       ev_deactivate_(ctx->trace.InternEvent("seg.deactivate")) {}
 
@@ -83,7 +80,6 @@ Result<uint32_t> SegmentManager::Activate(SegmentUid uid, PackId pack, VtocIndex
   ast.is_directory = entry->is_directory;
   ast.max_pages = entry->max_length_pages;
   ast.lru_stamp = ++lru_counter_;
-  ast.page_table.owner = uid;
   ast.page_table.ptws.assign(ast.max_pages, Ptw{});
   for (uint32_t p = 0; p < ast.max_pages; ++p) {
     const FileMapEntry& fm = entry->map_entry(p);
@@ -138,7 +134,6 @@ Status SegmentManager::Deactivate(uint32_t slot) {
   const EventcountId ec = ast.page_ec;
   ast = AstEntry{};
   ast.page_ec = ec;  // eventcounts are per-slot and reusable
-  ctx_->metrics.Inc(id_deactivations_);
   ctx_->trace.Instant(ev_deactivate_, slot, 0);
   return Status::Ok();
 }
@@ -176,14 +171,10 @@ Status SegmentManager::GrowSegment(uint32_t slot, uint32_t page) {
   }
   Status added = pfm_->AddPage(&ast->page_table, page, ast->pack, ast->vtoc, ast->quota_cell,
                                ast->page_ec);
-  if (!added.ok()) {
-    if (ast->quota_cell.value != kNoQuotaCell.value) {
-      (void)quota_->Refund(ast->quota_cell, 1);
-    }
-    return added;
+  if (!added.ok() && ast->quota_cell.value != kNoQuotaCell.value) {
+    (void)quota_->Refund(ast->quota_cell, 1);
   }
-  ctx_->metrics.Inc(id_growths_);
-  return Status::Ok();
+  return added;
 }
 
 Status SegmentManager::ServiceMissingPage(uint32_t slot, uint32_t page, uint32_t word,
@@ -249,7 +240,6 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
   old_pack->FreeVtoc(ast->vtoc);
   ast->pack = new_pack_id;
   ast->vtoc = new_vtoc;
-  ctx_->metrics.Inc(id_relocations_);
   return NewHome{new_pack_id, new_vtoc};
 }
 

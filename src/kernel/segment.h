@@ -109,9 +109,6 @@ class SegmentManager {
 
   MetricId id_ast_replacements_;
   MetricId id_activations_;
-  MetricId id_deactivations_;
-  MetricId id_growths_;
-  MetricId id_relocations_;
   TraceEventId ev_activate_;
   TraceEventId ev_deactivate_;
 };

@@ -21,15 +21,12 @@ UserProcessManager::UserProcessManager(KernelContext* ctx, CoreSegmentManager* c
       segs_(segs),
       ksm_(ksm),
       gates_(gates),
-      id_processes_created_(ctx->metrics.Intern("uproc.processes_created")),
       id_idle_cycles_(ctx->metrics.Intern("uproc.idle_cycles")),
       id_list_transfers_(ctx->metrics.Intern("sched.list_transfers")),
       id_list_transfer_cycles_(ctx->metrics.Intern("sched.list_transfer_cycles")),
       id_list_lock_spin_cycles_(ctx->metrics.Intern("sched.list_lock_spin_cycles")),
       id_proc_migrations_(ctx->metrics.Intern("sched.proc_migrations")),
-      id_proc_migration_cycles_(ctx->metrics.Intern("sched.proc_migration_cycles")),
       id_slab_reuses_(ctx->metrics.Intern("uproc.slab_reuses")),
-      id_slab_parks_(ctx->metrics.Intern("uproc.slab_parks")),
       ev_quantum_(ctx->trace.InternEvent("uproc.quantum")),
       ev_level1_(ctx->trace.InternEvent("uproc.level1")),
       ev_park_(ctx->trace.InternEvent("uproc.park")),
@@ -75,7 +72,6 @@ Result<ProcessId> UserProcessManager::CreateProcess(const Subject& subject) {
     proc.ctx.subject = subject;
     proc.state_segno = slot.state_segno;
     procs_.emplace(slot.pid, std::move(proc));
-    ctx_->metrics.Inc(id_processes_created_);
     ctx_->metrics.Inc(id_slab_reuses_);
     return slot.pid;
   }
@@ -102,7 +98,6 @@ Result<ProcessId> UserProcessManager::CreateProcess(const Subject& subject) {
   proc.state_segno = segno;
 
   procs_.emplace(pid, std::move(proc));
-  ctx_->metrics.Inc(id_processes_created_);
   return pid;
 }
 
@@ -127,7 +122,6 @@ Status UserProcessManager::DestroyProcess(ProcessId pid) {
     MKS_RETURN_IF_ERROR(ksm_->ResetKst(pid, state_segno));
     procs_.erase(it);
     free_slots_.push_back(FreeSlot{pid, state_segno});
-    ctx_->metrics.Inc(id_slab_parks_);
     return Status::Ok();
   }
   const Segno state_segno = it->second.state_segno;
@@ -338,7 +332,6 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
   if (sched_costs_on() && proc.last_cpu != kNoCpu && proc.last_cpu != cpu) {
     ctx_->cost.Charge(CodeStyle::kOptimized, dcfg_.connect_cost);
     ctx_->metrics.Inc(id_proc_migrations_);
-    ctx_->metrics.Inc(id_proc_migration_cycles_, dcfg_.connect_cost);
   }
   proc.last_cpu = cpu;
 

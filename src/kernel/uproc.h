@@ -223,15 +223,12 @@ class UserProcessManager {
   SegmentManager* segs_;
   KnownSegmentManager* ksm_;
   KernelGates* gates_;
-  MetricId id_processes_created_;
   MetricId id_idle_cycles_;
   MetricId id_list_transfers_;
   MetricId id_list_transfer_cycles_;
   MetricId id_list_lock_spin_cycles_;
   MetricId id_proc_migrations_;
-  MetricId id_proc_migration_cycles_;
   MetricId id_slab_reuses_;
-  MetricId id_slab_parks_;
   TraceEventId ev_quantum_;
   TraceEventId ev_level1_;
   TraceEventId ev_park_;

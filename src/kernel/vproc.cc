@@ -19,10 +19,8 @@ VirtualProcessorManager::VirtualProcessorManager(KernelContext* ctx,
     : ctx_(ctx),
       self_(ctx->tracker.Register(module_names::kVproc)),
       core_segs_(core_segs),
-      id_pool_size_(ctx->metrics.Intern("vproc.pool_size")),
       id_dispatches_(ctx->metrics.Intern("vproc.dispatches")),
       id_vp_migrations_(ctx->metrics.Intern("vproc.vp_migrations")),
-      id_vp_migration_cycles_(ctx->metrics.Intern("vproc.vp_migration_cycles")),
       ev_ec_advance_(ctx->trace.InternEvent("ec.advance")),
       ev_vp_dispatch_(ctx->trace.InternEvent("vp.dispatch")),
       ev_kernel_task_(ctx->trace.InternEvent("vp.kernel_task")) {}
@@ -40,7 +38,6 @@ Status VirtualProcessorManager::Init(uint16_t vp_count) {
   for (uint16_t i = 0; i < vp_count; ++i) {
     StoreState(VpId(i));
   }
-  ctx_->metrics.Inc(id_pool_size_, vp_count);
   return Status::Ok();
 }
 
@@ -103,7 +100,6 @@ void VirtualProcessorManager::ChargeDispatch(Vp& v) {
   if (connect_cost_ > 0 && v.last_cpu != ctx_->current_cpu) {
     ctx_->cost.Charge(CodeStyle::kOptimized, connect_cost_);
     ctx_->metrics.Inc(id_vp_migrations_);
-    ctx_->metrics.Inc(id_vp_migration_cycles_, connect_cost_);
   }
   v.last_cpu = ctx_->current_cpu;
 }

@@ -158,10 +158,8 @@ class VirtualProcessorManager {
   ModuleId self_;
   CoreSegmentManager* core_segs_;
   Cycles connect_cost_ = 0;
-  MetricId id_pool_size_;
   MetricId id_dispatches_;
   MetricId id_vp_migrations_;
-  MetricId id_vp_migration_cycles_;
   TraceEventId ev_ec_advance_;
   TraceEventId ev_vp_dispatch_;
   TraceEventId ev_kernel_task_;

@@ -62,7 +62,6 @@ uint64_t NcpProtocolUser::PumpSubchannel(SubchannelId sub) {
           conn.open = true;
         }
         if (frame->seq != conn.next_seq) {
-          ++conn.out_of_order;
           metrics_->Inc(id_out_of_order_);
           break;
         }
@@ -80,7 +79,6 @@ uint64_t NcpProtocolUser::PumpSubchannel(SubchannelId sub) {
       default:
         break;
     }
-    metrics_->Inc(id_user_frames_);
     ++processed;
   }
   return processed;
@@ -104,7 +102,6 @@ uint64_t TerminalProtocolUser::PumpLine(SubchannelId line_id) {
     for (Word w : frame->payload) {
       const char c = static_cast<char>(w & 0x7f);
       cost_->Charge(CodeStyle::kStructured, 1);
-      ++line.echoes;
       if (c == '\n') {
         line.lines.push_back(line.partial_line);
         line.partial_line.clear();
@@ -112,7 +109,6 @@ uint64_t TerminalProtocolUser::PumpLine(SubchannelId line_id) {
         line.partial_line.push_back(c);
       }
     }
-    metrics_->Inc(id_user_frames_);
     ++processed;
   }
   return processed;

@@ -58,7 +58,6 @@ class NcpProtocolUser {
       : cost_(cost),
         metrics_(metrics),
         id_out_of_order_(metrics->Intern("net.out_of_order")),
-        id_user_frames_(metrics->Intern("net.user_frames")),
         demux_(demux),
         channel_(channel) {}
 
@@ -73,7 +72,6 @@ class NcpProtocolUser {
   CostModel* cost_;
   Metrics* metrics_;
   MetricId id_out_of_order_;
-  MetricId id_user_frames_;
   GenericDemux* demux_;
   ChannelId channel_;
   std::map<SubchannelId, NcpConnection> connections_;
@@ -82,20 +80,17 @@ class NcpProtocolUser {
 
 class TerminalProtocolUser {
  public:
-  TerminalProtocolUser(CostModel* cost, Metrics* metrics, GenericDemux* demux, ChannelId channel)
-      : cost_(cost),
-        metrics_(metrics),
-        id_user_frames_(metrics->Intern("net.user_frames")),
-        demux_(demux),
-        channel_(channel) {}
+  // Takes the same arguments as NcpProtocolUser; line assembly counts nothing,
+  // so the metrics go unused.
+  TerminalProtocolUser(CostModel* cost, Metrics* /*metrics*/, GenericDemux* demux,
+                       ChannelId channel)
+      : cost_(cost), demux_(demux), channel_(channel) {}
 
   uint64_t PumpLine(SubchannelId line);
   std::optional<std::string> ReadLine(SubchannelId line);
 
  private:
   CostModel* cost_;
-  Metrics* metrics_;
-  MetricId id_user_frames_;
   GenericDemux* demux_;
   ChannelId channel_;
   std::map<SubchannelId, TerminalLine> lines_;

@@ -46,7 +46,6 @@ uint64_t InKernelNetworkStack::PumpArpanetFrame(const Frame& frame) {
         conn.open = true;  // implicit open, as the historical NCP tolerated
       }
       if (frame.seq != conn.next_seq) {
-        ++conn.out_of_order;
         metrics_->Inc(id_out_of_order_);
         return 1;
       }
@@ -72,8 +71,7 @@ uint64_t InKernelNetworkStack::PumpFrontEndFrame(const Frame& frame) {
   TerminalLine& line = lines_[frame.subchannel];
   for (Word w : frame.payload) {
     const char c = static_cast<char>(w & 0x7f);
-    cost_->Charge(CodeStyle::kOptimized, 1);  // per-character canonicalization
-    ++line.echoes;                            // full-duplex echo from the kernel
+    cost_->Charge(CodeStyle::kOptimized, 1);  // per-character canonicalization and echo
     if (c == '\n') {
       line.lines.push_back(line.partial_line);
       line.partial_line.clear();
@@ -89,13 +87,11 @@ uint64_t InKernelNetworkStack::PumpAll() {
   if (arpanet_ != nullptr) {
     while (auto frame = arpanet_->Poll()) {
       processed += PumpArpanetFrame(*frame);
-      metrics_->Inc(id_kernel_frames_);
     }
   }
   if (front_end_ != nullptr) {
     while (auto frame = front_end_->Poll()) {
       processed += PumpFrontEndFrame(*frame);
-      metrics_->Inc(id_kernel_frames_);
     }
   }
   for (MultiplexedChannel* channel : extra_nets_) {
@@ -108,7 +104,6 @@ uint64_t InKernelNetworkStack::PumpAll() {
         cost_->Charge(CodeStyle::kOptimized, kDeliverCost);
         conn.delivered.push_back(*frame);
       }
-      metrics_->Inc(id_kernel_frames_);
       ++processed;
     }
   }

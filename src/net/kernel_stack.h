@@ -26,13 +26,11 @@ struct NcpConnection {
   bool open = false;
   uint32_t next_seq = 0;
   std::deque<Frame> delivered;  // to the (in-kernel) consumer interface
-  uint64_t out_of_order = 0;
 };
 
 struct TerminalLine {
   std::string partial_line;
   std::deque<std::string> lines;  // assembled input lines
-  uint64_t echoes = 0;
 };
 
 class InKernelNetworkStack {
@@ -40,8 +38,7 @@ class InKernelNetworkStack {
   InKernelNetworkStack(CostModel* cost, Metrics* metrics)
       : cost_(cost),
         metrics_(metrics),
-        id_out_of_order_(metrics->Intern("net.out_of_order")),
-        id_kernel_frames_(metrics->Intern("net.kernel_frames")) {}
+        id_out_of_order_(metrics->Intern("net.out_of_order")) {}
 
   void AttachArpanet(MultiplexedChannel* channel) { arpanet_ = channel; }
   void AttachFrontEnd(MultiplexedChannel* channel) { front_end_ = channel; }
@@ -68,7 +65,6 @@ class InKernelNetworkStack {
   CostModel* cost_;
   Metrics* metrics_;
   MetricId id_out_of_order_;
-  MetricId id_kernel_frames_;
   MultiplexedChannel* arpanet_ = nullptr;
   MultiplexedChannel* front_end_ = nullptr;
   std::vector<MultiplexedChannel*> extra_nets_;

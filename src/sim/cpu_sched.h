@@ -195,22 +195,15 @@ class RunQueueSet {
         ev_steal_(trace->InternEvent("runq.steal")),
         ev_lock_spin_(trace->InternEvent("runq.lock_spin")),
         id_steals_(metrics->Intern("runq.steals")),
-        id_steal_cycles_(metrics->Intern("runq.steal_cycles")),
         id_transfers_(metrics->Intern("runq.transfers")),
-        id_transfer_cycles_(metrics->Intern("runq.transfer_cycles")),
-        id_lock_spins_(metrics->Intern("runq.lock_spins")),
         id_lock_spin_cycles_(metrics->Intern("runq.lock_spin_cycles")) {
     if (cpu_count == 0) {
       cpu_count = 1;
     }
     shards_.reserve(cpu_count);
     for (uint16_t k = 0; k < cpu_count; ++k) {
-      const std::string prefix = "runq.cpu" + std::to_string(k);
       Shard s;
-      s.id_pushes = metrics->Intern(prefix + ".pushes");
-      s.id_pops = metrics->Intern(prefix + ".pops");
-      s.id_lock_spin_cycles = metrics->Intern(prefix + ".lock_spin_cycles");
-      s.hist_depth = metrics->InternHistogram(prefix + ".depth");
+      s.hist_depth = metrics->InternHistogram("runq.cpu" + std::to_string(k) + ".depth");
       s.lock.Configure(lock_policy);
       shards_.push_back(std::move(s));
     }
@@ -253,7 +246,6 @@ class RunQueueSet {
     Shard& s = shards_[home];
     LockTenure tenure = Lock(s, from_cpu, lnow);
     s.items.push_back(id);
-    metrics_->Inc(s.id_pushes);
     metrics_->Observe(s.hist_depth, s.items.size());
   }
 
@@ -268,7 +260,6 @@ class RunQueueSet {
       out.id = own.items.front();
       out.victim = cpu;
       own.items.pop_front();
-      metrics_->Inc(own.id_pops);
       return out;
     }
     if (!steal_) {
@@ -294,8 +285,6 @@ class RunQueueSet {
         cost_->Charge(CodeStyle::kOptimized, connect_cost_);
       }
       metrics_->Inc(id_steals_);
-      metrics_->Inc(id_steal_cycles_, tenure.held());
-      metrics_->Inc(victim.id_pops);
       tenure.Release();
       trace_->CloseSpan(steal_begin, ev_steal_, out.id, v);
       return out;
@@ -326,9 +315,6 @@ class RunQueueSet {
     std::deque<uint32_t> items;
     SimSpinLock lock;
     uint16_t line_owner = LockTenure::kNoOwner;
-    MetricId id_pushes = 0;
-    MetricId id_pops = 0;
-    MetricId id_lock_spin_cycles = 0;
     HistId hist_depth = 0;
   };
 
@@ -339,14 +325,11 @@ class RunQueueSet {
     const Cycles spin_begin = trace_->Begin();
     LockTenure tenure(&s.lock, lnow, prof_, cost_);
     if (tenure.spin() > 0) {
-      metrics_->Inc(id_lock_spins_);
       metrics_->Inc(id_lock_spin_cycles_, tenure.spin());
-      metrics_->Inc(s.id_lock_spin_cycles, tenure.spin());
       trace_->CloseSpan(spin_begin, ev_lock_spin_, from_cpu);
     }
     if (tenure.TouchLine(&s.line_owner, from_cpu, connect_cost_)) {
       metrics_->Inc(id_transfers_);
-      metrics_->Inc(id_transfer_cycles_, connect_cost_);
     }
     return tenure;
   }
@@ -360,10 +343,7 @@ class RunQueueSet {
   TraceEventId ev_steal_;
   TraceEventId ev_lock_spin_;
   MetricId id_steals_;
-  MetricId id_steal_cycles_;
   MetricId id_transfers_;
-  MetricId id_transfer_cycles_;
-  MetricId id_lock_spins_;
   MetricId id_lock_spin_cycles_;
   std::vector<Shard> shards_;
 };

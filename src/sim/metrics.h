@@ -1,9 +1,10 @@
 // Named counters collected during a simulation run.
 //
-// Managers increment counters ("page_faults", "quota_checks", ...) and
-// benches/tests read them back.  Keeping counters centralized lets the
-// benchmark harness report the same event rates the paper discusses without
-// threading bookkeeping through every interface.
+// Managers increment counters ("pfm.evictions", "dir.searches", ...) and
+// benches/tests read them back; every counter has such a reader
+// (tools/check_counter_readers.py checks it).  Keeping counters centralized
+// lets the benchmark harness report the same event rates the paper discusses
+// without threading bookkeeping through every interface.
 //
 // Two APIs share one value store:
 //
@@ -11,10 +12,9 @@
 //    Inc(MetricId) on the hot path — a plain array increment, no hashing, no
 //    string materialization.  Every per-reference counter in the system uses
 //    this form.
-//  * the string API: benches and tests read (and occasionally bump) counters
-//    by name.  Lookups are heterogeneous (std::less<>), so a string_view
-//    never allocates a temporary std::string; only the first Intern of a new
-//    name allocates.
+//  * the string API: benches and tests read counters by name.  Lookups are
+//    heterogeneous (std::less<>), so a string_view never allocates a
+//    temporary std::string; only the first Intern of a new name allocates.
 //
 // Alongside the flat counters, Metrics keeps log2-bucket histograms for
 // latency distributions (fault service time, gate crossings, lock spin).
@@ -75,9 +75,7 @@ class Metrics {
     return values_[id];
   }
 
-  // String-keyed readback/bump for benches and tests.
-  void Inc(std::string_view name, uint64_t by = 1) { values_[Intern(name)] += by; }
-
+  // String-keyed readback for benches and tests.
   uint64_t Get(std::string_view name) const {
     auto it = ids_.find(name);
     return it == ids_.end() ? 0 : values_[it->second];

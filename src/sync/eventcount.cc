@@ -19,7 +19,6 @@ void EventcountTable::Advance(EventcountId ec, std::vector<EcWaiter>* woken) {
   assert(ec.value < cells_.size());
   Cell& cell = cells_[ec.value];
   ++cell.value;
-  metrics_->Inc(id_advances_);
   woken->clear();
   // One pass: satisfied waiters move to the caller's scratch in
   // registration order, the rest stay.
@@ -40,7 +39,6 @@ bool EventcountTable::AwaitOrEnqueue(EventcountId ec, uint64_t target, EcWaiter 
     return true;
   }
   cell.waiters.push_back(Waiter{waiter, target});
-  metrics_->Inc(id_waits_);
   return false;
 }
 

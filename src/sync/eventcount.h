@@ -36,10 +36,7 @@ struct EcWaiter {
 class EventcountTable {
  public:
   explicit EventcountTable(Metrics* metrics)
-      : metrics_(metrics),
-        id_advances_(metrics->Intern("sync.advances")),
-        id_wakeups_(metrics->Intern("sync.wakeups")),
-        id_waits_(metrics->Intern("sync.waits")) {}
+      : metrics_(metrics), id_wakeups_(metrics->Intern("sync.wakeups")) {}
 
   EventcountId Create(std::string name);
 
@@ -75,9 +72,7 @@ class EventcountTable {
 
   std::vector<Cell> cells_;
   Metrics* metrics_;
-  MetricId id_advances_;
   MetricId id_wakeups_;
-  MetricId id_waits_;
 };
 
 // A sequencer: issues strictly increasing tickets, pairing with eventcounts

@@ -82,8 +82,7 @@ TEST(Acl, WildcardsMatchEitherComponent) {
 
 struct MonitorFixture {
   Clock clock;
-  Metrics metrics;
-  ReferenceMonitor monitor{&clock, &metrics};
+  ReferenceMonitor monitor{&clock};
 };
 
 TEST(ReferenceMonitor, SimpleSecurityNoReadUp) {

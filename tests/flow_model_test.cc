@@ -30,8 +30,7 @@ TEST(FlowModel, ModelSpotChecks) {
 
 TEST(FlowModel, MonitorCompliesExhaustively) {
   Clock clock;
-  Metrics metrics;
-  ReferenceMonitor monitor(&clock, &metrics);
+  ReferenceMonitor monitor(&clock);
   // 8 levels x 8 levels x 16 x 16 category subsets x 2 ops = 32,768 decisions.
   const auto divergences = VerifyMonitorAgainstModel(&monitor, /*category_width=*/4);
   EXPECT_TRUE(divergences.empty()) << [&] {
@@ -45,8 +44,7 @@ TEST(FlowModel, MonitorCompliesExhaustively) {
 
 TEST(FlowModel, WiderCategorySweepStillComplies) {
   Clock clock;
-  Metrics metrics;
-  ReferenceMonitor monitor(&clock, &metrics);
+  ReferenceMonitor monitor(&clock);
   // 6 categories: 8*8*64*64*2 = 524,288 decisions; still fast.
   EXPECT_TRUE(VerifyMonitorAgainstModel(&monitor, /*category_width=*/6).empty());
 }
@@ -55,8 +53,7 @@ TEST(FlowModel, DetectsANonCompliantMonitorStandIn) {
   // Sanity of the checker itself: a deliberately wrong decision procedure
   // diverges.  (We fake it by flipping the operation we ask about.)
   Clock clock;
-  Metrics metrics;
-  ReferenceMonitor monitor(&clock, &metrics);
+  ReferenceMonitor monitor(&clock);
   int flipped_divergences = 0;
   for (int ls = 0; ls <= 7; ++ls) {
     for (int lo = 0; lo <= 7; ++lo) {

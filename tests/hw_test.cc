@@ -96,7 +96,9 @@ TEST(Hw, DescriptorLockBitLocksAndLatchesAddress) {
   auto first = hw.processor.Access(kSeg0, 0, AccessMode::kRead, 4);
   EXPECT_EQ(first.fault.kind, FaultKind::kMissingPage);
   EXPECT_TRUE(hw.pt.ptws[0].locked);
-  EXPECT_EQ(hw.processor.lock_address_register(), &hw.pt.ptws[0]);
+  // The fault names the locked descriptor by (segno, page).
+  EXPECT_EQ(first.fault.segno, kSeg0);
+  EXPECT_EQ(first.fault.page, 0u);
   // A second toucher sees the locked descriptor, not a missing page.
   auto second = hw.processor.Access(kSeg0, 0, AccessMode::kRead, 4);
   EXPECT_EQ(second.fault.kind, FaultKind::kLockedDescriptor);
@@ -156,14 +158,6 @@ TEST(Hw, SecondDsbrSplitsSystemAndUserSpaces) {
   auto user = hw.processor.Access(kSeg0, 3, AccessMode::kRead, 4);
   ASSERT_TRUE(user.ok);
   EXPECT_EQ(user.abs_addr, 5u * kPageWords + 3);
-}
-
-TEST(Hw, WakeupWaitingSwitch) {
-  HwFixture hw;
-  hw.processor.ArmWakeupWaiting();
-  EXPECT_FALSE(hw.processor.wakeup_waiting());
-  hw.processor.SetWakeupWaiting();
-  EXPECT_TRUE(hw.processor.wakeup_waiting());
 }
 
 TEST(Hw, ZeroScanChargesPerWordAndDetects) {

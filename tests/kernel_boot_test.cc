@@ -226,5 +226,23 @@ TEST(KernelEndToEnd, KernelTasksStayInsideDeclaredLattice) {
   }
 }
 
+// The audit holds the kernel to its lattice too: page control calling up
+// into segment control, an edge the lattice does not declare, is a finding
+// that names the edge.
+TEST(KernelEndToEnd, AuditNamesAnUndeclaredCallEdge) {
+  Kernel kernel{KernelConfig{}};
+  ASSERT_TRUE(kernel.Boot().ok());
+  ASSERT_TRUE(kernel.AuditIntegrity().empty());
+  {
+    CallTracker& tracker = kernel.tracker();
+    CallTracker::Scope page_control(&tracker, tracker.Register(module_names::kPageFrame));
+    EXPECT_EQ(kernel.segments().Deactivate(UINT32_MAX).code(), Code::kInvalidArgument);
+  }
+  const std::vector<std::string> findings = kernel.AuditIntegrity();
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].find("page_frame_manager -> segment_manager"), std::string::npos)
+      << findings[0];
+}
+
 }  // namespace
 }  // namespace mks

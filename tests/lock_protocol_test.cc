@@ -1,8 +1,8 @@
 // End-to-end tests of the descriptor-lock wait/notify protocol under
 // contention: with asynchronous paging, the first toucher of a missing page
 // posts the read and leaves the descriptor locked; every other toucher takes
-// a locked-descriptor fault, arms the wakeup-waiting switch, and awaits the
-// segment's page-arrival eventcount.  Completion unlocks the descriptor and
+// a locked-descriptor fault and awaits the segment's page-arrival
+// eventcount.  Completion unlocks the descriptor and
 // notifies everyone.
 #include <gtest/gtest.h>
 

@@ -1,7 +1,6 @@
 // Tests for the simulated CPU pool: deterministic interleaving, the per-CPU
-// hardware state (associative memories, DSBRs, the wakeup-waiting switch),
-// and the invalidation protocol (segno broadcasts, targeted page-table-scoped
-// shootdowns).
+// hardware state (associative memories, DSBRs), and the invalidation
+// protocol (segno broadcasts, targeted page-table-scoped shootdowns).
 //
 // The two load-bearing properties:
 //  * determinism — the interleaving is a function of the workload alone, so
@@ -436,17 +435,6 @@ TEST(ProcessorPool, BroadcastPtwInvalidationCoversEviction) {
     ASSERT_FALSE(r.ok);
     EXPECT_EQ(r.fault.kind, FaultKind::kMissingPage);
   }
-}
-
-TEST(ProcessorPool, WakeupWaitingSwitchIsPerCpu) {
-  PoolRig rig(2);
-  rig.pool.cpu(0).ArmWakeupWaiting();
-  rig.pool.cpu(1).ArmWakeupWaiting();
-  // A notification delivered to the vp bound on CPU 0 flips only that CPU's
-  // switch; CPU 1's pending wait decision is unaffected.
-  rig.pool.cpu(0).SetWakeupWaiting();
-  EXPECT_TRUE(rig.pool.cpu(0).wakeup_waiting());
-  EXPECT_FALSE(rig.pool.cpu(1).wakeup_waiting());
 }
 
 TEST(ProcessorPool, DropUserDsClearsOnlyMatchingDsbrs) {

@@ -200,6 +200,53 @@ TEST(UprocAsync, QuiescenceLeavesNoPageIoInFlight) {
   }
 }
 
+// What parking processes on one user eventcount, advancing it once and
+// running the survivors to the end leaves behind.
+struct ParkRun {
+  Code parking_run = Code::kOk;          // the run in which everyone parks
+  std::vector<ProcState> parked_states;  // after that run
+  std::vector<ProcState> states;         // after the advance
+  std::vector<Code> errors;
+  size_t waiters_left = 0;
+  std::vector<std::string> audit_parked;  // with the survivors parked
+  std::vector<std::string> audit_woken;   // after the advance woke them
+  bool shutdown_ok = false;
+  Cycles clock = 0;
+  std::map<std::string, uint64_t, std::less<>> counters;
+};
+
+void ParkAndWake(const KernelConfig& config, int parked, ParkRun* out) {
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  UserProcessManager& procs = fx.kernel.processes();
+  auto ec = fx.kernel.gates().CreateEventcount(*fx.ctx, Label::SystemLow());
+  ASSERT_TRUE(ec.ok());
+  std::vector<ProcessId> pids;
+  for (int i = 0; i < parked; ++i) {
+    auto pid = procs.CreateProcess(TestSubject("W" + std::to_string(i)));
+    ASSERT_TRUE(pid.ok()) << i;
+    ASSERT_TRUE(procs.SetProgram(*pid, {UserOp::Await(*ec, 1), UserOp::Compute(10)}).ok());
+    pids.push_back(*pid);
+  }
+  // Nothing can advance the count from inside.
+  out->parking_run = procs.RunUntilQuiescent(100000).code();
+  for (ProcessId pid : pids) {
+    out->parked_states.push_back(procs.state(pid));
+  }
+  out->audit_parked = fx.kernel.AuditIntegrity();
+  ASSERT_TRUE(fx.kernel.gates().AdvanceEventcount(*fx.ctx, *ec).ok());
+  EXPECT_TRUE(procs.RunUntilQuiescent(100000).ok());
+  for (ProcessId pid : pids) {
+    out->states.push_back(procs.state(pid));
+    out->errors.push_back(procs.stats(pid).last_error.code());
+  }
+  out->waiters_left = fx.kernel.ctx().eventcounts.WaiterCount(*ec);
+  out->audit_woken = fx.kernel.AuditIntegrity();
+  out->clock = fx.kernel.clock().now();
+  out->counters = fx.kernel.metrics().counters();
+  out->shutdown_ok = fx.kernel.Shutdown().ok();
+}
+
 // The real-memory queue holds one page of messages, fewer than the
 // processes one advance can satisfy.  A wakeup that does not fit waits for
 // the drain that makes room, so every parked process wakes.
@@ -208,32 +255,46 @@ TEST(UprocWake, AFullQueueLosesNoWakeup) {
   config.memory_frames = 1024;
   config.ast_slots = 512;  // every parked process keeps its state segment active
   config.vtoc_slots_per_pack = 1024;
-  KernelFixture fx{config};
-  ASSERT_TRUE(fx.boot_status.ok());
-  UserProcessManager& procs = fx.kernel.processes();
-  auto ec = fx.kernel.gates().CreateEventcount(*fx.ctx, Label::SystemLow());
-  ASSERT_TRUE(ec.ok());
-  constexpr int kParked = 400;
-  std::vector<ProcessId> pids;
-  for (int i = 0; i < kParked; ++i) {
-    auto pid = procs.CreateProcess(TestSubject("W" + std::to_string(i)));
-    ASSERT_TRUE(pid.ok()) << i;
-    ASSERT_TRUE(procs.SetProgram(*pid, {UserOp::Await(*ec, 1), UserOp::Compute(10)}).ok());
-    pids.push_back(*pid);
+  ParkRun run;
+  ASSERT_NO_FATAL_FAILURE(ParkAndWake(config, 400, &run));
+  EXPECT_EQ(run.parking_run, Code::kFailedPrecondition);
+  for (size_t i = 0; i < run.states.size(); ++i) {
+    EXPECT_EQ(run.parked_states[i], ProcState::kBlocked) << i;
+    EXPECT_EQ(run.states[i], ProcState::kDone) << i;
   }
-  // Everyone parks; nothing can advance the count from inside.
-  EXPECT_EQ(procs.RunUntilQuiescent(100000).code(), Code::kFailedPrecondition);
-  for (ProcessId pid : pids) {
-    ASSERT_EQ(procs.state(pid), ProcState::kBlocked) << pid.value << " " << procs.stats(pid).last_error;
+  EXPECT_EQ(run.waiters_left, 0u);
+  EXPECT_TRUE(run.audit_woken.empty());
+  EXPECT_TRUE(run.shutdown_ok);
+}
+
+// Plain parking meets ROADMAP item 8's exhausted AST: a parked process keeps
+// its state segment active, so with the default 64 AST slots not all of 100
+// parked processes fit.  The surplus aborts with a clean resource-exhausted
+// status at dispatch, the rest wake and finish, the kernel stays consistent,
+// and the outcome is deterministic.
+TEST(UprocWake, ParkingPastTheAstAbortsTheSurplusCleanly) {
+  ParkRun run;
+  ASSERT_NO_FATAL_FAILURE(ParkAndWake(KernelConfig{}, 100, &run));
+  size_t aborted = 0;
+  for (size_t i = 0; i < run.states.size(); ++i) {
+    if (run.states[i] == ProcState::kAborted) {
+      ++aborted;
+      EXPECT_EQ(run.errors[i], Code::kResourceExhausted) << i;
+    } else {
+      EXPECT_EQ(run.states[i], ProcState::kDone) << i;
+    }
   }
-  ASSERT_TRUE(fx.kernel.gates().AdvanceEventcount(*fx.ctx, *ec).ok());
-  EXPECT_TRUE(procs.RunUntilQuiescent(100000).ok());
-  for (ProcessId pid : pids) {
-    EXPECT_EQ(procs.state(pid), ProcState::kDone) << pid.value;
-  }
-  EXPECT_EQ(fx.kernel.ctx().eventcounts.WaiterCount(*ec), 0u);
-  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
-  EXPECT_TRUE(fx.kernel.Shutdown().ok());
+  EXPECT_GT(aborted, 0u);
+  EXPECT_TRUE(run.audit_parked.empty()) << run.audit_parked.front();
+  EXPECT_TRUE(run.audit_woken.empty()) << run.audit_woken.front();
+  EXPECT_TRUE(run.shutdown_ok);
+
+  ParkRun again;
+  ASSERT_NO_FATAL_FAILURE(ParkAndWake(KernelConfig{}, 100, &again));
+  EXPECT_EQ(again.states, run.states);
+  EXPECT_EQ(again.errors, run.errors);
+  EXPECT_EQ(again.clock, run.clock);
+  EXPECT_EQ(again.counters, run.counters);
 }
 
 // A process destroyed while parked withdraws its registration: the count
