@@ -120,7 +120,7 @@ MonolithicSupervisor::BNode* MonolithicSupervisor::FindNodeByUidIn(BNode* node, 
 
 Result<SegmentUid> MonolithicSupervisor::CreatePath(const std::string& path) {
   CallTracker::Scope scope(&tracker_, m_dir_);
-  const size_t cut = path.find_last_of('>');
+  const size_t cut = path.rfind('>');
   const std::string dir_path = cut == std::string::npos ? "" : path.substr(0, cut);
   const std::string leaf = cut == std::string::npos ? path : path.substr(cut + 1);
   if (leaf.empty()) {

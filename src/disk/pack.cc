@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 
 namespace mks {
 
@@ -90,11 +91,6 @@ void DiskPack::FreeRecord(RecordIndex record) {
   ++free_records_;
 }
 
-void DiskPack::ReadRecord(RecordIndex record, std::span<Word> out) {
-  ChargeRead(record);
-  CopyRecord(record, out);
-}
-
 void DiskPack::ChargeRead(RecordIndex record) {
   assert(record.value < record_count_);
   (void)record;
@@ -114,16 +110,6 @@ PageRef DiskPack::Share(RecordIndex record) const {
     LostWriteback(id_, record);
   }
   return record_data_[record.value];
-}
-
-void DiskPack::CopyRecord(RecordIndex record, std::span<Word> out) const {
-  assert(out.size() == kPageWords);
-  const PageRef image = Share(record);
-  if (image != nullptr) {
-    std::copy(image->begin(), image->end(), out.begin());
-  } else {
-    std::fill(out.begin(), out.end(), 0);
-  }
 }
 
 void DiskPack::StoreRecord(RecordIndex record, PageRef image) {

@@ -16,7 +16,6 @@
 #define MKS_DISK_PACK_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,11 +77,10 @@ class DiskPack {
   // Record I/O; charges transfer latency to the clock.  A record holds its
   // data as a page image shared by reference: WriteRecord stores `image`
   // itself (the writer's frame may keep viewing it), and an empty image
-  // reads as zeros.  ReadRecord copies the data out.
-  void ReadRecord(RecordIndex record, std::span<Word> out);
+  // reads as zeros.  A read-in binds a frame to the record's image
+  // (VolumeControl::ReadRecord); ChargeRead is its latency charge and read
+  // metric.
   void WriteRecord(RecordIndex record, PageRef image);
-  // The accounting half of ReadRecord alone (latency charge + read metric),
-  // for read-ins that bind a frame to the record's image instead of copying.
   void ChargeRead(RecordIndex record);
 
   // ---- Batched request queue (the anticipatory paging pipeline) ----
@@ -104,10 +102,9 @@ class DiskPack {
 
   // Data movement without a latency charge, for transfers whose simulated
   // time was accounted elsewhere (read completions, pack-to-pack moves).
-  // Share and CopyRecord abort on a lent record: its data went to a frame's
-  // first write, so reading it means that page's writeback was lost.
+  // Share aborts on a lent record: its data went to a frame's first write,
+  // so reading it means that page's writeback was lost.
   PageRef Share(RecordIndex record) const;
-  void CopyRecord(RecordIndex record, std::span<Word> out) const;
   void StoreRecord(RecordIndex record, PageRef image);
   // PageSource::Detach for one record: if the record holds exactly `image`,
   // it drops its reference and is lent until its next write.

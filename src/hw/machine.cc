@@ -12,26 +12,20 @@
 
 namespace mks {
 
-std::string_view FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kMissingSegment:
-      return "missing_segment";
-    case FaultKind::kMissingPage:
-      return "missing_page";
-    case FaultKind::kLockedDescriptor:
-      return "locked_descriptor";
-    case FaultKind::kQuotaException:
-      return "quota_exception";
-    case FaultKind::kOutOfBounds:
-      return "out_of_bounds";
-    case FaultKind::kAccessViolation:
-      return "access_violation";
-    case FaultKind::kRingViolation:
-      return "ring_violation";
-  }
-  return "unknown";
+void DescriptorSegment::Connect(uint16_t index, const Sdw& sdw) {
+  assert(index < sdws.size() && !sdws[index].present && sdw.present && sdw.page_table != nullptr);
+  sdws[index] = sdw;
+  sdw.page_table->connected.push_back(this);
+}
+
+void DescriptorSegment::Disconnect(uint16_t index) {
+  assert(index < sdws.size() && sdws[index].present);
+  std::vector<const DescriptorSegment*>& connected = sdws[index].page_table->connected;
+  auto it = std::find(connected.begin(), connected.end(), this);
+  assert(it != connected.end());
+  *it = connected.back();
+  connected.pop_back();
+  sdws[index] = Sdw{};
 }
 
 AssociativeMemory::AssociativeMemory(uint16_t entries) {
@@ -53,21 +47,21 @@ AssociativeMemory::AssociativeMemory(uint16_t entries) {
   slots_.assign(sets * kWays, Entry{});
 }
 
-size_t AssociativeMemory::SetBase(uint64_t key) const {
+size_t AssociativeMemory::SetBase(Segno segno, uint32_t page) const {
   // Mix segno and page so consecutive pages of one segment spread over sets.
-  uint64_t h = key * 0x9e3779b97f4a7c15ULL;
+  const uint64_t h = ((uint64_t{segno.value} << 32) | page) * 0x9e3779b97f4a7c15ULL;
   return static_cast<size_t>((h >> 32) & (set_count_ - 1)) * kWays;
 }
 
-AssociativeMemory::Entry* AssociativeMemory::Lookup(uint64_t key) {
+AssociativeMemory::Entry* AssociativeMemory::Lookup(Segno segno, uint32_t page) {
   if (set_count_ == 0) {
     return nullptr;
   }
-  const size_t base = SetBase(key);
+  const size_t base = SetBase(segno, page);
   const size_t ways = std::min(slots_.size() - base, static_cast<size_t>(kWays));
   for (size_t w = 0; w < ways; ++w) {
     Entry& e = slots_[base + w];
-    if (e.valid && e.key == key) {
+    if (e.valid && e.segno == segno && e.page == page) {
       e.stamp = ++stamp_;
       return &e;
     }
@@ -75,17 +69,17 @@ AssociativeMemory::Entry* AssociativeMemory::Lookup(uint64_t key) {
   return nullptr;
 }
 
-void AssociativeMemory::Insert(uint64_t key, Ptw* ptw, bool read, bool write, bool execute,
-                               uint8_t ring_bracket) {
+void AssociativeMemory::Insert(Segno segno, uint32_t page, Ptw* ptw, bool read, bool write,
+                               bool execute, uint8_t ring_bracket) {
   if (set_count_ == 0) {
     return;
   }
-  const size_t base = SetBase(key);
+  const size_t base = SetBase(segno, page);
   const size_t ways = std::min(slots_.size() - base, static_cast<size_t>(kWays));
   Entry* victim = &slots_[base];
   for (size_t w = 0; w < ways; ++w) {
     Entry& e = slots_[base + w];
-    if (e.valid && e.key == key) {
+    if (e.valid && e.segno == segno && e.page == page) {
       victim = &e;  // refresh in place
       break;
     }
@@ -101,13 +95,13 @@ void AssociativeMemory::Insert(uint64_t key, Ptw* ptw, bool read, bool write, bo
     ReleasePtw(victim->ptw);
   }
   ++ptw->assoc_refs;
-  *victim = Entry{true, key, ptw, read, write, execute, ring_bracket, ++stamp_};
+  *victim = Entry{true, segno, page, ptw, read, write, execute, ring_bracket, ++stamp_};
 }
 
-uint32_t AssociativeMemory::InvalidateTag(uint32_t tag) {
+uint32_t AssociativeMemory::InvalidateSegno(Segno segno) {
   uint32_t dropped = 0;
   for (Entry& e : slots_) {
-    if (e.valid && static_cast<uint32_t>(e.key >> 32) == tag) {
+    if (e.valid && e.segno == segno) {
       e.valid = false;
       ReleasePtw(e.ptw);
       ++dropped;
@@ -405,7 +399,7 @@ const Sdw* Processor::Descriptor(Segno segno) const {
 }
 
 void Processor::ClearAssociative(Segno segno) {
-  if (assoc_.InvalidateTag(segno.value) > 0) {
+  if (assoc_.InvalidateSegno(segno) > 0) {
     metrics_->Inc(id_assoc_flushes_);
   }
 }
@@ -442,8 +436,7 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   // zero entries therefore models the pre-associative hardware where every
   // reference makes both fetches.
   if (features_.associative_memory) {
-    const uint64_t key = AssociativeMemory::MakeKey(segno.value, ref_page);
-    if (AssociativeMemory::Entry* entry = assoc_.Lookup(key)) {
+    if (AssociativeMemory::Entry* entry = assoc_.Lookup(segno, ref_page)) {
       Ptw* ptw = entry->ptw;
       const bool permitted = (mode == AccessMode::kRead && entry->read) ||
                              (mode == AccessMode::kWrite && entry->write) ||
@@ -536,8 +529,7 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + word;
   result.fault.kind = FaultKind::kNone;
   if (features_.associative_memory) {
-    assoc_.Insert(AssociativeMemory::MakeKey(segno.value, ref_page), ptw, sdw->read, sdw->write,
-                  sdw->execute, sdw->ring_bracket);
+    assoc_.Insert(segno, ref_page, ptw, sdw->read, sdw->write, sdw->execute, sdw->ring_bracket);
   }
   return result;
 }
@@ -679,13 +671,11 @@ void ProcessorPool::AuditAssociative(std::vector<std::string>* findings) const {
       if (!e.valid) {
         continue;
       }
-      const Segno segno(static_cast<uint16_t>(e.key >> 32));
-      const uint32_t page = static_cast<uint32_t>(e.key);
-      const Sdw* sdw = p.Descriptor(segno);
+      const Sdw* sdw = p.Descriptor(e.segno);
       const PageTable* pt = sdw != nullptr && sdw->present ? sdw->page_table : nullptr;
-      if (pt == nullptr || page >= pt->ptws.size() || &pt->ptws[page] != e.ptw) {
+      if (pt == nullptr || e.page >= pt->ptws.size() || &pt->ptws[e.page] != e.ptw) {
         findings->push_back("cpu " + std::to_string(p.index()) + ": associative entry for segno " +
-                            std::to_string(segno.value) + " page " + std::to_string(page) +
+                            std::to_string(e.segno.value) + " page " + std::to_string(e.page) +
                             " caches a PTW its loaded spaces do not reach");
       }
     }

@@ -82,9 +82,10 @@ struct DescriptorSegment;
 // so a fault at either frontier is recognized as a continuing forward scan.
 //
 // `connected` lists the address spaces whose SDWs name this table, one entry
-// per SDW, kept by whoever connects and disconnects them.  Only a processor
-// that has one of those spaces loaded can cache a translation into the table,
-// so the pool's targeted invalidations signal exactly those processors.
+// per SDW: the reverse index DescriptorSegment::Connect and Disconnect write
+// with the SDW itself.  Only a processor that has one of those spaces loaded
+// can cache a translation into the table, so the pool's targeted
+// invalidations signal exactly those processors.
 struct PageTable {
   std::vector<Ptw> ptws;
   uint32_t last_fault_page = UINT32_MAX;  // UINT32_MAX: no fault seen yet
@@ -114,6 +115,15 @@ struct DescriptorSegment {
   Sdw* Get(uint16_t index) {
     return index < sdws.size() ? &sdws[index] : nullptr;
   }
+
+  // A connection is recorded by its SDW and by one entry for this space on
+  // the `connected` list of the page table the SDW names.  Connect and
+  // Disconnect write the two together, as set_user_ds keeps `loaded_on` with
+  // the DSBR.  Connect writes `sdw` (present, naming a page table) at the
+  // absent `index`; Disconnect clears the present SDW at `index` and drops
+  // one entry for this space from its table's list.
+  void Connect(uint16_t index, const Sdw& sdw);
+  void Disconnect(uint16_t index);
 };
 
 struct HwFeatures {
@@ -150,8 +160,6 @@ enum class FaultKind : uint8_t {
   kRingViolation,
 };
 
-std::string_view FaultKindName(FaultKind kind);
-
 struct Fault {
   FaultKind kind = FaultKind::kNone;
   Segno segno{};
@@ -166,20 +174,20 @@ struct AccessResult {
 };
 
 // The descriptor associative memory: a small set-associative cache of
-// resolved translations, keyed by an opaque 64-bit tag the owner composes
-// (the Processor uses (segno, page)).  An entry caches the PTW address plus
-// the access bits of the SDW it was resolved through.  The cache is a pure
-// accelerator: it only ever serves translations that the full descriptor
-// walk would resolve identically, and the owner must invalidate on every
-// descriptor mutation (page eviction, deactivation, SDW disconnect/re-bound,
-// DSBR reload) so a stale pairing is never consulted.
+// resolved translations, keyed by (segno, page).  An entry caches the PTW
+// address plus the access bits of the SDW it was resolved through.  The
+// cache is a pure accelerator: it only ever serves translations that the
+// full descriptor walk would resolve identically, and the owner must
+// invalidate on every descriptor mutation (page eviction, deactivation, SDW
+// disconnect/re-bound, DSBR reload) so a stale pairing is never consulted.
 class AssociativeMemory {
  public:
   static constexpr uint16_t kWays = 4;
 
   struct Entry {
     bool valid = false;
-    uint64_t key = 0;
+    Segno segno{};
+    uint32_t page = 0;
     Ptw* ptw = nullptr;
     bool read = false;
     bool write = false;
@@ -197,11 +205,11 @@ class AssociativeMemory {
   // Every slot, valid or not (audits).
   std::span<const Entry> slots() const { return slots_; }
 
-  // Returns the valid entry for `key`, or nullptr.  Refreshes LRU.
-  Entry* Lookup(uint64_t key);
-  // Installs (or refreshes) the translation for `key`, evicting the set's
-  // LRU entry if needed.
-  void Insert(uint64_t key, Ptw* ptw, bool read, bool write, bool execute,
+  // Returns the valid entry for (segno, page), or nullptr.  Refreshes LRU.
+  Entry* Lookup(Segno segno, uint32_t page);
+  // Installs (or refreshes) the translation for (segno, page), evicting the
+  // set's LRU entry if needed.
+  void Insert(Segno segno, uint32_t page, Ptw* ptw, bool read, bool write, bool execute,
               uint8_t ring_bracket);
 
   // Invalidation protocol.  All are O(capacity); invalidation events are
@@ -214,9 +222,8 @@ class AssociativeMemory {
       ReleasePtw(entry->ptw);
     }
   }
-  // Drops every entry whose key's high 32 bits equal `tag` (the Processor's
-  // segno).  Returns entries dropped.
-  uint32_t InvalidateTag(uint32_t tag);
+  // Drops every entry for `segno`.  Returns entries dropped.
+  uint32_t InvalidateSegno(Segno segno);
   // Drops every entry caching `ptw` (page eviction).
   uint32_t InvalidatePtw(const Ptw* ptw);
   // Drops every entry whose PTW lies inside `pt`'s table (deactivation: the
@@ -224,12 +231,8 @@ class AssociativeMemory {
   uint32_t InvalidatePageTable(const PageTable* pt);
   void Flush();
 
-  static uint64_t MakeKey(uint32_t tag, uint32_t page) {
-    return (static_cast<uint64_t>(tag) << 32) | page;
-  }
-
  private:
-  size_t SetBase(uint64_t key) const;
+  size_t SetBase(Segno segno, uint32_t page) const;
 
   static void ReleasePtw(Ptw* ptw) {
     assert(ptw != nullptr && ptw->assoc_refs > 0);

@@ -1,22 +1,8 @@
 #include "src/kernel/address_space.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace mks {
-
-namespace {
-
-// Drops one of `ds`'s entries from the spaces connecting `pt` (one SDW of
-// `ds` naming `pt` is going away).
-void NoteSpaceDisconnected(PageTable* pt, const DescriptorSegment* ds) {
-  auto it = std::find(pt->connected.begin(), pt->connected.end(), ds);
-  assert(it != pt->connected.end());
-  *it = pt->connected.back();
-  pt->connected.pop_back();
-}
-
-}  // namespace
 
 AddressSpaceManager::AddressSpaceManager(KernelContext* ctx, CoreSegmentManager* core_segs,
                                          SegmentManager* segs)
@@ -67,10 +53,7 @@ Status AddressSpaceManager::CreateSpace(ProcessId pid) {
   if (spaces_.count(pid) != 0) {
     return Status(Code::kAlreadyExists, "address space exists");
   }
-  SpaceRec space;
-  space.ds.sdws.assign(user_sdw_count_, Sdw{});
-  space.ast_of.assign(user_sdw_count_, kNoAst);
-  spaces_.emplace(pid, std::move(space));
+  spaces_[pid].sdws.assign(user_sdw_count_, Sdw{});
   return Status::Ok();
 }
 
@@ -80,22 +63,21 @@ Status AddressSpaceManager::DestroySpace(ProcessId pid) {
   if (it == spaces_.end()) {
     return Status(Code::kNotFound, "no address space");
   }
-  SpaceRec& space = it->second;
+  DescriptorSegment& ds = it->second;
   for (uint16_t i = 0; i < user_sdw_count_; ++i) {
-    if (space.ast_of[i] != kNoAst) {
-      NoteSpaceDisconnected(space.ds.sdws[i].page_table, &space.ds);
-      segs_->NoteDisconnect(space.ast_of[i]);
+    if (ds.sdws[i].present) {
+      ds.Disconnect(i);
     }
   }
   // Any processor still pointing at the dying descriptor segment unbinds.
-  ctx_->cpus.DropUserDs(&space.ds);
+  ctx_->cpus.DropUserDs(&ds);
   spaces_.erase(it);
   return Status::Ok();
 }
 
 DescriptorSegment* AddressSpaceManager::Space(ProcessId pid) {
   auto it = spaces_.find(pid);
-  return it == spaces_.end() ? nullptr : &it->second.ds;
+  return it == spaces_.end() ? nullptr : &it->second;
 }
 
 Status AddressSpaceManager::Connect(ProcessId pid, Segno segno, uint32_t ast,
@@ -114,21 +96,17 @@ Status AddressSpaceManager::Connect(ProcessId pid, Segno segno, uint32_t ast,
     return Status(Code::kInvalidArgument, "bad AST index");
   }
   const uint16_t index = static_cast<uint16_t>(segno.value - kSystemSegnoLimit);
-  SpaceRec& space = it->second;
-  if (space.ds.sdws[index].present) {
+  DescriptorSegment& ds = it->second;
+  if (ds.sdws[index].present) {
     return Status(Code::kAlreadyExists, "segno already connected");
   }
-  Sdw& sdw = space.ds.sdws[index];
-  sdw.present = true;
-  sdw.page_table = &entry->page_table;
-  sdw.bound_pages = entry->max_pages;
-  sdw.read = modes.read;
-  sdw.write = modes.write;
-  sdw.execute = modes.execute;
-  sdw.ring_bracket = ring_bracket;
-  space.ast_of[index] = ast;
-  entry->page_table.connected.push_back(&space.ds);
-  segs_->NoteConnect(ast);
+  ds.Connect(index, Sdw{.present = true,
+                        .page_table = &entry->page_table,
+                        .bound_pages = entry->max_pages,
+                        .read = modes.read,
+                        .write = modes.write,
+                        .execute = modes.execute,
+                        .ring_bracket = ring_bracket});
   return Status::Ok();
 }
 
@@ -139,14 +117,11 @@ Status AddressSpaceManager::Disconnect(ProcessId pid, Segno segno) {
     return Status(Code::kNotFound, "no address space");
   }
   const uint16_t index = static_cast<uint16_t>(segno.value - kSystemSegnoLimit);
-  SpaceRec& space = it->second;
-  if (index >= user_sdw_count_ || !space.ds.sdws[index].present) {
+  DescriptorSegment& ds = it->second;
+  if (index >= user_sdw_count_ || !ds.sdws[index].present) {
     return Status(Code::kInvalidSegno, "segno not connected");
   }
-  NoteSpaceDisconnected(space.ds.sdws[index].page_table, &space.ds);
-  segs_->NoteDisconnect(space.ast_of[index]);
-  space.ds.sdws[index] = Sdw{};
-  space.ast_of[index] = kNoAst;
+  ds.Disconnect(index);
   // The segno may be reconnected to a different segment; no translation
   // cached under it may survive the disconnect.
   ctx_->cpus.ClearAssociative(segno);
@@ -155,21 +130,19 @@ Status AddressSpaceManager::Disconnect(ProcessId pid, Segno segno) {
 
 uint32_t AddressSpaceManager::DisconnectEverywhere(SegmentUid uid) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
-  // Every SDW bound to `uid` is recorded against its one AST slot, and the
-  // slot's connection count says how many there are: an inactive or
-  // unconnected segment needs no scan, and the scan stops at the last one.
-  const uint32_t ast = segs_->FindIndex(uid);
-  const AstEntry* entry = segs_->Get(ast);  // nullptr for kNoAst
-  const uint32_t bound = entry == nullptr ? 0 : entry->connections;
+  // Every SDW bound to `uid` names its one AST entry's page table, whose
+  // `connected` list holds one entry per SDW: an inactive or unconnected
+  // segment needs no scan, and the scan stops at the last one.  Each sever
+  // shrinks the list, so the bound is read first.
+  const AstEntry* entry = segs_->Find(uid);
+  const PageTable* pt = entry == nullptr ? nullptr : &entry->page_table;
+  const size_t bound = pt == nullptr ? 0 : pt->connected.size();
   uint32_t severed = 0;
   for (auto it = spaces_.begin(); it != spaces_.end() && severed < bound; ++it) {
-    SpaceRec& space = it->second;
+    DescriptorSegment& ds = it->second;
     for (uint16_t i = 0; i < user_sdw_count_ && severed < bound; ++i) {
-      if (space.ast_of[i] == ast) {
-        NoteSpaceDisconnected(space.ds.sdws[i].page_table, &space.ds);
-        segs_->NoteDisconnect(ast);
-        space.ds.sdws[i] = Sdw{};
-        space.ast_of[i] = kNoAst;
+      if (ds.sdws[i].page_table == pt) {  // a cleared SDW names no table
+        ds.Disconnect(i);
         ctx_->cpus.ClearAssociative(Segno(static_cast<uint16_t>(kSystemSegnoLimit + i)));
         ++severed;
       }
@@ -180,45 +153,35 @@ uint32_t AddressSpaceManager::DisconnectEverywhere(SegmentUid uid) {
 }
 
 void AddressSpaceManager::AuditIntegrity(std::vector<std::string>* findings) const {
-  // The spaces whose SDWs name each AST slot, one entry per SDW.
-  std::unordered_map<uint32_t, std::vector<const DescriptorSegment*>> namers;
-  for (const auto& [pid, space] : spaces_) {
+  // The spaces whose SDWs name each live AST entry's page table, one entry
+  // per SDW.
+  std::unordered_map<const PageTable*, std::vector<const DescriptorSegment*>> namers;
+  for (uint32_t slot = 0; slot < segs_->ast_slots(); ++slot) {
+    if (const AstEntry* entry = segs_->Get(slot)) {
+      namers[&entry->page_table];
+    }
+  }
+  for (const auto& [pid, ds] : spaces_) {
     for (uint16_t i = 0; i < user_sdw_count_; ++i) {
-      const uint32_t ast = space.ast_of[i];
-      const Sdw& sdw = space.ds.sdws[i];
-      if (ast == kNoAst) {
-        if (sdw.present) {
-          findings->push_back("process " + std::to_string(pid.value) + " segno index " +
-                              std::to_string(i) + ": SDW present with no AST record");
-        }
+      if (!ds.sdws[i].present) {
         continue;
       }
-      namers[ast].push_back(&space.ds);
-      AstEntry* entry = segs_->Get(ast);
-      if (entry == nullptr) {
-        findings->push_back("process " + std::to_string(pid.value) +
-                            ": SDW names a dead AST slot " + std::to_string(ast));
+      auto named = namers.find(ds.sdws[i].page_table);
+      if (named == namers.end()) {
+        findings->push_back("process " + std::to_string(pid.value) + " segno index " +
+                            std::to_string(i) + ": SDW names no live AST entry's page table");
         continue;
       }
-      if (sdw.page_table != &entry->page_table) {
-        findings->push_back("process " + std::to_string(pid.value) +
-                            ": SDW page-table pointer out of step with AST " +
-                            std::to_string(ast));
-      }
+      named->second.push_back(&ds);
     }
   }
   for (uint32_t slot = 0; slot < segs_->ast_slots(); ++slot) {
-    AstEntry* entry = segs_->Get(slot);
+    const AstEntry* entry = segs_->Get(slot);
     if (entry == nullptr) {
       continue;
     }
-    std::vector<const DescriptorSegment*>& named = namers[slot];
-    if (named.size() != entry->connections) {
-      findings->push_back("AST " + std::to_string(slot) + ": connections " +
-                          std::to_string(entry->connections) + " but " +
-                          std::to_string(named.size()) + " SDWs observed");
-    }
     // Targeted invalidation signals the CPUs of exactly these spaces.
+    std::vector<const DescriptorSegment*>& named = namers[&entry->page_table];
     std::vector<const DescriptorSegment*> listed = entry->page_table.connected;
     std::sort(named.begin(), named.end());
     std::sort(listed.begin(), listed.end());
@@ -236,15 +199,15 @@ void AddressSpaceManager::AuditIntegrity(std::vector<std::string>* findings) con
       dsbr_masks[ds] |= uint64_t{1} << k;
     }
   }
-  for (const auto& [pid, space] : spaces_) {
-    auto loaded = dsbr_masks.find(&space.ds);
+  for (const auto& [pid, ds] : spaces_) {
+    auto loaded = dsbr_masks.find(&ds);
     const uint64_t expected = loaded == dsbr_masks.end() ? 0 : loaded->second;
     if (loaded != dsbr_masks.end()) {
       dsbr_masks.erase(loaded);
     }
-    if (space.ds.loaded_on != expected) {
+    if (ds.loaded_on != expected) {
       findings->push_back("process " + std::to_string(pid.value) + ": loaded-on mask " +
-                          std::to_string(space.ds.loaded_on) + " but the DSBRs give " +
+                          std::to_string(ds.loaded_on) + " but the DSBRs give " +
                           std::to_string(expected));
     }
   }

@@ -34,10 +34,10 @@ class AddressSpaceManager {
   DescriptorSegment* Space(ProcessId pid);
 
   // Connects `segno` (>= kSystemSegnoLimit) of `pid`'s space to the active
-  // segment at AST index `ast` with the given modes.  Every connect, and
-  // every SDW that disconnect, sever or destroy drops, is mirrored in the
-  // page table's `connected` list, which page control's targeted
-  // invalidations read.
+  // segment at AST index `ast` with the given modes.  Every user SDW is
+  // written and cleared through DescriptorSegment::Connect and Disconnect,
+  // so the page table's `connected` list, which page control's targeted
+  // invalidations read, is machine state kept with the SDW.
   Status Connect(ProcessId pid, Segno segno, uint32_t ast, AccessModes modes,
                  uint8_t ring_bracket);
   Status Disconnect(ProcessId pid, Segno segno);
@@ -52,19 +52,13 @@ class AddressSpaceManager {
 
   size_t space_count() const { return spaces_.size(); }
 
-  // Integrity audit: every connected SDW must point at the page table of the
-  // AST entry it is recorded against; per-entry connection counts and each
-  // page table's connected-space list must match the SDWs naming it; and
-  // each space's loaded-on mask must match the CPUs' user DSBRs.
+  // Integrity audit: every present user SDW must name a live AST entry's
+  // page table; each such table's connected-space list must match the SDWs
+  // naming it; and each space's loaded-on mask must match the CPUs' user
+  // DSBRs.
   void AuditIntegrity(std::vector<std::string>* findings) const;
 
  private:
-  struct SpaceRec {
-    DescriptorSegment ds;
-    // segno-index -> AST slot (kNoAst when unconnected).
-    std::vector<uint32_t> ast_of;
-  };
-
   KernelContext* ctx_;
   ModuleId self_;
   CoreSegmentManager* core_segs_;
@@ -73,7 +67,7 @@ class AddressSpaceManager {
   MetricId id_disconnect_everywhere_;
   DescriptorSegment system_ds_;
   std::vector<std::unique_ptr<PageTable>> system_page_tables_;
-  std::unordered_map<ProcessId, SpaceRec> spaces_;
+  std::unordered_map<ProcessId, DescriptorSegment> spaces_;
 };
 
 }  // namespace mks

@@ -74,7 +74,6 @@ struct EntryInfo {
 // Each public entry point runs inside a SharedSection over the hierarchy's
 // SimSharedLock; with ReadPolicy::kOff (the default) the sections are inert
 // and the manager is byte-identical to its pre-lock behaviour.
-// IsRealDirectory stays an unlocked snapshot read (a single map probe).
 class DirectoryManager {
  public:
   static constexpr int kEntriesPerPage = 16;
@@ -124,8 +123,6 @@ class DirectoryManager {
 
   // --- the upward signal terminal ---
   Status CompleteSegmentMove(SegmentUid uid, PackId new_pack, VtocIndex new_vtoc);
-
-  bool IsRealDirectory(EntryId id) const { return dirs_.count(SegmentUid(id.value)) != 0; }
 
   // Integrity audit of the resource-control books: for every quota cell,
   // the cached count must equal the disk records actually used by the

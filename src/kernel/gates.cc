@@ -21,112 +21,79 @@ KernelGates::KernelGates(KernelContext* ctx, VirtualProcessorManager* vpm,
       ev_locked_park_(ctx->trace.InternEvent("fault.locked_park")),
       hist_reference_(ctx->metrics.InternHistogram("gate.reference_cycles")) {}
 
+KernelGates::GateEntry::GateEntry(KernelGates* gates, const ProcContext& ctx, GateOp op)
+    : scope_(&gates->ctx_->tracker, gates->self_), gate_(&gates->ctx_->prof, ProfDomain::kGate) {
+  gates->ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
+  gates->ctx_->trace.Instant(gates->ev_gate_call_, ctx.pid.value, static_cast<uint32_t>(op));
+}
+
 Result<EntryId> KernelGates::Search(ProcContext& ctx, EntryId dir, std::string_view name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kSearch);
+  GateEntry gate(this, ctx, GateOp::kSearch);
   return dirs_->Search(ctx.subject, dir, name);
 }
 
 Result<EntryId> KernelGates::CreateSegment(ProcContext& ctx, EntryId dir, std::string name,
                                            Acl acl, Label label) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kCreateSegment);
+  GateEntry gate(this, ctx, GateOp::kCreateSegment);
   return dirs_->CreateSegmentEntry(ctx.subject, dir, std::move(name), std::move(acl), label);
 }
 
 Result<EntryId> KernelGates::CreateDirectory(ProcContext& ctx, EntryId dir, std::string name,
                                              Acl acl, Label label) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kCreateDirectory);
+  GateEntry gate(this, ctx, GateOp::kCreateDirectory);
   return dirs_->CreateDirectoryEntry(ctx.subject, dir, std::move(name), std::move(acl), label);
 }
 
 Status KernelGates::Delete(ProcContext& ctx, EntryId dir, std::string_view name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kDelete);
+  GateEntry gate(this, ctx, GateOp::kDelete);
   return dirs_->DeleteEntry(ctx.subject, dir, name);
 }
 
 Status KernelGates::Rename(ProcContext& ctx, EntryId dir, std::string_view old_name,
                            std::string new_name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kRename);
+  GateEntry gate(this, ctx, GateOp::kRename);
   return dirs_->RenameEntry(ctx.subject, dir, old_name, std::move(new_name));
 }
 
 Status KernelGates::SetAcl(ProcContext& ctx, EntryId dir, std::string_view name, Acl acl) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kSetAcl);
+  GateEntry gate(this, ctx, GateOp::kSetAcl);
   return dirs_->SetAcl(ctx.subject, dir, name, std::move(acl));
 }
 
 Status KernelGates::ListNames(ProcContext& ctx, EntryId dir, std::vector<std::string>* out) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kListNames);
+  GateEntry gate(this, ctx, GateOp::kListNames);
   return dirs_->ListNames(ctx.subject, dir, out);
 }
 
 Status KernelGates::SetQuota(ProcContext& ctx, EntryId dir, uint64_t limit) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kSetQuota);
+  GateEntry gate(this, ctx, GateOp::kSetQuota);
   return dirs_->SetQuota(ctx.subject, dir, limit);
 }
 
 Status KernelGates::RemoveQuota(ProcContext& ctx, EntryId dir) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kRemoveQuota);
+  GateEntry gate(this, ctx, GateOp::kRemoveQuota);
   return dirs_->RemoveQuota(ctx.subject, dir);
 }
 
 Result<QuotaStatus> KernelGates::GetQuota(ProcContext& ctx, EntryId dir) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kGetQuota);
+  GateEntry gate(this, ctx, GateOp::kGetQuota);
   return dirs_->GetQuota(ctx.subject, dir);
 }
 
 Result<Segno> KernelGates::Initiate(ProcContext& ctx, EntryId target) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kInitiate);
+  GateEntry gate(this, ctx, GateOp::kInitiate);
   MKS_ASSIGN_OR_RETURN(EntryInfo info, dirs_->ResolveForInitiate(ctx.subject, target));
   // Ring bracket: a user segment is usable from the subject's ring.
   return ksm_->Initiate(ctx.pid, info.home, info.modes, ctx.subject.ring);
 }
 
 Status KernelGates::Terminate(ProcContext& ctx, Segno segno) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kTerminate);
+  GateEntry gate(this, ctx, GateOp::kTerminate);
   return ksm_->Terminate(ctx.pid, segno);
 }
 
 Result<EventcountId> KernelGates::CreateEventcount(ProcContext& ctx, Label label) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kCreateEventcount);
+  GateEntry gate(this, ctx, GateOp::kCreateEventcount);
   if (!label.Dominates(ctx.subject.label)) {
     return Status(Code::kNoAccess, "*-property: eventcount must dominate creator");
   }
@@ -139,10 +106,7 @@ Result<EventcountId> KernelGates::CreateEventcount(ProcContext& ctx, Label label
 }
 
 Status KernelGates::AdvanceEventcount(ProcContext& ctx, EventcountId ec) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kAdvanceEventcount);
+  GateEntry gate(this, ctx, GateOp::kAdvanceEventcount);
   if (ec.value >= user_eventcounts_.size() || !user_eventcounts_[ec.value].valid) {
     return Status(Code::kNotFound, "no such eventcount");
   }
@@ -153,10 +117,7 @@ Status KernelGates::AdvanceEventcount(ProcContext& ctx, EventcountId ec) {
 }
 
 Result<uint64_t> KernelGates::ReadEventcount(ProcContext& ctx, EventcountId ec) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kReadEventcount);
+  GateEntry gate(this, ctx, GateOp::kReadEventcount);
   if (ec.value >= user_eventcounts_.size() || !user_eventcounts_[ec.value].valid) {
     return Status(Code::kNotFound, "no such eventcount");
   }
@@ -166,10 +127,7 @@ Result<uint64_t> KernelGates::ReadEventcount(ProcContext& ctx, EventcountId ec) 
 }
 
 Status KernelGates::AwaitEventcount(ProcContext& ctx, EventcountId ec, uint64_t target) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kAwaitEventcount);
+  GateEntry gate(this, ctx, GateOp::kAwaitEventcount);
   if (ec.value >= user_eventcounts_.size() || !user_eventcounts_[ec.value].valid) {
     return Status(Code::kNotFound, "no such eventcount");
   }
@@ -235,9 +193,7 @@ Status KernelGates::Reference(ProcContext& ctx, Segno segno, uint32_t offset, Ac
       }
       case FaultKind::kQuotaException: {
         MoveSignal signal;
-        WaitSpec wait;
-        Status grown =
-            ksm_->HandleQuotaException(ctx.pid, segno, access.fault.page, &signal, &wait);
+        Status grown = ksm_->HandleQuotaException(ctx.pid, segno, access.fault.page, &signal);
         if (signal.valid) {
           // The upward software signal: the dispatcher — with nothing pending
           // below — transfers the new home to the directory manager.

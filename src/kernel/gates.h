@@ -120,11 +120,18 @@ class KernelGates {
   Status Reference(ProcContext& ctx, Segno segno, uint32_t offset, AccessMode mode, Word* out,
                    Word in);
 
-  // Records a ring crossing as a gate.call instant (proc = pid, arg = op);
-  // the op's GateOpIsRead class follows from the arg.
-  void TraceGate(const ProcContext& ctx, GateOp op) {
-    ctx_->trace.Instant(ev_gate_call_, ctx.pid.value, static_cast<uint32_t>(op));
-  }
+  // The ring crossing every gate opens with, in this order: the gate's call
+  // scope, its gate profiler scope, the gate-call charge, and a gate.call
+  // trace instant (proc = pid, arg = op; the op's GateOpIsRead class follows
+  // from the arg).  Both scopes close when the gate returns.
+  class GateEntry {
+   public:
+    GateEntry(KernelGates* gates, const ProcContext& ctx, GateOp op);
+
+   private:
+    CallTracker::Scope scope_;
+    Prof::Scope gate_;
+  };
 
   struct UserEventcount {
     bool valid = false;

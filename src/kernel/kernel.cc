@@ -16,7 +16,6 @@ Kernel::Kernel(const KernelConfig& config)
   ctx_->prof.Enable(config.cpu_count, config.profile);
   core_segs_ = std::make_unique<CoreSegmentManager>(ctx_.get());
   vpm_ = std::make_unique<VirtualProcessorManager>(ctx_.get(), core_segs_.get());
-  vpm_->set_connect_cost(config.connect_cost);
   quota_ = std::make_unique<QuotaCellManager>(ctx_.get(), core_segs_.get());
   pfm_ = std::make_unique<PageFrameManager>(ctx_.get(), core_segs_.get(), quota_.get(),
                                             vpm_.get());
@@ -31,8 +30,7 @@ Kernel::Kernel(const KernelConfig& config)
   uproc_ = std::make_unique<UserProcessManager>(ctx_.get(), core_segs_.get(), vpm_.get(),
                                                 pfm_.get(), segs_.get(), ksm_.get(),
                                                 gates_.get());
-  uproc_->ConfigureDispatch(
-      {config.sharded_runqueues, config.steal, config.connect_cost, config.lock_policy});
+  uproc_->ConfigureDispatch({config.sharded_runqueues, config.steal, config.lock_policy});
   uproc_->set_slab_processes(config.slab_processes);
   // The read-mostly naming locks: one per manager, same policy and pricing.
   // Cross-CPU traffic (token revocation, epoch publish) is priced at

@@ -24,10 +24,8 @@ Status KnownSegmentManager::CreateKst(ProcessId pid) {
     return Status(Code::kAlreadyExists, "KST exists");
   }
   MKS_RETURN_IF_ERROR(spaces_->CreateSpace(pid));
-  DescriptorSegment* ds = spaces_->Space(pid);
-  kst_size_ = static_cast<uint16_t>(ds->sdws.size());
   Kst kst;
-  kst.entries.assign(kst_size_, KstEntry{});
+  kst.entries.assign(spaces_->Space(pid)->sdws.size(), KstEntry{});
   ksts_.emplace(pid, std::move(kst));
   return Status::Ok();
 }
@@ -213,12 +211,11 @@ void KnownSegmentManager::RelocateUid(SegmentUid uid, PackId pack, VtocIndex vto
 }
 
 Status KnownSegmentManager::HandleQuotaException(ProcessId pid, Segno segno, uint32_t page,
-                                                 MoveSignal* signal, WaitSpec* wait) {
+                                                 MoveSignal* signal) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kFaultEntry);
   ctx_->metrics.Inc(id_quota_exceptions_);
-  (void)wait;
   KstEntry* entry = Find(pid, segno);
   if (entry == nullptr || !entry->valid) {
     return Status(Code::kInvalidSegno, "quota exception on unknown segment");

@@ -108,8 +108,7 @@ class KnownSegmentManager {
   // and drives the grow chain.  On a full pack: disconnects every address
   // space, directs relocation, retries the growth on the new pack, and fills
   // *signal for the upward trampoline.
-  Status HandleQuotaException(ProcessId pid, Segno segno, uint32_t page, MoveSignal* signal,
-                              WaitSpec* wait);
+  Status HandleQuotaException(ProcessId pid, Segno segno, uint32_t page, MoveSignal* signal);
 
  private:
   struct Kst {
@@ -130,7 +129,6 @@ class KnownSegmentManager {
   MetricId id_quota_exceptions_;
   MetricId id_full_pack_moves_;
   MetricId id_kst_resets_;
-  uint16_t kst_size_ = 0;
   std::unordered_map<ProcessId, Kst> ksts_;
 };
 

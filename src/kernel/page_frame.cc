@@ -178,16 +178,9 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
     } else {
       assert(fm.allocated);
       fm.zero = false;
-      DiskPack* dp = ctx_->volumes.pack(fi.pack);
-      PageRef image = ctx_->memory.Snapshot(frame, ctx_->volumes.Home(fi.pack, fm.record));
-      if (queue_writeback) {
-        // Staged on the pack's request queue: the write holds the image from
-        // now on, so the frame is immediately reusable; the (batched) latency
-        // is charged when the daemon dispatches the round.
-        dp->QueueWrite(fm.record, std::move(image), 0);
-      } else {
-        dp->WriteRecord(fm.record, std::move(image));
-      }
+      // Staged, the write holds the image from now on, so the frame is
+      // immediately reusable.
+      WriteBack(frame, fi.pack, fm.record, queue_writeback);
       ctx_->metrics.Inc(id_writebacks_);
     }
   }
@@ -199,8 +192,7 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
   // memory entry pairing it with the old frame must go before the frame is
   // reused.  Only CPUs with a space connecting the table loaded can hold one.
   ctx_->cpus.InvalidateAssociative(&ptw, *fi.pt, ctx_->current_cpu);
-  fi = FrameInfo{};
-  free_list_.push_back(frame);
+  GiveBack(frame);
   return Status::Ok();
 }
 
@@ -242,13 +234,21 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
   }
 
   MKS_ASSIGN_OR_RETURN(FrameIndex frame, AcquireFrame());
-  FrameInfo& fi = info(frame);
-  fi.pt = pt;
-  fi.page = page;
-  fi.pack = pack;
-  fi.vtoc = vtoc;
-  fi.cell = cell;
-  fi.seg_ec = seg_ec;
+  FrameInfo& fi = Claim(frame, pt, page, pack, vtoc, cell, seg_ec);
+  // The tail of a fault serviced in place: map the page, wake its waiters,
+  // look ahead, and close the fault's span.
+  auto install = [&] {
+    ptw.frame = frame.value;
+    ptw.in_core = true;
+    ptw.locked = false;
+    vpm_->Advance(seg_ec);
+    if (pipeline_.enabled) {
+      MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
+    }
+    ctx_->trace.CloseSpan(fault_begin, ev_fault_service_, initiator.value, page,
+                          hist_fault_service_);
+    return Status::Ok();
+  };
 
   if (fm.zero) {
     // Zero page: no disk read.  If its record was reclaimed, reading it
@@ -259,9 +259,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
       if (cell.value != UINT32_MAX) {
         Status charged = quota_->Charge(cell, 1);
         if (!charged.ok()) {
-          fi = FrameInfo{};
-          fi.state = FrameState::kFree;
-          free_list_.push_back(frame);
+          GiveBack(frame);
           return charged;
         }
       }
@@ -270,9 +268,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
         if (cell.value != UINT32_MAX) {
           (void)quota_->Refund(cell, 1);
         }
-        fi = FrameInfo{};
-        fi.state = FrameState::kFree;
-        free_list_.push_back(frame);
+        GiveBack(frame);
         return record.status();
       }
       fm.allocated = true;
@@ -280,18 +276,9 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
       ctx_->metrics.Inc(id_zero_page_reallocations_);
     }
     fm.zero = false;
-    ptw.frame = frame.value;
-    ptw.in_core = true;
-    ptw.locked = false;
     ptw.modified = true;  // core copy now diverges from the reclaimed record
     MarkWriterCandidate(frame.value - first_frame_);
-    vpm_->Advance(seg_ec);
-    if (pipeline_.enabled) {
-      MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
-    }
-    ctx_->trace.CloseSpan(fault_begin, ev_fault_service_, initiator.value, page,
-                          hist_fault_service_);
-    return Status::Ok();
+    return install();
   }
 
   if (!async_) {
@@ -299,16 +286,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
       Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
       ctx_->volumes.ReadRecord(pack, fm.record, &ctx_->memory, frame);
     }
-    ptw.frame = frame.value;
-    ptw.in_core = true;
-    ptw.locked = false;
-    vpm_->Advance(seg_ec);
-    if (pipeline_.enabled) {
-      MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
-    }
-    ctx_->trace.CloseSpan(fault_begin, ev_fault_service_, initiator.value, page,
-                          hist_fault_service_);
-    return Status::Ok();
+    return install();
   }
 
   // Asynchronous read: leave the descriptor locked, post the transfer, and
@@ -372,14 +350,8 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
     }
     const FrameIndex frame = free_list_.back();
     free_list_.pop_back();
-    FrameInfo& fi = info(frame);
+    FrameInfo& fi = Claim(frame, pt, q, pack, vtoc, cell, seg_ec);
     fi.state = FrameState::kIoInProgress;
-    fi.pt = pt;
-    fi.page = q;
-    fi.pack = pack;
-    fi.vtoc = vtoc;
-    fi.cell = cell;
-    fi.seg_ec = seg_ec;
     fi.prefetched = true;
     fi.prefetch_grace = true;
     qptw.locked = true;  // colliding references wait on the page's eventcount
@@ -413,6 +385,21 @@ void PageFrameManager::DispatchPackQueue(PackId pack) {
 void PageFrameManager::DrainPackQueue(PackId pack) {
   while (ctx_->volumes.pack(pack)->queued_io() > 0) {
     DispatchPackQueue(pack);
+  }
+}
+
+void PageFrameManager::DrainPackQueues() {
+  for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
+    DrainPackQueue(PackId(p));
+  }
+}
+
+void PageFrameManager::WriteBack(FrameIndex frame, PackId pack, RecordIndex record, bool queue) {
+  PageRef image = ctx_->memory.Snapshot(frame, ctx_->volumes.Home(pack, record));
+  if (queue) {
+    ctx_->volumes.pack(pack)->QueueWrite(record, std::move(image), 0);
+  } else {
+    ctx_->volumes.pack(pack)->WriteRecord(record, std::move(image));
   }
 }
 
@@ -517,10 +504,7 @@ void PageFrameManager::ReplenishFreePool() {
     any = true;
   }
   if (any) {
-    // Flush the staged writebacks in record-sorted rounds.
-    for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
-      DrainPackQueue(PackId(p));
-    }
+    DrainPackQueues();  // the staged writebacks, in record-sorted rounds
   }
 }
 
@@ -547,15 +531,9 @@ Status PageFrameManager::AddPage(PageTable* pt, uint32_t page, PackId pack, Vtoc
   fm.zero = false;
   fm.record = record;
 
-  FrameInfo& fi = info(frame);
-  fi.pt = pt;
-  fi.page = page;
-  fi.pack = pack;
-  fi.vtoc = vtoc;
   // The governing cell rides along so a later zero-page reclaim of this page
   // refunds the same books that were charged for its growth.
-  fi.cell = cell;
-  fi.seg_ec = seg_ec;
+  Claim(frame, pt, page, pack, vtoc, cell, seg_ec);
 
   ctx_->memory.ZeroFrame(frame);
   Ptw& ptw = pt->ptws[page];
@@ -703,16 +681,10 @@ void PageFrameManager::CollectCleanable(size_t max_frames, std::optional<PackId>
 void PageFrameManager::CleanInPlace(FrameIndex frame, bool queue) {
   const FrameInfo& fi = info(frame);
   Ptw& ptw = fi.pt->ptws[fi.page];
-  DiskPack* dp = ctx_->volumes.pack(fi.pack);
-  const RecordIndex record = dp->GetVtoc(fi.vtoc)->map_entry(fi.page).record;
   // The page stays resident and keeps viewing the image it hands over, so
   // its next write detaches the record again instead of copying.
-  PageRef image = ctx_->memory.Snapshot(frame, ctx_->volumes.Home(fi.pack, record));
-  if (queue) {
-    dp->QueueWrite(record, std::move(image), 0);
-  } else {
-    dp->WriteRecord(record, std::move(image));
-  }
+  WriteBack(frame, fi.pack,
+            ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc)->map_entry(fi.page).record, queue);
   ptw.modified = false;
   const uint32_t slot = frame.value - first_frame_;
   writer_candidates_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
@@ -759,9 +731,7 @@ void PageFrameManager::PageWriterStep(size_t max_writes) {
     ctx_->metrics.Inc(id_daemon_writes_);
   }
   if (pipeline_.enabled && !picks_.empty()) {
-    for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
-      DrainPackQueue(PackId(p));
-    }
+    DrainPackQueues();
   }
   if (max_writes > 0 && picks_.size() == max_writes) {
     PostWork(writer_work_);  // a full batch: more may be cleanable

@@ -248,6 +248,10 @@ class PageFrameManager {
   // Writes a frame picked by CollectCleanable back to its record, staged on
   // the pack's request queue when `queue`; the page stays resident, clean.
   void CleanInPlace(FrameIndex frame, bool queue);
+  // Hands `frame`'s image to `record` of `pack`, by reference: staged on the
+  // pack's request queue when `queue` (the batched latency is charged when
+  // the round is dispatched), else written now.
+  void WriteBack(FrameIndex frame, PackId pack, RecordIndex record, bool queue);
   // Laundering, shared by the fault path and idle rounds: stages up to
   // `max_pages` cleanable pages of `pack` on its request queue and drains
   // the queue (with whatever it already held) in record-sorted rounds.
@@ -261,8 +265,10 @@ class PageFrameManager {
   // Dispatches one round of `pack`'s request queue and completes any posted
   // reads.
   void DispatchPackQueue(PackId pack);
-  // Dispatches rounds until `pack`'s request queue is empty.
+  // Dispatches rounds until `pack`'s request queue is empty; the second form
+  // drains every pack's.
   void DrainPackQueue(PackId pack);
+  void DrainPackQueues();
   void CompletePostedRead(FrameIndex frame);
   // Installs a finished read of `frame`, for the daemon and for dispatch
   // rounds alike: binds the frame to the record's image (its latency is
@@ -271,6 +277,24 @@ class PageFrameManager {
   // the segment was deactivated while the read was in flight.
   bool InstallRead(FrameIndex frame);
   FrameInfo& info(FrameIndex frame) { return frames_[frame.value - first_frame_]; }
+  // Records which page `frame` holds: page `page` of `pt`, homed at
+  // (pack, vtoc), charged to `cell`, arrivals announced on `seg_ec`.
+  FrameInfo& Claim(FrameIndex frame, PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
+                   QuotaCellId cell, EventcountId seg_ec) {
+    FrameInfo& fi = info(frame);
+    fi.pt = pt;
+    fi.page = page;
+    fi.pack = pack;
+    fi.vtoc = vtoc;
+    fi.cell = cell;
+    fi.seg_ec = seg_ec;
+    return fi;
+  }
+  // Returns an unused or released frame to the free list.
+  void GiveBack(FrameIndex frame) {
+    info(frame) = FrameInfo{};
+    free_list_.push_back(frame);
+  }
   // Records that the frame at `slot` may have become cleanable, and posts the
   // writer work when the mark is new.
   void MarkWriterCandidate(uint32_t slot) {

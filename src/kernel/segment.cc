@@ -1,7 +1,5 @@
 #include "src/kernel/segment.h"
 
-#include <cassert>
-
 namespace mks {
 
 SegmentManager::SegmentManager(KernelContext* ctx, CoreSegmentManager* core_segs,
@@ -45,7 +43,7 @@ Result<uint32_t> SegmentManager::AllocateSlot() {
   }
   uint32_t victim = kNoAst;
   for (uint32_t i = 0; i < ast_.size(); ++i) {
-    if (ast_[i].connections == 0 &&
+    if (ast_[i].connections() == 0 &&
         (victim == kNoAst || ast_[i].lru_stamp < ast_[victim].lru_stamp)) {
       victim = i;
     }
@@ -76,7 +74,6 @@ Result<uint32_t> SegmentManager::Activate(SegmentUid uid, PackId pack, VtocIndex
   ast.pack = pack;
   ast.vtoc = vtoc;
   ast.quota_cell = cell;
-  ast.connections = 0;
   ast.is_directory = entry->is_directory;
   ast.max_pages = entry->max_length_pages;
   ast.lru_stamp = ++lru_counter_;
@@ -116,7 +113,7 @@ Status SegmentManager::Deactivate(uint32_t slot) {
     return Status(Code::kInvalidArgument, "bad AST index");
   }
   AstEntry& ast = ast_[slot];
-  if (ast.connections != 0) {
+  if (ast.connections() != 0) {
     return Status(Code::kFailedPrecondition, "segment still connected to address spaces");
   }
   // The slot's page-table storage is about to describe a different segment;
@@ -195,7 +192,7 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
   if (ast == nullptr) {
     return Status(Code::kInvalidArgument, "bad AST index");
   }
-  if (ast->connections != 0) {
+  if (ast->connections() != 0) {
     return Status(Code::kFailedPrecondition, "disconnect all address spaces before relocation");
   }
   // Flush every resident page home first so the records are authoritative.
@@ -241,18 +238,6 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
   ast->pack = new_pack_id;
   ast->vtoc = new_vtoc;
   return NewHome{new_pack_id, new_vtoc};
-}
-
-void SegmentManager::NoteConnect(uint32_t slot) {
-  AstEntry* ast = Get(slot);
-  assert(ast != nullptr);
-  ++ast->connections;
-}
-
-void SegmentManager::NoteDisconnect(uint32_t slot) {
-  AstEntry* ast = Get(slot);
-  assert(ast != nullptr && ast->connections > 0);
-  --ast->connections;
 }
 
 uint32_t SegmentManager::active_count() const {

@@ -36,9 +36,12 @@ struct AstEntry {
   uint32_t max_pages = 0;
   QuotaCellId quota_cell = kNoQuotaCell;
   EventcountId page_ec{};      // page-arrival eventcount for this segment
-  uint32_t connections = 0;    // address-space connections (SDWs pointing here)
   bool is_directory = false;
   uint64_t lru_stamp = 0;
+
+  // Address-space connections: the SDWs naming the page table, which lists
+  // one entry per SDW.
+  size_t connections() const { return page_table.connected.size(); }
 };
 
 class SegmentManager {
@@ -82,14 +85,10 @@ class SegmentManager {
     VtocIndex vtoc{};
   };
   // Moves the segment to the emptiest other pack with room for its records
-  // plus one page of growth headroom.  Requires connections == 0 (the layers
+  // plus one page of growth headroom.  Requires connections() == 0 (the layers
   // above disconnect all address spaces first).  Updates the AST entry's home
   // and returns it for the upward signal to the directory manager.
   Result<NewHome> Relocate(uint32_t ast);
-
-  // Connection bookkeeping, called by the address-space layer above.
-  void NoteConnect(uint32_t ast);
-  void NoteDisconnect(uint32_t ast);
 
   uint32_t active_count() const;
   uint32_t ast_slots() const { return static_cast<uint32_t>(ast_.size()); }

@@ -1,12 +1,11 @@
 // RAII read/write sections over a SimSharedLock, coupled to the kernel's
 // virtual-time substrate.
 //
-// A manager wraps each classified public entry point in a SharedSection: the
-// constructor acquires at the executing CPU's LocalNow() (the open window's
-// local time, KernelContext::Window) and charges any spin, revocation
-// traffic and grace wait through ChargeLockWait; the destructor releases at
-// acquire-time plus everything the section charged to the global clock, the
-// rule LockTenure applies to spin locks.  The lock counts its own grants and
+// A manager wraps each classified public entry point in a SharedSection,
+// which holds the lock through a LockTenure: it acquires at the executing
+// CPU's LocalNow() (the open window's local time, KernelContext::Window),
+// charges any spin, revocation traffic and grace wait, and releases by the
+// rule every modelled lock follows.  The lock counts its own grants and
 // waits; the section adds the work done inside and trace events.
 //
 // Sections nest (DeleteEntry -> RemoveQuota, HandleQuotaException ->
@@ -16,6 +15,7 @@
 #ifndef MKS_KERNEL_SHARED_SECTION_H_
 #define MKS_KERNEL_SHARED_SECTION_H_
 
+#include <optional>
 #include <string>
 
 #include "src/kernel/context.h"
@@ -69,30 +69,22 @@ class SharedSection {
     }
     lock_ = lock;
     if (lock->EnterSection() > 0) {
-      nested_ = true;
-      return;
+      return;  // nested: only the outermost section holds the lock
     }
-    cpu_ = ctx->current_cpu;
-    lnow_ = ctx->LocalNow();
+    const uint16_t cpu = ctx->current_cpu;
     if (kind == Kind::kRead) {
-      spin_ = lock->AcquireRead(lnow_, cpu_);
-      // A reader moves no line: its whole wait is the gap.
-      ChargeLockWait(&ctx->prof, &ctx->cost, spin_, 0);
-      ctx->trace.Instant(ins.ev_read_grant, cpu_, static_cast<uint32_t>(spin_));
+      tenure_.emplace(lock, cpu, ctx->LocalNow(), &ctx->prof, &ctx->cost);
+      ctx->trace.Instant(ins.ev_read_grant, cpu, static_cast<uint32_t>(tenure_->spin()));
     } else {
-      const SimSharedLock::WriteGrant grant = lock->AcquireWrite(lnow_, cpu_);
-      spin_ = grant.total;
-      // The revocation/publish/grace traffic is the writer's handoff.
-      ChargeLockWait(&ctx->prof, &ctx->cost, grant.total,
-                     grant.revocation_cycles + grant.publish_cycles + grant.grace_cycles);
+      SimSharedLock::WriteGrant grant;
+      tenure_.emplace(lock, cpu, ctx->LocalNow(), &ctx->prof, &ctx->cost, &grant);
       if (grant.revoked_cpus > 0) {
-        ctx->trace.Instant(ins.ev_revoke, cpu_, grant.revoked_cpus);
+        ctx->trace.Instant(ins.ev_revoke, cpu, grant.revoked_cpus);
       }
       if (grant.grace_cycles > 0) {
-        ctx->trace.Instant(ins.ev_grace, cpu_, static_cast<uint32_t>(grant.grace_cycles));
+        ctx->trace.Instant(ins.ev_grace, cpu, static_cast<uint32_t>(grant.grace_cycles));
       }
     }
-    t0_ = ctx->clock.now();
   }
 
   ~SharedSection() {
@@ -100,19 +92,12 @@ class SharedSection {
       return;
     }
     lock_->ExitSection();
-    if (nested_) {
-      return;
-    }
-    // The section held the lock for exactly the global-clock progress its
-    // body charged; release at acquire + spin + that work.
-    const Cycles work = ctx_->clock.now() - t0_;
-    const Cycles end = lnow_ + spin_ + work;
-    if (kind_ == Kind::kRead) {
-      lock_->ReleaseRead(end, cpu_);
-      ctx_->metrics.Inc(ins_.id_read_section_cycles, work);
-    } else {
-      lock_->ReleaseWrite(end);
-      ctx_->metrics.Inc(ins_.id_write_section_cycles, work);
+    if (tenure_.has_value()) {
+      // The body's work: what the section charged after its grant.
+      const Cycles work = tenure_->held() - tenure_->spin();
+      tenure_->Release();
+      ctx_->metrics.Inc(
+          kind_ == Kind::kRead ? ins_.id_read_section_cycles : ins_.id_write_section_cycles, work);
     }
   }
 
@@ -127,11 +112,7 @@ class SharedSection {
   // inside lands under the manager's read/write domain.
   Prof::Scope prof_scope_;
   SimSharedLock* lock_ = nullptr;  // null: un-modeled, fully inert
-  bool nested_ = false;
-  uint16_t cpu_ = 0;
-  Cycles lnow_ = 0;
-  Cycles spin_ = 0;
-  Cycles t0_ = 0;
+  std::optional<LockTenure> tenure_;  // the outermost section's hold
 };
 
 }  // namespace mks

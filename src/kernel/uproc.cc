@@ -37,10 +37,11 @@ void UserProcessManager::ConfigureDispatch(const DispatchConfig& config) {
   dcfg_ = config;
   // One policy knob covers every scheduler lock; MCS prices its one line per
   // contended grant at connect_cost.
-  const LockPolicyConfig lock_policy{dcfg_.lock_policy, dcfg_.connect_cost};
+  const Cycles connect_cost = ctx_->cpus.connect_cost();
+  const LockPolicyConfig lock_policy{dcfg_.lock_policy, connect_cost};
   list_lock_.Configure(lock_policy);
   if (dcfg_.sharded_runqueues) {
-    rq_ = std::make_unique<RunQueueSet>(ctx_->smp.count(), dcfg_.steal, dcfg_.connect_cost,
+    rq_ = std::make_unique<RunQueueSet>(ctx_->smp.count(), dcfg_.steal, connect_cost,
                                         &ctx_->cost, &ctx_->metrics, &ctx_->trace,
                                         lock_policy, &ctx_->prof);
   }
@@ -291,9 +292,10 @@ void UserProcessManager::TouchReadyList() {
   constexpr Cycles kDispatchHold = 440;  // ~ (kVpSwitch + kProcessSwitch) structured
   LockTenure tenure(&list_lock_, ctx_->LocalNow(), &ctx_->prof, &ctx_->cost);
   ctx_->metrics.Inc(id_list_lock_spin_cycles_, tenure.spin());
-  if (tenure.TouchLine(&list_owner_, ctx_->current_cpu, dcfg_.connect_cost)) {
+  const Cycles connect_cost = ctx_->cpus.connect_cost();
+  if (tenure.TouchLine(&list_owner_, ctx_->current_cpu, connect_cost)) {
     ctx_->metrics.Inc(id_list_transfers_);
-    ctx_->metrics.Inc(id_list_transfer_cycles_, dcfg_.connect_cost);
+    ctx_->metrics.Inc(id_list_transfer_cycles_, connect_cost);
   }
   tenure.Release(kDispatchHold);
 }
@@ -330,7 +332,7 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
   // Running on a different CPU than last time drags the process's cached
   // working state across the interconnect (free at connect cost 0).
   if (sched_costs_on() && proc.last_cpu != kNoCpu && proc.last_cpu != cpu) {
-    ctx_->cost.Charge(CodeStyle::kOptimized, dcfg_.connect_cost);
+    ctx_->cost.Charge(CodeStyle::kOptimized, ctx_->cpus.connect_cost());
     ctx_->metrics.Inc(id_proc_migrations_);
   }
   proc.last_cpu = cpu;
@@ -607,7 +609,21 @@ Status UserProcessManager::RunUntilQuiescent(uint64_t max_passes) {
       if (AllDone()) {
         return Status::Ok();
       }
-      return Status(Code::kFailedPrecondition, "scheduler quiesced with runnable work pending");
+      // Nothing ran and no read is due: every unfinished process is parked on
+      // an eventcount nothing will advance, unless one is ready.
+      size_t unfinished = 0;
+      size_t ready = 0;
+      for (const auto& [pid, proc] : procs_) {
+        if (proc.state != ProcState::kDone && proc.state != ProcState::kAborted) {
+          ++unfinished;
+          ready += proc.state == ProcState::kReady ? 1 : 0;
+        }
+      }
+      const std::string quiesced =
+          "scheduler quiesced with " + std::to_string(unfinished) + " unfinished process(es), ";
+      return Status(Code::kFailedPrecondition,
+                    ready > 0 ? quiesced + std::to_string(ready) + " of them ready"
+                              : quiesced + "all blocked on eventcounts");
     }
   }
   // No message: callers step the scheduler a pass at a time and end most

@@ -65,11 +65,11 @@ struct ProcessStats {
 };
 
 // Dispatch-path configuration (mirrors the KernelConfig knobs; all defaults
-// reproduce the legacy single-ready-list scheduler byte-for-byte).
+// reproduce the legacy single-ready-list scheduler byte-for-byte).  Every
+// cross-CPU charge is priced at the processor pool's connect_cost().
 struct DispatchConfig {
   bool sharded_runqueues = false;
   bool steal = false;
-  Cycles connect_cost = 0;
   // Handoff-traffic policy for every scheduler lock (the global ready-list
   // lock and, in sharded mode, each run-queue shard's lock): kTestAndSet
   // charges only the gap; kMcs adds one connect_cost line transfer per
@@ -192,7 +192,7 @@ class UserProcessManager {
   // Cross-CPU scheduling charges only exist with a configured connect cost
   // and more than one CPU to cross between.
   bool sched_costs_on() const {
-    return dcfg_.connect_cost > 0 && ctx_->smp.count() > 1;
+    return ctx_->cpus.connect_cost() > 0 && ctx_->smp.count() > 1;
   }
   // The stall watchdog's flight-recorder dump: profiler domain trees, tracer
   // ring tails, scheduler-lock owners, run-queue depths, and process states,

@@ -95,10 +95,12 @@ void VirtualProcessorManager::ChargeDispatch(Vp& v) {
   Prof::Scope sw(&ctx_->prof, ProfDomain::kDispatch);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kVpSwitch);
   // Loading a state record last resident in another CPU's cache pays one
-  // interconnect transfer.  Free at connect cost 0 (the legacy model) and
-  // structurally free with one CPU (last_cpu can never differ).
-  if (connect_cost_ > 0 && v.last_cpu != ctx_->current_cpu) {
-    ctx_->cost.Charge(CodeStyle::kOptimized, connect_cost_);
+  // interconnect transfer, at the pool's connect price.  Free at connect
+  // cost 0 (the legacy model) and structurally free with one CPU (last_cpu
+  // can never differ).
+  const Cycles connect_cost = ctx_->cpus.connect_cost();
+  if (connect_cost > 0 && v.last_cpu != ctx_->current_cpu) {
+    ctx_->cost.Charge(CodeStyle::kOptimized, connect_cost);
     ctx_->metrics.Inc(id_vp_migrations_);
   }
   v.last_cpu = ctx_->current_cpu;

@@ -88,11 +88,6 @@ class VirtualProcessorManager {
   Result<VpId> AcquireIdleUserVp(uint16_t prefer_cpu);
   void ReleaseUserVp(VpId vp);
 
-  // Virtual cycles to migrate a vp state record between CPUs (0 = free, the
-  // legacy model).  Wired from KernelConfig::connect_cost at construction of
-  // the kernel; charges only materialize with a multi-CPU pool.
-  void set_connect_cost(Cycles cost) { connect_cost_ = cost; }
-
   // Wires the upward path: the real-memory queue (a core segment, so posting
   // writes only resident words) that carries a parked process's wakeup to
   // the level-2 scheduler.
@@ -157,7 +152,6 @@ class VirtualProcessorManager {
   KernelContext* ctx_;
   ModuleId self_;
   CoreSegmentManager* core_segs_;
-  Cycles connect_cost_ = 0;
   MetricId id_dispatches_;
   MetricId id_vp_migrations_;
   TraceEventId ev_ec_advance_;

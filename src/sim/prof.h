@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "src/sim/clock.h"
+#include "src/sync/shared_lock.h"
 #include "src/sync/spinlock.h"
 
 namespace mks {
@@ -364,11 +365,12 @@ inline void ChargeLockWait(Prof* prof, CostModel* cost, Cycles total, Cycles tra
   }
 }
 
-// One tenure of a modelled spin lock, from acquire to release.  It acquires
-// at local time `lnow` and charges the wait through ChargeLockWait; it
-// releases at `lnow` plus the global clock's progress since (the wait, any
-// line transfer, the work under the lock) plus an optional uncharged hold.
-// Every spin-lock site holds its lock through one, keeping its own counters.
+// One tenure of a modelled lock, from acquire to release.  It acquires at
+// local time `lnow` and charges the wait through ChargeLockWait; it releases
+// at `lnow` plus the global clock's progress since (the wait, any line
+// transfer, the work under the lock) plus an optional uncharged hold.  Every
+// lock site holds its lock through one, keeping its own counters: the
+// spin-lock sites, and SharedSection for the shared naming locks.
 class LockTenure {
  public:
   static constexpr uint16_t kNoOwner = UINT16_MAX;
@@ -378,9 +380,29 @@ class LockTenure {
         spin_(lock->Acquire(lnow)) {
     ChargeLockWait(prof, cost, spin_, lock->last_acquire_handoff());
   }
+  // A section of a shared lock on `cpu`: a write section when `write` is
+  // given, which receives the grant, else a read section.  A reader moves no
+  // line, so its whole wait is the gap; a writer's revocation, publish and
+  // grace traffic is its handoff.
+  LockTenure(SimSharedLock* lock, uint16_t cpu, Cycles lnow, Prof* prof, CostModel* cost,
+             SimSharedLock::WriteGrant* write = nullptr)
+      : shared_(lock), cpu_(cpu), write_(write != nullptr), prof_(prof), cost_(cost),
+        lnow_(lnow), start_(cost->now()) {
+    if (write != nullptr) {
+      *write = lock->AcquireWrite(lnow, cpu);
+      spin_ = write->total;
+      ChargeLockWait(prof, cost, spin_,
+                     write->revocation_cycles + write->publish_cycles + write->grace_cycles);
+    } else {
+      spin_ = lock->AcquireRead(lnow, cpu);
+      ChargeLockWait(prof, cost, spin_, 0);
+    }
+  }
   LockTenure(LockTenure&& other) noexcept
-      : lock_(std::exchange(other.lock_, nullptr)), prof_(other.prof_), cost_(other.cost_),
-        lnow_(other.lnow_), start_(other.start_), spin_(other.spin_) {}
+      : lock_(std::exchange(other.lock_, nullptr)),
+        shared_(std::exchange(other.shared_, nullptr)), cpu_(other.cpu_),
+        write_(other.write_), prof_(other.prof_), cost_(other.cost_), lnow_(other.lnow_),
+        start_(other.start_), spin_(other.spin_) {}
   ~LockTenure() { Release(); }
 
   Cycles spin() const { return spin_; }  // the charged wait: gap plus handoff
@@ -399,19 +421,29 @@ class LockTenure {
   }
 
   void Release(Cycles hold = 0) {
+    const Cycles end = lnow_ + held() + hold;
     if (lock_ != nullptr) {
-      lock_->Release(lnow_ + held() + hold);
-      lock_ = nullptr;
+      lock_->Release(end);
+    } else if (shared_ != nullptr && write_) {
+      shared_->ReleaseWrite(end);
+    } else if (shared_ != nullptr) {
+      shared_->ReleaseRead(end, cpu_);
     }
+    lock_ = nullptr;
+    shared_ = nullptr;
   }
 
  private:
-  SimSpinLock* lock_;  // null once released
+  // The lock held, one of the two; both null once released.
+  SimSpinLock* lock_ = nullptr;
+  SimSharedLock* shared_ = nullptr;
+  uint16_t cpu_ = 0;    // a shared section's CPU
+  bool write_ = false;  // a shared section's kind
   Prof* prof_;
   CostModel* cost_;
   Cycles lnow_;
   Cycles start_;
-  Cycles spin_;
+  Cycles spin_ = 0;
 };
 
 }  // namespace mks

@@ -5,6 +5,8 @@
 // only what it costs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/rng.h"
 #include "src/hw/machine.h"
 #include "tests/kernel_fixture.h"
@@ -20,52 +22,76 @@ TEST(AssocMemory, ZeroEntriesIsDisabled) {
   AssociativeMemory assoc(0);
   EXPECT_FALSE(assoc.enabled());
   EXPECT_EQ(assoc.capacity(), 0u);
-  EXPECT_EQ(assoc.Lookup(AssociativeMemory::MakeKey(1, 2)), nullptr);
+  EXPECT_EQ(assoc.Lookup(Segno(1), 2), nullptr);
 }
 
 TEST(AssocMemory, InsertThenLookup) {
   AssociativeMemory assoc(16);
   ASSERT_TRUE(assoc.enabled());
   Ptw ptw;
-  const uint64_t key = AssociativeMemory::MakeKey(7, 3);
-  assoc.Insert(key, &ptw, true, false, false, 4);
-  AssociativeMemory::Entry* entry = assoc.Lookup(key);
+  assoc.Insert(Segno(7), 3, &ptw, true, false, false, 4);
+  AssociativeMemory::Entry* entry = assoc.Lookup(Segno(7), 3);
   ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->segno, Segno(7));
+  EXPECT_EQ(entry->page, 3u);
   EXPECT_EQ(entry->ptw, &ptw);
   EXPECT_TRUE(entry->read);
   EXPECT_FALSE(entry->write);
   EXPECT_EQ(entry->ring_bracket, 4);
-  EXPECT_EQ(assoc.Lookup(AssociativeMemory::MakeKey(7, 4)), nullptr);
+  EXPECT_EQ(assoc.Lookup(Segno(7), 4), nullptr);
+  EXPECT_EQ(assoc.Lookup(Segno(8), 3), nullptr);
 }
 
 TEST(AssocMemory, LruEvictionWithinSet) {
-  // 4 entries = a single 4-way set; five distinct keys force an eviction of
+  // 4 entries = a single 4-way set; five distinct pages force an eviction of
   // exactly the least recently used one.
   AssociativeMemory assoc(AssociativeMemory::kWays);
   std::vector<Ptw> ptws(5);
-  std::vector<uint64_t> keys;
   for (uint32_t i = 0; i < 4; ++i) {
-    keys.push_back(AssociativeMemory::MakeKey(1, i));
-    assoc.Insert(keys[i], &ptws[i], true, true, true, 7);
+    assoc.Insert(Segno(1), i, &ptws[i], true, true, true, 7);
   }
-  // Touch key 0 so key 1 becomes the LRU victim.
-  ASSERT_NE(assoc.Lookup(keys[0]), nullptr);
-  assoc.Insert(AssociativeMemory::MakeKey(1, 99), &ptws[4], true, true, true, 7);
-  EXPECT_NE(assoc.Lookup(keys[0]), nullptr);
-  EXPECT_EQ(assoc.Lookup(keys[1]), nullptr);
-  EXPECT_NE(assoc.Lookup(AssociativeMemory::MakeKey(1, 99)), nullptr);
+  // Touch page 0 so page 1 becomes the LRU victim.
+  ASSERT_NE(assoc.Lookup(Segno(1), 0), nullptr);
+  assoc.Insert(Segno(1), 99, &ptws[4], true, true, true, 7);
+  EXPECT_NE(assoc.Lookup(Segno(1), 0), nullptr);
+  EXPECT_EQ(assoc.Lookup(Segno(1), 1), nullptr);
+  EXPECT_NE(assoc.Lookup(Segno(1), 99), nullptr);
 }
 
-TEST(AssocMemory, InvalidateTagDropsOnlyThatTag) {
+TEST(AssocMemory, InvalidateSegnoDropsOnlyThatSegno) {
   AssociativeMemory assoc(16);
   Ptw a, b;
-  assoc.Insert(AssociativeMemory::MakeKey(5, 0), &a, true, true, true, 7);
-  assoc.Insert(AssociativeMemory::MakeKey(5, 1), &a, true, true, true, 7);
-  assoc.Insert(AssociativeMemory::MakeKey(6, 0), &b, true, true, true, 7);
-  EXPECT_EQ(assoc.InvalidateTag(5), 2u);
-  EXPECT_EQ(assoc.Lookup(AssociativeMemory::MakeKey(5, 0)), nullptr);
-  EXPECT_EQ(assoc.Lookup(AssociativeMemory::MakeKey(5, 1)), nullptr);
-  EXPECT_NE(assoc.Lookup(AssociativeMemory::MakeKey(6, 0)), nullptr);
+  assoc.Insert(Segno(5), 0, &a, true, true, true, 7);
+  assoc.Insert(Segno(5), 1, &a, true, true, true, 7);
+  assoc.Insert(Segno(6), 0, &b, true, true, true, 7);
+  EXPECT_EQ(assoc.InvalidateSegno(Segno(5)), 2u);
+  EXPECT_EQ(assoc.Lookup(Segno(5), 0), nullptr);
+  EXPECT_EQ(assoc.Lookup(Segno(5), 1), nullptr);
+  EXPECT_NE(assoc.Lookup(Segno(6), 0), nullptr);
+  EXPECT_EQ(a.assoc_refs, 0u);
+  EXPECT_EQ(b.assoc_refs, 1u);
+}
+
+TEST(AssocMemory, SetPlacementMixesSegnoAndPage) {
+  // The set a translation lands in is a function of (segno, page) that hit
+  // and miss sequences, and so every charged cycle, depend on; pin it.
+  constexpr size_t kSets = 4;
+  AssociativeMemory assoc(kSets * AssociativeMemory::kWays);
+  Ptw ptw;
+  for (uint16_t segno = 60; segno < 70; ++segno) {
+    for (uint32_t page = 0; page < 12; ++page) {
+      assoc.Insert(Segno(segno), page, &ptw, true, true, true, 7);
+      const auto slots = assoc.slots();
+      const auto it = std::find_if(slots.begin(), slots.end(), [&](const auto& e) {
+        return e.valid && e.segno == Segno(segno) && e.page == page;
+      });
+      ASSERT_NE(it, slots.end());
+      const uint64_t mixed = ((uint64_t{segno} << 32) | page) * 0x9e3779b97f4a7c15ULL;
+      EXPECT_EQ(static_cast<size_t>(it - slots.begin()) / AssociativeMemory::kWays,
+                (mixed >> 32) & (kSets - 1))
+          << "segno " << segno << " page " << page;
+    }
+  }
 }
 
 TEST(AssocMemory, InvalidatePtwAndPageTable) {
@@ -73,17 +99,17 @@ TEST(AssocMemory, InvalidatePtwAndPageTable) {
   PageTable pt;
   pt.ptws.assign(4, Ptw{});
   Ptw outside;
-  assoc.Insert(AssociativeMemory::MakeKey(1, 0), &pt.ptws[0], true, true, true, 7);
-  assoc.Insert(AssociativeMemory::MakeKey(1, 2), &pt.ptws[2], true, true, true, 7);
-  assoc.Insert(AssociativeMemory::MakeKey(2, 0), &outside, true, true, true, 7);
+  assoc.Insert(Segno(1), 0, &pt.ptws[0], true, true, true, 7);
+  assoc.Insert(Segno(1), 2, &pt.ptws[2], true, true, true, 7);
+  assoc.Insert(Segno(2), 0, &outside, true, true, true, 7);
   EXPECT_EQ(assoc.InvalidatePtw(&pt.ptws[2]), 1u);
-  EXPECT_EQ(assoc.Lookup(AssociativeMemory::MakeKey(1, 2)), nullptr);
+  EXPECT_EQ(assoc.Lookup(Segno(1), 2), nullptr);
   // Deactivation: everything resolved through the table's PTW storage dies.
   EXPECT_EQ(assoc.InvalidatePageTable(&pt), 1u);
-  EXPECT_EQ(assoc.Lookup(AssociativeMemory::MakeKey(1, 0)), nullptr);
-  EXPECT_NE(assoc.Lookup(AssociativeMemory::MakeKey(2, 0)), nullptr);
+  EXPECT_EQ(assoc.Lookup(Segno(1), 0), nullptr);
+  EXPECT_NE(assoc.Lookup(Segno(2), 0), nullptr);
   assoc.Flush();
-  EXPECT_EQ(assoc.Lookup(AssociativeMemory::MakeKey(2, 0)), nullptr);
+  EXPECT_EQ(assoc.Lookup(Segno(2), 0), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -49,14 +49,15 @@ TEST(Disk, RecordIoRoundTripAndLatency) {
   DiskPack* pack = fx.volumes.pack(id);
   auto rec = pack->AllocateRecord();
   ASSERT_TRUE(rec.ok());
-  std::vector<Word> out(kPageWords, 0);
   auto in = NewPageImage();
   (*in)[0] = 11;
   (*in)[kPageWords - 1] = 99;
   const Cycles before = fx.clock.now();
   pack->WriteRecord(*rec, in);
-  pack->ReadRecord(*rec, out);
+  fx.volumes.ReadRecord(id, *rec, &fx.memory, FrameIndex(1));
   EXPECT_GE(fx.clock.now() - before, Costs::kDiskReadLatency + Costs::kDiskWriteLatency);
+  EXPECT_EQ(fx.metrics.Get("disk.reads"), 1u);
+  const std::span<const Word> out = fx.memory.FrameView(FrameIndex(1));
   EXPECT_EQ(out[0], 11u);
   EXPECT_EQ(out[kPageWords - 1], 99u);
 }
@@ -66,9 +67,9 @@ TEST(Disk, UnwrittenRecordReadsZero) {
   const PackId id = fx.volumes.AddPack(4, 4);
   auto rec = fx.volumes.pack(id)->AllocateRecord();
   ASSERT_TRUE(rec.ok());
-  std::vector<Word> out(kPageWords, 1);
-  fx.volumes.pack(id)->ReadRecord(*rec, out);
-  for (Word w : out) {
+  fx.memory.WriteWord(0, 1);  // frame 0 holds data before the read-in
+  fx.volumes.ReadRecord(id, *rec, &fx.memory, FrameIndex(0));
+  for (Word w : fx.memory.FrameView(FrameIndex(0))) {
     ASSERT_EQ(w, 0u);
   }
 }
@@ -253,10 +254,10 @@ TEST(Disk, CopyAndStoreSkipLatency) {
   in->fill(5);
   const Cycles before = fx.clock.now();
   pack->StoreRecord(*rec, in);
-  std::vector<Word> out(kPageWords, 0);
-  pack->CopyRecord(*rec, out);
+  const PageRef out = pack->Share(*rec);
   EXPECT_EQ(fx.clock.now(), before);  // no latency charged
-  EXPECT_EQ(out[100], 5u);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ((*out)[100], 5u);
 }
 
 TEST(Disk, DetachLendsTheRecordUntilItsNextWrite) {
@@ -334,9 +335,9 @@ TEST(Disk, WriteToAFrameAQueuedWriteHoldsCopies) {
   EXPECT_TRUE(pack->lent(*rec));  // until the write is dispatched
   ASSERT_EQ(pack->DispatchBatch(8, nullptr), 1u);
   EXPECT_FALSE(pack->lent(*rec));
-  std::vector<Word> out(kPageWords, 0);
-  pack->CopyRecord(*rec, out);
-  EXPECT_EQ(out[0], 2u);  // the data as of queue time
+  const PageRef out = pack->Share(*rec);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ((*out)[0], 2u);  // the data as of queue time
   EXPECT_EQ(fx.memory.ReadWord(word0), 3u);
 }
 

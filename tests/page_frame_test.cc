@@ -737,7 +737,6 @@ PipelineObservation RunPipelineWorkload(const PagingPipeline& pipeline) {
   EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
   EXPECT_TRUE(fx.kernel.Shutdown().ok());
   // On-disk state after an orderly shutdown.
-  std::vector<Word> buf(kPageWords);
   for (uint16_t p = 0; p < fx.kernel.config().pack_count; ++p) {
     const DiskPack* pack = fx.kernel.ctx().volumes.pack(PackId(p));
     obs.free_records += pack->free_records();
@@ -752,9 +751,9 @@ PipelineObservation RunPipelineWorkload(const PagingPipeline& pipeline) {
         if (fm.zero) {
           obs.disk.push_back(uid + ":" + std::to_string(page) + "=zero");
         } else if (fm.allocated) {
-          pack->CopyRecord(fm.record, std::span<Word>(buf));
+          const PageRef image = pack->Share(fm.record);
           obs.disk.push_back(uid + ":" + std::to_string(page) + "=" +
-                             std::to_string(buf[0]));
+                             std::to_string(image == nullptr ? 0 : (*image)[0]));
         }
       }
       if (entry->quota.present) {

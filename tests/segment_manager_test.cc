@@ -41,7 +41,7 @@ TEST(SegmentManager, DeactivationIsNotConstrainedByHierarchyShape) {
   ASSERT_TRUE(top.ok());
   const SegmentUid top_uid(top->value);
   const uint32_t top_ast = fx.kernel.segments().FindIndex(top_uid);
-  if (top_ast != kNoAst && fx.kernel.segments().Get(top_ast)->connections == 0) {
+  if (top_ast != kNoAst && fx.kernel.segments().Get(top_ast)->connections() == 0) {
     // In the old supervisor this deactivation would be FORBIDDEN while the
     // leaf (an inferior) is active.  The new design permits it outright.
     EXPECT_TRUE(fx.kernel.segments().Deactivate(top_ast).ok());
@@ -87,7 +87,7 @@ TEST(SegmentManager, ConnectedSegmentsCannotBeDeactivated) {
   const KstEntry* entry = fx.kernel.known_segments().Lookup(fx.pid, segno);
   const uint32_t ast = fx.kernel.segments().FindIndex(entry->home.uid);
   ASSERT_NE(ast, kNoAst);
-  EXPECT_GT(fx.kernel.segments().Get(ast)->connections, 0u);
+  EXPECT_GT(fx.kernel.segments().Get(ast)->connections(), 0u);
   EXPECT_EQ(fx.kernel.segments().Deactivate(ast).code(), Code::kFailedPrecondition);
 }
 
@@ -146,7 +146,7 @@ TEST(AddressSpace, DisconnectEverywhereSeversOnlyTheUidsBindings) {
   const SegmentUid uid = fx.kernel.known_segments().Lookup(fx.pid, target[0])->home.uid;
   const uint32_t ast = segs.FindIndex(uid);
   ASSERT_NE(ast, kNoAst);
-  ASSERT_EQ(segs.Get(ast)->connections, 3u);
+  ASSERT_EQ(segs.Get(ast)->connections(), 3u);
 
   // An inactive uid has nothing bound.
   ASSERT_EQ(segs.FindIndex(SegmentUid(0xdead)), kNoAst);
@@ -158,13 +158,13 @@ TEST(AddressSpace, DisconnectEverywhereSeversOnlyTheUidsBindings) {
   ASSERT_TRUE(gates.Terminate(*fx.ctx, idle).ok());
   const uint32_t idle_ast = segs.FindIndex(idle_uid);
   ASSERT_NE(idle_ast, kNoAst);
-  ASSERT_EQ(segs.Get(idle_ast)->connections, 0u);
+  ASSERT_EQ(segs.Get(idle_ast)->connections(), 0u);
   EXPECT_EQ(spaces.DisconnectEverywhere(idle_uid), 0u);
 
   const uint64_t severed0 = fx.kernel.metrics().Get("asm.disconnect_everywhere");
   EXPECT_EQ(spaces.DisconnectEverywhere(uid), 3u);
   EXPECT_EQ(fx.kernel.metrics().Get("asm.disconnect_everywhere") - severed0, 3u);
-  EXPECT_EQ(segs.Get(ast)->connections, 0u);
+  EXPECT_EQ(segs.Get(ast)->connections(), 0u);
   for (size_t i = 0; i < procs.size(); ++i) {
     EXPECT_FALSE(SdwPresent(fx.kernel, procs[i]->pid, target[i])) << i;
     EXPECT_TRUE(SdwPresent(fx.kernel, procs[i]->pid, other[i])) << i;
@@ -178,8 +178,66 @@ TEST(AddressSpace, DisconnectEverywhereSeversOnlyTheUidsBindings) {
     ASSERT_TRUE(value.ok()) << i;
     EXPECT_EQ(*value, 41u);
   }
-  EXPECT_EQ(segs.Get(segs.FindIndex(uid))->connections, 3u);
+  EXPECT_EQ(segs.Get(segs.FindIndex(uid))->connections(), 3u);
   EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+TEST(AddressSpace, DestroySpaceDropsItsSdwsFromThePageTables) {
+  KernelFixture fx;
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  AddressSpaceManager& spaces = fx.kernel.address_spaces();
+  SegmentManager& segs = fx.kernel.segments();
+  auto leaver_pid = fx.kernel.processes().CreateProcess(TestSubject("Leaver"));
+  ASSERT_TRUE(leaver_pid.ok());
+  ProcContext* leaver = fx.kernel.processes().Context(*leaver_pid);
+  PathWalker walker(&gates);
+  ASSERT_TRUE(walker.CreateSegment(*fx.ctx, ">gone>shared", WorldAcl(), Label::SystemLow()).ok());
+  ASSERT_TRUE(walker.CreateSegment(*fx.ctx, ">gone>private", WorldAcl(), Label::SystemLow()).ok());
+  // Both processes connect the shared segment; only the leaver connects the
+  // private one, at two segment numbers.
+  std::vector<Segno> shared;
+  for (ProcContext* proc : {fx.ctx, leaver}) {
+    auto segno = walker.Initiate(*proc, ">gone>shared");
+    ASSERT_TRUE(segno.ok());
+    ASSERT_TRUE(gates.Write(*proc, *segno, 0, 5).ok());
+    shared.push_back(*segno);
+  }
+  auto private_segno = walker.Initiate(*leaver, ">gone>private");
+  ASSERT_TRUE(private_segno.ok());
+  ASSERT_TRUE(gates.Write(*leaver, *private_segno, 0, 6).ok());
+  const KstEntry* shared_entry = fx.kernel.known_segments().Lookup(fx.pid, shared[0]);
+  const KstEntry* private_entry = fx.kernel.known_segments().Lookup(*leaver_pid, *private_segno);
+  ASSERT_NE(shared_entry, nullptr);
+  ASSERT_NE(private_entry, nullptr);
+  const uint32_t shared_ast = segs.FindIndex(shared_entry->home.uid);
+  const uint32_t private_ast = segs.FindIndex(private_entry->home.uid);
+  ASSERT_NE(shared_ast, kNoAst);
+  ASSERT_NE(private_ast, kNoAst);
+  const DescriptorSegment* leaving = spaces.Space(*leaver_pid);
+  const uint16_t second = static_cast<uint16_t>(leaving->sdws.size() - 1);
+  ASSERT_FALSE(leaving->sdws[second].present);
+  ASSERT_TRUE(spaces.Connect(*leaver_pid, Segno(kSystemSegnoLimit + second), private_ast,
+                             AccessModes::R(), 4)
+                  .ok());
+  ASSERT_EQ(segs.Get(shared_ast)->connections(), 2u);
+  ASSERT_EQ(segs.Get(private_ast)->connections(), 2u);
+
+  // Destroying the process destroys its space.
+  ASSERT_TRUE(fx.kernel.processes().DestroyProcess(*leaver_pid).ok());
+  EXPECT_EQ(spaces.Space(*leaver_pid), nullptr);
+  const std::vector<const DescriptorSegment*>& shared_list =
+      segs.Get(shared_ast)->page_table.connected;
+  ASSERT_EQ(shared_list.size(), 1u);
+  EXPECT_EQ(shared_list[0], spaces.Space(fx.pid));
+  EXPECT_EQ(segs.Get(private_ast)->connections(), 0u);
+  // Nothing names the private segment now, so it may be deactivated.
+  EXPECT_TRUE(segs.Deactivate(private_ast).ok());
+  auto value = gates.Read(*fx.ctx, shared[0], 0);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, 5u);
+  const std::vector<std::string> findings = fx.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
 }
 
 TEST(Gates, AccessModeMasksAreEnforcedByHardware) {

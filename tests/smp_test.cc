@@ -11,7 +11,6 @@
 //    cpu_count yields the same stored values and a clean integrity audit.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -375,14 +374,12 @@ struct PoolRig {
              &cost, &metrics) {
     pt.ptws.assign(8, Ptw{});
     ds.sdws.assign(4, Sdw{});
-    Sdw& sdw = ds.sdws[0];
-    sdw.present = true;
-    sdw.page_table = &pt;
-    sdw.bound_pages = 8;
-    sdw.read = true;
-    sdw.write = true;
-    sdw.ring_bracket = 4;
-    pt.connected.push_back(&ds);
+    ds.Connect(0, Sdw{.present = true,
+                      .page_table = &pt,
+                      .bound_pages = 8,
+                      .read = true,
+                      .write = true,
+                      .ring_bracket = 4});
     for (uint16_t k = 0; k < pool.count(); ++k) {
       pool.cpu(k).set_user_ds(&ds);
     }
@@ -600,7 +597,7 @@ TEST(TargetedShootdown, DeactivatingAnUnconnectedSegmentSignalsNobody) {
   const uint32_t slot = rig.Slot(rig.f.pid, segno);
   ASSERT_TRUE(rig.f.kernel.gates().Terminate(*rig.f.ctx, segno).ok());
   ASSERT_NE(rig.f.kernel.segments().Get(slot), nullptr);
-  ASSERT_EQ(rig.f.kernel.segments().Get(slot)->connections, 0u);
+  ASSERT_EQ(rig.f.kernel.segments().Get(slot)->connections(), 0u);
   rig.f.kernel.ctx().current_cpu = 2;
   const uint64_t before = rig.Signals();
   // Deactivation evicts both resident pages and invalidates the table.
@@ -631,15 +628,31 @@ TEST(TargetedShootdown, AuditCatchesBookkeepingOutOfStep) {
   EXPECT_TRUE(has("loaded-on mask"));
   space->loaded_on ^= 0b100;
   // A page table whose connected-space list disagrees with its SDWs.
-  PageTable& pt = kernel.segments().Get(rig.Slot(rig.f.pid, segno))->page_table;
+  const uint32_t slot = rig.Slot(rig.f.pid, segno);
+  const std::string out_of_step = "AST " + std::to_string(slot) + ": page table lists ";
+  PageTable& pt = kernel.segments().Get(slot)->page_table;
   pt.connected.push_back(space);
-  EXPECT_TRUE(has("connected spaces"));
+  EXPECT_TRUE(has(out_of_step + "2 connected spaces, out of step with 1 SDWs naming it"));
   pt.connected.pop_back();
-  // A cached translation the CPU's loaded space no longer reaches.
+  // An SDW written straight into the descriptor segment, not through
+  // DescriptorSegment::Connect, so the table's list misses it.
   Sdw& sdw = space->sdws[segno.value - kSystemSegnoLimit];
+  Sdw* spare = &space->sdws[0];
+  while (spare->present) {
+    ++spare;
+  }
+  *spare = sdw;
+  EXPECT_TRUE(has(out_of_step + "1 connected spaces, out of step with 2 SDWs naming it"));
+  *spare = Sdw{};
+  // A cached translation the CPU's loaded space no longer reaches.
   sdw.present = false;
   EXPECT_TRUE(has("cpu 1: associative entry"));
   sdw.present = true;
+  findings = kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+  // Terminating disconnects the SDW and drops it from the table's list.
+  ASSERT_TRUE(kernel.gates().Terminate(*rig.f.ctx, segno).ok());
+  EXPECT_TRUE(pt.connected.empty());
   findings = kernel.AuditIntegrity();
   EXPECT_TRUE(findings.empty()) << findings.front();
 }
@@ -721,21 +734,17 @@ void CompareTargetedWithBroadcast(uint16_t cpus, uint64_t seed) {
         continue;
       }
       for (M* m : {&targeted, &reference}) {
-        m->spaces[s].sdws[index] = Sdw{true, &m->tables[t], M::kPages, true, write, false, 4};
+        m->spaces[s].Connect(index, Sdw{true, &m->tables[t], M::kPages, true, write, false, 4});
       }
-      targeted.tables[t].connected.push_back(&targeted.spaces[s]);
     } else if (op < 80) {  // disconnect: the segno clear stays a broadcast
       const uint64_t s = rng.NextBelow(M::kSpaces);
       const uint16_t index = static_cast<uint16_t>(rng.NextBelow(M::kSegnos));
-      Sdw& sdw = targeted.spaces[s].sdws[index];
-      if (!sdw.present) {
+      if (!targeted.spaces[s].sdws[index].present) {
         continue;
       }
-      auto& connected = sdw.page_table->connected;
-      connected.erase(std::find(connected.begin(), connected.end(), &targeted.spaces[s]));
       const Segno segno(static_cast<uint16_t>(kSystemSegnoLimit + index));
       for (M* m : {&targeted, &reference}) {
-        m->spaces[s].sdws[index] = Sdw{};
+        m->spaces[s].Disconnect(index);
       }
       targeted.pool.ClearAssociative(segno);
       for (uint16_t k = 0; k < cpus; ++k) {
@@ -788,7 +797,8 @@ void CompareTargetedWithBroadcast(uint16_t cpus, uint64_t seed) {
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].valid, b[i].valid) << "cpu " << k << " slot " << i;
       if (a[i].valid) {
-        EXPECT_EQ(a[i].key, b[i].key) << "cpu " << k << " slot " << i;
+        EXPECT_EQ(a[i].segno, b[i].segno) << "cpu " << k << " slot " << i;
+        EXPECT_EQ(a[i].page, b[i].page) << "cpu " << k << " slot " << i;
       }
     }
   }

@@ -314,7 +314,10 @@ TEST(UprocWake, DestroyingAParkedProcessWithdrawsItsRegistration) {
     auto parked = procs.CreateProcess(TestSubject("Parked"));
     ASSERT_TRUE(parked.ok());
     ASSERT_TRUE(procs.SetProgram(*parked, {UserOp::Await(*ec, 1)}).ok());
-    EXPECT_EQ(procs.RunUntilQuiescent(1000).code(), Code::kFailedPrecondition);
+    const Status quiesced = procs.RunUntilQuiescent(1000);
+    EXPECT_EQ(quiesced.code(), Code::kFailedPrecondition);
+    EXPECT_EQ(quiesced.message(),
+              "scheduler quiesced with 1 unfinished process(es), all blocked on eventcounts");
     ASSERT_EQ(procs.state(*parked), ProcState::kBlocked);
     EXPECT_EQ(ecs.WaiterCount(*ec), 1u);
 
