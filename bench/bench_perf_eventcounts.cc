@@ -15,7 +15,7 @@ namespace {
 void BM_Advance_NoWaiters(benchmark::State& state) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("x");
+  const EventcountId ec = table.Create();
   std::vector<EcWaiter> woken;
   for (auto _ : state) {
     table.Advance(ec, &woken);
@@ -27,7 +27,7 @@ BENCHMARK(BM_Advance_NoWaiters);
 void BM_Read(benchmark::State& state) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("x");
+  const EventcountId ec = table.Create();
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.Read(ec));
   }
@@ -37,7 +37,7 @@ BENCHMARK(BM_Read);
 void BM_AwaitSatisfied(benchmark::State& state) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("x");
+  const EventcountId ec = table.Create();
   std::vector<EcWaiter> woken;
   table.Advance(ec, &woken);
   for (auto _ : state) {
@@ -51,7 +51,7 @@ BENCHMARK(BM_AwaitSatisfied);
 void BM_AdvanceBroadcast(benchmark::State& state) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("x");
+  const EventcountId ec = table.Create();
   const int waiters = static_cast<int>(state.range(0));
   std::vector<EcWaiter> woken;
   uint64_t target = 1;
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     constexpr int kIters = 100000;
     Metrics metrics;
     EventcountTable table(&metrics);
-    const EventcountId ec = table.Create("x");
+    const EventcountId ec = table.Create();
     std::vector<EcWaiter> woken;
     const double advance_ns = HostNsPerOp(kIters, [&] { table.Advance(ec, &woken); });
     const double read_ns = HostNsPerOp(kIters, [&] { (void)table.Read(ec); });

@@ -37,7 +37,6 @@ struct AccessModes {
   static AccessModes None() { return AccessModes{}; }
 
   bool any() const { return read || write || execute; }
-  std::string ToString() const;
 };
 
 struct AclEntry {

@@ -21,14 +21,6 @@ std::string Label::ToString() const {
   return out.str();
 }
 
-std::string AccessModes::ToString() const {
-  std::string s;
-  s += read ? 'r' : '-';
-  s += write ? 'w' : '-';
-  s += execute ? 'e' : '-';
-  return s;
-}
-
 void AuditLog::Append(AuditRecord record) {
   ++total_;
   if (record.outcome != Code::kOk) {

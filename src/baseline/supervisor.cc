@@ -106,18 +106,6 @@ MonolithicSupervisor::BNode* MonolithicSupervisor::FindNodeByUid(SegmentUid uid)
   return it == nodes_by_uid_.end() ? nullptr : it->second;
 }
 
-MonolithicSupervisor::BNode* MonolithicSupervisor::FindNodeByUidIn(BNode* node, SegmentUid uid) {
-  if (node->uid == uid) {
-    return node;
-  }
-  for (auto& [name, child] : node->children) {
-    if (BNode* found = FindNodeByUidIn(child.get(), uid)) {
-      return found;
-    }
-  }
-  return nullptr;
-}
-
 Result<SegmentUid> MonolithicSupervisor::CreatePath(const std::string& path) {
   CallTracker::Scope scope(&tracker_, m_dir_);
   const size_t cut = path.rfind('>');

@@ -191,7 +191,6 @@ class MonolithicSupervisor {
   // -- directory control --
   Result<BNode*> ResolveNode(const std::string& path);
   BNode* FindNodeByUid(SegmentUid uid);
-  BNode* FindNodeByUidIn(BNode* node, SegmentUid uid);
 
   // -- segment control --
   Result<uint32_t> Activate(BNode* node);

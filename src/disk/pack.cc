@@ -280,11 +280,6 @@ DiskPack* VolumeControl::pack(PackId id) {
   return &packs_[id.value];
 }
 
-const DiskPack* VolumeControl::pack(PackId id) const {
-  assert(id.value < packs_.size());
-  return &packs_[id.value];
-}
-
 Result<PackId> VolumeControl::ChoosePack() const {
   const DiskPack* best = nullptr;
   for (const DiskPack& p : packs_) {

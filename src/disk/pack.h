@@ -178,7 +178,6 @@ class VolumeControl : public PageSource {
 
   PackId AddPack(uint32_t record_count, uint32_t vtoc_slots);
   DiskPack* pack(PackId id);
-  const DiskPack* pack(PackId id) const;
   size_t pack_count() const { return packs_.size(); }
 
   // The record as a frame's PageHome.

@@ -125,23 +125,6 @@ uint32_t AssociativeMemory::InvalidatePtw(const Ptw* ptw) {
   return dropped;
 }
 
-uint32_t AssociativeMemory::InvalidatePageTable(const PageTable* pt) {
-  if (pt->ptws.empty()) {
-    return 0;
-  }
-  const Ptw* first = pt->ptws.data();
-  const Ptw* last = first + pt->ptws.size();
-  uint32_t dropped = 0;
-  for (Entry& e : slots_) {
-    if (e.valid && e.ptw >= first && e.ptw < last) {
-      e.valid = false;
-      ReleasePtw(e.ptw);
-      ++dropped;
-    }
-  }
-  return dropped;
-}
-
 void AssociativeMemory::Flush() {
   for (Entry& e : slots_) {
     if (e.valid) {
@@ -410,12 +393,6 @@ void Processor::InvalidateAssociative(const Ptw* ptw) {
   }
 }
 
-void Processor::InvalidateAssociative(const PageTable* pt) {
-  if (assoc_.InvalidatePageTable(pt) > 0) {
-    metrics_->Inc(id_assoc_flushes_);
-  }
-}
-
 void Processor::FlushAssociative() {
   if (assoc_.enabled()) {
     assoc_.Flush();
@@ -553,12 +530,12 @@ uint64_t RemoteSignals(uint64_t targets, uint16_t sender) {
 // The completeness check behind targeting: an associative memory outside
 // the targets still holds a translation, so a connection or a DSBR load
 // escaped the bookkeeping.  Serving it later would hand out a freed frame.
-[[noreturn]] void ShootdownMissed(const char* form, uint64_t targets, uint16_t sender) {
+[[noreturn]] void ShootdownMissed(uint64_t targets, uint16_t sender) {
   std::fprintf(stderr,
-               "ProcessorPool::InvalidateAssociative(%s) from cpu %u: targets %#llx, but an "
-               "untargeted associative memory still caches the table (PageTable::connected "
+               "ProcessorPool::InvalidateAssociative(ptw) from cpu %u: targets %#llx, but an "
+               "untargeted associative memory still caches the PTW (PageTable::connected "
                "or DescriptorSegment::loaded_on is out of step)\n",
-               form, static_cast<unsigned>(sender), static_cast<unsigned long long>(targets));
+               static_cast<unsigned>(sender), static_cast<unsigned long long>(targets));
   std::abort();
 }
 
@@ -616,38 +593,11 @@ void ProcessorPool::InvalidateAssociative(const Ptw* ptw, const PageTable& pt, u
     cpus_[std::countr_zero(left)].InvalidateAssociative(ptw);
   }
   if (ptw->assoc_refs != 0) {
-    ShootdownMissed("ptw", targets, sender);
+    ShootdownMissed(targets, sender);
   }
   ChargeConnect(RemoteSignals(targets, sender));
   if (trace_ != nullptr) {
     trace_->Instant(ev_connect_, 0, static_cast<uint32_t>(ConnectKind::kInvalidatePtw));
-  }
-}
-
-void ProcessorPool::InvalidateAssociative(const PageTable& pt, uint16_t sender) {
-  const uint64_t targets = Targets(pt);
-  for (uint64_t left = targets; left != 0; left &= left - 1) {
-    cpus_[std::countr_zero(left)].InvalidateAssociative(&pt);
-  }
-  for (const Ptw& ptw : pt.ptws) {
-    if (ptw.assoc_refs != 0) {
-      ShootdownMissed("page table", targets, sender);
-    }
-  }
-  ChargeConnect(RemoteSignals(targets, sender));
-  if (trace_ != nullptr) {
-    trace_->Instant(ev_connect_, 0,
-                    static_cast<uint32_t>(ConnectKind::kInvalidatePageTable));
-  }
-}
-
-void ProcessorPool::FlushAssociative() {
-  for (Processor& p : cpus_) {
-    p.FlushAssociative();
-  }
-  ChargeConnect(cpus_.size() - 1);
-  if (trace_ != nullptr) {
-    trace_->Instant(ev_connect_, 0, static_cast<uint32_t>(ConnectKind::kFlush));
   }
 }
 

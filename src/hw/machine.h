@@ -226,9 +226,6 @@ class AssociativeMemory {
   uint32_t InvalidateSegno(Segno segno);
   // Drops every entry caching `ptw` (page eviction).
   uint32_t InvalidatePtw(const Ptw* ptw);
-  // Drops every entry whose PTW lies inside `pt`'s table (deactivation: the
-  // slot's PTW storage is about to be reused by another segment).
-  uint32_t InvalidatePageTable(const PageTable* pt);
   void Flush();
 
  private:
@@ -440,10 +437,7 @@ class Processor {
   void ClearAssociative(Segno segno);
   // Drops cached translations through one PTW (page eviction).
   void InvalidateAssociative(const Ptw* ptw);
-  // Drops cached translations into one page table (segment deactivation:
-  // the table's storage is about to describe a different segment).
-  void InvalidateAssociative(const PageTable* pt);
-  // Drops everything (address-space teardown, DSBR reload).
+  // Drops everything (DSBR reload).
   void FlushAssociative();
 
   const AssociativeMemory& associative() const { return assoc_; }
@@ -477,15 +471,16 @@ class Processor {
 // pool size.
 //
 // The pool's invalidations exist because a descriptor mutation made while
-// running on one CPU (page eviction, deactivation, SDW disconnect) can leave
-// stale translations cached in other CPUs' associative memories; on the real
+// running on one CPU (page eviction, SDW disconnect) can leave stale
+// translations cached in other CPUs' associative memories; on the real
 // hardware the sender reached them with the connect ("clear associative
 // memory") signal.  The sender knows which CPUs those can be: a CPU caches
 // only translations made through its loaded user space or the resident system
 // space, so a page table's translations can only sit on the CPUs that have a
 // space connecting it loaded (PageTable::connected, DescriptorSegment::
-// loaded_on).  The page-table-scoped forms signal just those CPUs; the segno
-// clear and the flush still reach every CPU.
+// loaded_on).  The eviction form signals just those CPUs; the segno clear
+// still reaches every CPU.  Deactivation needs neither: every disconnect
+// before it dropped the segment's translations everywhere.
 class ProcessorPool {
  public:
   // Largest pool: the loaded-on masks are 64-bit.
@@ -508,22 +503,17 @@ class ProcessorPool {
   void set_connect_cost(Cycles cost) { connect_cost_ = cost; }
   Cycles connect_cost() const { return connect_cost_; }
 
-  // Broadcast forms of the Processor invalidation protocol: every CPU drops
-  // the affected translations and every other CPU is signalled.
+  // Broadcast form of the Processor invalidation protocol: every CPU drops
+  // the segno's translations and every other CPU is signalled.
   void ClearAssociative(Segno segno);
-  void FlushAssociative();
 
-  // Targeted forms for page-table-scoped mutations made on CPU `sender`:
-  // only the CPUs that have a space in `pt.connected` loaded drop the
-  // affected translations, and only the remote ones among them are
-  // signalled.  Afterwards no associative memory anywhere may still hold an
-  // affected PTW; if one does, the targeting bookkeeping is broken and the
-  // pool aborts with a message.
-  // One PTW of `pt` (page eviction).
+  // Targeted form for page eviction made on CPU `sender`: only the CPUs that
+  // have a space in `pt.connected` loaded drop their translations through
+  // `ptw`, one PTW of `pt`, and only the remote ones among them are
+  // signalled.  Afterwards no associative memory anywhere may still hold
+  // `ptw`; if one does, the targeting bookkeeping is broken and the pool
+  // aborts with a message.
   void InvalidateAssociative(const Ptw* ptw, const PageTable& pt, uint16_t sender);
-  // Every PTW of `pt` (segment deactivation: the table's storage is about to
-  // describe a different segment).
-  void InvalidateAssociative(const PageTable& pt, uint16_t sender);
 
   // Loads the system descriptor-base register of every CPU (boot).
   void SetSystemDs(DescriptorSegment* ds);
@@ -556,8 +546,6 @@ class ProcessorPool {
 enum class ConnectKind : uint32_t {
   kClearSegno = 0,
   kInvalidatePtw = 1,
-  kInvalidatePageTable = 2,
-  kFlush = 3,
 };
 
 }  // namespace mks

@@ -97,7 +97,7 @@ Result<EventcountId> KernelGates::CreateEventcount(ProcContext& ctx, Label label
   if (!label.Dominates(ctx.subject.label)) {
     return Status(Code::kNoAccess, "*-property: eventcount must dominate creator");
   }
-  const EventcountId ec = ctx_->eventcounts.Create("user_ec");
+  const EventcountId ec = ctx_->eventcounts.Create();
   if (ec.value >= user_eventcounts_.size()) {
     user_eventcounts_.resize(ec.value + 1);
   }

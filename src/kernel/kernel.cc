@@ -90,6 +90,11 @@ Status Kernel::Boot() {
                                              KernelTaskClass::kIdleTime)
                             .status());
   }
+  // Level 2 holds a user vp for one quantum and releases it at the quantum's
+  // end, so one user vp is enough; with none, no process could ever run.
+  if (vpm_->UserPool().empty()) {
+    return Status(Code::kResourceExhausted, "no virtual processor left for user processes");
+  }
   // Stage 7: the naming hierarchy.
   MKS_RETURN_IF_ERROR(dirs_->InitRoot(config_.root_label, config_.root_acl, config_.root_quota));
   booted_ = true;
@@ -131,6 +136,7 @@ std::vector<std::string> Kernel::AuditIntegrity() {
   std::vector<std::string> findings;
   ctx_->volumes.AuditIntegrity(&findings);
   pfm_->AuditIntegrity(&findings);
+  segs_->AuditIntegrity(&findings);
   spaces_->AuditIntegrity(&findings);
   ctx_->cpus.AuditAssociative(&findings);
   dirs_->AuditQuotaIntegrity(&findings);

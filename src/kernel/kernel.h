@@ -102,6 +102,8 @@ class Kernel {
 
   // Staged bring-up: core segments -> virtual processors -> disk -> paging ->
   // quota -> segments/address spaces -> directories -> user processes.
+  // kResourceExhausted when binding the paging daemons leaves no vp for
+  // user processes.
   Status Boot();
   bool booted() const { return booted_; }
 

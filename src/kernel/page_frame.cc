@@ -217,13 +217,20 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
   // parks the toucher on the segment's page-arrival eventcount; such faults
   // never reach this routine.  Synchronous mode leaves no locked windows at
   // all: the anticipatory sweep drains the request queue before returning.
+  // So every failure below unlocks the descriptor: left locked, it would
+  // park each later reference on a page arrival that never comes, instead
+  // of reporting the failure again.
+  auto fail = [&ptw](Status why) {
+    ptw.locked = false;
+    return why;
+  };
   VtocEntry* entry = ctx_->volumes.pack(pack)->GetVtoc(vtoc);
   if (entry == nullptr) {
-    return Status(Code::kInternal, "missing page for a segment with no VTOC entry");
+    return fail(Status(Code::kInternal, "missing page for a segment with no VTOC entry"));
   }
   FileMapEntry& fm = entry->mutable_map_entry(page);
   if (!fm.allocated && !fm.zero) {
-    return Status(Code::kInternal, "missing page fault on a never-used page");
+    return fail(Status(Code::kInternal, "missing page fault on a never-used page"));
   }
   if (!fm.zero && !async_) {
     // This call binds the record's image, and the retried reference then
@@ -233,7 +240,11 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
     ctx_->volumes.pack(pack)->PrefetchRecord(fm.record, word);
   }
 
-  MKS_ASSIGN_OR_RETURN(FrameIndex frame, AcquireFrame());
+  Result<FrameIndex> acquired = AcquireFrame();
+  if (!acquired.ok()) {
+    return fail(acquired.status());
+  }
+  const FrameIndex frame = *acquired;
   FrameInfo& fi = Claim(frame, pt, page, pack, vtoc, cell, seg_ec);
   // The tail of a fault serviced in place: map the page, wake its waiters,
   // look ahead, and close the fault's span.
@@ -260,7 +271,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
         Status charged = quota_->Charge(cell, 1);
         if (!charged.ok()) {
           GiveBack(frame);
-          return charged;
+          return fail(charged);
         }
       }
       auto record = ctx_->volumes.pack(pack)->AllocateRecord();
@@ -269,7 +280,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
           (void)quota_->Refund(cell, 1);
         }
         GiveBack(frame);
-        return record.status();
+        return fail(record.status());
       }
       fm.allocated = true;
       fm.record = *record;
@@ -433,8 +444,8 @@ void PageFrameManager::CompletePostedRead(FrameIndex frame) {
 }
 
 void PageFrameManager::CreateDaemonWork() {
-  io_work_ = ctx_->eventcounts.Create("page_io_work");
-  writer_work_ = ctx_->eventcounts.Create("page_writer_work");
+  io_work_ = ctx_->eventcounts.Create();
+  writer_work_ = ctx_->eventcounts.Create();
   daemons_ = true;
 }
 
@@ -633,6 +644,15 @@ void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const 
       }
     }
   }
+}
+
+bool PageFrameManager::TransferInFlight(const PageTable* pt, uint32_t page) const {
+  for (const FrameInfo& fi : frames_) {
+    if (fi.state == FrameState::kIoInProgress && fi.pt == pt && fi.page == page) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void PageFrameManager::CollectCleanable(size_t max_frames, std::optional<PackId> pack,

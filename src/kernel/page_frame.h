@@ -199,6 +199,10 @@ class PageFrameManager {
   // per finding.  An empty result is what
   // the paper's code auditors are trying to establish.
   void AuditIntegrity(std::vector<std::string>* findings) const;
+  // Whether a read for `page` of `pt` is in flight: a frame is claimed for
+  // it and awaits the transfer (posted, queued on a pack, or landed but not
+  // yet installed).  Such a page's descriptor stays locked until it lands.
+  bool TransferInFlight(const PageTable* pt, uint32_t page) const;
 
   uint32_t free_frames() const { return static_cast<uint32_t>(free_list_.size()); }
   uint32_t total_frames() const { return frame_limit_ - first_frame_; }

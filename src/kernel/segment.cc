@@ -27,7 +27,7 @@ Status SegmentManager::Init(uint32_t ast_slots) {
   ast_area_ = *seg;
   ast_.assign(ast_slots, AstEntry{});
   for (uint32_t i = 0; i < ast_slots; ++i) {
-    ast_[i].page_ec = ctx_->eventcounts.Create("ast_page_arrival_" + std::to_string(i));
+    ast_[i].page_ec = ctx_->eventcounts.Create();
   }
   return Status::Ok();
 }
@@ -116,10 +116,10 @@ Status SegmentManager::Deactivate(uint32_t slot) {
   if (ast.connections() != 0) {
     return Status(Code::kFailedPrecondition, "segment still connected to address spaces");
   }
-  // The slot's page-table storage is about to describe a different segment;
-  // no cached translation through it may survive.  With no connections left
-  // no CPU can hold one, so this signals nobody.
-  ctx_->cpus.InvalidateAssociative(ast.page_table, ctx_->current_cpu);
+  // The slot's page-table storage is about to describe a different segment.
+  // No associative memory holds a translation through it: every disconnect
+  // before this one dropped the segment's entries on every CPU, by a segno
+  // clear or by unloading the dying space (AuditAssociative checks it).
   for (uint32_t p = 0; p < ast.max_pages; ++p) {
     if (ast.page_table.ptws[p].in_core) {
       MKS_RETURN_IF_ERROR(
@@ -133,6 +133,21 @@ Status SegmentManager::Deactivate(uint32_t slot) {
   ast.page_ec = ec;  // eventcounts are per-slot and reusable
   ctx_->trace.Instant(ev_deactivate_, slot, 0);
   return Status::Ok();
+}
+
+void SegmentManager::AuditIntegrity(std::vector<std::string>* findings) const {
+  for (uint32_t slot = 0; slot < ast_.size(); ++slot) {
+    const AstEntry& ast = ast_[slot];
+    if (!ast.in_use) {
+      continue;
+    }
+    for (uint32_t p = 0; p < ast.page_table.ptws.size(); ++p) {
+      if (ast.page_table.ptws[p].locked && !pfm_->TransferInFlight(&ast.page_table, p)) {
+        findings->push_back("AST " + std::to_string(slot) + " page " + std::to_string(p) +
+                            ": descriptor locked with no transfer in flight");
+      }
+    }
+  }
 }
 
 AstEntry* SegmentManager::Find(SegmentUid uid) {

@@ -17,6 +17,7 @@
 #ifndef MKS_KERNEL_SEGMENT_H_
 #define MKS_KERNEL_SEGMENT_H_
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -92,6 +93,12 @@ class SegmentManager {
 
   uint32_t active_count() const;
   uint32_t ast_slots() const { return static_cast<uint32_t>(ast_.size()); }
+
+  // Integrity audit: a locked descriptor of an active segment with no
+  // transfer in flight for its page (asked of page control) is a finding.
+  // Outside a fault's service nothing else holds the lock, so such a page
+  // would park every later reference on an arrival that never comes.
+  void AuditIntegrity(std::vector<std::string>* findings) const;
 
  private:
   Result<uint32_t> AllocateSlot();

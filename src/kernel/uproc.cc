@@ -108,9 +108,6 @@ Status UserProcessManager::DestroyProcess(ProcessId pid) {
   if (it == procs_.end()) {
     return Status(Code::kNotFound, "no such process");
   }
-  if (it->second.bound) {
-    vpm_->ReleaseUserVp(it->second.vp);
-  }
   WithdrawWait(it->second);
   if (it->second.queued && rq_ != nullptr) {
     rq_->Remove(pid.value);
@@ -260,11 +257,8 @@ void UserProcessManager::Park(Process& proc) {
   proc.state = ProcState::kBlocked;
   ++proc.stats.blocks;
   ctx_->trace.Instant(ev_park_, proc.pid.value, 0);
-  if (proc.bound) {
-    SwapStateOut(proc);
-    vpm_->ReleaseUserVp(proc.vp);
-    proc.bound = false;
-  }
+  SwapStateOut(proc);
+  vpm_->ReleaseUserVp(proc.vp);
 }
 
 void UserProcessManager::WithdrawWait(Process& proc) {
@@ -276,10 +270,7 @@ void UserProcessManager::WithdrawWait(Process& proc) {
 void UserProcessManager::Finish(Process& proc, ProcState state, Status why) {
   proc.state = state;
   proc.stats.last_error = why;
-  if (proc.bound) {
-    vpm_->ReleaseUserVp(proc.vp);
-    proc.bound = false;
-  }
+  vpm_->ReleaseUserVp(proc.vp);
 }
 
 void UserProcessManager::TouchReadyList() {
@@ -316,16 +307,11 @@ void UserProcessManager::EnqueueReady(Process& proc) {
   }
 }
 
-UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& proc,
-                                                                     uint16_t cpu,
-                                                                     Cycles dispatch_start,
-                                                                     bool affine_vp) {
+void UserProcessManager::RunQuantumOn(Process& proc, uint16_t cpu, Cycles dispatch_start,
+                                      bool affine_vp) {
   auto vp = affine_vp ? vpm_->AcquireIdleUserVp(cpu) : vpm_->AcquireIdleUserVp();
-  if (!vp.ok()) {
-    return DispatchOutcome::kNoVp;  // pool exhausted this pass
-  }
+  assert(vp.ok());  // the previous quantum released its vp; Boot left one
   proc.vp = *vp;
-  proc.bound = true;
   proc.state = ProcState::kRunning;
   ++proc.stats.dispatches;
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcessSwitch);
@@ -353,7 +339,6 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
   if (ctx_->clock.now() > dispatch_start) {
     ctx_->trace.CloseSpan(dispatch_start, ev_quantum_, proc.pid.value, cpu, hist_quantum_);
   }
-  return DispatchOutcome::kRan;
 }
 
 void UserProcessManager::RunOps(Process& proc) {
@@ -391,7 +376,6 @@ void UserProcessManager::RunOps(Process& proc) {
     proc.state = ProcState::kReady;
     SwapStateOut(proc);
     vpm_->ReleaseUserVp(proc.vp);
-    proc.bound = false;
   }
 }
 
@@ -413,10 +397,7 @@ bool UserProcessManager::DispatchGlobal() {
     if (sched_costs_on()) {
       TouchReadyList();
     }
-    if (RunQuantumOn(proc, cpu, window.start(), /*affine_vp=*/false) ==
-        DispatchOutcome::kNoVp) {
-      break;  // pool exhausted this pass; the window accrues the list touch
-    }
+    RunQuantumOn(proc, cpu, window.start(), /*affine_vp=*/false);
     did_work = true;
     ++sched_progress_;
   }
@@ -439,10 +420,8 @@ bool UserProcessManager::DispatchSharded() {
     if (!dcfg_.steal && rq_->depth(cpu) == 0) {
       cpu = LeastBehindWithWork();
     }
-    if (DispatchFromQueue(cpu) != DispatchOutcome::kRan) {
-      // Pool exhausted (the next pass retries with vps released), or the
-      // popped item was stale.
-      break;
+    if (!DispatchFromQueue(cpu)) {
+      break;  // the popped item was stale
     }
     did_work = true;
   }
@@ -460,7 +439,7 @@ uint16_t UserProcessManager::LeastBehindWithWork() const {
   return best;
 }
 
-UserProcessManager::DispatchOutcome UserProcessManager::DispatchFromQueue(uint16_t cpu) {
+bool UserProcessManager::DispatchFromQueue(uint16_t cpu) {
   KernelContext::Window window(ctx_, cpu, ProfDomain::kDispatch);
   const RunQueueSet::Popped pop = rq_->Dequeue(cpu, ctx_->LocalNow());
   auto it = pop.ok ? procs_.find(ProcessId(pop.id)) : procs_.end();
@@ -470,22 +449,16 @@ UserProcessManager::DispatchOutcome UserProcessManager::DispatchFromQueue(uint16
   // Nothing to pop, destroyed while queued (Remove is the normal path), or
   // no longer ready.
   if (it == procs_.end() || it->second.state != ProcState::kReady) {
-    return DispatchOutcome::kNoWork;
+    return false;
   }
   Process& proc = it->second;
-  if (RunQuantumOn(proc, cpu, window.start(), /*affine_vp=*/true) == DispatchOutcome::kNoVp) {
-    // Pool exhausted: put the item back at the front of this CPU's own
-    // queue — after a steal, too, not the victim's.
-    proc.queued = true;
-    rq_->PushFront(pop.id, cpu);
-    return DispatchOutcome::kNoVp;
-  }
+  RunQuantumOn(proc, cpu, window.start(), /*affine_vp=*/true);
   ++sched_progress_;
   if (proc.state == ProcState::kReady) {
     // Quantum expired: requeue with this CPU as the locality hint.
     EnqueueReady(proc);
   }
-  return DispatchOutcome::kRan;
+  return true;
 }
 
 bool UserProcessManager::RunIdleTimeWork() {

@@ -137,16 +137,12 @@ class UserProcessManager {
     ProcState state = ProcState::kReady;
     std::vector<UserOp> program;
     size_t pc = 0;
-    VpId vp{};
-    bool bound = false;
+    VpId vp{};  // held from the quantum's start to its end only
     Segno state_segno{};
     ProcessStats stats;
     uint16_t last_cpu = kNoCpu; // CPU of the most recent dispatch
     bool queued = false;        // present in the sharded run queues
   };
-
-  // kNoWork: the CPU obtained nothing to run (sharded dispatch only).
-  enum class DispatchOutcome : uint8_t { kRan, kNoVp, kNoWork };
 
   // A parked process slot awaiting reuse: the pid keeps its KST and its
   // state segment's storage; everything else was reset at park time.
@@ -164,8 +160,9 @@ class UserProcessManager {
   bool DispatchGlobal();
   bool DispatchSharded();
   // One sharded dispatch attempt on `cpu`: pop (or steal) an item and run
-  // its quantum, all in one window on `cpu`.
-  DispatchOutcome DispatchFromQueue(uint16_t cpu);
+  // its quantum, all in one window on `cpu`.  False when the CPU obtained
+  // nothing to run.
+  bool DispatchFromQueue(uint16_t cpu);
   // The least-behind CPU whose own queue holds work (ties: lowest index);
   // kNoCpu when every queue is empty.
   uint16_t LeastBehindWithWork() const;
@@ -177,9 +174,10 @@ class UserProcessManager {
   // One quantum on `cpu`, in the caller's window, which opened at
   // `dispatch_start` (the quantum's trace span starts there): vp acquisition
   // (CPU-affine when `affine_vp`), process switch, state swap-in and the op
-  // loop.  kNoVp = vp pool exhausted, nothing charged.
-  DispatchOutcome RunQuantumOn(Process& proc, uint16_t cpu, Cycles dispatch_start,
-                               bool affine_vp);
+  // loop.  Every exit of the quantum (park, finish, expiry) releases the vp,
+  // so at most one user vp is bound at a time and, Boot having left at least
+  // one, the acquisition cannot fail.
+  void RunQuantumOn(Process& proc, uint16_t cpu, Cycles dispatch_start, bool affine_vp);
   // The op loop, then done, parked, or back to ready as the quantum expires.
   void RunOps(Process& proc);
   // Readies `proc` for dispatch from the open window's CPU, at its
@@ -199,11 +197,12 @@ class UserProcessManager {
   // to stderr; then abort().
   [[noreturn]] void DumpStallAndAbort(uint64_t pass);
   // Parks `proc` on its pending wait, which must lie ahead, registering it
-  // as the count's waiter.
+  // as the count's waiter, and releases its vp.
   void Park(Process& proc);
   // Withdraws a parked process's registration (destroy, new program), so no
   // later advance posts a wakeup for it.
   void WithdrawWait(Process& proc);
+  // Ends `proc` in `state` and releases its vp.
   void Finish(Process& proc, ProcState state, Status why);
   Status ExecOneOp(Process& proc);
   // Saves/restores the process state record through the paging machinery —

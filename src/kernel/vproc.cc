@@ -178,8 +178,11 @@ void VirtualProcessorManager::Advance(EventcountId ec) {
       PostWakeup(UpwardMessage{ProcessId(w.id), kEventcountReached, ec.value});
       continue;
     }
+    // Only kernel vps await: a user vp is held for one quantum and released
+    // at its end.
     Vp& v = vps_[w.id];
-    v.state = v.kernel_bound ? VpState::kReady : VpState::kIdle;
+    assert(v.kernel_bound);
+    v.state = VpState::kReady;
     StoreState(VpId(static_cast<uint16_t>(w.id)));
   }
   ctx_->trace.Instant(ev_ec_advance_, ec.value, static_cast<uint32_t>(woken_.size()));

@@ -292,11 +292,6 @@ class RunQueueSet {
     return out;
   }
 
-  // Returns an item to the front of `cpu`'s own queue (dispatch could not
-  // complete — vp pool exhausted).  Pure bookkeeping: the undo path charges
-  // nothing, mirroring how the legacy scheduler's exhaustion break is free.
-  void PushFront(uint32_t id, uint16_t cpu) { shards_[cpu].items.push_front(id); }
-
   // Drops a queued item (process destruction).  Teardown path: uncharged.
   bool Remove(uint32_t id) {
     for (Shard& s : shards_) {

@@ -4,9 +4,9 @@
 
 namespace mks {
 
-EventcountId EventcountTable::Create(std::string name) {
+EventcountId EventcountTable::Create() {
   EventcountId id(static_cast<uint32_t>(cells_.size()));
-  cells_.push_back(Cell{std::move(name), 0, {}});
+  cells_.push_back(Cell{});
   return id;
 }
 
@@ -50,11 +50,6 @@ void EventcountTable::CancelWait(EventcountId ec, EcWaiter waiter) {
 size_t EventcountTable::WaiterCount(EventcountId ec) const {
   assert(ec.value < cells_.size());
   return cells_[ec.value].waiters.size();
-}
-
-const std::string& EventcountTable::Name(EventcountId ec) const {
-  assert(ec.value < cells_.size());
-  return cells_[ec.value].name;
 }
 
 }  // namespace mks

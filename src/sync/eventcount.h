@@ -11,7 +11,6 @@
 #define MKS_SYNC_EVENTCOUNT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -38,7 +37,7 @@ class EventcountTable {
   explicit EventcountTable(Metrics* metrics)
       : metrics_(metrics), id_wakeups_(metrics->Intern("sync.wakeups")) {}
 
-  EventcountId Create(std::string name);
+  EventcountId Create();
 
   uint64_t Read(EventcountId ec) const;
 
@@ -56,7 +55,6 @@ class EventcountTable {
   void CancelWait(EventcountId ec, EcWaiter waiter);
 
   size_t WaiterCount(EventcountId ec) const;
-  const std::string& Name(EventcountId ec) const;
   size_t count() const { return cells_.size(); }
 
  private:
@@ -65,7 +63,6 @@ class EventcountTable {
     uint64_t target;
   };
   struct Cell {
-    std::string name;
     uint64_t value = 0;
     std::vector<Waiter> waiters;
   };

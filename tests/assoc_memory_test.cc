@@ -94,7 +94,7 @@ TEST(AssocMemory, SetPlacementMixesSegnoAndPage) {
   }
 }
 
-TEST(AssocMemory, InvalidatePtwAndPageTable) {
+TEST(AssocMemory, InvalidatePtw) {
   AssociativeMemory assoc(16);
   PageTable pt;
   pt.ptws.assign(4, Ptw{});
@@ -104,11 +104,10 @@ TEST(AssocMemory, InvalidatePtwAndPageTable) {
   assoc.Insert(Segno(2), 0, &outside, true, true, true, 7);
   EXPECT_EQ(assoc.InvalidatePtw(&pt.ptws[2]), 1u);
   EXPECT_EQ(assoc.Lookup(Segno(1), 2), nullptr);
-  // Deactivation: everything resolved through the table's PTW storage dies.
-  EXPECT_EQ(assoc.InvalidatePageTable(&pt), 1u);
-  EXPECT_EQ(assoc.Lookup(Segno(1), 0), nullptr);
+  EXPECT_NE(assoc.Lookup(Segno(1), 0), nullptr);
   EXPECT_NE(assoc.Lookup(Segno(2), 0), nullptr);
   assoc.Flush();
+  EXPECT_EQ(assoc.Lookup(Segno(1), 0), nullptr);
   EXPECT_EQ(assoc.Lookup(Segno(2), 0), nullptr);
 }
 
@@ -192,14 +191,14 @@ TEST(AssocProcessor, EvictedPageFaultsEvenWithoutExplicitInvalidation) {
   EXPECT_EQ(rig.Hits(), 0u);
 }
 
-TEST(AssocProcessor, DeactivatedPageTableStorageIsNeverConsulted) {
+TEST(AssocProcessor, SegnoClearBeforeDeactivationKeepsReusedStorageUnconsulted) {
   AssocRig rig;
   rig.MapPage(3, 11);
   ASSERT_TRUE(rig.processor.Access(kSeg, 3 * kPageWords, AccessMode::kRead, 4).ok);
-  // Segment control deactivates: the PTW storage is invalidated, then the
-  // AST slot (and its page table) is handed to a different segment whose
-  // page 3 lives in another frame.
-  rig.processor.InvalidateAssociative(&rig.pt);
+  // The disconnect that must precede deactivation clears the segno; then
+  // segment control deactivates and the AST slot (and its page table) is
+  // handed to a different segment whose page 3 lives in another frame.
+  rig.processor.ClearAssociative(kSeg);
   rig.pt.ptws.assign(8, Ptw{});
   rig.MapPage(3, 5);
   auto r = rig.processor.Access(kSeg, 3 * kPageWords, AccessMode::kRead, 4);

@@ -122,6 +122,67 @@ TEST(Confinement, CovertChannelTransmitsBits) {
   EXPECT_EQ(q1->count - q0->count, 2u);
 }
 
+// A read of a reclaimed zero page must charge a page and allocate a record.
+// When either fails, the service unlocks the descriptor the fault locked, so
+// every retry reports the same clean status (not "descriptor locked"), the
+// audit stays empty, and the read succeeds once there is room again.
+TEST(Confinement, ZeroPageReadPastAFullQuotaCellFailsCleanlyOnEveryRetry) {
+  KernelFixture fx;
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  ChannelSetup setup = BuildZeroPageSegment(fx);
+  auto quota = gates.GetQuota(*fx.ctx, setup.dir);
+  ASSERT_TRUE(quota.ok());
+  ASSERT_TRUE(gates.SetQuota(*fx.ctx, setup.dir, quota->count).ok());  // the cell is full
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    auto value = gates.Read(*fx.ctx, setup.segno, 0);
+    EXPECT_EQ(value.code(), Code::kQuotaOverflow) << attempt << ": " << value.status();
+  }
+  const auto findings = fx.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+
+  ASSERT_TRUE(gates.SetQuota(*fx.ctx, setup.dir, quota->count + 1).ok());
+  auto value = gates.Read(*fx.ctx, setup.segno, 0);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 0u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+TEST(Confinement, ZeroPageReadOnAFullPackFailsCleanlyOnEveryRetry) {
+  KernelConfig config;
+  config.pack_count = 1;
+  config.records_per_pack = 48;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  ChannelSetup setup = BuildZeroPageSegment(fx);
+  // Fill the one pack.
+  auto filler =
+      gates.CreateSegment(*fx.ctx, gates.RootId(), "filler", WorldAcl(), Label::SystemLow());
+  ASSERT_TRUE(filler.ok());
+  auto filler_segno = gates.Initiate(*fx.ctx, *filler);
+  ASSERT_TRUE(filler_segno.ok());
+  Status grown = Status::Ok();
+  for (uint32_t p = 0; p < kMaxSegmentPages && grown.ok(); ++p) {
+    grown = gates.Write(*fx.ctx, *filler_segno, p * kPageWords, p + 1);
+  }
+  ASSERT_FALSE(grown.ok());
+  ASSERT_EQ(fx.kernel.ctx().volumes.pack(PackId(0))->free_records(), 0u);
+
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    auto value = gates.Read(*fx.ctx, setup.segno, 0);
+    EXPECT_EQ(value.code(), Code::kPackFull) << attempt << ": " << value.status();
+  }
+  const auto findings = fx.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+
+  ASSERT_TRUE(gates.Delete(*fx.ctx, gates.RootId(), "filler").ok());
+  auto value = gates.Read(*fx.ctx, setup.segno, 0);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 0u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
 TEST(Confinement, RetainModeClosesTheChannel) {
   KernelConfig config;
   config.close_zero_page_channel = true;

@@ -87,7 +87,7 @@ TEST(Vproc, FixedPoolAndKernelBinding) {
   VprocFixture fx;
   EXPECT_EQ(fx.vpm.vp_count(), 4u);
   EXPECT_EQ(fx.vpm.UserPool().size(), 4u);
-  const EventcountId work = fx.ctx.eventcounts.Create("daemon_work");
+  const EventcountId work = fx.ctx.eventcounts.Create();
   auto vp = fx.vpm.BindKernelTask("daemon", work, [] {});
   ASSERT_TRUE(vp.ok());
   EXPECT_TRUE(fx.vpm.IsKernelVp(*vp));
@@ -97,7 +97,7 @@ TEST(Vproc, FixedPoolAndKernelBinding) {
 
 TEST(Vproc, PoolExhaustsAtFixedSize) {
   VprocFixture fx;
-  const EventcountId work = fx.ctx.eventcounts.Create("work");
+  const EventcountId work = fx.ctx.eventcounts.Create();
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(fx.vpm.BindKernelTask("t" + std::to_string(i), work, [] {}).ok());
   }
@@ -122,8 +122,8 @@ TEST(Vproc, AcquireAndReleaseUserVps) {
 
 TEST(Vproc, AwaitAndAdvance) {
   VprocFixture fx;
-  const EventcountId ec = fx.ctx.eventcounts.Create("disk_done");
-  auto vp = fx.vpm.BindKernelTask("waiter", fx.ctx.eventcounts.Create("work"), [] {});
+  const EventcountId ec = fx.ctx.eventcounts.Create();
+  auto vp = fx.vpm.BindKernelTask("waiter", fx.ctx.eventcounts.Create(), [] {});
   ASSERT_TRUE(vp.ok());
   EXPECT_FALSE(fx.vpm.Await(*vp, ec, 1));
   EXPECT_EQ(fx.vpm.state(*vp), VpState::kWaiting);
@@ -137,7 +137,7 @@ TEST(Vproc, RunKernelTasksReportsWork) {
   // A bound task waits on its work eventcount and runs only after an
   // advance; RunKernelTasks reports whether it ran one.
   VprocFixture fx;
-  const EventcountId work = fx.ctx.eventcounts.Create("work");
+  const EventcountId work = fx.ctx.eventcounts.Create();
   int runs = 0;
   bool repost = false;
   auto vp = fx.vpm.BindKernelTask("worker", work, [&] {

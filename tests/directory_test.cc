@@ -160,6 +160,30 @@ TEST(Directory, SetAclChangesEffectiveAccess) {
   EXPECT_TRUE(gates.Initiate(*other, *seg).ok());
 }
 
+// A directory's ACL lives on its entry in the parent: setting it there
+// governs the directory itself.
+TEST(Directory, SetAclOnADirectoryEntryGovernsTheDirectory) {
+  KernelFixture fx;
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  auto owner_proc = fx.kernel.processes().CreateProcess(TestSubject("Owner"));
+  ASSERT_TRUE(owner_proc.ok());
+  ProcContext* owner = fx.kernel.processes().Context(*owner_proc);
+  auto dir = gates.CreateDirectory(*owner, gates.RootId(), "shared", WorldAcl(),
+                                   Label::SystemLow());
+  ASSERT_TRUE(dir.ok());
+  ASSERT_TRUE(gates.CreateSegment(*owner, *dir, "a", WorldAcl(), Label::SystemLow()).ok());
+  std::vector<std::string> names;
+  ASSERT_TRUE(gates.ListNames(*fx.ctx, *dir, &names).ok());
+  EXPECT_EQ(names.size(), 1u);
+
+  ASSERT_TRUE(gates.SetAcl(*owner, gates.RootId(), "shared", OwnerOnlyAcl("Owner")).ok());
+  EXPECT_EQ(gates.ListNames(*fx.ctx, *dir, &names).code(), Code::kNoAccess);
+  names.clear();
+  EXPECT_TRUE(gates.ListNames(*owner, *dir, &names).ok());
+  EXPECT_EQ(names, std::vector<std::string>{"a"});
+}
+
 TEST(Directory, LabelsFlowDownward) {
   KernelFixture fx;
   ASSERT_TRUE(fx.boot_status.ok());

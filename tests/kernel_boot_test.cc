@@ -31,6 +31,33 @@ TEST(KernelBoot, CoreSegmentsAreFixedAfterBoot) {
   EXPECT_EQ(extra.code(), Code::kFailedPrecondition);
 }
 
+// Level 2 holds a user vp for one quantum, so one is enough and none is a
+// pool no process could ever run on.  The paging pipeline binds two daemons.
+TEST(KernelBoot, RefusesAPoolThatLeavesNoUserVp) {
+  KernelConfig config;
+  config.paging_pipeline = PagingPipeline::Full();
+  config.vp_count = 2;
+  EXPECT_EQ(Kernel{config}.Boot().code(), Code::kResourceExhausted);
+
+  config.vp_count = 3;
+  Kernel kernel{config};
+  ASSERT_TRUE(kernel.Boot().ok());
+  EXPECT_EQ(kernel.vprocs().UserPool().size(), 1u);
+  std::vector<ProcessId> pids;
+  for (int i = 0; i < 3; ++i) {
+    auto pid = kernel.processes().CreateProcess(UserSubject("U" + std::to_string(i)));
+    ASSERT_TRUE(pid.ok()) << pid.status();
+    ASSERT_TRUE(kernel.processes().SetProgram(*pid, {UserOp::Compute(10), UserOp::Compute(10)})
+                    .ok());
+    pids.push_back(*pid);
+  }
+  kernel.processes().set_quantum(1);  // each program spans two quanta
+  ASSERT_TRUE(kernel.processes().RunUntilQuiescent(1000).ok());
+  for (ProcessId pid : pids) {
+    EXPECT_EQ(kernel.processes().state(pid), ProcState::kDone) << pid.value;
+  }
+}
+
 TEST(KernelBoot, ShutdownDrainsPidsPastTheFourThousandthProcess) {
   Kernel kernel{KernelConfig{}};
   ASSERT_TRUE(kernel.Boot().ok());
@@ -242,6 +269,34 @@ TEST(KernelEndToEnd, AuditNamesAnUndeclaredCallEdge) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(findings[0].find("page_frame_manager -> segment_manager"), std::string::npos)
       << findings[0];
+}
+
+// Outside a fault's service only an in-flight transfer holds a descriptor
+// lock; any other lock parks every later reference for good.
+TEST(KernelEndToEnd, AuditNamesAStrayDescriptorLock) {
+  Kernel kernel{KernelConfig{}};
+  ASSERT_TRUE(kernel.Boot().ok());
+  auto pid = kernel.processes().CreateProcess(UserSubject());
+  ASSERT_TRUE(pid.ok());
+  ProcContext* ctx = kernel.processes().Context(*pid);
+  KernelGates& gates = kernel.gates();
+  auto seg = gates.CreateSegment(*ctx, gates.RootId(), "locked", OpenAcl(), Label::SystemLow());
+  ASSERT_TRUE(seg.ok());
+  auto segno = gates.Initiate(*ctx, *seg);
+  ASSERT_TRUE(segno.ok());
+  ASSERT_TRUE(gates.Write(*ctx, *segno, 3 * kPageWords, 7).ok());
+  ASSERT_TRUE(kernel.AuditIntegrity().empty());
+
+  const uint32_t slot = kernel.segments().FindIndex(SegmentUid(seg->value));
+  ASSERT_NE(slot, kNoAst);
+  Ptw& ptw = kernel.segments().Get(slot)->page_table.ptws[3];
+  ptw.locked = true;
+  const std::vector<std::string> findings = kernel.AuditIntegrity();
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0], "AST " + std::to_string(slot) +
+                             " page 3: descriptor locked with no transfer in flight");
+  ptw.locked = false;
+  EXPECT_TRUE(kernel.AuditIntegrity().empty());
 }
 
 }  // namespace

@@ -391,7 +391,7 @@ TEST(ProfWatchdogDeathTest, FrozenClockDumpsAndAborts) {
   // not the clock.
   SimSpinLock stall_lock;
   LockTenure held(&stall_lock, 0, nullptr, &kernel.ctx().cost);
-  const EventcountId work = kernel.ctx().eventcounts.Create("staller_work");
+  const EventcountId work = kernel.ctx().eventcounts.Create();
   ASSERT_TRUE(kernel.vprocs()
                   .BindKernelTask("staller", work,
                                   [&] {

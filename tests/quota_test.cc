@@ -135,6 +135,36 @@ TEST(QuotaSemantics, GrowthChargesTheStaticCellAndOverflows) {
   EXPECT_LT(root_q->count, 6u);
 }
 
+// SetQuota on a directory already designated changes its cell's limit.
+TEST(QuotaSemantics, SetQuotaOnADesignatedDirectoryChangesItsLimit) {
+  KernelFixture fx;
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  auto dir = gates.CreateDirectory(*fx.ctx, gates.RootId(), "q", WorldAcl(), Label::SystemLow());
+  ASSERT_TRUE(dir.ok());
+  ASSERT_TRUE(gates.SetQuota(*fx.ctx, *dir, 100).ok());
+  auto seg = gates.CreateSegment(*fx.ctx, *dir, "data", WorldAcl(), Label::SystemLow());
+  ASSERT_TRUE(seg.ok());
+  auto segno = gates.Initiate(*fx.ctx, *seg);
+  ASSERT_TRUE(segno.ok());
+  for (uint32_t p = 0; p < 3; ++p) {
+    ASSERT_TRUE(gates.Write(*fx.ctx, *segno, p * kPageWords, 1).ok()) << p;
+  }
+  auto before = gates.GetQuota(*fx.ctx, *dir);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->count, 4u);  // the directory's own page and three grown
+
+  ASSERT_TRUE(gates.SetQuota(*fx.ctx, *dir, before->count).ok());
+  auto after = gates.GetQuota(*fx.ctx, *dir);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->designated);
+  EXPECT_EQ(after->limit, before->count);
+  EXPECT_EQ(after->count, before->count);
+  EXPECT_EQ(gates.Write(*fx.ctx, *segno, 3 * kPageWords, 1).code(), Code::kQuotaOverflow);
+  const auto findings = fx.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+}
+
 TEST(QuotaSemantics, DeleteRefundsStorage) {
   KernelFixture fx;
   ASSERT_TRUE(fx.boot_status.ok());

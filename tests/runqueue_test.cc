@@ -108,6 +108,44 @@ TEST(RunQueueDispatch, WithoutStealingTheLeastBehindCpuWithWorkRunsNext) {
   EXPECT_EQ(*word, 1u);
 }
 
+// A process destroyed while still on a sharded run queue leaves the queue:
+// it never runs, the others finish, and the kernel audits clean.
+TEST(RunQueueDispatch, DestroyingAQueuedProcessDropsItFromItsQueue) {
+  Kernel kernel{RqConfig(2, /*sharded=*/true, /*steal=*/true, /*connect_cost=*/100)};
+  ASSERT_TRUE(kernel.Boot().ok());
+  UserProcessManager& procs = kernel.processes();
+  PathWalker walker(&kernel.gates());
+  std::vector<ProcessId> pids;
+  std::vector<Segno> segnos;
+  for (uint32_t i = 0; i < 3; ++i) {
+    auto pid = procs.CreateProcess(TestSubject("P" + std::to_string(i)));
+    ASSERT_TRUE(pid.ok());
+    ProcContext* ctx = procs.Context(*pid);
+    if (i == 0) {
+      ASSERT_TRUE(walker.CreateSegment(*ctx, ">work>shared", WorldAcl(), Label::SystemLow()).ok());
+    }
+    auto segno = walker.Initiate(*ctx, ">work>shared");
+    ASSERT_TRUE(segno.ok()) << segno.status();
+    ASSERT_TRUE(procs.SetProgram(*pid, {UserOp::Compute(10), UserOp::Write(*segno, i, i + 1)})
+                    .ok());
+    pids.push_back(*pid);
+    segnos.push_back(*segno);
+  }
+  ASSERT_TRUE(procs.DestroyProcess(pids[1]).ok());
+  ASSERT_TRUE(procs.RunUntilQuiescent(1000).ok());
+  for (uint32_t i : {0u, 2u}) {
+    EXPECT_EQ(procs.state(pids[i]), ProcState::kDone) << i;
+    auto word = kernel.gates().Read(*procs.Context(pids[i]), segnos[i], 1);
+    ASSERT_TRUE(word.ok());
+    EXPECT_EQ(*word, 0u);  // the destroyed process never ran
+  }
+  auto word = kernel.gates().Read(*procs.Context(pids[0]), segnos[0], 2);
+  ASSERT_TRUE(word.ok());
+  EXPECT_EQ(*word, 3u);
+  const auto findings = kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+}
+
 // ---------------------------------------------------------------------------
 // RunQueueSet unit level: placement and steal ordering.
 // ---------------------------------------------------------------------------

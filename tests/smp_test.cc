@@ -467,8 +467,6 @@ TEST(ProcessorPool, ShootdownAbortsWhenAnUntargetedCacheHoldsThePtw) {
   rig.pt.connected.clear();
   EXPECT_DEATH(rig.pool.InvalidateAssociative(&rig.pt.ptws[1], rig.pt, /*sender=*/0),
                "untargeted associative memory");
-  EXPECT_DEATH(rig.pool.InvalidateAssociative(rig.pt, /*sender=*/0),
-               "untargeted associative memory");
 }
 
 TEST(ProcessorPool, RejectsMoreCpusThanAMaskNames) {
@@ -600,7 +598,7 @@ TEST(TargetedShootdown, DeactivatingAnUnconnectedSegmentSignalsNobody) {
   ASSERT_EQ(rig.f.kernel.segments().Get(slot)->connections(), 0u);
   rig.f.kernel.ctx().current_cpu = 2;
   const uint64_t before = rig.Signals();
-  // Deactivation evicts both resident pages and invalidates the table.
+  // Deactivation evicts both resident pages and signals no CPU.
   ASSERT_TRUE(rig.f.kernel.segments().Deactivate(slot).ok());
   EXPECT_EQ(rig.Signals(), before);
   const auto findings = rig.f.kernel.AuditIntegrity();
@@ -769,14 +767,6 @@ void CompareTargetedWithBroadcast(uint16_t cpus, uint64_t seed) {
       targeted_signals += sent;
       broadcast_signals += cpus - 1u;
       ++evictions;
-    } else if (op < 95) {  // invalidate a whole table (deactivation)
-      const uint64_t t = rng.NextBelow(M::kTables);
-      const uint64_t before = targeted.metrics.Get("hw.connect_signals");
-      targeted.pool.InvalidateAssociative(targeted.tables[t], cpu);
-      ASSERT_LE(targeted.metrics.Get("hw.connect_signals") - before, cpus - 1u);
-      for (uint16_t k = 0; k < cpus; ++k) {
-        reference.pool.cpu(k).InvalidateAssociative(&reference.tables[t]);
-      }
     } else {  // bring a page in, at a frame it may not have had before
       const uint64_t t = rng.NextBelow(M::kTables);
       const uint64_t p = rng.NextBelow(M::kPages);

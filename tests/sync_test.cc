@@ -33,7 +33,7 @@ TEST(SimSpinLock, ContendedAcquireBurnsTheGap) {
 TEST(Eventcount, AdvanceWakesSatisfiedWaiters) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("page_arrival");
+  const EventcountId ec = table.Create();
   EXPECT_EQ(table.Read(ec), 0u);
 
   EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(1))));
@@ -55,7 +55,7 @@ TEST(Eventcount, AdvanceWakesSatisfiedWaiters) {
 TEST(Eventcount, AwaitAlreadySatisfiedDoesNotEnqueue) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("x");
+  const EventcountId ec = table.Create();
   std::vector<EcWaiter> woken;
   table.Advance(ec, &woken);
   EXPECT_TRUE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(1))));
@@ -65,7 +65,7 @@ TEST(Eventcount, AwaitAlreadySatisfiedDoesNotEnqueue) {
 TEST(Eventcount, BroadcastWakesAllWaitersAtSameTarget) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("x");
+  const EventcountId ec = table.Create();
   for (uint16_t vp = 0; vp < 5; ++vp) {
     EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(vp))));
   }
@@ -81,7 +81,7 @@ TEST(Eventcount, BroadcastWakesAllWaitersAtSameTarget) {
 TEST(Eventcount, CancelWaitRemovesWaiter) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("x");
+  const EventcountId ec = table.Create();
   EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(3))));
   EXPECT_FALSE(table.AwaitOrEnqueue(ec, 1, EcWaiter::Process(ProcessId(3))));
   // Same id, other kind: only the named waiter goes.
@@ -96,7 +96,7 @@ TEST(Eventcount, CancelWaitRemovesWaiter) {
 TEST(Eventcount, ValuesAreMonotonic) {
   Metrics metrics;
   EventcountTable table(&metrics);
-  const EventcountId ec = table.Create("x");
+  const EventcountId ec = table.Create();
   uint64_t last = table.Read(ec);
   std::vector<EcWaiter> woken;
   for (int i = 0; i < 100; ++i) {

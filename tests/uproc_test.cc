@@ -338,6 +338,49 @@ TEST(UprocWake, DestroyingAParkedProcessWithdrawsItsRegistration) {
   }
 }
 
+// Under global dispatch with a connect cost, readying a woken process is a
+// write to the shared ready list: the drain takes the list lock once for the
+// wakeup, and the dispatch that resumes the process takes it once more.
+TEST(UprocWake, AWakeupUnderGlobalDispatchTouchesTheReadyList) {
+  struct Outcome {
+    uint64_t acquisitions = 0;
+    Cycles clock = 0;
+    std::map<std::string, uint64_t, std::less<>> counters;
+  };
+  auto run = [](Outcome* out) {
+    KernelConfig config;
+    config.cpu_count = 2;
+    config.connect_cost = 100;
+    KernelFixture fx{config};
+    ASSERT_TRUE(fx.boot_status.ok());
+    UserProcessManager& procs = fx.kernel.processes();
+    auto ec = fx.kernel.gates().CreateEventcount(*fx.ctx, Label::SystemLow());
+    ASSERT_TRUE(ec.ok());
+    auto waiter = procs.CreateProcess(TestSubject("Waiter"));
+    ASSERT_TRUE(waiter.ok());
+    ASSERT_TRUE(procs.SetProgram(*waiter, {UserOp::Await(*ec, 1), UserOp::Compute(10)}).ok());
+    EXPECT_EQ(procs.RunUntilQuiescent(1000).code(), Code::kFailedPrecondition);
+    ASSERT_EQ(procs.state(*waiter), ProcState::kBlocked);
+
+    const uint64_t before = procs.list_lock().acquisitions();
+    ASSERT_TRUE(fx.kernel.gates().AdvanceEventcount(*fx.ctx, *ec).ok());
+    ASSERT_TRUE(procs.RunUntilQuiescent(1000).ok());
+    EXPECT_EQ(procs.state(*waiter), ProcState::kDone);
+    EXPECT_EQ(procs.list_lock().acquisitions() - before, 2u);
+    EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+    out->acquisitions = procs.list_lock().acquisitions();
+    out->clock = fx.kernel.clock().now();
+    out->counters = fx.kernel.metrics().counters();
+  };
+  Outcome first;
+  Outcome second;
+  ASSERT_NO_FATAL_FAILURE(run(&first));
+  ASSERT_NO_FATAL_FAILURE(run(&second));
+  EXPECT_EQ(first.acquisitions, second.acquisitions);
+  EXPECT_EQ(first.clock, second.clock);
+  EXPECT_EQ(first.counters, second.counters);
+}
+
 TEST(Uproc, AbortedProcessReportsItsError) {
   KernelFixture fx;
   ASSERT_TRUE(fx.boot_status.ok());
