@@ -26,7 +26,6 @@ int main() {
   // Drive the monolith through page faults, quota walks, a full-pack move,
   // and one-level process dispatch, recording actual inter-module calls.
   BaselineConfig config;
-  config.pack_count = 2;
   config.records_per_pack = 28;
   config.retranslate_conflict_rate = 0.05;
   MonolithicSupervisor sup{config};

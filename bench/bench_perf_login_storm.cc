@@ -197,9 +197,7 @@ StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool p
   }
   // Measurement starts here: spans recorded from now on, counters read as
   // deltas against this snapshot.
-  TraceConfig trace_on;
-  trace_on.enabled = true;
-  kctx.trace.Enable(cpus, trace_on);
+  kctx.trace.Enable(cpus, true);
   const Metrics& metrics = kernel.metrics();
   struct Snap {
     uint64_t logins, logouts, phase_auth, phase_process, phase_homedir, phase_accounting,

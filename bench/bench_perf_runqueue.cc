@@ -92,7 +92,7 @@ KernelConfig MakeConfig(const Mode& mode, uint16_t cpus, Cycles connect_cost,
   config.sharded_runqueues = mode.sharded;
   config.steal = mode.steal;
   config.connect_cost = connect_cost;
-  config.trace.enabled = trace;
+  config.trace = trace;
   config.profile.enabled = profile;
   config.profile.stall_rounds = kBenchStallRounds;
   return config;

@@ -51,7 +51,7 @@ StormResult RunStorm(uint16_t cpus, uint32_t rounds, const char* trace_path) {
   config.cpu_count = cpus;
   config.vp_count = 6;
   config.async_paging = true;  // in-flight transfers keep PTWs locked
-  config.trace.enabled = true;
+  config.trace = true;
   Kernel kernel{ArmWatchdog(config)};
   if (!kernel.Boot().ok()) {
     return out;

@@ -102,7 +102,7 @@ SmpResult RunBaseline(const Workload& w, uint16_t cpus, bool trace) {
   config.memory_frames = w.mix_ops == 0 ? 64 : 256;
   config.records_per_pack = 8192;
   config.cpu_count = cpus;
-  config.trace.enabled = trace;
+  config.trace = trace;
   MonolithicSupervisor sup{config};
   if (!sup.Boot().ok()) {
     return out;
@@ -151,7 +151,7 @@ SmpResult RunKernel(const Workload& w, uint16_t cpus, bool trace, bool profile,
   config.records_per_pack = 8192;
   config.cpu_count = cpus;
   config.vp_count = 6;
-  config.trace.enabled = trace;
+  config.trace = trace;
   config.profile.enabled = profile;
   config.profile.stall_rounds = kBenchStallRounds;
   Kernel kernel{config};

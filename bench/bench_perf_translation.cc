@@ -1,10 +1,10 @@
-// The fast-path reference pipeline: the 6180's associative memory as an
-// HwFeatures ablation knob.  Without it, every reference fetches an SDW and
-// a PTW from core; with it, a hit pays only the associative search.  The
-// bench sweeps cache sizes over a locality-heavy and a locality-hostile
-// reference string and verifies that the cache changes only the cost of a
-// reference, never its outcome: the fault/address sequence checksum must be
-// identical at every size.
+// The fast-path reference pipeline: the 6180's associative memory, swept by
+// size.  With 0 entries, every reference fetches an SDW and a PTW from core;
+// with some, a hit pays only the associative search.  The bench sweeps cache
+// sizes over a locality-heavy and a locality-hostile reference string and
+// verifies that the cache changes only the cost of a reference, never its
+// outcome: the fault/address sequence checksum must be identical at every
+// size.
 #include <cstdio>
 #include <vector>
 
@@ -29,7 +29,8 @@ struct Ref {
 
 // A standalone translation rig: descriptor segment + page tables, every
 // ordinary page resident.  No PrimaryMemory — the bench charges translation
-// only, which is what the associative memory changes.
+// only, which is what the associative memory changes.  Every segno is below
+// kSystemSegnoLimit, so the descriptor segment is loaded as the system space.
 struct Rig {
   Clock clock;
   CostModel cost{&clock};
@@ -40,7 +41,7 @@ struct Rig {
 
   explicit Rig(uint16_t assoc_entries)
       : page_tables(kSegments + 1),
-        processor(MakeFeatures(assoc_entries), &cost, &metrics) {
+        processor(assoc_entries, &cost, &metrics) {
     ds.sdws.assign(kSegments + 2, Sdw{});
     for (uint32_t s = 0; s < kSegments; ++s) {
       PageTable& pt = page_tables[s];
@@ -59,14 +60,7 @@ struct Rig {
     }
     ds.sdws[kFaultSegno] = Sdw{true, &fpt, 16, true, false, false, 4};
     // kMissingSegno stays Sdw{}: not present.
-    processor.set_user_ds(&ds);
-  }
-
-  static HwFeatures MakeFeatures(uint16_t entries) {
-    HwFeatures f;  // no second DSBR: segno indexes the user space directly
-    f.associative_memory = true;
-    f.associative_entries = entries;
-    return f;
+    processor.set_system_ds(&ds);
   }
 };
 
@@ -147,6 +141,10 @@ RunResult Run(uint16_t entries, const std::vector<Ref>& trace) {
   uint64_t checksum = 1469598103934665603ULL;  // FNV offset basis
   for (const Ref& ref : trace) {
     AccessResult r = rig.processor.Access(Segno(ref.segno), ref.offset, ref.mode, 4);
+    if (r.fault.kind == FaultKind::kMissingPage) {
+      // The fault locked the PTW; the software servicing it would unlock it.
+      rig.page_tables[ref.segno].ptws[r.fault.page].locked = false;
+    }
     checksum = (checksum ^ (static_cast<uint64_t>(r.fault.kind) + 1)) * 1099511628211ULL;
     if (r.ok) {
       checksum = (checksum ^ r.abs_addr) * 1099511628211ULL;

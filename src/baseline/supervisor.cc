@@ -15,11 +15,18 @@ namespace {
 constexpr Cycles kRetranslationCost = 12;
 constexpr Cycles kGlobalLockCost = 8;
 constexpr int kMaxFaultDepth = 8;
+// The fixed disk shape: packs mounted at boot, and VTOC entries on each.
+constexpr uint16_t kPackCount = 2;
+constexpr uint32_t kVtocSlotsPerPack = 512;
+// The root directory's quota limit, in records.
+constexpr uint64_t kRootQuota = 1u << 20;
+// Seeds the draws that decide whether a retranslation meets a conflict.
+constexpr uint64_t kSeed = 1977;
 }  // namespace
 
 MonolithicSupervisor::MonolithicSupervisor(const BaselineConfig& config)
     : config_(config),
-      rng_(config.seed),
+      rng_(kSeed),
       interleave_(config.cpu_count, &metrics_),
       // Each extra processor is another writer that can alter the translation
       // tables between a fault and capture of the global lock.
@@ -55,8 +62,8 @@ MonolithicSupervisor::~MonolithicSupervisor() = default;
 
 Status MonolithicSupervisor::Boot() {
   memory_ = std::make_unique<PrimaryMemory>(config_.memory_frames, &cost_, &metrics_);
-  for (uint16_t p = 0; p < config_.pack_count; ++p) {
-    volumes_.AddPack(config_.records_per_pack, config_.vtoc_slots_per_pack);
+  for (uint16_t p = 0; p < kPackCount; ++p) {
+    volumes_.AddPack(config_.records_per_pack, kVtocSlotsPerPack);
   }
   ast_.assign(config_.ast_slots, BAstEntry{});
   frames_.assign(config_.memory_frames, FrameInfo{});
@@ -69,7 +76,7 @@ Status MonolithicSupervisor::Boot() {
   root_.is_directory = true;
   root_.uid = SegmentUid(uid_counter_++);
   root_.quota_directory = true;
-  root_.quota_limit = config_.root_quota;
+  root_.quota_limit = kRootQuota;
   root_.parent = nullptr;
   MKS_ASSIGN_OR_RETURN(VtocIndex vtoc, volumes_.pack(pack)->AllocateVtoc(root_.uid, true));
   root_.pack = pack;

@@ -50,9 +50,7 @@ namespace mks {
 
 struct BaselineConfig {
   uint32_t memory_frames = 512;
-  uint16_t pack_count = 2;
-  uint32_t records_per_pack = 4096;
-  uint32_t vtoc_slots_per_pack = 512;
+  uint32_t records_per_pack = 4096;  // on each of the two packs
   uint32_t ast_slots = 64;
   // Probability that the address translation tables changed between a
   // missing-page fault and capture of the global lock, forcing the
@@ -64,11 +62,9 @@ struct BaselineConfig {
   // that the translation tables changed under a fault in flight (the
   // retranslation conflict rate scales with cpu_count - 1).
   uint16_t cpu_count = 1;
-  uint64_t root_quota = 1u << 20;
-  uint64_t seed = 1977;
   // Virtual-time tracer (default off; same byte-identical contract as the
   // kernel's KernelConfig::trace knob).
-  TraceConfig trace;
+  bool trace = false;
 };
 
 // Baseline module names (the six boxes of Figure 2).

@@ -59,7 +59,7 @@ DiskPack::DiskPack(PackId id, uint32_t record_count, uint32_t vtoc_slots, CostMo
       cost_(cost),
       metrics_(metrics),
       trace_(trace),
-      ev_batch_round_(trace != nullptr ? trace->InternEvent("disk.batch_round") : 0),
+      ev_batch_round_(trace->InternEvent("disk.batch_round")),
       id_pack_full_(metrics->Intern("disk.pack_full")),
       id_reads_(metrics->Intern("disk.reads")),
       id_writes_(metrics->Intern("disk.writes")),
@@ -161,7 +161,7 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
     return 0;
   }
   const size_t take = io_queue_.size() < max_batch ? io_queue_.size() : max_batch;
-  const Cycles trace_begin = trace_ != nullptr ? trace_->Begin() : 0;
+  const Cycles trace_begin = trace_->Begin();
   const auto round = io_queue_.begin();
   // One arm sweep per round: service in record order so every request after
   // the first rides the same seek.
@@ -189,10 +189,7 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
     }
   }
   io_queue_.erase(round, round + take);
-  if (trace_ != nullptr) {
-    trace_->CloseSpan(trace_begin, ev_batch_round_, id_.value,
-                      static_cast<uint32_t>(take));
-  }
+  trace_->CloseSpan(trace_begin, ev_batch_round_, id_.value, static_cast<uint32_t>(take));
   return take;
 }
 

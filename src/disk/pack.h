@@ -65,7 +65,7 @@ struct VtocEntry {
 class DiskPack {
  public:
   DiskPack(PackId id, uint32_t record_count, uint32_t vtoc_slots, CostModel* cost,
-           Metrics* metrics, Tracer* trace = nullptr);
+           Metrics* metrics, Tracer* trace);
 
   PackId id() const { return id_; }
   uint32_t record_count() const { return record_count_; }
@@ -173,7 +173,7 @@ class DiskPack {
 // (pack, record) cookie at detach time.
 class VolumeControl : public PageSource {
  public:
-  VolumeControl(CostModel* cost, Metrics* metrics, Tracer* trace = nullptr)
+  VolumeControl(CostModel* cost, Metrics* metrics, Tracer* trace)
       : cost_(cost), metrics_(metrics), trace_(trace) {}
 
   PackId AddPack(uint32_t record_count, uint32_t vtoc_slots);
@@ -208,7 +208,7 @@ class VolumeControl : public PageSource {
   std::vector<DiskPack> packs_;
   CostModel* cost_;
   Metrics* metrics_;
-  Tracer* trace_ = nullptr;
+  Tracer* trace_;
 };
 
 }  // namespace mks

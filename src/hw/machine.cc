@@ -28,23 +28,10 @@ void DescriptorSegment::Disconnect(uint16_t index) {
   sdws[index] = Sdw{};
 }
 
-AssociativeMemory::AssociativeMemory(uint16_t entries) {
-  // Round down to a power-of-two number of kWays-wide sets; fewer than one
-  // full set degenerates to a single direct set of `entries` ways.
-  if (entries == 0) {
-    return;
-  }
-  if (entries < kWays) {
-    set_count_ = 1;
-    slots_.assign(entries, Entry{});
-    return;
-  }
-  size_t sets = 1;
-  while (sets * 2 * kWays <= entries) {
-    sets *= 2;
-  }
-  set_count_ = sets;
-  slots_.assign(sets * kWays, Entry{});
+AssociativeMemory::AssociativeMemory(uint16_t entries)
+    : slots_(entries), set_count_(entries / kWays) {
+  assert(entries % kWays == 0 && (set_count_ == 0 || std::has_single_bit(set_count_)) &&
+         "the associative memory is 0 or a power of two of whole sets");
 }
 
 size_t AssociativeMemory::SetBase(Segno segno, uint32_t page) const {
@@ -58,8 +45,7 @@ AssociativeMemory::Entry* AssociativeMemory::Lookup(Segno segno, uint32_t page) 
     return nullptr;
   }
   const size_t base = SetBase(segno, page);
-  const size_t ways = std::min(slots_.size() - base, static_cast<size_t>(kWays));
-  for (size_t w = 0; w < ways; ++w) {
+  for (size_t w = 0; w < kWays; ++w) {
     Entry& e = slots_[base + w];
     if (e.valid && e.segno == segno && e.page == page) {
       e.stamp = ++stamp_;
@@ -75,9 +61,8 @@ void AssociativeMemory::Insert(Segno segno, uint32_t page, Ptw* ptw, bool read, 
     return;
   }
   const size_t base = SetBase(segno, page);
-  const size_t ways = std::min(slots_.size() - base, static_cast<size_t>(kWays));
   Entry* victim = &slots_[base];
-  for (size_t w = 0; w < ways; ++w) {
+  for (size_t w = 0; w < kWays; ++w) {
     Entry& e = slots_[base + w];
     if (e.valid && e.segno == segno && e.page == page) {
       victim = &e;  // refresh in place
@@ -354,13 +339,13 @@ bool PrimaryMemory::FrameIsZero(FrameIndex frame) {
   return std::all_of(words.begin(), words.end(), [](Word w) { return w == 0; });
 }
 
-Processor::Processor(HwFeatures features, CostModel* cost, Metrics* metrics, uint16_t index)
-    : features_(features),
-      cost_(cost),
+Processor::Processor(uint16_t associative_entries, CostModel* cost, Metrics* metrics,
+                     uint16_t index)
+    : cost_(cost),
       metrics_(metrics),
       index_(index),
       bit_(uint64_t{1} << index),
-      assoc_(features.associative_memory ? features.associative_entries : 0),
+      assoc_(associative_entries),
       id_translations_(metrics->Intern("hw.translations")),
       id_assoc_hits_(metrics->Intern("hw.assoc_hits")),
       id_assoc_misses_(metrics->Intern("hw.assoc_misses")),
@@ -369,16 +354,14 @@ Processor::Processor(HwFeatures features, CostModel* cost, Metrics* metrics, uin
       id_missing_page_faults_(metrics->Intern("hw.missing_page_faults")) {}
 
 const Sdw* Processor::Descriptor(Segno segno) const {
-  // With the second descriptor-base register, low segment numbers translate
+  // The second descriptor-base register: low segment numbers translate
   // through the per-processor system space.
-  DescriptorSegment* ds = user_ds_;
-  uint16_t index = segno.value;
-  if (features_.second_dsbr && segno.value < kSystemSegnoLimit) {
-    ds = system_ds_;
-  } else if (features_.second_dsbr) {
-    index = static_cast<uint16_t>(segno.value - kSystemSegnoLimit);
+  if (segno.value < kSystemSegnoLimit) {
+    return system_ds_ == nullptr ? nullptr : system_ds_->Get(segno.value);
   }
-  return ds == nullptr ? nullptr : ds->Get(index);
+  return user_ds_ == nullptr
+             ? nullptr
+             : user_ds_->Get(static_cast<uint16_t>(segno.value - kSystemSegnoLimit));
 }
 
 void Processor::ClearAssociative(Segno segno) {
@@ -408,38 +391,36 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   // Fast path: the associative memory.  A hit is served only when the cached
   // SDW bits admit the access and the (live) PTW is plainly resident — any
   // other state falls through to the full walk, so every fault is generated
-  // by exactly the same code whether or not the cache is present.  With the
-  // feature on, a miss pays the two descriptor fetches from core explicitly;
-  // zero entries therefore models the pre-associative hardware where every
-  // reference makes both fetches.
-  if (features_.associative_memory) {
-    if (AssociativeMemory::Entry* entry = assoc_.Lookup(segno, ref_page)) {
-      Ptw* ptw = entry->ptw;
-      const bool permitted = (mode == AccessMode::kRead && entry->read) ||
-                             (mode == AccessMode::kWrite && entry->write) ||
-                             (mode == AccessMode::kExecute && entry->execute);
-      if (permitted && ring <= entry->ring_bracket && !ptw->locked && !ptw->unallocated &&
-          ptw->in_core) {
-        cost_->Charge(CodeStyle::kOptimized, Costs::kAssocSearch);
-        metrics_->Inc(id_assoc_hits_);
-        ptw->used = true;
-        if (mode == AccessMode::kWrite) {
-          ptw->modified = true;
-        }
-        AccessResult result;
-        result.ok = true;
-        result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + word;
-        result.fault.segno = segno;
-        result.fault.page = ref_page;
-        result.fault.word = word;
-        return result;
+  // by exactly the same code whether or not the cache holds the pairing.  A
+  // miss pays the two descriptor fetches from core; zero entries therefore
+  // models the pre-associative hardware where every reference makes both
+  // fetches.
+  if (AssociativeMemory::Entry* entry = assoc_.Lookup(segno, ref_page)) {
+    Ptw* ptw = entry->ptw;
+    const bool permitted = (mode == AccessMode::kRead && entry->read) ||
+                           (mode == AccessMode::kWrite && entry->write) ||
+                           (mode == AccessMode::kExecute && entry->execute);
+    if (permitted && ring <= entry->ring_bracket && !ptw->locked && !ptw->unallocated &&
+        ptw->in_core) {
+      cost_->Charge(CodeStyle::kOptimized, Costs::kAssocSearch);
+      metrics_->Inc(id_assoc_hits_);
+      ptw->used = true;
+      if (mode == AccessMode::kWrite) {
+        ptw->modified = true;
       }
-      // The cached pairing no longer resolves cleanly; drop it and re-walk.
-      assoc_.InvalidateEntry(entry);
+      AccessResult result;
+      result.ok = true;
+      result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + word;
+      result.fault.segno = segno;
+      result.fault.page = ref_page;
+      result.fault.word = word;
+      return result;
     }
-    metrics_->Inc(id_assoc_misses_);
-    cost_->Charge(CodeStyle::kOptimized, 2 * Costs::kDescriptorFetch);
+    // The cached pairing no longer resolves cleanly; drop it and re-walk.
+    assoc_.InvalidateEntry(entry);
   }
+  metrics_->Inc(id_assoc_misses_);
+  cost_->Charge(CodeStyle::kOptimized, 2 * Costs::kDescriptorFetch);
   cost_->Charge(CodeStyle::kOptimized, Costs::kAddressTranslation);
 
   AccessResult result;
@@ -472,27 +453,16 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   Ptw* ptw = &sdw->page_table->ptws[ref_page];
 
   if (ptw->locked) {
-    // Only generated by the new hardware; without the lock bit PTWs are
-    // never locked.
     result.fault.kind = FaultKind::kLockedDescriptor;
     metrics_->Inc(id_locked_descriptor_faults_);
     return result;
   }
   if (ptw->unallocated) {
-    if (features_.quota_exception_bit) {
-      result.fault.kind = FaultKind::kQuotaException;
-    } else {
-      // Baseline hardware cannot distinguish growth from an ordinary missing
-      // page; software must re-diagnose it.
-      result.fault.kind = FaultKind::kMissingPage;
-      metrics_->Inc(id_missing_page_faults_);
-    }
+    result.fault.kind = FaultKind::kQuotaException;
     return result;
   }
   if (!ptw->in_core) {
-    if (features_.descriptor_lock_bit) {
-      ptw->locked = true;
-    }
+    ptw->locked = true;
     result.fault.kind = FaultKind::kMissingPage;
     metrics_->Inc(id_missing_page_faults_);
     return result;
@@ -505,9 +475,7 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   result.ok = true;
   result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + word;
   result.fault.kind = FaultKind::kNone;
-  if (features_.associative_memory) {
-    assoc_.Insert(segno, ref_page, ptw, sdw->read, sdw->write, sdw->execute, sdw->ring_bracket);
-  }
+  assoc_.Insert(segno, ref_page, ptw, sdw->read, sdw->write, sdw->execute, sdw->ring_bracket);
   return result;
 }
 
@@ -541,11 +509,12 @@ uint64_t RemoteSignals(uint64_t targets, uint16_t sender) {
 
 }  // namespace
 
-ProcessorPool::ProcessorPool(uint16_t cpu_count, HwFeatures features, CostModel* cost,
+ProcessorPool::ProcessorPool(uint16_t cpu_count, uint16_t associative_entries, CostModel* cost,
                              Metrics* metrics, Tracer* trace)
     : cost_(cost),
       metrics_(metrics),
       trace_(trace),
+      ev_connect_(trace->InternEvent("hw.connect")),
       id_connect_signals_(metrics->Intern("hw.connect_signals")),
       id_connect_cycles_(metrics->Intern("hw.connect_cycles")) {
   if (cpu_count == 0) {
@@ -558,10 +527,7 @@ ProcessorPool::ProcessorPool(uint16_t cpu_count, HwFeatures features, CostModel*
   }
   cpus_.reserve(cpu_count);
   for (uint16_t k = 0; k < cpu_count; ++k) {
-    cpus_.emplace_back(features, cost, metrics, k);
-  }
-  if (trace_ != nullptr) {
-    ev_connect_ = trace_->InternEvent("hw.connect");
+    cpus_.emplace_back(associative_entries, cost, metrics, k);
   }
 }
 
@@ -580,10 +546,7 @@ void ProcessorPool::ClearAssociative(Segno segno) {
     p.ClearAssociative(segno);
   }
   ChargeConnect(cpus_.size() - 1);
-  if (trace_ != nullptr) {
-    trace_->Instant(ev_connect_, segno.value,
-                    static_cast<uint32_t>(ConnectKind::kClearSegno));
-  }
+  trace_->Instant(ev_connect_, segno.value, static_cast<uint32_t>(ConnectKind::kClearSegno));
 }
 
 void ProcessorPool::InvalidateAssociative(const Ptw* ptw, const PageTable& pt, uint16_t sender) {
@@ -596,9 +559,7 @@ void ProcessorPool::InvalidateAssociative(const Ptw* ptw, const PageTable& pt, u
     ShootdownMissed(targets, sender);
   }
   ChargeConnect(RemoteSignals(targets, sender));
-  if (trace_ != nullptr) {
-    trace_->Instant(ev_connect_, 0, static_cast<uint32_t>(ConnectKind::kInvalidatePtw));
-  }
+  trace_->Instant(ev_connect_, 0, static_cast<uint32_t>(ConnectKind::kInvalidatePtw));
 }
 
 void ProcessorPool::SetSystemDs(DescriptorSegment* ds) {

@@ -4,20 +4,22 @@
 // The machine is word-addressed with 1024-word pages.  A processor translates
 // (segment number, offset) through a descriptor segment (array of SDWs) to a
 // page table (array of PTWs) to an absolute address, reporting typed faults
-// instead of trapping.  Two descriptor-base registers are modelled, per the
-// kernel design: segment numbers below kSystemSegnoLimit translate through a
-// per-processor *system* descriptor segment whose descriptors refer only to
-// permanently-resident storage, so system modules cannot depend on the user
-// virtual-memory machinery.
+// instead of trapping.
 //
-// HwFeatures gates the paper's proposed processor additions (descriptor lock
-// bit, quota-exception bit, second descriptor-base register) so the same
-// substrate serves the baseline supervisor (features off) and the new kernel
-// (features on), making the paper's "minor hardware adjustments make a
-// significant difference" conclusion an ablation knob.  The paper's other two
-// additions carry no state here: the wakeup-waiting switch is subsumed by
-// eventcount waits, which register a waiter in one step, and the lock-address
-// register by the fault itself, which names its descriptor by (segno, page).
+// The processor is the Honeywell 6180 with the paper's three additions, and
+// has no other form:
+//  * the descriptor lock bit: a missing-page fault locks the PTW it names,
+//    and a later reference to it reports a locked descriptor;
+//  * the quota-exception bit: a reference to a never-used page reports a
+//    quota exception, not a missing page;
+//  * the second descriptor-base register: segment numbers below
+//    kSystemSegnoLimit translate through a per-processor *system* descriptor
+//    segment whose descriptors refer only to permanently-resident storage, so
+//    system modules cannot depend on the user virtual-memory machinery.
+// Each processor also has an associative memory of a size fixed when it is
+// built.  The 1973 baseline supervisor does without all of this in its own
+// software translation path (interpretive retranslation under a global lock)
+// and builds no Processor; P6 and P9 measure that difference.
 #ifndef MKS_HW_MACHINE_H_
 #define MKS_HW_MACHINE_H_
 
@@ -51,14 +53,13 @@ inline constexpr uint16_t kSystemSegnoLimit = 64;
 enum class AccessMode : uint8_t { kRead, kWrite, kExecute };
 
 // Page table word.  `unallocated` marks a never-before-used page of a
-// segment; with HwFeatures::quota_exception_bit the hardware converts a
-// reference to such a page into a distinct quota exception, otherwise it
-// surfaces as an ordinary missing page that software must re-diagnose.
+// segment; the quota-exception bit makes a reference to such a page a quota
+// exception, distinct from a missing page.
 struct Ptw {
   uint32_t frame = 0;
   bool in_core = false;
   bool unallocated = true;
-  bool locked = false;    // descriptor lock bit (new hardware)
+  bool locked = false;    // descriptor lock bit
   bool used = false;
   bool modified = false;
   // Number of associative-memory entries (across every CPU) currently caching
@@ -126,35 +127,12 @@ struct DescriptorSegment {
   void Disconnect(uint16_t index);
 };
 
-struct HwFeatures {
-  bool descriptor_lock_bit = false;
-  bool quota_exception_bit = false;
-  bool second_dsbr = false;
-  // Associative memory: a small set-associative cache of recently resolved
-  // (segno, page) translations, like the 6180's SDW/PTW associative memory.
-  // Modelled as an HwFeatures knob (like the descriptor lock bit) so benches
-  // can ablate it.  When the flag is off, translation keeps the legacy
-  // abstract charge (kAddressTranslation); when on, a miss additionally pays
-  // the two descriptor fetches the cache exists to avoid, and a hit pays
-  // only the associative search.
-  bool associative_memory = false;
-  uint16_t associative_entries = 16;  // total entries; 0 disables the cache
-
-  static HwFeatures Baseline() { return HwFeatures{}; }
-  static HwFeatures KernelDesign() {
-    return HwFeatures{.descriptor_lock_bit = true,
-                      .quota_exception_bit = true,
-                      .second_dsbr = true,
-                      .associative_memory = true};
-  }
-};
-
 enum class FaultKind : uint8_t {
   kNone = 0,
   kMissingSegment,
   kMissingPage,
-  kLockedDescriptor,  // only with descriptor_lock_bit
-  kQuotaException,    // only with quota_exception_bit
+  kLockedDescriptor,
+  kQuotaException,
   kOutOfBounds,
   kAccessViolation,
   kRingViolation,
@@ -196,8 +174,8 @@ class AssociativeMemory {
     uint64_t stamp = 0;  // LRU within the set
   };
 
-  // `entries` is the total capacity; rounded down to a whole number of
-  // kWays-wide sets (a power of two).  0 leaves the cache disabled.
+  // `entries` is the total capacity: 0, which leaves the cache disabled, or
+  // a power-of-two number of kWays-wide sets.
   explicit AssociativeMemory(uint16_t entries);
 
   bool enabled() const { return set_count_ != 0; }
@@ -393,9 +371,12 @@ class PrimaryMemory {
 // A simulated processor.
 class Processor {
  public:
-  // `index` is the processor's place in its pool (bit `index` of
+  // `associative_entries` sizes the associative memory (see
+  // AssociativeMemory); 0 models the walk before one existed, every
+  // reference fetching its SDW and PTW from core.  `index` is the
+  // processor's place in its pool (bit `index` of
   // DescriptorSegment::loaded_on).
-  Processor(HwFeatures features, CostModel* cost, Metrics* metrics, uint16_t index = 0);
+  Processor(uint16_t associative_entries, CostModel* cost, Metrics* metrics, uint16_t index = 0);
 
   // Loading a descriptor-base register clears the associative memory, as on
   // the real hardware: cached translations belong to the outgoing space.  So
@@ -416,18 +397,17 @@ class Processor {
   }
   void set_system_ds(DescriptorSegment* ds) { system_ds_ = ds; }
   DescriptorSegment* user_ds() const { return user_ds_; }
-  const HwFeatures& features() const { return features_; }
   uint16_t index() const { return index_; }
 
   // The SDW `segno` translates through: the system space below
-  // kSystemSegnoLimit when the second DSBR is present, else the user space.
-  // nullptr when the space is unloaded or too short.
+  // kSystemSegnoLimit, the user space (indexed from kSystemSegnoLimit) at or
+  // above it.  nullptr when the space is unloaded or too short.
   const Sdw* Descriptor(Segno segno) const;
 
   // Translates and access-checks one reference.  On success returns the
   // absolute address and marks the PTW used/modified.  On failure returns a
-  // typed fault; with the descriptor lock bit enabled, a missing page also
-  // locks the offending descriptor.
+  // typed fault; a missing page also locks the offending descriptor, which
+  // the software servicing the fault unlocks.
   AccessResult Access(Segno segno, uint32_t offset, AccessMode mode, uint8_t ring);
 
   // Associative-memory invalidation protocol, called by the kernel at every
@@ -443,7 +423,6 @@ class Processor {
   const AssociativeMemory& associative() const { return assoc_; }
 
  private:
-  HwFeatures features_;
   CostModel* cost_;
   Metrics* metrics_;
   uint16_t index_;
@@ -486,11 +465,12 @@ class ProcessorPool {
   // Largest pool: the loaded-on masks are 64-bit.
   static constexpr uint16_t kMaxCpus = 64;
 
-  // `trace`, when given, records each invalidation as an `hw.connect`
-  // instant (arg = ConnectKind) — invalidation storms show up in the trace
-  // lanes.  Aborts when `cpu_count` exceeds kMaxCpus.
-  ProcessorPool(uint16_t cpu_count, HwFeatures features, CostModel* cost, Metrics* metrics,
-                Tracer* trace = nullptr);
+  // Every CPU gets an associative memory of `associative_entries`.  `trace`
+  // records each invalidation as an `hw.connect` instant (arg = ConnectKind),
+  // so invalidation storms show up in the trace lanes.  Aborts when
+  // `cpu_count` exceeds kMaxCpus.
+  ProcessorPool(uint16_t cpu_count, uint16_t associative_entries, CostModel* cost,
+                Metrics* metrics, Tracer* trace);
 
   uint16_t count() const { return static_cast<uint16_t>(cpus_.size()); }
   Processor& cpu(uint16_t k) { return cpus_[k]; }
@@ -536,7 +516,7 @@ class ProcessorPool {
   CostModel* cost_;
   Metrics* metrics_;
   Tracer* trace_;
-  TraceEventId ev_connect_ = 0;
+  TraceEventId ev_connect_;
   Cycles connect_cost_ = 0;
   MetricId id_connect_signals_ = 0;
   MetricId id_connect_cycles_ = 0;

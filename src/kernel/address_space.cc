@@ -12,9 +12,8 @@ AddressSpaceManager::AddressSpaceManager(KernelContext* ctx, CoreSegmentManager*
       segs_(segs),
       id_disconnect_everywhere_(ctx->metrics.Intern("asm.disconnect_everywhere")) {}
 
-Status AddressSpaceManager::Init(uint16_t user_sdw_count) {
+Status AddressSpaceManager::Init() {
   CallTracker::Scope scope(&ctx_->tracker, self_);
-  user_sdw_count_ = user_sdw_count;
   // One resident descriptor per core segment: the system address space.
   system_ds_.sdws.assign(kSystemSegnoLimit, Sdw{});
   for (uint16_t i = 0; i < core_segs_->count() && i < kSystemSegnoLimit; ++i) {
@@ -53,7 +52,7 @@ Status AddressSpaceManager::CreateSpace(ProcessId pid) {
   if (spaces_.count(pid) != 0) {
     return Status(Code::kAlreadyExists, "address space exists");
   }
-  spaces_[pid].sdws.assign(user_sdw_count_, Sdw{});
+  spaces_[pid].sdws.assign(kUserSdwCount, Sdw{});
   return Status::Ok();
 }
 
@@ -64,7 +63,7 @@ Status AddressSpaceManager::DestroySpace(ProcessId pid) {
     return Status(Code::kNotFound, "no address space");
   }
   DescriptorSegment& ds = it->second;
-  for (uint16_t i = 0; i < user_sdw_count_; ++i) {
+  for (uint16_t i = 0; i < kUserSdwCount; ++i) {
     if (ds.sdws[i].present) {
       ds.Disconnect(i);
     }
@@ -88,7 +87,7 @@ Status AddressSpaceManager::Connect(ProcessId pid, Segno segno, uint32_t ast,
     return Status(Code::kNotFound, "no address space");
   }
   if (segno.value < kSystemSegnoLimit ||
-      segno.value >= kSystemSegnoLimit + user_sdw_count_) {
+      segno.value >= kSystemSegnoLimit + kUserSdwCount) {
     return Status(Code::kInvalidSegno, "segno outside the user range");
   }
   AstEntry* entry = segs_->Get(ast);
@@ -118,7 +117,7 @@ Status AddressSpaceManager::Disconnect(ProcessId pid, Segno segno) {
   }
   const uint16_t index = static_cast<uint16_t>(segno.value - kSystemSegnoLimit);
   DescriptorSegment& ds = it->second;
-  if (index >= user_sdw_count_ || !ds.sdws[index].present) {
+  if (index >= kUserSdwCount || !ds.sdws[index].present) {
     return Status(Code::kInvalidSegno, "segno not connected");
   }
   ds.Disconnect(index);
@@ -140,7 +139,7 @@ uint32_t AddressSpaceManager::DisconnectEverywhere(SegmentUid uid) {
   uint32_t severed = 0;
   for (auto it = spaces_.begin(); it != spaces_.end() && severed < bound; ++it) {
     DescriptorSegment& ds = it->second;
-    for (uint16_t i = 0; i < user_sdw_count_ && severed < bound; ++i) {
+    for (uint16_t i = 0; i < kUserSdwCount && severed < bound; ++i) {
       if (ds.sdws[i].page_table == pt) {  // a cleared SDW names no table
         ds.Disconnect(i);
         ctx_->cpus.ClearAssociative(Segno(static_cast<uint16_t>(kSystemSegnoLimit + i)));
@@ -162,7 +161,7 @@ void AddressSpaceManager::AuditIntegrity(std::vector<std::string>* findings) con
     }
   }
   for (const auto& [pid, ds] : spaces_) {
-    for (uint16_t i = 0; i < user_sdw_count_; ++i) {
+    for (uint16_t i = 0; i < kUserSdwCount; ++i) {
       if (!ds.sdws[i].present) {
         continue;
       }

@@ -25,9 +25,13 @@ class AddressSpaceManager {
  public:
   AddressSpaceManager(KernelContext* ctx, CoreSegmentManager* core_segs, SegmentManager* segs);
 
+  // User segment numbers per address space: kSystemSegnoLimit up to
+  // kSystemSegnoLimit + kUserSdwCount.
+  static constexpr uint16_t kUserSdwCount = 128;
+
   // Builds the system descriptor segment: one resident descriptor per core
   // segment, installed on the service processor.
-  Status Init(uint16_t user_sdw_count);
+  Status Init();
 
   Status CreateSpace(ProcessId pid);
   Status DestroySpace(ProcessId pid);
@@ -63,7 +67,6 @@ class AddressSpaceManager {
   ModuleId self_;
   CoreSegmentManager* core_segs_;
   SegmentManager* segs_;
-  uint16_t user_sdw_count_ = 0;
   MetricId id_disconnect_everywhere_;
   DescriptorSegment system_ds_;
   std::vector<std::unique_ptr<PageTable>> system_page_tables_;

@@ -25,8 +25,11 @@
 namespace mks {
 
 struct KernelContext {
-  KernelContext(uint32_t memory_frames, HwFeatures features, double structured_factor,
-                uint64_t secret_seed, uint16_t cpu_count = 1, Cycles connect_cost = 0)
+  // Entries in each processor's associative memory.
+  static constexpr uint16_t kAssociativeEntries = 16;
+
+  KernelContext(uint32_t memory_frames, double structured_factor, uint64_t secret_seed,
+                uint16_t cpu_count = 1, Cycles connect_cost = 0)
       : cost(&clock),
         trace(&clock, &metrics),
         prof(&clock),
@@ -34,7 +37,7 @@ struct KernelContext {
         monitor(&clock),
         memory(memory_frames, &cost, &metrics),
         volumes(&cost, &metrics, &trace),
-        cpus(cpu_count, features, &cost, &metrics, &trace),
+        cpus(cpu_count, kAssociativeEntries, &cost, &metrics, &trace),
         smp(cpu_count, &metrics),
         secret(secret_seed) {
     cost.set_structured_factor(structured_factor);

@@ -2,13 +2,20 @@
 
 namespace mks {
 
+namespace {
+// Quota cells cached at once (one per active quota directory).
+constexpr uint32_t kQuotaCellSlots = 64;
+// The root directory's quota limit, in records; the root is SystemLow.
+constexpr uint64_t kRootQuota = 1u << 20;
+}  // namespace
+
 Kernel::Kernel(const KernelConfig& config)
     : config_(config),
-      ctx_(std::make_unique<KernelContext>(config.memory_frames, config.features,
-                                           config.structured_factor, config.secret,
-                                           config.cpu_count, config.connect_cost)) {
+      ctx_(std::make_unique<KernelContext>(config.memory_frames, config.structured_factor,
+                                           config.secret, config.cpu_count,
+                                           config.connect_cost)) {
   // Before any manager interns events or records: size the per-CPU rings and
-  // latch the knob.  With trace.enabled false the tracer stays inert and no
+  // latch the knob.  With trace false the tracer stays inert and no
   // instrumented path diverges from an untraced build.
   ctx_->trace.Enable(config.cpu_count, config.trace);
   // Same staging for the profiler: lanes sized before the first charge, so
@@ -30,7 +37,7 @@ Kernel::Kernel(const KernelConfig& config)
   uproc_ = std::make_unique<UserProcessManager>(ctx_.get(), core_segs_.get(), vpm_.get(),
                                                 pfm_.get(), segs_.get(), ksm_.get(),
                                                 gates_.get());
-  uproc_->ConfigureDispatch({config.sharded_runqueues, config.steal, config.lock_policy});
+  uproc_->ConfigureDispatch(config.sharded_runqueues, config.steal, config.lock_policy);
   uproc_->set_slab_processes(config.slab_processes);
   // The read-mostly naming locks: one per manager, same policy and pricing.
   // Cross-CPU traffic (token revocation, epoch publish) is priced at
@@ -54,9 +61,9 @@ Status Kernel::Boot() {
     ctx_->volumes.AddPack(config_.records_per_pack, config_.vtoc_slots_per_pack);
   }
   // Stage 3: resource-control and paging substrate.
-  MKS_RETURN_IF_ERROR(quota_->Init(config_.quota_cell_slots));
+  MKS_RETURN_IF_ERROR(quota_->Init(kQuotaCellSlots));
   MKS_RETURN_IF_ERROR(segs_->Init(config_.ast_slots));
-  MKS_RETURN_IF_ERROR(spaces_->Init(config_.user_sdw_count));
+  MKS_RETURN_IF_ERROR(spaces_->Init());
   // Stage 4: the user process layer's real-memory queue (a core segment).
   MKS_RETURN_IF_ERROR(uproc_->Init());
   // Stage 5: the paging pool takes every frame left after the core segments;
@@ -96,7 +103,7 @@ Status Kernel::Boot() {
     return Status(Code::kResourceExhausted, "no virtual processor left for user processes");
   }
   // Stage 7: the naming hierarchy.
-  MKS_RETURN_IF_ERROR(dirs_->InitRoot(config_.root_label, config_.root_acl, config_.root_quota));
+  MKS_RETURN_IF_ERROR(dirs_->InitRoot(Label::SystemLow(), config_.root_acl, kRootQuota));
   booted_ = true;
   return Status::Ok();
 }
@@ -122,7 +129,7 @@ Status Kernel::Shutdown() {
       MKS_RETURN_IF_ERROR(segs_->Deactivate(slot));
     }
   }
-  for (uint32_t cell = 0; cell < config_.quota_cell_slots; ++cell) {
+  for (uint32_t cell = 0; cell < kQuotaCellSlots; ++cell) {
     Status flushed = quota_->FlushCell(QuotaCellId(cell));
     if (!flushed.ok() && flushed.code() != Code::kInvalidArgument) {
       return flushed;

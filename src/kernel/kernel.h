@@ -21,15 +21,12 @@ struct KernelConfig {
   // granularity.  1 reproduces the uniprocessor behaviour exactly.
   uint16_t cpu_count = 1;
   uint16_t vp_count = 8;
-  uint16_t user_sdw_count = 128;
   uint32_t ast_slots = 64;
-  uint32_t quota_cell_slots = 64;
   // Disk shape.
   uint16_t pack_count = 2;
   uint32_t records_per_pack = 4096;
   uint32_t vtoc_slots_per_pack = 512;
   // Policy.
-  HwFeatures features = HwFeatures::KernelDesign();
   double structured_factor = CostModel::kDefaultStructuredFactor;
   bool async_paging = false;
   bool close_zero_page_channel = false;
@@ -38,7 +35,7 @@ struct KernelConfig {
   PagingPipeline paging_pipeline;
   // Virtual-time tracer (default off — with it off every instrumented path
   // is byte-identical to an untraced build; same pattern as the pipeline).
-  TraceConfig trace;
+  bool trace = false;
   // Per-CPU cycle-accounting profiler + stall watchdog (default off — same
   // byte-identical-when-off discipline as the tracer).  profile.stall_rounds
   // arms the watchdog independently of profile.enabled: arming it never
@@ -83,8 +80,6 @@ struct KernelConfig {
   // byte-identical to tearing every process down; Shutdown drains parked
   // slots either way, so the on-disk image leaks nothing.
   bool slab_processes = false;
-  uint64_t root_quota = 1u << 20;
-  Label root_label = Label::SystemLow();
   // Default: world-usable root, so examples/tests can build a hierarchy.
   // A hardened installation narrows this (see examples/secure_file_service).
   Acl root_acl = [] {

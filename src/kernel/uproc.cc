@@ -33,17 +33,17 @@ UserProcessManager::UserProcessManager(KernelContext* ctx, CoreSegmentManager* c
       ev_wake_(ctx->trace.InternEvent("uproc.wake")),
       hist_quantum_(ctx->metrics.InternHistogram("uproc.quantum_cycles")) {}
 
-void UserProcessManager::ConfigureDispatch(const DispatchConfig& config) {
-  dcfg_ = config;
+void UserProcessManager::ConfigureDispatch(bool sharded_runqueues, bool steal,
+                                           LockPolicy lock_policy) {
+  steal_ = steal;
   // One policy knob covers every scheduler lock; MCS prices its one line per
   // contended grant at connect_cost.
   const Cycles connect_cost = ctx_->cpus.connect_cost();
-  const LockPolicyConfig lock_policy{dcfg_.lock_policy, connect_cost};
-  list_lock_.Configure(lock_policy);
-  if (dcfg_.sharded_runqueues) {
-    rq_ = std::make_unique<RunQueueSet>(ctx_->smp.count(), dcfg_.steal, connect_cost,
-                                        &ctx_->cost, &ctx_->metrics, &ctx_->trace,
-                                        lock_policy, &ctx_->prof);
+  const LockPolicyConfig lock_config{lock_policy, connect_cost};
+  list_lock_.Configure(lock_config);
+  if (sharded_runqueues) {
+    rq_ = std::make_unique<RunQueueSet>(ctx_->smp.count(), steal, connect_cost, &ctx_->cost,
+                                        &ctx_->metrics, &ctx_->trace, lock_config, &ctx_->prof);
   }
 }
 
@@ -342,7 +342,6 @@ void UserProcessManager::RunQuantumOn(Process& proc, uint16_t cpu, Cycles dispat
 }
 
 void UserProcessManager::RunOps(Process& proc) {
-  const VpId vp_used = proc.vp;
   const Cycles start = ctx_->clock.now();
   for (uint32_t n = 0; n < quantum_ && proc.pc < proc.program.size(); ++n) {
     // User code runs in the user domain; its references enter the kernel
@@ -361,7 +360,6 @@ void UserProcessManager::RunOps(Process& proc) {
     break;
   }
   proc.stats.cpu_cycles += ctx_->clock.now() - start;
-  vpm_->AccrueBusy(vp_used, ctx_->clock.now() - start);
 
   if (proc.state != ProcState::kRunning) {
     return;  // aborted above
@@ -417,7 +415,7 @@ bool UserProcessManager::DispatchSharded() {
   bool did_work = false;
   while (rq_->AnyQueued()) {
     uint16_t cpu = ctx_->smp.NextCpu();
-    if (!dcfg_.steal && rq_->depth(cpu) == 0) {
+    if (!steal_ && rq_->depth(cpu) == 0) {
       cpu = LeastBehindWithWork();
     }
     if (!DispatchFromQueue(cpu)) {
@@ -663,7 +661,7 @@ void UserProcessManager::DumpStallAndAbort(uint64_t pass) {
     }
   } else {
     std::fprintf(stderr,
-                 "tracer disabled (set KernelConfig::trace.enabled for ring tails)\n");
+                 "tracer disabled (set KernelConfig::trace for ring tails)\n");
   }
 
   std::fflush(stderr);

@@ -64,29 +64,19 @@ struct ProcessStats {
   Status last_error;
 };
 
-// Dispatch-path configuration (mirrors the KernelConfig knobs; all defaults
-// reproduce the legacy single-ready-list scheduler byte-for-byte).  Every
-// cross-CPU charge is priced at the processor pool's connect_cost().
-struct DispatchConfig {
-  bool sharded_runqueues = false;
-  bool steal = false;
-  // Handoff-traffic policy for every scheduler lock (the global ready-list
-  // lock and, in sharded mode, each run-queue shard's lock): kTestAndSet
-  // charges only the gap; kMcs adds one connect_cost line transfer per
-  // contended grant.
-  LockPolicy lock_policy = LockPolicy::kTestAndSet;
-};
-
 class UserProcessManager {
  public:
   UserProcessManager(KernelContext* ctx, CoreSegmentManager* core_segs,
                      VirtualProcessorManager* vpm, PageFrameManager* pfm, SegmentManager* segs,
                      KnownSegmentManager* ksm, KernelGates* gates);
 
-  // Latches the dispatch knobs; with sharded_runqueues set, builds the
-  // per-CPU run queues.  Called once at kernel construction, before any
-  // process exists.
-  void ConfigureDispatch(const DispatchConfig& config);
+  // Latches the dispatch knobs (KernelConfig's): with `sharded_runqueues`
+  // set, builds the per-CPU run queues, which steal from each other when
+  // `steal` is set.  `lock_policy` prices handoffs of every scheduler lock
+  // (the global ready-list lock and each run-queue shard's), at the
+  // processor pool's connect_cost().  Called once at kernel construction,
+  // before any process exists.
+  void ConfigureDispatch(bool sharded_runqueues, bool steal, LockPolicy lock_policy);
 
   // Builds the real-memory message queue in a core segment and hands it to
   // the virtual processor manager, which posts wakeups on it.
@@ -235,7 +225,7 @@ class UserProcessManager {
   HistId hist_quantum_;
   std::unique_ptr<RealMemoryQueue> queue_;
   std::unordered_map<ProcessId, Process> procs_;
-  DispatchConfig dcfg_;
+  bool steal_ = false;
   std::unique_ptr<RunQueueSet> rq_;
   SimSpinLock list_lock_;        // the modelled global ready-list lock
   uint16_t list_owner_ = LockTenure::kNoOwner;  // CPU that last touched the list's line

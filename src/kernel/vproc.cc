@@ -262,16 +262,4 @@ const std::string& VirtualProcessorManager::task_name(VpId vp) const {
 
 bool VirtualProcessorManager::IsKernelVp(VpId vp) const { return vps_[vp.value].kernel_bound; }
 
-void VirtualProcessorManager::AccrueBusy(VpId vp, Cycles cycles) {
-  vps_[vp.value].busy += cycles;
-}
-
-Cycles VirtualProcessorManager::MaxBusy() const {
-  Cycles max_busy = 0;
-  for (const Vp& vp : vps_) {
-    max_busy = vp.busy > max_busy ? vp.busy : max_busy;
-  }
-  return max_busy;
-}
-
 }  // namespace mks

@@ -117,13 +117,6 @@ class VirtualProcessorManager {
   const std::string& task_name(VpId vp) const;
   bool IsKernelVp(VpId vp) const;
 
-  // Busy-time accounting: the level-2 scheduler attributes each quantum's
-  // cycles to the vp that executed it.  MaxBusy() estimates the parallel
-  // makespan a multiprocessor configuration would see (the simulator itself
-  // charges a single global clock).
-  void AccrueBusy(VpId vp, Cycles cycles);
-  Cycles MaxBusy() const;
-
  private:
   struct Vp {
     VpState state = VpState::kIdle;
@@ -132,7 +125,6 @@ class VirtualProcessorManager {
     EventcountId work{};  // a bound task's work eventcount
     std::string name;
     KernelTask task;
-    Cycles busy = 0;
     uint16_t last_cpu = 0;  // CPU that last loaded this vp's state record
   };
 

@@ -37,12 +37,6 @@ namespace mks {
 // Stable handle for one event name; valid for the lifetime of the Tracer.
 using TraceEventId = uint32_t;
 
-struct TraceConfig {
-  bool enabled = false;
-  // Records retained per CPU before drop-oldest kicks in.
-  uint32_t ring_capacity = 4096;
-};
-
 // One trace record.  dur == 0 marks an instant event; dur > 0 a span whose
 // start was `ts` and whose end was `ts + dur` (both on the global clock).
 struct TraceRecord {
@@ -56,22 +50,24 @@ struct TraceRecord {
 
 class Tracer {
  public:
+  // Records retained per CPU before drop-oldest kicks in.
+  static constexpr uint32_t kRingCapacity = 4096;
+
   Tracer(const Clock* clock, Metrics* metrics)
       : clock_(clock), metrics_(metrics) {}
 
-  // Turns tracing on for `cpu_count` lanes.  Call once, before any manager
-  // interns events; managers intern unconditionally (interning is cheap and
-  // keeps their construction branch-free), but records are only kept while
-  // enabled.
-  void Enable(uint16_t cpu_count, const TraceConfig& config) {
-    enabled_ = config.enabled;
-    capacity_ = config.ring_capacity == 0 ? 1 : config.ring_capacity;
+  // Sizes `cpu_count` lanes and turns recording on or off.  Call once,
+  // before any manager interns events; managers intern unconditionally
+  // (interning is cheap and keeps their construction branch-free), but
+  // records are only kept while enabled.
+  void Enable(uint16_t cpu_count, bool enabled) {
+    enabled_ = enabled;
     rings_.assign(cpu_count == 0 ? 1 : cpu_count, Ring{});
     if (enabled_) {
       // Preallocate every ring so Push is a store + wrap-increment, never a
-      // push_back; record j (ever pushed) lives at slot j % capacity.
+      // push_back; record j (ever pushed) lives at slot j % kRingCapacity.
       for (Ring& r : rings_) {
-        r.slots.assign(capacity_, TraceRecord{});
+        r.slots.assign(kRingCapacity, TraceRecord{});
       }
     }
     RefreshLane();
@@ -157,11 +153,11 @@ class Tracer {
       return out;
     }
     const Ring& r = rings_[cpu];
-    const uint64_t kept = r.total < capacity_ ? r.total : capacity_;
+    const uint64_t kept = r.total < kRingCapacity ? r.total : kRingCapacity;
     out.reserve(kept);
     const uint64_t start = r.total - kept;
     for (uint64_t i = 0; i < kept; ++i) {
-      out.push_back(r.slots[(start + i) % capacity_]);
+      out.push_back(r.slots[(start + i) % kRingCapacity]);
     }
     return out;
   }
@@ -172,14 +168,14 @@ class Tracer {
       return 0;
     }
     const Ring& r = rings_[cpu];
-    return r.total > capacity_ ? r.total - capacity_ : 0;
+    return r.total > kRingCapacity ? r.total - kRingCapacity : 0;
   }
 
  private:
   struct Ring {
     std::vector<TraceRecord> slots;
     uint64_t total = 0;  // records ever pushed; total - kept = dropped
-    uint32_t head = 0;   // next write index == total % capacity
+    uint32_t head = 0;   // next write index == total % kRingCapacity
   };
 
   void RefreshLane() {
@@ -191,7 +187,7 @@ class Tracer {
   void Push(const TraceRecord& rec) {
     Ring& r = *lane_;
     r.slots[r.head] = rec;
-    if (++r.head == capacity_) {
+    if (++r.head == kRingCapacity) {
       r.head = 0;
     }
     r.total++;
@@ -200,7 +196,6 @@ class Tracer {
   const Clock* clock_;
   Metrics* metrics_;
   bool enabled_ = false;
-  uint32_t capacity_ = 4096;
   uint16_t cpu_ = 0;
   Ring* lane_ = nullptr;  // rings_[cpu_], cached by SetCpu/Enable
   std::vector<std::string> names_;

@@ -1,8 +1,8 @@
 // Tests for the descriptor associative memory: the cache is a pure
 // accelerator, so no invalidation event (eviction, deactivation, bound
 // shrink, access revocation, DSBR reload) may ever let it serve a stale
-// translation, and switching it off must not change what the kernel does --
-// only what it costs.
+// translation, and a kernel whose cache never hits must do the same as one
+// whose cache does -- only what it costs differs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,11 +123,7 @@ struct AssocRig {
   DescriptorSegment ds;
   Processor processor;
 
-  AssocRig()
-      : processor(HwFeatures{.second_dsbr = true,
-                             .associative_memory = true,
-                             .associative_entries = 16},
-                  &cost, &metrics) {
+  AssocRig() : processor(/*associative_entries=*/16, &cost, &metrics) {
     pt.ptws.assign(8, Ptw{});
     ds.sdws.assign(4, Sdw{});
     Sdw& sdw = ds.sdws[0];
@@ -260,7 +256,8 @@ TEST(AssocProcessor, DsbrReloadFlushes) {
 // Property: cache on vs cache off is cost-only.  Same reference string, a
 // memory small enough to force eviction and reactivation traffic, and the
 // two kernels must agree on every per-reference outcome, every value read
-// back, and the total fault count.
+// back, and the total fault count.  The "off" kernel's associative memory is
+// flushed before every reference, so it never serves a hit.
 // ---------------------------------------------------------------------------
 
 TEST(AssocProperty, CacheOnAndOffAgreeOnEverythingButCost) {
@@ -268,13 +265,16 @@ TEST(AssocProperty, CacheOnAndOffAgreeOnEverythingButCost) {
   constexpr uint32_t kPagesPerSeg = 12;
   constexpr size_t kReferences = 4000;
 
-  KernelConfig on_config;
-  on_config.memory_frames = 72;  // < data pages + resident core segments
-  KernelConfig off_config = on_config;
-  off_config.features.associative_memory = false;
-
-  KernelFixture on(on_config);
-  KernelFixture off(off_config);
+  KernelConfig config;
+  config.memory_frames = 72;  // < data pages + resident core segments
+  KernelFixture on(config);
+  KernelFixture off(config);
+  const auto flush_off = [&off] {
+    ProcessorPool& cpus = off.kernel.ctx().cpus;
+    for (uint16_t k = 0; k < cpus.count(); ++k) {
+      cpus.cpu(k).FlushAssociative();
+    }
+  };
   ASSERT_TRUE(on.boot_status.ok());
   ASSERT_TRUE(off.boot_status.ok());
 
@@ -291,6 +291,7 @@ TEST(AssocProperty, CacheOnAndOffAgreeOnEverythingButCost) {
     const uint32_t s = static_cast<uint32_t>(rng.NextBelow(kSegments));
     const uint32_t page = static_cast<uint32_t>(rng.NextZipf(kPagesPerSeg, 1.1));
     const uint32_t offset = page * kPageWords + static_cast<uint32_t>(rng.NextBelow(kPageWords));
+    flush_off();
     if (rng.NextBool(0.4)) {
       const Word value = static_cast<Word>(i + 1);
       Status a = on.kernel.gates().Write(*on.ctx, on_segs[s], offset, value);

@@ -51,7 +51,6 @@ TEST(Baseline, QuotaWalkChargesNearestQuotaDirectory) {
 
 TEST(Baseline, FullPackMovesSegmentAndUpdatesDirectoryEntry) {
   BaselineConfig config;
-  config.pack_count = 2;
   config.records_per_pack = 24;  // tiny packs so one fills quickly
   config.retranslate_conflict_rate = 0.0;
   MonolithicSupervisor sup{config};
@@ -149,7 +148,6 @@ TEST(BaselineFigures, ActualStructureHasLargerLoops) {
 
 TEST(BaselineFigures, ObservedCallsReproduceTheLoops) {
   BaselineConfig config;
-  config.pack_count = 2;
   config.records_per_pack = 24;
   config.retranslate_conflict_rate = 0.0;
   MonolithicSupervisor sup{config};

@@ -8,8 +8,7 @@ namespace mks {
 namespace {
 
 struct BottomFixture {
-  KernelContext ctx{/*memory_frames=*/32, HwFeatures::KernelDesign(),
-                    CostModel::kDefaultStructuredFactor, /*secret=*/1};
+  KernelContext ctx{/*memory_frames=*/32, CostModel::kDefaultStructuredFactor, /*secret=*/1};
   CoreSegmentManager core_segs{&ctx};
 };
 

@@ -13,7 +13,8 @@ struct DiskFixture {
   Clock clock;
   CostModel cost{&clock};
   Metrics metrics;
-  VolumeControl volumes{&cost, &metrics};
+  Tracer trace{&clock, &metrics};  // never enabled: records nothing
+  VolumeControl volumes{&cost, &metrics, &trace};
   PrimaryMemory memory{4, &cost, &metrics};
 };
 

@@ -1,5 +1,5 @@
-// Tests for the simulated hardware: translation, faults, the new-design
-// processor features, and the arena page images live in.
+// Tests for the simulated hardware: translation, faults, the paper's
+// processor additions, and the arena page images live in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +20,7 @@ struct HwFixture {
   PageTable pt;
   DescriptorSegment ds;
 
-  explicit HwFixture(HwFeatures features = HwFeatures::KernelDesign())
-      : processor(features, &cost, &metrics) {
+  HwFixture() : processor(/*associative_entries=*/16, &cost, &metrics) {
     pt.ptws.assign(4, Ptw{});
     ds.sdws.assign(4, Sdw{});
     Sdw& sdw = ds.sdws[0];
@@ -80,14 +79,9 @@ TEST(Hw, AccessViolationAndRingViolation) {
 }
 
 TEST(Hw, QuotaExceptionBitDistinguishesGrowth) {
-  HwFixture with_bit{HwFeatures::KernelDesign()};
-  auto r = with_bit.processor.Access(kSeg0, 0, AccessMode::kWrite, 4);
+  HwFixture hw;
+  auto r = hw.processor.Access(kSeg0, 0, AccessMode::kWrite, 4);
   EXPECT_EQ(r.fault.kind, FaultKind::kQuotaException);
-
-  // Baseline hardware reports only a missing page; software re-diagnoses.
-  HwFixture without{HwFeatures::Baseline()};
-  auto r2 = without.processor.Access(Segno{0}, 0, AccessMode::kWrite, 4);
-  EXPECT_EQ(r2.fault.kind, FaultKind::kMissingPage);
 }
 
 TEST(Hw, DescriptorLockBitLocksAndLatchesAddress) {
@@ -106,31 +100,16 @@ TEST(Hw, DescriptorLockBitLocksAndLatchesAddress) {
 
 TEST(Hw, MissingPageFaultNamesTheWord) {
   // Like the 6180's fault data, the fault names the referenced word within
-  // the page, whether the walk follows an associative-memory miss or there is
-  // no associative memory at all.
-  HwFeatures plain_walk = HwFeatures::KernelDesign();
-  plain_walk.associative_memory = false;
-  for (const HwFeatures& features : {HwFeatures::KernelDesign(), plain_walk}) {
-    for (const uint32_t word : {0u, kPageWords / 2, kPageWords - 1}) {
-      HwFixture hw{features};
-      hw.pt.ptws[2].unallocated = false;  // allocated but not in core
-      auto r = hw.processor.Access(kSeg0, 2 * kPageWords + word, AccessMode::kRead, 4);
-      ASSERT_EQ(r.fault.kind, FaultKind::kMissingPage);
-      EXPECT_EQ(r.fault.page, 2u);
-      EXPECT_EQ(r.fault.word, word);
-      EXPECT_EQ(hw.metrics.Get("hw.assoc_misses"), features.associative_memory ? 1u : 0u);
-    }
+  // the page; the walk follows an associative-memory miss.
+  for (const uint32_t word : {0u, kPageWords / 2, kPageWords - 1}) {
+    HwFixture hw;
+    hw.pt.ptws[2].unallocated = false;  // allocated but not in core
+    auto r = hw.processor.Access(kSeg0, 2 * kPageWords + word, AccessMode::kRead, 4);
+    ASSERT_EQ(r.fault.kind, FaultKind::kMissingPage);
+    EXPECT_EQ(r.fault.page, 2u);
+    EXPECT_EQ(r.fault.word, word);
+    EXPECT_EQ(hw.metrics.Get("hw.assoc_misses"), 1u);
   }
-}
-
-TEST(Hw, BaselineHardwareNeverLocks) {
-  HwFixture hw{HwFeatures::Baseline()};
-  hw.pt.ptws[0].unallocated = false;
-  auto first = hw.processor.Access(Segno{0}, 0, AccessMode::kRead, 4);
-  EXPECT_EQ(first.fault.kind, FaultKind::kMissingPage);
-  EXPECT_FALSE(hw.pt.ptws[0].locked);
-  auto second = hw.processor.Access(Segno{0}, 0, AccessMode::kRead, 4);
-  EXPECT_EQ(second.fault.kind, FaultKind::kMissingPage);
 }
 
 TEST(Hw, SecondDsbrSplitsSystemAndUserSpaces) {

@@ -43,7 +43,7 @@ StormTrace RunStorm(uint16_t cpus, int users) {
   KernelConfig config;
   config.cpu_count = cpus;
   config.connect_cost = 400;
-  config.trace.enabled = true;
+  config.trace = true;
   config.slab_processes = true;
   config.read_policy = ReadPolicy::kPassiveRw;
   Kernel kernel(config);

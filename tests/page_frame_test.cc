@@ -897,12 +897,12 @@ TEST(KnownSegment, SegnoOfFindsBindings) {
 }
 
 TEST(KnownSegment, KstExhaustionReported) {
-  KernelConfig config;
-  config.user_sdw_count = 8;  // tiny KST (some slots used by the state segment)
-  KernelFixture fx{config};
+  KernelFixture fx;
   ASSERT_TRUE(fx.boot_status.ok());
+  // The state segment takes some of the KST's slots, so initiating one
+  // segment per user segno fills it.
   Status last = Status::Ok();
-  for (int i = 0; i < 12 && last.ok(); ++i) {
+  for (int i = 0; i < AddressSpaceManager::kUserSdwCount && last.ok(); ++i) {
     PathWalker walker(&fx.kernel.gates());
     auto entry = walker.CreateSegment(*fx.ctx, ">k>f" + std::to_string(i), WorldAcl(),
                                       Label::SystemLow());

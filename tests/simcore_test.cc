@@ -153,7 +153,7 @@ Snapshot RunShape(Shape shape, uint16_t cpus) {
   config.records_per_pack = 8192;
   config.cpu_count = cpus;
   config.vp_count = 6;
-  config.trace.enabled = true;
+  config.trace = true;
   if (shape == Shape::kSharedStorm) {
     config.async_paging = true;  // P12: in-flight transfers keep PTWs locked
   }

@@ -201,7 +201,7 @@ IdleCpuRun RunWithAnIdleCpu(uint16_t cpus) {
   config.sharded_runqueues = true;
   config.paging_pipeline = PagingPipeline::Full();
   config.profile.enabled = true;
-  config.trace.enabled = true;
+  config.trace = true;
   Kernel kernel{config};
   if (!kernel.Boot().ok()) {
     return out;
@@ -362,16 +362,13 @@ struct PoolRig {
   Clock clock;
   CostModel cost{&clock};
   Metrics metrics;
+  Tracer trace{&clock, &metrics};  // never enabled: records nothing
   PageTable pt;
   DescriptorSegment ds;
   ProcessorPool pool;
 
   explicit PoolRig(uint16_t cpus)
-      : pool(cpus,
-             HwFeatures{.second_dsbr = true,
-                        .associative_memory = true,
-                        .associative_entries = 16},
-             &cost, &metrics) {
+      : pool(cpus, /*associative_entries=*/16, &cost, &metrics, &trace) {
     pt.ptws.assign(8, Ptw{});
     ds.sdws.assign(4, Sdw{});
     ds.Connect(0, Sdw{.present = true,
@@ -427,11 +424,14 @@ TEST(ProcessorPool, BroadcastPtwInvalidationCoversEviction) {
   rig.pt.ptws[2].frame = 0;
   rig.pool.InvalidateAssociative(&rig.pt.ptws[2], rig.pt, /*sender=*/0);
   EXPECT_EQ(rig.pt.ptws[2].assoc_refs, 0u);
-  for (uint16_t k = 0; k < 2; ++k) {
-    auto r = rig.pool.cpu(k).Access(kSeg, 2 * kPageWords, AccessMode::kRead, 4);
-    ASSERT_FALSE(r.ok);
-    EXPECT_EQ(r.fault.kind, FaultKind::kMissingPage);
-  }
+  // CPU 0's reference takes the missing-page fault, which locks the PTW, so
+  // CPU 1's finds the descriptor locked; neither is served the old frame.
+  auto first = rig.pool.cpu(0).Access(kSeg, 2 * kPageWords, AccessMode::kRead, 4);
+  ASSERT_FALSE(first.ok);
+  EXPECT_EQ(first.fault.kind, FaultKind::kMissingPage);
+  auto second = rig.pool.cpu(1).Access(kSeg, 2 * kPageWords, AccessMode::kRead, 4);
+  ASSERT_FALSE(second.ok);
+  EXPECT_EQ(second.fault.kind, FaultKind::kLockedDescriptor);
 }
 
 TEST(ProcessorPool, DropUserDsClearsOnlyMatchingDsbrs) {
@@ -473,7 +473,8 @@ TEST(ProcessorPool, RejectsMoreCpusThanAMaskNames) {
   Clock clock;
   CostModel cost{&clock};
   Metrics metrics;
-  EXPECT_DEATH(ProcessorPool(ProcessorPool::kMaxCpus + 1, HwFeatures{}, &cost, &metrics),
+  Tracer trace{&clock, &metrics};
+  EXPECT_DEATH(ProcessorPool(ProcessorPool::kMaxCpus + 1, 16, &cost, &metrics, &trace),
                "loaded-on masks");
 }
 
@@ -672,6 +673,7 @@ struct ShootdownMachine {
   Clock clock;
   CostModel cost{&clock};
   Metrics metrics;
+  Tracer trace{&clock, &metrics};  // never enabled: records nothing
   std::vector<PageTable> tables;
   std::vector<DescriptorSegment> spaces;
   ProcessorPool pool;
@@ -679,11 +681,7 @@ struct ShootdownMachine {
   explicit ShootdownMachine(uint16_t cpus)
       : tables(kTables),
         spaces(kSpaces),
-        pool(cpus,
-             HwFeatures{.second_dsbr = true,
-                        .associative_memory = true,
-                        .associative_entries = 8},
-             &cost, &metrics) {
+        pool(cpus, /*associative_entries=*/8, &cost, &metrics, &trace) {
     pool.set_connect_cost(1);
     for (PageTable& pt : tables) {
       pt.ptws.assign(kPages, Ptw{});
@@ -775,6 +773,7 @@ void CompareTargetedWithBroadcast(uint16_t cpus, uint64_t seed) {
         Ptw& ptw = m->tables[t].ptws[p];
         ptw.in_core = true;
         ptw.unallocated = false;
+        ptw.locked = false;  // as page control unlocks a PTW whose fault it serviced
         ptw.frame = frame;
       }
     }

@@ -44,7 +44,7 @@ TracedRun RunTraced(bool trace_enabled) {
   config.cpu_count = 4;
   config.vp_count = 6;
   config.memory_frames = 48;  // 6 procs x 10 pages = 60 > 48: faults happen
-  config.trace.enabled = trace_enabled;
+  config.trace = trace_enabled;
   Kernel kernel{config};
   if (!kernel.Boot().ok()) {
     return out;
@@ -128,23 +128,22 @@ TEST(TraceRing, DropsOldestAndCountsDropped) {
   Clock clock;
   Metrics metrics;
   Tracer tracer(&clock, &metrics);
-  TraceConfig config;
-  config.enabled = true;
-  config.ring_capacity = 8;
-  tracer.Enable(1, config);
+  tracer.Enable(1, true);
   const TraceEventId ev = tracer.InternEvent("tick");
-  for (uint32_t i = 0; i < 20; ++i) {
+  constexpr uint32_t kOverflow = 12;
+  for (uint32_t i = 0; i < Tracer::kRingCapacity + kOverflow; ++i) {
     clock.Advance(1);
     tracer.Instant(ev, /*proc=*/i);
   }
   const std::vector<TraceRecord> kept = tracer.Snapshot(0);
-  ASSERT_EQ(kept.size(), 8u);
-  // Oldest-first: the survivors are pushes 12..19 (ts 13..20).
+  ASSERT_EQ(kept.size(), Tracer::kRingCapacity);
+  // Oldest-first: the survivors are the pushes from kOverflow on, stamped
+  // from kOverflow + 1 on.
   for (size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(kept[i].proc, 12 + i);
-    EXPECT_EQ(kept[i].ts, 13 + i);
+    EXPECT_EQ(kept[i].proc, kOverflow + i);
+    EXPECT_EQ(kept[i].ts, kOverflow + 1 + i);
   }
-  EXPECT_EQ(tracer.dropped(0), 12u);
+  EXPECT_EQ(tracer.dropped(0), kOverflow);
   // A second lane never received records.
   EXPECT_EQ(tracer.dropped(1), 0u);
   EXPECT_TRUE(tracer.Snapshot(1).empty());
@@ -154,7 +153,7 @@ TEST(TraceRing, DisabledTracerRecordsNothing) {
   Clock clock;
   Metrics metrics;
   Tracer tracer(&clock, &metrics);
-  tracer.Enable(2, TraceConfig{});  // enabled defaults to false
+  tracer.Enable(2, false);
   const TraceEventId ev = tracer.InternEvent("tick");
   tracer.Instant(ev);
   tracer.CloseSpan(tracer.Begin(), ev);
