@@ -69,6 +69,7 @@ using EventcountId = Id<EventcountIdTag, uint32_t>;
 // Resource control.
 struct QuotaCellIdTag {};
 using QuotaCellId = Id<QuotaCellIdTag, uint32_t>;
+inline constexpr QuotaCellId kNoQuotaCell{UINT32_MAX};  // storage charged to no cell
 
 // Dependency analysis.
 struct ModuleIdTag {};

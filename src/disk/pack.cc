@@ -156,6 +156,11 @@ void DiskPack::QueueWrite(RecordIndex record, PageRef image, uint64_t cookie) {
   io_queue_.push_back(IoRequest{true, record, cookie, std::move(image)});
 }
 
+bool DiskPack::ReadQueued(uint64_t cookie) const {
+  return std::any_of(io_queue_.begin(), io_queue_.end(),
+                     [cookie](const IoRequest& req) { return !req.write && req.cookie == cookie; });
+}
+
 size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* completed_reads) {
   if (io_queue_.empty() || max_batch == 0) {
     return 0;

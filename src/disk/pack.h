@@ -97,6 +97,8 @@ class DiskPack {
   void QueueRead(RecordIndex record, uint64_t cookie);
   void QueueWrite(RecordIndex record, PageRef image, uint64_t cookie);
   size_t queued_io() const { return io_queue_.size(); }
+  // Whether a read with `cookie` is queued (audits).
+  bool ReadQueued(uint64_t cookie) const;
   // Returns the number of requests dispatched (0 when the queue is empty).
   size_t DispatchBatch(size_t max_batch, std::vector<uint64_t>* completed_reads);
 

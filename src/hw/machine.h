@@ -76,6 +76,10 @@ struct DescriptorSegment;
 // segment table region of permanently-resident core; here the container is a
 // C++ vector and residency is accounted by the core-segment manager.
 //
+// It also holds the one copy of the segment's names page control needs: its
+// home (pack, VTOC index), quota cell and page-arrival eventcount.  Segment
+// control writes them; page control reads them as it acts.
+//
 // The readahead fields are page control's per-segment sequentiality hints,
 // kept beside the PTWs exactly because the page table is the one structure
 // already in hand at fault time: `last_fault_page` records the most recent
@@ -89,6 +93,10 @@ struct DescriptorSegment;
 // invalidations signal exactly those processors.
 struct PageTable {
   std::vector<Ptw> ptws;
+  PackId pack{};
+  VtocIndex vtoc{};
+  QuotaCellId quota_cell = kNoQuotaCell;
+  EventcountId arrival{};  // advanced at each page arrival
   uint32_t last_fault_page = UINT32_MAX;  // UINT32_MAX: no fault seen yet
   uint32_t prefetch_until = 0;            // exclusive end of the last window
   std::vector<const DescriptorSegment*> connected;
@@ -156,8 +164,8 @@ struct AccessResult {
 // address plus the access bits of the SDW it was resolved through.  The
 // cache is a pure accelerator: it only ever serves translations that the
 // full descriptor walk would resolve identically, and the owner must
-// invalidate on every descriptor mutation (page eviction, deactivation, SDW
-// disconnect/re-bound, DSBR reload) so a stale pairing is never consulted.
+// invalidate on every descriptor mutation (page eviction, SDW disconnect or
+// re-bound, DSBR reload) so a stale pairing is never consulted.
 class AssociativeMemory {
  public:
   static constexpr uint16_t kWays = 4;

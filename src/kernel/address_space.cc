@@ -101,7 +101,7 @@ Status AddressSpaceManager::Connect(ProcessId pid, Segno segno, uint32_t ast,
   }
   ds.Connect(index, Sdw{.present = true,
                         .page_table = &entry->page_table,
-                        .bound_pages = entry->max_pages,
+                        .bound_pages = static_cast<uint32_t>(entry->page_table.ptws.size()),
                         .read = modes.read,
                         .write = modes.write,
                         .execute = modes.execute,
@@ -133,7 +133,7 @@ uint32_t AddressSpaceManager::DisconnectEverywhere(SegmentUid uid) {
   // `connected` list holds one entry per SDW: an inactive or unconnected
   // segment needs no scan, and the scan stops at the last one.  Each sever
   // shrinks the list, so the bound is read first.
-  const AstEntry* entry = segs_->Find(uid);
+  const AstEntry* entry = segs_->Get(segs_->FindIndex(uid));
   const PageTable* pt = entry == nullptr ? nullptr : &entry->page_table;
   const size_t bound = pt == nullptr ? 0 : pt->connected.size();
   uint32_t severed = 0;

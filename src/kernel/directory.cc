@@ -364,13 +364,13 @@ Status DirectoryManager::SetQuota(const Subject& subject, EntryId dir_id, uint64
   (void)quota_->Refund(old_cell, dir->pages);
   dir->quota_designated = true;
   dir->governing_dir = dir->uid;
-  // If the directory's backing segment is active, its AST entry still names
-  // the OLD governing cell; growth through the stale binding would charge
-  // the wrong books.  Designation is childless-only, so the directory's own
-  // backing is the only active binding to re-home.
+  // If the directory's backing segment is active, its page table still names
+  // the OLD governing cell; growth or a zero-page reclaim through the stale
+  // binding would charge the wrong books.  Designation is childless-only, so
+  // the directory's own backing is the only active binding to re-home.
   const uint32_t ast = segs_->FindIndex(dir->uid);
   if (ast != kNoAst) {
-    segs_->Get(ast)->quota_cell = cell;
+    segs_->Get(ast)->page_table.quota_cell = cell;
   }
   return Status::Ok();
 }
@@ -408,7 +408,7 @@ Status DirectoryManager::RemoveQuota(const Subject& subject, EntryId dir_id) {
   // Re-home the active binding onto the inherited governing cell.
   const uint32_t ast = segs_->FindIndex(dir->uid);
   if (ast != kNoAst) {
-    segs_->Get(ast)->quota_cell = parent_cell;
+    segs_->Get(ast)->page_table.quota_cell = parent_cell;
   }
   return Status::Ok();
 }
@@ -482,7 +482,7 @@ Result<EntryInfo> DirectoryManager::ResolveForInitiate(const Subject& subject, E
                        quota_->LoadCell(gov_it->second.pack, gov_it->second.vtoc));
 
   EntryInfo info;
-  info.home = SegmentHome{entry->uid, entry->pack, entry->vtoc, cell, entry->is_directory};
+  info.home = SegmentHome{entry->uid, entry->pack, entry->vtoc, cell};
   info.modes = modes;
   info.label = entry->label;
   return info;

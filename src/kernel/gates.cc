@@ -3,14 +3,11 @@
 namespace mks {
 
 KernelGates::KernelGates(KernelContext* ctx, VirtualProcessorManager* vpm,
-                         PageFrameManager* pfm, SegmentManager* segs,
                          AddressSpaceManager* spaces, KnownSegmentManager* ksm,
                          DirectoryManager* dirs)
     : ctx_(ctx),
       self_(ctx->tracker.Register(module_names::kGates)),
       vpm_(vpm),
-      pfm_(pfm),
-      segs_(segs),
       spaces_(spaces),
       ksm_(ksm),
       dirs_(dirs),
@@ -205,19 +202,12 @@ Status KernelGates::Reference(ProcContext& ctx, Segno segno, uint32_t offset, Ac
         break;
       }
       case FaultKind::kLockedDescriptor: {
-        // Another processor's fault service holds the descriptor: await the
-        // segment's page-arrival event.
-        const KstEntry* entry = ksm_->Lookup(ctx.pid, segno);
-        if (entry == nullptr) {
-          return Status(Code::kInvalidSegno, "locked descriptor on unknown segment");
-        }
-        AstEntry* ast = segs_->Find(entry->home.uid);
-        if (ast == nullptr) {
-          return Status(Code::kInternal, "locked descriptor for inactive segment");
-        }
+        // A transfer in flight holds the descriptor: await the page-arrival
+        // count of the table the faulting SDW names.
+        const EventcountId arrival = ctx_->cpu().Descriptor(segno)->page_table->arrival;
         ctx.pending_wait.valid = true;
-        ctx.pending_wait.ec = ast->page_ec;
-        ctx.pending_wait.target = ctx_->eventcounts.Read(ast->page_ec) + 1;
+        ctx.pending_wait.ec = arrival;
+        ctx.pending_wait.target = ctx_->eventcounts.Read(arrival) + 1;
         ctx_->metrics.Inc(id_locked_descriptor_waits_);
         ctx_->trace.Instant(ev_locked_park_, ctx.pid.value, segno.value);
         return Status(Code::kBlocked, "descriptor locked");

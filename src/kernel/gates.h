@@ -74,9 +74,8 @@ constexpr bool GateOpIsRead(GateOp op) {
 
 class KernelGates {
  public:
-  KernelGates(KernelContext* ctx, VirtualProcessorManager* vpm, PageFrameManager* pfm,
-              SegmentManager* segs, AddressSpaceManager* spaces, KnownSegmentManager* ksm,
-              DirectoryManager* dirs);
+  KernelGates(KernelContext* ctx, VirtualProcessorManager* vpm, AddressSpaceManager* spaces,
+              KnownSegmentManager* ksm, DirectoryManager* dirs);
 
   // --- naming gates ---
   EntryId RootId() const { return dirs_->RootId(); }
@@ -142,8 +141,6 @@ class KernelGates {
   ModuleId self_;
   std::vector<UserEventcount> user_eventcounts_;  // indexed by EventcountId
   VirtualProcessorManager* vpm_;
-  PageFrameManager* pfm_;
-  SegmentManager* segs_;
   AddressSpaceManager* spaces_;
   KnownSegmentManager* ksm_;
   DirectoryManager* dirs_;

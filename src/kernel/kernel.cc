@@ -32,8 +32,8 @@ Kernel::Kernel(const KernelConfig& config)
   ksm_ = std::make_unique<KnownSegmentManager>(ctx_.get(), segs_.get(), spaces_.get());
   dirs_ = std::make_unique<DirectoryManager>(ctx_.get(), quota_.get(), segs_.get(),
                                              spaces_.get());
-  gates_ = std::make_unique<KernelGates>(ctx_.get(), vpm_.get(), pfm_.get(), segs_.get(),
-                                         spaces_.get(), ksm_.get(), dirs_.get());
+  gates_ = std::make_unique<KernelGates>(ctx_.get(), vpm_.get(), spaces_.get(), ksm_.get(),
+                                         dirs_.get());
   uproc_ = std::make_unique<UserProcessManager>(ctx_.get(), core_segs_.get(), vpm_.get(),
                                                 pfm_.get(), segs_.get(), ksm_.get(),
                                                 gates_.get());

@@ -235,14 +235,15 @@ Status KnownSegmentManager::HandleQuotaException(ProcessId pid, Segno segno, uin
   // on the new pack, and hand the new home upward for the directory update.
   ctx_->metrics.Inc(id_full_pack_moves_);
   spaces_->DisconnectEverywhere(home.uid);
-  MKS_ASSIGN_OR_RETURN(SegmentManager::NewHome new_home, segs_->Relocate(ast));
-  RelocateUid(home.uid, new_home.pack, new_home.vtoc);
+  MKS_RETURN_IF_ERROR(segs_->Relocate(ast));
+  const PageTable& moved = segs_->Get(ast)->page_table;
+  RelocateUid(home.uid, moved.pack, moved.vtoc);
   MKS_RETURN_IF_ERROR(segs_->GrowSegment(ast, page));
   if (signal != nullptr) {
     signal->valid = true;
     signal->uid = home.uid;
-    signal->new_pack = new_home.pack;
-    signal->new_vtoc = new_home.vtoc;
+    signal->new_pack = moved.pack;
+    signal->new_vtoc = moved.vtoc;
   }
   return Status::Ok();
 }

@@ -31,7 +31,6 @@ struct SegmentHome {
   PackId pack{};
   VtocIndex vtoc{};
   QuotaCellId quota_cell = kNoQuotaCell;  // static governing-cell name
-  bool is_directory = false;
 };
 
 struct KstEntry {

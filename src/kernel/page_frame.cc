@@ -121,7 +121,7 @@ Result<FrameIndex> PageFrameManager::AcquireFrame() {
     // against 30000 for each one evicted dirty later) and stay resident,
     // clean.  The round drains before the fault returns: no staged write
     // may outlive the call, or a later read of its record would miss it.
-    const PackId pack = info(victim).pack;
+    const PackId pack = info(victim).pt->pack;
     DiskPack* dp = ctx_->volumes.pack(pack);
     const size_t queued = dp->queued_io();
     MKS_RETURN_IF_ERROR(CleanAndRelease(victim, /*queue_writeback=*/true));
@@ -138,8 +138,9 @@ Result<FrameIndex> PageFrameManager::AcquireFrame() {
 Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback) {
   FrameInfo& fi = info(frame);
   assert(fi.state == FrameState::kInUse && fi.pt != nullptr);
-  Ptw& ptw = fi.pt->ptws[fi.page];
-  VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
+  PageTable& pt = *fi.pt;
+  Ptw& ptw = pt.ptws[fi.page];
+  VtocEntry* entry = ctx_->volumes.pack(pt.pack)->GetVtoc(pt.vtoc);
   if (entry == nullptr) {
     return Status(Code::kInternal, "VTOC entry vanished under a resident page");
   }
@@ -157,13 +158,13 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
     const bool zero = ctx_->memory.FrameIsZero(frame);
     if (zero && !retain_zero_records_) {
       if (fm.allocated) {
-        ctx_->volumes.pack(fi.pack)->FreeRecord(fm.record);
+        ctx_->volumes.pack(pt.pack)->FreeRecord(fm.record);
         fm.allocated = false;
       }
       fm.zero = true;
-      if (fi.cell.value != UINT32_MAX) {
+      if (pt.quota_cell != kNoQuotaCell) {
         // The accounting write a mere read may ultimately have caused.
-        (void)quota_->Refund(fi.cell, 1);
+        (void)quota_->Refund(pt.quota_cell, 1);
       }
       ctx_->metrics.Inc(id_zero_reclaims_);
     } else if (zero && retain_zero_records_) {
@@ -171,7 +172,7 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
       // zero content so re-touch avoids the disk read.  The record's data
       // (lent to this frame if it had been read in) is never read again.
       if (fm.allocated) {
-        ctx_->volumes.pack(fi.pack)->ClearRecord(fm.record);
+        ctx_->volumes.pack(pt.pack)->ClearRecord(fm.record);
       }
       fm.zero = true;
       ctx_->metrics.Inc(id_zero_retained_);
@@ -180,7 +181,7 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
       fm.zero = false;
       // Staged, the write holds the image from now on, so the frame is
       // immediately reusable.
-      WriteBack(frame, fi.pack, fm.record, queue_writeback);
+      WriteBack(frame, pt.pack, fm.record, queue_writeback);
       ctx_->metrics.Inc(id_writebacks_);
     }
   }
@@ -191,15 +192,13 @@ Status PageFrameManager::CleanAndRelease(FrameIndex frame, bool queue_writeback)
   // The page's descriptor no longer resolves to a frame: any associative
   // memory entry pairing it with the old frame must go before the frame is
   // reused.  Only CPUs with a space connecting the table loaded can hold one.
-  ctx_->cpus.InvalidateAssociative(&ptw, *fi.pt, ctx_->current_cpu);
+  ctx_->cpus.InvalidateAssociative(&ptw, pt, ctx_->current_cpu);
   GiveBack(frame);
   return Status::Ok();
 }
 
 Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32_t word,
-                                            PackId pack, VtocIndex vtoc, QuotaCellId cell,
-                                            EventcountId seg_ec, ProcessId initiator,
-                                            WaitSpec* wait) {
+                                            ProcessId initiator, WaitSpec* wait) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   Prof::Scope fault(&ctx_->prof, ProfDomain::kFaultService);
   const Cycles fault_begin = ctx_->trace.Begin();
@@ -214,7 +213,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
   // "locked by the fault now being serviced".  A page with a *posted*
   // transfer (async demand read or a readahead) faults as kLockedDescriptor
   // instead — the processor sees the already-locked PTW — and the gate layer
-  // parks the toucher on the segment's page-arrival eventcount; such faults
+  // parks the toucher on the table's page-arrival eventcount; such faults
   // never reach this routine.  Synchronous mode leaves no locked windows at
   // all: the anticipatory sweep drains the request queue before returning.
   // So every failure below unlocks the descriptor: left locked, it would
@@ -224,7 +223,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
     ptw.locked = false;
     return why;
   };
-  VtocEntry* entry = ctx_->volumes.pack(pack)->GetVtoc(vtoc);
+  VtocEntry* entry = ctx_->volumes.pack(pt->pack)->GetVtoc(pt->vtoc);
   if (entry == nullptr) {
     return fail(Status(Code::kInternal, "missing page for a segment with no VTOC entry"));
   }
@@ -237,7 +236,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
     // reads `word` from it; neither line has been touched since the page
     // left core.  Start both loads now, so the victim search below overlaps
     // them.
-    ctx_->volumes.pack(pack)->PrefetchRecord(fm.record, word);
+    ctx_->volumes.pack(pt->pack)->PrefetchRecord(fm.record, word);
   }
 
   Result<FrameIndex> acquired = AcquireFrame();
@@ -245,16 +244,16 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
     return fail(acquired.status());
   }
   const FrameIndex frame = *acquired;
-  FrameInfo& fi = Claim(frame, pt, page, pack, vtoc, cell, seg_ec);
+  FrameInfo& fi = Claim(frame, pt, page);
   // The tail of a fault serviced in place: map the page, wake its waiters,
   // look ahead, and close the fault's span.
   auto install = [&] {
     ptw.frame = frame.value;
     ptw.in_core = true;
     ptw.locked = false;
-    vpm_->Advance(seg_ec);
+    vpm_->Advance(pt->arrival);
     if (pipeline_.enabled) {
-      MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
+      MaybeReadahead(pt, page);
     }
     ctx_->trace.CloseSpan(fault_begin, ev_fault_service_, initiator.value, page,
                           hist_fault_service_);
@@ -267,17 +266,17 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
     // updated, "perhaps on the other side of a protection boundary".
     ctx_->memory.ZeroFrame(frame);
     if (!fm.allocated) {
-      if (cell.value != UINT32_MAX) {
-        Status charged = quota_->Charge(cell, 1);
+      if (pt->quota_cell != kNoQuotaCell) {
+        Status charged = quota_->Charge(pt->quota_cell, 1);
         if (!charged.ok()) {
           GiveBack(frame);
           return fail(charged);
         }
       }
-      auto record = ctx_->volumes.pack(pack)->AllocateRecord();
+      auto record = ctx_->volumes.pack(pt->pack)->AllocateRecord();
       if (!record.ok()) {
-        if (cell.value != UINT32_MAX) {
-          (void)quota_->Refund(cell, 1);
+        if (pt->quota_cell != kNoQuotaCell) {
+          (void)quota_->Refund(pt->quota_cell, 1);
         }
         GiveBack(frame);
         return fail(record.status());
@@ -295,7 +294,7 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
   if (!async_) {
     {
       Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-      ctx_->volumes.ReadRecord(pack, fm.record, &ctx_->memory, frame);
+      ctx_->volumes.ReadRecord(pt->pack, fm.record, &ctx_->memory, frame);
     }
     return install();
   }
@@ -310,18 +309,17 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, uint32
   posted_reads_.push_back(PostedRead{due, frame, initiator, fault_begin});
   ctx_->metrics.Inc(id_async_reads_);
   if (pipeline_.enabled) {
-    MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
+    MaybeReadahead(pt, page);
   }
   if (wait != nullptr) {
     wait->valid = true;
-    wait->ec = seg_ec;
-    wait->target = ctx_->eventcounts.Read(seg_ec) + 1;
+    wait->ec = pt->arrival;
+    wait->target = ctx_->eventcounts.Read(pt->arrival) + 1;
   }
   return Status(Code::kBlocked, "page read posted");
 }
 
-void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
-                                      VtocIndex vtoc, QuotaCellId cell, EventcountId seg_ec) {
+void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page) {
   // Forward-sequential detection: the fault either extends the last demand
   // fault by one, or lands on the frontier of the last anticipatory window
   // (the first page NOT prefetched — the scan ran off the end of it).
@@ -332,8 +330,8 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
   if (!sequential) {
     return;
   }
-  DiskPack* dp = ctx_->volumes.pack(pack);
-  VtocEntry* entry = dp->GetVtoc(vtoc);
+  DiskPack* dp = ctx_->volumes.pack(pt->pack);
+  VtocEntry* entry = dp->GetVtoc(pt->vtoc);
   if (entry == nullptr) {
     return;
   }
@@ -361,7 +359,7 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
     }
     const FrameIndex frame = free_list_.back();
     free_list_.pop_back();
-    FrameInfo& fi = Claim(frame, pt, q, pack, vtoc, cell, seg_ec);
+    FrameInfo& fi = Claim(frame, pt, q);
     fi.state = FrameState::kIoInProgress;
     fi.prefetched = true;
     fi.prefetch_grace = true;
@@ -382,14 +380,17 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
   // sweep completes before the fault returns, leaving no locked window
   // behind.
   Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-  DrainPackQueue(pack);
+  DrainPackQueue(pt->pack);
 }
 
 void PageFrameManager::DispatchPackQueue(PackId pack) {
   completed_reads_.clear();
   ctx_->volumes.pack(pack)->DispatchBatch(kIoBatchSize, &completed_reads_);
   for (uint64_t cookie : completed_reads_) {
-    CompletePostedRead(FrameIndex(static_cast<uint32_t>(cookie)));
+    const FrameIndex frame(static_cast<uint32_t>(cookie));
+    if (InstallRead(frame)) {
+      ctx_->trace.Instant(ev_io_complete_, 0, info(frame).page);
+    }
   }
 }
 
@@ -416,14 +417,16 @@ void PageFrameManager::WriteBack(FrameIndex frame, PackId pack, RecordIndex reco
 
 bool PageFrameManager::InstallRead(FrameIndex frame) {
   FrameInfo& fi = info(frame);
-  if (fi.state != FrameState::kIoInProgress || fi.pt == nullptr) {
+  assert(fi.state == FrameState::kIoInProgress);
+  if (fi.pt == nullptr) {
+    GiveBack(frame);  // an orphan: its segment was deactivated in flight
     return false;
   }
-  VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
-  if (entry != nullptr) {
-    ctx_->volumes.BindRecord(fi.pack, entry->map_entry(fi.page).record, &ctx_->memory, frame);
+  PageTable& pt = *fi.pt;  // after a full-pack move, it names the new home
+  if (const VtocEntry* entry = ctx_->volumes.pack(pt.pack)->GetVtoc(pt.vtoc)) {
+    ctx_->volumes.BindRecord(pt.pack, entry->map_entry(fi.page).record, &ctx_->memory, frame);
   }
-  Ptw& ptw = fi.pt->ptws[fi.page];
+  Ptw& ptw = pt.ptws[fi.page];
   ptw.frame = frame.value;
   ptw.in_core = true;
   ptw.locked = false;
@@ -431,16 +434,9 @@ bool PageFrameManager::InstallRead(FrameIndex frame) {
   ptw.modified = false;
   fi.state = FrameState::kInUse;
   ctx_->metrics.Inc(id_io_completions_);
+  // Notify every waiter: vps readied, parked processes' wakeups posted.
+  vpm_->Advance(pt.arrival);
   return true;
-}
-
-void PageFrameManager::CompletePostedRead(FrameIndex frame) {
-  if (!InstallRead(frame)) {
-    return;  // the segment was deactivated while the read was queued
-  }
-  const FrameInfo& fi = info(frame);
-  vpm_->Advance(fi.seg_ec);
-  ctx_->trace.Instant(ev_io_complete_, 0, fi.page);
 }
 
 void PageFrameManager::CreateDaemonWork() {
@@ -471,17 +467,13 @@ void PageFrameManager::PageIoDaemonStep() {
     const PostedRead read = posted_reads_.front();
     posted_reads_.pop_front();
     --landed_;
-    if (!InstallRead(read.frame)) {
-      continue;  // the segment was deactivated while the read was in flight
-    }
-    const FrameInfo& fi = info(read.frame);
     ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall);
-    // Notify every waiter: vps readied, parked processes' wakeups posted.
-    vpm_->Advance(fi.seg_ec);
-    // Close the fault.page_service span opened when the read was posted: the
-    // histogram gets the full fault -> park -> I/O -> wakeup latency.
-    ctx_->trace.CloseSpan(read.fault_begin, ev_fault_service_, read.initiator.value, fi.page,
-                          hist_fault_service_);
+    if (InstallRead(read.frame)) {
+      // Close the fault.page_service span opened when the read was posted: the
+      // histogram gets the full fault -> park -> I/O -> wakeup latency.
+      ctx_->trace.CloseSpan(read.fault_begin, ev_fault_service_, read.initiator.value,
+                            info(read.frame).page, hist_fault_service_);
+    }
   }
   // Dispatch the per-pack request queues: prefetch reads and batched daemon
   // writebacks complete here, one record-sorted round per pack per step.
@@ -519,11 +511,10 @@ void PageFrameManager::ReplenishFreePool() {
   }
 }
 
-Status PageFrameManager::AddPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
-                                 QuotaCellId cell, EventcountId seg_ec) {
+Status PageFrameManager::AddPage(PageTable* pt, uint32_t page) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall);
-  VtocEntry* entry = ctx_->volumes.pack(pack)->GetVtoc(vtoc);
+  VtocEntry* entry = ctx_->volumes.pack(pt->pack)->GetVtoc(pt->vtoc);
   if (entry == nullptr) {
     return Status(Code::kInvalidArgument, "no VTOC entry for segment");
   }
@@ -536,15 +527,16 @@ Status PageFrameManager::AddPage(PageTable* pt, uint32_t page, PackId pack, Vtoc
   }
   // Allocate the record eagerly: the full-pack exception is detected here,
   // "at the end of this call chain", and reported back up as a status.
-  MKS_ASSIGN_OR_RETURN(RecordIndex record, ctx_->volumes.pack(pack)->AllocateRecord());
+  MKS_ASSIGN_OR_RETURN(RecordIndex record, ctx_->volumes.pack(pt->pack)->AllocateRecord());
   MKS_ASSIGN_OR_RETURN(FrameIndex frame, AcquireFrame());
   fm.allocated = true;
   fm.zero = false;
   fm.record = record;
 
-  // The governing cell rides along so a later zero-page reclaim of this page
-  // refunds the same books that were charged for its growth.
-  Claim(frame, pt, page, pack, vtoc, cell, seg_ec);
+  // A later zero-page reclaim of this page refunds the cell the table names
+  // then: the one charged for its growth, or the one a quota designation
+  // re-homed the segment to.
+  Claim(frame, pt, page);
 
   ctx_->memory.ZeroFrame(frame);
   Ptw& ptw = pt->ptws[page];
@@ -558,8 +550,7 @@ Status PageFrameManager::AddPage(PageTable* pt, uint32_t page, PackId pack, Vtoc
   return Status::Ok();
 }
 
-Status PageFrameManager::EvictPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
-                                   QuotaCellId cell, EventcountId seg_ec) {
+Status PageFrameManager::EvictPage(PageTable* pt, uint32_t page) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   Ptw& ptw = pt->ptws[page];
   if (!ptw.in_core) {
@@ -568,17 +559,32 @@ Status PageFrameManager::EvictPage(PageTable* pt, uint32_t page, PackId pack, Vt
   if (ptw.locked) {
     return Status(Code::kFailedPrecondition, "page is in fault service");
   }
-  const FrameIndex frame(ptw.frame);
-  FrameInfo& fi = info(frame);
-  // Refresh home coordinates (the caller is authoritative).
-  fi.pack = pack;
-  fi.vtoc = vtoc;
-  fi.cell = cell;
-  fi.seg_ec = seg_ec;
-  return CleanAndRelease(frame);
+  return CleanAndRelease(FrameIndex(ptw.frame));
+}
+
+void PageFrameManager::OrphanTransfers(const PageTable* pt) {
+  CallTracker::Scope scope(&ctx_->tracker, self_);
+  // A frame in flight names a locked PTW (audited): with none, nothing to cut.
+  if (std::none_of(pt->ptws.begin(), pt->ptws.end(), [](const Ptw& ptw) { return ptw.locked; })) {
+    return;
+  }
+  for (FrameInfo& fi : frames_) {
+    if (fi.state == FrameState::kIoInProgress && fi.pt == pt) {
+      fi.pt = nullptr;
+    }
+  }
+  vpm_->Advance(pt->arrival);
 }
 
 void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const {
+  auto read_pending = [this](FrameIndex frame) {  // posted, or queued on a pack
+    bool queued = false;
+    for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
+      queued = queued || ctx_->volumes.pack(PackId(p))->ReadQueued(frame.value);
+    }
+    return queued || std::any_of(posted_reads_.begin(), posted_reads_.end(),
+                                 [frame](const PostedRead& read) { return read.frame == frame; });
+  };
   size_t in_use = 0;
   size_t in_io = 0;
   for (size_t slot = 0; slot < frames_.size(); ++slot) {
@@ -594,12 +600,24 @@ void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const 
     }
     if (fi.pt == nullptr) {
       // An in-use frame between AcquireFrame and installation is transient;
-      // seeing one at audit time (quiescence) is a leak.
-      findings->push_back("frame " + std::to_string(frame) + " in use with no page table");
+      // seeing one at audit time (quiescence) is a leak.  An orphan awaits
+      // its read, posted or queued on a pack, to free it.
+      if (fi.state == FrameState::kInUse) {
+        findings->push_back("frame " + std::to_string(frame) + " in use with no page table");
+      } else if (!read_pending(FrameIndex(frame))) {
+        findings->push_back("frame " + std::to_string(frame) +
+                            " is an orphan with no read posted or queued");
+      }
       continue;
     }
-    if (fi.state == FrameState::kInUse) {
-      const Ptw& ptw = fi.pt->ptws[fi.page];
+    const Ptw& ptw = fi.pt->ptws[fi.page];
+    if (fi.state == FrameState::kIoInProgress) {
+      // A transfer holds its page's lock, unmapped, until it lands.
+      if (!ptw.locked || ptw.in_core) {
+        findings->push_back("frame " + std::to_string(frame) + " is in flight for page " +
+                            std::to_string(fi.page) + ", but its PTW is not locked out of core");
+      }
+    } else {
       if (ptw.modified && !ptw.used && !ptw.locked && !IsWriterCandidate(FrameIndex(frame))) {
         findings->push_back("frame " + std::to_string(frame) +
                             " is cleanable but missing from the page writer's candidates");
@@ -627,9 +645,9 @@ void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const 
     if (fi.state != FrameState::kInUse || fi.pt == nullptr || !fi.pt->ptws[fi.page].modified) {
       continue;
     }
-    const VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
+    const VtocEntry* entry = ctx_->volumes.pack(fi.pt->pack)->GetVtoc(fi.pt->vtoc);
     if (entry != nullptr && entry->map_entry(fi.page).allocated) {
-      dirty_homes.emplace_back(fi.pack.value, entry->map_entry(fi.page).record.value);
+      dirty_homes.emplace_back(fi.pt->pack.value, entry->map_entry(fi.page).record.value);
     }
   }
   std::sort(dirty_homes.begin(), dirty_homes.end());
@@ -676,10 +694,10 @@ void PageFrameManager::CollectCleanable(size_t max_frames, std::optional<PackId>
         writer_candidates_[w] &= ~bit;
         continue;  // clean, or recently referenced: the clock re-marks it
       }
-      if (ptw.locked || (pack.has_value() && fi.pack != *pack)) {
+      if (ptw.locked || (pack.has_value() && fi.pt->pack != *pack)) {
         continue;  // busy, or homed on another pack
       }
-      const VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
+      const VtocEntry* entry = ctx_->volumes.pack(fi.pt->pack)->GetVtoc(fi.pt->vtoc);
       if (entry == nullptr || !entry->map_entry(fi.page).allocated) {
         continue;  // zero page without a record; leave for eviction-time logic
       }
@@ -700,12 +718,12 @@ void PageFrameManager::CollectCleanable(size_t max_frames, std::optional<PackId>
 
 void PageFrameManager::CleanInPlace(FrameIndex frame, bool queue) {
   const FrameInfo& fi = info(frame);
-  Ptw& ptw = fi.pt->ptws[fi.page];
+  PageTable& pt = *fi.pt;
   // The page stays resident and keeps viewing the image it hands over, so
   // its next write detaches the record again instead of copying.
-  WriteBack(frame, fi.pack,
-            ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc)->map_entry(fi.page).record, queue);
-  ptw.modified = false;
+  WriteBack(frame, pt.pack,
+            ctx_->volumes.pack(pt.pack)->GetVtoc(pt.vtoc)->map_entry(fi.page).record, queue);
+  pt.ptws[fi.page].modified = false;
   const uint32_t slot = frame.value - first_frame_;
   writer_candidates_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
 }

@@ -10,8 +10,8 @@
 // manager (its interpreter, and the wait primitive).
 //
 // Unlike the old page control, it never reaches into segment control's or
-// directory control's data: growth arrives from above (the segment manager)
-// with every needed name already in hand, and a full pack is reported back
+// directory control's data: a segment's names arrive from above once, on the
+// page table the segment manager hands down, and a full pack is reported back
 // up as a status, not by reaching around the dependency structure.
 //
 // Two execution modes:
@@ -105,30 +105,31 @@ class PageFrameManager {
   void set_pipeline(const PagingPipeline& pipeline) { pipeline_ = pipeline; }
   const PagingPipeline& pipeline() const { return pipeline_; }
 
-  // Services a missing-page exception for `page` of the segment whose home is
-  // (pack, vtoc).  `word` is the referenced word within the page; a
-  // synchronous read-in starts the host loads of that word's line and of the
-  // image's count before it picks a victim (a host hint: no charge, metric
-  // or trace event).  `seg_ec` is the segment's page-arrival eventcount;
-  // `initiator` identifies the user process (for the upward message), and is
+  // Services a missing-page exception for `page` of `pt`'s segment.  `word`
+  // is the referenced word within the page; a synchronous read-in starts the
+  // host loads of that word's line and of the image's count before it picks
+  // a victim (a host hint: no charge, metric or trace event).  `initiator`
+  // identifies the user process (for the upward message), and is
   // ProcessId{0} for kernel-internal references.
   // Sync mode: completes inline.  Async mode: returns kBlocked and fills
-  // *wait; the caller parks until seg_ec reaches wait->target, then retries.
-  Status ServiceMissingPage(PageTable* pt, uint32_t page, uint32_t word, PackId pack,
-                            VtocIndex vtoc, QuotaCellId cell, EventcountId seg_ec,
-                            ProcessId initiator, WaitSpec* wait);
+  // *wait; the caller parks until pt->arrival reaches wait->target, then retries.
+  Status ServiceMissingPage(PageTable* pt, uint32_t page, uint32_t word, ProcessId initiator,
+                            WaitSpec* wait);
 
   // Adds a never-before-used page to a segment.  Quota has already been
   // charged by the segment manager; this allocates the disk record eagerly —
   // so a full pack is detected here, at the bottom of the call chain, and
   // reported upward as kPackFull.
-  Status AddPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc, QuotaCellId cell,
-                 EventcountId seg_ec);
+  Status AddPage(PageTable* pt, uint32_t page);
 
   // Evicts one page (used at deactivation): writes back if modified, runs
   // zero detection, updates the file map and quota.
-  Status EvictPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc, QuotaCellId cell,
-                   EventcountId seg_ec);
+  Status EvictPage(PageTable* pt, uint32_t page);
+
+  // Cuts `pt`'s transfers in flight loose before a deactivation reuses the
+  // table: an orphan's frame is freed when its read lands, installing nothing,
+  // and pt->arrival advances now, so a process parked on one retries.
+  void OrphanTransfers(const PageTable* pt);
 
   // Creates the work eventcounts of the two daemons, which the kernel binds
   // to virtual processors.  From then on this manager advances them where
@@ -193,11 +194,11 @@ class PageFrameManager {
     return (writer_candidates_[slot / 64] >> (slot % 64) & 1) != 0;
   }
 
-  // Integrity audit: checks frame-table / page-table cross-consistency,
-  // frame accounting, and that every lent disk record is the home of a
-  // resident modified page (else its writeback was lost); appends one line
-  // per finding.  An empty result is what
-  // the paper's code auditors are trying to establish.
+  // Integrity audit: checks frame-table / page-table cross-consistency (a
+  // frame in flight names a locked PTW out of core, or is an orphan awaiting
+  // its read), frame accounting, and that every lent disk record is the home
+  // of a resident modified page (else its writeback was lost); appends one
+  // line per finding.  An empty result is what the paper's auditors seek.
   void AuditIntegrity(std::vector<std::string>* findings) const;
   // Whether a read for `page` of `pt` is in flight: a frame is claimed for
   // it and awaits the transfer (posted, queued on a pack, or landed but not
@@ -212,14 +213,11 @@ class PageFrameManager {
  private:
   enum class FrameState : uint8_t { kFree, kInUse, kIoInProgress };
 
+  // A frame holds page `page` of `pt`; one in flight with no `pt` is an orphan.
   struct FrameInfo {
     FrameState state = FrameState::kFree;
     PageTable* pt = nullptr;
     uint32_t page = 0;
-    PackId pack{};
-    VtocIndex vtoc{};
-    QuotaCellId cell{};
-    EventcountId seg_ec{};
     bool prefetched = false;  // arrived by readahead, not yet known referenced
     // A prefetched page lands with used=false (the scan has not reached it),
     // which would make it the clock's first choice; this grants it one full
@@ -264,8 +262,7 @@ class PageFrameManager {
   // Pre-cleaning: refills the free list to the high watermark.
   void ReplenishFreePool();
   // Sequential-readahead policy, run after each serviced demand fault.
-  void MaybeReadahead(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
-                      QuotaCellId cell, EventcountId seg_ec);
+  void MaybeReadahead(PageTable* pt, uint32_t page);
   // Dispatches one round of `pack`'s request queue and completes any posted
   // reads.
   void DispatchPackQueue(PackId pack);
@@ -273,25 +270,19 @@ class PageFrameManager {
   // drains every pack's.
   void DrainPackQueue(PackId pack);
   void DrainPackQueues();
-  void CompletePostedRead(FrameIndex frame);
   // Installs a finished read of `frame`, for the daemon and for dispatch
-  // rounds alike: binds the frame to the record's image (its latency is
-  // already paid), maps and unlocks the PTW with used/modified clear, marks
-  // the frame in use and counts the completion.  Returns false, touching nothing, when
-  // the segment was deactivated while the read was in flight.
+  // rounds alike: binds the frame to the image of the record the table's home
+  // names now (its latency is already paid), maps and unlocks the PTW with
+  // used/modified clear, marks the frame in use, counts the completion and
+  // advances the table's arrival count.  An orphan's frame goes back to the
+  // free list instead, and the call returns false.
   bool InstallRead(FrameIndex frame);
   FrameInfo& info(FrameIndex frame) { return frames_[frame.value - first_frame_]; }
-  // Records which page `frame` holds: page `page` of `pt`, homed at
-  // (pack, vtoc), charged to `cell`, arrivals announced on `seg_ec`.
-  FrameInfo& Claim(FrameIndex frame, PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
-                   QuotaCellId cell, EventcountId seg_ec) {
+  // Records which page `frame` holds: page `page` of `pt`.
+  FrameInfo& Claim(FrameIndex frame, PageTable* pt, uint32_t page) {
     FrameInfo& fi = info(frame);
     fi.pt = pt;
     fi.page = page;
-    fi.pack = pack;
-    fi.vtoc = vtoc;
-    fi.cell = cell;
-    fi.seg_ec = seg_ec;
     return fi;
   }
   // Returns an unused or released frame to the free list.

@@ -27,7 +27,7 @@ Status SegmentManager::Init(uint32_t ast_slots) {
   ast_area_ = *seg;
   ast_.assign(ast_slots, AstEntry{});
   for (uint32_t i = 0; i < ast_slots; ++i) {
-    ast_[i].page_ec = ctx_->eventcounts.Create();
+    ast_[i].page_table.arrival = ctx_->eventcounts.Create();
   }
   return Status::Ok();
 }
@@ -71,14 +71,12 @@ Result<uint32_t> SegmentManager::Activate(SegmentUid uid, PackId pack, VtocIndex
   AstEntry& ast = ast_[slot];
   ast.in_use = true;
   ast.uid = uid;
-  ast.pack = pack;
-  ast.vtoc = vtoc;
-  ast.quota_cell = cell;
-  ast.is_directory = entry->is_directory;
-  ast.max_pages = entry->max_length_pages;
   ast.lru_stamp = ++lru_counter_;
-  ast.page_table.ptws.assign(ast.max_pages, Ptw{});
-  for (uint32_t p = 0; p < ast.max_pages; ++p) {
+  ast.page_table.pack = pack;
+  ast.page_table.vtoc = vtoc;
+  ast.page_table.quota_cell = cell;
+  ast.page_table.ptws.assign(entry->max_length_pages, Ptw{});
+  for (uint32_t p = 0; p < entry->max_length_pages; ++p) {
     const FileMapEntry& fm = entry->map_entry(p);
     Ptw& ptw = ast.page_table.ptws[p];
     if (fm.allocated || fm.zero) {
@@ -120,17 +118,18 @@ Status SegmentManager::Deactivate(uint32_t slot) {
   // No associative memory holds a translation through it: every disconnect
   // before this one dropped the segment's entries on every CPU, by a segno
   // clear or by unloading the dying space (AuditAssociative checks it).
-  for (uint32_t p = 0; p < ast.max_pages; ++p) {
+  for (uint32_t p = 0; p < ast.page_table.ptws.size(); ++p) {
     if (ast.page_table.ptws[p].in_core) {
-      MKS_RETURN_IF_ERROR(
-          pfm_->EvictPage(&ast.page_table, p, ast.pack, ast.vtoc, ast.quota_cell, ast.page_ec));
+      MKS_RETURN_IF_ERROR(pfm_->EvictPage(&ast.page_table, p));
     }
   }
+  // A read still in flight must not land in the segment the slot holds next.
+  pfm_->OrphanTransfers(&ast.page_table);
   (void)core_segs_->WriteWord(ast_area_, slot, 0);
   by_uid_.erase(ast.uid);
-  const EventcountId ec = ast.page_ec;
+  const EventcountId arrival = ast.page_table.arrival;
   ast = AstEntry{};
-  ast.page_ec = ec;  // eventcounts are per-slot and reusable
+  ast.page_table.arrival = arrival;  // eventcounts are per-slot and reusable
   ctx_->trace.Instant(ev_deactivate_, slot, 0);
   return Status::Ok();
 }
@@ -148,11 +147,6 @@ void SegmentManager::AuditIntegrity(std::vector<std::string>* findings) const {
       }
     }
   }
-}
-
-AstEntry* SegmentManager::Find(SegmentUid uid) {
-  auto it = by_uid_.find(uid);
-  return it == by_uid_.end() ? nullptr : &ast_[it->second];
 }
 
 AstEntry* SegmentManager::Get(uint32_t ast) {
@@ -174,17 +168,17 @@ Status SegmentManager::GrowSegment(uint32_t slot, uint32_t page) {
   if (ast == nullptr) {
     return Status(Code::kInvalidArgument, "bad AST index");
   }
-  if (page >= ast->max_pages) {
+  PageTable& pt = ast->page_table;
+  if (page >= pt.ptws.size()) {
     return Status(Code::kOutOfBounds, "growth beyond maximum length");
   }
   // The quota cell name is static — no upward search of the hierarchy.
-  if (ast->quota_cell.value != kNoQuotaCell.value) {
-    MKS_RETURN_IF_ERROR(quota_->Charge(ast->quota_cell, 1));
+  if (pt.quota_cell != kNoQuotaCell) {
+    MKS_RETURN_IF_ERROR(quota_->Charge(pt.quota_cell, 1));
   }
-  Status added = pfm_->AddPage(&ast->page_table, page, ast->pack, ast->vtoc, ast->quota_cell,
-                               ast->page_ec);
-  if (!added.ok() && ast->quota_cell.value != kNoQuotaCell.value) {
-    (void)quota_->Refund(ast->quota_cell, 1);
+  Status added = pfm_->AddPage(&pt, page);
+  if (!added.ok() && pt.quota_cell != kNoQuotaCell) {
+    (void)quota_->Refund(pt.quota_cell, 1);
   }
   return added;
 }
@@ -197,11 +191,10 @@ Status SegmentManager::ServiceMissingPage(uint32_t slot, uint32_t page, uint32_t
     return Status(Code::kInvalidArgument, "bad AST index");
   }
   ast->lru_stamp = ++lru_counter_;
-  return pfm_->ServiceMissingPage(&ast->page_table, page, word, ast->pack, ast->vtoc,
-                                  ast->quota_cell, ast->page_ec, initiator, wait);
+  return pfm_->ServiceMissingPage(&ast->page_table, page, word, initiator, wait);
 }
 
-Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
+Status SegmentManager::Relocate(uint32_t slot) {
   CallTracker::Scope scope(&ctx_->tracker, self_);
   AstEntry* ast = Get(slot);
   if (ast == nullptr) {
@@ -210,21 +203,20 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
   if (ast->connections() != 0) {
     return Status(Code::kFailedPrecondition, "disconnect all address spaces before relocation");
   }
+  PageTable& pt = ast->page_table;
   // Flush every resident page home first so the records are authoritative.
-  for (uint32_t p = 0; p < ast->max_pages; ++p) {
-    if (ast->page_table.ptws[p].in_core) {
-      MKS_RETURN_IF_ERROR(
-          pfm_->EvictPage(&ast->page_table, p, ast->pack, ast->vtoc, ast->quota_cell,
-                          ast->page_ec));
+  for (uint32_t p = 0; p < pt.ptws.size(); ++p) {
+    if (pt.ptws[p].in_core) {
+      MKS_RETURN_IF_ERROR(pfm_->EvictPage(&pt, p));
     }
   }
-  DiskPack* old_pack = ctx_->volumes.pack(ast->pack);
-  VtocEntry* old_entry = old_pack->GetVtoc(ast->vtoc);
+  DiskPack* old_pack = ctx_->volumes.pack(pt.pack);
+  VtocEntry* old_entry = old_pack->GetVtoc(pt.vtoc);
   if (old_entry == nullptr) {
     return Status(Code::kInternal, "segment lost its VTOC entry");
   }
   const uint32_t needed = old_entry->RecordsUsed() + 1;  // headroom for the pending growth
-  MKS_ASSIGN_OR_RETURN(PackId new_pack_id, ctx_->volumes.ChoosePackExcluding(ast->pack, needed));
+  MKS_ASSIGN_OR_RETURN(PackId new_pack_id, ctx_->volumes.ChoosePackExcluding(pt.pack, needed));
   DiskPack* new_pack = ctx_->volumes.pack(new_pack_id);
   MKS_ASSIGN_OR_RETURN(VtocIndex new_vtoc,
                        new_pack->AllocateVtoc(ast->uid, old_entry->is_directory));
@@ -249,10 +241,10 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
       new_fm.record = *rec;
     }
   }
-  old_pack->FreeVtoc(ast->vtoc);
-  ast->pack = new_pack_id;
-  ast->vtoc = new_vtoc;
-  return NewHome{new_pack_id, new_vtoc};
+  old_pack->FreeVtoc(pt.vtoc);
+  pt.pack = new_pack_id;
+  pt.vtoc = new_vtoc;
+  return Status::Ok();
 }
 
 uint32_t SegmentManager::active_count() const {

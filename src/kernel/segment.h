@@ -25,19 +25,13 @@
 
 namespace mks {
 
-inline constexpr QuotaCellId kNoQuotaCell{UINT32_MAX};
 inline constexpr uint32_t kNoAst = UINT32_MAX;
 
+// An active segment; its names and maximum length (the size) are its table's.
 struct AstEntry {
   bool in_use = false;
   SegmentUid uid{};
-  PackId pack{};
-  VtocIndex vtoc{};
   PageTable page_table;
-  uint32_t max_pages = 0;
-  QuotaCellId quota_cell = kNoQuotaCell;
-  EventcountId page_ec{};      // page-arrival eventcount for this segment
-  bool is_directory = false;
   uint64_t lru_stamp = 0;
 
   // Address-space connections: the SDWs naming the page table, which lists
@@ -63,12 +57,11 @@ class SegmentManager {
   // least-recently-used unconnected entry if the table is full).
   Result<uint32_t> EnsureActive(SegmentUid uid, PackId pack, VtocIndex vtoc, QuotaCellId cell);
 
-  // Evicts all resident pages, writes the file map home, frees the slot.
-  // kFailedPrecondition while address spaces are still connected.
+  // Evicts all resident pages, cuts any transfer in flight loose, frees the
+  // slot.  kFailedPrecondition while address spaces are still connected.
   Status Deactivate(uint32_t ast);
 
-  AstEntry* Find(SegmentUid uid);
-  AstEntry* Get(uint32_t ast);
+  AstEntry* Get(uint32_t ast);  // nullptr when the slot is free or kNoAst
   uint32_t FindIndex(SegmentUid uid) const;  // kNoAst when inactive
 
   // Grows the segment by `page`: checks and charges the (statically named)
@@ -81,15 +74,11 @@ class SegmentManager {
   Status ServiceMissingPage(uint32_t ast, uint32_t page, uint32_t word, ProcessId initiator,
                             WaitSpec* wait);
 
-  struct NewHome {
-    PackId pack{};
-    VtocIndex vtoc{};
-  };
   // Moves the segment to the emptiest other pack with room for its records
   // plus one page of growth headroom.  Requires connections() == 0 (the layers
-  // above disconnect all address spaces first).  Updates the AST entry's home
-  // and returns it for the upward signal to the directory manager.
-  Result<NewHome> Relocate(uint32_t ast);
+  // above disconnect all address spaces first).  Writes the new home on the
+  // page table, where a read in flight lands and the layers above read it.
+  Status Relocate(uint32_t ast);
 
   uint32_t active_count() const;
   uint32_t ast_slots() const { return static_cast<uint32_t>(ast_.size()); }

@@ -93,7 +93,7 @@ Result<ProcessId> UserProcessManager::CreateProcess(const Subject& subject) {
   MKS_ASSIGN_OR_RETURN(PackId pack, ctx_->volumes.ChoosePack());
   MKS_ASSIGN_OR_RETURN(VtocIndex vtoc,
                        ctx_->volumes.pack(pack)->AllocateVtoc(state_uid, false));
-  SegmentHome home{state_uid, pack, vtoc, kNoQuotaCell, false};
+  SegmentHome home{state_uid, pack, vtoc, kNoQuotaCell};
   MKS_ASSIGN_OR_RETURN(Segno segno,
                        ksm_->Initiate(pid, home, AccessModes::RW(), /*ring_bracket=*/0));
   proc.state_segno = segno;

@@ -100,6 +100,60 @@ TEST(FullPack, OtherProcessReconnectsThroughSegmentFault) {
   EXPECT_GT(fx.kernel.metrics().Get("ksm.segment_faults"), 0u);
 }
 
+// A read still in flight when the segment moves lands at its new home: page
+// control reads the home off the page table when the read lands, and the
+// move wrote the new one there.
+TEST(FullPack, ReadInFlightAcrossTheMoveLandsAtTheNewHome) {
+  KernelConfig config = TinyPacks();
+  config.async_paging = true;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  PageFrameManager& pfm = fx.kernel.page_frames();
+
+  auto other_proc = fx.kernel.processes().CreateProcess(TestSubject("Smith"));
+  ASSERT_TRUE(other_proc.ok());
+  ProcContext* other = fx.kernel.processes().Context(*other_proc);
+  auto a = gates.CreateSegment(*fx.ctx, gates.RootId(), "a", WorldAcl(), Label::SystemLow());
+  auto filler =
+      gates.CreateSegment(*fx.ctx, gates.RootId(), "fill", WorldAcl(), Label::SystemLow());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(filler.ok());
+  auto sa_mine = gates.Initiate(*fx.ctx, *a);
+  auto sa_other = gates.Initiate(*other, *a);
+  auto sf = gates.Initiate(*fx.ctx, *filler);
+  ASSERT_TRUE(sa_mine.ok());
+  ASSERT_TRUE(sa_other.ok());
+  ASSERT_TRUE(sf.ok());
+
+  // Page 0 of `a` holds 1 and is evicted; the other process's read of it is
+  // posted.
+  ASSERT_TRUE(gates.Write(*fx.ctx, *sa_mine, 0, 1).ok());
+  const uint32_t slot = fx.kernel.segments().FindIndex(SegmentUid(a->value));
+  ASSERT_TRUE(pfm.EvictPage(&fx.kernel.segments().Get(slot)->page_table, 0).ok());
+  ASSERT_EQ(gates.Read(*other, *sa_other, 0).status().code(), Code::kBlocked);
+  const PackId first_home = fx.kernel.known_segments().Lookup(fx.pid, *sa_mine)->home.pack;
+
+  // Growth fills the pack and moves `a` while the read is in flight.
+  auto home = [&] { return fx.kernel.known_segments().Lookup(fx.pid, *sa_mine)->home.pack; };
+  for (uint32_t p = 1; p < 24 && home() == first_home; ++p) {
+    ASSERT_TRUE(gates.Write(*fx.ctx, *sf, p * kPageWords, 1).ok()) << p;
+    ASSERT_TRUE(gates.Write(*fx.ctx, *sa_mine, p * kPageWords, p + 1).ok()) << p;
+  }
+  ASSERT_NE(home(), first_home);
+  ASSERT_EQ(fx.kernel.segments().FindIndex(SegmentUid(a->value)), slot);
+  ASSERT_EQ(pfm.pending_io(), 1u);
+
+  LandPostedReads(fx.kernel);
+  auto theirs = ReadLanding(fx.kernel, *other, *sa_other, 0);
+  auto mine = ReadLanding(fx.kernel, *fx.ctx, *sa_mine, 0);
+  ASSERT_TRUE(theirs.ok()) << theirs.status();
+  ASSERT_TRUE(mine.ok()) << mine.status();
+  EXPECT_EQ(*theirs, 1u);
+  EXPECT_EQ(*mine, 1u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
 TEST(FullPack, WhenNoTargetPackExistsGrowthFails) {
   KernelConfig config = TinyPacks();
   config.pack_count = 1;  // nowhere to move to

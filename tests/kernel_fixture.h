@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,31 @@ struct KernelFixture {
   ProcessId pid{};
   ProcContext* ctx = nullptr;
 };
+
+// Asynchronous paging driven by hand, as the scheduler's level-1 window
+// would: moves the clock to each posted read's due time, lands it and runs
+// the page-I/O daemon, until no read is posted.
+inline void LandPostedReads(Kernel& kernel) {
+  PageFrameManager& pfm = kernel.page_frames();
+  while (pfm.pending_io() > 0) {
+    if (const std::optional<Cycles> due = pfm.NextReadDue(); due && *due > kernel.clock().now()) {
+      kernel.clock().Advance(*due - kernel.clock().now());
+    }
+    pfm.LandReads(kernel.clock().now());
+    pfm.PageIoDaemonStep();
+  }
+}
+
+// A read that lands posted reads and retries while the reference is blocked
+// (a few times: each retry can only post one more read).
+inline Result<Word> ReadLanding(Kernel& kernel, ProcContext& ctx, Segno segno, uint32_t offset) {
+  Result<Word> value = kernel.gates().Read(ctx, segno, offset);
+  for (int retry = 0; retry < 4 && value.status().code() == Code::kBlocked; ++retry) {
+    LandPostedReads(kernel);
+    value = kernel.gates().Read(ctx, segno, offset);
+  }
+  return value;
+}
 
 // Everything observable after one RunMixed.
 struct MixedRun {

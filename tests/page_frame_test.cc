@@ -34,12 +34,11 @@ struct PfmFixture {
 
   Status Evict(uint32_t page) {
     AstEntry* ast = Ast();
-    return fx.kernel.page_frames().EvictPage(&ast->page_table, page, ast->pack, ast->vtoc,
-                                             ast->quota_cell, ast->page_ec);
+    return fx.kernel.page_frames().EvictPage(&ast->page_table, page);
   }
-  DiskPack* Pack() { return fx.kernel.ctx().volumes.pack(Ast()->pack); }
+  DiskPack* Pack() { return fx.kernel.ctx().volumes.pack(Ast()->page_table.pack); }
   RecordIndex Record(uint32_t page) {
-    return Pack()->GetVtoc(Ast()->vtoc)->map_entry(page).record;
+    return Pack()->GetVtoc(Ast()->page_table.vtoc)->map_entry(page).record;
   }
   FrameIndex Frame(uint32_t page) { return FrameIndex(Ast()->page_table.ptws[page].frame); }
   PrimaryMemory& Memory() { return fx.kernel.ctx().memory; }
@@ -66,8 +65,7 @@ TEST(PageFrame, AddPageRejectsDuplicates) {
   AstEntry* ast = h.Ast();
   ASSERT_NE(ast, nullptr);
   EXPECT_EQ(h.fx.kernel.page_frames()
-                .AddPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
-                         ast->page_ec)
+                .AddPage(&ast->page_table, 0)
                 .code(),
             Code::kFailedPrecondition);
 }
@@ -81,8 +79,7 @@ TEST(PageFrame, EvictAndRefault) {
   ASSERT_TRUE(ast->page_table.ptws[0].in_core);
   const uint32_t free_before = h.fx.kernel.page_frames().free_frames();
   ASSERT_TRUE(h.fx.kernel.page_frames()
-                  .EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
-                             ast->page_ec)
+                  .EvictPage(&ast->page_table, 0)
                   .ok());
   EXPECT_FALSE(ast->page_table.ptws[0].in_core);
   EXPECT_EQ(h.fx.kernel.page_frames().free_frames(), free_before + 1);
@@ -97,8 +94,7 @@ TEST(PageFrame, EvictingAnAbsentPageIsANoOp) {
   ASSERT_TRUE(h.fx.kernel.gates().Write(*h.fx.ctx, h.segno, 0, 1).ok());
   AstEntry* ast = h.Ast();
   EXPECT_TRUE(h.fx.kernel.page_frames()
-                  .EvictPage(&ast->page_table, 3, ast->pack, ast->vtoc, ast->quota_cell,
-                             ast->page_ec)
+                  .EvictPage(&ast->page_table, 3)
                   .ok());
 }
 
@@ -145,15 +141,13 @@ TEST(PageFrame, ZeroScanChargedOnlyForModifiedEvictions) {
   const uint64_t scans_before = h.fx.kernel.metrics().Get("hw.zero_scans");
   // First eviction: modified -> scanned.
   ASSERT_TRUE(h.fx.kernel.page_frames()
-                  .EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
-                             ast->page_ec)
+                  .EvictPage(&ast->page_table, 0)
                   .ok());
   EXPECT_EQ(h.fx.kernel.metrics().Get("hw.zero_scans"), scans_before + 1);
   // Fault it back READ-only and evict again: clean -> no scan.
   ASSERT_TRUE(gates.Read(*h.fx.ctx, h.segno, 0).ok());
   ASSERT_TRUE(h.fx.kernel.page_frames()
-                  .EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
-                             ast->page_ec)
+                  .EvictPage(&ast->page_table, 0)
                   .ok());
   EXPECT_EQ(h.fx.kernel.metrics().Get("hw.zero_scans"), scans_before + 1);
 }
@@ -230,9 +224,9 @@ TEST(PageSharing, RetainedZeroPageReadsBackZeroAndRelocates) {
   // Relocation reads every record of the segment.
   const uint32_t ast = h.fx.kernel.segments().FindIndex(h.entry->home.uid);
   h.fx.kernel.address_spaces().DisconnectEverywhere(h.entry->home.uid);
-  auto home = h.fx.kernel.segments().Relocate(ast);
-  ASSERT_TRUE(home.ok()) << home.status();
-  const VtocEntry* moved = h.fx.kernel.ctx().volumes.pack(home->pack)->GetVtoc(home->vtoc);
+  ASSERT_TRUE(h.fx.kernel.segments().Relocate(ast).ok());
+  const PageTable& home = h.fx.kernel.segments().Get(ast)->page_table;
+  const VtocEntry* moved = h.fx.kernel.ctx().volumes.pack(home.pack)->GetVtoc(home.vtoc);
   ASSERT_NE(moved, nullptr);
   EXPECT_EQ(moved->RecordsUsed(), 1u);
   EXPECT_TRUE(moved->map_entry(0).zero);
@@ -308,10 +302,11 @@ std::vector<uint32_t> ReferenceWriterPicks(Kernel& kernel, size_t max_writes,
   SegmentManager& segs = kernel.segments();
   for (uint32_t slot = 0; slot < segs.ast_slots(); ++slot) {
     const AstEntry* ast = segs.Get(slot);
-    if (ast == nullptr || (pack.has_value() && ast->pack != *pack)) {
+    if (ast == nullptr || (pack.has_value() && ast->page_table.pack != *pack)) {
       continue;
     }
-    const VtocEntry* vtoc = kernel.ctx().volumes.pack(ast->pack)->GetVtoc(ast->vtoc);
+    const VtocEntry* vtoc =
+        kernel.ctx().volumes.pack(ast->page_table.pack)->GetVtoc(ast->page_table.vtoc);
     for (uint32_t p = 0; p < ast->page_table.ptws.size(); ++p) {
       const Ptw& ptw = ast->page_table.ptws[p];
       if (!ptw.in_core || !ptw.modified || ptw.used || ptw.locked || vtoc == nullptr ||
@@ -389,11 +384,9 @@ void RunWriterChurn(const PagingPipeline& pipeline, uint64_t seed) {
     } else if (dice < 85) {
       const KstEntry* entry = fx.kernel.known_segments().Lookup(fx.pid, segno);
       ASSERT_NE(entry, nullptr);
-      AstEntry* ast = fx.kernel.segments().Find(entry->home.uid);
+      AstEntry* ast = fx.kernel.segments().Get(fx.kernel.segments().FindIndex(entry->home.uid));
       if (ast != nullptr) {
-        ASSERT_TRUE(pfm.EvictPage(&ast->page_table, offset / kPageWords, ast->pack,
-                                  ast->vtoc, ast->quota_cell, ast->page_ec)
-                        .ok())
+        ASSERT_TRUE(pfm.EvictPage(&ast->page_table, offset / kPageWords).ok())
             << step;
       }
     } else {
@@ -499,7 +492,7 @@ EvictionOutcome RunDirtyInlineEviction(const PagingPipeline& pipeline, bool clea
   SegmentManager& segs = fx.kernel.segments();
   Metrics& m = fx.kernel.metrics();
   auto ast_of = [&](Segno segno) {
-    return segs.Find(fx.kernel.known_segments().Lookup(fx.pid, segno)->home.uid);
+    return segs.Get(segs.FindIndex(fx.kernel.known_segments().Lookup(fx.pid, segno)->home.uid));
   };
   auto write = [&](Segno segno, uint32_t page, Word value) {
     EXPECT_TRUE(gates.Write(*fx.ctx, segno, page * kPageWords, value).ok()) << page;
@@ -515,13 +508,13 @@ EvictionOutcome RunDirtyInlineEviction(const PagingPipeline& pipeline, bool clea
   for (int i = 0; i < 4; ++i) {
     b = fx.MustCreate(">l>b" + std::to_string(i));
     write(b, 0, 1);
-    if (ast_of(b)->pack != ast_of(a)->pack) {
+    if (ast_of(b)->page_table.pack != ast_of(a)->page_table.pack) {
       break;
     }
   }
   AstEntry* ast_a = ast_of(a);
   AstEntry* ast_b = ast_of(b);
-  EXPECT_NE(ast_a->pack, ast_b->pack);
+  EXPECT_NE(ast_a->page_table.pack, ast_b->page_table.pack);
 
   // The test pages, in clock order: V, the cleanable pages, the decoys on
   // A's pack, and B's page 1 on the other pack.
@@ -633,13 +626,9 @@ EvictionOutcome RunDirtyInlineEviction(const PagingPipeline& pipeline, bool clea
 
   // Every page reads back its data after a refault.
   for (uint32_t p = v; p <= end; ++p) {
-    EXPECT_TRUE(pfm.EvictPage(&ast_a->page_table, p, ast_a->pack, ast_a->vtoc,
-                              ast_a->quota_cell, ast_a->page_ec)
-                    .ok());
+    EXPECT_TRUE(pfm.EvictPage(&ast_a->page_table, p).ok());
   }
-  EXPECT_TRUE(pfm.EvictPage(&ast_b->page_table, 1, ast_b->pack, ast_b->vtoc,
-                            ast_b->quota_cell, ast_b->page_ec)
-                  .ok());
+  EXPECT_TRUE(pfm.EvictPage(&ast_b->page_table, 1).ok());
   for (uint32_t p = v; p <= end; ++p) {
     auto value = gates.Read(*fx.ctx, a, p * kPageWords);
     EXPECT_TRUE(value.ok()) << p;

@@ -102,10 +102,10 @@ TEST(SegmentManager, RelocationRequiresDisconnection) {
   EXPECT_EQ(fx.kernel.segments().Relocate(ast).code(), Code::kFailedPrecondition);
   // After severing, relocation succeeds and the data moves.
   fx.kernel.address_spaces().DisconnectEverywhere(entry->home.uid);
-  auto home = fx.kernel.segments().Relocate(ast);
-  ASSERT_TRUE(home.ok()) << home.status();
-  EXPECT_NE(home->pack.value, entry->home.pack.value);
-  const VtocEntry* moved = fx.kernel.ctx().volumes.pack(home->pack)->GetVtoc(home->vtoc);
+  ASSERT_TRUE(fx.kernel.segments().Relocate(ast).ok());
+  const PageTable& home = fx.kernel.segments().Get(ast)->page_table;
+  EXPECT_NE(home.pack.value, entry->home.pack.value);
+  const VtocEntry* moved = fx.kernel.ctx().volumes.pack(home.pack)->GetVtoc(home.vtoc);
   ASSERT_NE(moved, nullptr);
   EXPECT_EQ(moved->RecordsUsed(), 1u);
 }

@@ -530,10 +530,7 @@ struct TargetRig {
     EXPECT_TRUE(entry->page_table.ptws[page].in_core);
     f.kernel.ctx().current_cpu = cpu;
     const uint64_t before = Signals();
-    EXPECT_TRUE(f.kernel.page_frames()
-                    .EvictPage(&entry->page_table, page, entry->pack, entry->vtoc,
-                               entry->quota_cell, entry->page_ec)
-                    .ok());
+    EXPECT_TRUE(f.kernel.page_frames().EvictPage(&entry->page_table, page).ok());
     EXPECT_FALSE(entry->page_table.ptws[page].in_core);
     return Signals() - before;
   }
