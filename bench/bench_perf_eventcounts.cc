@@ -1,130 +1,112 @@
 // P7 — eventcount synchronization [Reed and Kanodia, 1977], the substrate
 // that lets a low-level discoverer of an event signal upward without knowing
-// the identity of the waiting processes.  Host-time microbenchmarks of the
-// primitive operations, plus waiter-count scaling for Advance.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
+// the identity of the waiting processes.
+//
+// For each N, N user processes park on one user eventcount of a booted
+// kernel, and the bench's own process advances it through the gate.  The
+// advancer names no waiter, so its call costs the same simulated cycles at
+// every N.  Posting a wakeup on the real-memory queue is an uncharged write
+// of resident words; the per-waiter work lands at level 2, which drains the
+// queue and resumes the waiters.
+#include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/sync/eventcount.h"
 
 namespace mks {
 namespace {
 
-void BM_Advance_NoWaiters(benchmark::State& state) {
-  Metrics metrics;
-  EventcountTable table(&metrics);
-  const EventcountId ec = table.Create();
-  std::vector<EcWaiter> woken;
-  for (auto _ : state) {
-    table.Advance(ec, &woken);
-    benchmark::DoNotOptimize(woken.data());
-  }
-}
-BENCHMARK(BM_Advance_NoWaiters);
+constexpr uint64_t kWaiterCounts[] = {0, 1, 4, 16, 64};
 
-void BM_Read(benchmark::State& state) {
-  Metrics metrics;
-  EventcountTable table(&metrics);
-  const EventcountId ec = table.Create();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Read(ec));
-  }
-}
-BENCHMARK(BM_Read);
+struct AdvanceRun {
+  uint64_t waiters = 0;   // processes parked on the eventcount
+  Cycles advance = 0;     // the advancing gate call
+  uint64_t wakeups = 0;   // sync.wakeups during that call
+  Cycles resume = 0;      // the scheduler run that resumes the waiters
+  uint64_t finished = 0;  // waiters that ran to kDone
+};
 
-void BM_AwaitSatisfied(benchmark::State& state) {
-  Metrics metrics;
-  EventcountTable table(&metrics);
-  const EventcountId ec = table.Create();
-  std::vector<EcWaiter> woken;
-  table.Advance(ec, &woken);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.AwaitOrEnqueue(ec, 1, EcWaiter::Vp(VpId(0))));
+AdvanceRun ParkAndAdvance(uint64_t waiters) {
+  KernelConfig config;
+  config.ast_slots = 128;  // every parked process keeps its state segment active
+  BenchKernel fx{config};
+  UserProcessManager& procs = fx.kernel.processes();
+  auto ec = fx.kernel.gates().CreateEventcount(*fx.ctx, Label::SystemLow());
+  if (!ec.ok()) {
+    std::fprintf(stderr, "eventcount creation failed\n");
+    std::abort();
   }
-}
-BENCHMARK(BM_AwaitSatisfied);
-
-// Advance with N waiters, all satisfied at once (the broadcast the
-// page-arrival protocol relies on).
-void BM_AdvanceBroadcast(benchmark::State& state) {
-  Metrics metrics;
-  EventcountTable table(&metrics);
-  const EventcountId ec = table.Create();
-  const int waiters = static_cast<int>(state.range(0));
-  std::vector<EcWaiter> woken;
-  uint64_t target = 1;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (int w = 0; w < waiters; ++w) {
-      table.AwaitOrEnqueue(ec, target, EcWaiter::Vp(VpId(static_cast<uint16_t>(w))));
+  std::vector<ProcessId> pids;
+  for (uint64_t i = 0; i < waiters; ++i) {
+    Subject user{Principal{"W" + std::to_string(i), "Proj"}, Label::SystemLow(), 4};
+    auto pid = procs.CreateProcess(user);
+    if (!pid.ok() ||
+        !procs.SetProgram(*pid, {UserOp::Await(*ec, 1), UserOp::Compute(10)}).ok()) {
+      std::fprintf(stderr, "waiter setup failed\n");
+      std::abort();
     }
-    state.ResumeTiming();
-    table.Advance(ec, &woken);
-    benchmark::DoNotOptimize(woken.data());
-    ++target;
+    pids.push_back(*pid);
   }
-  state.counters["waiters"] = waiters;
-}
-BENCHMARK(BM_AdvanceBroadcast)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+  // Nothing inside advances the count, so with waiters this run ends
+  // failed_precondition, all blocked on eventcounts.
+  (void)procs.RunUntilQuiescent(100000);
 
-void BM_SequencerTicket(benchmark::State& state) {
-  Sequencer seq;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(seq.Ticket());
+  AdvanceRun run;
+  run.waiters = waiters;
+  const uint64_t wakeups = fx.kernel.metrics().Get("sync.wakeups");
+  Cycles before = fx.kernel.clock().now();
+  if (!fx.kernel.gates().AdvanceEventcount(*fx.ctx, *ec).ok()) {
+    std::fprintf(stderr, "advance failed\n");
+    std::abort();
   }
-}
-BENCHMARK(BM_SequencerTicket);
-
-// These primitives never touch the simulated clock (they are the host-level
-// substrate), so the JSON line reports host nanoseconds per operation from a
-// single fixed-count run.
-template <typename Fn>
-double HostNsPerOp(int iters, Fn&& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    fn();
+  run.advance = fx.kernel.clock().now() - before;
+  run.wakeups = fx.kernel.metrics().Get("sync.wakeups") - wakeups;
+  before = fx.kernel.clock().now();
+  (void)procs.RunUntilQuiescent(100000);
+  run.resume = fx.kernel.clock().now() - before;
+  for (ProcessId pid : pids) {
+    run.finished += procs.state(pid) == ProcState::kDone ? 1 : 0;
   }
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(stop - start).count() / iters;
+  return run;
 }
 
 }  // namespace
 }  // namespace mks
 
-int main(int argc, char** argv) {
+int main() {
   using namespace mks;
   std::printf(
-      "P7 -- eventcounts and sequencers: the discoverer of an event needs no\n"
-      "knowledge of the waiting processes' identities; advance is O(waiters)\n"
-      "only when waiters exist.\n\n");
-  {
-    constexpr int kIters = 100000;
-    Metrics metrics;
-    EventcountTable table(&metrics);
-    const EventcountId ec = table.Create();
-    std::vector<EcWaiter> woken;
-    const double advance_ns = HostNsPerOp(kIters, [&] { table.Advance(ec, &woken); });
-    const double read_ns = HostNsPerOp(kIters, [&] { (void)table.Read(ec); });
-    uint64_t target = table.Read(ec) + 1;
-    const double broadcast16_ns = HostNsPerOp(2000, [&] {
-      for (int w = 0; w < 16; ++w) {
-        table.AwaitOrEnqueue(ec, target, EcWaiter::Vp(VpId(static_cast<uint16_t>(w))));
-      }
-      table.Advance(ec, &woken);
-      ++target;
-    });
-    Sequencer seq;
-    const double ticket_ns = HostNsPerOp(kIters, [&] { (void)seq.Ticket(); });
-    EmitJson(JsonLine("eventcounts")
-                 .Field("advance_no_waiters_ns", advance_ns)
-                 .Field("read_ns", read_ns)
-                 .Field("broadcast_16_waiters_ns", broadcast16_ns)
-                 .Field("sequencer_ticket_ns", ticket_ns));
+      "P7 -- eventcounts: the discoverer of an event needs no knowledge of the\n"
+      "waiting processes' identities.  Expect the advancing call to cost the same\n"
+      "at every waiter count, with the per-waiter work paid when level 2 resumes\n"
+      "the waiters.\n\n");
+  std::vector<AdvanceRun> runs;
+  for (const uint64_t waiters : kWaiterCounts) {
+    runs.push_back(ParkAndAdvance(waiters));
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  bool reproduced = true;
+  std::printf("waiters  advance cyc  wakeups  resume cyc  finished\n");
+  for (const AdvanceRun& run : runs) {
+    reproduced = reproduced && run.advance == runs[0].advance && run.wakeups == run.waiters &&
+                 run.finished == run.waiters;
+    std::printf("%7llu  %11llu  %7llu  %10llu  %8llu\n",
+                static_cast<unsigned long long>(run.waiters),
+                static_cast<unsigned long long>(run.advance),
+                static_cast<unsigned long long>(run.wakeups),
+                static_cast<unsigned long long>(run.resume),
+                static_cast<unsigned long long>(run.finished));
+  }
+  std::printf("\n");
+  for (const AdvanceRun& run : runs) {
+    EmitJson(JsonLine("eventcounts")
+                 .Field("waiters", run.waiters)
+                 .Field("cyc_advance", run.advance)
+                 .Field("wakeups", run.wakeups)
+                 .Field("cyc_resume", run.resume)
+                 .Field("finished", run.finished));
+  }
+  std::printf(
+      "one advance cost at every waiter count, one wakeup per waiter, every\n"
+      "waiter finished: %s\n",
+      reproduced ? "REPRODUCED" : "MISMATCH");
+  return reproduced ? 0 : 1;
 }

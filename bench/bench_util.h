@@ -15,10 +15,11 @@
 
 namespace mks {
 
-// Every bench arms the stall watchdog with this: a frozen virtual clock
-// across this many scheduler passes is always a modeling bug, never a long
-// workload (real work charges cycles every pass).  Arming it does not change
-// any output — it only converts a livelock into a flight-recorder dump.
+// Every bench arms the stall watchdog with this: a scheduler progress stamp
+// (quanta run + device completions + process wakeups, src/sim/prof.h) frozen
+// across this many dispatch rounds is always a modeling bug, never a long
+// workload.  Arming it does not change any output — it only converts a
+// livelock into a flight-recorder dump.
 inline constexpr uint64_t kBenchStallRounds = 10000;
 
 // Arms the stall watchdog on a bench's config unless the bench chose its own

@@ -1,4 +1,4 @@
-// Eventcounts and sequencers [Reed and Kanodia, 1977].
+// Eventcounts [Reed and Kanodia, 1977].
 //
 // The kernel design's synchronization primitive: an eventcount is a
 // monotonically increasing counter; await(ec, t) suspends the caller until
@@ -6,7 +6,6 @@
 // discoverer of an event need not know the identity of the processes
 // awaiting it, which is what lets a low-level virtual processor signal
 // upward without acquiring a dependency on the user-process implementation.
-// Sequencers provide the total ordering (ticket) half of the pair.
 #ifndef MKS_SYNC_EVENTCOUNT_H_
 #define MKS_SYNC_EVENTCOUNT_H_
 
@@ -70,17 +69,6 @@ class EventcountTable {
   std::vector<Cell> cells_;
   Metrics* metrics_;
   MetricId id_wakeups_;
-};
-
-// A sequencer: issues strictly increasing tickets, pairing with eventcounts
-// to build mutual exclusion and ordered services.
-class Sequencer {
- public:
-  uint64_t Ticket() { return next_++; }
-  uint64_t next() const { return next_; }
-
- private:
-  uint64_t next_ = 0;
 };
 
 }  // namespace mks

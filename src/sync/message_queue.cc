@@ -17,7 +17,6 @@ size_t RealMemoryQueue::size() const {
 
 Status RealMemoryQueue::Push(const UpwardMessage& msg) {
   if (size() >= capacity_) {
-    ++dropped_;
     return Status(Code::kResourceExhausted, "real-memory queue full");
   }
   const size_t slot = kHeaderWords + (tail_value() % capacity_) * kSlotWords;

@@ -44,13 +44,12 @@ class RealMemoryQueue {
   bool empty() const { return size() == 0; }
 
   // kResourceExhausted when the queue is full: the fixed size is the design's
-  // deliberate bound; callers at level 1 must treat overflow as a reportable
-  // (counted) condition, never by blocking.
+  // deliberate bound.  The level-1 caller never blocks on it: it defers the
+  // refused message and posts it after the next drain, so none is lost
+  // (UprocWake.AFullQueueLosesNoWakeup).
   Status Push(const UpwardMessage& msg);
 
   std::optional<UpwardMessage> Pop();
-
-  uint64_t dropped() const { return dropped_; }
 
  private:
   uint64_t& head() { return storage_[0]; }
@@ -60,7 +59,6 @@ class RealMemoryQueue {
 
   std::span<uint64_t> storage_;
   size_t capacity_;
-  uint64_t dropped_ = 0;
 };
 
 }  // namespace mks
